@@ -28,7 +28,11 @@ from repro.eval.harness import (
 from repro.eval.metrics import mot_metrics, ospa_series
 from repro.exec import default_runner
 from repro.kernels import backend_name
-from repro.kernels.tick import enable_fusion, reset_fusion_override
+from repro.kernels.tick import (
+    MultiTickPlan,
+    enable_fusion,
+    reset_fusion_override,
+)
 from repro.multi import MultiScenario, MultiWiTrack
 from repro.sim import (
     DepthCalibration,
@@ -163,7 +167,9 @@ def crossing_benchmark(seed: int = SEED) -> dict:
     fusion forced off and on — and scores both against the VICON truth
     protocol. The fused run must be bitwise the staged run (positions,
     identities, coasting flags), so its MOTA/ID-switch numbers gate in
-    CI exactly like the throughput artifacts do.
+    CI exactly like the throughput artifacts do. Each leg also counts
+    its ``MultiTickPlan.run`` calls, so the gate can check that the
+    fusion toggle really switched execution paths.
     """
     room = through_wall_room()
     config = default_config()
@@ -174,15 +180,25 @@ def crossing_benchmark(seed: int = SEED) -> dict:
         list(zip(bodies, walks)), room=room, config=config, seed=seed + 1
     ).run()
 
+    plan_run = MultiTickPlan.run
+    plan_calls = [0]
+
+    def counted_run(plan, tick):
+        plan_calls[0] += 1
+        return plan_run(plan, tick)
+
     def run(fused: bool):
         enable_fusion(fused)
+        plan_calls[0] = 0
         tracker = MultiWiTrack(config, max_people=2, room=room)
-        return tracker.track(out.spectra, out.range_bin_m)
+        return tracker.track(out.spectra, out.range_bin_m), plan_calls[0]
 
+    MultiTickPlan.run = counted_run
     try:
-        staged = run(False)
-        fused = run(True)
+        staged, staged_plan_ticks = run(False)
+        fused, fused_plan_ticks = run(True)
     finally:
+        MultiTickPlan.run = plan_run
         reset_fusion_override()
 
     # Ground truth per person: the Section 8(a) protocol applied per
@@ -212,6 +228,8 @@ def crossing_benchmark(seed: int = SEED) -> dict:
         "staged": _identity_fields(truths, staged),
         "fused": _identity_fields(truths, fused),
         "fused_identical": bool(identical),
+        "staged_plan_ticks": staged_plan_ticks,
+        "fused_plan_ticks": fused_plan_ticks,
     }
 
 
@@ -229,10 +247,17 @@ def test_crossing_identity():
               f"mean OSPA {f['mean_ospa_cm']:.1f} cm  "
               f"tracks {f['tracks']}")
     print(f"fused identical to staged: "
-          f"{'yes' if payload['fused_identical'] else 'NO'}")
+          f"{'yes' if payload['fused_identical'] else 'NO'}  "
+          f"(MultiTickPlan ticks: staged {payload['staged_plan_ticks']}, "
+          f"fused {payload['fused_plan_ticks']})")
     CROSSING_OUT.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {CROSSING_OUT}")
 
+    # The comparison below means something only if the two legs ran
+    # different code: the fused leg through the compiled plan, the
+    # staged leg never.
+    assert payload["fused_plan_ticks"] > 0, "fused leg never ran a plan"
+    assert payload["staged_plan_ticks"] == 0, "staged leg ran a plan"
     # The CI identity gate: fusing the K-person tick must not change
     # tracking output at all, so MOTA and ID switches are unchanged by
     # construction — and the JSON artifact records the absolute values

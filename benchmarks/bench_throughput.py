@@ -1,14 +1,16 @@
-"""Throughput benchmark: frames/sec for stream, batch, and sharded runs.
+"""Throughput benchmark: frames/sec for offline, realtime, and sharded runs.
 
-Runs the same synthesized session through the unified pipeline engine's
-two execution modes — ``run_batch`` (block-vectorized, the offline
-evaluation path) and ``run_stream`` (frame-at-a-time, the realtime
-path) — for the single-person and the K=2 multi-person stage graphs,
-and reports frames per second for each. A third, sharded workload fans
-one long lazily-synthesized stream across a process pool
-(``repro.exec.ShardedStreamRunner``) and records workers, speedup, and
-the serial-vs-parallel identity check. Results land in
-``benchmarks/throughput.json`` so CI runs leave a comparable artifact.
+Runs the same synthesized session through the two public front ends of
+the pipeline engine — offline ``track`` (``Pipeline.run_stream``, the
+evaluation path) and the realtime app (one serving session fed frame by
+frame) — for the single-person and the K=2 multi-person stage graphs,
+and reports frames per second for each. Both run the same lockstep
+tick; the gap between them is the serving engine's per-frame queueing
+and routing. A third, sharded workload fans one long lazily-synthesized
+stream across a process pool (``repro.exec.ShardedStreamRunner``) and
+records workers, speedup, and the serial-vs-parallel identity check.
+Results land in ``benchmarks/throughput.json`` so CI runs leave a
+comparable artifact.
 
 Run:
     python benchmarks/bench_throughput.py [--duration 10] [--repeats 3]
@@ -64,23 +66,23 @@ def bench_single(duration_s: float, repeats: int) -> dict:
     tracker = WiTrack(config)
     n_frames = out.num_sweeps // config.pipeline.sweeps_per_frame
 
-    batch_s = _best(
+    track_s = _best(
         lambda: tracker.track(out.spectra, out.range_bin_m), repeats
     )
 
-    def stream() -> None:
+    def realtime() -> None:
         RealtimeTracker(config, range_bin_m=out.range_bin_m).run(out.spectra)
 
-    stream_s = _best(stream, repeats)
+    realtime_s = _best(realtime, repeats)
     rt = RealtimeTracker(config, range_bin_m=out.range_bin_m)
     rt.run(out.spectra)
     return {
         "n_frames": n_frames,
-        "batch_s": batch_s,
-        "stream_s": stream_s,
-        "batch_fps": n_frames / batch_s,
-        "stream_fps": n_frames / stream_s,
-        "stream_p95_latency_ms": 1e3 * rt.latency.p95_s,
+        "track_s": track_s,
+        "realtime_s": realtime_s,
+        "track_fps": n_frames / track_s,
+        "realtime_fps": n_frames / realtime_s,
+        "realtime_p95_latency_ms": 1e3 * rt.latency.p95_s,
         "within_75ms_budget": rt.latency.within_budget(0.075),
     }
 
@@ -97,23 +99,23 @@ def bench_multi(duration_s: float, repeats: int, people: int = 2) -> dict:
     tracker = MultiWiTrack(config, max_people=people, room=room)
     n_frames = out.num_sweeps // config.pipeline.sweeps_per_frame
 
-    batch_s = _best(
+    track_s = _best(
         lambda: tracker.track(out.spectra, out.range_bin_m), repeats
     )
 
-    def stream() -> None:
+    def realtime() -> None:
         RealtimeMultiTracker(
             config, range_bin_m=out.range_bin_m, max_people=people, room=room
         ).run(out.spectra)
 
-    stream_s = _best(stream, repeats)
+    realtime_s = _best(realtime, repeats)
     return {
         "people": people,
         "n_frames": n_frames,
-        "batch_s": batch_s,
-        "stream_s": stream_s,
-        "batch_fps": n_frames / batch_s,
-        "stream_fps": n_frames / stream_s,
+        "track_s": track_s,
+        "realtime_s": realtime_s,
+        "track_fps": n_frames / track_s,
+        "realtime_fps": n_frames / realtime_s,
     }
 
 
@@ -153,16 +155,16 @@ def main() -> int:
     multi = bench_multi(args.duration, args.repeats)
     sharded = bench_sharded(args.duration, args.repeats, workers)
 
-    realtime_fps = 80.0  # 12.5 ms frame cadence
+    cadence_fps = 80.0  # 12.5 ms frame cadence
     print("\npipeline throughput (frames/sec; realtime needs "
-          f"{realtime_fps:.0f})")
-    print(f"{'workload':<16}{'batch':>12}{'stream':>12}")
-    print(f"{'single-person':<16}{single['batch_fps']:>12.0f}"
-          f"{single['stream_fps']:>12.0f}")
-    print(f"{'multi (K=2)':<16}{multi['batch_fps']:>12.0f}"
-          f"{multi['stream_fps']:>12.0f}")
-    print(f"\nstream p95 latency: {single['stream_p95_latency_ms']:.2f} ms "
-          f"(75 ms budget "
+          f"{cadence_fps:.0f})")
+    print(f"{'workload':<16}{'track':>12}{'realtime':>12}")
+    print(f"{'single-person':<16}{single['track_fps']:>12.0f}"
+          f"{single['realtime_fps']:>12.0f}")
+    print(f"{'multi (K=2)':<16}{multi['track_fps']:>12.0f}"
+          f"{multi['realtime_fps']:>12.0f}")
+    print(f"\nrealtime p95 latency: "
+          f"{single['realtime_p95_latency_ms']:.2f} ms (75 ms budget "
           f"{'MET' if single['within_75ms_budget'] else 'EXCEEDED'})")
     print(f"\nsharded end-to-end (synthesis + tracking, "
           f"{sharded['num_shards']} shards, {sharded['workers']} workers): "
@@ -192,8 +194,8 @@ def main() -> int:
 
     ok = (
         single["within_75ms_budget"]
-        and single["batch_fps"] > realtime_fps
-        and single["stream_fps"] > realtime_fps
+        and single["track_fps"] > cadence_fps
+        and single["realtime_fps"] > cadence_fps
         and sharded["identical"]
     )
     return 0 if ok else 1

@@ -8,9 +8,10 @@ and emits one 3D fix per frame. Since the serving engine landed it is a
 thin *single-session view* over :class:`~repro.serve.ServingEngine` —
 the same engine that multiplexes N concurrent sessions through one
 vectorized pipeline. There is no second code path: an N=1 lockstep tick
-is bitwise today's stream (pinned by ``tests/test_serve.py``), so the
-realtime app can never drift from either the batch-evaluated pipeline
-or the serving deployment. Per-frame latency (enqueue to emit, queue
+is bitwise ``Pipeline.run_stream`` (pinned by ``tests/test_serve.py``),
+which is also what offline ``WiTrack.track`` runs, so the realtime app
+can never drift from either the evaluated pipeline or the serving
+deployment. Per-frame latency (enqueue to emit, queue
 wait included) is recorded per session so the latency benchmark can
 check the 75 ms budget.
 
@@ -210,6 +211,6 @@ class RealtimeMultiTracker(_SingleSessionView):
         manager = self.manager
         frame_duration = spf * self.config.fmcw.sweep_duration_s
         # The priming frame emits nothing, so processed frame i lands at
-        # (i + 1.5) frame durations — the batch timestamp convention.
+        # (i + 1.5) frame durations — the offline track's convention.
         times = (np.arange(manager.num_frames) + 1.5) * frame_duration
         return manager.result(times)

@@ -147,8 +147,9 @@ class LeastSquaresSolver:
             (the continuity prior of human motion).
     """
 
-    #: Batch solves chain a warm start frame to frame, so rows are NOT
-    #: independent — lockstep serving must solve row by row.
+    #: Each frame is warm-started from the previous accepted fix, so rows
+    #: are NOT independent — a lockstep tick solves row by row
+    #: (:meth:`solve_row`), carrying one fix per session.
     row_independent = False
 
     def __init__(
@@ -171,8 +172,52 @@ class LeastSquaresSolver:
         depth = max(float(np.mean(k)) / 2.0, self.min_y_m + 0.1)
         return np.array([0.0, depth, 0.0])
 
+    def solve_row(
+        self, k: np.ndarray, previous: np.ndarray | None = None
+    ) -> np.ndarray | None:
+        """Solve one frame's round trips; ``None`` when rejected.
+
+        Args:
+            k: the frame's ``(n_rx,)`` round trips.
+            previous: the last accepted fix of the same track; with
+                ``warm_start`` it seeds the optimizer, otherwise (or
+                when ``None``) a guess on the array axis does.
+        """
+        if not np.all(np.isfinite(k)):
+            return None
+        guess = (
+            previous
+            if (self.warm_start and previous is not None)
+            else self._initial_guess(k)
+        )
+        result = optimize.least_squares(
+            self._residuals,
+            guess,
+            args=(k,),
+            bounds=(
+                np.array([-np.inf, self.min_y_m, -np.inf]),
+                np.array([np.inf, np.inf, np.inf]),
+            ),
+            method="trf",
+            xtol=1e-10,
+            ftol=1e-10,
+        )
+        if not result.success:
+            return None
+        residual_rms = float(np.sqrt(np.mean(result.fun**2)))
+        # Accept only geometrically-consistent fits (residual below a
+        # generous fraction of the range resolution).
+        if residual_rms > 0.5:
+            return None
+        return result.x
+
     def solve(self, round_trips_m: np.ndarray) -> LocalizationResult:
-        """Solve every frame of a ``(n_frames, n_rx)`` round-trip array."""
+        """Solve every frame of a ``(n_frames, n_rx)`` round-trip array.
+
+        One track: each frame is seeded from the last accepted fix
+        before it, the same loop :class:`~repro.pipeline.stages.Localize`
+        runs per session slot.
+        """
         k_all = np.atleast_2d(np.asarray(round_trips_m, dtype=np.float64))
         n_frames = len(k_all)
         n_rx = self.array.num_receivers
@@ -182,37 +227,12 @@ class LeastSquaresSolver:
             )
         positions = np.full((n_frames, 3), np.nan)
         valid = np.zeros(n_frames, dtype=bool)
-        lower = np.array([-np.inf, self.min_y_m, -np.inf])
-        upper = np.array([np.inf, np.inf, np.inf])
         previous: np.ndarray | None = None
         for i in range(n_frames):
-            k = k_all[i]
-            if not np.all(np.isfinite(k)):
-                continue
-            guess = (
-                previous
-                if (self.warm_start and previous is not None)
-                else self._initial_guess(k)
-            )
-            result = optimize.least_squares(
-                self._residuals,
-                guess,
-                args=(k,),
-                bounds=(lower, upper),
-                method="trf",
-                xtol=1e-10,
-                ftol=1e-10,
-            )
-            if not result.success:
-                continue
-            residual_rms = float(np.sqrt(np.mean(result.fun**2)))
-            # Accept only geometrically-consistent fits (residual below a
-            # generous fraction of the range resolution).
-            if residual_rms > 0.5:
-                continue
-            positions[i] = result.x
-            valid[i] = True
-            previous = result.x
+            fix = self.solve_row(k_all[i], previous)
+            if fix is not None:
+                positions[i] = previous = fix
+                valid[i] = True
         return LocalizationResult(positions=positions, valid=valid)
 
     def solve_one(self, round_trips_m: np.ndarray) -> np.ndarray:

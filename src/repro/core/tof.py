@@ -7,8 +7,8 @@ Raw sweep spectra in, clean round-trip distances out:
 
 Since the unified engine landed, :class:`TOFEstimator` is a thin wrapper
 around a single-antenna :class:`~repro.pipeline.Pipeline` — the same
-stage objects that drive the batch tracker and the realtime app, so
-offline and online estimates can no longer drift apart. The estimator
+stage objects and lockstep tick that drive the tracker and the realtime
+app, so offline and online estimates cannot drift apart. The estimator
 is *causal* throughout: a relocation is accepted only once confirmed
 (never rewritten into the past) and frames before the first detection
 stay NaN, exactly as a live tracker would emit them.
@@ -106,9 +106,9 @@ class TOFEstimator:
         sweep_spectra = np.asarray(sweep_spectra)
         if sweep_spectra.ndim != 2:
             raise ValueError("sweep_spectra must have shape (n_sweeps, n_bins)")
-        result = self.pipeline().run_batch(
+        result = self.pipeline().run_stream(
             sweep_spectra[None, :, :], record_spectra=True
-        )
+        ).require_frames()
         return TOFEstimate(
             frame_times_s=result.frame_times_s,
             round_trip_m=result.tof_m[:, 0],

@@ -4,11 +4,10 @@
 per-antenna sweep spectra (from hardware or from :mod:`repro.sim`) and it
 returns the 3D track of the moving person.
 
-Both entry points compose the same
-:class:`~repro.pipeline.Pipeline` stage graph: :meth:`WiTrack.track`
-drives it block-vectorized (``run_batch``), :meth:`WiTrack.track_stream`
-drives it frame-at-a-time (``run_stream``), and the two provably agree —
-batch evaluation scores exactly the code that runs live.
+:meth:`WiTrack.track` streams the recording through the
+:class:`~repro.pipeline.Pipeline` stage graph frame by frame — the same
+lockstep tick the realtime app and the serving engine run — so offline
+evaluation scores exactly the code that runs live.
 
 Example:
     >>> from repro import WiTrack, default_config
@@ -25,6 +24,7 @@ Example:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -113,37 +113,22 @@ class WiTrack:
             self.config, range_bin_m, solver=self.solver
         )
 
-    def track(self, spectra: np.ndarray, range_bin_m: float) -> TrackResult:
-        """Track the moving person through a block of sweep spectra.
-
-        Args:
-            spectra: complex sweep spectra per antenna, shape
-                ``(n_rx, n_sweeps, n_bins)``.
-            range_bin_m: round-trip distance per spectrum bin.
-
-        Returns:
-            The 3D :class:`TrackResult`.
-        """
-        spectra = self._validate(spectra)
-        result = self.pipeline(range_bin_m).run_batch(
-            spectra, record_spectra=True
-        )
-        return self.package_result(result, range_bin_m)
-
-    def track_stream(
+    def track(
         self,
-        spectra: np.ndarray,
+        spectra: Iterable[np.ndarray] | np.ndarray,
         range_bin_m: float,
         record_spectra: bool = True,
     ) -> TrackResult:
-        """Track frame-at-a-time through the same pipeline as :meth:`track`.
+        """Track the moving person through a recording, frame by frame.
 
         Accepts either a full recording (sliced into 5-sweep frames) or
         any iterable of ``(n_rx, sweeps_per_frame, n_bins)`` blocks,
         e.g. :meth:`repro.sim.Scenario.frames`.
 
         Args:
-            spectra: recording or iterable of per-frame sweep blocks.
+            spectra: complex sweep spectra per antenna, shape
+                ``(n_rx, n_sweeps, n_bins)``, or an iterable of
+                per-frame sweep blocks.
             range_bin_m: round-trip distance per spectrum bin.
             record_spectra: keep the per-antenna subtracted
                 spectrograms in ``tof_estimates`` (the pointing
@@ -151,6 +136,9 @@ class WiTrack:
                 the spectrograms are the one per-frame intermediate
                 with significant memory (``tof_estimates`` is then
                 empty).
+
+        Returns:
+            The 3D :class:`TrackResult`.
         """
         if isinstance(spectra, np.ndarray):
             spectra = self._validate(spectra)
@@ -200,12 +188,7 @@ class WiTrack:
         (:func:`repro.exec.cache.tracked_scenario`) re-packages stored
         :class:`~repro.pipeline.PipelineResult` arrays on a hit.
         """
-        if result.tof_m is None:
-            raise ValueError(
-                "recording produced no output frames (at least two "
-                "averaged frames are needed to prime background "
-                "subtraction)"
-            )
+        result.require_frames()
         n_rx = result.tof_m.shape[1]
         estimates: tuple[TOFEstimate, ...] = ()
         if result.subtracted is not None:

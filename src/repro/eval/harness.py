@@ -112,10 +112,6 @@ class TrackingExperiment:
         walk_area: x/y ranges the subject walks in (Fig. 9 moves it
             deeper to increase distance from the device).
         config: full system configuration override.
-        mode: "batch" runs the pipeline block-vectorized
-            (``run_batch``); "stream" runs it frame-at-a-time
-            (``run_stream``). Both drive the same stage graph and the
-            scores agree — which is the point.
     """
 
     seed: int
@@ -124,11 +120,6 @@ class TrackingExperiment:
     antenna_separation_m: float = 1.0
     walk_area: tuple[tuple[float, float], tuple[float, float]] | None = None
     config: SystemConfig | None = None
-    mode: str = "batch"
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("batch", "stream"):
-            raise ValueError(f"unknown mode: {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -199,16 +190,9 @@ def run_tracking_experiment(exp: TrackingExperiment) -> TrackingOutcome:
     scenario = Scenario(
         trajectory, room=room, body=body, config=config, seed=exp.seed + 1
     )
-    tracker = WiTrack(config, array=scenario.array)
-    if exp.mode == "stream":
-        # Streaming mode exists to exercise the frame-at-a-time path, so
-        # it only uses the spectra cache, never the result cache.
-        measured = synthesize(scenario)
-        track = tracker.track_stream(measured.spectra, measured.range_bin_m)
-    else:
-        # Batch mode goes through the result-level cache (REPRO_CACHE):
-        # an unchanged (scenario, pipeline) rerun skips tracking too.
-        track = tracked_scenario(scenario, tracker)
+    # Through the result-level cache (REPRO_CACHE): an unchanged
+    # (scenario, pipeline) rerun skips tracking too.
+    track = tracked_scenario(scenario, WiTrack(config, array=scenario.array))
 
     # Ground truth: VICON capture of the body center, then the paper's
     # offline depth compensation.

@@ -586,7 +586,7 @@ def result_key(scenario: Any, tracker: Any) -> str:
 
 
 def tracked_scenario(scenario: Any, tracker: Any) -> Any:
-    """Synthesize + batch-track a scenario, memoized at the result level.
+    """Synthesize + track a scenario, memoized at the result level.
 
     The seam the single-person harness experiments go through. With the
     cache disabled it is exactly ``tracker.track(synthesize(...))``; with
@@ -616,7 +616,7 @@ def tracked_scenario(scenario: Any, tracker: Any) -> Any:
     result = cache.get(key)
     if result is None:
         measured = synthesize(scenario)
-        result = tracker.pipeline(measured.range_bin_m).run_batch(
+        result = tracker.pipeline(measured.range_bin_m).run_stream(
             measured.spectra
         )
         cache.put(key, result)
@@ -650,7 +650,7 @@ def multi_result_key(scenario: Any, tracker: Any) -> str:
 
 
 def tracked_multi_scenario(scenario: Any, tracker: Any) -> Any:
-    """Synthesize + batch-track a multi-person scenario, memoized.
+    """Synthesize + track a multi-person scenario, memoized.
 
     The multi-person mirror of :func:`tracked_scenario`, closing the
     single-person-only caveat the result cache shipped with: a

@@ -144,8 +144,8 @@ class TickPlan:
     back to back, the *scratch copies* are authoritative and the slabs
     lag (:attr:`_dirty`) — the pipeline calls :meth:`flush` as a read
     barrier before anything reads or mutates the slabs directly
-    (``snapshot_session``, staged execution, lifecycle events, batch
-    mode), so observable state is always current at those boundaries.
+    (``snapshot_session``, staged execution, lifecycle events), so
+    observable state is always current at those boundaries.
     :attr:`state_epoch` (bumped by the pipeline on attach/evict/
     restore/reset and on any staged execution) invalidates the resident
     copies, and a changed slot vector flushes and re-gathers.
@@ -369,7 +369,7 @@ def _prologue(plan: TickPlan, tick, hot: bool = False):
 
 def _gate_fused(plan: TickPlan, v: np.ndarray, slots, sc: dict, hot: bool):
     """The outlier gate, lean: same elementwise update as the staged
-    ``OutlierGate._step_rows`` (bit-identical outputs and state,
+    ``OutlierGate.process_tick`` (bit-identical outputs and state,
     including the NaN-padded pending tails), with the stable-argsort
     pack replaced by an equivalent cumsum-addressed scatter and a fast
     path when no row is relocating."""

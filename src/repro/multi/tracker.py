@@ -16,17 +16,16 @@ in the direction of the authors' follow-up multi-person work.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 
 from ..config import SystemConfig, default_config
-from ..core.background import background_subtract
 from ..core.localize import make_solver
-from ..core.spectrogram import spectrogram_from_sweeps
 from ..geometry.antennas import AntennaArray, t_array
 from ..rf.multipath import mirror_point
 from ..sim.room import Room
 from .association import FixGate
-from .cancellation import MultiContourResult, successive_contours
 from .tracks import MultiTrack, TrackManager, TrackManagerConfig
 
 
@@ -92,43 +91,12 @@ class MultiWiTrack:
             * self.config.fmcw.sweep_duration_s
         )
 
-    def contours(
-        self, spectra: np.ndarray, range_bin_m: float
-    ) -> tuple[MultiContourResult, ...]:
-        """Per-antenna successive-cancellation candidate sets.
-
-        Args:
-            spectra: complex sweep spectra, shape ``(n_rx, n_sweeps,
-                n_bins)``.
-            range_bin_m: round-trip distance per spectrum bin.
-
-        Returns:
-            One :class:`MultiContourResult` per receive antenna.
-        """
-        cfg = self.config.pipeline
-        results = []
-        for i in range(spectra.shape[0]):
-            spectrogram = spectrogram_from_sweeps(
-                spectra[i],
-                self.config.fmcw.sweep_duration_s,
-                range_bin_m,
-                sweeps_per_frame=cfg.sweeps_per_frame,
-            ).crop(cfg.max_range_m)
-            subtracted = background_subtract(spectrogram)
-            results.append(
-                successive_contours(
-                    subtracted.power,
-                    subtracted.range_bin_m,
-                    max_targets=self.num_candidates,
-                )
-            )
-        return tuple(results)
-
     def pipeline(self, range_bin_m: float):
         """A fresh multi-person :class:`~repro.pipeline.Pipeline`.
 
-        The same stage graph drives :meth:`track` (batch) and the
-        streaming :class:`~repro.apps.realtime.RealtimeMultiTracker`.
+        The same stage graph drives :meth:`track`, the streaming
+        :class:`~repro.apps.realtime.RealtimeMultiTracker`, and
+        multi-person serving cohorts.
         """
         # Deferred import: repro.pipeline composes repro.multi primitives.
         from ..pipeline.runner import multi_person_pipeline
@@ -141,44 +109,26 @@ class MultiWiTrack:
             manager_factory=self.make_manager,
         )
 
-    def track(self, spectra: np.ndarray, range_bin_m: float) -> MultiTrack:
-        """Track every moving person through a block of sweep spectra.
+    def track(
+        self, spectra: Iterable[np.ndarray] | np.ndarray, range_bin_m: float
+    ) -> MultiTrack:
+        """Track every moving person through a recording, frame by frame.
 
         Args:
             spectra: complex sweep spectra per antenna, shape
-                ``(n_rx, n_sweeps, n_bins)``.
+                ``(n_rx, n_sweeps, n_bins)``, or any iterable of
+                ``(n_rx, sweeps_per_frame, n_bins)`` blocks.
             range_bin_m: round-trip distance per spectrum bin.
 
         Returns:
             The :class:`MultiTrack` of all confirmed people.
         """
-        spectra = self._validate(spectra)
-        pipe = self.pipeline(range_bin_m)
-        result = pipe.run_batch(spectra)
         from ..pipeline.multi import Associate
 
-        return pipe.stage(Associate).manager.result(result.frame_times_s)
-
-    def track_stream(
-        self, spectra: np.ndarray, range_bin_m: float
-    ) -> MultiTrack:
-        """Track frame-at-a-time through the same pipeline as :meth:`track`.
-
-        Accepts a full recording or any iterable of
-        ``(n_rx, sweeps_per_frame, n_bins)`` blocks.
-        """
         if isinstance(spectra, np.ndarray):
             spectra = self._validate(spectra)
         pipe = self.pipeline(range_bin_m)
-        result = pipe.run_stream(spectra)
-        if result.num_frames == 0:
-            raise ValueError(
-                "recording produced no output frames (at least two "
-                "averaged frames are needed to prime background "
-                "subtraction)"
-            )
-        from ..pipeline.multi import Associate
-
+        result = pipe.run_stream(spectra).require_frames()
         return pipe.stage(Associate).manager.result(result.frame_times_s)
 
     def _validate(self, spectra: np.ndarray) -> np.ndarray:

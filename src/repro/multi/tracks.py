@@ -490,7 +490,7 @@ class _Snapshot:
 class TrackManager:
     """Birth, update, coast, and kill tracks frame by frame.
 
-    Drives both the batch tracker and the streaming app: call
+    Drives the offline tracker and the streaming app alike: call
     :meth:`step` once per frame with that frame's per-antenna candidate
     TOF sets, then :meth:`result` to package the accumulated history.
 

@@ -7,24 +7,23 @@ in ``WiTrack``, online in the realtime app, and again in the
 multi-person tracker. This package is the single implementation all of
 them now compose:
 
-* :mod:`frame` — the :class:`Frame`/:class:`FrameBlock`/
-  :class:`SessionTick` records stages communicate through;
+* :mod:`frame` — the :class:`Frame`/:class:`SessionTick` records
+  stages communicate through;
 * :mod:`stages` — the stateful single-person stages;
 * :mod:`multi` — the multi-person stages (successive cancellation and
   track association);
-* :mod:`runner` — the :class:`Pipeline` runner with its two execution
-  modes, ``run_stream`` (frame-at-a-time, latency-accounted) and
-  ``run_batch`` (block-vectorized), plus the stage-graph factories.
+* :mod:`runner` — the :class:`Pipeline` runner plus the stage-graph
+  factories.
 
-All modes drive the same stage objects — batch, streaming, and the
-session-lockstep ``Pipeline.tick`` the serving engine
-(:mod:`repro.serve`) batches N sessions through. Stage state is
-structure-of-arrays over a session axis (``Stage.attach`` /
+There is one execution mode: the session-lockstep ``Pipeline.tick``.
+Offline tracking (``run_stream``), the realtime apps, and the serving
+engine (:mod:`repro.serve`, N sessions per tick) all drive it. Stage
+state is structure-of-arrays over a session axis (``Stage.attach`` /
 ``Stage.evict``), so one pipeline instance advances any number of
 independent sessions without a second code path.
 """
 
-from .frame import Frame, FrameBlock, SessionTick
+from .frame import Frame, SessionTick
 from .runner import (
     LatencyReport,
     Pipeline,
@@ -45,7 +44,6 @@ from .multi import Associate, SuccessiveCancel
 
 __all__ = [
     "Frame",
-    "FrameBlock",
     "SessionTick",
     "LatencyReport",
     "Pipeline",

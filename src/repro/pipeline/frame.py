@@ -7,17 +7,11 @@ sets, the 3D fix, the per-person tracks). Stages communicate only
 through these fields, so the same stage graph serves the single-person
 and the multi-person pipelines.
 
-A :class:`FrameBlock` is the batch mirror: the same fields with a
-leading ``n_frames`` axis, so vectorizable stages can process a whole
-recording in one call while stateful stages fall back to a frame loop —
-both paths produce bitwise-identical fields, which is what makes batch
-and streaming provably the same pipeline.
-
-A :class:`SessionTick` is the *serving* mirror: the same fields with a
-leading ``n_active`` **session** axis. Where a FrameBlock is one session
-advanced many time steps, a SessionTick is many independent sessions
-advanced one time step each, in lockstep — the unit of work of the
-session-multiplexing engine in :mod:`repro.serve`. ``slots`` maps each
+A :class:`SessionTick` is the unit of work every stage processes: the
+same fields with a leading ``n_active`` **session** axis — many
+independent sessions advanced one time step each, in lockstep. An
+offline recording or a realtime stream is the one-session case; the
+serving engine in :mod:`repro.serve` batches many. ``slots`` maps each
 row to the pipeline session slot whose structure-of-arrays state it
 advances, so ticks may carry any subset of the attached sessions (late
 joiners, stragglers, drained queues).
@@ -25,7 +19,7 @@ joiners, stragglers, drained queues).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,33 +73,6 @@ class Frame:
     candidate_powers: np.ndarray | None = None
     position: np.ndarray | None = None
     tracks: list[tuple[int, np.ndarray]] | None = None
-
-
-@dataclass
-class FrameBlock:
-    """A whole recording's worth of frames, batch-major.
-
-    Every array mirrors the corresponding :class:`Frame` field with a
-    leading ``n_frames`` axis (e.g. ``spectrum`` has shape
-    ``(n_frames, n_rx, n_bins)`` and ``tof_m`` has shape
-    ``(n_frames, n_rx)``).
-    """
-
-    times_s: np.ndarray
-    spectrum: np.ndarray | None = None
-    power: np.ndarray | None = None
-    raw_tof_m: np.ndarray | None = None
-    tof_m: np.ndarray | None = None
-    motion: np.ndarray | None = None
-    candidates_m: np.ndarray | None = None
-    candidate_powers: np.ndarray | None = None
-    positions: np.ndarray | None = None
-    tracks: list[list[tuple[int, np.ndarray]]] = field(default_factory=list)
-
-    @property
-    def num_frames(self) -> int:
-        """Number of frames in the block."""
-        return len(self.times_s)
 
 
 @dataclass
@@ -173,22 +140,6 @@ class SessionTick:
         if self.tracks is not None:
             out.tracks = [t for t, k in zip(self.tracks, keep) if k]
         return out
-
-    @classmethod
-    def of_frame(cls, frame: Frame, slot: int = 0) -> "SessionTick":
-        """Wrap one frame as a single-row tick on the given slot."""
-        tick = cls(
-            slots=np.array([slot], dtype=np.intp),
-            indices=np.array([frame.index], dtype=np.int64),
-            times_s=np.array([frame.time_s]),
-        )
-        for name, frame_name in _FRAME_OF_TICK.items():
-            value = getattr(frame, frame_name)
-            if value is not None:
-                setattr(tick, name, np.asarray(value)[None])
-        if frame.tracks is not None:
-            tick.tracks = [frame.tracks]
-        return tick
 
     def write_frame(self, frame: Frame, row: int = 0) -> Frame:
         """Copy one row's fields into a :class:`Frame` (views, no copy)."""

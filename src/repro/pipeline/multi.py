@@ -9,15 +9,14 @@ the contour/denoise/localize tail for
 * :class:`Associate` — cross-antenna association, ghost gating and the
   per-target Kalman track bank (:mod:`repro.multi.tracks`).
 
-Both run frame-at-a-time, block-at-a-time, or session-lockstep with
-identical results, so :class:`~repro.multi.tracker.MultiWiTrack`
-(batch), :class:`~repro.apps.realtime.RealtimeMultiTracker` (streaming)
-and a multi-person serving cohort (:mod:`repro.serve`) are the same
-code path. Session state: cancellation is stateless, and the
-association track banks are kept as one
-:class:`~repro.multi.tracks.TrackManager` per session slot — the
-structure-of-arrays analogue for inherently sequential per-session
-state.
+Both advance session-lockstep ticks, so
+:class:`~repro.multi.tracker.MultiWiTrack` (offline),
+:class:`~repro.apps.realtime.RealtimeMultiTracker` (streaming) and a
+multi-person serving cohort (:mod:`repro.serve`) are the same code
+path. Session state: cancellation is stateless, and the association
+track banks are kept as one :class:`~repro.multi.tracks.TrackManager`
+per session slot — the structure-of-arrays analogue for inherently
+sequential per-session state.
 """
 
 from __future__ import annotations
@@ -37,10 +36,8 @@ class SuccessiveCancel(Stage):
     Per frame and antenna: trace the bottom contour, null the detected
     reflector's energy band, repeat up to ``max_targets`` times. Writes
     ``candidates_m`` and ``candidate_powers`` of shape
-    ``(n_rx, max_targets)``. Every round is per-frame independent, so
-    the batch path is exactly the streaming path vectorized over frames
-    — and a lockstep tick is the same call with every (session,
-    antenna) row stacked.
+    ``(n_rx, max_targets)``. Every round is per-frame independent, so a
+    lockstep tick is one call with every (session, antenna) row stacked.
     """
 
     def __init__(
@@ -61,17 +58,6 @@ class SuccessiveCancel(Stage):
         self.null_halfwidth_m = null_halfwidth_m
         self.relative_threshold_db = relative_threshold_db
 
-    def _contours(self, power: np.ndarray):
-        return successive_contours(
-            power,
-            self.range_bin_m,
-            max_targets=self.max_targets,
-            threshold_db=self.threshold_db,
-            min_range_m=self.min_range_m,
-            null_halfwidth_m=self.null_halfwidth_m,
-            relative_threshold_db=self.relative_threshold_db,
-        )
-
     def fuse_spec(self) -> str:
         """Fusable: the rounds loop is one backend kernel call
         (:func:`repro.kernels.cancellation.successive_cancel`) over the
@@ -81,7 +67,15 @@ class SuccessiveCancel(Stage):
 
     def process_tick(self, tick):
         n_rows, n_rx, n_bins = tick.power.shape
-        result = self._contours(tick.power.reshape(n_rows * n_rx, n_bins))
+        result = successive_contours(
+            tick.power.reshape(n_rows * n_rx, n_bins),
+            self.range_bin_m,
+            max_targets=self.max_targets,
+            threshold_db=self.threshold_db,
+            min_range_m=self.min_range_m,
+            null_halfwidth_m=self.null_halfwidth_m,
+            relative_threshold_db=self.relative_threshold_db,
+        )
         tick.candidates_m = result.round_trips_m.T.reshape(
             n_rows, n_rx, self.max_targets
         )
@@ -89,18 +83,6 @@ class SuccessiveCancel(Stage):
             n_rows, n_rx, self.max_targets
         )
         return tick
-
-    def process_block(self, block):
-        n_frames, n_rx, _ = block.power.shape
-        candidates = np.full((n_frames, n_rx, self.max_targets), np.nan)
-        powers = np.full((n_frames, n_rx, self.max_targets), np.nan)
-        for a in range(n_rx):
-            result = self._contours(block.power[:, a, :])
-            candidates[:, a, :] = result.round_trips_m.T
-            powers[:, a, :] = result.peak_powers.T
-        block.candidates_m = candidates
-        block.candidate_powers = powers
-        return block
 
 
 class Associate(Stage):
@@ -200,16 +182,6 @@ class Associate(Stage):
             for row in range(tick.num_rows)
         ]
         return tick
-
-    def process_block(self, block):
-        manager = self._managers[0]
-        block.tracks = [
-            self._step(
-                manager, block.candidates_m[f], block.candidate_powers[f]
-            )
-            for f in range(block.num_frames)
-        ]
-        return block
 
     def reset(self) -> None:
         self._managers = [self._spawn() for _ in self._managers]

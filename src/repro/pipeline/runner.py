@@ -1,20 +1,20 @@
-"""The pipeline runner: one stage graph, two execution modes.
+"""The pipeline runner: one stage graph, one execution mode.
 
-:class:`Pipeline` owns an ordered stage list and drives it either
+:class:`Pipeline` owns an ordered stage list and advances it one
+lockstep tick at a time (:meth:`Pipeline.tick`): N independent sessions,
+one frame each. Everything else is a view of that tick:
 
-* frame-at-a-time (:meth:`Pipeline.push` / :meth:`Pipeline.run_stream`)
-  with per-frame wall-clock latency accounting against the paper's
-  75 ms budget (Section 7), or
-* block-at-a-time (:meth:`Pipeline.run_batch`), vectorized across
-  sweeps and antennas wherever a stage allows it, for offline
-  evaluation.
+* :meth:`Pipeline.push` / :meth:`Pipeline.run_stream` — the N=1 tick,
+  frame after frame, with per-frame wall-clock latency accounting
+  against the paper's 75 ms budget (Section 7). Offline evaluation
+  (``WiTrack.track``, ``MultiWiTrack.track``) and the realtime apps
+  both run it, so the evaluation scores exactly the code that runs live;
+* the serving engine (:mod:`repro.serve`), which batches many sessions
+  into each tick.
 
-Both modes run the *same stage objects*, so a recording pushed through
-``run_stream`` and the same recording handed to ``run_batch`` produce
-identical outputs (bitwise, for the closed-form localizer) — the
-equivalence the batch/stream tests pin. The runner also owns the two
-pre-stage steps every consumer used to duplicate: coherent frame
-averaging (five sweeps per frame, §4.1/§7) and the max-range crop.
+The runner also owns the two pre-stage steps every consumer used to
+duplicate: coherent frame averaging (five sweeps per frame, §4.1/§7) and
+the max-range crop.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from ..config import SystemConfig
 from ..kernels.profile import StageProfiler, profiling_enabled
 from ..kernels.tick import FusionUnavailable, compile_tick_plan, fusion_active
-from .frame import Frame, FrameBlock, SessionTick
+from .frame import Frame, SessionTick
 from .stages import (
     BackgroundSubtract,
     ContourExtract,
@@ -120,7 +120,8 @@ class PipelineResult:
         tracks: per-frame reportable ``(track_id, position)`` lists.
         subtracted: background-subtracted complex frames,
             ``(n_frames, n_rx, n_bins)`` (only when recorded).
-        latency: per-frame latency report (streaming runs only).
+        latency: per-frame latency report (None on results restored
+            from the result cache).
         stage_profile: per-stage {calls, wall_s, bytes} counters
             (:meth:`StageProfiler.as_dict` form) — only when the run's
             pipeline carried a profiler (``REPRO_PROFILE=1``); None
@@ -142,9 +143,19 @@ class PipelineResult:
         """Number of output frames."""
         return len(self.frame_times_s)
 
+    def require_frames(self) -> "PipelineResult":
+        """This result, or ValueError when the run emitted no frame."""
+        if self.num_frames == 0:
+            raise ValueError(
+                "recording produced no output frames (at least two "
+                "averaged frames are needed to prime background "
+                "subtraction)"
+            )
+        return self
+
 
 class Pipeline:
-    """A stage graph plus the two execution modes that drive it.
+    """A stage graph and the lockstep tick that drives it.
 
     Args:
         stages: ordered stages; each consumes/extends the shared frame.
@@ -255,7 +266,7 @@ class Pipeline:
 
         The read barrier of the fused path's lazy writeback: called
         before anything reads or overwrites stage state directly
-        (snapshot, restore, eviction, staged/batch execution).
+        (snapshot, restore, eviction, staged execution).
         """
         plan = self._tick_plan
         if plan is not None and plan is not _UNFUSABLE:
@@ -265,8 +276,8 @@ class Pipeline:
         """Flush, then drop, the compiled plan's resident state gathers.
 
         Called on every path that mutates stage state outside a fused
-        tick (lifecycle events, staged execution, batch mode) so the
-        fused path re-gathers from the slabs next tick.
+        tick (lifecycle events, staged execution) so the fused path
+        re-gathers from the slabs next tick.
         """
         plan = self._tick_plan
         if plan is not None and plan is not _UNFUSABLE:
@@ -373,7 +384,7 @@ class Pipeline:
             return frames
         return frames[..., : min(self._max_bins, frames.shape[-1])]
 
-    # -- streaming / lockstep mode -----------------------------------------
+    # -- the lockstep tick and its single-session views --------------------
 
     def tick(
         self,
@@ -419,19 +430,16 @@ class Pipeline:
         else:
             # Stack into a reusable buffer: the per-tick cohort block is
             # consumed by the frame average below and never retained, so
-            # a fresh allocation every tick is pure overhead.
-            first = np.asarray(sweep_blocks[0])
-            shape = (len(sweep_blocks),) + first.shape
+            # a fresh allocation every tick is pure overhead. The buffer
+            # is complex128 — the dtype BackgroundSubtract keeps — never
+            # the first block's: one session's odd dtype must not recast
+            # its cohort mates' sweeps.
+            shape = (len(sweep_blocks),) + np.shape(sweep_blocks[0])
             stacked = self._stack_scratch
-            if (
-                stacked is None
-                or stacked.shape != shape
-                or stacked.dtype != first.dtype
-            ):
-                stacked = self._stack_scratch = np.empty(shape, first.dtype)
-            stacked[0] = first
-            for i in range(1, len(sweep_blocks)):
-                stacked[i] = sweep_blocks[i]
+            if stacked is None or stacked.shape != shape:
+                stacked = self._stack_scratch = np.empty(shape, np.complex128)
+            for i, block in enumerate(sweep_blocks):
+                stacked[i] = block
         t0 = perf_counter() if profiler is not None else 0.0
         if stacked.dtype == np.complex128:
             # Crop before averaging: the mean is per-bin, so the order
@@ -557,7 +565,16 @@ class Pipeline:
 
         This accumulates every frame's fields into one
         :class:`PipelineResult` (use :meth:`stream` directly for
-        unbounded sessions where accumulation is unwanted).
+        unbounded sessions where accumulation is unwanted). Calls
+        continue the same session: splitting a recording across two
+        calls yields the frames of one call over the whole.
+
+        Args:
+            frames: a full ``(n_rx, n_sweeps, n_bins)`` recording or an
+                iterable of ``(n_rx, sweeps_per_frame, n_bins)`` blocks.
+            record_spectra: keep the background-subtracted complex
+                frames in the result (needed to rebuild per-antenna
+                spectrograms, e.g. for the pointing pipeline).
         """
         times: list[float] = []
         tofs: list[np.ndarray] = []
@@ -595,65 +612,11 @@ class Pipeline:
         )
 
     def _blocks(self, spectra: np.ndarray) -> Iterator[np.ndarray]:
+        if spectra.ndim != 3:
+            raise ValueError("spectra must have shape (n_rx, n_sweeps, n_bins)")
         spf = self.sweeps_per_frame
         for f in range(spectra.shape[1] // spf):
             yield spectra[:, f * spf : (f + 1) * spf, :]
-
-    # -- batch mode --------------------------------------------------------
-
-    def run_batch(
-        self, spectra: np.ndarray, record_spectra: bool = False
-    ) -> PipelineResult:
-        """Process a whole recording block-at-a-time (vectorized).
-
-        Args:
-            spectra: complex sweep spectra, shape
-                ``(n_rx, n_sweeps, n_bins)``.
-            record_spectra: keep the background-subtracted complex
-                frames in the result (needed to rebuild per-antenna
-                spectrograms, e.g. for the pointing pipeline).
-
-        Returns:
-            The :class:`PipelineResult`; fields match
-            :meth:`run_stream` on the same recording exactly.
-        """
-        spectra = np.asarray(spectra)
-        if spectra.ndim != 3:
-            raise ValueError("spectra must have shape (n_rx, n_sweeps, n_bins)")
-        n_rx, n_sweeps, n_bins = spectra.shape
-        spf = self.sweeps_per_frame
-        n_frames = n_sweeps // spf
-        if n_frames < 2:
-            raise ValueError(
-                f"need at least {2 * spf} sweeps, got {n_sweeps}"
-            )
-        trimmed = spectra[:, : n_frames * spf, :]
-        averaged = self._crop(
-            trimmed.reshape(n_rx, n_frames, spf, n_bins).mean(axis=2)
-        )
-        base = int(self._frames_in[0])
-        self._frames_in[0] += n_frames
-        block = FrameBlock(
-            times_s=(np.arange(base, base + n_frames) + 0.5)
-            * self.frame_duration_s,
-            spectrum=np.ascontiguousarray(averaged.transpose(1, 0, 2)),
-        )
-        # Batch stages read slot 0's slabs directly: flush resident
-        # fused state before, invalidate after.
-        self._flush_plan_state()
-        for stage in self.stages:
-            block = stage.process_block(block)
-        self._invalidate_plan_state()
-        return PipelineResult(
-            frame_times_s=block.times_s,
-            tof_m=block.tof_m,
-            raw_tof_m=block.raw_tof_m,
-            motion=block.motion,
-            positions=block.positions,
-            tracks=block.tracks if block.tracks else None,
-            subtracted=block.spectrum if record_spectra else None,
-            latency=None,
-        )
 
 
 def single_person_pipeline(

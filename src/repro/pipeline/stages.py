@@ -1,25 +1,16 @@
 """Composable, stateful pipeline stages (paper Section 4 + Section 7).
 
-Each stage implements one core entry point plus two derived views:
-
-* ``process_tick(tick)`` — advance **many independent sessions one
-  frame each**, in lockstep, over a
-  :class:`~repro.pipeline.frame.SessionTick`. All mutable stage state
-  (background reference, outlier history, hold buffer, Kalman
-  covariances, track banks) lives in structure-of-arrays form with a
-  leading *session* axis; ``tick.slots`` selects which state rows this
-  tick advances. Rows are independent: batching sessions never changes
-  any session's output relative to running it alone, which is the
-  equivalence the serving tests pin.
-* ``process(frame)`` — one :class:`~repro.pipeline.frame.Frame` at a
-  time. This is the realtime code path of Section 7 and is *literally*
-  a single-row tick on session slot 0 — there is no second code path.
-* ``process_block(block)`` — a whole
-  :class:`~repro.pipeline.frame.FrameBlock` at once. Per-frame
-  independent stages vectorize over time; stateful stages run the exact
-  tick update in a frame loop. Either way the outputs match streaming
-  the same frames through ``process``, which is what the batch/stream
-  equivalence tests pin down.
+Each stage implements one entry point, ``process_tick(tick)``: advance
+**many independent sessions one frame each**, in lockstep, over a
+:class:`~repro.pipeline.frame.SessionTick`. All mutable stage state
+(background reference, outlier history, hold buffer, Kalman
+covariances, warm starts, track banks) lives in structure-of-arrays form
+with a leading *session* axis; ``tick.slots`` selects which state rows
+this tick advances. Rows are independent: batching sessions never
+changes any session's output relative to running it alone, which is the
+equivalence the serving tests pin. An offline recording and the
+realtime stream of Section 7 are the single-row case on slot 0 — there
+is no second code path.
 
 Session lifecycle: :meth:`Stage.attach` grows the session axis to a
 requested capacity (existing state rows are preserved), and
@@ -58,11 +49,10 @@ def _grow_rows(array: np.ndarray, capacity: int, fill) -> np.ndarray:
 class Stage:
     """One stateful step of the pipeline.
 
-    Subclasses fill in :meth:`process_tick` (the lockstep core) and
-    :meth:`process_block` (batch); the derived :meth:`process` is a
-    single-row tick. :meth:`reset` forgets all online state so a
-    pipeline can be reused for a fresh recording; :meth:`attach` /
-    :meth:`evict` manage the session axis of the state arrays.
+    Subclasses fill in :meth:`process_tick`. :meth:`reset` forgets all
+    online state so a pipeline can be reused for a fresh recording;
+    :meth:`attach` / :meth:`evict` manage the session axis of the state
+    arrays.
     """
 
     #: Sessions the state arrays are sized for (slot 0 always exists).
@@ -121,28 +111,12 @@ class Stage:
         return None
 
     def process_tick(self, tick: SessionTick) -> SessionTick:
-        """Advance every session row of the tick by one frame."""
-        raise NotImplementedError
+        """Advance every session row of the tick by one frame.
 
-    def process(self, frame):
-        """Advance one frame on session slot 0; return it or ``None``.
-
-        Returning ``None`` consumes the frame without output — e.g. the
-        first frame that only primes the background subtractor. Later
-        stages are then skipped for this time step.
+        Rows may be dropped — e.g. a session's first frame only primes
+        the background subtractor — and later stages then skip them.
         """
-        tick = self.process_tick(SessionTick.of_frame(frame))
-        if tick.num_rows == 0:
-            return None
-        return tick.write_frame(frame)
-
-    def process_block(self, block):
-        """Advance a whole block; must match ``process`` frame by frame."""
         raise NotImplementedError
-
-    def flush(self) -> list:
-        """Emit any trailing frames at end of stream (default: none)."""
-        return []
 
     def reset(self) -> None:
         """Forget all online state (every slot)."""
@@ -224,23 +198,6 @@ class BackgroundSubtract(Stage):
         tick.power = background_power(diff, scratch)
         return tick
 
-    def process_block(self, block):
-        frames = block.spectrum
-        _, n_rx, n_bins = frames.shape
-        self._ensure(n_rx, n_bins)
-        if self._primed[0]:
-            frames = np.concatenate([self._previous[0][None], frames])
-        else:
-            block.times_s = block.times_s[1:]
-        if len(frames) < 2:
-            raise ValueError("background subtraction needs at least two frames")
-        diff = frames[1:] - frames[:-1]
-        self._previous[0] = frames[-1]
-        self._primed[0] = True
-        block.spectrum = diff
-        block.power = np.abs(diff) ** 2
-        return block
-
     def reset(self) -> None:
         self._previous = None
         self._primed = None
@@ -270,38 +227,22 @@ class ContourExtract(Stage):
         self.min_range_m = min_range_m
         self.relative_threshold_db = relative_threshold_db
 
-    def _contour(self, power: np.ndarray):
-        return track_bottom_contour(
-            power,
-            self.range_bin_m,
-            threshold_db=self.threshold_db,
-            min_range_m=self.min_range_m,
-            relative_threshold_db=self.relative_threshold_db,
-        )
-
     def fuse_spec(self) -> str:
         return "contour"
 
     def process_tick(self, tick):
         n_rows, n_rx, n_bins = tick.power.shape
-        result = self._contour(tick.power.reshape(n_rows * n_rx, n_bins))
+        result = track_bottom_contour(
+            tick.power.reshape(n_rows * n_rx, n_bins),
+            self.range_bin_m,
+            threshold_db=self.threshold_db,
+            min_range_m=self.min_range_m,
+            relative_threshold_db=self.relative_threshold_db,
+        )
         tick.raw_tof_m = result.round_trip_m.reshape(n_rows, n_rx)
         tick.tof_m = tick.raw_tof_m.copy()
         tick.motion = result.motion_mask.reshape(n_rows, n_rx)
         return tick
-
-    def process_block(self, block):
-        n_frames, n_rx, _ = block.power.shape
-        tof = np.empty((n_frames, n_rx))
-        motion = np.zeros((n_frames, n_rx), dtype=bool)
-        for a in range(n_rx):
-            result = self._contour(block.power[:, a, :])
-            tof[:, a] = result.round_trip_m
-            motion[:, a] = result.motion_mask
-        block.raw_tof_m = tof
-        block.tof_m = tof.copy()
-        block.motion = motion
-        return block
 
 
 class OutlierGate(Stage):
@@ -419,8 +360,8 @@ class OutlierGate(Stage):
     def fuse_spec(self) -> str:
         return "outlier"
 
-    def _step_rows(self, values: np.ndarray, slots: np.ndarray) -> np.ndarray:
-        """Gate a ``(n_rows, n_rx)`` tick; advances the given slots.
+    def process_tick(self, tick):
+        """Gate the tick's ``(n_rows, n_rx)`` ToFs; advances its slots.
 
         Same elementwise update as always, written through preallocated
         scratch buffers (gathers via ``np.take(out=)``, ufuncs with
@@ -429,6 +370,7 @@ class OutlierGate(Stage):
         gated values and the two argsort/take_along_axis packs — the
         output is pinned bitwise against the original formulation.
         """
+        values, slots = tick.tof_m, tick.slots
         self._ensure(values.shape[1])
         n_rows, n_rx = values.shape
         sc = self._scratch_for(n_rows, n_rx)
@@ -487,19 +429,8 @@ class OutlierGate(Stage):
         np.copyto(pending_len, i2, where=candidate)
         np.copyto(pending_len, 0, where=accept)
         self._pending_len[slots] = pending_len
-        return out
-
-    def process_tick(self, tick):
-        tick.tof_m = self._step_rows(tick.tof_m, tick.slots)
+        tick.tof_m = out
         return tick
-
-    def process_block(self, block):
-        out = np.empty_like(block.tof_m)
-        slot0 = np.zeros(1, dtype=np.intp)
-        for f in range(len(out)):
-            out[f] = self._step_rows(block.tof_m[f][None, :], slot0)[0]
-        block.tof_m = out
-        return block
 
     def reset(self) -> None:
         self._last = None
@@ -550,25 +481,15 @@ class HoldInterpolate(Stage):
     def fuse_spec(self) -> str:
         return "hold"
 
-    def _step_rows(self, values: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    def process_tick(self, tick):
+        values, slots = tick.tof_m, tick.slots
         self._ensure(values.shape[1])
         held = self._held[slots]
         finite = np.isfinite(values)
-        out = np.where(finite, values, held) if self.enabled else values
+        if self.enabled:
+            tick.tof_m = np.where(finite, values, held)
         self._held[slots] = np.where(finite, values, held)
-        return out
-
-    def process_tick(self, tick):
-        tick.tof_m = self._step_rows(tick.tof_m, tick.slots)
         return tick
-
-    def process_block(self, block):
-        out = np.empty_like(block.tof_m)
-        slot0 = np.zeros(1, dtype=np.intp)
-        for f in range(len(out)):
-            out[f] = self._step_rows(block.tof_m[f][None, :], slot0)[0]
-        block.tof_m = out
-        return block
 
     def reset(self) -> None:
         self._held = None
@@ -646,10 +567,11 @@ class KalmanSmooth(Stage):
     def fuse_spec(self) -> str:
         return "kalman"
 
-    def _step_rows(self, values: np.ndarray, slots: np.ndarray) -> np.ndarray:
-        self._ensure(values.shape[1])
-        out, new, newc, new_live = kalman_tick(
-            values,
+    def process_tick(self, tick):
+        slots = tick.slots
+        self._ensure(tick.tof_m.shape[1])
+        tick.tof_m, new, newc, new_live = kalman_tick(
+            tick.tof_m,
             self._mean[slots],
             self._cov[slots],
             self._initialized[slots],
@@ -662,19 +584,7 @@ class KalmanSmooth(Stage):
         self._mean[slots] = new
         self._cov[slots] = newc
         self._initialized[slots] = new_live
-        return out
-
-    def process_tick(self, tick):
-        tick.tof_m = self._step_rows(tick.tof_m, tick.slots)
         return tick
-
-    def process_block(self, block):
-        out = np.empty_like(block.tof_m)
-        slot0 = np.zeros(1, dtype=np.intp)
-        for f in range(len(out)):
-            out[f] = self._step_rows(block.tof_m[f][None, :], slot0)[0]
-        block.tof_m = out
-        return block
 
     def reset(self) -> None:
         self._mean = None
@@ -687,33 +597,68 @@ class Localize(Stage):
 
     Solves the smoothed per-antenna round trips into one 3D position per
     frame. The closed-form T solver is row-independent and fully
-    vectorized, so batch frames and lockstep sessions hand the solver
-    one stacked call; solvers without ``row_independent`` (the
-    warm-started least-squares solver) fall back to per-row
-    ``solve_one`` in a tick so one session's iterate can never seed
-    another's.
+    vectorized, so a lockstep tick hands it one stacked call. Solvers
+    without ``row_independent`` (the warm-started least-squares solver)
+    run ``solve_row`` per row instead, each seeded from its own slot's
+    last accepted fix — the per-session state of ``solver.solve``'s
+    frame loop, so one session's iterate never seeds another's.
     """
 
     def __init__(self, solver) -> None:
         self.solver = solver
+        self._capacity = 1
+        #: Last accepted fix per slot (NaN row: none yet); allocated
+        #: only for solvers that are not row-independent.
+        self._last_fix: np.ndarray | None = None  # (capacity, 3)
+
+    def _ensure(self) -> None:
+        if self._last_fix is None:
+            self._last_fix = np.full((self._capacity, 3), np.nan)
+
+    def _grow(self, capacity: int) -> None:
+        if self._last_fix is not None:
+            self._last_fix = _grow_rows(self._last_fix, capacity, np.nan)
+
+    def evict(self, slot: int) -> None:
+        if self._last_fix is not None:
+            self._last_fix[slot] = np.nan
+
+    def snapshot_slot(self, slot: int) -> dict:
+        if self._last_fix is None:
+            return {}
+        return {"last_fix": self._last_fix[slot].copy()}
+
+    def restore_slot(self, slot: int, state: dict) -> None:
+        if not state:
+            self.evict(slot)
+            return
+        self._ensure()
+        self._last_fix[slot] = state["last_fix"]
 
     def fuse_spec(self) -> str | None:
         # Only the closed-form T solver is a pure rowwise function; the
-        # warm-started least-squares solver carries a Python-side
-        # iterate and stays staged.
+        # warm-started least-squares solver carries a per-slot iterate
+        # and stays staged.
         if getattr(self.solver, "fuse_kind", None) == "t_geometry":
             return "localize"
         return None
 
     def process_tick(self, tick):
-        if getattr(self.solver, "row_independent", False):
-            tick.positions = self.solver.solve(tick.tof_m).positions
-        else:
-            tick.positions = np.stack(
-                [self.solver.solve_one(row) for row in tick.tof_m]
+        solver = self.solver
+        if getattr(solver, "row_independent", False):
+            tick.positions = solver.solve(tick.tof_m).positions
+            return tick
+        self._ensure()
+        positions = np.full((tick.num_rows, 3), np.nan)
+        for row, slot in enumerate(tick.slots):
+            last = self._last_fix[slot]
+            fix = solver.solve_row(
+                tick.tof_m[row], None if np.isnan(last[0]) else last
             )
+            if fix is not None:
+                positions[row] = self._last_fix[slot] = fix
+        tick.positions = positions
         return tick
 
-    def process_block(self, block):
-        block.positions = self.solver.solve(block.tof_m).positions
-        return block
+    def reset(self) -> None:
+        self._last_fix = None

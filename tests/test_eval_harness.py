@@ -106,22 +106,6 @@ class TestTrackingExperiment:
         rx = outcome.track.round_trips_m
         assert rx.shape[0] == 3  # still a 3-Rx T
 
-    def test_stream_mode_scores_like_batch(self):
-        batch = run_tracking_experiment(
-            TrackingExperiment(seed=4, duration_s=5.0)
-        )
-        stream = run_tracking_experiment(
-            TrackingExperiment(seed=4, duration_s=5.0, mode="stream")
-        )
-        # Same stage graph either way: identical errors, frame for frame.
-        np.testing.assert_allclose(
-            batch.errors_xyz, stream.errors_xyz, atol=1e-9
-        )
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            TrackingExperiment(seed=0, mode="warp")
-
 
 class TestPointingExperiment:
     def test_returns_error_or_nan(self):

@@ -193,7 +193,7 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         key = result_key(scenario, tracker)
         assert cache.get(key) is None
-        result = tracker.pipeline(measured.range_bin_m).run_batch(
+        result = tracker.pipeline(measured.range_bin_m).run_stream(
             measured.spectra
         )
         cache.put(key, result)

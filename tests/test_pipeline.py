@@ -1,13 +1,15 @@
 """Tests for the unified pipeline engine (repro.pipeline).
 
-The load-bearing property: ``run_batch`` and ``run_stream`` drive the
-same stage objects, so the same recording must come out *identical*
-(bitwise for the closed-form localizer; the tests allow 1e-9) whichever
-mode ran — for the single-person and the multi-person stage graphs.
+The load-bearing property: offline ``track`` and the realtime apps run
+the same lockstep tick, so the same recording comes out *bitwise
+identical* either way — for the single-person and the multi-person
+stage graphs — and splitting a recording across ``run_stream`` calls
+never changes a frame.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.apps.realtime import RealtimeMultiTracker, RealtimeTracker
 from repro.config import default_config
@@ -24,6 +26,9 @@ from repro.sim.body import GatedAR1, HumanBody
 from repro.sim.motion import non_colliding_walks, random_walk
 from repro.sim.room import through_wall_room
 
+#: Frames of the shared walk the split property streams (2.5 s).
+SPLIT_FRAMES = 200
+
 
 @pytest.fixture(scope="module")
 def multi_output(config):
@@ -38,100 +43,55 @@ def multi_output(config):
 
 
 class TestSinglePersonEquivalence:
-    """Same ScenarioOutput through run_batch and run_stream."""
-
-    def test_batch_equals_stream(self, tw_walk_output, config):
-        out = tw_walk_output
-        tracker = WiTrack(config)
-        batch = tracker.track(out.spectra, out.range_bin_m)
-        stream = tracker.track_stream(out.spectra, out.range_bin_m)
-        np.testing.assert_array_equal(
-            batch.frame_times_s, stream.frame_times_s
-        )
-        np.testing.assert_allclose(
-            batch.round_trips_m, stream.round_trips_m, atol=1e-9
-        )
-        np.testing.assert_allclose(
-            batch.positions, stream.positions, atol=1e-9
-        )
-        np.testing.assert_array_equal(
-            batch.motion_mask, stream.motion_mask
-        )
-        for eb, es in zip(batch.tof_estimates, stream.tof_estimates):
-            np.testing.assert_allclose(
-                eb.raw_contour_m, es.raw_contour_m, atol=1e-9
-            )
-            np.testing.assert_allclose(
-                eb.spectrogram.frames, es.spectrogram.frames, atol=1e-9
-            )
+    """Offline track and the realtime app on the same ScenarioOutput."""
 
     def test_stream_without_spectra_recording(self, tw_walk_output, config):
         """record_spectra=False: same track, no spectrogram accumulation."""
         out = tw_walk_output
         tracker = WiTrack(config)
         full = tracker.track(out.spectra, out.range_bin_m)
-        lean = tracker.track_stream(
+        lean = tracker.track(
             out.spectra, out.range_bin_m, record_spectra=False
         )
         assert lean.tof_estimates == ()
-        np.testing.assert_allclose(
-            full.positions, lean.positions, atol=1e-9
-        )
+        np.testing.assert_array_equal(full.positions, lean.positions)
 
     def test_too_short_recording_raises(self, config):
-        """A stream that never leaves priming errors clearly, like batch."""
+        """A recording that never leaves priming errors clearly."""
         short = np.zeros((3, 5, 171), dtype=np.complex128)
-        tracker = WiTrack(config)
         with pytest.raises(ValueError):
-            tracker.track(short, 0.1774)
+            WiTrack(config).track(short, 0.1774)
         with pytest.raises(ValueError):
-            tracker.track_stream(short, 0.1774)
-        with pytest.raises(ValueError):
-            MultiWiTrack(config).track_stream(short, 0.1774)
+            MultiWiTrack(config).track(short, 0.1774)
 
     def test_realtime_tracker_matches_batch(self, tw_walk_output, config):
-        """The realtime app emits exactly the batch track, one frame late."""
+        """The realtime app emits exactly the offline track, one frame
+        late: both run the same N=1 lockstep tick."""
         out = tw_walk_output
-        batch = WiTrack(config).track(out.spectra, out.range_bin_m)
+        track = WiTrack(config).track(out.spectra, out.range_bin_m)
         rt = RealtimeTracker(config, range_bin_m=out.range_bin_m)
         positions = rt.run(out.spectra)
         assert np.all(np.isnan(positions[0]))  # priming frame
-        np.testing.assert_allclose(
-            positions[1:], batch.positions, atol=1e-9
-        )
+        np.testing.assert_array_equal(positions[1:], track.positions)
 
 
 class TestMultiPersonEquivalence:
-    def test_batch_equals_stream(self, multi_output, config):
-        out, room = multi_output
-        tracker = MultiWiTrack(config, max_people=2, room=room)
-        batch = tracker.track(out.spectra, out.range_bin_m)
-        stream = tracker.track_stream(out.spectra, out.range_bin_m)
-        assert batch.track_ids == stream.track_ids
-        np.testing.assert_array_equal(
-            batch.frame_times_s, stream.frame_times_s
-        )
-        np.testing.assert_allclose(
-            batch.positions, stream.positions, atol=1e-9
-        )
-        np.testing.assert_array_equal(batch.coasting, stream.coasting)
-
     def test_realtime_multi_matches_batch(self, multi_output, config):
+        """The realtime multi-person app is the offline track, bitwise."""
         out, room = multi_output
-        batch = MultiWiTrack(config, max_people=2, room=room).track(
+        track = MultiWiTrack(config, max_people=2, room=room).track(
             out.spectra, out.range_bin_m
         )
         rt = RealtimeMultiTracker(
             config, range_bin_m=out.range_bin_m, max_people=2, room=room
         )
         stream = rt.run(out.spectra)
-        assert batch.track_ids == stream.track_ids
+        assert track.track_ids == stream.track_ids
         np.testing.assert_array_equal(
-            batch.frame_times_s, stream.frame_times_s
+            track.frame_times_s, stream.frame_times_s
         )
-        np.testing.assert_allclose(
-            batch.positions, stream.positions, atol=1e-9
-        )
+        np.testing.assert_array_equal(track.positions, stream.positions)
+        np.testing.assert_array_equal(track.coasting, stream.coasting)
         assert rt.latency.within_budget(0.075)
 
 
@@ -166,25 +126,35 @@ class TestPipelineRunner:
         with pytest.raises(KeyError):
             pipe.stage(LatencyReport)
 
-    def test_run_batch_validates_shape(self, config):
+    def test_run_stream_validates_shape(self, config):
         pipe = single_person_pipeline(
             config, 0.1774, solver=WiTrack(config).solver
         )
         with pytest.raises(ValueError):
-            pipe.run_batch(np.zeros((10, 171)))
+            pipe.run_stream(np.zeros((10, 171)))
 
-    def test_batch_then_stream_continues(self, config, tw_walk_output):
-        """Batch and streaming can interleave on one pipeline."""
+    @given(split=st.integers(min_value=0, max_value=SPLIT_FRAMES))
+    @settings(max_examples=25, deadline=None)
+    def test_split_stream_equals_whole(self, config, tw_walk_output, split):
+        """For any frame split, two run_stream calls on one pipeline are
+        one call over the whole recording, bitwise."""
         out = tw_walk_output
+        spf = config.pipeline.sweeps_per_frame
+        spectra = out.spectra[:, : SPLIT_FRAMES * spf, :]
         tracker = WiTrack(config)
-        full = tracker.pipeline(out.range_bin_m).run_batch(out.spectra)
+        whole = tracker.pipeline(out.range_bin_m).run_stream(spectra)
         pipe = tracker.pipeline(out.range_bin_m)
-        head = pipe.run_batch(out.spectra[:, :2000, :])
-        tail = pipe.run_stream(out.spectra[:, 2000:, :])
-        positions = np.concatenate([head.positions, tail.positions])
-        np.testing.assert_allclose(
-            positions, full.positions, atol=1e-9
-        )
+        parts = [
+            pipe.run_stream(spectra[:, : split * spf, :]),
+            pipe.run_stream(spectra[:, split * spf :, :]),
+        ]
+        for name in (
+            "frame_times_s", "tof_m", "raw_tof_m", "motion", "positions"
+        ):
+            joined = np.concatenate(
+                [getattr(p, name) for p in parts if p.num_frames]
+            )
+            np.testing.assert_array_equal(joined, getattr(whole, name))
 
 
 class TestScenarioFrames:
@@ -220,11 +190,11 @@ class TestScenarioFrames:
             assert block.shape[1] == spf
 
     def test_streamed_session_tracks(self, config):
-        """frames() -> track_stream: the bounded-memory path end to end."""
+        """frames() -> track: the bounded-memory path end to end."""
         room = through_wall_room()
         walk = random_walk(room, np.random.default_rng(11), duration_s=6.0)
         sc = Scenario(walk, room=room, config=config, seed=12)
-        track = WiTrack(config).track_stream(sc.frames(), sc.range_bin_m)
+        track = WiTrack(config).track(sc.frames(), sc.range_bin_m)
         assert track.num_frames == sc.num_stream_frames - 1
         assert track.valid_mask.mean() > 0.8
         truth = walk.resample(track.frame_times_s)

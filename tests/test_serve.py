@@ -11,11 +11,15 @@ The load-bearing properties:
   slot is recycled for the next admission.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
-from repro.config import default_config
+from repro.config import ArrayConfig, default_config
+from repro.core.localize import LeastSquaresSolver, make_solver
 from repro.core.tracker import WiTrack
+from repro.geometry.antennas import t_array
 from repro.multi import MultiScenario, MultiWiTrack
 from repro.pipeline import BackgroundSubtract, KalmanSmooth, LatencyReport
 from repro.serve import ServingEngine, multi_session, single_session
@@ -209,6 +213,24 @@ class TestLockstepEquivalence:
         )
         assert_tracks_equal(results["m"], reference)
 
+    def test_least_squares_session_warm_starts_like_solve(self, config, room):
+        """A 4-receiver (least-squares) session carries its warm start
+        from tick to tick: its fixes are ``solver.solve`` over its ToFs."""
+        cfg = config.replace(array=ArrayConfig(num_receivers=4))
+        walk = random_walk(room, np.random.default_rng(5), duration_s=2.0)
+        out = Scenario(walk, room=room, config=cfg, seed=55).run()
+        engine = ServingEngine()
+        session = engine.admit(single_session(cfg, out.range_bin_m))
+        for block in frame_blocks(out, cfg):
+            engine.submit(session, block)
+        engine.drain()
+        result = engine.close(session)
+        solver = make_solver(t_array(cfg.array))
+        assert isinstance(solver, LeastSquaresSolver) and solver.warm_start
+        expected = solver.solve(result.tof_m).positions
+        assert np.isfinite(expected).all(axis=1).mean() > 0.5
+        np.testing.assert_array_equal(result.positions, expected)
+
     def test_eviction_does_not_perturb_survivors(self, config, short_walks):
         """Mid-run eviction leaves cohort mates bit-identical."""
         range_bin_m = short_walks[0].range_bin_m
@@ -340,6 +362,28 @@ class TestSessionVectorizedStages:
             message = str(err)
         assert "BackgroundSubtract" in message
         assert "KalmanSmooth" in message
+
+    def test_foreign_dtype_block_stays_with_its_sender(
+        self, config, short_walks
+    ):
+        """A float32 block leading a tick never recasts its cohort
+        mates' sweeps: the clean session stays bitwise its serial run."""
+        range_bin_m = short_walks[0].range_bin_m
+        odd_blocks = frame_blocks(short_walks[0], config, 40)
+        clean_blocks = frame_blocks(short_walks[1], config, 40)
+        reference = serial_single(config, range_bin_m, clean_blocks)
+        spec = single_session(config, range_bin_m)
+        engine = ServingEngine()
+        odd = engine.admit(spec)  # admitted first: row 0 of every tick
+        clean = engine.admit(spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", np.exceptions.ComplexWarning)
+            for odd_block, block in zip(odd_blocks, clean_blocks):
+                engine.submit(odd, odd_block.real.astype(np.float32))
+                engine.submit(clean, block)
+                engine.tick()
+        assert_single_equal(engine.close(clean), reference)
+        engine.evict(odd)
 
     def test_tick_rejects_mismatched_slots(self, config):
         pipe = WiTrack(config).pipeline(0.1774)

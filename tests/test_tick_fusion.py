@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.config import SystemConfig
-from repro.core.localize import TGeometrySolver
+from repro.core.localize import LeastSquaresSolver, TGeometrySolver
 from repro.geometry.antennas import t_array
 from repro.kernels import available_backends, use_backend
 from repro.kernels.profile import StageProfiler
@@ -296,6 +296,36 @@ class TestFusedStagedParity:
                 tb = p_to_fused.tick(arr.copy(), np.array([4]))
                 _assert_ticks_equal(ta, tb, f"mig{t}")
             _assert_state_equal(p_to_staged, p_to_fused, [4], "migration")
+
+            # The least-squares chain never fuses; its per-slot warm
+            # start must migrate too, or the moved session's fixes drift
+            # from the ones it would have produced in place.
+            def lsq_pipeline():
+                p = single_person_pipeline(
+                    config, RANGE_BIN_M,
+                    solver=LeastSquaresSolver(t_array()),
+                )
+                p.attach_sessions(N_SESSIONS)
+                return p
+
+            p_home = lsq_pipeline()
+            for t in range(12):
+                arr = np.stack(
+                    [_block(rng, "target", t + s, spf)
+                     for s in range(N_SESSIONS)]
+                )
+                p_home.tick(arr, np.arange(N_SESSIONS))
+            p_away = lsq_pipeline()
+            p_away.restore_session(2, p_home.snapshot_session(2))
+            fixes = 0
+            for t in range(10):
+                arr = _block(rng, "target", 60 + t, spf)[None]
+                ta = p_home.tick(arr.copy(), np.array([2]))
+                tb = p_away.tick(arr.copy(), np.array([2]))
+                _assert_ticks_equal(ta, tb, f"lsq{t}")
+                fixes += int(np.isfinite(ta.positions).all(axis=1).sum())
+            assert fixes > 0  # the warm start was exercised
+            _assert_state_equal(p_home, p_away, [2], "lsq migration")
 
     def test_alternating_execution_on_one_pipeline(self, config):
         """Flipping REPRO_FUSED mid-stream must not change outputs."""
