@@ -46,8 +46,11 @@ from repro.kernels import (
     row_median,
     set_backend,
 )
+from repro.multi.association import candidate_fixes_batched
 from repro.multi.cancellation import successive_contours
+from repro.multi.tracker import MultiWiTrack
 from repro.multi.tracks import Track, TrackBank, TrackManager
+from repro.sim.room import through_wall_room
 
 # Serving shapes at N=8 sessions, 3 antennas, 171 range bins: the
 # synthesis call covers one 64-frame cohort chunk (320 sweeps per
@@ -124,6 +127,10 @@ def _workloads() -> list[dict]:
         bank_candidates[s, :, 2] = solver.array.round_trip_distances(ghost)
         bank_powers[s, :, 2] = 0.5
         bank_managers.append(manager)
+    # The cohort birth search on the same tensors, every candidate
+    # unclaimed, with a through-wall serving spec's gate and wall-bounce
+    # ghost arcs seeded by both people.
+    births_spec = MultiWiTrack(max_people=2, room=through_wall_room())
 
     chunk_session_frames = N_SESSIONS * CHUNK_FRAMES
     tick_session_frames = N_SESSIONS
@@ -186,6 +193,21 @@ def _workloads() -> list[dict]:
             "inner": 20,
             "run": lambda: bank.step(
                 bank_managers, bank_candidates, bank_powers
+            ),
+        },
+        {
+            "kernel": "birth_search",
+            "shape": f"candidates {bank_candidates.shape}",
+            "frames": tick_session_frames,
+            "inner": 20,
+            "run": lambda: candidate_fixes_batched(
+                bank_candidates,
+                births_spec.solver,
+                gate=births_spec.gate,
+                power_slots=bank_powers,
+                max_fixes=1,
+                ghost_images=births_spec.ghost_images,
+                seed_slots=[people] * N_SESSIONS,
             ),
         },
     ]

@@ -75,14 +75,45 @@ def _bench_trajectory_path() -> Path | None:
     return Path.cwd() / "BENCH_serving.json"
 
 
+def _git(*args: str) -> str | None:
+    """Stdout of a git command run beside this file; None when it fails
+    (no git binary, or an installed package outside any checkout)."""
+    import subprocess
+
+    try:
+        done = subprocess.run(
+            ["git", *args], capture_output=True, text=True, timeout=5,
+            cwd=Path(__file__).resolve().parent,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return done.stdout if done.returncode == 0 else None
+
+
+def _worktree_dirty() -> bool | None:
+    """Whether the checkout has changes besides the trajectory file.
+
+    ``git status --porcelain`` paths are relative to the repo root, so
+    an appended-to ``BENCH_serving.json`` alone reads clean.
+    """
+    status = _git("status", "--porcelain")
+    if status is None:
+        return None
+    return any(
+        line[3:] != "BENCH_serving.json" for line in status.splitlines()
+    )
+
+
 def _append_bench_record(result: dict) -> None:
     """Append one compact record of this ``repro bench`` run.
 
-    The trajectory file is a JSON array of {date, commit, frames/s,
-    p95, backend, fused} rows — plus a condensed ``multi`` sub-record
-    (K-person staged vs fused serving) when that gauge ran — enough to
-    plot serving throughput over the repo's history without dragging
-    full benchmark payloads along.
+    The trajectory file is a JSON array of {date, commit, dirty,
+    cpu_count, serial and sharded frames/s, p95, backend, fused} rows —
+    plus a condensed ``multi`` sub-record (K-person staged vs fused
+    serving) when that gauge ran — enough to plot serving throughput
+    over the repo's history without dragging full benchmark payloads
+    along. ``commit`` is the checked-out HEAD; ``dirty`` says whether
+    the measured code differs from it.
     Best-effort: a read-only checkout or a missing git binary must
     never fail the benchmark itself.
     """
@@ -90,20 +121,13 @@ def _append_bench_record(result: dict) -> None:
     from .kernels.tick import fusion_active
 
     try:
-        commit = None
-        try:
-            import subprocess
-
-            commit = subprocess.run(
-                ["git", "rev-parse", "--short", "HEAD"],
-                capture_output=True, text=True, timeout=5,
-                cwd=Path(__file__).resolve().parent,
-            ).stdout.strip() or None
-        except Exception:
-            pass
+        commit = (_git("rev-parse", "--short", "HEAD") or "").strip()
         record = {
             "date": time.strftime("%Y-%m-%d"),
-            "commit": commit,
+            "commit": commit or None,
+            "dirty": _worktree_dirty(),
+            "cpu_count": os.cpu_count(),
+            "serial_fps": result["serial_fps"],
             "frames_per_s": result["sharded_fps"],
             "p95_latency_ms": result.get("p95_latency_ms"),
             "backend": backend_name(),

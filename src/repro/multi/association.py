@@ -262,9 +262,9 @@ def _greedy_select(
 ) -> np.ndarray:
     """Power-greedy exclusive selection over pre-solved, pre-gated combos.
 
-    The tail of :func:`candidate_fixes`, split out so the batched
-    multi-slot path (:func:`candidate_fixes_batched`) can run it per
-    slot on slices of one concatenated solve.
+    The tail of :func:`candidate_fixes`: one slot's selection, which
+    :func:`candidate_fixes_batched` runs round by round over a whole
+    cohort at once and the tests pin it against.
     """
     n_rx = combos.shape[1]
     # Iterative greedy selection. Each round re-scores the surviving
@@ -326,132 +326,260 @@ def _greedy_select(
 
 
 def candidate_fixes_batched(
-    tof_slots: Sequence[Sequence[np.ndarray]],
+    tof_slots: np.ndarray,
     solver: Solver,
     gate: FixGate | None = None,
-    power_slots: Sequence[Sequence[np.ndarray]] | None = None,
+    power_slots: np.ndarray | None = None,
     dedupe_m: float = 0.4,
     max_fixes: int | None = None,
     ghost_images: np.ndarray | None = None,
     ghost_tolerance_m: float = 0.6,
     seed_slots: Sequence[Sequence[np.ndarray] | None] | None = None,
 ) -> list[np.ndarray]:
-    """:func:`candidate_fixes` for many slots with one solver pass.
+    """:func:`candidate_fixes` for a whole cohort as one array program.
 
-    The per-slot call spends most of its time in fixed numpy call
-    overhead — combo construction, the localization solve, the volume
-    gate, the residual re-projection — on arrays of a few dozen rows.
-    This variant concatenates every slot's combos, runs that prefix once
-    over the stack, then hands each slot its own row slice to the
-    per-slot greedy selection. Because every prefix operation is
-    elementwise per row (the volume gate, the residual, the power
-    score) or row-independent by the solver's contract
-    (``solver.row_independent``), each slot's rows are bitwise the rows
-    its own :func:`candidate_fixes` call would have produced — which is
-    what lets the fused serving tick's track bank birth tracks for a
-    whole cohort without perturbing staged/fused parity.
+    Slot ``s`` of the result is bitwise ``candidate_fixes(tof_slots[s],
+    solver, gate, power_slots[s], ..., seed_positions=seed_slots[s])``
+    — the per-slot call is the executable spec, and this is the fast
+    path the fused serving tick's track bank births through. Only the
+    seed lists and the result list are walked slot by slot:
+
+    * **Combos.** A mask over every slot's full ``K^n_rx`` index
+      product marks the tuples with a candidate on every antenna; in
+      C order they are each slot's product of per-antenna candidate
+      subsets — the per-slot combo table, stacked — and one gather
+      builds them. The solve, the volume gate, the residual and the
+      power score are elementwise per row (the solve by the
+      ``solver.row_independent`` contract), so one pass serves all.
+    * **Greedy selection.** :func:`_greedy_select` runs round by round
+      over every slot at once: each round re-scores the live rows
+      against their slot's multipath arcs, takes each slot's first
+      maximum (``np.argmax`` semantics, NaN first), drops it if it
+      dedupes against the slot's kept fixes, else keeps it, consumes
+      its components, and folds its arcs into the slot's evidence.
+      Slots leave when they hold ``max_fixes`` fixes or run out of live
+      rows.
 
     Args:
-        tof_slots: per slot, the per-antenna candidate TOF sets.
+        tof_slots: candidate round trips, shape ``(n_slots, n_rx, K)``,
+            NaN-padded.
         solver: row-independent localization solver shared by all slots.
         gate: feasibility gate shared by all slots.
-        power_slots: per slot, per-antenna candidate powers (or None).
+        power_slots: echo power per candidate, same shape (or None).
         seed_slots: per slot, the ghost-veto seed positions (or None).
 
     Returns:
         One ``(n_fixes, 3)`` array per slot, empty where nothing
         survived.
+
+    Raises:
+        ValueError: when the solver is not row-independent (a
+            warm-started least-squares solver would seed each slot's
+            first combo from the previous slot's last fix).
     """
+    if not getattr(solver, "row_independent", False):
+        raise ValueError(
+            "candidate_fixes_batched needs a row-independent solver; "
+            f"{type(solver).__name__} solves each row from the one before"
+        )
     gate = gate or FixGate()
-    n_slots = len(tof_slots)
+    tofs = np.asarray(tof_slots, dtype=np.float64)
+    n_slots, n_rx, n_cand = tofs.shape
     empty = np.empty((0, 3))
     out: list[np.ndarray] = [empty] * n_slots
 
-    # Per-slot combo tables, concatenated into one solver batch.
-    slot_rows: list[tuple[int, int, int]] = []  # (slot, row0, row1)
-    combo_parts: list[np.ndarray] = []
-    index_parts: list[np.ndarray] = []
-    power_parts: list[np.ndarray] | None = (
-        [] if power_slots is not None else None
-    )
-    row0 = 0
-    for s in range(n_slots):
-        tofs = [np.asarray(t, dtype=np.float64) for t in tof_slots[s]]
-        finite = [np.flatnonzero(~np.isnan(t)) for t in tofs]
-        if any(len(idx) == 0 for idx in finite):
-            continue
-        index_combos = _product_indices(finite)
-        n_rx = len(tofs)
-        combos = np.column_stack(
-            [tofs[a][index_combos[:, a]] for a in range(n_rx)]
+    # complete[s, i0, ..., i_{n_rx-1}]: slot s has a candidate at index
+    # i_a on every antenna a. Its C-order nonzeros are each slot's
+    # index product in order, last antenna fastest.
+    present = ~np.isnan(tofs)
+    complete = present[:, 0]
+    for a in range(1, n_rx):
+        complete = complete[..., None] & present[:, a].reshape(
+            (n_slots,) + (1,) * a + (n_cand,)
         )
-        if power_parts is not None:
-            powers = [
-                np.asarray(p, dtype=np.float64) for p in power_slots[s]
-            ]
-            power_parts.append(
-                np.column_stack(
-                    [powers[a][index_combos[:, a]] for a in range(n_rx)]
-                )
-            )
-        combo_parts.append(combos)
-        index_parts.append(index_combos)
-        slot_rows.append((s, row0, row0 + len(combos)))
-        row0 += len(combos)
-    if not combo_parts:
+    slot_of, *columns = np.unravel_index(
+        np.flatnonzero(complete), complete.shape
+    )
+    if len(slot_of) == 0:
         return out
-
-    combos = np.concatenate(combo_parts)
-    index_combos = np.concatenate(index_parts)
-    n_rx = combos.shape[1]
+    index_combos = np.stack(columns, axis=1)
+    combos = tofs[slot_of[:, None], np.arange(n_rx), index_combos]
     result = solver.solve(combos)
     positions = result.positions
-    keep = result.valid & np.isfinite(positions).all(axis=1)
-    keep &= gate.admits(np.nan_to_num(positions, nan=1e9))
+    # The volume gate first: NaN rows compare False in it, as their
+    # NaN-to-1e9 stand-ins do in the per-slot call, and it leaves a few
+    # rows in a hundred for the row reductions that follow.
+    rows = np.flatnonzero(result.valid & gate.admits(positions))
+    rows = rows[np.isfinite(positions[rows]).all(axis=1)]
 
-    # Round-trip consistency over the whole stack; NaN-safe because
-    # rows already failing the volume gate are masked out below.
+    # Round-trip consistency: re-project each fix through the array.
     array = solver.array
-    with np.errstate(invalid="ignore"):
-        d_tx = np.linalg.norm(positions - array.tx.position[None, :], axis=1)
-        d_rx = np.linalg.norm(
-            positions[:, None, :] - array.rx_positions[None, :, :], axis=2
-        )
-        residuals = np.sqrt(
-            np.mean((d_tx[:, None] + d_rx - combos) ** 2, axis=1)
-        )
-        keep &= residuals <= gate.max_residual_m
-
-    if power_parts is not None:
-        power_rows = np.concatenate(power_parts)
+    positions = positions[rows]
+    combos = combos[rows]
+    d_tx = np.linalg.norm(positions - array.tx.position[None, :], axis=1)
+    d_rx = np.linalg.norm(
+        positions[:, None, :] - array.rx_positions[None, :, :], axis=2
+    )
+    residuals = np.sqrt(np.mean((d_tx[:, None] + d_rx - combos) ** 2, axis=1))
+    fit = residuals <= gate.max_residual_m
+    rows = rows[fit]
+    if len(rows) == 0:
+        return out
+    positions = positions[fit]
+    combos = combos[fit]
+    index_combos = index_combos[rows]
+    slot_of = slot_of[rows]
+    if power_slots is not None:
+        powers = np.asarray(power_slots, dtype=np.float64)
         floor = 1e-30
         score = sum(
-            10.0 * np.log10(np.maximum(power_rows[:, a], floor))
+            10.0 * np.log10(
+                np.maximum(powers[slot_of, a, index_combos[:, a]], floor)
+            )
             for a in range(n_rx)
         )
     else:
-        score = -residuals
+        score = -residuals[fit]
 
-    for s, r0, r1 in slot_rows:
-        rows = keep[r0:r1]
-        if not np.any(rows):
-            continue
-        sel = np.flatnonzero(rows) + r0
-        out[s] = _greedy_select(
-            positions[sel],
-            combos[sel],
-            index_combos[sel],
-            score[sel],
-            array,
-            dedupe_m=dedupe_m,
-            max_fixes=max_fixes,
-            ghost_images=ghost_images,
-            ghost_tolerance_m=ghost_tolerance_m,
-            seed_positions=(
-                seed_slots[s] if seed_slots is not None else None
-            ),
+    # Segments: each slot's gated rows, contiguous in slot order.
+    counts = np.bincount(slot_of, minlength=n_slots)
+    slots = np.flatnonzero(counts)
+    counts = counts[slots]
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    n_seg = len(slots)
+    seg_of = np.repeat(np.arange(n_seg), counts)
+    limit = counts if max_fixes is None else np.full(n_seg, max_fixes)
+    cap = max(int(np.minimum(limit, counts).max()), 0)
+    kept = np.zeros((n_seg, cap, 3))
+    n_kept = np.zeros(n_seg, dtype=np.intp)
+    alive = np.ones(len(rows), dtype=bool)
+
+    # Ghost evidence: each row's distance to the nearest multipath arc
+    # of its slot, per antenna. Folding new arcs in with a running
+    # minimum equals the spec's minimum over the whole arc list.
+    suppress = ghost_images is not None and len(ghost_images) > 0
+    if suppress:
+        tx_position = array.tx.position
+        nearest = np.full((len(rows), n_rx), np.inf)
+        if seed_slots is not None:
+            seeds = [
+                (g, seed)
+                for g, s in enumerate(slots.tolist())
+                if seed_slots[s] is not None
+                for seed in seed_slots[s]
+            ]
+            if seeds:
+                _fold_arcs(
+                    nearest,
+                    combos,
+                    seg_of,
+                    np.array([g for g, _ in seeds]),
+                    _arcs(
+                        np.array([p for _, p in seeds], dtype=np.float64),
+                        tx_position,
+                        ghost_images,
+                    ),
+                )
+
+    while True:
+        live = alive & (n_kept < limit)[seg_of]
+        if not np.any(live):
+            break
+        if suppress:
+            matches = np.count_nonzero(nearest <= ghost_tolerance_m, axis=1)
+            alive &= matches < 2
+            live &= alive
+            if not np.any(live):
+                break
+            adjusted = score - _GHOST_PENALTY_DB * matches.astype(np.float64)
+        else:
+            adjusted = score
+        adjusted = np.where(live, adjusted, -np.inf)
+        # Segment argmax, first maximum first; a NaN score is the
+        # maximum, as in np.argmax. Dead rows tie only when every live
+        # row of the slot scores -inf, where np.argmax picks them too.
+        best = np.maximum.reduceat(adjusted, starts)
+        ties = np.flatnonzero(
+            ((adjusted == best[seg_of]) | np.isnan(adjusted))
+            & np.logical_or.reduceat(live, starts)[seg_of]
         )
+        picks = ties[np.concatenate([[True], np.diff(seg_of[ties]) != 0])]
+        pick_seg = seg_of[picks]
+        alive[picks] = False
+        found = positions[picks]
+        seen = int(n_kept[pick_seg].max())
+        if seen:
+            diff = found[:, None, :] - kept[pick_seg, :seen]
+            # vecdot is the 1-D norm's BLAS dot, row by row; the axis
+            # reduction of np.linalg.norm rounds differently.
+            close = np.sqrt(np.vecdot(diff, diff)) <= dedupe_m
+            close &= np.arange(seen)[None, :] < n_kept[pick_seg][:, None]
+            fresh = ~close.any(axis=1)
+            picks, pick_seg, found = (
+                picks[fresh], pick_seg[fresh], found[fresh]
+            )
+        if len(picks) == 0:
+            continue
+        kept[pick_seg, n_kept[pick_seg]] = found
+        n_kept[pick_seg] += 1
+        # Exclusivity: consume the winner's candidates in its slot.
+        claimed = np.full((n_seg, n_rx), -1)
+        claimed[pick_seg] = index_combos[picks]
+        alive &= ~(index_combos == claimed[seg_of]).any(axis=1)
+        if suppress:
+            _fold_arcs(
+                nearest,
+                combos,
+                seg_of,
+                pick_seg,
+                _arcs(found, tx_position, ghost_images),
+            )
+
+    for g in np.flatnonzero(n_kept):
+        out[slots[g]] = kept[g, : n_kept[g]].copy()
     return out
+
+
+def _arcs(
+    points: np.ndarray, tx_position: np.ndarray, ghost_images: np.ndarray
+) -> np.ndarray:
+    """:func:`multipath_round_trips` of many points, bitwise.
+
+    Shape ``(n_points, 3)`` to ``(n_points, n_planes, n_rx)``. The Tx
+    leg is the 1-D norm (a BLAS dot), reproduced row by row by
+    ``np.vecdot``; the image legs are the same axis reduction.
+    """
+    to_tx = points - tx_position
+    d_tx = np.sqrt(np.vecdot(to_tx, to_tx))
+    d_img = np.linalg.norm(
+        ghost_images[None] - points[:, None, None, :], axis=3
+    )
+    return d_tx[:, None, None] + d_img
+
+
+def _fold_arcs(
+    nearest: np.ndarray,
+    combos: np.ndarray,
+    seg_of: np.ndarray,
+    arc_seg: np.ndarray,
+    arcs: np.ndarray,
+) -> None:
+    """Lower each row's nearest-arc distance by its segment's new arcs.
+
+    ``arcs[i]``, shape ``(n_planes, n_rx)``, belongs to segment
+    ``arc_seg[i]`` (sorted). They pad into one ``(segment, arc set,
+    plane, antenna)`` table of ``inf``, so each row meets exactly its
+    own segment's arcs; NaN propagates like the spec's ``np.min`` over
+    the whole arc list.
+    """
+    n_seg = seg_of[-1] + 1
+    rank = np.arange(len(arc_seg)) - np.searchsorted(arc_seg, arc_seg)
+    table = np.full((n_seg, rank.max() + 1) + arcs.shape[1:], np.inf)
+    table[arc_seg, rank] = arcs
+    own = table.reshape(n_seg, -1, arcs.shape[-1])[seg_of]
+    np.minimum(
+        nearest, np.abs(combos[:, None, :] - own).min(axis=1), out=nearest
+    )
 
 
 def assign_fixes(

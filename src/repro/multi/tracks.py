@@ -719,17 +719,21 @@ class TrackBank:
     slots in array math, and scatters the results back into the
     managers' tracks. Claim assignment stays per ``(slot, antenna)``
     (:func:`~repro.multi.association.assign_fixes` — the Hungarian
-    solve is not batchable without risking tie-break drift) and births
-    stay per slot (:meth:`TrackManager._births` is rare-path).
+    solve is not batchable without risking tie-break drift). Births —
+    attempted on nearly every slot-tick, since some candidate is almost
+    always unclaimed — run as one array program over the cohort's
+    leftover tensors
+    (:func:`~repro.multi.association.candidate_fixes_batched`), whose
+    slot ``s`` is bitwise the staged :meth:`TrackManager._births` call.
 
     The managers remain the single source of truth: the bank holds no
     state of its own, so snapshot/restore, eviction, and the
     ``engine.track_manager`` accessors are untouched, and after a bank
     step every manager is bit-identical to having stepped it staged —
     the Kalman tree (:func:`_filter_step`), the lifecycle tail
-    (:meth:`Track._register`), the assignment calls, and the birth path
-    are literally the same code, just batched where the math is
-    elementwise.
+    (:meth:`Track._register`), the assignment calls, and birth
+    adoption are literally the same code, just batched where the math
+    is elementwise.
 
     Requires a row-independent solver (``solver.row_independent``, e.g.
     the closed-form T-geometry solver): the batched ``solver.solve``
@@ -843,21 +847,16 @@ class TrackBank:
                 )
 
         # Leftovers: every finite candidate no track claimed, one
-        # vectorized mask instead of per-slot keep loops. Births run
-        # through one batched combo-solve across all slots (the gate,
-        # ghost images, and birth cap are cohort-wide spec state, read
-        # from the lead manager like the rest of the step).
+        # vectorized mask instead of per-slot keep loops. Births run as
+        # one array program over the whole cohort's leftover tensors
+        # (the gate, ghost images, and birth cap are cohort-wide spec
+        # state, read from the lead manager like the rest of the step).
         keep = finite_cand & ~claimed_mask
-        leftovers = np.where(keep, candidates, np.nan)
-        leftover_powers = np.where(keep, powers, np.nan)
         births_per = candidate_fixes_batched(
-            [[leftovers[s, a] for a in range(n_rx)] for s in range(n_rows)],
+            np.where(keep, candidates, np.nan),
             lead.solver,
             gate=lead.gate,
-            power_slots=[
-                [leftover_powers[s, a] for a in range(n_rx)]
-                for s in range(n_rows)
-            ],
+            power_slots=np.where(keep, powers, np.nan),
             max_fixes=lead.max_births_per_frame,
             ghost_images=lead.ghost_images,
             seed_slots=[

@@ -1,7 +1,11 @@
 """Tests for the command-line interface."""
 
+import json
+import os
+
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 
 
@@ -52,3 +56,37 @@ class TestExecution:
         assert code == 0
         out = capsys.readouterr().out
         assert "detected" in out
+
+
+class TestBenchTrajectory:
+    RESULT = {"serial_fps": 900.0, "sharded_fps": 1800.0,
+              "p95_latency_ms": 0.3}
+
+    def test_records_serial_fps_cores_and_dirty_flag(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "trajectory.json"
+        monkeypatch.setenv("REPRO_BENCH_TRAJECTORY", str(path))
+        cli._append_bench_record(dict(self.RESULT))
+        cli._append_bench_record(dict(self.RESULT, serial_fps=950.0))
+        records = json.loads(path.read_text())
+        assert [r["serial_fps"] for r in records] == [900.0, 950.0]
+        assert records[0]["frames_per_s"] == 1800.0
+        assert records[0]["cpu_count"] == os.cpu_count()
+        assert records[0]["dirty"] in (True, False, None)
+
+    @pytest.mark.parametrize(
+        "status, dirty",
+        [
+            ("", False),
+            (" M BENCH_serving.json\n", False),
+            (" M BENCH_serving.json\n M src/repro/cli.py\n", True),
+            ("?? notes.txt\n", True),
+            (None, None),
+        ],
+    )
+    def test_dirty_ignores_the_trajectory_file(
+        self, monkeypatch, status, dirty
+    ):
+        monkeypatch.setattr(cli, "_git", lambda *args: status)
+        assert cli._worktree_dirty() is dirty

@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core.localize import make_solver
+from repro.core.localize import LeastSquaresSolver, make_solver
 from repro.geometry.antennas import t_array
 from repro.multi.association import (
     FixGate,
+    _arcs,
     assign_fixes,
     candidate_fixes,
+    candidate_fixes_batched,
     multipath_round_trips,
 )
 from repro.rf.multipath import mirror_point
@@ -23,6 +26,18 @@ def array():
 @pytest.fixture
 def solver(array):
     return make_solver(array)
+
+
+def room_ghost_images(array, room):
+    """Receive antennas mirrored through every bounce plane of a room."""
+    return np.stack(
+        [
+            np.stack(
+                [mirror_point(rx.position, point, normal) for rx in array.rx]
+            )
+            for point, normal, _ in room.bounce_planes
+        ]
+    )
 
 
 def tof_sets_for(array, positions, shuffle_seed=None):
@@ -84,18 +99,7 @@ class TestCandidateFixes:
 
     def test_multipath_ghost_vetoed(self, array, solver):
         """A pure wall-bounce combo of a known person must not fix."""
-        room = through_wall_room()
-        ghost_images = np.stack(
-            [
-                np.stack(
-                    [
-                        mirror_point(rx.position, point, normal)
-                        for rx in array.rx
-                    ]
-                )
-                for point, normal, _ in room.bounce_planes
-            ]
-        )
+        ghost_images = room_ghost_images(array, through_wall_room())
         person = np.array([0.5, 4.0, 0.0])
         # Candidates: the person's direct TOFs plus her left-wall image
         # TOFs on every antenna.
@@ -117,6 +121,163 @@ class TestCandidateFixes:
         gaps = np.linalg.norm(fixes - person[None, :], axis=1)
         assert (gaps < 0.05).sum() == 1
         assert len(fixes) == 1
+
+
+_ARRAY = t_array()
+_SOLVER = make_solver(_ARRAY)
+_ROOM = through_wall_room()
+_GATE = FixGate.from_room(_ROOM)
+_IMAGES = room_ghost_images(_ARRAY, _ROOM)
+#: Few distinct echo powers, so combo scores tie exactly.
+_POWERS = np.array([1e-12, 1e-13, 1e-14])
+
+
+def _in_room(rng):
+    return rng.uniform([-3.0, 1.0, -1.0], [3.0, 11.0, 1.0])
+
+
+@st.composite
+def birth_cohorts(draw):
+    """Leftover candidate tensors ``(n_slots, 3, K)`` of a cohort.
+
+    Each slot holds 1-3 people's direct echoes, near-twin echoes (whose
+    combos solve within the dedupe radius), wall-bounce images (which
+    the ghost arcs must veto or penalize) and junk, scattered over the K
+    candidate columns with NaN padding; some antennas see nothing. Seeds
+    sit on or near the people, or anywhere, so seeded arcs bite.
+    """
+    n_slots = draw(st.integers(min_value=1, max_value=8))
+    k = draw(st.integers(min_value=1, max_value=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tofs = np.full((n_slots, 3, k), np.nan)
+    seeds = []
+    for s in range(n_slots):
+        people = [_in_room(rng) for _ in range(rng.integers(1, 4))]
+        echoes = [_ARRAY.round_trip_distances(p) for p in people]
+        for p in people:
+            if rng.random() < 0.5:
+                twin = p + rng.normal(0.0, 0.1, 3)
+                echoes.append(_ARRAY.round_trip_distances(twin))
+            if rng.random() < 0.5:
+                images = multipath_round_trips(p, _ARRAY.tx.position, _IMAGES)
+                echoes.append(images[rng.integers(len(images))])
+        for a in range(3):
+            # Echoes first, junk last; K keeps the first few of each.
+            column = [e[a] for e in rng.permutation(echoes)]
+            column += list(rng.uniform(1.0, 20.0, rng.integers(0, 3)))
+            column = column[: k - (rng.random() < 0.2)]
+            at = rng.choice(k, size=len(column), replace=False)
+            tofs[s, a, at] = column
+        if rng.random() < 0.15:
+            tofs[s, rng.integers(3)] = np.nan
+        seeds.append(
+            None
+            if rng.random() < 0.2
+            else [
+                p + rng.normal(0.0, 0.05, 3) if rng.random() < 0.7
+                else _in_room(rng)
+                for p in people[: rng.integers(0, len(people) + 1)]
+            ]
+        )
+    powers = rng.choice(_POWERS, size=tofs.shape)
+    # A rare NaN power scores its combos NaN, which np.argmax ranks first.
+    powers[np.isnan(tofs) | (rng.random(tofs.shape) < 0.02)] = np.nan
+    return tofs, powers, seeds
+
+
+class TestBatchedBirthSearch:
+    """``candidate_fixes_batched`` is the per-slot spec, slot by slot."""
+
+    @given(
+        cohort=birth_cohorts(),
+        use_powers=st.booleans(),
+        use_seeds=st.booleans(),
+        use_images=st.booleans(),
+        max_fixes=st.sampled_from([None, 1, 2]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_each_slot_is_bitwise_the_per_slot_call(
+        self, cohort, use_powers, use_seeds, use_images, max_fixes
+    ):
+        tofs, powers, seeds = cohort
+        shared = dict(
+            gate=_GATE,
+            max_fixes=max_fixes,
+            ghost_images=_IMAGES if use_images else None,
+        )
+        batched = candidate_fixes_batched(
+            tofs,
+            _SOLVER,
+            power_slots=powers if use_powers else None,
+            seed_slots=seeds if use_seeds else None,
+            **shared,
+        )
+        assert len(batched) == len(tofs)
+        for s, got in enumerate(batched):
+            want = candidate_fixes(
+                list(tofs[s]),
+                _SOLVER,
+                power_sets=list(powers[s]) if use_powers else None,
+                seed_positions=seeds[s] if use_seeds else None,
+                **shared,
+            )
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_cohort_of_known_cases(self, array, solver):
+        """Two people, one person plus a junk echo, and a dead antenna."""
+        people = [np.array([0.5, 3.5, 0.1]), np.array([-1.0, 6.0, -0.2])]
+        tofs = np.full((3, 3, 2), np.nan)
+        tofs[0] = np.stack(tof_sets_for(array, people))
+        tofs[1, :, :1] = np.stack(tof_sets_for(array, people[:1]))
+        tofs[1, 0, 1] = tofs[1, 0, 0] + 3.0
+        tofs[2] = tofs[0]
+        tofs[2, 1] = np.nan
+        fixes = candidate_fixes_batched(tofs, solver)
+        assert len(fixes[0]) == 2
+        assert len(fixes[1]) == 1
+        assert np.linalg.norm(fixes[1][0] - people[0]) < 0.05
+        assert fixes[2].shape == (0, 3)
+
+    def test_dedupe_distance_is_the_one_dimensional_norm(self, solver):
+        """A fix exactly on the dedupe radius dedupes as in the spec.
+
+        ``np.linalg.norm`` of a 1-D vector is a BLAS dot, which rounds
+        differently from the ``axis=`` reduction for about a tenth of
+        3-vectors; a batched distance that rounds up misses the dedupe.
+        """
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            people = [_in_room(rng), _in_room(rng)]
+            tofs = np.stack(tof_sets_for(_ARRAY, people))
+            fixes = candidate_fixes(list(tofs), solver, dedupe_m=0.0)
+            if len(fixes) != 2:
+                continue
+            gap = fixes[1] - fixes[0]
+            radius = np.linalg.norm(gap)
+            if np.linalg.norm(gap[None], axis=1)[0] > radius:
+                break
+        else:
+            pytest.skip("1-D and axis norms agree on this platform")
+        spec = candidate_fixes(list(tofs), solver, dedupe_m=radius)
+        assert len(spec) == 1
+        batched = candidate_fixes_batched(tofs[None], solver, dedupe_m=radius)
+        assert batched[0].tobytes() == spec.tobytes()
+
+    def test_arcs_are_the_per_point_round_trips(self):
+        rng = np.random.default_rng(4)
+        points = np.stack([_in_room(rng) for _ in range(500)])
+        want = np.stack(
+            [multipath_round_trips(p, _ARRAY.tx.position, _IMAGES)
+             for p in points]
+        )
+        got = _arcs(points, _ARRAY.tx.position, _IMAGES)
+        assert got.tobytes() == want.tobytes()
+
+    def test_rejects_row_dependent_solver(self, array):
+        tofs = np.stack(tof_sets_for(array, [np.array([0.5, 4.0, 0.0])]))
+        with pytest.raises(ValueError, match="LeastSquaresSolver"):
+            candidate_fixes_batched(tofs[None], LeastSquaresSolver(array))
 
 
 class TestAssignFixes:
