@@ -46,7 +46,10 @@ from repro.kernels import (
     row_median,
     set_backend,
 )
-from repro.multi.association import candidate_fixes_batched
+from repro.multi.association import (
+    candidate_fixes_batched,
+    claim_candidates,
+)
 from repro.multi.cancellation import successive_contours
 from repro.multi.tracker import MultiWiTrack
 from repro.multi.tracks import Track, TrackBank, TrackManager
@@ -127,6 +130,18 @@ def _workloads() -> list[dict]:
         bank_candidates[s, :, 2] = solver.array.round_trip_distances(ghost)
         bank_powers[s, :, 2] = 0.5
         bank_managers.append(manager)
+    # The cohort claim pass on the same tensors: the bank's tracks'
+    # predictions and gates, taken before any bank step moves them. The
+    # spare candidate sits inside track 0's gate on every antenna, so
+    # all 24 (slot, antenna) problems go to the Hungarian solve; without
+    # it every problem is a matching and none does.
+    claim_tracks = [t for m in bank_managers for t in m.live_tracks()]
+    claim_predictions = np.stack(
+        [t.predicted_tofs() for t in claim_tracks]
+    )
+    claim_gates = np.array([t.tof_gate_m() for t in claim_tracks])
+    claim_counts = np.array([len(m.live_tracks()) for m in bank_managers])
+    matching_candidates = np.delete(bank_candidates, 2, axis=2)
     # The cohort birth search on the same tensors, every candidate
     # unclaimed, with a through-wall serving spec's gate and wall-bounce
     # ghost arcs seeded by both people.
@@ -193,6 +208,27 @@ def _workloads() -> list[dict]:
             "inner": 20,
             "run": lambda: bank.step(
                 bank_managers, bank_candidates, bank_powers
+            ),
+        },
+        {
+            "kernel": "track_claims",
+            "shape": f"candidates {bank_candidates.shape}",
+            "frames": tick_session_frames,
+            "inner": 100,
+            "run": lambda: claim_candidates(
+                claim_predictions, claim_gates, bank_candidates, claim_counts
+            ),
+        },
+        {
+            "kernel": "track_claims_matching",
+            "shape": f"candidates {matching_candidates.shape}",
+            "frames": tick_session_frames,
+            "inner": 100,
+            "run": lambda: claim_candidates(
+                claim_predictions,
+                claim_gates,
+                matching_candidates,
+                claim_counts,
             ),
         },
         {

@@ -36,6 +36,15 @@ Solver = TGeometrySolver | LeastSquaresSolver
 #: arc still wins when her other components are sound.
 _GHOST_PENALTY_DB = 10.0
 
+#: Cost of a gate-blocked or non-finite cell in a gated assignment.
+_BLOCKED_COST = 1e6
+
+#: Largest claim gate (m) the track lifecycle accepts. In-gate cells
+#: cost at most this, four orders below :data:`_BLOCKED_COST`, which is
+#: what lets :func:`claim_candidates` skip the solve for problems
+#: whose in-gate pairs already form a matching.
+MAX_CLAIM_GATE_M = 100.0
+
 
 @dataclass(frozen=True)
 class FixGate:
@@ -610,9 +619,9 @@ def assign_fixes(
     cost = np.linalg.norm(
         predicted[:, None, :] - fixes[None, :, :], axis=2
     )
-    cost = np.where(np.isfinite(cost), cost, 1e6)
+    cost = np.where(np.isfinite(cost), cost, _BLOCKED_COST)
     blocked = cost > gates[:, None]
-    rows, cols = linear_sum_assignment(np.where(blocked, 1e6, cost))
+    rows, cols = linear_sum_assignment(np.where(blocked, _BLOCKED_COST, cost))
     pairs = [
         (int(r), int(c))
         for r, c in zip(rows, cols)
@@ -623,3 +632,97 @@ def assign_fixes(
     unmatched_tracks = [t for t in range(n_tracks) if t not in matched_tracks]
     unmatched_fixes = [f for f in range(n_fixes) if f not in matched_fixes]
     return pairs, unmatched_tracks, unmatched_fixes
+
+
+def claim_candidates(
+    predicted: np.ndarray,
+    gates: np.ndarray,
+    candidates: np.ndarray,
+    counts: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-antenna gated claims of a whole cohort in one array pass.
+
+    Slot ``s`` owns ``counts[s]`` consecutive tracks. On antenna ``a``
+    its tracks claim what :func:`assign_fixes` pairs them with, given
+    their predicted round trips on ``a``, the slot's finite candidates
+    on ``a`` (in candidate order) and the tracks' gates. That
+    per-(slot, antenna) loop is the executable spec; the result is
+    bitwise the same.
+
+    Most problems need no solve. If every track has at most one
+    candidate in its gate, and every candidate is in at most one gate,
+    the in-gate pairs form a matching. An in-gate cell costs at most
+    its gate and every other cell costs ``1e6``, so an assignment that
+    drops an in-gate pair costs about ``1e6`` more: every optimum holds
+    exactly the in-gate pairs, and array math writes them. The other
+    problems run ``linear_sum_assignment`` on the spec's own matrix
+    (the slot's tracks in order, the antenna's finite candidates in
+    order), so ties break as the spec breaks them. A gate above
+    :data:`MAX_CLAIM_GATE_M`, or a NaN gate, sends its problems to the
+    solve as well.
+
+    Args:
+        predicted: predicted round trips, shape ``(n_tracks, n_rx)``,
+            grouped by slot.
+        gates: claim gate per track, shape ``(n_tracks,)``.
+        candidates: candidate round trips, shape ``(n_slots, n_rx,
+            K)``, NaN-padded.
+        counts: tracks per slot, shape ``(n_slots,)``, summing to
+            ``n_tracks``.
+
+    Returns:
+        ``(claimed, consumed)``: each track's claimed round trip per
+        antenna, shape ``(n_tracks, n_rx)`` and NaN where it claimed
+        none, and the mask of claimed candidates, shape ``(n_slots,
+        n_rx, K)``.
+    """
+    n_slots, n_rx, n_cand = candidates.shape
+    claimed = np.full((len(predicted), n_rx), np.nan)
+    consumed = np.zeros(candidates.shape, dtype=bool)
+    if len(predicted) == 0 or n_cand == 0:
+        return claimed, consumed
+    counts = np.asarray(counts)
+    slot_of = np.repeat(np.arange(n_slots), counts)
+    # assign_fixes' 1-point L2 norm is sqrt(diff * diff), which is
+    # |diff| save where the square underflows or overflows. A gate at
+    # most the ceiling blocks every NaN or infinite cost (the spec pads
+    # them to 1e6), so for such gates these are the spec's unblocked
+    # cells among the finite candidates.
+    diff = predicted[:, :, None] - candidates[slot_of]
+    cost = np.sqrt(diff * diff)
+    in_gate = cost <= gates[:, None, None]
+
+    # A problem goes to the solve when a track has two candidates in
+    # its gate, a candidate is in two gates, or a track's gate is NaN
+    # or above the ceiling.
+    starts = np.cumsum(counts) - counts
+    busy = counts.nonzero()[0]
+    at = starts[busy]
+    odd_gate = ~(gates <= MAX_CLAIM_GATE_M)
+    per_track = (np.add.reduce(in_gate, axis=2) > 1) | odd_gate[:, None]
+    solve = np.zeros((n_slots, n_rx), dtype=bool)
+    solve[busy] = np.logical_or.reduceat(per_track, at) | np.logical_or.reduce(
+        np.add.reduceat(in_gate, at) > 1, axis=2
+    )
+
+    track, rx, cand = (in_gate & ~solve[slot_of, :, None]).nonzero()
+    slot = slot_of[track]
+    claimed[track, rx] = candidates[slot, rx, cand]
+    consumed[slot, rx, cand] = True
+
+    if solve.any():
+        cost = np.where(np.isfinite(cost), cost, _BLOCKED_COST)
+        blocked = cost > gates[:, None, None]
+        padded = np.where(blocked, _BLOCKED_COST, cost)
+        finite = np.isfinite(candidates)
+        for s, a in zip(*solve.nonzero()):
+            t0 = starts[s]
+            cols = finite[s, a].nonzero()[0]
+            rows, picks = linear_sum_assignment(
+                padded[t0 : t0 + counts[s], a][:, cols]
+            )
+            for t, c in zip((t0 + rows).tolist(), cols[picks].tolist()):
+                if not blocked[t, a, c]:
+                    claimed[t, a] = candidates[s, a, c]
+                    consumed[s, a, c] = True
+    return claimed, consumed

@@ -31,15 +31,15 @@ import enum
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from ..core.kalman import dwna_process_noise
 from .association import (
+    MAX_CLAIM_GATE_M,
     FixGate,
     Solver,
-    assign_fixes,
     candidate_fixes,
     candidate_fixes_batched,
+    claim_candidates,
 )
 
 
@@ -117,7 +117,11 @@ class TrackManagerConfig:
             trip and a claimed candidate.
         tof_gate_growth_mps: gate widening per second of coasting — the
             person may have kept moving while undetected.
-        max_tof_gate_m: cap on the widened TOF gate.
+        max_tof_gate_m: cap on the widened TOF gate; finite, positive
+            and at most
+            :data:`~repro.multi.association.MAX_CLAIM_GATE_M`, so a
+            gate never admits the ``1e6`` cost that pads a non-finite
+            cell of the claim assignment.
         min_claims: antennas a track must claim in a frame for the frame
             to count as a hit (fewer antennas coast individually).
         confirm_hits: hit frames before a tentative track is real.
@@ -169,6 +173,11 @@ class TrackManagerConfig:
     def __post_init__(self) -> None:
         if self.tof_gate_m <= 0:
             raise ValueError("tof_gate_m must be positive")
+        if not 0 < self.max_tof_gate_m <= MAX_CLAIM_GATE_M:
+            raise ValueError(
+                "max_tof_gate_m must be finite, positive and at most "
+                f"{MAX_CLAIM_GATE_M} m, got {self.max_tof_gate_m}"
+            )
         if self.confirm_hits < 1:
             raise ValueError("confirm_hits must be at least 1")
         if self.max_coast_frames < 1:
@@ -551,7 +560,8 @@ class TrackManager:
 
         Args:
             tof_sets: candidate round trips per antenna (NaN-padded),
-                one entry per receive antenna.
+                one entry per receive antenna; entries may differ in
+                length.
             power_sets: echo power of each candidate, aligned with
                 ``tof_sets``.
 
@@ -559,48 +569,38 @@ class TrackManager:
             The reportable tracks after this frame.
         """
         tofs = [np.asarray(s, dtype=np.float64) for s in tof_sets]
-        n_rx = len(tofs)
         live = self.live_tracks()
 
-        # Per-antenna claim: gated 1D Hungarian between every track's
-        # predicted round trip and the frame's candidates.
-        claimed = np.full((len(live), n_rx), np.nan)
-        claimed_idx: set[tuple[int, int]] = set()
-        if live:
-            predictions = np.stack([t.predicted_tofs() for t in live])
-            gates = np.array([t.tof_gate_m() for t in live])
-            for a in range(n_rx):
-                finite = np.flatnonzero(np.isfinite(tofs[a]))
-                if len(finite) == 0:
-                    continue
-                pairs, _, _ = assign_fixes(
-                    predictions[:, a : a + 1],
-                    tofs[a][finite, None],
-                    gates,
-                )
-                for t_idx, c_idx in pairs:
-                    claimed[t_idx, a] = tofs[a][finite[c_idx]]
-                    claimed_idx.add((a, int(finite[c_idx])))
+        # Per-antenna claim: gated 1D assignment between every track's
+        # predicted round trip and the frame's candidates, padded at
+        # the end to one (rx, K) table so candidate indices hold.
+        table = np.full((len(tofs), max(map(len, tofs), default=0)), np.nan)
+        for a, values in enumerate(tofs):
+            table[a, : len(values)] = values
+        claimed, consumed = claim_candidates(
+            np.array([t.predicted_tofs() for t in live]).reshape(
+                len(live), len(tofs)
+            ),
+            np.array([t.tof_gate_m() for t in live]),
+            table[None],
+            [len(live)],
+        )
         for t_idx, track in enumerate(live):
             track.advance(claimed[t_idx], self.solver, self.gate)
 
         # Births from the candidates no track claimed, with the live
         # tracks' multipath arcs pre-seeded as ghost evidence.
-        leftovers = []
-        leftover_powers = [] if power_sets is not None else None
-        for a in range(n_rx):
-            keep = np.array(
-                [
-                    np.isfinite(tofs[a][j]) and (a, j) not in claimed_idx
-                    for j in range(len(tofs[a]))
-                ],
-                dtype=bool,
-            )
-            leftovers.append(np.where(keep, tofs[a], np.nan))
-            if leftover_powers is not None:
-                leftover_powers.append(
-                    np.where(keep, np.asarray(power_sets[a]), np.nan)
-                )
+        keep = np.isfinite(table) & ~consumed[0]
+        leftovers = [
+            np.where(keep[a, : len(values)], values, np.nan)
+            for a, values in enumerate(tofs)
+        ]
+        leftover_powers = None
+        if power_sets is not None:
+            leftover_powers = [
+                np.where(keep[a, : len(values)], np.asarray(power), np.nan)
+                for a, (values, power) in enumerate(zip(tofs, power_sets))
+            ]
         self._births(leftovers, leftover_powers, live)
         return self._finalize()
 
@@ -717,12 +717,14 @@ class TrackBank:
     live-track filter state into stacked arrays, runs prediction,
     gating, the Kalman updates, and batched localization across all
     slots in array math, and scatters the results back into the
-    managers' tracks. Claim assignment stays per ``(slot, antenna)``
-    (:func:`~repro.multi.association.assign_fixes` — the Hungarian
-    solve is not batchable without risking tie-break drift). Births —
-    attempted on nearly every slot-tick, since some candidate is almost
-    always unclaimed — run as one array program over the cohort's
-    leftover tensors
+    managers' tracks. Claims run as one pass over every ``(slot,
+    antenna)`` problem (:func:`~repro.multi.association.
+    claim_candidates`, which the staged step calls for its one slot):
+    problems whose in-gate pairs already form a matching are written
+    with array math, and only the rest run the Hungarian solve.
+    Births — attempted on nearly every slot-tick, since some candidate
+    is almost always unclaimed — run as one array program over the
+    cohort's leftover tensors
     (:func:`~repro.multi.association.candidate_fixes_batched`), whose
     slot ``s`` is bitwise the staged :meth:`TrackManager._births` call.
 
@@ -731,9 +733,9 @@ class TrackBank:
     ``engine.track_manager`` accessors are untouched, and after a bank
     step every manager is bit-identical to having stepped it staged —
     the Kalman tree (:func:`_filter_step`), the lifecycle tail
-    (:meth:`Track._register`), the assignment calls, and birth
-    adoption are literally the same code, just batched where the math
-    is elementwise.
+    (:meth:`Track._register`), the claim pass, and birth adoption are
+    literally the same code, just batched where the math is
+    elementwise.
 
     Requires a row-independent solver (``solver.row_independent``, e.g.
     the closed-form T-geometry solver): the batched ``solver.solve``
@@ -763,19 +765,14 @@ class TrackBank:
             Per row, the reportable ``(track_id, position)`` pairs —
             exactly the staged per-slot output.
         """
-        n_rows, n_rx, _ = candidates.shape
         lead = managers[0]
         dt = lead.frame_dt_s
         cfg = lead.config
         live_per = [m.live_tracks() for m in managers]
         all_tracks = [t for live in live_per for t in live]
         total = len(all_tracks)
-        counts = [len(live) for live in live_per]
-        offsets = np.zeros(n_rows + 1, dtype=np.intp)
-        np.cumsum(counts, out=offsets[1:])
 
-        finite_cand = np.isfinite(candidates)
-        claimed_mask = np.zeros(candidates.shape, dtype=bool)
+        consumed = np.zeros(candidates.shape, dtype=bool)
         if total:
             # Gather: (track, antenna) filter state across every slot.
             mean = np.stack([t._mean for t in all_tracks])
@@ -788,37 +785,12 @@ class TrackBank:
                 cfg.tof_gate_m + cfg.tof_gate_growth_mps * misses * dt,
                 cfg.max_tof_gate_m,
             )
-            # Claim: gated 1D Hungarian per (slot, antenna). The cost,
-            # gate-block, and padding tensors are one vectorized pass
-            # over every (track, antenna, candidate) cell; each
-            # Hungarian solve then runs on a slice of them — the exact
-            # matrix the staged step's assign_fixes builds per call
-            # (its L2 norm of a 1-point row is |diff|: sqrt(x*x) == |x|
-            # for doubles, and NaN cells land on the same 1e6 pad).
-            claimed = np.full((total, n_rx), np.nan)
-            slot_of = np.repeat(np.arange(n_rows), counts)
-            cost = np.abs(predictions[:, :, None] - candidates[slot_of])
-            cost = np.where(np.isfinite(cost), cost, 1e6)
-            blocked = cost > gates[:, None, None]
-            padded = np.where(blocked, 1e6, cost)
-            for s in range(n_rows):
-                t0, t1 = offsets[s], offsets[s + 1]
-                if t0 == t1:
-                    continue
-                for a in range(n_rx):
-                    finite = np.flatnonzero(finite_cand[s, a])
-                    if len(finite) == 0:
-                        continue
-                    sub_blocked = blocked[t0:t1, a][:, finite]
-                    rows, cols = linear_sum_assignment(
-                        padded[t0:t1, a][:, finite]
-                    )
-                    for r, c in zip(rows, cols):
-                        if not sub_blocked[r, c]:
-                            claimed[t0 + r, a] = candidates[
-                                s, a, finite[c]
-                            ]
-                            claimed_mask[s, a, finite[c]] = True
+            claimed, consumed = claim_candidates(
+                predictions,
+                gates,
+                candidates,
+                [len(live) for live in live_per],
+            )
             # Advance: one Kalman tree over every (track, antenna) cell,
             # one localization solve over every track.
             q00, q01, q11 = dwna_process_noise(dt, cfg.tof_process_noise)
@@ -851,7 +823,7 @@ class TrackBank:
         # one array program over the whole cohort's leftover tensors
         # (the gate, ghost images, and birth cap are cohort-wide spec
         # state, read from the lead manager like the rest of the step).
-        keep = finite_cand & ~claimed_mask
+        keep = np.isfinite(candidates) & ~consumed
         births_per = candidate_fixes_batched(
             np.where(keep, candidates, np.nan),
             lead.solver,

@@ -3,15 +3,18 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from repro.core.localize import LeastSquaresSolver, make_solver
 from repro.geometry.antennas import t_array
+from repro.multi import association
 from repro.multi.association import (
     FixGate,
     _arcs,
     assign_fixes,
     candidate_fixes,
     candidate_fixes_batched,
+    claim_candidates,
     multipath_round_trips,
 )
 from repro.rf.multipath import mirror_point
@@ -309,6 +312,206 @@ class TestAssignFixes:
             np.empty((0, 3)), np.empty((0, 3)), 1.0
         )
         assert pairs == [] and un_t == [] and un_f == []
+
+
+#: Round trips on a 1/64 m grid: differences of grid values are exact,
+#: so costs tie exactly and land exactly on grid gates.
+_GRID_M = 1.0 / 64.0
+
+
+@st.composite
+def claim_cohorts(draw):
+    """Claim-pass inputs ``(predicted, gates, candidates, counts)``.
+
+    1-8 slots of 0-7 live tracks, 3 antennas, K 1-7. Candidates sit on
+    a track's prediction, exactly on its gate, inside or outside it,
+    repeat an earlier candidate, or are junk, NaN or infinite; some
+    antennas see nothing, and some tracks share a slot mate's
+    prediction, so costs tie exactly. Gates run from 0.35 m to the
+    2.0 m cap; off the grid, some are set to a realized cost so that it
+    equals the gate.
+    """
+    n_slots = draw(st.integers(min_value=1, max_value=8))
+    k = draw(st.integers(min_value=1, max_value=7))
+    on_grid = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = rng.integers(0, 8, n_slots)
+    n_tracks = int(counts.sum())
+    starts = np.cumsum(counts) - counts
+    slot_of = np.repeat(np.arange(n_slots), counts)
+    if on_grid:
+        predicted = rng.integers(64, 768, (n_tracks, 3)) * _GRID_M
+        gates = rng.integers(23, 129, n_tracks) * _GRID_M
+    else:
+        predicted = rng.uniform(1.0, 12.0, (n_tracks, 3))
+        misses = rng.integers(0, 100, n_tracks)
+        gates = np.minimum(0.35 + 1.5 * misses * 0.0125, 2.0)
+    for t in range(n_tracks):
+        if t > starts[slot_of[t]] and rng.random() < 0.2:
+            predicted[t] = predicted[rng.integers(starts[slot_of[t]], t)]
+
+    candidates = np.full((n_slots, 3, k), np.nan)
+    for s in range(n_slots):
+        mates = np.arange(starts[s], starts[s] + counts[s])
+        for a in range(3):
+            column = []
+            for _ in range(rng.integers(0, k + 1)):
+                kind = rng.random()
+                if len(mates) and kind < 0.6:
+                    t = rng.choice(mates)
+                    g = gates[t]
+                    offset = rng.choice(
+                        [0.0, g, -g, rng.uniform(-g, g),
+                         rng.uniform(-3.0 * g, 3.0 * g)]
+                    )
+                    column.append(predicted[t, a] + offset)
+                elif column and kind < 0.75:
+                    column.append(column[rng.integers(len(column))])
+                elif kind < 0.9:
+                    column.append(rng.uniform(1.0, 12.0))
+                else:
+                    column.append(rng.choice([np.nan, np.nan, np.inf]))
+            if rng.random() < 0.15:
+                column = []
+            at = rng.choice(k, size=len(column), replace=False)
+            candidates[s, a, at] = column
+    if not on_grid:
+        for t in range(n_tracks):
+            a = rng.integers(3)
+            values = candidates[slot_of[t], a]
+            values = values[np.isfinite(values)]
+            if len(values) and rng.random() < 0.3:
+                cost = abs(predicted[t, a] - rng.choice(values))
+                if 0.35 <= cost <= 2.0:
+                    gates[t] = cost
+    return predicted, gates, candidates, counts
+
+
+def _claims_by_spec(predicted, gates, candidates, counts):
+    """The per-(slot, antenna) ``assign_fixes`` loop, claim by claim."""
+    claimed = np.full((len(predicted), candidates.shape[1]), np.nan)
+    consumed = np.zeros(candidates.shape, dtype=bool)
+    t0 = 0
+    for s, n in enumerate(counts):
+        for a in range(candidates.shape[1]):
+            finite = np.flatnonzero(np.isfinite(candidates[s, a]))
+            if n == 0 or len(finite) == 0:
+                continue
+            pairs, _, _ = assign_fixes(
+                predicted[t0 : t0 + n, a : a + 1],
+                candidates[s, a, finite, None],
+                gates[t0 : t0 + n],
+            )
+            for r, c in pairs:
+                claimed[t0 + r, a] = candidates[s, a, finite[c]]
+                consumed[s, a, finite[c]] = True
+        t0 += n
+    return claimed, consumed
+
+
+def _assert_claims_equal(got, want):
+    assert got[0].shape == want[0].shape
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+class TestClaimCandidates:
+    """``claim_candidates`` is the per-(slot, antenna) spec, bitwise."""
+
+    @given(cohort=claim_cohorts())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_per_problem_spec(self, cohort):
+        _assert_claims_equal(
+            claim_candidates(*cohort), _claims_by_spec(*cohort)
+        )
+
+    def test_shared_nearest_candidate_goes_to_the_solve(self, monkeypatch):
+        """Two tracks share their nearest candidate; the solve decides.
+
+        Slot 1, antenna 0: both tracks are nearest to 5.125, but only
+        giving track 1 the farther 5.5 claims both. Every other
+        problem is conflict-free and never reaches the solve.
+        """
+        solved = []
+
+        def spy(matrix):
+            solved.append(matrix.shape)
+            return linear_sum_assignment(matrix)
+
+        monkeypatch.setattr(association, "linear_sum_assignment", spy)
+        predicted = np.array([
+            [3.0, 4.0, 5.0],
+            [5.0, 6.0, 7.0],
+            [5.25, 8.0, 9.0],
+        ])
+        gates = np.full(3, 0.375)
+        candidates = np.full((2, 3, 2), np.nan)
+        candidates[0, :, 0] = [3.25, 4.0, 9.0]
+        candidates[1, 0] = [5.125, 5.5]
+        candidates[1, 1] = [6.0, 8.125]
+        candidates[1, 2, 1] = 7.375
+        counts = np.array([1, 2])
+        claimed, consumed = claim_candidates(
+            predicted, gates, candidates, counts
+        )
+        assert solved == [(2, 2)]
+        np.testing.assert_array_equal(
+            claimed,
+            [[3.25, 4.0, np.nan], [5.125, 6.0, 7.375], [5.5, 8.125, np.nan]],
+        )
+        assert consumed.sum() == 7 and not consumed[0, 2, 0]
+        _assert_claims_equal(
+            (claimed, consumed),
+            _claims_by_spec(predicted, gates, candidates, counts),
+        )
+
+    @pytest.mark.parametrize(
+        "gate, predicted, column, claims",
+        [
+            # A NaN gate blocks nothing, not even the 1e6 pad of a NaN
+            # prediction, so the spec claims the one candidate.
+            (np.nan, [np.nan, 5.0, 5.0], [4.0, np.nan], 4.0),
+            # A 1e7 m gate admits a 5e6 m cost, which the solve trades
+            # for the blocked 1e6 pad, so the spec claims nothing.
+            (1e7, [5.0, 5.0, 5.0], [5.0 + 5e6, 5.0 + 2e7], np.nan),
+        ],
+    )
+    def test_gates_off_the_ceiling_go_to_the_solve(
+        self, gate, predicted, column, claims
+    ):
+        predicted = np.array([predicted])
+        gates = np.array([gate])
+        candidates = np.full((1, 3, 2), np.nan)
+        candidates[0, 0] = column
+        counts = np.array([1])
+        claimed, consumed = claim_candidates(
+            predicted, gates, candidates, counts
+        )
+        np.testing.assert_array_equal(claimed[0, 0], claims)
+        _assert_claims_equal(
+            (claimed, consumed),
+            _claims_by_spec(predicted, gates, candidates, counts),
+        )
+
+    def test_costs_are_the_specs_norm(self):
+        """Costs are ``sqrt(diff * diff)``, as ``assign_fixes``' norm.
+
+        Below ~1e-154 the square underflows to 0 where ``|diff|`` does
+        not; here that decides which track gets which candidate.
+        """
+        predicted = np.array([[0.0, 5.0, 5.0], [3e-170, 5.0, 5.0]])
+        gates = np.full(2, 0.35)
+        candidates = np.full((1, 3, 2), np.nan)
+        candidates[0, 0] = [2e-170, 0.0]
+        counts = np.array([2])
+        claimed, consumed = claim_candidates(
+            predicted, gates, candidates, counts
+        )
+        np.testing.assert_array_equal(claimed[:, 0], [2e-170, 0.0])
+        _assert_claims_equal(
+            (claimed, consumed),
+            _claims_by_spec(predicted, gates, candidates, counts),
+        )
 
 
 class TestFixGate:

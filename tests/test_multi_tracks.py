@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.localize import make_solver
 from repro.geometry.antennas import t_array
+from repro.multi.association import MAX_CLAIM_GATE_M
 from repro.multi.tracks import (
     MultiTrack,
     Track,
@@ -152,6 +153,55 @@ class TestTrackInternals:
             TrackManagerConfig(confirm_hits=0)
         with pytest.raises(ValueError):
             TrackManagerConfig(min_claims=0)
+        # A gate near 1e6 would admit the pad of a non-finite claim cell.
+        for gate in (np.inf, np.nan, 0.0, -1.0, MAX_CLAIM_GATE_M + 0.5):
+            with pytest.raises(ValueError, match="max_tof_gate_m"):
+                TrackManagerConfig(max_tof_gate_m=gate)
+        config = TrackManagerConfig(max_tof_gate_m=MAX_CLAIM_GATE_M)
+        assert config.max_tof_gate_m == MAX_CLAIM_GATE_M
+
+    def test_ragged_candidate_lists(self, array, solver):
+        """Antennas may carry different numbers of candidates.
+
+        The step pads them with NaN at the end, so candidate indices
+        and leftovers hold: a tracked person's echo is claimed wherever
+        it sits in each list, a newcomer births from the rest, and the
+        whole step equals that of the NaN-padded lists bitwise.
+        """
+        person = np.array([0.5, 3.0, 0.0])
+        newcomer = np.array([-0.8, 6.5, 0.1])
+        p = array.round_trip_distances(person)
+        o = array.round_trip_distances(newcomer)
+        ragged = [
+            np.array([o[0], p[0]]),
+            np.array([19.0, np.nan, p[1], o[1]]),
+            np.array([p[2], o[2], 18.5]),
+        ]
+        powers = [np.full(len(values), 1e-12) for values in ragged]
+        padded = [np.pad(v, (0, 4 - len(v)), constant_values=np.nan)
+                  for v in ragged]
+        padded_powers = [np.pad(v, (0, 4 - len(v)), constant_values=np.nan)
+                         for v in powers]
+        managers = []
+        for tofs, power in ((ragged, powers), (padded, padded_powers)):
+            manager = make_manager(solver)
+            for _ in range(6):
+                manager.step(candidates_for(array, [person]))
+            hits = manager.tracks[0].hits
+            manager.step(tofs, power)
+            assert manager.tracks[0].hits == hits + 1
+            assert len(manager.tracks) == 2
+            assert np.linalg.norm(manager.tracks[1].position - newcomer) < 0.05
+            managers.append(manager)
+        for a, b in zip(*(m.tracks for m in managers)):
+            assert (a.track_id, a.status, a.hits) == (b.track_id, b.status,
+                                                      b.hits)
+            assert a._mean.tobytes() == b._mean.tobytes()
+            assert a.position.tobytes() == b.position.tobytes()
+        # A frame whose antennas carry no candidates at all is a miss.
+        manager = managers[0]
+        manager.step([np.array([])] * array.num_receivers)
+        assert manager.tracks[0].misses == 1
 
 
 class TestMultiTrackResult:
