@@ -1,19 +1,18 @@
 """Kernel-tier microbenchmark: each hot kernel under each backend.
 
 Where the serving benchmarks (``bench_serving.py``, ``bench_load.py``)
-measure the tiers end to end, this one isolates the four kernels behind
-the array-backend seam and times each under every backend selectable on
-this machine (``numpy``, ``reference``, and ``numba`` when importable).
-Workload shapes are the real serving shapes at N=8 sessions: the sweep
-synthesis call is the exact ``(paths, sweeps) -> (rows, bins)`` scatter
-a ``CohortFrameSource`` chunk issues, and the per-tick kernels see the
-row counts one lockstep ``ServingEngine.tick`` sees.
+measure the tiers end to end, this one isolates the kernels behind the
+array-backend seam and times each under every backend: the ``numpy``
+fast path and its ``reference`` spec. Workload shapes are the real
+serving shapes at N=8 sessions: the sweep synthesis call is the exact
+``(paths, sweeps) -> (rows, bins)`` scatter a ``CohortFrameSource``
+chunk issues, and the per-tick kernels see the row counts one lockstep
+``ServingEngine.tick`` sees.
 
 Per kernel x backend the table reports wall time per call, the
 per-session-frame cost in nanoseconds, and the ratio against the numpy
 backend (``1.00x`` = numpy; ``>1`` = slower). Results land in
-``benchmarks/kernels.json`` so CI legs leave a comparable artifact
-(the numba matrix leg uploads it as ``kernels-numba``).
+``benchmarks/kernels.json`` so CI legs leave a comparable artifact.
 
 Run:
     python benchmarks/bench_kernels.py [--repeats 5] [--out kernels.json]
@@ -251,7 +250,7 @@ def _workloads() -> list[dict]:
 
 def _time_call(run, inner: int, repeats: int) -> float:
     """Best wall time of one kernel call (seconds), `inner` calls/rep."""
-    run()  # warm up: allocator, scratch caches, numba JIT compilation
+    run()  # warm up: allocator, scratch caches
     best = float("inf")
     for _ in range(max(repeats, 1)):
         t0 = time.perf_counter()

@@ -1,10 +1,10 @@
 """The kernel tier: pluggable array backends under the hot loops.
 
-Importing this package registers the ``numpy`` and ``reference``
-implementations of every kernel; the optional ``numba`` backend is
-imported lazily the first time it is selected. See
+Importing this package registers every kernel's ``numpy`` fast path
+and its ``reference`` executable spec (the fused tick plans have no
+``reference`` kernel: their spec is the staged stage loop). See
 :mod:`repro.kernels.backend` for the selection rules
-(``REPRO_BACKEND=numpy|reference|numba``),
+(``REPRO_BACKEND=numpy|reference``),
 :mod:`repro.kernels.tick` for the tick compiler that fuses the whole
 per-cohort stage chain into one kernel call (``REPRO_FUSED=0|1``), and
 :mod:`repro.kernels.profile` for the per-stage profiling hooks
@@ -24,7 +24,6 @@ from .backend import (
     backend_name,
     kernel,
     register,
-    register_backend,
     set_backend,
     use_backend,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "kernel",
     "profiling_enabled",
     "register",
-    "register_backend",
     "reset_fusion_override",
     "reset_profiling_override",
     "row_median",

@@ -1,36 +1,30 @@
 """The array-backend seam under the hot-loop kernels.
 
 Every hot kernel (sweep synthesis, background power + contour scan,
-the 2x2 Kalman tick) is registered here per backend and dispatched at
-call time, so raw-speed work is a *subsystem* with a switch rather
-than a series of one-off rewrites:
+successive cancellation, the 2x2 Kalman tick, the fused tick plans) is
+registered here per backend and dispatched at call time, so raw-speed
+work is a *subsystem* with a switch rather than a series of one-off
+rewrites. Each kernel has one fast path and one executable spec:
 
 * ``numpy`` — the default: restructured, allocation-lean numpy.
-  Always available.
 * ``reference`` — the original (pre-kernel-tier) implementations,
-  kept as the executable specification the fast backends are
+  kept as the executable specification the numpy kernels are
   parity-tested against, and as the honest baseline the benchmarks
-  measure speedups from.
-* ``numba`` — JIT-fused loops. Optional: selecting it on a machine
-  without numba warns once and falls back to numpy (graceful
-  degradation — the suite must pass with or without the JIT).
+  measure speedups from. It registers every kernel ``numpy`` does
+  except the fused tick plans, which it never runs
+  (``Backend.fuse_ticks`` is False).
 
 Selection: the ``REPRO_BACKEND`` environment variable (read on first
 use), :func:`set_backend`, or the :func:`use_backend` context manager
-(tests). A backend that lacks a particular kernel falls back to the
-numpy implementation for that kernel only, so partial backends are
-valid.
+(tests). Any other name raises.
 
-Parity: backend == numpy is pinned to tight tolerances by
-``tests/test_kernels.py`` (fuzzed per kernel and end-to-end through
-``ServingEngine``), exactly the way distributed == single-process is
-pinned.
+Parity: ``tests/test_kernels.py`` pins the numpy kernels against
+``reference``, and the tick-fusion suites pin fused == staged bitwise.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 from contextlib import contextmanager
 from typing import Callable, Iterator
 
@@ -39,7 +33,7 @@ class Backend:
     """One named set of kernel implementations.
 
     Attributes:
-        name: registry key (``numpy``, ``reference``, ``numba``).
+        name: registry key (``numpy`` or ``reference``).
         static_split: whether :meth:`SweepSynthesizer.synthesize_batch
             <repro.rf.receiver.SweepSynthesizer.synthesize_batch>` may
             hoist static (scalar round-trip/amplitude) paths out of the
@@ -72,75 +66,33 @@ _BACKENDS: dict[str, Backend] = {
     "reference": Backend("reference", static_split=False, fuse_ticks=False),
 }
 _active: Backend | None = None
-#: Lazy numba probe state: None = not tried, str = failed with reason.
-_numba_error: str | None = None
-
-
-def register_backend(name: str, static_split: bool = True) -> Backend:
-    """Create (or fetch) a backend registry entry."""
-    backend = _BACKENDS.get(name)
-    if backend is None:
-        backend = Backend(name, static_split=static_split)
-        _BACKENDS[name] = backend
-    return backend
 
 
 def register(backend_name: str, key: str) -> Callable:
     """Decorator: register a kernel implementation on a backend."""
 
     def deco(fn: Callable) -> Callable:
-        register_backend(backend_name).impls[key] = fn
+        _BACKENDS[backend_name].impls[key] = fn
         return fn
 
     return deco
 
 
-def _load_numba() -> Backend | None:
-    """Import the numba backend once; None (with a reason) on failure."""
-    global _numba_error
-    if "numba" in _BACKENDS:
-        return _BACKENDS["numba"]
-    if _numba_error is not None:
-        return None
-    try:
-        from . import _numba  # noqa: F401  (registers the backend)
-    except Exception as exc:  # ImportError, or numba failing to init
-        _numba_error = f"{type(exc).__name__}: {exc}"
-        return None
-    return _BACKENDS["numba"]
-
-
 def available_backends() -> list[str]:
-    """Backends selectable on this machine (numba only if importable)."""
-    names = ["numpy", "reference"]
-    if _load_numba() is not None:
-        names.append("numba")
-    return names
+    """Names of the registered backends."""
+    return list(_BACKENDS)
 
 
 def set_backend(name: str) -> str:
-    """Select the active backend; returns the *effective* name.
+    """Select the active backend; returns its name.
 
-    ``numba`` on a machine without numba warns and falls back to
-    ``numpy`` (so ``REPRO_BACKEND=numba`` is safe everywhere); any
-    other unknown name raises.
+    An unknown name raises ``ValueError``.
     """
     global _active
     name = (name or "numpy").strip().lower()
-    if name == "numba":
-        backend = _load_numba()
-        if backend is None:
-            warnings.warn(
-                f"REPRO_BACKEND=numba requested but the JIT backend is "
-                f"unavailable ({_numba_error}); falling back to numpy",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            backend = _BACKENDS["numpy"]
-    elif name in _BACKENDS:
-        backend = _BACKENDS[name]
-    else:
-        known = ", ".join(sorted(set(_BACKENDS) | {"numba"}))
+    backend = _BACKENDS.get(name)
+    if backend is None:
+        known = ", ".join(sorted(_BACKENDS))
         raise ValueError(f"unknown backend {name!r}; choose from: {known}")
     _active = backend
     return backend.name
@@ -161,16 +113,8 @@ def backend_name() -> str:
 
 
 def kernel(key: str) -> Callable:
-    """The active backend's implementation of one kernel.
-
-    Falls back to the numpy implementation when the active backend
-    does not provide ``key`` — partial backends are valid.
-    """
-    backend = active_backend()
-    fn = backend.impls.get(key)
-    if fn is None:
-        fn = _BACKENDS["numpy"].impls[key]
-    return fn
+    """The active backend's implementation of one kernel."""
+    return active_backend().impls[key]
 
 
 @contextmanager
@@ -178,8 +122,7 @@ def use_backend(name: str) -> Iterator[str]:
     """Temporarily switch backends (parity tests, benchmarks)."""
     global _active
     previous = active_backend()
-    effective = set_backend(name)
     try:
-        yield effective
+        yield set_backend(name)
     finally:
         _active = previous

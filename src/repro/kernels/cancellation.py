@@ -29,10 +29,6 @@ per round instead of per-round array copies.
 * ``numpy`` runs the same rounds loop against preallocated outputs with
   the contour math inlined (partition median, threshold, scan,
   subpixel) — bit-identical to the staged numpy path.
-* ``numba`` (in :mod:`repro.kernels._numba`) walks each row
-  independently with per-row early exit; a row that stops detecting is
-  frozen, which provably reproduces the global break (its residual —
-  and therefore its threshold and scan result — never changes again).
 """
 
 from __future__ import annotations

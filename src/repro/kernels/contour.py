@@ -6,11 +6,8 @@ Two row-independent kernels behind the backend seam:
   complex spectra, written into a caller-provided buffer (the stage
   reuses it across ticks; the per-tick ``np.abs`` temporary is gone).
 * :func:`first_local_max_above` — per-row index of the first local
-  maximum above threshold: the bottom-contour scan of §4.3. The numpy
-  implementation is the vectorized scan of PR 4 (moved here verbatim);
-  the numba implementation walks each row with early exit — the
-  closest reflector usually sits in the first few dozen bins, so the
-  scan rarely reads the whole row.
+  maximum above threshold: the bottom-contour scan of §4.3, one
+  vectorized scan shared by both backends.
 * :func:`row_median` — per-row median (the §4.3 noise-floor estimate).
   The numpy implementation selects via ``np.partition`` instead of
   paying ``np.median``'s dispatch overhead on the small per-tick rows;

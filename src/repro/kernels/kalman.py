@@ -2,10 +2,8 @@
 
 One vectorized predict+update over a ``(n_sessions, n_antennas)``
 bank of scalar constant-velocity filters (§4.4), with every 2x2
-matrix product unrolled to elementwise arithmetic. The numpy
-implementation is the PR 4 stage math moved here verbatim; numba
-replaces the nested ``np.where`` merges with one branchy loop that
-touches each filter once.
+matrix product unrolled to elementwise arithmetic. Both backends
+share this one implementation.
 
 NaN inputs advance an initialized filter without a measurement
 (prediction); the first measurement initializes a filter; NaN before

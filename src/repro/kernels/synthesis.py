@@ -101,7 +101,7 @@ def window_constants(half: int, n_samples: int, hann: bool):
     the factored Dirichlet numerator; ``rot = exp(j pi ratio)`` is the
     constant phase rotation between adjacent Hann terms; ``pattern`` is
     the exact integer-offset limit (1 at w=0 and, for Hann, -0.5 at
-    |w|=1). Shared by the numpy and numba backends.
+    |w|=1).
     """
     key = (half, n_samples, hann)
     cached = _WINDOW_CACHE.get(key)

@@ -13,29 +13,23 @@ a row-independent solver), emitting a :class:`MultiTickPlan` that runs
 the cancellation rounds as one kernel call and every slot's tracks
 through one :class:`~repro.multi.tracks.TrackBank` step.
 
-Two fused implementations sit behind the usual backend seam:
-
-* ``numpy`` — the chain inlined into one function over preallocated
-  scratch slabs. On the steady path the only per-tick allocations are
-  the output arrays that sessions retain (spectrum diff, ToFs, motion
-  mask, positions) plus the small subpixel subset temporaries; every
-  intermediate reuses plan scratch. The plan also keeps each stage's
-  *gathered* state resident between ticks: when the same slot vector
-  ticks again and no lifecycle event touched the slabs
-  (``state_epoch``), the gathers are skipped — state round-trips
-  through the same buffers, bit-identical to regathering.
-* ``numba`` — a whole-chain ``@njit`` kernel: one compiled loop over
-  (session, antenna) rows covering subtract, |diff|^2, median floor,
-  contour scan, outlier gate, hold, Kalman, and the closed-form T
-  localization. Compiled lazily; a compile failure warns once and
-  permanently falls back to the staged loop (the probe runs before any
-  state is touched, so nothing double-advances).
+Both fused kernels are registered on the ``numpy`` backend only; each
+inlines its chain into one function over preallocated scratch slabs.
+On the steady path the only per-tick allocations are the output
+arrays that sessions retain (spectrum diff, ToFs, motion mask,
+positions) plus the small subpixel subset temporaries; every
+intermediate reuses plan scratch. The plan also keeps each stage's
+*gathered* state resident between ticks: when the same slot vector
+ticks again and no lifecycle event touched the slabs
+(``state_epoch``), the gathers are skipped — state round-trips
+through the same buffers, bit-identical to regathering.
 
 The ``reference`` backend never fuses (``Backend.fuse_ticks`` is
-False), keeping it the executable specification: the parity suite pins
-fused ≡ staged **bitwise** per backend — outputs and every state slab,
-including NaN hold/outlier paths, mid-stream attach/evict, and
-snapshot/restore migration across a fused↔staged boundary.
+False), so the staged loop is the fused kernels' executable
+specification: the parity suite pins fused ≡ staged **bitwise** —
+outputs and every state slab, including NaN hold/outlier paths,
+mid-stream attach/evict, and snapshot/restore migration across a
+fused↔staged boundary.
 
 Escape hatch: ``REPRO_FUSED=0`` (read once per process, or
 :func:`enable_fusion`\\ (False)) forces the staged loop everywhere.
@@ -90,13 +84,6 @@ def fusion_active() -> bool:
     backend that opts in (``reference`` never does).
     """
     return fused_enabled() and active_backend().fuse_ticks
-
-
-class FusionUnavailable(RuntimeError):
-    """Raised by a fused kernel *before touching any state* when it
-    cannot run (e.g. the numba whole-chain kernel failed to compile).
-    ``Pipeline.tick`` catches it and continues on the staged loop; the
-    plan disables itself so the probe happens once."""
 
 
 #: The fusable single-person chain, in order (localize optional).
@@ -180,9 +167,6 @@ class TickPlan:
             self.hh = h * h
             self.two_h = 2.0 * h
             self.range_gate = np.array([d, d, h])
-        #: Set by a fused kernel that probed and failed (numba compile
-        #: error): the pipeline stops consulting this plan.
-        self.disabled = False
         #: Bumped by the owning pipeline whenever stage state changes
         #: outside a fused tick; invalidates the resident gathers.
         self.state_epoch = 0
@@ -328,7 +312,7 @@ class TickPlan:
 def _prologue(plan: TickPlan, tick, hot: bool = False):
     """BackgroundSubtract's gather/scatter + priming compaction.
 
-    Shared by the fused backends. Mirrors the staged stage exactly:
+    Shared by both fused kernels. Mirrors the staged stage exactly:
     gather each slot's previous frame *before* scattering the current
     one, and drop still-priming rows from the tick (a session's first
     frame only primes its reference row). Returns
@@ -794,11 +778,6 @@ class MultiTickPlan:
     cohort :class:`~repro.multi.tracks.TrackBank` scatters back into
     every tick — so snapshot/restore, eviction, and direct manager
     access need no extra barriers beyond the background flush.
-
-    Only the ``numpy`` backend registers ``fused_tick_multi``; under
-    the ``numba`` backend the dispatch falls back to it, and the inner
-    ``successive_cancel`` call re-dispatches to the JIT row kernel —
-    the association stage is Python/numpy on every backend.
     """
 
     #: Set per tick by the owning pipeline when profiling is on; the
@@ -821,7 +800,6 @@ class MultiTickPlan:
         self.relative_threshold_db = cancel.relative_threshold_db
         self.bank = TrackBank()
         #: See :class:`TickPlan` for the protocol these implement.
-        self.disabled = False
         self.state_epoch = 0
         self._hot = None
         self._hot_slots = None
@@ -872,7 +850,7 @@ def _fused_tick_multi_numpy(plan: MultiTickPlan, tick):
     (one call, one global rounds break), and the track bank runs the
     staged managers' own claim/filter/lifecycle/birth code batched over
     the ``(slot, track)`` axis — so outputs, manager state, and track
-    identities are bit-identical to the staged loop on every backend.
+    identities are bit-identical to the staged loop.
     """
     hot = plan._hot is not None and plan._hot == (
         tick.slots.tobytes(),

@@ -27,7 +27,7 @@ import numpy as np
 
 from ..config import SystemConfig
 from ..kernels.profile import StageProfiler, profiling_enabled
-from ..kernels.tick import FusionUnavailable, compile_tick_plan, fusion_active
+from ..kernels.tick import compile_tick_plan, fusion_active
 from .frame import Frame, SessionTick
 from .stages import (
     BackgroundSubtract,
@@ -473,27 +473,21 @@ class Pipeline:
         plan = self._tick_plan
         if plan is None:
             plan = self._tick_plan = compile_tick_plan(self.stages) or _UNFUSABLE
-        if plan is not _UNFUSABLE and not plan.disabled and fusion_active():
+        if plan is not _UNFUSABLE and fusion_active():
             # Hand the plan the current profiler (None when disabled) so
             # fused kernels can attribute sub-stage rows.
             plan.profiler = profiler
-            try:
-                if profiler is None:
-                    return plan.run(tick)
-                t0 = perf_counter()
-                tick = plan.run(tick)
-                t1 = perf_counter()
-                profiler.record("fused_tick", t1 - t0, tick.nbytes)
-                attributed += t1 - t0
-                profiler.record(
-                    "dispatch", (perf_counter() - t_enter) - attributed
-                )
-                return tick
-            except FusionUnavailable:
-                # The fused kernel bailed before touching any state
-                # (numba compile failure); the plan disabled itself, so
-                # this tick — and all later ones — run staged.
-                pass
+            if profiler is None:
+                return plan.run(tick)
+            t0 = perf_counter()
+            tick = plan.run(tick)
+            t1 = perf_counter()
+            profiler.record("fused_tick", t1 - t0, tick.nbytes)
+            attributed += t1 - t0
+            profiler.record(
+                "dispatch", (perf_counter() - t_enter) - attributed
+            )
+            return tick
         if plan is not _UNFUSABLE:
             # Staged stages read and mutate the slabs directly: park
             # the plan's resident state first, then invalidate it.

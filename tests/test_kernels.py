@@ -3,9 +3,10 @@
 The load-bearing properties:
 
 * every kernel agrees across backends — ``reference`` (the original
-  math, verbatim) pins ``numpy`` to tight tolerances, and ``numba``
-  (when importable; skipped cleanly otherwise) pins to the same, so
+  math, verbatim) pins ``numpy`` to tight tolerances, so
   ``REPRO_BACKEND`` is a speed knob, never an answer knob;
+* ``reference`` registers every kernel ``numpy`` does except the fused
+  tick plans, which it never runs, so dispatch needs no fallback;
 * the numpy synthesis kernel's internal optimizations — sweep tiling,
   scratch-buffer reuse, rank-grouped scatter — are *bitwise* invisible;
 * the fused cohort source is bitwise the per-session source (noise-free);
@@ -21,11 +22,11 @@ from repro.exec import ShardedStreamRunner
 from repro.kernels import (
     accumulate_spectra,
     active_backend,
-    available_backends,
     backend_name,
     background_power,
     enable_profiling,
     first_local_max_above,
+    fusion_active,
     kalman_tick,
     profiling_enabled,
     reset_profiling_override,
@@ -39,8 +40,6 @@ from repro.sim import CohortFrameSource, Scenario, ScenarioStream
 from repro.sim.body import GatedAR1
 from repro.sim.motion import random_walk
 from repro.sim.room import through_wall_room
-
-HAS_NUMBA = "numba" in available_backends()
 
 
 @pytest.fixture(autouse=True)
@@ -186,8 +185,13 @@ class TestContourKernels:
 
 class TestBackendSeam:
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            set_backend("cupy")
+        for name in ("cupy", "numba"):
+            with pytest.raises(
+                ValueError,
+                match=f"^unknown backend '{name}'; "
+                "choose from: numpy, reference$",
+            ):
+                set_backend(name)
 
     def test_use_backend_restores(self):
         before = backend_name()
@@ -201,13 +205,16 @@ class TestBackendSeam:
         with use_backend("numpy"):
             assert active_backend().static_split is True
 
-    @pytest.mark.skipif(
-        HAS_NUMBA, reason="numba importable: fallback never triggers"
-    )
-    def test_numba_falls_back_to_numpy_with_warning(self):
-        with pytest.warns(RuntimeWarning, match="falling back to numpy"):
-            assert set_backend("numba") == "numpy"
-        assert backend_name() == "numpy"
+    def test_reference_registers_every_unfused_kernel(self):
+        """``kernel()`` has no fallback, so the spec must cover every
+        kernel the fast path registers except the fused tick plans —
+        and must never reach for those."""
+        with use_backend("numpy"):
+            fast = set(active_backend().impls)
+        with use_backend("reference"):
+            spec = set(active_backend().impls)
+            assert fusion_active() is False
+        assert spec == fast - {"fused_tick_single", "fused_tick_multi"}
 
 
 class TestGatedAR1Parity:
@@ -254,44 +261,6 @@ def _serve_session(scenario, n_frames, chunk=8):
         profile = engine.stage_profile().as_dict()
         result = engine.close(session)
     return result, profile
-
-
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
-class TestNumbaBackend:
-    def test_kernels_match_numpy(self):
-        frac, coeff, row_base, shape = _accumulate_inputs(1)
-        ref = _run_accumulate("numpy", frac, coeff, row_base, shape)
-        got = _run_accumulate("numba", frac, coeff, row_base, shape)
-        scale = np.abs(ref).max()
-        np.testing.assert_allclose(got, ref, rtol=1e-11, atol=1e-12 * scale)
-
-        rng = np.random.default_rng(3)
-        power = rng.uniform(0.0, 1.0, (20, 51))
-        threshold = rng.uniform(0.2, 0.8, 20)
-        with use_backend("numpy"):
-            a = first_local_max_above(power, threshold, 2)
-            ma = row_median(power)
-        with use_backend("numba"):
-            b = first_local_max_above(power, threshold, 2)
-            mb = row_median(power)
-        assert np.array_equal(a, b)
-        np.testing.assert_allclose(mb, ma, rtol=0, atol=0)
-
-    def test_serving_end_to_end(self, config):
-        """A short session serves under REPRO_BACKEND=numba."""
-        room = through_wall_room()
-        scenario = Scenario(
-            random_walk(room, np.random.default_rng(0), duration_s=1.5),
-            room=room, config=config, seed=31,
-        )
-        n_frames = scenario.num_stream_frames
-        set_backend("numpy")
-        expected, _ = _serve_session(scenario, n_frames)
-        set_backend("numba")
-        got, _ = _serve_session(scenario, n_frames)
-        np.testing.assert_allclose(
-            got.tof_m, expected.tof_m, rtol=1e-9, atol=1e-9, equal_nan=True
-        )
 
 
 class TestProfiling:

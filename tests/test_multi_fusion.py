@@ -12,8 +12,6 @@ contract that makes that safe to ship:
 * lifecycle events (attach, evict, partial cohorts, snapshot/restore
   across a fused<->staged boundary, alternating execution on one
   pipeline) never desynchronize the plan's resident state;
-* a NaN, infinite or huge block stays with the session that sent it:
-  its cohort mates track bitwise as in a clean run, fused or staged;
 * the profiler reports the fused sub-stages (``fused_cancel``,
   ``fused_associate``) under their own rows.
 """
@@ -25,19 +23,16 @@ import pytest
 
 from repro.core.localize import TGeometrySolver
 from repro.geometry.antennas import t_array
-from repro.kernels import available_backends, use_backend
+from repro.kernels import use_backend
 from repro.kernels.profile import StageProfiler
 from repro.kernels.tick import (
     compile_tick_plan,
     enable_fusion,
     reset_fusion_override,
 )
-from repro.loadgen import SyntheticFrameSource
 from repro.multi.tracks import TrackManager
 from repro.pipeline.multi import Associate
 from repro.pipeline.runner import multi_person_pipeline
-from repro.serve import ServingEngine, multi_session
-from repro.sim.room import through_wall_room
 
 RANGE_BIN_M = 0.05
 N_RX = 3
@@ -167,17 +162,11 @@ def _assert_state_equal(pa, pb, slots, where=""):
                     assert same, (where, slot, i, key)
 
 
-def _backends():
-    return available_backends()
-
-
 class TestFusedStagedParity:
     """Fused == staged, bitwise, across backends and track lifecycles."""
 
-    @pytest.mark.parametrize("backend", ["numpy", "reference", "numba"])
+    @pytest.mark.parametrize("backend", ["numpy", "reference"])
     def test_steady_parity(self, backend, config):
-        if backend not in _backends():
-            pytest.skip(f"{backend} unavailable")
         rng_a = np.random.default_rng(21)
         rng_b = np.random.default_rng(21)
         spf = config.pipeline.sweeps_per_frame
@@ -208,10 +197,8 @@ class TestFusedStagedParity:
                 manager = ps.stage(Associate).manager_for(s)
                 assert manager._ever_confirmed, f"slot {s} never tracked"
 
-    @pytest.mark.parametrize("backend", ["numpy", "numba"])
+    @pytest.mark.parametrize("backend", ["numpy"])
     def test_attach_evict_partial_cohorts(self, backend, config):
-        if backend not in _backends():
-            pytest.skip(f"{backend} unavailable")
         rng = np.random.default_rng(6)
         spf = config.pipeline.sweeps_per_frame
         with use_backend(backend):
@@ -236,12 +223,10 @@ class TestFusedStagedParity:
                 _assert_ticks_equal(ta, tb, f"tick{t}")
             _assert_state_equal(ps, pf, range(N_SESSIONS), "lifecycle")
 
-    @pytest.mark.parametrize("backend", ["numpy", "numba"])
+    @pytest.mark.parametrize("backend", ["numpy"])
     def test_snapshot_restore_across_fused_staged_boundary(
         self, backend, config
     ):
-        if backend not in _backends():
-            pytest.skip(f"{backend} unavailable")
         rng = np.random.default_rng(4)
         spf = config.pipeline.sweeps_per_frame
         with use_backend(backend):
@@ -296,57 +281,6 @@ class TestFusedStagedParity:
                 tb = p_mix.tick(arr.copy(), np.arange(N_SESSIONS))
                 _assert_ticks_equal(ta, tb, f"mix{t}")
             _assert_state_equal(p_ref, p_mix, range(N_SESSIONS), "mix")
-
-
-def _serve_cohort(corrupt=None, n_frames=48, corrupt_frame=20):
-    """Four K=2 sessions served in process from cheap synthetic blocks.
-
-    With ``corrupt`` set, session 0's frame ``corrupt_frame`` carries
-    that value in antenna 1's bins 30-60. Returns each session's
-    closed result.
-    """
-    engine = ServingEngine()
-    spec = multi_session(max_people=2, room=through_wall_room())
-    sessions = [engine.admit(spec) for _ in range(4)]
-    sources = [SyntheticFrameSource(spec, seed=s) for s in range(4)]
-    for f in range(n_frames):
-        for s, (session, source) in enumerate(zip(sessions, sources)):
-            block = source.next_block()
-            if corrupt is not None and s == 0 and f == corrupt_frame:
-                block[1, :, 30:61] = corrupt
-            engine.submit(session, block)
-        engine.tick()
-    return [engine.close(session) for session in sessions]
-
-
-def _same_tracks(a, b):
-    return len(a.tracks) == len(b.tracks) and all(
-        [i for i, _ in ra] == [i for i, _ in rb]
-        and all(np.array_equal(p, q) for (_, p), (_, q) in zip(ra, rb))
-        for ra, rb in zip(a.tracks, b.tracks)
-    )
-
-
-class TestNonFiniteContainment:
-    """A non-finite or huge block stays with the session that sent it."""
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("fused", [True, False])
-    @pytest.mark.parametrize("corrupt", [np.nan, np.inf, 1e300])
-    def test_cohort_mates_are_untouched(self, corrupt, fused):
-        with use_backend("numpy"):
-            enable_fusion(fused)
-            clean = _serve_cohort()
-            dirty = _serve_cohort(corrupt)
-        # The corrupt frame reached the sender's tracker...
-        assert not _same_tracks(dirty[0], clean[0])
-        # ...which still emits one row per frame after the priming one.
-        assert dirty[0].num_frames == clean[0].num_frames == 47
-        assert len(dirty[0].tracks) == dirty[0].num_frames
-        # Its cohort mates track exactly as in the clean run.
-        for s in (1, 2, 3):
-            assert any(clean[s].tracks), f"session {s} never tracked"
-            assert _same_tracks(dirty[s], clean[s]), f"session {s}"
 
 
 class TestProfilerRows:

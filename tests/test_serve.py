@@ -8,7 +8,11 @@ The load-bearing properties:
   across mixed single/multi cohorts and staggered session start/stop —
   batching sessions for throughput never changes anyone's answer;
 * evicting a session mid-run does not perturb the survivors, and its
-  slot is recycled for the next admission.
+  slot is recycled for the next admission;
+* a NaN, infinite or huge block stays with the session that sent it:
+  its cohort mates' results stay bitwise those of a clean run, for
+  single- and K-person cohorts, in process or over shard workers,
+  fused or staged.
 """
 
 import warnings
@@ -20,6 +24,9 @@ from repro.config import ArrayConfig, default_config
 from repro.core.localize import LeastSquaresSolver, make_solver
 from repro.core.tracker import WiTrack
 from repro.geometry.antennas import t_array
+from repro.kernels import use_backend
+from repro.kernels.tick import enable_fusion, reset_fusion_override
+from repro.loadgen import SyntheticFrameSource
 from repro.multi import MultiScenario, MultiWiTrack
 from repro.pipeline import BackgroundSubtract, KalmanSmooth, LatencyReport
 from repro.serve import ServingEngine, multi_session, single_session
@@ -397,3 +404,99 @@ class TestSessionVectorizedStages:
         blocks = np.zeros((2, 3, 5, 171), dtype=np.complex128)
         with pytest.raises(ValueError, match="distinct"):
             pipe.tick(blocks, [1, 1])
+
+
+#: Serving configuration -> ``(workers, transport)``.
+SERVING = {"inproc": (0, None), "pipe": (2, "pipe"), "shm": (2, "shm")}
+
+#: The single-person result fields compared bitwise.
+SINGLE_FIELDS = ("frame_times_s", "tof_m", "raw_tof_m", "motion", "positions")
+
+
+def _serve_cohort(kind, serving, corrupt=None, n_frames=48, corrupt_frame=20):
+    """Four sessions of one spec served from cheap synthetic blocks.
+
+    ``kind`` is ``single`` or ``multi`` (K=2); ``serving`` names a
+    :data:`SERVING` configuration. With ``corrupt`` set, session 0's
+    frame ``corrupt_frame`` carries that value in antenna 1's bins
+    30-60. Returns each session's closed result.
+    """
+    if kind == "single":
+        spec = single_session()
+    else:
+        spec = multi_session(max_people=2, room=through_wall_room())
+    workers, transport = SERVING[serving]
+    with ServingEngine(workers=workers, transport=transport) as engine:
+        sessions = [engine.admit(spec) for _ in range(4)]
+        sources = [SyntheticFrameSource(spec, seed=s) for s in range(4)]
+        for f in range(n_frames):
+            for s, (session, source) in enumerate(zip(sessions, sources)):
+                block = source.next_block()
+                if corrupt is not None and s == 0 and f == corrupt_frame:
+                    block[1, :, 30:61] = corrupt
+                engine.submit(session, block)
+            engine.tick()
+        return [engine.close(session) for session in sessions]
+
+
+def _same_result(a, b):
+    """Bitwise equality of two sessions' results (single or K-person)."""
+    if a.tracks is None:
+        return all(
+            np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True)
+            for name in SINGLE_FIELDS
+        )
+    return len(a.tracks) == len(b.tracks) and all(
+        [i for i, _ in ra] == [i for i, _ in rb]
+        and all(np.array_equal(p, q) for (_, p), (_, q) in zip(ra, rb))
+        for ra, rb in zip(a.tracks, b.tracks)
+    )
+
+
+@pytest.fixture(scope="module")
+def clean_runs():
+    """One clean serve per configuration, shared by every corruption."""
+    return {}
+
+
+class TestNonFiniteContainment:
+    """A non-finite or huge block stays with the session that sent it."""
+
+    @pytest.fixture(autouse=True)
+    def _restore_fusion(self):
+        yield
+        reset_fusion_override()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("kind", ["single", "multi"])
+    @pytest.mark.parametrize("serving", list(SERVING))
+    @pytest.mark.parametrize("fused", [True, False])
+    @pytest.mark.parametrize("corrupt", [np.nan, np.inf, 1e300])
+    def test_cohort_mates_are_untouched(
+        self, corrupt, fused, serving, kind, clean_runs
+    ):
+        # Shard workers fork at engine construction and inherit the
+        # backend and fusion switches set here.
+        with use_backend("numpy"):
+            enable_fusion(fused)
+            key = (kind, serving, fused)
+            if key not in clean_runs:
+                clean_runs[key] = _serve_cohort(kind, serving)
+            clean = clean_runs[key]
+            dirty = _serve_cohort(kind, serving, corrupt)
+        # The corrupt frame reached the sender's tracker...
+        assert not _same_result(dirty[0], clean[0])
+        # ...which still emits one row per frame after the priming one.
+        assert dirty[0].num_frames == clean[0].num_frames == 47
+        rows = dirty[0].positions if kind == "single" else dirty[0].tracks
+        assert len(rows) == dirty[0].num_frames
+        # Its cohort mates track exactly as in the clean run.
+        for s in (1, 2, 3):
+            result = clean[s]
+            tracked = (
+                np.isfinite(result.positions).any()
+                if kind == "single"
+                else any(result.tracks)
+            )
+            assert tracked, f"session {s} never tracked"
+            assert _same_result(dirty[s], result), f"session {s}"

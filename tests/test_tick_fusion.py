@@ -23,7 +23,7 @@ import pytest
 from repro.config import SystemConfig
 from repro.core.localize import LeastSquaresSolver, TGeometrySolver
 from repro.geometry.antennas import t_array
-from repro.kernels import available_backends, use_backend
+from repro.kernels import use_backend
 from repro.kernels.profile import StageProfiler
 from repro.kernels.tick import (
     TickPlan,
@@ -111,10 +111,6 @@ def _assert_state_equal(pa, pb, slots, where=""):
                     assert same, (where, slot, i, key)
 
 
-def _backends():
-    return available_backends()
-
-
 class TestPlanCompilation:
     def test_single_person_chain_compiles(self, config):
         p = _pipeline(config)
@@ -195,10 +191,8 @@ class TestFusionSwitches:
 class TestFusedStagedParity:
     """Fused == staged, bitwise, across backends and NaN regimes."""
 
-    @pytest.mark.parametrize("backend", ["numpy", "reference", "numba"])
+    @pytest.mark.parametrize("backend", ["numpy", "reference"])
     def test_steady_parity(self, backend, config):
-        if backend not in _backends():
-            pytest.skip(f"{backend} unavailable")
         rng_a = np.random.default_rng(11)
         rng_b = np.random.default_rng(11)
         spf = config.pipeline.sweeps_per_frame
@@ -224,10 +218,8 @@ class TestFusedStagedParity:
                 _assert_ticks_equal(ta, tb, f"tick{t}")
             _assert_state_equal(ps, pf, range(N_SESSIONS), "steady")
 
-    @pytest.mark.parametrize("backend", ["numpy", "numba"])
+    @pytest.mark.parametrize("backend", ["numpy"])
     def test_attach_evict_partial_cohorts(self, backend, config):
-        if backend not in _backends():
-            pytest.skip(f"{backend} unavailable")
         rng = np.random.default_rng(5)
         spf = config.pipeline.sweeps_per_frame
         with use_backend(backend):
@@ -254,12 +246,10 @@ class TestFusedStagedParity:
                 _assert_ticks_equal(ta, tb, f"tick{t}")
             _assert_state_equal(ps, pf, range(N_SESSIONS), "lifecycle")
 
-    @pytest.mark.parametrize("backend", ["numpy", "numba"])
+    @pytest.mark.parametrize("backend", ["numpy"])
     def test_snapshot_restore_across_fused_staged_boundary(
         self, backend, config
     ):
-        if backend not in _backends():
-            pytest.skip(f"{backend} unavailable")
         rng = np.random.default_rng(3)
         spf = config.pipeline.sweeps_per_frame
         with use_backend(backend):
