@@ -14,6 +14,11 @@ per-session-frame cost in nanoseconds, and the ratio against the numpy
 backend (``1.00x`` = numpy; ``>1`` = slower). Results land in
 ``benchmarks/kernels.json`` so CI legs leave a comparable artifact.
 
+Before timing, both successive-cancellation rows (N=8 and a 2-session
+cohort, where the kernel is dispatch-bound) must give bitwise the same
+outputs under ``numpy`` as under its ``reference`` spec; a mismatch is
+reported and the script exits 1 without timing anything.
+
 Run:
     python benchmarks/bench_kernels.py [--repeats 5] [--out kernels.json]
 """
@@ -56,8 +61,10 @@ from repro.sim.room import through_wall_room
 
 # Serving shapes at N=8 sessions, 3 antennas, 171 range bins: the
 # synthesis call covers one 64-frame cohort chunk (320 sweeps per
-# stream); the per-tick kernels cover one lockstep engine tick.
+# stream); the per-tick kernels cover one lockstep engine tick. The
+# small-cohort cancellation row covers a 2-session tick.
 N_SESSIONS = 8
+N_SMALL = 2
 N_RX = 3
 N_BINS = 171
 SWEEPS_PER_FRAME = 5
@@ -107,6 +114,8 @@ def _workloads() -> list[dict]:
             cancel_power[r] += 4.0 * np.exp(
                 -0.5 * ((bins - center) / 1.5) ** 2
             )
+
+    small_cancel_power = cancel_power[: N_SMALL * N_RX]
 
     solver = TGeometrySolver(t_array())
     dt_s = 0.0125
@@ -201,6 +210,15 @@ def _workloads() -> list[dict]:
             ),
         },
         {
+            "kernel": f"successive_contours_n{N_SMALL}",
+            "shape": f"power {small_cancel_power.shape}",
+            "frames": N_SMALL,
+            "inner": 100,
+            "run": lambda: successive_contours(
+                small_cancel_power, range_bin_m, max_targets=6
+            ),
+        },
+        {
             "kernel": "track_bank_step",
             "shape": f"candidates {bank_candidates.shape}",
             "frames": tick_session_frames,
@@ -248,6 +266,32 @@ def _workloads() -> list[dict]:
     ]
 
 
+def _cancellation_parity(workloads: list[dict]) -> dict[str, bool]:
+    """Per cancellation row: is numpy bitwise its reference spec?
+
+    Compares every kernel output: each round's candidates, peak powers
+    and threshold, and the number of rounds.
+    """
+    parity = {}
+    for work in workloads:
+        if not work["kernel"].startswith("successive_contours"):
+            continue
+        outputs = []
+        for name in ("numpy", "reference"):
+            set_backend(name)
+            result = work["run"]()
+            outputs.append(
+                [result.round_trips_m, result.peak_powers]
+                + [r.threshold_power for r in result.rounds]
+            )
+        fast, spec = outputs
+        parity[work["kernel"]] = len(fast) == len(spec) and all(
+            a.shape == b.shape and a.tobytes() == b.tobytes()
+            for a, b in zip(fast, spec)
+        )
+    return parity
+
+
 def _time_call(run, inner: int, repeats: int) -> float:
     """Best wall time of one kernel call (seconds), `inner` calls/rep."""
     run()  # warm up: allocator, scratch caches
@@ -265,7 +309,11 @@ def bench(repeats: int) -> dict:
     backends = available_backends()
     rows = []
     try:
-        for work in _workloads():
+        workloads = _workloads()
+        parity = _cancellation_parity(workloads)
+        if not all(parity.values()):
+            workloads = []  # main() reports the mismatch; time nothing
+        for work in workloads:
             timings = {}
             for name in backends:
                 set_backend(name)
@@ -295,6 +343,7 @@ def bench(repeats: int) -> dict:
         "repeats": repeats,
         "backends": backends,
         "numpy_version": np.__version__,
+        "cancellation_parity": parity,
         "kernels": rows,
     }
 
@@ -311,6 +360,15 @@ def main() -> int:
     args = parser.parse_args()
 
     payload = bench(args.repeats)
+    parity = payload["cancellation_parity"]
+    mismatched = [kernel for kernel, ok in parity.items() if not ok]
+    if mismatched:
+        print(
+            "numpy successive_cancel differs from its reference spec on: "
+            + ", ".join(mismatched),
+            file=sys.stderr,
+        )
+        return 1
     names = payload["backends"]
     print(f"kernel microbenchmarks ({', '.join(names)})")
     header = f"{'kernel':>22}" + "".join(f"{n:>14}" for n in names)

@@ -1,6 +1,6 @@
 """Background-power + contour-scan kernels.
 
-Two row-independent kernels behind the backend seam:
+Three row-independent kernels behind the backend seam:
 
 * :func:`background_power` — ``|diff|^2`` of the background-subtracted
   complex spectra, written into a caller-provided buffer (the stage

@@ -51,6 +51,11 @@ class SuccessiveCancel(Stage):
     ) -> None:
         if max_targets < 1:
             raise ValueError("max_targets must be at least 1")
+        # The fused plan calls the kernel directly, skipping the checks
+        # of successive_contours: without a band, every round would
+        # re-detect the same reflector.
+        if not 0.0 < null_halfwidth_m < np.inf:
+            raise ValueError("null_halfwidth_m must be finite and positive")
         self.range_bin_m = range_bin_m
         self.max_targets = max_targets
         self.threshold_db = threshold_db

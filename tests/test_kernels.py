@@ -5,6 +5,9 @@ The load-bearing properties:
 * every kernel agrees across backends — ``reference`` (the original
   math, verbatim) pins ``numpy`` to tight tolerances, so
   ``REPRO_BACKEND`` is a speed knob, never an answer knob;
+* the numpy successive-cancellation kernel is *bitwise* its
+  ``reference`` spec over a hypothesis-drawn domain (ties, zeros,
+  edge peaks, non-finite cells, every ``n_bins`` shape class);
 * ``reference`` registers every kernel ``numpy`` does except the fused
   tick plans, which it never runs, so dispatch needs no fallback;
 * the numpy synthesis kernel's internal optimizations — sweep tiling,
@@ -16,6 +19,7 @@ The load-bearing properties:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import default_config
 from repro.exec import ShardedStreamRunner
@@ -32,6 +36,7 @@ from repro.kernels import (
     reset_profiling_override,
     row_median,
     set_backend,
+    successive_cancel,
     use_backend,
 )
 from repro.kernels import synthesis
@@ -181,6 +186,88 @@ class TestContourKernels:
         with use_backend("reference"):
             ref = background_power(diff, np.empty(diff.shape))
         assert np.array_equal(got, ref)
+
+
+@st.composite
+def cancellation_inputs(draw):
+    """``successive_cancel`` arguments over the kernel's whole domain.
+
+    Rows are ``|z|^2``, as the background stage makes them: on a coarse
+    integer grid (exact ties and zeros) or off it, with reflector peaks
+    anywhere and within ``h`` bins of either edge, some all-zero rows
+    and some quiet ones. A few cells may be NaN, inf or 1e300. ``n_bins``
+    runs 1-40 (odd, even, below 3) and the first scanned bin up to past
+    ``n_bins - 2``; ``max_targets`` 1-7; the null half-width from under
+    one bin to six; thresholds up to 40 dB, where nothing clears.
+    """
+    n_rows = draw(st.integers(min_value=1, max_value=6))
+    n_bins = draw(st.integers(min_value=1, max_value=40))
+    range_bin_m = draw(st.sampled_from([0.05, 0.1773919869822485, 1.0]))
+    half_bins = draw(st.floats(min_value=0.1, max_value=6.0))
+    h = int(np.ceil(half_bins))
+    coarse = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (n_rows, n_bins)
+    if coarse:
+        z = rng.integers(-2, 3, shape) + 1j * rng.integers(-2, 3, shape)
+    else:
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    edge_bins = st.one_of(
+        st.integers(0, n_bins - 1),
+        st.integers(0, min(h + 1, n_bins - 1)),
+        st.integers(max(n_bins - h - 2, 0), n_bins - 1),
+    )
+    for _ in range(draw(st.integers(0, 2 * n_rows))):
+        row = draw(st.integers(0, n_rows - 1))
+        centre = draw(edge_bins)
+        if coarse:
+            amp = draw(st.sampled_from([3, 8, 40]))
+        else:
+            amp = draw(st.floats(2.0, 50.0))
+        for d, share in ((-1, 0.5), (0, 1.0), (1, 0.5)):
+            if 0 <= centre + d < n_bins:
+                z[row, centre + d] += amp * share
+    for row in draw(st.lists(st.integers(0, n_rows - 1), max_size=2)):
+        z[row] = draw(st.sampled_from([0.0, 1.0]))  # all-zero or flat
+    power = np.abs(z) ** 2
+    for _ in range(draw(st.integers(0, 3))):
+        power[
+            draw(st.integers(0, n_rows - 1)), draw(st.integers(0, n_bins - 1))
+        ] = draw(st.sampled_from([np.nan, np.inf, 1e300]))
+    min_bin = draw(
+        st.one_of(st.integers(-1, 3), st.integers(-1, n_bins + 1))
+    )
+    return (
+        power,
+        range_bin_m,
+        draw(st.integers(min_value=1, max_value=7)),
+        draw(st.sampled_from([0.0, 6.0, 10.0, 40.0])),
+        (min_bin - 0.5) * range_bin_m,
+        half_bins * range_bin_m,
+        draw(st.sampled_from([10.0, 26.0, 36.0, 80.0])),
+    )
+
+
+def _bitwise_equal(a, b) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and (
+        a.tobytes() == b.tobytes()
+    )
+
+
+class TestSuccessiveCancelSpec:
+    @given(args=cancellation_inputs())
+    @settings(max_examples=400, deadline=None)
+    def test_numpy_is_reference_bitwise(self, args):
+        power = args[0]
+        before = power.copy()
+        with use_backend("numpy"):
+            got = successive_cancel(*args)
+        assert _bitwise_equal(power, before)
+        with use_backend("reference"):
+            want = successive_cancel(*args)
+        assert got[3] == want[3]
+        for fast, spec in zip(got[:3], want[:3]):
+            assert _bitwise_equal(fast, spec)
 
 
 class TestBackendSeam:

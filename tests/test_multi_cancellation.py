@@ -8,6 +8,7 @@ from repro.multi.cancellation import (
     null_band,
     successive_contours,
 )
+from repro.pipeline.multi import SuccessiveCancel
 
 BIN_M = 0.2
 
@@ -71,6 +72,16 @@ class TestSuccessiveContours:
             successive_contours(power, BIN_M, max_targets=0)
         with pytest.raises(ValueError):
             successive_contours(power, BIN_M, null_halfwidth_m=0.0)
+
+    @pytest.mark.parametrize("halfwidth", [0.0, -0.5, np.nan])
+    def test_stage_rejects_bad_null_halfwidth(self, halfwidth):
+        # The fused plan reads the stage's half-width straight into the
+        # kernel, so the stage itself must refuse what
+        # successive_contours refuses.
+        with pytest.raises(ValueError, match="null_halfwidth_m"):
+            SuccessiveCancel(
+                BIN_M, max_targets=4, null_halfwidth_m=halfwidth
+            )
 
 
 class TestNullBand:
