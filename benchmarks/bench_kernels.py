@@ -16,8 +16,11 @@ backend (``1.00x`` = numpy; ``>1`` = slower). Results land in
 
 Before timing, both successive-cancellation rows (N=8 and a 2-session
 cohort, where the kernel is dispatch-bound) must give bitwise the same
-outputs under ``numpy`` as under its ``reference`` spec; a mismatch is
-reported and the script exits 1 without timing anything.
+outputs under ``numpy`` as under its ``reference`` spec, and both sweep
+synthesis rows (N=8, and synth-1p's 16-session chunk) must agree with
+``reference`` to the unit tests' tolerance (``rtol=1e-11``,
+``atol=1e-12`` of the peak); a mismatch is reported and the script
+exits 1 without timing anything.
 
 Run:
     python benchmarks/bench_kernels.py [--repeats 5] [--out kernels.json]
@@ -62,18 +65,20 @@ from repro.sim.room import through_wall_room
 # Serving shapes at N=8 sessions, 3 antennas, 171 range bins: the
 # synthesis call covers one 64-frame cohort chunk (320 sweeps per
 # stream); the per-tick kernels cover one lockstep engine tick. The
-# small-cohort cancellation row covers a 2-session tick.
+# small-cohort cancellation row covers a 2-session tick, and a second
+# synthesis row covers the 16-session chunk perfbench's synth-1p runs.
 N_SESSIONS = 8
 N_SMALL = 2
+N_SYNTH_1P = 16
 N_RX = 3
 N_BINS = 171
 SWEEPS_PER_FRAME = 5
 CHUNK_FRAMES = 64
 
 
-def _workloads() -> list[dict]:
-    rng = np.random.default_rng(7)
-    streams = N_SESSIONS * N_RX
+def _synthesis_workload(rng, sessions: int, name: str) -> dict:
+    """One cohort chunk's scatter: 5 dynamic paths per stream."""
+    streams = sessions * N_RX
     sweeps = CHUNK_FRAMES * SWEEPS_PER_FRAME
     paths_per_stream = 5
     n_paths = paths_per_stream * streams
@@ -84,7 +89,25 @@ def _workloads() -> list[dict]:
     row_base = np.repeat(
         np.arange(streams, dtype=np.int64) * sweeps, paths_per_stream
     )
-    synth_out = np.zeros((streams * sweeps, N_BINS), dtype=np.complex128)
+    out = np.zeros((streams * sweeps, N_BINS), dtype=np.complex128)
+
+    def run():
+        out.fill(0.0)
+        accumulate_spectra(out, frac, coeff, row_base, 8, 2500, True)
+        return out
+
+    return {
+        "kernel": name,
+        "shape": f"paths {frac.shape} -> rows {out.shape}",
+        "frames": sessions * CHUNK_FRAMES,
+        "inner": 1,
+        "run": run,
+    }
+
+
+def _workloads() -> list[dict]:
+    rng = np.random.default_rng(7)
+    synthesis = _synthesis_workload(rng, N_SESSIONS, "accumulate_spectra")
 
     diff = rng.standard_normal(
         (N_SESSIONS * SWEEPS_PER_FRAME * N_RX, N_BINS)
@@ -155,21 +178,13 @@ def _workloads() -> list[dict]:
     # ghost arcs seeded by both people.
     births_spec = MultiWiTrack(max_people=2, room=through_wall_room())
 
-    chunk_session_frames = N_SESSIONS * CHUNK_FRAMES
     tick_session_frames = N_SESSIONS
     return [
-        {
-            "kernel": "accumulate_spectra",
-            "shape": f"paths {frac.shape} -> rows {synth_out.shape}",
-            "frames": chunk_session_frames,
-            "inner": 1,
-            "run": lambda: (
-                synth_out.fill(0.0),
-                accumulate_spectra(
-                    synth_out, frac, coeff, row_base, 8, 2500, True
-                ),
-            ),
-        },
+        synthesis,
+        _synthesis_workload(
+            np.random.default_rng(17), N_SYNTH_1P,
+            f"accumulate_spectra_n{N_SYNTH_1P}",
+        ),
         {
             "kernel": "background_power",
             "shape": f"diff {diff.shape}",
@@ -292,6 +307,30 @@ def _cancellation_parity(workloads: list[dict]) -> dict[str, bool]:
     return parity
 
 
+def _synthesis_parity(workloads: list[dict]) -> dict[str, bool]:
+    """Per synthesis row: does numpy agree with its reference spec?
+
+    The tolerance is the unit tests' (``rtol=1e-11``, ``atol=1e-12`` of
+    the reference's peak magnitude): the numpy kernel's angle-addition
+    denominators differ from the spec in the last bits.
+    """
+    parity = {}
+    for work in workloads:
+        if not work["kernel"].startswith("accumulate_spectra"):
+            continue
+        outputs = []
+        for name in ("numpy", "reference"):
+            set_backend(name)
+            outputs.append(work["run"]().copy())
+        fast, spec = outputs
+        parity[work["kernel"]] = bool(
+            np.allclose(
+                fast, spec, rtol=1e-11, atol=1e-12 * np.abs(spec).max()
+            )
+        )
+    return parity
+
+
 def _time_call(run, inner: int, repeats: int) -> float:
     """Best wall time of one kernel call (seconds), `inner` calls/rep."""
     run()  # warm up: allocator, scratch caches
@@ -311,7 +350,8 @@ def bench(repeats: int) -> dict:
     try:
         workloads = _workloads()
         parity = _cancellation_parity(workloads)
-        if not all(parity.values()):
+        synthesis_parity = _synthesis_parity(workloads)
+        if not all(parity.values()) or not all(synthesis_parity.values()):
             workloads = []  # main() reports the mismatch; time nothing
         for work in workloads:
             timings = {}
@@ -344,6 +384,7 @@ def bench(repeats: int) -> dict:
         "backends": backends,
         "numpy_version": np.__version__,
         "cancellation_parity": parity,
+        "synthesis_parity": synthesis_parity,
         "kernels": rows,
     }
 
@@ -365,6 +406,16 @@ def main() -> int:
     if mismatched:
         print(
             "numpy successive_cancel differs from its reference spec on: "
+            + ", ".join(mismatched),
+            file=sys.stderr,
+        )
+        return 1
+    mismatched = [
+        kernel for kernel, ok in payload["synthesis_parity"].items() if not ok
+    ]
+    if mismatched:
+        print(
+            "numpy accumulate_spectra differs from its reference spec on: "
             + ", ".join(mismatched),
             file=sys.stderr,
         )

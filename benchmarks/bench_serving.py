@@ -61,6 +61,10 @@ from repro.kernels import backend_name, set_backend
 from repro.kernels.tick import enable_fusion, reset_fusion_override
 from repro.serve import ServingEngine, single_session
 from repro.sim import CohortFrameSource, Scenario, random_walk, through_wall_room
+from repro.sim.body import sample_population
+from repro.sim.gestures import pointing_session
+from repro.sim.motion import stand_still
+from repro.sim.room import line_of_sight_room
 
 
 def synthesize_sessions(n_sessions: int, duration_s: float) -> tuple:
@@ -331,19 +335,55 @@ def _serve_streams(
     return out
 
 
-def _fused_parity(scenarios, check_frames: int = 8) -> bool:
-    """Noise-free fused synthesis == per-session synthesis, bitwise."""
+def _mixed_cohort(config, duration_s: float) -> list:
+    """A through-wall walk, a line-of-sight walk and a pointing session."""
+    tw, los = through_wall_room(), line_of_sight_room()
+    rng = np.random.default_rng(7)
+    position = np.array([0.8, 4.5, 0.0])
+    return [
+        Scenario(random_walk(tw, np.random.default_rng(1),
+                             duration_s=duration_s),
+                 room=tw, config=config, seed=21),
+        Scenario(random_walk(los, np.random.default_rng(2),
+                             duration_s=duration_s),
+                 room=los, config=config, seed=22),
+        Scenario(stand_still(position, duration_s=duration_s), room=tw,
+                 body=sample_population(rng, count=11)[3], config=config,
+                 gesture=pointing_session(position, rng),
+                 gesture_start_s=0.05, seed=23),
+    ]
+
+
+def _fused_parity(scenarios, chunk_frames: int = 8, chunks: int = 3) -> bool:
+    """Noise-free fused synthesis == per-session synthesis, bitwise.
+
+    Checks every frame of the first ``chunks`` chunks, so the state a
+    session carries across chunk boundaries is compared too, for the
+    given sessions plus a mixed cohort (through-wall and line-of-sight
+    rooms, another body, a pointing gesture).
+    """
     from repro.sim import ScenarioStream
 
-    source = CohortFrameSource(scenarios, chunk_frames=check_frames,
+    scenarios = list(scenarios) + _mixed_cohort(
+        scenarios[0].config, duration_s=1.0
+    )
+    source = CohortFrameSource(scenarios, chunk_frames=chunk_frames,
                                noise=False)
-    fused = next(source.ticks())
-    ok = True
+    n_frames = min(chunks * chunk_frames, source.n_frames)
+    ticks = source.ticks()
+    fused = [[b.copy() for b in next(ticks)] for _ in range(n_frames)]
+    spf = source.spf
+    ok = n_frames == chunks * chunk_frames
     for k, scenario in enumerate(scenarios):
         st = ScenarioStream(scenario)
-        block = st.synthesize(0, check_frames, *st.advance(0, check_frames))
-        per_session = block[:, : source.spf, :]
-        ok = ok and bool(np.array_equal(fused[k], per_session))
+        for f0 in range(0, n_frames, chunk_frames):
+            f1 = min(f0 + chunk_frames, n_frames)
+            block = st.synthesize(f0, f1, *st.advance(f0, f1))
+            for f in range(f0, f1):
+                row = (f - f0) * spf
+                ok = ok and bool(np.array_equal(
+                    fused[f][k], block[:, row:row + spf, :]
+                ))
     return ok
 
 
@@ -531,6 +571,10 @@ def bench_synthetic(n_sessions: int, duration_s: float,
     once per available transport (pipe, shm) — fused synthesis feeding
     shard workers — recording per-transport IPC overhead, byte
     counters, and a bit-exactness check against the in-process run.
+
+    Each row's ``noise_free_parity`` compares every frame of three
+    fused chunks against per-session synthesis (see
+    :func:`_fused_parity`); ``main`` exits 1 if any row mismatches.
     """
     restore = backend_name()
     rows = []

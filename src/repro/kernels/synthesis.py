@@ -22,14 +22,18 @@ Equivalence invariants the tests pin:
   same order, so results are chunk-size invariant.
 
 The ``reference`` implementation is the pre-kernel-tier code moved
-here verbatim (valid-mask gather + unpadded bincount); ``numpy``
-replaces it with rank-grouped fancy-index accumulation (streams never
-share rows and a path's window cells are distinct, so each stream's
-k-th paths scatter together in one exact ``out[rows, bins] +=``; no
-dense row x bin accumulator is ever materialized) and evaluates the
+here verbatim (valid-mask gather + unpadded bincount). ``numpy``
+replaces it with a rank-grouped window scatter and evaluates the
 window denominators by angle addition against cached per-window
 constants — one sin/cos pair per (path, sweep) instead of a
-window-sized transcendental pass.
+window-sized transcendental pass. Streams never share rows, so each
+stream's k-th paths form one group whose (path, sweep) windows lie in
+distinct rows. An interior group's ``2h+1``-bin windows are gathered,
+added to and stored back whole, one row per (path, sweep), through a
+strided window view of the flat output (which must therefore be
+C-contiguous); a group with a window over a row edge adds its in-row
+cells one by one instead. No dense row x bin accumulator is ever
+materialized.
 """
 
 from __future__ import annotations
@@ -53,7 +57,8 @@ def accumulate_spectra(
     Args:
         out: complex128 ``(n_rows, n_bins)`` — stacked sweep spectra,
             modified in place. Path ``p``'s sweep ``s`` writes into row
-            ``row_base[p] + s``.
+            ``row_base[p] + s``. The numpy backend requires it
+            C-contiguous (``ValueError`` otherwise).
         frac_bin: ``(n_paths, n_sweeps)`` fractional bin position.
         coeff: ``(n_paths, n_sweeps)`` complex amplitude (linear
             amplitude x carrier/reflection phase), precomputed by the
@@ -70,7 +75,7 @@ def accumulate_spectra(
 
 
 # ---------------------------------------------------------------------------
-# numpy backend: angle-addition denominators + per-path fancy scatter.
+# numpy backend: angle-addition denominators + rank-grouped window scatter.
 # ---------------------------------------------------------------------------
 
 #: (half, n_samples, hann) -> (g, rot, pattern) window constants.
@@ -208,6 +213,8 @@ def _tile_contrib(e, coeff, sc, g, rot, pattern, cw, sw, n, ratio, hann):
 
 @register("numpy", "accumulate_spectra")
 def _accumulate_numpy(out, frac_bin, coeff, row_base, half, n_samples, hann):
+    if not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
     n_rows, n_b = out.shape
     n_paths, n_sweeps = frac_bin.shape
     n = float(n_samples)
@@ -250,16 +257,20 @@ def _accumulate_numpy(out, frac_bin, coeff, row_base, half, n_samples, hann):
         out.imag += acc.reshape(n_rows, n_pad)[:, pad : pad + n_b]
         return
 
-    # Rank-grouped scatter: a fancy-index add is exact only when its
-    # cells are distinct, and only paths of the *same* stream can share
-    # a (row, bin) cell (rows already separate sweeps and streams). So
-    # paths are grouped by rank within their stream — group k holds
-    # each stream's k-th path, whose row ranges are mutually disjoint —
-    # and each group scatters in one fancy-index add: max-paths-per-
-    # stream dispatches instead of one per path. A cell's colliding
-    # paths still land in ascending rank = original within-stream
-    # order, so the result is bitwise the per-path loop's.
+    # Rank-grouped window scatter. Only paths of the *same* stream can
+    # share a (row, bin) cell (rows already separate sweeps and
+    # streams), so paths are grouped by rank within their stream:
+    # group k holds each stream's k-th path, whose rows are mutually
+    # disjoint. A path's sweep row takes its 2h+1 bins as one window
+    # of the flat output, so a group whose windows all lie inside
+    # their rows is one gather-add-store of whole windows through a
+    # strided window view: its windows never overlap, so every cell
+    # gets exactly one add, and colliding paths still land in
+    # ascending rank = original within-stream order — bitwise the
+    # per-path loop. A group with a window over a row edge scatters
+    # its in-row cells one by one instead.
     groups = _stream_ranks(row_base)
+    windows = None
     tile = max(1, _TILE_CELLS // max(n_paths * (width + 2), 1))
     sc = _scratch(n_paths, min(tile, n_sweeps), width)
     for s0 in range(0, n_sweeps, tile):
@@ -269,16 +280,24 @@ def _accumulate_numpy(out, frac_bin, coeff, row_base, half, n_samples, hann):
         contrib = _tile_contrib(
             e, coeff[:, s0:s1], sc, g, rot, pattern, cw, sw, n, ratio, hann
         )
-        sweep_idx = np.arange(s0, s1, dtype=np.int64)[:, None]
+        sweep_idx = np.arange(s0, s1, dtype=np.int64)
         for sel in groups:
-            rows = row_base[sel][:, None, None] + sweep_idx
-            bins = binc[sel][:, :, None] + w_win
-            if bins[..., 0].min() >= 0 and bins[..., -1].max() < n_b:
-                out[rows, bins] += contrib[sel]
+            rows = row_base[sel][:, None] + sweep_idx
+            lo = binc[sel] - half
+            if lo.min() >= 0 and lo.max() + width <= n_b:
+                if windows is None:
+                    windows = np.lib.stride_tricks.as_strided(
+                        out.reshape(-1),
+                        shape=(n_rows * n_b - width + 1, width),
+                        strides=(out.itemsize, out.itemsize),
+                    )
+                start = (rows * n_b + lo).ravel()
+                windows[start] += contrib[sel].reshape(-1, width)
             else:
+                bins = lo[:, :, None] + (w_win + half)
                 m = (bins >= 0) & (bins < n_b)
                 if m.any():
-                    rr = np.broadcast_to(rows, bins.shape)
+                    rr = np.broadcast_to(rows[:, :, None], bins.shape)
                     out[rr[m], bins[m]] += contrib[sel][m]
 
 

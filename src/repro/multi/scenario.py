@@ -28,7 +28,7 @@ from ..rf.receiver import SweepSynthesizer
 from ..sim.body import HumanBody, ReflectionModel
 from ..sim.motion import Trajectory
 from ..sim.room import Room
-from ..sim.scenario import Scenario, _segment_lengths
+from ..sim.scenario import PathGeometry, Scenario, _segment_lengths
 
 
 @dataclass
@@ -174,20 +174,29 @@ class MultiScenario:
             (n_rx, n_sweeps, synthesizer.num_bins), dtype=np.complex128
         )
         true_round_trips = np.empty((n_people, n_rx, n_sweeps))
+        jitters = [
+            [
+                scenario._wall_jitter(
+                    n_sweeps,
+                    fmcw.sweep_duration_s,
+                    np.random.default_rng(
+                        self.seed * 15_485_863 + 611 * p + i + 1
+                    ),
+                    activities[p],
+                )
+                for i in range(n_rx)
+            ]
+            for p, scenario in enumerate(scenarios)
+        ]
+        person_paths = PathGeometry(scenarios).path_sets(
+            surfaces, [None] * n_people, jitters
+        )
         tx = self.array.tx
         for i, rx in enumerate(self.array.rx):
             rx_rng = np.random.default_rng(self.seed * 7919 + i + 1)
             paths = list(clutter)
-            for p, scenario in enumerate(scenarios):
-                jitter_rng = np.random.default_rng(
-                    self.seed * 15_485_863 + 611 * p + i + 1
-                )
-                wall_jitter = scenario._wall_jitter(
-                    n_sweeps, fmcw.sweep_duration_s, jitter_rng, activities[p]
-                )
-                paths += scenario._paths_for_antenna(
-                    rx, surfaces[p], None, [], wall_jitter
-                )
+            for p in range(n_people):
+                paths += person_paths[p][i]
                 true_round_trips[p, i] = _segment_lengths(
                     tx.position, surfaces[p]
                 ) + _segment_lengths(rx.position, surfaces[p])

@@ -140,13 +140,12 @@ class SweepSynthesizer:
                 independent; fusing them only batches the scatter.
             n_sweeps: sweeps per stream.
             out: optional ``(n_streams, n_sweeps, num_bins)`` complex128
-                C-contiguous array to accumulate into. Callers with a
-                precomputed static-path template (e.g. the cohort
-                source, whose clutter never changes between chunks)
-                broadcast it in here and pass only dynamic paths —
-                the add order matches the all-paths call (static
-                template first, then dynamic scatters), so results
-                stay bitwise identical.
+                C-contiguous array to accumulate into (anything else
+                raises ``ValueError``). A caller with a precomputed
+                static-path template broadcasts it in here and passes
+                only dynamic paths — the add order matches the
+                all-paths call (static template first, then dynamic
+                scatters), so results stay bitwise identical.
 
         Returns:
             Noise-free spectra, shape ``(n_streams, n_sweeps, num_bins)``.
@@ -155,29 +154,27 @@ class SweepSynthesizer:
             — fusion and sweep chunking are exact (see
             :mod:`repro.kernels.synthesis`).
 
-        Two structural optimizations over the per-stream loop (both
-        disabled under the ``reference`` backend, which reproduces the
-        original math and cost):
+        Paths with all-zero amplitudes are skipped. Two structural
+        optimizations over the per-stream loop (both disabled under the
+        ``reference`` backend, which reproduces the original math and
+        cost):
 
         * **Static-path split**: a path with scalar round trip and
           amplitude writes the *same* footprint into every sweep, so
           its kernel is evaluated once per stream and broadcast —
           static clutter dominates path counts (18 of 23 in the
           through-wall scene), so this removes ~80% of the kernel work.
-        * **Cohort fusion**: all streams' dynamic paths go through one
-          scatter call per sweep chunk, amortizing numpy dispatch.
+        * **Cohort fusion**: the dynamic paths of every stream are
+          unpacked into ``(path, sweep)`` arrays and handed to
+          :meth:`synthesize_paths`, one scatter call per sweep chunk.
+          The cohort source calls that array entry point directly with
+          the arrays its path geometry solves, so no ``Path`` objects
+          are built per chunk at all.
         """
         n_streams = len(path_sets)
-        shape = (n_streams, n_sweeps, self.num_bins)
-        if out is None:
-            out = np.zeros(shape, dtype=np.complex128)
-        elif out.shape != shape or out.dtype != np.complex128:
-            raise ValueError(f"out must be complex128 {shape}")
+        out = self._output(out, n_streams, n_sweeps)
         if n_streams == 0 or n_sweeps == 0:
             return out
-        half = self.kernel_halfwidth
-        hann = self.window == "hann"
-        per_bin = self.axis.round_trip_per_bin_m
         split = active_backend().static_split
 
         static: list[tuple[float, float, float, int]] = []
@@ -208,41 +205,104 @@ class SweepSynthesizer:
             )
             accumulate_spectra(
                 template,
-                rts / per_bin,
+                rts / self.axis.round_trip_per_bin_m,
                 amps * np.exp(1j * phase),
                 np.array([p[3] for p in static], dtype=np.int64),
-                half,
+                self.kernel_halfwidth,
                 self._n_samples,
-                hann,
+                self.window == "hann",
             )
             out += template[:, None, :]
 
         if dynamic:
-            rts = np.stack([p[0] for p in dynamic])
-            amps = np.stack([p[1] for p in dynamic])
-            phase = self.carrier_phase(rts) + np.array(
-                [p[2] for p in dynamic]
-            )[:, None]
-            coeff = amps * np.exp(1j * phase)
-            frac = rts / per_bin
-            stream = np.array([p[3] for p in dynamic], dtype=np.int64)
-            # Chunk sweeps to bound the (n_paths, chunk, window)
-            # kernel temporaries; chunking is exact (same adds into the
-            # same cells, in the same order).
-            width = 2 * half + 1
-            chunk = max(1, 2_000_000 // (len(dynamic) * width))
-            flat = out.reshape(n_streams * n_sweeps, self.num_bins)
-            for s0 in range(0, n_sweeps, chunk):
-                s1 = min(s0 + chunk, n_sweeps)
-                accumulate_spectra(
-                    flat,
-                    frac[:, s0:s1],
-                    coeff[:, s0:s1],
-                    stream * n_sweeps + s0,
-                    half,
-                    self._n_samples,
-                    hann,
-                )
+            self.synthesize_paths(
+                np.stack([p[0] for p in dynamic]),
+                np.stack([p[1] for p in dynamic]),
+                np.array([p[3] for p in dynamic], dtype=np.int64),
+                out,
+                phase0_rad=np.array([p[2] for p in dynamic]),
+            )
+        return out
+
+    def synthesize_paths(
+        self,
+        round_trip_m: np.ndarray,
+        amplitude: np.ndarray,
+        streams: np.ndarray,
+        out: np.ndarray,
+        phase0_rad: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Scatter per-sweep path arrays into stacked stream spectra.
+
+        The array entry point under :meth:`synthesize_batch`, which
+        calls it after unpacking its dynamic ``Path`` objects; the
+        cohort frame source calls it directly with the arrays its path
+        geometry solves.
+
+        Args:
+            round_trip_m: ``(n_paths, n_sweeps)`` path length per sweep.
+            amplitude: ``(n_paths, n_sweeps)`` linear amplitude per
+                sweep. Rows that are all zero are skipped.
+            streams: ``(n_paths,)`` int stream index of each path. The
+                paths of one stream scatter in their row order, which
+                fixes the add order of every cell they share.
+            out: ``(n_streams, n_sweeps, num_bins)`` complex128
+                C-contiguous spectra, accumulated into in place.
+            phase0_rad: optional ``(n_paths,)`` extra constant phase;
+                ``None`` adds none.
+
+        Returns:
+            ``out``.
+        """
+        out = self._output(out, out.shape[0], round_trip_m.shape[1])
+        keep = np.any(amplitude, axis=1)
+        if not keep.all():
+            round_trip_m = round_trip_m[keep]
+            amplitude = amplitude[keep]
+            streams = streams[keep]
+            if phase0_rad is not None:
+                phase0_rad = phase0_rad[keep]
+        n_paths, n_sweeps = round_trip_m.shape
+        if n_paths == 0 or n_sweeps == 0:
+            return out
+        phase = self.carrier_phase(round_trip_m)
+        if phase0_rad is not None:
+            phase += phase0_rad[:, None]
+        coeff = amplitude * np.exp(1j * phase)
+        frac = round_trip_m / self.axis.round_trip_per_bin_m
+        row_base = np.asarray(streams, dtype=np.int64) * n_sweeps
+        # Chunk sweeps to bound the (n_paths, chunk, window) kernel
+        # temporaries; chunking is exact (same adds into the same
+        # cells, in the same order).
+        half = self.kernel_halfwidth
+        chunk = max(1, 2_000_000 // (n_paths * (2 * half + 1)))
+        flat = out.reshape(-1, self.num_bins)
+        for s0 in range(0, n_sweeps, chunk):
+            s1 = min(s0 + chunk, n_sweeps)
+            accumulate_spectra(
+                flat,
+                frac[:, s0:s1],
+                coeff[:, s0:s1],
+                row_base + s0,
+                half,
+                self._n_samples,
+                self.window == "hann",
+            )
+        return out
+
+    def _output(
+        self, out: np.ndarray | None, n_streams: int, n_sweeps: int
+    ) -> np.ndarray:
+        """``out`` checked, or fresh zero ``(n_streams, n_sweeps, bins)``."""
+        shape = (n_streams, n_sweeps, self.num_bins)
+        if out is None:
+            return np.zeros(shape, dtype=np.complex128)
+        if (
+            out.shape != shape
+            or out.dtype != np.complex128
+            or not out.flags.c_contiguous
+        ):
+            raise ValueError(f"out must be C-contiguous complex128 {shape}")
         return out
 
     def add_noise(

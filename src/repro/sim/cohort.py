@@ -1,16 +1,23 @@
 """Cohort-fused synthetic frame source for the serving tier.
 
 A :class:`CohortFrameSource` drives N concurrent scenario sessions and
-synthesizes *all* of them — every antenna of every session — through
-one fused :meth:`repro.rf.receiver.SweepSynthesizer.synthesize_batch`
-call per chunk. Against N per-session :meth:`repro.sim.Scenario.frames`
-generators this removes the dominant serving-tier source cost: the
-scatter kernel runs once per chunk instead of 3N times, and static
-clutter (most of the path count) is evaluated once per stream instead
-of once per sweep (see :mod:`repro.kernels.synthesis`).
+synthesizes *all* of them — every antenna of every session — as one
+array program per chunk. Each session's streaming state advances on
+its own (:meth:`repro.sim.ScenarioStream.advance`); then one
+:class:`repro.sim.scenario.PathGeometry` solve gives every session's
+dynamic paths as (session, antenna, path, sweep) arrays, and one
+:meth:`repro.rf.receiver.SweepSynthesizer.synthesize_paths` call
+scatters them over a static-clutter template computed once per source
+(see :mod:`repro.kernels.synthesis`). Against N per-session
+:meth:`repro.sim.Scenario.frames` generators the scatter kernel runs
+once per chunk instead of 3N times, no ``Path`` objects are built, and
+static clutter (most of the path count) is evaluated once per stream
+instead of once per sweep.
 
 The deterministic part — the noise-free spectra — is bitwise what the
-per-session path produces under the same backend; tests pin this.
+per-session path produces under the same backend, on every frame of
+every chunk; tests pin this. The ``reference`` backend synthesizes the
+sessions' full per-antenna ``Path`` lists instead.
 
 **Serving noise model.** Receiver noise keeps the same physical model
 as :meth:`repro.rf.receiver.SweepSynthesizer.add_noise` but a cheaper
@@ -40,7 +47,7 @@ from typing import Iterator
 import numpy as np
 
 from ..kernels.backend import active_backend
-from .scenario import Scenario, ScenarioStream
+from .scenario import PathGeometry, Scenario, ScenarioStream
 
 #: Domain-separation key of the serving noise streams (vs the
 #: per-session frames() noise keyed with 65_537).
@@ -54,9 +61,10 @@ class CohortFrameSource:
 
     Args:
         scenarios: one :class:`Scenario` per session. All must share
-            the same FMCW/pipeline geometry (same bins per sweep,
-            sweeps per frame); seeds should differ or sessions will be
-            correlated.
+            the system configuration and the antenna positions and
+            boresights (``ValueError`` otherwise); rooms, bodies,
+            gestures, trajectories and seeds may differ. Seeds should
+            differ or sessions will be correlated.
         chunk_frames: frames synthesized per fused kernel pass — the
             memory/latency knob; the output does not depend on it.
         noise: apply the serving noise model (see module docstring).
@@ -74,17 +82,9 @@ class CohortFrameSource:
             raise ValueError("need at least one scenario")
         if chunk_frames < 1:
             raise ValueError("chunk_frames must be >= 1")
+        self.geometry = PathGeometry(scenarios)
         self.streams = [ScenarioStream(s) for s in scenarios]
         first = self.streams[0]
-        for st in self.streams[1:]:
-            if (
-                st.synthesizer.num_bins != first.synthesizer.num_bins
-                or st.spf != first.spf
-                or st.num_rx != first.num_rx
-            ):
-                raise ValueError(
-                    "cohort sessions must share FMCW/pipeline geometry"
-                )
         self.chunk_frames = chunk_frames
         self.noise = noise
         self.num_sessions = len(self.streams)
@@ -135,23 +135,23 @@ class CohortFrameSource:
         for f0 in range(0, self.n_frames, self.chunk_frames):
             f1 = min(f0 + self.chunk_frames, self.n_frames)
             n_sweeps = (f1 - f0) * spf
-            path_sets: list = []
-            for st in self.streams:
-                sets = st.path_sets(*st.advance(f0, f1))
-                if template is not None:
-                    sets = [ps[len(st._clutter) :] for ps in sets]
-                path_sets.extend(sets)
+            advanced = [st.advance(f0, f1) for st in self.streams]
             if template is not None:
-                out = np.empty(
-                    (len(path_sets), n_sweeps, self.num_bins),
+                fused = np.empty(
+                    (len(template), n_sweeps, self.num_bins),
                     dtype=np.complex128,
                 )
-                out[:] = template[:, None, :]
-                fused = synthesizer.synthesize_batch(
-                    path_sets, n_sweeps, out=out
-                )
+                fused[:] = template[:, None, :]
+                self.geometry.synthesize(synthesizer, *zip(*advanced), fused)
             else:
-                fused = synthesizer.synthesize_batch(path_sets, n_sweeps)
+                fused = synthesizer.synthesize_batch(
+                    [
+                        ps
+                        for st, adv in zip(self.streams, advanced)
+                        for ps in st.path_sets(*adv)
+                    ],
+                    n_sweeps,
+                )
             chunk = fused.reshape(
                 self.num_sessions, n_rx, n_sweeps, self.num_bins
             )

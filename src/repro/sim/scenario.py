@@ -19,7 +19,7 @@ All physical effects the paper's pipeline exists to fight are present:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -292,19 +292,22 @@ class Scenario:
         speed = np.concatenate([step[:1], step]) / fmcw.sweep_duration_s
         activity = np.clip(speed / 0.5, 0.0, 1.0)
 
-        # Transmit-side hoisting is a kernel-tier optimization; the
-        # reference backend recomputes per antenna (the original cost
-        # model). Values are identical either way.
-        tx_cache = {} if active_backend().static_split else None
+        # Each antenna's stream draws its wall jitter, then its noise.
+        rx_rngs = [
+            np.random.default_rng(self.seed * 7919 + i + 1)
+            for i in range(self.array.num_receivers)
+        ]
+        jitters = [
+            self._wall_jitter(n_sweeps, fmcw.sweep_duration_s, r, activity)
+            for r in rx_rngs
+        ]
+        path_sets = PathGeometry([self]).path_sets(
+            [surface], [hand], [jitters]
+        )[0]
         for i, rx in enumerate(self.array.rx):
-            rx_rng = np.random.default_rng(self.seed * 7919 + i + 1)
-            wall_jitter = self._wall_jitter(
-                n_sweeps, fmcw.sweep_duration_s, rx_rng, activity
+            spectra[i] = synthesizer.synthesize(
+                clutter + path_sets[i], n_sweeps, rx_rngs[i]
             )
-            paths = self._paths_for_antenna(
-                rx, surface, hand, clutter, wall_jitter, tx_cache=tx_cache
-            )
-            spectra[i] = synthesizer.synthesize(paths, n_sweeps, rx_rng)
             true_round_trips[i] = _segment_lengths(
                 self.array.tx.position, surface
             ) + _segment_lengths(rx.position, surface)
@@ -387,7 +390,7 @@ class Scenario:
 
         ``tx_side`` optionally supplies precomputed ``(g_tx, d_tx)``
         toward ``points`` — the transmit side is identical for every
-        receive antenna, so per-chunk path resolution hoists it.
+        path of one antenna, so :meth:`_paths_for_antenna` hoists it.
         """
         cfg = self.config
         lam = wavelength(cfg.fmcw)
@@ -399,11 +402,6 @@ class Scenario:
             g_tx, d_tx = tx_side
         g_rx = _vector_gain(rx_position, rx_boresight, points, beam)
         d_rx = np.maximum(_segment_lengths(rx_position, points), 0.1)
-        total_loss_db = (
-            extra_loss_db
-            + cfg.simulation.system_loss_db
-            + 2 * self._wall_traversals() * self.room.wall_attenuation_db
-        )
         power = (
             cfg.fmcw.tx_power_w
             * g_tx
@@ -412,7 +410,16 @@ class Scenario:
             * rcs_m2
             / ((4.0 * np.pi) ** 3 * d_tx**2 * d_rx**2)
         )
-        return np.sqrt(power) * 10.0 ** (-total_loss_db / 20.0)
+        return np.sqrt(power) * self._loss_factor(extra_loss_db)
+
+    def _loss_factor(self, extra_loss_db: float) -> float:
+        """Amplitude factor of a path's losses (a Python float)."""
+        total_loss_db = (
+            extra_loss_db
+            + self.config.simulation.system_loss_db
+            + 2 * self._wall_traversals() * self.room.wall_attenuation_db
+        )
+        return 10.0 ** (-total_loss_db / 20.0)
 
     def _reference_human_amplitude(self) -> float:
         """Body-echo amplitude at a reference 5 m range (anchors clutter)."""
@@ -451,43 +458,62 @@ class Scenario:
             )
         ]
 
+    def _receivers(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every receive antenna and its wall-bounce images.
+
+        Returns ``(positions, boresights)``, each ``(n_rx * (1 +
+        n_images), 3)``: per antenna, the antenna itself, then its
+        image in each bounce plane — :meth:`_paths_for_antenna`'s path
+        order, with its image arithmetic.
+        """
+        planes = self.room.bounce_planes[
+            : self.config.simulation.num_multipath_images
+        ]
+        positions, boresights = [], []
+        for rx in self.array.rx:
+            positions.append(rx.position)
+            boresights.append(rx.boresight)
+            for wall_point, wall_normal, _ in planes:
+                positions.append(
+                    mirror_point(rx.position, wall_point, wall_normal)
+                )
+                boresights.append(
+                    rx.boresight
+                    - 2.0
+                    * np.dot(rx.boresight, wall_normal)
+                    * np.asarray(wall_normal)
+                )
+        return np.stack(positions), np.stack(boresights)
+
     def _paths_for_antenna(
         self,
         rx: Antenna,
         surface: np.ndarray,
         hand: np.ndarray | None,
-        clutter: list[Path],
         wall_jitter: np.ndarray,
-        tx_cache: dict | None = None,
     ) -> list[Path]:
-        """Resolve every propagation path seen by one receive antenna.
+        """Resolve every dynamic propagation path seen by one antenna.
 
+        The executable spec of :class:`PathGeometry`, which the
+        ``reference`` backend runs: the body's direct echo, its image
+        off each bounce plane, then the hand during a gesture.
         ``wall_jitter`` is added to the round trip of every path that
         traverses the front wall (all body-related paths in the
-        through-wall setting); static clutter keeps its exact delay so
-        background subtraction still cancels it.
-
-        ``tx_cache`` (a dict shared across the antennas of one chunk)
-        memoizes the transmit-side distances and gains, which do not
-        depend on the receive antenna — reuse is exact, the values are
-        the same arrays every antenna would recompute.
+        through-wall setting); static clutter is not resolved here and
+        keeps its exact delay, so background subtraction still cancels
+        it.
         """
         tx = self.array.tx
         beam = self.config.array.beam_exponent
-        cache = tx_cache if tx_cache is not None else {}
-        paths: list[Path] = list(clutter)
+        paths: list[Path] = []
 
-        # Direct body reflection.
-        if "surface" not in cache:
-            d = _segment_lengths(tx.position, surface)
-            cache["surface"] = (
-                d,
-                (
-                    _vector_gain(tx.position, tx.boresight, surface, beam),
-                    np.maximum(d, 0.1),
-                ),
-            )
-        d_tx, tx_side = cache["surface"]
+        # Direct body reflection. The transmit side is the same for
+        # every path of the body, so it is resolved once.
+        d_tx = _segment_lengths(tx.position, surface)
+        tx_side = (
+            _vector_gain(tx.position, tx.boresight, surface, beam),
+            np.maximum(d_tx, 0.1),
+        )
         d_rx = _segment_lengths(rx.position, surface)
         paths.append(
             Path(
@@ -526,16 +552,11 @@ class Scenario:
 
         # The moving hand during a pointing gesture.
         if hand is not None:
-            if "hand" not in cache:
-                d = _segment_lengths(tx.position, hand)
-                cache["hand"] = (
-                    d,
-                    (
-                        _vector_gain(tx.position, tx.boresight, hand, beam),
-                        np.maximum(d, 0.1),
-                    ),
-                )
-            d_tx_hand, hand_side = cache["hand"]
+            d_tx_hand = _segment_lengths(tx.position, hand)
+            hand_side = (
+                _vector_gain(tx.position, tx.boresight, hand, beam),
+                np.maximum(d_tx_hand, 0.1),
+            )
             paths.append(
                 Path(
                     round_trip_m=(
@@ -554,18 +575,270 @@ class Scenario:
         return paths
 
 
+def _antenna_rows(array: AntennaArray) -> np.ndarray:
+    """Position and boresight of every antenna, one row each."""
+    return np.stack([
+        np.concatenate([a.position, a.boresight])
+        for a in (array.tx, *array.rx)
+    ])
+
+
+def _gains(
+    offsets: np.ndarray,
+    dist: np.ndarray,
+    boresights: np.ndarray,
+    exponent: float,
+) -> np.ndarray:
+    """:func:`_vector_gain` over stacked ``(n, 3)`` offset blocks.
+
+    ``dist`` holds the offsets' lengths and ``boresights`` one
+    ``(3, 1)`` column per block (broadcast like a matmul operand), so
+    each block is one BLAS product of the shape :func:`_vector_gain`
+    computes — bitwise its values.
+    """
+    dist = np.where(dist < 1e-9, 1.0, dist)
+    cosine = np.matmul(offsets, boresights)[..., 0] / dist
+    return np.where(cosine > 0.0, np.maximum(cosine, 0.0) ** exponent, 0.0)
+
+
+class PathGeometry:
+    """Every session's dynamic propagation paths as one array program.
+
+    For a cohort of scenarios that share a system configuration and
+    an antenna array — rooms, bodies, gestures, trajectories and seeds
+    may all differ — :meth:`solve` resolves the body's direct echo, its
+    image off each bounce plane and, while a gesture runs, the hand,
+    as round-trip and amplitude arrays over (session, antenna, path,
+    sweep), in a few whole-cohort numpy calls. The values are bitwise
+    what :meth:`Scenario._paths_for_antenna` (the ``reference``
+    backend's spec) gives one antenna at a time: the same operations in
+    the same order, every ``offsets @ boresight`` still one BLAS
+    product over one session's ``(n, 3)`` rows, and each loss factor a
+    Python float.
+
+    Args:
+        scenarios: the cohort's sessions (one person each; a
+            multi-person scene passes one scenario per person).
+
+    Raises:
+        ValueError: if the sessions differ in ``config`` or in antenna
+            positions or boresights.
+    """
+
+    def __init__(self, scenarios: Sequence[Scenario]) -> None:
+        self.scenarios = list(scenarios)
+        first = self.scenarios[0]
+        rows = _antenna_rows(first.array)
+        for scn in self.scenarios[1:]:
+            if scn.config != first.config or not np.array_equal(
+                _antenna_rows(scn.array), rows
+            ):
+                raise ValueError(
+                    "cohort sessions must share the system configuration "
+                    "and antenna array"
+                )
+        cfg = first.config
+        self.num_rx = first.array.num_receivers
+        self._tx = first.array.tx
+        self._beam = cfg.array.beam_exponent
+        self._tx_power_w = cfg.fmcw.tx_power_w
+        self._lam2 = wavelength(cfg.fmcw) ** 2
+        # Per room: the antennas and their images, and the loss factor
+        # of each of those paths.
+        rooms: dict = {}
+        positions, boresights, factors = [], [], []
+        for scn in self.scenarios:
+            if scn.room not in rooms:
+                pos, bore = scn._receivers()
+                n_img = len(pos) // self.num_rx - 1
+                image = scn._loss_factor(scn.room.side_wall_reflection_loss_db)
+                rooms[scn.room] = (
+                    pos, bore, [scn._loss_factor(0.0)] + [image] * n_img
+                )
+            pos, bore, per_rx = rooms[scn.room]
+            positions.append(pos)
+            boresights.append(bore)
+            factors.append(per_rx * self.num_rx)
+        self._positions = np.stack(positions)  # (S, M, 3)
+        self._boresights = np.stack(boresights)[..., None]  # (S, M, 3, 1)
+        self._factors = np.array(factors)[..., None]  # (S, M, 1)
+        self._body_paths = len(factors[0]) // self.num_rx
+        self._torso_rcs = np.array(
+            [scn.body.torso_rcs_m2 for scn in self.scenarios]
+        )[:, None, None]
+        self._names = ["body-direct"] + [
+            f"multipath-{name}"
+            for _, _, name in first.room.bounce_planes[: self._body_paths - 1]
+        ]
+
+    def solve(
+        self,
+        surfaces: Sequence[np.ndarray],
+        hands: Sequence[np.ndarray | None],
+        jitters: Sequence[Sequence[np.ndarray] | None],
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Round trips and amplitudes of every session's dynamic paths.
+
+        Args:
+            surfaces: per session, ``(n, 3)`` reflection-surface points.
+            hands: per session, ``(n, 3)`` hand positions, or ``None``
+                without a gesture.
+            jitters: per session, one ``(n,)`` in-wall excess delay per
+                antenna, or ``None`` for none.
+
+        Returns:
+            ``(round_trip_m, amplitude)``, each ``(n_sessions, n_rx,
+            n_paths, n)``. Paths run direct, one image per bounce
+            plane, then the hand if any session has a gesture; a
+            session without one gets a hand path of zero amplitude,
+            which synthesis drops like any all-zero path.
+        """
+        surf = np.stack(surfaces)
+        n_sessions, n = surf.shape[:2]
+        rt, amp = self._resolve(
+            surf, self._positions, self._boresights, self._torso_rcs,
+            self._factors,
+        )
+        shape = (n_sessions, self.num_rx, self._body_paths, n)
+        rt, amp = rt.reshape(shape), amp.reshape(shape)
+        if any(h is not None for h in hands):
+            # Seen by the antennas alone, not their images. A session
+            # without a gesture stands in its surface with zero RCS.
+            hand = np.stack(
+                [s if h is None else h for s, h in zip(surfaces, hands)]
+            )
+            rcs = np.array([
+                0.0 if h is None else scn.body.arm_rcs_m2
+                for scn, h in zip(self.scenarios, hands)
+            ])[:, None, None]
+            rx = slice(None, None, self._body_paths)
+            hand_rt, hand_amp = self._resolve(
+                hand, self._positions[:, rx], self._boresights[:, rx], rcs,
+                self._factors[:, rx],
+            )
+            rt = np.concatenate([rt, hand_rt[:, :, None]], axis=2)
+            amp = np.concatenate([amp, hand_amp[:, :, None]], axis=2)
+        if any(j is not None for j in jitters):
+            jitter = np.zeros((n_sessions, self.num_rx, 1, n))
+            for k, j in enumerate(jitters):
+                if j is not None:
+                    jitter[k, :, 0] = j
+            rt += jitter
+        return rt, amp
+
+    def path_sets(
+        self,
+        surfaces: Sequence[np.ndarray],
+        hands: Sequence[np.ndarray | None],
+        jitters: Sequence[Sequence[np.ndarray] | None],
+    ) -> list[list[list[Path]]]:
+        """Per session, per antenna, the dynamic :class:`Path` list.
+
+        The arrays of :meth:`solve` as ``Path`` objects, or under the
+        ``reference`` backend :meth:`Scenario._paths_for_antenna` itself.
+        Takes the arguments of :meth:`solve`.
+        """
+        if not active_backend().static_split:
+            return [
+                [
+                    scn._paths_for_antenna(
+                        rx,
+                        surface,
+                        hand,
+                        jitter[i] if jitter is not None
+                        else np.zeros(len(surface)),
+                    )
+                    for i, rx in enumerate(scn.array.rx)
+                ]
+                for scn, surface, hand, jitter in zip(
+                    self.scenarios, surfaces, hands, jitters
+                )
+            ]
+        rt, amp = self.solve(surfaces, hands, jitters)
+        names = self._names + ["hand"]
+        return [
+            [
+                [
+                    Path(rt[k, i, j], amp[k, i, j], name=names[j])
+                    for j in range(self._body_paths + (hand is not None))
+                ]
+                for i in range(self.num_rx)
+            ]
+            for k, hand in enumerate(hands)
+        ]
+
+    def synthesize(
+        self,
+        synthesizer: SweepSynthesizer,
+        surfaces: Sequence[np.ndarray],
+        hands: Sequence[np.ndarray | None],
+        jitters: Sequence[Sequence[np.ndarray] | None],
+        out: np.ndarray,
+    ) -> np.ndarray:
+        """Scatter every session's dynamic paths into ``out``.
+
+        ``out`` is ``(n_sessions * n_rx, n, n_bins)``, one stream per
+        (session, antenna) in that order, typically prefilled with the
+        static clutter. The solved arrays go straight to
+        :meth:`SweepSynthesizer.synthesize_paths` — bitwise what
+        ``synthesize_batch`` makes of :meth:`path_sets` on the same out.
+        Takes the arguments of :meth:`solve`.
+        """
+        rt, amp = self.solve(surfaces, hands, jitters)
+        n_sessions, n_rx, n_paths, n = rt.shape
+        streams = np.repeat(np.arange(n_sessions * n_rx), n_paths)
+        return synthesizer.synthesize_paths(
+            rt.reshape(-1, n), amp.reshape(-1, n), streams, out
+        )
+
+    def _resolve(self, points, positions, boresights, rcs_m2, factors):
+        """Round trips and amplitudes of ``points`` ``(S, n, 3)``.
+
+        Seen by ``(S, M)`` receivers at ``positions`` ``(S, M, 3)`` with
+        ``boresights`` ``(S, M, 3, 1)``; ``rcs_m2`` is ``(S, 1, 1)`` and
+        ``factors`` the ``(S, M, 1)`` loss factors. :meth:`Scenario._amplitudes`'s arithmetic, in its
+        order; returns two ``(S, M, n)`` arrays.
+        """
+        tx = self._tx
+        offsets = points - tx.position
+        d_tx = np.linalg.norm(offsets, axis=-1)[:, None]
+        g_tx = _gains(offsets, d_tx[:, 0], tx.boresight[:, None], self._beam)
+        offsets = points[:, None] - positions[:, :, None]
+        d_rx = np.linalg.norm(offsets, axis=-1)
+        g_rx = _gains(offsets, d_rx, boresights, self._beam)
+        power = (
+            self._tx_power_w
+            * g_tx[:, None]
+            * g_rx
+            * self._lam2
+            * rcs_m2
+            / (
+                (4.0 * np.pi) ** 3
+                * np.maximum(d_tx, 0.1) ** 2
+                * np.maximum(d_rx, 0.1) ** 2
+            )
+        )
+        amplitude = np.sqrt(power)
+        amplitude *= factors
+        return d_tx + d_rx, amplitude
+
+
 class ScenarioStream:
     """Streaming synthesis state of one scenario.
 
     Owns everything :meth:`Scenario.frames` carries between chunks —
     the surface-wander stream, the static clutter field, the wall and
     hand AR(1) walks, the synthesizer — and splits chunk production
-    into the three steps a cohort-fused source needs individually:
-    :meth:`advance` (sequential AR-texture state), :meth:`path_sets`
-    (per-antenna propagation paths), and synthesis. ``frames()`` is one
+    into the steps a cohort-fused source needs individually:
+    :meth:`advance` (sequential AR-texture state), then path geometry
+    and synthesis. Under the numpy backend :meth:`synthesize` solves
+    the chunk's dynamic paths as arrays (:class:`PathGeometry`) and
+    scatters them over a cached clutter template; :meth:`path_sets`
+    gives the same paths as per-antenna ``Path`` lists, and is what
+    the ``reference`` backend synthesizes from. ``frames()`` is one
     stream consumed alone; :class:`repro.sim.cohort.CohortFrameSource`
-    advances N of these and hands all their path sets to a single
-    fused ``synthesize_batch`` call per chunk.
+    advances N of these and solves and scatters all their paths in one
+    array program per chunk.
     """
 
     def __init__(self, scenario: Scenario) -> None:
@@ -610,6 +883,8 @@ class ScenarioStream:
             ]
         self._hand_walk = None
         self._prev_hand: np.ndarray | None = None
+        self._geometry: PathGeometry | None = None
+        self._template: np.ndarray | None = None
         if scenario.gesture is not None:
             self._hand_walk = GatedAR1(
                 float(np.exp(-self.dt / _HAND_WANDER_TAU_S)),
@@ -620,7 +895,8 @@ class ScenarioStream:
     def advance(self, f0: int, f1: int) -> tuple:
         """Advance every streaming state over frames ``[f0, f1)``.
 
-        Returns ``(surface, hand, jitters)`` for :meth:`path_sets`.
+        Returns ``(surface, hand, jitters)`` for :meth:`synthesize`,
+        :meth:`path_sets` or a cohort's :meth:`PathGeometry.solve`.
         Chunks must be consumed in order without gaps — the AR textures
         are sequential per sweep.
         """
@@ -643,29 +919,43 @@ class ScenarioStream:
             ]
         return surface, hand, jitters
 
+    @property
+    def geometry(self) -> PathGeometry:
+        """This session's :class:`PathGeometry` (built on first use)."""
+        if self._geometry is None:
+            self._geometry = PathGeometry([self.scenario])
+        return self._geometry
+
     def path_sets(self, surface, hand, jitters) -> list:
-        """Per-antenna path lists for one advanced chunk (length n_rx)."""
-        scn = self.scenario
-        n_sweeps = len(surface)
-        # Cross-antenna tx-side reuse only under optimizing backends;
-        # see Scenario.run.
-        tx_cache = {} if active_backend().static_split else None
+        """Per-antenna path lists for one advanced chunk (length n_rx).
+
+        Each list is the static clutter followed by the dynamic paths.
+        """
         return [
-            scn._paths_for_antenna(
-                rx,
-                surface,
-                hand,
-                self._clutter,
-                jitters[i] if jitters is not None else np.zeros(n_sweeps),
-                tx_cache=tx_cache,
-            )
-            for i, rx in enumerate(scn.array.rx)
+            self._clutter + paths
+            for paths in self.geometry.path_sets(
+                [surface], [hand], [jitters]
+            )[0]
         ]
 
     def synthesize(self, f0: int, f1: int, surface, hand, jitters):
         """Noise-free chunk spectra ``(n_rx, (f1-f0)*spf, n_bins)``."""
-        return self.synthesizer.synthesize_batch(
-            self.path_sets(surface, hand, jitters), (f1 - f0) * self.spf
+        n_sweeps = (f1 - f0) * self.spf
+        if not active_backend().static_split:
+            return self.synthesizer.synthesize_batch(
+                self.path_sets(surface, hand, jitters), n_sweeps
+            )
+        if self._template is None:
+            self._template = self.synthesizer.synthesize_batch(
+                [self._clutter] * self.num_rx, 1
+            )[:, 0, :]
+        out = np.empty(
+            (self.num_rx, n_sweeps, self.synthesizer.num_bins),
+            dtype=np.complex128,
+        )
+        out[:] = self._template[:, None, :]
+        return self.geometry.synthesize(
+            self.synthesizer, [surface], [hand], [jitters], out
         )
 
     def add_keyed_noise(self, block, i: int, f0: int, f1: int) -> None:

@@ -12,10 +12,14 @@ The load-bearing properties:
   tick plans, which it never runs, so dispatch needs no fallback;
 * the numpy synthesis kernel's internal optimizations — sweep tiling,
   scratch-buffer reuse, rank-grouped scatter — are *bitwise* invisible;
-* the fused cohort source is bitwise the per-session source (noise-free);
+* the fused cohort source is bitwise the per-session source (noise-free)
+  on every frame of every chunk, for mixed rooms, bodies and gestures,
+  and its noisy frames depend on neither the chunking nor the cohort;
 * profiling off means off: no profiler on the pipeline, no
   ``stage_profile`` counters in any result.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -42,9 +46,11 @@ from repro.kernels import (
 from repro.kernels import synthesis
 from repro.serve import ServingEngine, single_session
 from repro.sim import CohortFrameSource, Scenario, ScenarioStream
-from repro.sim.body import GatedAR1
-from repro.sim.motion import random_walk
-from repro.sim.room import through_wall_room
+from repro.geometry.antennas import t_array
+from repro.sim.body import GatedAR1, sample_population
+from repro.sim.gestures import pointing_session
+from repro.sim.motion import random_walk, stand_still
+from repro.sim.room import line_of_sight_room, through_wall_room
 
 
 @pytest.fixture(autouse=True)
@@ -315,6 +321,34 @@ class TestGatedAR1Parity:
         assert np.array_equal(walks["reference"], walks["numpy"])
 
 
+def _mixed_cohort(config, duration_s=0.5):
+    """A through-wall walk, a line-of-sight walk and a pointing session."""
+    tw, los = through_wall_room(), line_of_sight_room()
+    rng = np.random.default_rng(7)
+    body = sample_population(rng, count=11)[3]
+    position = np.array([0.8, 4.5, 0.0])
+    return [
+        Scenario(
+            random_walk(tw, np.random.default_rng(1), duration_s=duration_s),
+            room=tw, config=config, seed=21,
+        ),
+        Scenario(
+            random_walk(los, np.random.default_rng(2), duration_s=duration_s),
+            room=los, config=config, seed=22,
+        ),
+        Scenario(
+            stand_still(position, duration_s=duration_s), room=tw, body=body,
+            config=config, gesture=pointing_session(position, rng),
+            gesture_start_s=0.05, seed=23,
+        ),
+    ]
+
+
+def _cohort_frames(source):
+    """Every frame of a source, one list of per-session copies each."""
+    return [[b.copy() for b in tick] for tick in source.ticks()]
+
+
 class TestFusedCohort:
     def test_noise_free_fused_equals_per_session_bitwise(self, config):
         room = through_wall_room()
@@ -332,6 +366,83 @@ class TestFusedCohort:
             st = ScenarioStream(scenario)
             block = st.synthesize(0, 8, *st.advance(0, 8))
             assert np.array_equal(fused[k], block[:, : source.spf, :])
+
+    @pytest.mark.parametrize("backend", ["numpy", "reference"])
+    @pytest.mark.parametrize("chunk", [8, 7])
+    def test_every_frame_of_a_mixed_cohort_is_per_session(
+        self, config, backend, chunk
+    ):
+        """Walks, rooms and a gesture, past chunk 0: the carried state
+        (surface and wall-jitter walks, previous body centre, hand) must
+        agree across every chunk boundary, not only in frame 0."""
+        scenarios = _mixed_cohort(config)
+        set_backend(backend)
+        source = CohortFrameSource(scenarios, chunk_frames=chunk, noise=False)
+        fused = _cohort_frames(source)
+        assert len(fused) >= 3 * chunk
+        spf = source.spf
+        for k, scenario in enumerate(scenarios):
+            st = ScenarioStream(scenario)
+            for f0 in range(0, len(fused), chunk):
+                f1 = min(f0 + chunk, len(fused))
+                block = st.synthesize(f0, f1, *st.advance(f0, f1))
+                for f in range(f0, f1):
+                    row = (f - f0) * spf
+                    assert fused[f][k].tobytes() == (
+                        block[:, row : row + spf, :].tobytes()
+                    ), (k, f)
+
+    def test_noisy_frames_do_not_depend_on_chunking_or_cohort(self, config):
+        scenarios = _mixed_cohort(config)
+        set_backend("numpy")
+        runs = [
+            _cohort_frames(CohortFrameSource(scenarios, chunk_frames=c))
+            for c in (64, 7, 1)
+        ]
+        for other in runs[1:]:
+            assert len(other) == len(runs[0])
+            for a, b in zip(runs[0], other):
+                assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
+        for k, scenario in enumerate(scenarios):
+            alone = _cohort_frames(
+                CohortFrameSource([scenario], chunk_frames=7)
+            )
+            n = min(len(alone), len(runs[0]))
+            for f in range(n):
+                assert alone[f][0].tobytes() == runs[0][f][k].tobytes()
+
+    def test_rejects_sessions_with_another_config_or_array(self, config):
+        scenarios = _mixed_cohort(config)[:2]
+        shifted = config.replace(
+            fmcw=dataclasses.replace(
+                config.fmcw, start_hz=config.fmcw.start_hz + 0.5e9
+            )
+        )
+        other = Scenario(
+            scenarios[1].trajectory, room=scenarios[1].room, config=shifted,
+            seed=22,
+        )
+        # Same bin count, so only the configuration check catches it.
+        assert ScenarioStream(other).synthesizer.num_bins == (
+            ScenarioStream(scenarios[0]).synthesizer.num_bins
+        )
+        with pytest.raises(ValueError):
+            CohortFrameSource([scenarios[0], other])
+        array = t_array(config.array)
+        turned = dataclasses.replace(
+            array,
+            rx=(
+                dataclasses.replace(
+                    array.rx[0], boresight=np.array([0.0, 0.8, 0.6])
+                ),
+                *array.rx[1:],
+            ),
+        )
+        with pytest.raises(ValueError):
+            CohortFrameSource([
+                scenarios[0],
+                Scenario(scenarios[1].trajectory, config=config, array=turned),
+            ])
 
 
 def _serve_session(scenario, n_frames, chunk=8):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.config import FMCWConfig
+from repro.kernels import accumulate_spectra, use_backend
 from repro.rf.frontend import (
     TimeDomainPath,
     sweep_spectrum,
@@ -77,6 +78,58 @@ class TestSynthesis:
     def test_unknown_window_rejected(self, cfg):
         with pytest.raises(ValueError):
             SweepSynthesizer(cfg, NoiseModel(), window="flat")
+
+
+class TestBatchOutput:
+    """The ``out=`` contract of the fused synthesis entry points."""
+
+    @staticmethod
+    def _moving_streams(n):
+        return [
+            [Path(np.linspace(5.0 + 3.0 * t, 9.0 + 3.0 * t, n), np.ones(n))]
+            for t in range(2)
+        ]
+
+    def test_non_contiguous_out_is_rejected(self, synth):
+        """A strided out would be scattered through a reshape copy,
+        silently losing every dynamic path."""
+        n = 6
+        streams = self._moving_streams(n)
+        fresh = synth.synthesize_batch(streams, n)
+        assert np.sum(np.abs(fresh) ** 2) > 0.0
+        big = np.zeros((2, 2 * n, synth.num_bins), dtype=np.complex128)
+        with pytest.raises(ValueError):
+            synth.synthesize_batch(streams, n, out=big[:, :n, :])
+        with pytest.raises(ValueError):
+            synth.synthesize_paths(
+                np.stack([p[0].round_trip_m for p in streams]),
+                np.ones((2, n)),
+                np.arange(2),
+                big[:, :n, :],
+            )
+
+    def test_numpy_kernel_rejects_non_contiguous_out(self):
+        out = np.zeros((8, 64), dtype=np.complex128)[:, ::2]
+        frac = np.full((1, 4), 10.0)
+        with use_backend("numpy"), pytest.raises(ValueError):
+            accumulate_spectra(
+                out, frac, np.ones((1, 4), dtype=np.complex128),
+                np.zeros(1, dtype=np.int64), 4, 500, True,
+            )
+
+    def test_array_entry_point_is_synthesize_batch(self, synth):
+        n = 9
+        streams = self._moving_streams(n) + [
+            [Path(np.full(n, 12.0), np.zeros(n))]  # all zero: dropped
+        ]
+        want = synth.synthesize_batch(streams, n)
+        got = synth.synthesize_paths(
+            np.stack([ps[0].round_trip_m for ps in streams]),
+            np.stack([ps[0].amplitude for ps in streams]),
+            np.arange(3),
+            np.zeros_like(want),
+        )
+        assert got.tobytes() == want.tobytes()
 
     def test_range_bins(self, synth):
         bins = synth.range_bins_m()
