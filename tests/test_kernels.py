@@ -27,6 +27,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import default_config
 from repro.exec import ShardedStreamRunner
+from repro.geometry.antennas import t_array
 from repro.kernels import (
     accumulate_spectra,
     active_backend,
@@ -46,7 +47,6 @@ from repro.kernels import (
 from repro.kernels import synthesis
 from repro.serve import ServingEngine, single_session
 from repro.sim import CohortFrameSource, Scenario, ScenarioStream
-from repro.geometry.antennas import t_array
 from repro.sim.body import GatedAR1, sample_population
 from repro.sim.gestures import pointing_session
 from repro.sim.motion import random_walk, stand_still
