@@ -15,9 +15,11 @@ static clutter (most of the path count) is evaluated once per stream
 instead of once per sweep.
 
 The deterministic part — the noise-free spectra — is bitwise what the
-per-session path produces under the same backend, on every frame of
+per-session path produces under the numpy backend, on every frame of
 every chunk; tests pin this. The ``reference`` backend synthesizes the
-sessions' full per-antenna ``Path`` lists instead.
+sessions' full per-antenna ``Path`` lists instead, and agrees with
+per-session synthesis up to last-ulp differences (~1e-21) of its
+kernel's transcendental passes on differently sized arrays.
 
 **Serving noise model.** Receiver noise keeps the same physical model
 as :meth:`repro.rf.receiver.SweepSynthesizer.add_noise` but a cheaper

@@ -367,16 +367,15 @@ class TestFusedCohort:
             block = st.synthesize(0, 8, *st.advance(0, 8))
             assert np.array_equal(fused[k], block[:, : source.spf, :])
 
-    @pytest.mark.parametrize("backend", ["numpy", "reference"])
     @pytest.mark.parametrize("chunk", [8, 7])
     def test_every_frame_of_a_mixed_cohort_is_per_session(
-        self, config, backend, chunk
+        self, config, chunk
     ):
         """Walks, rooms and a gesture, past chunk 0: the carried state
         (surface and wall-jitter walks, previous body centre, hand) must
         agree across every chunk boundary, not only in frame 0."""
         scenarios = _mixed_cohort(config)
-        set_backend(backend)
+        set_backend("numpy")
         source = CohortFrameSource(scenarios, chunk_frames=chunk, noise=False)
         fused = _cohort_frames(source)
         assert len(fused) >= 3 * chunk

@@ -79,6 +79,11 @@ class TestSynthesis:
         with pytest.raises(ValueError):
             SweepSynthesizer(cfg, NoiseModel(), window="flat")
 
+    def test_range_bins(self, synth):
+        bins = synth.range_bins_m()
+        assert bins[0] == 0.0
+        assert np.isclose(np.diff(bins)[0], synth.axis.round_trip_per_bin_m)
+
 
 class TestBatchOutput:
     """The ``out=`` contract of the fused synthesis entry points."""
@@ -130,11 +135,6 @@ class TestBatchOutput:
             np.zeros_like(want),
         )
         assert got.tobytes() == want.tobytes()
-
-    def test_range_bins(self, synth):
-        bins = synth.range_bins_m()
-        assert bins[0] == 0.0
-        assert np.isclose(np.diff(bins)[0], synth.axis.round_trip_per_bin_m)
 
 
 class TestCrossModelAgreement:
