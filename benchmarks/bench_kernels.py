@@ -14,13 +14,19 @@ per-session-frame cost in nanoseconds, and the ratio against the numpy
 backend (``1.00x`` = numpy; ``>1`` = slower). Results land in
 ``benchmarks/kernels.json`` so CI legs leave a comparable artifact.
 
+The numpy synthesis kernel splits its sweep tiles over
+``synthesis_workers()`` threads (every usable CPU); its rows are timed
+at that count and at one worker, and the artifact records both counts
+with the host's ``cpu_count``.
+
 Before timing, both successive-cancellation rows (N=8 and a 2-session
 cohort, where the kernel is dispatch-bound) must give bitwise the same
 outputs under ``numpy`` as under its ``reference`` spec, and both sweep
 synthesis rows (N=8, and synth-1p's 16-session chunk) must agree with
 ``reference`` to the unit tests' tolerance (``rtol=1e-11``,
-``atol=1e-12`` of the peak); a mismatch is reported and the script
-exits 1 without timing anything.
+``atol=1e-12`` of the peak) and give bitwise the same output on one
+worker as on ``synthesis_workers()``; a mismatch is reported and the
+script exits 1 without timing anything.
 
 Run:
     python benchmarks/bench_kernels.py [--repeats 5] [--out kernels.json]
@@ -30,8 +36,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +60,9 @@ from repro.kernels import (
     kalman_tick,
     row_median,
     set_backend,
+    synthesis_workers,
 )
+from repro.kernels import backend as kernel_backend
 from repro.multi.association import (
     candidate_fixes_batched,
     claim_candidates,
@@ -331,6 +341,33 @@ def _synthesis_parity(workloads: list[dict]) -> dict[str, bool]:
     return parity
 
 
+@contextmanager
+def _workers(n: int):
+    """Run the numpy synthesis kernel's tiles on ``n`` threads."""
+    resolved = synthesis_workers()
+    kernel_backend._workers = n
+    try:
+        yield
+    finally:
+        kernel_backend._workers = resolved
+
+
+def _worker_parity(workloads: list[dict], workers: int) -> dict[str, bool]:
+    """Per synthesis row: is numpy on ``workers`` threads bitwise numpy
+    on one? (Each sweep tile writes only its own rows, so it must be.)"""
+    parity = {}
+    set_backend("numpy")
+    for work in workloads:
+        if not work["kernel"].startswith("accumulate_spectra"):
+            continue
+        outputs = []
+        for n in (1, workers):
+            with _workers(n):
+                outputs.append(work["run"]().copy())
+        parity[work["kernel"]] = outputs[0].tobytes() == outputs[1].tobytes()
+    return parity
+
+
 def _time_call(run, inner: int, repeats: int) -> float:
     """Best wall time of one kernel call (seconds), `inner` calls/rep."""
     run()  # warm up: allocator, scratch caches
@@ -346,12 +383,17 @@ def _time_call(run, inner: int, repeats: int) -> float:
 def bench(repeats: int) -> dict:
     restore = backend_name()
     backends = available_backends()
+    workers = synthesis_workers()
     rows = []
     try:
         workloads = _workloads()
         parity = _cancellation_parity(workloads)
         synthesis_parity = _synthesis_parity(workloads)
-        if not all(parity.values()) or not all(synthesis_parity.values()):
+        worker_parity = _worker_parity(workloads, workers)
+        if not all(
+            all(p.values())
+            for p in (parity, synthesis_parity, worker_parity)
+        ):
             workloads = []  # main() reports the mismatch; time nothing
         for work in workloads:
             timings = {}
@@ -361,21 +403,27 @@ def bench(repeats: int) -> dict:
                     work["run"], work["inner"], repeats
                 )
             base = timings["numpy"]
-            rows.append(
-                {
-                    "kernel": work["kernel"],
-                    "shape": work["shape"],
-                    "session_frames_per_call": work["frames"],
-                    "backends": {
-                        name: {
-                            "call_us": 1e6 * t,
-                            "ns_per_frame": 1e9 * t / work["frames"],
-                            "vs_numpy": t / base,
-                        }
-                        for name, t in timings.items()
-                    },
+            row = {
+                "kernel": work["kernel"],
+                "shape": work["shape"],
+                "session_frames_per_call": work["frames"],
+                "backends": {
+                    name: {
+                        "call_us": 1e6 * t,
+                        "ns_per_frame": 1e9 * t / work["frames"],
+                        "vs_numpy": t / base,
+                    }
+                    for name, t in timings.items()
+                },
+            }
+            if work["kernel"] in worker_parity:
+                set_backend("numpy")
+                with _workers(1):
+                    one = _time_call(work["run"], work["inner"], repeats)
+                row["numpy_call_us_by_workers"] = {
+                    "1": 1e6 * one, str(workers): 1e6 * base,
                 }
-            )
+            rows.append(row)
     finally:
         set_backend(restore)
     return {
@@ -383,8 +431,11 @@ def bench(repeats: int) -> dict:
         "repeats": repeats,
         "backends": backends,
         "numpy_version": np.__version__,
+        "cpu_count": os.cpu_count(),
+        "synthesis_workers": workers,
         "cancellation_parity": parity,
         "synthesis_parity": synthesis_parity,
+        "synthesis_worker_parity": worker_parity,
         "kernels": rows,
     }
 
@@ -420,6 +471,19 @@ def main() -> int:
             file=sys.stderr,
         )
         return 1
+    workers = payload["synthesis_workers"]
+    mismatched = [
+        kernel
+        for kernel, ok in payload["synthesis_worker_parity"].items()
+        if not ok
+    ]
+    if mismatched:
+        print(
+            f"numpy accumulate_spectra on {workers} workers differs from "
+            "one worker on: " + ", ".join(mismatched),
+            file=sys.stderr,
+        )
+        return 1
     names = payload["backends"]
     print(f"kernel microbenchmarks ({', '.join(names)})")
     header = f"{'kernel':>22}" + "".join(f"{n:>14}" for n in names)
@@ -430,6 +494,14 @@ def main() -> int:
         )
         worst = max(row["backends"][n]["vs_numpy"] for n in names)
         print(f"{row['kernel']:>22}{cells}{worst:>9.2f}x")
+    print(f"numpy synthesis on 1 / {workers} workers "
+          f"(cpu_count {payload['cpu_count']}):")
+    for row in payload["kernels"]:
+        by_workers = row.get("numpy_call_us_by_workers")
+        if by_workers:
+            one, many = by_workers["1"], by_workers[str(workers)]
+            print(f"{row['kernel']:>22}{one:>11.1f} us{many:>11.1f} us"
+                  f"{one / many:>9.2f}x")
     args.out.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.out}")
     return 0

@@ -57,7 +57,7 @@ from repro.exec import (
     shm_available,
     synthesize,
 )
-from repro.kernels import backend_name, set_backend
+from repro.kernels import backend_name, set_backend, synthesis_workers
 from repro.kernels.tick import enable_fusion, reset_fusion_override
 from repro.serve import ServingEngine, single_session
 from repro.sim import CohortFrameSource, Scenario, random_walk, through_wall_room
@@ -270,6 +270,7 @@ def bench_serving(n_sessions: int, duration_s: float, workers: int = 0) -> dict:
         "max_sessions": n_sessions,
         "workers": workers,
         "cpu_count": os.cpu_count(),
+        "synthesis_workers": synthesis_workers(),
         "scaling": rows,
         "cache": cache_stats(),
     }
@@ -546,6 +547,7 @@ def bench_multi(n_sessions: int, duration_s: float,
         "max_sessions": n_sessions,
         "repeats": repeats,
         "cpu_count": os.cpu_count(),
+        "synthesis_workers": synthesis_workers(),
         "backend": backend_name(),
         "scaling": rows,
     }
@@ -658,6 +660,7 @@ def bench_synthetic(n_sessions: int, duration_s: float,
         "chunk_frames": chunk_frames,
         "repeats": repeats,
         "cpu_count": os.cpu_count(),
+        "synthesis_workers": synthesis_workers(),
         "scaling": rows,
     }
 

@@ -108,7 +108,8 @@ def _append_bench_record(result: dict) -> None:
     """Append one compact record of this ``repro bench`` run.
 
     The trajectory file is a JSON array of {date, commit, dirty,
-    cpu_count, serial and sharded frames/s, p95, backend, fused} rows —
+    cpu_count, synthesis_workers, serial and sharded frames/s, p95,
+    backend, fused} rows —
     plus a condensed ``multi`` sub-record (K-person staged vs fused
     serving) when that gauge ran — enough to plot serving throughput
     over the repo's history without dragging full benchmark payloads
@@ -117,7 +118,7 @@ def _append_bench_record(result: dict) -> None:
     Best-effort: a read-only checkout or a missing git binary must
     never fail the benchmark itself.
     """
-    from .kernels import backend_name
+    from .kernels import backend_name, synthesis_workers
     from .kernels.tick import fusion_active
 
     try:
@@ -127,6 +128,7 @@ def _append_bench_record(result: dict) -> None:
             "commit": commit or None,
             "dirty": _worktree_dirty(),
             "cpu_count": os.cpu_count(),
+            "synthesis_workers": synthesis_workers(),
             "serial_fps": result["serial_fps"],
             "frames_per_s": result["sharded_fps"],
             "p95_latency_ms": result.get("p95_latency_ms"),

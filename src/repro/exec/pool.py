@@ -54,6 +54,7 @@ import traceback
 from multiprocessing.connection import Connection, wait
 from typing import Any, Callable, Sequence
 
+from ..kernels.backend import run_on_one_thread
 from .transport import (
     ParentTransport,
     TransportCounters,
@@ -156,6 +157,9 @@ def _worker_main(
     # the sessions and their partial results), so workers ignore the
     # signal and wait for an explicit "stop" or a closed pipe.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # The cores are shared with the sibling workers already, so the
+    # kernels' work-splitting helper keeps to this worker's thread.
+    run_on_one_thread()
     transport = WorkerTransport(transport_config)
     actor: Any = None
     try:

@@ -25,6 +25,7 @@ from .backend import (
     kernel,
     register,
     set_backend,
+    synthesis_workers,
     use_backend,
 )
 from .cancellation import successive_cancel
@@ -69,5 +70,6 @@ __all__ = [
     "row_median",
     "set_backend",
     "successive_cancel",
+    "synthesis_workers",
     "use_backend",
 ]

@@ -20,11 +20,20 @@ use), :func:`set_backend`, or the :func:`use_backend` context manager
 
 Parity: ``tests/test_kernels.py`` pins the numpy kernels against
 ``reference``, and the tick-fusion suites pin fused == staged bitwise.
+
+Cores: :func:`parallel_ranges` splits a kernel's independent items
+(the synthesis kernel's sweep tiles, a cohort chunk's streams) over
+:func:`synthesis_workers` threads; numpy releases the GIL inside the
+large-array loops, copies and draws that make up that work. Helper
+threads run only a caller's private loop body, never :func:`kernel`
+dispatch or a public layer entry point, so whatever wraps those entry
+points sees every call on the calling thread.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from contextlib import contextmanager
 from typing import Callable, Iterator
 
@@ -126,3 +135,67 @@ def use_backend(name: str) -> Iterator[str]:
         yield set_backend(name)
     finally:
         _active = previous
+
+
+#: Threads a :func:`parallel_ranges` call may use; resolved on first
+#: use by :func:`synthesis_workers`.
+_workers: int | None = None
+
+
+def synthesis_workers() -> int:
+    """Threads :func:`parallel_ranges` splits its items over.
+
+    Every usable CPU (``os.sched_getaffinity``), except in a process
+    that called :func:`run_on_one_thread`.
+    """
+    global _workers
+    if _workers is None:
+        _workers = len(os.sched_getaffinity(0))
+    return _workers
+
+
+def run_on_one_thread() -> None:
+    """Keep every later :func:`parallel_ranges` call on its caller.
+
+    :class:`~repro.exec.pool.WorkerPool` children call it first: they
+    already share the cores with their siblings.
+    """
+    global _workers
+    _workers = 1
+
+
+def parallel_ranges(n_items: int, fn: Callable[[int, int, int], None]) -> None:
+    """Run ``fn(worker, lo, hi)`` over contiguous ranges of ``n_items``.
+
+    The items are split into ``min(synthesis_workers(), n_items)``
+    contiguous ranges, in order; worker ``w`` gets the ``w``-th. The
+    calling thread runs worker 0's range and one helper thread per call
+    runs each other range. Every thread is joined before this returns,
+    and an exception raised on any of them is re-raised here (the
+    lowest worker's first). ``fn`` must touch only what its own range
+    owns; the worker index names the per-worker buffers it may use.
+    """
+    n_workers = min(synthesis_workers(), n_items)
+    if n_workers < 1:
+        return
+    bounds = [n_items * w // n_workers for w in range(n_workers + 1)]
+    errors: list[BaseException | None] = [None] * n_workers
+
+    def run(w: int) -> None:
+        try:
+            fn(w, bounds[w], bounds[w + 1])
+        except BaseException as exc:  # noqa: BLE001 - re-raised below
+            errors[w] = exc
+
+    helpers = [
+        threading.Thread(target=run, args=(w,))
+        for w in range(1, n_workers)
+    ]
+    for thread in helpers:
+        thread.start()
+    run(0)
+    for thread in helpers:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc

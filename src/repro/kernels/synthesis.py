@@ -34,13 +34,28 @@ strided window view of the flat output (which must therefore be
 C-contiguous); a group with a window over a row edge adds its in-row
 cells one by one instead. No dense row x bin accumulator is ever
 materialized.
+
+**Sweep tiles on every core.** The numpy kernel evaluates and scatters
+the sweep axis in cache-sized tiles, and a tile writes only its own
+sweeps' rows, so :func:`repro.kernels.backend.parallel_ranges` hands
+each worker thread a contiguous range of tiles: every cell still gets
+the same adds in the same order, whatever the worker count (tests pin
+1, 2 and 3 workers bitwise equal). Each worker index owns one
+persistent scratch slot, and a tile's window values and temporaries
+all live in it; what a worker allocates per tile is one group's
+index arrays and its window gather at a time, so the memory the
+threads hold together barely depends on how they interleave. The
+caller fills the window-constant caches, orders the paths and builds
+the window view before the split, and the helper threads run only the
+private tile loop: never :func:`accumulate_spectra` dispatch, whose
+wrappers (profilers, tracers) keep state that is not per thread.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .backend import kernel, register
+from .backend import kernel, parallel_ranges, register
 
 
 def accumulate_spectra(
@@ -134,28 +149,35 @@ def window_constants(half: int, n_samples: int, hann: bool):
 #: (see the module docstring), so tiling never changes a value.
 _TILE_CELLS = 1 << 16
 
-#: Single-slot tile-shaped work-buffer cache: every full tile of a
-#: call (and of a steady serving cohort's every chunk) reuses the same
-#: buffers; a partial final tile uses sliced views of them. One slot
-#: bounds the footprint; a shape change just reallocates.
-_SCRATCH: list = [None, None]
+#: Tile-shaped work buffers, one slot per worker index: every full
+#: tile a worker runs (in every call, and every chunk of a steady
+#: serving cohort) reuses its slot's buffers; a partial final tile uses
+#: sliced views of them. One slot per worker bounds the footprint and
+#: keeps it the same however the threads interleave; a shape change
+#: just reallocates that worker's slot.
+_SCRATCH: dict = {}
 
 
-def _scratch(n_paths: int, tile: int, width: int) -> dict:
+def _scratch(worker: int, n_paths: int, tile: int, width: int) -> dict:
     key = (n_paths, tile, width)
-    if _SCRATCH[0] != key:
+    slot = _SCRATCH.get(worker)
+    if slot is None or slot[0] != key:
         ext = (n_paths, tile, width + 2)
         win = (n_paths, tile, width)
-        _SCRATCH[0] = key
-        _SCRATCH[1] = {
+        slot = _SCRATCH[worker] = (key, {
             "den": np.empty(ext),
             "tmp": np.empty(ext),
             "re": np.empty(win),
             "im": np.empty(win),
             "contrib": np.empty(win, dtype=np.complex128),
             "sm": np.empty(win, dtype=np.complex128),
-        }
-    return _SCRATCH[1]
+            "mask": np.empty(ext, dtype=bool),
+            "f0": np.empty(n_paths * tile),
+            "f1": np.empty(n_paths * tile),
+            "c0": np.empty(n_paths * tile, dtype=np.complex128),
+            "exact": np.empty(n_paths * tile, dtype=bool),
+        })
+    return slot[1]
 
 
 def _stream_ranks(row_base: np.ndarray) -> list:
@@ -172,21 +194,35 @@ def _stream_ranks(row_base: np.ndarray) -> list:
 
 
 def _tile_contrib(e, coeff, sc, g, rot, pattern, cw, sw, n, ratio, hann):
-    """The factored window values for one sweep tile, into scratch."""
+    """The factored window values for one sweep tile, into scratch.
+
+    Allocates nothing the size of the tile: every (path, sweep) and
+    window temporary is a view of the worker's scratch slot. The
+    (path, sweep) ones are contiguous, like the fresh arrays of the
+    allocating form, so numpy runs the same loops on them (same ops,
+    same order — reuse never changes a value).
+    """
     # Per-(path, sweep) factor: sin(pi e) exp(-j pi ratio e) coeff.
-    small = np.sin(np.pi * e) * np.exp(-1j * np.pi * ratio * e)
+    m = e.shape[1]
+    f0 = sc["f0"][: e.size].reshape(e.shape)
+    f1 = sc["f1"][: e.size].reshape(e.shape)
+    small = sc["c0"][: e.size].reshape(e.shape)
+    np.sin(np.multiply(np.pi, e, out=f0), out=f0)
+    np.exp(np.multiply(-1j * np.pi * ratio, e, out=small), out=small)
+    np.multiply(f0, small, out=small)
     small *= coeff
 
     # Denominators n sin(pi (e + w) / n) over the extended window by
     # angle addition — one sin/cos pair per (path, sweep), two fused
-    # broadcasts over the window, one shared reciprocal pass, all
-    # through the scratch buffers (same ops, same order as the
-    # allocating form — reuse never changes a value).
-    m = e.shape[1]
-    arg = (np.pi / n) * e
-    den = np.multiply(np.sin(arg)[:, :, None], cw, out=sc["den"][:, :m])
-    den += np.multiply(np.cos(arg)[:, :, None], sw, out=sc["tmp"][:, :m])
-    den[den == 0.0] = 1.0
+    # broadcasts over the window, one shared reciprocal pass.
+    arg = np.multiply(np.pi / n, e, out=f1)
+    den = np.multiply(
+        np.sin(arg, out=f0)[:, :, None], cw, out=sc["den"][:, :m]
+    )
+    den += np.multiply(
+        np.cos(arg, out=f0)[:, :, None], sw, out=sc["tmp"][:, :m]
+    )
+    np.copyto(den, 1.0, where=np.equal(den, 0.0, out=sc["mask"][:, :m]))
     r = np.divide(1.0, den, out=den)
     contrib = sc["contrib"][:, :m]
     if hann:
@@ -205,7 +241,10 @@ def _tile_contrib(e, coeff, sc, g, rot, pattern, cw, sw, n, ratio, hann):
         contrib.imag = 0.0
     contrib *= np.multiply(small[:, :, None], g, out=sc["sm"][:, :m])
 
-    exact = np.abs(e) < 1e-12
+    exact = np.less(
+        np.abs(e, out=f1), 1e-12,
+        out=sc["exact"][: e.size].reshape(e.shape),
+    )
     if np.any(exact):
         contrib[exact] = coeff[exact][:, None] * pattern
     return contrib
@@ -217,6 +256,8 @@ def _accumulate_numpy(out, frac_bin, coeff, row_base, half, n_samples, hann):
         raise ValueError("out must be C-contiguous")
     n_rows, n_b = out.shape
     n_paths, n_sweeps = frac_bin.shape
+    if n_paths == 0 or n_sweeps == 0:
+        return
     n = float(n_samples)
     ratio = (n - 1.0) / n
     width = 2 * half + 1
@@ -237,7 +278,7 @@ def _accumulate_numpy(out, frac_bin, coeff, row_base, half, n_samples, hann):
         # bincount touches few rows and beats a per-path loop. The
         # branch depends only on n_sweeps, which fusion preserves, so
         # fused and per-stream calls always scatter the same way.
-        sc = _scratch(n_paths, 1, width)
+        sc = _scratch(0, n_paths, 1, width)
         contrib = _tile_contrib(
             e_all, coeff, sc, g, rot, pattern, cw, sw, n, ratio, hann
         )
@@ -268,37 +309,53 @@ def _accumulate_numpy(out, frac_bin, coeff, row_base, half, n_samples, hann):
     # gets exactly one add, and colliding paths still land in
     # ascending rank = original within-stream order — bitwise the
     # per-path loop. A group with a window over a row edge scatters
-    # its in-row cells one by one instead.
+    # its in-row cells one by one instead. The paths are put in group
+    # order first, so each group is a slice of every per-path array
+    # and its window values are added without being copied.
+    #
+    # A sweep tile writes only its own sweeps' rows, so the tiles are
+    # independent: each worker runs a contiguous range of them in
+    # order, through its own scratch slot, and every cell still gets
+    # the same adds in the same order.
     groups = _stream_ranks(row_base)
+    order = np.concatenate(groups)
+    e_all, binc_all, coeff = e_all[order], binc_all[order], coeff[order]
+    row_base = row_base[order]
+    ends = np.cumsum([len(sel) for sel in groups]).tolist()
+    spans = list(zip([0] + ends[:-1], ends))
     windows = None
-    tile = max(1, _TILE_CELLS // max(n_paths * (width + 2), 1))
-    sc = _scratch(n_paths, min(tile, n_sweeps), width)
-    for s0 in range(0, n_sweeps, tile):
-        s1 = min(s0 + tile, n_sweeps)
-        e = e_all[:, s0:s1]
-        binc = binc_all[:, s0:s1]
-        contrib = _tile_contrib(
-            e, coeff[:, s0:s1], sc, g, rot, pattern, cw, sw, n, ratio, hann
+    if n_b >= width:  # else no window fits inside a row
+        windows = np.lib.stride_tricks.as_strided(
+            out.reshape(-1),
+            shape=(n_rows * n_b - width + 1, width),
+            strides=(out.itemsize, out.itemsize),
         )
-        sweep_idx = np.arange(s0, s1, dtype=np.int64)
-        for sel in groups:
-            rows = row_base[sel][:, None] + sweep_idx
-            lo = binc[sel] - half
-            if lo.min() >= 0 and lo.max() + width <= n_b:
-                if windows is None:
-                    windows = np.lib.stride_tricks.as_strided(
-                        out.reshape(-1),
-                        shape=(n_rows * n_b - width + 1, width),
-                        strides=(out.itemsize, out.itemsize),
-                    )
-                start = (rows * n_b + lo).ravel()
-                windows[start] += contrib[sel].reshape(-1, width)
-            else:
-                bins = lo[:, :, None] + (w_win + half)
-                m = (bins >= 0) & (bins < n_b)
-                if m.any():
-                    rr = np.broadcast_to(rows[:, :, None], bins.shape)
-                    out[rr[m], bins[m]] += contrib[sel][m]
+    tile = max(1, _TILE_CELLS // (n_paths * (width + 2)))
+
+    def run_tiles(worker: int, t0: int, t1: int) -> None:
+        sc = _scratch(worker, n_paths, min(tile, n_sweeps), width)
+        for s0 in range(t0 * tile, min(t1 * tile, n_sweeps), tile):
+            s1 = min(s0 + tile, n_sweeps)
+            e = e_all[:, s0:s1]
+            binc = binc_all[:, s0:s1]
+            contrib = _tile_contrib(
+                e, coeff[:, s0:s1], sc, g, rot, pattern, cw, sw, n, ratio,
+                hann,
+            )
+            sweep_idx = np.arange(s0, s1, dtype=np.int64)
+            for g0, g1 in spans:
+                rows = row_base[g0:g1, None] + sweep_idx
+                lo = binc[g0:g1] - half
+                if lo.min() >= 0 and lo.max() + width <= n_b:
+                    windows[rows * n_b + lo] += contrib[g0:g1]
+                else:
+                    bins = lo[:, :, None] + (w_win + half)
+                    m = (bins >= 0) & (bins < n_b)
+                    if m.any():
+                        rr = np.broadcast_to(rows[:, :, None], bins.shape)
+                        out[rr[m], bins[m]] += contrib[g0:g1][m]
+
+    parallel_ranges(-(-n_sweeps // tile), run_tiles)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,18 @@ once per chunk instead of 3N times, no ``Path`` objects are built, and
 static clutter (most of the path count) is evaluated once per stream
 instead of once per sweep.
 
+A chunk is made in four steps. (1) Every session's streaming state
+advances, serially. (2) The chunk buffer is filled with the clutter
+template, split by stream across the worker threads of
+:func:`repro.kernels.backend.parallel_ranges`. (3) The geometry solve
+and the scatter kernel add the dynamic paths; the kernel splits its
+sweep tiles across the same workers. (4) The serving noise is added,
+split by session: every (session, antenna) stream draws from its own
+keyed generator, into the calling worker's own draw buffers, so the
+worker count changes neither a value nor the memory footprint. Each
+step's helper threads are joined before the next step starts, so the
+yielded frames are complete.
+
 The deterministic part — the noise-free spectra — is bitwise what the
 per-session path produces under the numpy backend, on every frame of
 every chunk; tests pin this. The ``reference`` backend synthesizes the
@@ -48,7 +60,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ..kernels.backend import active_backend
+from ..kernels.backend import active_backend, parallel_ranges
 from .scenario import PathGeometry, Scenario, ScenarioStream
 
 #: Domain-separation key of the serving noise streams (vs the
@@ -126,6 +138,7 @@ class CohortFrameSource:
         synthesizer = self.streams[0].synthesizer
         spf = self.spf
         n_rx = self.num_rx
+        nb = self.num_bins
         # Only backends that split static paths build a clutter
         # template; under the reference backend the full path sets go
         # through unchanged so per-session parity holds there too.
@@ -134,6 +147,8 @@ class CohortFrameSource:
             if active_backend().static_split
             else None
         )
+        # Per-worker noise draw buffers, reused by every chunk.
+        noise_buffers: dict = {}
         for f0 in range(0, self.n_frames, self.chunk_frames):
             f1 = min(f0 + self.chunk_frames, self.n_frames)
             n_sweeps = (f1 - f0) * spf
@@ -143,7 +158,11 @@ class CohortFrameSource:
                     (len(template), n_sweeps, self.num_bins),
                     dtype=np.complex128,
                 )
-                fused[:] = template[:, None, :]
+
+                def fill(worker: int, lo: int, hi: int) -> None:
+                    fused[lo:hi] = template[lo:hi, None, :]
+
+                parallel_ranges(len(template), fill)
                 self.geometry.synthesize(synthesizer, *zip(*advanced), fused)
             else:
                 fused = synthesizer.synthesize_batch(
@@ -158,8 +177,20 @@ class CohortFrameSource:
                 self.num_sessions, n_rx, n_sweeps, self.num_bins
             )
             if self.noise:
-                for k, st in enumerate(self.streams):
-                    self._serving_noise(chunk[k], st, f0, f1)
+
+                def add_noise(worker: int, lo: int, hi: int) -> None:
+                    if worker not in noise_buffers:
+                        noise_buffers[worker] = (
+                            np.empty((2, _NOISE_BLOCK_FRAMES, nb)),
+                            np.empty((_NOISE_BLOCK_FRAMES, nb), complex),
+                        )
+                    for k in range(lo, hi):
+                        self._serving_noise(
+                            chunk[k], self.streams[k], f0, f1,
+                            *noise_buffers[worker],
+                        )
+
+                parallel_ranges(self.num_sessions, add_noise)
             for f in range(f0, f1):
                 row = (f - f0) * spf
                 yield [
@@ -191,14 +222,24 @@ class CohortFrameSource:
         return [gen(k) for k in range(self.num_sessions)]
 
     def _serving_noise(
-        self, block: np.ndarray, st: ScenarioStream, f0: int, f1: int
+        self,
+        block: np.ndarray,
+        st: ScenarioStream,
+        f0: int,
+        f1: int,
+        draws: np.ndarray,
+        floor: np.ndarray,
     ) -> None:
         """Frame-rate thermal noise + phase jitter, in place.
 
         ``block`` is ``(n_rx, (f1-f0)*spf, n_bins)``. Per antenna and
         64-frame noise block, one keyed SFC64 stream supplies the
         frame-level complex floor (broadcast across the frame's sweeps
-        at ``1/sqrt(spf)`` power) and the per-frame phase jitter.
+        at ``1/sqrt(spf)`` power) and the per-frame phase jitter. The
+        floor is drawn into ``draws`` ``(2, 64, n_bins)`` and combined
+        in ``floor`` ``(64, n_bins)`` complex, the calling worker's
+        buffers, with the arithmetic of ``sigma * (w0 + 1j * w1)`` in
+        its order.
         """
         syn = st.synthesizer
         noise = syn.noise
@@ -220,15 +261,16 @@ class CohortFrameSource:
                         np.random.SeedSequence([seed, _NOISE_KEY, i, b])
                     )
                 )
-                w = rng.standard_normal((2, bsz, nb))
+                rng.standard_normal(out=draws)
                 eps = rng.standard_normal((bsz, 1))
                 lo = max(f0, b * bsz)
                 hi = min(f1, (b + 1) * bsz)
                 sel = slice(lo - b * bsz, hi - b * bsz)
                 rows = frames[i, lo - f0 : hi - f0]
-                c = sigma * (w[0, sel] + 1j * w[1, sel])
+                c = np.multiply(1j, draws[1, sel], out=floor[: hi - lo])
+                np.add(draws[0, sel], c, out=c)
+                np.multiply(sigma, c, out=c)
                 rows += c[:, None, :]
                 rows *= np.exp(
                     1j * noise.phase_noise_std_rad * eps[sel]
                 )[:, :, None]
-        return None

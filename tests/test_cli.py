@@ -7,6 +7,7 @@ import pytest
 
 from repro import cli
 from repro.cli import build_parser, main
+from repro.kernels import synthesis_workers
 
 
 class TestParser:
@@ -73,6 +74,7 @@ class TestBenchTrajectory:
         assert [r["serial_fps"] for r in records] == [900.0, 950.0]
         assert records[0]["frames_per_s"] == 1800.0
         assert records[0]["cpu_count"] == os.cpu_count()
+        assert records[0]["synthesis_workers"] == synthesis_workers()
         assert records[0]["dirty"] in (True, False, None)
 
     @pytest.mark.parametrize(

@@ -8,7 +8,9 @@ The properties the distributed tiers lean on:
   worker survives and keeps serving;
 * a killed worker surfaces as :class:`WorkerCrash` and the pool keeps
   routing to survivors — the failure seam the serving tier's failover
-  is built on.
+  is built on;
+* a worker runs the kernels on its own thread only: its siblings
+  already share the cores.
 """
 
 import os
@@ -22,6 +24,7 @@ from repro.exec.pool import (
     WorkerPool,
     pool_available,
 )
+from repro.kernels import backend, synthesis_workers
 
 pytestmark = pytest.mark.skipif(
     not pool_available(), reason="platform cannot fork"
@@ -106,6 +109,15 @@ class TestApply:
     def test_result_without_request_rejected(self, pool):
         with pytest.raises(RuntimeError, match="no request"):
             pool.result(0)
+
+    def test_workers_run_the_kernels_on_one_thread(self, monkeypatch):
+        # Even when the parent resolved (or forked with) more threads.
+        monkeypatch.setattr(backend, "_workers", 3)
+        with WorkerPool(2) as pool:
+            assert [pool.apply(w, synthesis_workers) for w in (0, 1)] == [
+                1, 1,
+            ]
+        assert synthesis_workers() == 3
 
 
 class TestActors:

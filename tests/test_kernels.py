@@ -11,15 +11,19 @@ The load-bearing properties:
 * ``reference`` registers every kernel ``numpy`` does except the fused
   tick plans, which it never runs, so dispatch needs no fallback;
 * the numpy synthesis kernel's internal optimizations — sweep tiling,
-  scratch-buffer reuse, rank-grouped scatter — are *bitwise* invisible;
+  scratch-buffer reuse, rank-grouped scatter, sweep tiles on worker
+  threads — are *bitwise* invisible;
 * the fused cohort source is bitwise the per-session source (noise-free)
   on every frame of every chunk, for mixed rooms, bodies and gestures,
-  and its noisy frames depend on neither the chunking nor the cohort;
+  and its noisy frames depend on neither the chunking, the cohort nor
+  the worker count;
 * profiling off means off: no profiler on the pipeline, no
   ``stage_profile`` counters in any result.
 """
 
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -44,7 +48,8 @@ from repro.kernels import (
     successive_cancel,
     use_backend,
 )
-from repro.kernels import synthesis
+from repro.kernels import backend, synthesis
+from repro.kernels.backend import parallel_ranges
 from repro.serve import ServingEngine, single_session
 from repro.sim import CohortFrameSource, Scenario, ScenarioStream
 from repro.sim.body import GatedAR1, sample_population
@@ -90,11 +95,57 @@ def _accumulate_inputs(seed, n_streams=6, paths_per=4, n_sweeps=37,
     return frac, coeff, row_base, out_shape
 
 
-def _run_accumulate(backend, frac, coeff, row_base, out_shape, hann=True):
-    with use_backend(backend):
+def _run_accumulate(name, frac, coeff, row_base, out_shape, hann=True,
+                    half=4):
+    with use_backend(name):
         out = np.zeros(out_shape, dtype=np.complex128)
-        accumulate_spectra(out, frac, coeff, row_base, 4, 500, hann)
+        accumulate_spectra(out, frac, coeff, row_base, half, 500, hann)
     return out
+
+
+@st.composite
+def accumulate_inputs(draw):
+    """``accumulate_spectra`` arguments over the numpy kernel's branches.
+
+    One to four streams of zero to four paths each (no paths at all is
+    the no-op case), in any order; one sweep (the clutter-template
+    branch) or many; windows of 3-9 bins over rows of 4-64 bins, with
+    every center inside its row's interior or anywhere from past the
+    left edge to past the right one (edge-row groups), exact bin hits,
+    and two same-stream paths on the same cells. ``tile_cells`` sets the
+    sweep tile from one sweep (more tiles than workers, or fewer) to
+    every sweep (a single tile).
+    """
+    n_streams = draw(st.integers(1, 4))
+    paths_per = draw(st.integers(0, 4))
+    n_sweeps = draw(st.sampled_from([1, 2, 3, 5, 9, 31]))
+    n_bins = draw(st.sampled_from([4, 9, 23, 64]))
+    half = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_paths = n_streams * paths_per
+    shape = (n_paths, n_sweeps)
+    if draw(st.booleans()) and n_bins > 2 * half + 2:
+        frac = rng.uniform(half, n_bins - 1 - half, shape)
+    else:
+        frac = rng.uniform(-half - 3.0, n_bins + half + 3.0, shape)
+    if n_paths and draw(st.booleans()):
+        frac[0] = np.rint(frac[0])
+    if paths_per >= 2 and draw(st.booleans()):
+        frac[1] = frac[0]
+    coeff = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    row_base = np.repeat(
+        np.arange(n_streams, dtype=np.int64) * n_sweeps, paths_per
+    )
+    order = rng.permutation(n_paths)
+    return (
+        frac[order],
+        coeff[order],
+        row_base[order],
+        (n_streams * n_sweeps, n_bins),
+        half,
+        draw(st.booleans()),
+        draw(st.sampled_from([1, 64, 400, 1 << 16])),
+    )
 
 
 class TestAccumulateParity:
@@ -139,7 +190,7 @@ class TestAccumulateParity:
         frac, coeff, row_base, shape = _accumulate_inputs(11, n_sweeps=53)
         big = _run_accumulate("numpy", frac, coeff, row_base, shape)
         monkeypatch.setattr(synthesis, "_TILE_CELLS", 64)
-        monkeypatch.setattr(synthesis, "_SCRATCH", [None, None])
+        monkeypatch.setattr(synthesis, "_SCRATCH", {})
         tiny = _run_accumulate("numpy", frac, coeff, row_base, shape)
         assert np.array_equal(big, tiny)
 
@@ -149,6 +200,41 @@ class TestAccumulateParity:
         cold = _run_accumulate("numpy", frac, coeff, row_base, shape)
         warm = _run_accumulate("numpy", frac, coeff, row_base, shape)
         assert np.array_equal(cold, warm)
+
+    @given(args=accumulate_inputs())
+    @settings(max_examples=120, deadline=None)
+    def test_reference_pins_numpy_over_the_domain(self, args):
+        """Zero paths included: both backends leave ``out`` alone."""
+        frac, coeff, row_base, shape, half, hann, tile_cells = args
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(synthesis, "_TILE_CELLS", tile_cells)
+            outs = [
+                _run_accumulate(name, frac, coeff, row_base, shape, hann,
+                                half)
+                for name in ("reference", "numpy")
+            ]
+        ref, got = outs
+        if len(frac) == 0:
+            assert not ref.any() and not got.any()
+        np.testing.assert_allclose(
+            got, ref, rtol=1e-11, atol=1e-12 * np.abs(ref).max(initial=0.0)
+        )
+
+    @given(args=accumulate_inputs())
+    @settings(max_examples=120, deadline=None)
+    def test_worker_count_is_bitwise_invisible(self, args):
+        """Sweep tiles on 1, 2 or 3 workers: the same adds per cell."""
+        frac, coeff, row_base, shape, half, hann, tile_cells = args
+        outs = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(synthesis, "_TILE_CELLS", tile_cells)
+            for workers in (1, 2, 3):
+                mp.setattr(backend, "_workers", workers)
+                outs.append(
+                    _run_accumulate("numpy", frac, coeff, row_base, shape,
+                                    hann, half)
+                )
+        assert all(_bitwise_equal(outs[0], other) for other in outs[1:])
 
 
 class TestContourKernels:
@@ -310,6 +396,75 @@ class TestBackendSeam:
         assert spec == fast - {"fused_tick_single", "fused_tick_multi"}
 
 
+class TestParallelRanges:
+    @pytest.mark.parametrize(
+        "workers,n_items", [(1, 5), (2, 5), (3, 2), (3, 9)]
+    )
+    def test_contiguous_ranges_cover_every_item_once(
+        self, monkeypatch, workers, n_items
+    ):
+        monkeypatch.setattr(backend, "_workers", workers)
+        calls = []
+        parallel_ranges(
+            n_items,
+            lambda w, lo, hi: calls.append((w, lo, hi, threading.get_ident())),
+        )
+        calls.sort()
+        used = min(workers, n_items)
+        assert [c[:3] for c in calls] == [
+            (w, n_items * w // used, n_items * (w + 1) // used)
+            for w in range(used)
+        ]
+        # The caller runs the first range itself, helpers the others.
+        main = threading.get_ident()
+        assert [c[3] == main for c in calls] == [True] + [False] * (used - 1)
+
+    def test_no_items_calls_nothing(self):
+        parallel_ranges(0, lambda w, lo, hi: pytest.fail("called"))
+
+    def test_kernel_under_thread_switch_stress(self, monkeypatch):
+        """Eight workers on a 1 us switch interval, one tile per sweep:
+        each builds its scratch slot and scatters its rows while the
+        others interleave, and the output is still the 1-worker one."""
+        frac, coeff, row_base, shape = _accumulate_inputs(5, n_sweeps=41)
+        monkeypatch.setattr(synthesis, "_TILE_CELLS", 1)
+        monkeypatch.setattr(synthesis, "_SCRATCH", {})
+        monkeypatch.setattr(backend, "_workers", 1)
+        want = _run_accumulate("numpy", frac, coeff, row_base, shape)
+        monkeypatch.setattr(backend, "_workers", 8)
+        got = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                runner = threading.Thread(
+                    target=lambda: got.append(
+                        _run_accumulate("numpy", frac, coeff, row_base, shape)
+                    )
+                )
+                runner.start()
+                runner.join(timeout=60)
+                assert not runner.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(got) == 3
+        assert all(_bitwise_equal(want, out) for out in got)
+
+    def test_helper_exception_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(backend, "_workers", 3)
+        finished = []
+
+        def fn(worker, lo, hi):
+            if worker == 2:
+                raise KeyError("helper failed")
+            finished.append(worker)
+
+        with pytest.raises(KeyError, match="helper failed"):
+            parallel_ranges(6, fn)
+        # Every other range still ran to completion before the raise.
+        assert sorted(finished) == [0, 1]
+
+
 class TestGatedAR1Parity:
     def test_reference_matches_numpy_bitwise(self):
         activity = np.random.default_rng(1).uniform(0.0, 1.0, 97)
@@ -409,6 +564,26 @@ class TestFusedCohort:
             n = min(len(alone), len(runs[0]))
             for f in range(n):
                 assert alone[f][0].tobytes() == runs[0][f][k].tobytes()
+
+    @pytest.mark.parametrize("chunk", [64, 7])
+    def test_noisy_frames_do_not_depend_on_the_worker_count(
+        self, config, monkeypatch, chunk
+    ):
+        """The clutter fill, the kernel's tiles and the per-session noise
+        on 1 or 2 workers; the cohort, and its first session alone."""
+        scenarios = _mixed_cohort(config)
+        set_backend("numpy")
+        runs = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(backend, "_workers", workers)
+            runs[workers] = [
+                _cohort_frames(CohortFrameSource(cohort, chunk_frames=chunk))
+                for cohort in (scenarios, scenarios[:1])
+            ]
+        for one, two in zip(runs[1], runs[2]):
+            assert len(one) == len(two) > chunk // 2
+            for a, b in zip(one, two):
+                assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
     def test_rejects_sessions_with_another_config_or_array(self, config):
         scenarios = _mixed_cohort(config)[:2]
