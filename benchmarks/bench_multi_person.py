@@ -28,11 +28,6 @@ from repro.eval.harness import (
 from repro.eval.metrics import mot_metrics, ospa_series
 from repro.exec import default_runner
 from repro.kernels import backend_name
-from repro.kernels.tick import (
-    MultiTickPlan,
-    enable_fusion,
-    reset_fusion_override,
-)
 from repro.multi import MultiScenario, MultiWiTrack
 from repro.sim import (
     DepthCalibration,
@@ -161,15 +156,11 @@ def _identity_fields(truths: np.ndarray, result) -> dict:
 
 
 def crossing_benchmark(seed: int = SEED) -> dict:
-    """Score the crossing workload staged and fused, on one synthesis.
+    """Track the crossing workload once and score it.
 
-    Synthesizes the two-walker crossing scene once, tracks it twice —
-    fusion forced off and on — and scores both against the VICON truth
-    protocol. The fused run must be bitwise the staged run (positions,
-    identities, coasting flags), so its MOTA/ID-switch numbers gate in
-    CI exactly like the throughput artifacts do. Each leg also counts
-    its ``MultiTickPlan.run`` calls, so the gate can check that the
-    fusion toggle really switched execution paths.
+    Synthesizes the two-walker crossing scene, tracks it, and scores the
+    tracks against the VICON truth protocol; the MOTA/ID-switch numbers
+    gate in CI exactly like the throughput artifacts do.
     """
     room = through_wall_room()
     config = default_config()
@@ -179,97 +170,49 @@ def crossing_benchmark(seed: int = SEED) -> dict:
     out = MultiScenario(
         list(zip(bodies, walks)), room=room, config=config, seed=seed + 1
     ).run()
-
-    plan_run = MultiTickPlan.run
-    plan_calls = [0]
-
-    def counted_run(plan, tick):
-        plan_calls[0] += 1
-        return plan_run(plan, tick)
-
-    def run(fused: bool):
-        enable_fusion(fused)
-        plan_calls[0] = 0
-        tracker = MultiWiTrack(config, max_people=2, room=room)
-        return tracker.track(out.spectra, out.range_bin_m), plan_calls[0]
-
-    MultiTickPlan.run = counted_run
-    try:
-        staged, staged_plan_ticks = run(False)
-        fused, fused_plan_ticks = run(True)
-    finally:
-        MultiTickPlan.run = plan_run
-        reset_fusion_override()
+    tracker = MultiWiTrack(config, max_people=2, room=room)
+    result = tracker.track(out.spectra, out.range_bin_m)
 
     # Ground truth per person: the Section 8(a) protocol applied per
     # target (same stream seeds as the eval harness).
     vicon = ViconSystem()
     calibration = DepthCalibration()
-    truths = np.empty((2, staged.num_frames, 3))
+    truths = np.empty((2, result.num_frames, 3))
     for p, (body, walk) in enumerate(zip(bodies, walks)):
         captured = vicon.capture(walk, np.random.default_rng(seed + 2 + 7 * p))
-        centers = captured.resample(staged.frame_times_s)
+        centers = captured.resample(result.frame_times_s)
         depth = calibration.measure_depth(
             body, np.random.default_rng(seed + 3 + 7 * p)
         )
         truths[p] = calibration.compensate(centers, depth)
 
-    identical = (
-        staged.track_ids == fused.track_ids
-        and np.array_equal(staged.positions, fused.positions, equal_nan=True)
-        and np.array_equal(staged.coasting, fused.coasting)
-    )
     return {
         "workload": "crossing",
         "seed": seed,
         "num_people": 2,
-        "frames": int(staged.num_frames),
+        "frames": int(result.num_frames),
         "backend": backend_name(),
-        "staged": _identity_fields(truths, staged),
-        "fused": _identity_fields(truths, fused),
-        "fused_identical": bool(identical),
-        "staged_plan_ticks": staged_plan_ticks,
-        "fused_plan_ticks": fused_plan_ticks,
+        **_identity_fields(truths, result),
     }
 
 
 def test_crossing_identity():
-    print_header(
-        "Crossing-heavy workload (K=2, ranges cross) - "
-        "identity, staged vs fused"
-    )
+    print_header("Crossing-heavy workload (K=2, ranges cross) - identity")
     payload = crossing_benchmark()
-    for leg in ("staged", "fused"):
-        f = payload[leg]
-        print(f"{leg:>6}:  MOTA {f['mota']:.3f}  "
-              f"ID switches {f['id_switches']}  misses {f['misses']}  "
-              f"false positives {f['false_positives']}  "
-              f"mean OSPA {f['mean_ospa_cm']:.1f} cm  "
-              f"tracks {f['tracks']}")
-    print(f"fused identical to staged: "
-          f"{'yes' if payload['fused_identical'] else 'NO'}  "
-          f"(MultiTickPlan ticks: staged {payload['staged_plan_ticks']}, "
-          f"fused {payload['fused_plan_ticks']})")
+    print(f"MOTA {payload['mota']:.3f}  "
+          f"ID switches {payload['id_switches']}  "
+          f"misses {payload['misses']}  "
+          f"false positives {payload['false_positives']}  "
+          f"mean OSPA {payload['mean_ospa_cm']:.1f} cm  "
+          f"tracks {payload['tracks']}")
     CROSSING_OUT.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {CROSSING_OUT}")
 
-    # The comparison below means something only if the two legs ran
-    # different code: the fused leg through the compiled plan, the
-    # staged leg never.
-    assert payload["fused_plan_ticks"] > 0, "fused leg never ran a plan"
-    assert payload["staged_plan_ticks"] == 0, "staged leg ran a plan"
-    # The CI identity gate: fusing the K-person tick must not change
-    # tracking output at all, so MOTA and ID switches are unchanged by
-    # construction — and the JSON artifact records the absolute values
-    # so workload regressions show up in run-over-run diffs.
-    assert payload["fused_identical"], (
-        "fused multi-person tracking diverged from staged"
-    )
-    assert payload["fused"] == payload["staged"]
-    staged = payload["staged"]
-    assert staged["mota"] > 0.75, f"crossing MOTA collapsed: {staged}"
-    assert staged["id_switches"] == 0, (
-        f"crossing workload lost identity: {staged}"
+    # The CI identity gate; the JSON artifact records the absolute
+    # values so workload regressions show up in run-over-run diffs.
+    assert payload["mota"] > 0.75, f"crossing MOTA collapsed: {payload}"
+    assert payload["id_switches"] == 0, (
+        f"crossing workload lost identity: {payload}"
     )
 
 

@@ -21,15 +21,9 @@ Results land in ``benchmarks/serving.json`` so CI runs leave a
 comparable artifact alongside ``throughput.json`` (the workers matrix
 uploads it as the ``serving-distributed`` artifact).
 
-With ``--multi`` the benchmark switches to K-person cohorts: every
-session is a 2-person stream (plus a mixed row where 3-person sessions
-ride alongside, so one tick serves two cohorts), timed staged vs fused
-through the multi-person tick plan and bit-checked including track
-identities. Results land in ``benchmarks/serving_multi.json``.
-
 Run:
     python benchmarks/bench_serving.py [--sessions 8] [--duration 8] \\
-        [--workers 2] [--multi]
+        [--workers 2]
 """
 
 from __future__ import annotations
@@ -514,48 +508,6 @@ def _tick_fusion_comparison(config, range_bin_m, scenarios,
     }
 
 
-def bench_multi(n_sessions: int, duration_s: float,
-                repeats: int = 3, seed: int = 0) -> dict:
-    """K-person serving: staged per-slot loop vs fused multi tick plans.
-
-    The acceptance row is K=2 at the top session count — the workload
-    the multi-person tick compiler targets — plus smaller counts for
-    scaling and one mixed-cohort row (3-person sessions alongside the
-    2-person majority) exercising several cohorts per tick. Each row
-    carries the staged-vs-fused bitwise-identity verdict over every
-    session's outputs, track identities included.
-    """
-    from repro.serve.bench import multi_person_comparison
-
-    rows = []
-    counts = sorted({1, max(n_sessions // 2, 1), n_sessions})
-    for n in counts:
-        rows.append(
-            multi_person_comparison(
-                [2] * n, duration_s, seed=seed, repeats=repeats
-            )
-        )
-    mixed = None
-    if n_sessions >= 4:
-        mixed = multi_person_comparison(
-            [2] * (n_sessions - 2) + [3] * 2, duration_s,
-            seed=seed, repeats=repeats,
-        )
-    payload = {
-        "mode": "multi",
-        "duration_s": duration_s,
-        "max_sessions": n_sessions,
-        "repeats": repeats,
-        "cpu_count": os.cpu_count(),
-        "synthesis_workers": synthesis_workers(),
-        "backend": backend_name(),
-        "scaling": rows,
-    }
-    if mixed is not None:
-        payload["mixed_cohorts"] = mixed
-    return payload
-
-
 def bench_synthetic(n_sessions: int, duration_s: float,
                     chunk_frames: int = 64, repeats: int = 3,
                     workers: int = 0) -> dict:
@@ -675,12 +627,6 @@ def main() -> int:
                         help="synthesis-inclusive mode: fused cohort "
                              "source (numpy backend) vs per-session "
                              "frames() (reference backend)")
-    parser.add_argument("--multi", action="store_true",
-                        help="K-person cohorts: staged per-slot "
-                             "association vs fused multi-person tick "
-                             "plans, bit-checked incl. track identities")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="scenario seed (multi mode)")
     parser.add_argument("--chunk", type=int, default=64,
                         help="synthesis chunk frames (synthetic mode)")
     parser.add_argument("--repeats", type=int, default=3,
@@ -707,44 +653,6 @@ def main() -> int:
     if workers and not pool_available():
         print("fork unavailable; skipping the distributed rows")
         workers = 0
-
-    if args.multi:
-        payload = bench_multi(
-            args.sessions, args.duration, repeats=args.repeats,
-            seed=args.seed,
-        )
-        out = args.output
-        if out == parser.get_default("output"):
-            out = out.with_name("serving_multi.json")
-        print("\nmulti-person serving (aggregate frames/s)")
-        print(f"{'N':>4}{'people':>8}{'staged':>12}{'fused':>12}"
-              f"{'speedup':>10}{'p95 (ms)':>10}{'identical':>11}")
-
-        def print_row(row):
-            people = "+".join(
-                f"{k}x{row['people_per_session'].count(k)}"
-                for k in sorted(set(row["people_per_session"]))
-            )
-            print(f"{row['sessions']:>4}{people:>8}"
-                  f"{row['staged_fps']:>12.0f}{row['fused_fps']:>12.0f}"
-                  f"{row['speedup']:>9.2f}x"
-                  f"{row['fused_p95_latency_ms']:>10.2f}"
-                  f"{'yes' if row['identical'] else 'NO':>11}")
-
-        for row in payload["scaling"]:
-            print_row(row)
-        if "mixed_cohorts" in payload:
-            print_row(payload["mixed_cohorts"])
-        top = payload["scaling"][-1]
-        print(f"\nat N={top['sessions']} (K=2, {top['backend']} backend): "
-              f"{top['speedup']:.2f}x fused over staged, identical "
-              f"{'yes' if top['identical'] else 'NO'}")
-        out.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {out}")
-        checked = payload["scaling"] + (
-            [payload["mixed_cohorts"]] if "mixed_cohorts" in payload else []
-        )
-        return 0 if all(row["identical"] for row in checked) else 1
 
     if args.synthetic:
         payload = bench_synthetic(

@@ -109,12 +109,10 @@ def _append_bench_record(result: dict) -> None:
 
     The trajectory file is a JSON array of {date, commit, dirty,
     cpu_count, synthesis_workers, serial and sharded frames/s, p95,
-    backend, fused} rows —
-    plus a condensed ``multi`` sub-record (K-person staged vs fused
-    serving) when that gauge ran — enough to plot serving throughput
-    over the repo's history without dragging full benchmark payloads
-    along. ``commit`` is the checked-out HEAD; ``dirty`` says whether
-    the measured code differs from it.
+    backend, fused} rows — enough to plot serving throughput over the
+    repo's history without dragging full benchmark payloads along.
+    ``commit`` is the checked-out HEAD; ``dirty`` says whether the
+    measured code differs from it.
     Best-effort: a read-only checkout or a missing git binary must
     never fail the benchmark itself.
     """
@@ -135,16 +133,6 @@ def _append_bench_record(result: dict) -> None:
             "backend": backend_name(),
             "fused": fusion_active(),
         }
-        multi = result.get("multi_serving")
-        if multi is not None:
-            record["multi"] = {
-                "sessions": multi["sessions"],
-                "people_per_session": multi["people_per_session"],
-                "staged_fps": multi["staged_fps"],
-                "fused_fps": multi["fused_fps"],
-                "speedup": multi["speedup"],
-                "identical": multi["identical"],
-            }
         path = _bench_trajectory_path()
         if path is None:
             return
@@ -385,27 +373,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print("\nper-stage profile (serial leg):")
         print(profiler.table())
 
-    # Multi-person serving row: a short K=2 cohort gauge (staged vs
-    # fused on identical frames) so the trajectory record tracks the
-    # K-person tick path alongside single-person throughput.
-    from .serve.bench import multi_person_comparison
-
-    multi = multi_person_comparison(
-        [2] * 4, duration_s=min(args.duration, 4.0), seed=args.seed,
-        repeats=1,
-    )
-    result["multi_serving"] = multi
-    print(f"multi      : K=2 x {multi['sessions']} sessions  "
-          f"staged {multi['staged_fps']:6.0f} frames/s  "
-          f"fused {multi['fused_fps']:6.0f} frames/s  "
-          f"({multi['speedup']:.2f}x, "
-          f"identical {'yes' if multi['identical'] else 'NO'})")
-
     if args.output is not None:
         args.output.write_text(json.dumps(result, indent=2) + "\n")
         print(f"wrote {args.output}")
     _append_bench_record(result)
-    return 0 if result["identical"] and multi["identical"] else 1
+    return 0 if result["identical"] else 1
 
 
 def cmd_serve(args: argparse.Namespace) -> int:

@@ -1,12 +1,12 @@
 """The kernel tier: pluggable array backends under the hot loops.
 
 Importing this package registers every kernel's ``numpy`` fast path
-and its ``reference`` executable spec (the fused tick plans have no
-``reference`` kernel: their spec is the staged stage loop). See
+and its ``reference`` executable spec (the fused single-person tick has
+no ``reference`` kernel: its spec is the staged stage loop). See
 :mod:`repro.kernels.backend` for the selection rules
 (``REPRO_BACKEND=numpy|reference``),
-:mod:`repro.kernels.tick` for the tick compiler that fuses the whole
-per-cohort stage chain into one kernel call (``REPRO_FUSED=0|1``), and
+:mod:`repro.kernels.tick` for the tick compiler that fuses the
+single-person stage chain into one kernel call (``REPRO_FUSED=0|1``), and
 :mod:`repro.kernels.profile` for the per-stage profiling hooks
 (``REPRO_PROFILE=1``).
 """

@@ -6,15 +6,15 @@ intermediate allocations that dwarf the actual math on small cohorts.
 :func:`compile_tick_plan` pattern-matches a pipeline's stage list
 (each stage advertises its kernel-form update via
 :meth:`~repro.pipeline.stages.Stage.fuse_spec`) against the
-single-person chain — emitting a :class:`TickPlan`: the whole chain
-stitched into one backend call over the stages' own SoA state slabs —
-or the multi-person chain (successive cancellation + association over
-a row-independent solver), emitting a :class:`MultiTickPlan` that runs
-the cancellation rounds as one kernel call and every slot's tracks
-through one :class:`~repro.multi.tracks.TrackBank` step.
+single-person chain, emitting a :class:`TickPlan`: the whole chain
+stitched into one backend call over the stages' own SoA state slabs.
+The multi-person chain (successive cancellation + association over a
+row-independent solver) gets a :class:`MultiTickPlan`, which runs the
+stages in order: each already advances the whole cohort as one array
+program, so there is nothing left to fuse.
 
-Both fused kernels are registered on the ``numpy`` backend only; each
-inlines its chain into one function over preallocated scratch slabs.
+The fused kernel is registered on the ``numpy`` backend only; it
+inlines the chain into one function over preallocated scratch slabs.
 On the steady path the only per-tick allocations are the output
 arrays that sessions retain (spectrum diff, ToFs, motion mask,
 positions) plus the small subpixel subset temporaries; every
@@ -25,7 +25,7 @@ ticks again and no lifecycle event touched the slabs
 through the same buffers, bit-identical to regathering.
 
 The ``reference`` backend never fuses (``Backend.fuse_ticks`` is
-False), so the staged loop is the fused kernels' executable
+False), so the staged loop is the fused kernel's executable
 specification: the parity suite pins fused ≡ staged **bitwise** —
 outputs and every state slab, including NaN hold/outlier paths,
 mid-stream attach/evict, and snapshot/restore migration across a
@@ -38,7 +38,6 @@ Escape hatch: ``REPRO_FUSED=0`` (read once per process, or
 from __future__ import annotations
 
 import os
-from time import perf_counter
 
 import numpy as np
 
@@ -89,7 +88,7 @@ def fusion_active() -> bool:
 #: The fusable single-person chain, in order (localize optional).
 _CHAIN = ("background", "contour", "outlier", "hold", "kalman")
 
-#: The fusable multi-person chain: shared front end, then successive
+#: The multi-person chain: shared front end, then successive
 #: cancellation and the cohort track bank.
 _MULTI_CHAIN = ("background", "cancel", "associate")
 
@@ -114,7 +113,7 @@ def compile_tick_plan(stages) -> "TickPlan | MultiTickPlan | None":
             stages[0], stages[1], stages[2], stages[3], stages[4], stages[5]
         )
     if kinds == _MULTI_CHAIN:
-        return MultiTickPlan(stages[0], stages[1], stages[2])
+        return MultiTickPlan(*stages)
     return None
 
 
@@ -137,11 +136,6 @@ class TickPlan:
     restore/reset and on any staged execution) invalidates the resident
     copies, and a changed slot vector flushes and re-gathers.
     """
-
-    #: Set per tick by the owning pipeline when profiling is on (the
-    #: single-person fused kernels don't attribute sub-rows; the
-    #: multi-person plan does).
-    profiler = None
 
     def __init__(self, bg, contour, gate, hold, kalman, localize) -> None:
         self.bg = bg
@@ -312,7 +306,7 @@ class TickPlan:
 def _prologue(plan: TickPlan, tick, hot: bool = False):
     """BackgroundSubtract's gather/scatter + priming compaction.
 
-    Shared by both fused kernels. Mirrors the staged stage exactly:
+    Mirrors the staged stage exactly:
     gather each slot's previous frame *before* scattering the current
     one, and drop still-priming rows from the tick (a session's first
     frame only primes its reference row). Returns
@@ -765,145 +759,28 @@ def _fused_tick_numpy(plan: TickPlan, tick):
 
 
 class MultiTickPlan:
-    """One multi-person cohort spec's stage chain, compiled.
+    """The multi-person chain, run stage by stage.
 
-    The multi-person analogue of :class:`TickPlan`: background subtract,
-    successive cancellation, and the association track bank as one
-    ``fused_tick_multi`` kernel call per cohort tick. Same lazy-
-    writeback protocol (:meth:`flush` / :meth:`discard` /
-    :attr:`state_epoch` / the hot-key skip), but the only plan-resident
-    state is the background stage's previous-frame slab: cancellation is
-    stateless, and the association state lives in the
-    :class:`~repro.multi.tracks.TrackManager` objects, which the
-    cohort :class:`~repro.multi.tracks.TrackBank` scatters back into
-    every tick — so snapshot/restore, eviction, and direct manager
-    access need no extra barriers beyond the background flush.
+    Its stages already advance the whole cohort as array programs, so
+    no state is resident and the pipeline's barriers (:meth:`flush`,
+    :meth:`discard`, :attr:`state_epoch`) do nothing. The class stays
+    because the repository benchmark (``perfbench/``) wraps :meth:`run`
+    and stamps :func:`compile_tick_plan`'s verdict per cohort kind.
     """
 
-    #: Set per tick by the owning pipeline when profiling is on; the
-    #: fused kernel then records ``fused_cancel`` / ``fused_associate``
-    #: sub-rows next to the pipeline's ``fused_tick`` total.
-    profiler = None
+    state_epoch = 0
 
-    def __init__(self, bg, cancel, assoc) -> None:
-        # Deferred: repro.multi imports the kernels package at load time.
-        from ..multi.tracks import TrackBank
-
-        self.bg = bg
-        self.assoc = assoc
-        # SuccessiveCancel parameters, folded once.
-        self.range_bin_m = cancel.range_bin_m
-        self.max_targets = cancel.max_targets
-        self.threshold_db = cancel.threshold_db
-        self.min_range_m = cancel.min_range_m
-        self.null_halfwidth_m = cancel.null_halfwidth_m
-        self.relative_threshold_db = cancel.relative_threshold_db
-        self.bank = TrackBank()
-        #: See :class:`TickPlan` for the protocol these implement.
-        self.state_epoch = 0
-        self._hot = None
-        self._hot_slots = None
-        self._dirty = False
-        self._scratch: dict | None = None
+    def __init__(self, *stages) -> None:
+        self.stages = stages
 
     def run(self, tick):
-        """Advance the whole chain one tick via the active backend."""
-        return kernel("fused_tick_multi")(self, tick)
+        for stage in self.stages:
+            tick = stage.process_tick(tick)
+            if tick.num_rows == 0:
+                break
+        return tick
 
     def flush(self) -> None:
-        """Write the resident background reference back to the slab."""
-        if not self._dirty:
-            return
-        self._dirty = False
-        slots = self._hot_slots
-        sc = self._scratch
-        if slots is None or sc is None:
-            return
-        self.bg._previous[slots] = sc["prev"]
+        pass
 
-    def discard(self) -> None:
-        """Drop the resident state without writing it back."""
-        self._dirty = False
-        self._hot = None
-        self._hot_slots = None
-
-    def _scratch_for(self, n: int, n_rx: int, n_bins: int) -> dict:
-        """Per-tick scratch slabs, reallocated only on shape change."""
-        sc = self._scratch
-        if sc is not None and sc["shape"] == (n, n_rx, n_bins):
-            return sc
-        self.discard()
-        self._scratch = sc = {
-            "shape": (n, n_rx, n_bins),
-            "prev": np.empty((n, n_rx, n_bins), dtype=np.complex128),
-            "power": np.empty((n, n_rx, n_bins)),
-        }
-        return sc
-
-
-@register("numpy", "fused_tick_multi")
-def _fused_tick_multi_numpy(plan: MultiTickPlan, tick):
-    """The multi-person chain as one call over plan scratch.
-
-    Stage for stage the staged loop's arithmetic: the cancellation
-    kernel sees the identical ``(session*antenna, bins)`` row stacking
-    (one call, one global rounds break), and the track bank runs the
-    staged managers' own claim/filter/lifecycle/birth code batched over
-    the ``(slot, track)`` axis — so outputs, manager state, and track
-    identities are bit-identical to the staged loop.
-    """
-    hot = plan._hot is not None and plan._hot == (
-        tick.slots.tobytes(),
-        plan.state_epoch,
-    )
-    plan._hot = None
-    if not hot:
-        plan.flush()
-    tick, current, previous, sc = _prologue(plan, tick, hot)
-    if current is None:
-        return tick
-    n, n_rx, n_bins = current.shape
-    profiler = plan.profiler
-    with np.errstate(invalid="ignore", divide="ignore"):
-        # BackgroundSubtract: the diff is an output (sessions retain
-        # row views of the spectrum), the power slab is scratch.
-        diff = current - previous
-        tick.spectrum = diff
-        power = sc["power"]
-        np.abs(diff, out=power)
-        np.multiply(power, power, out=power)
-        tick.power = power
-
-        # SuccessiveCancel: all rounds of all rows, one kernel call.
-        t0 = perf_counter() if profiler is not None else 0.0
-        round_trips, peaks, _, _ = kernel("successive_cancel")(
-            power.reshape(n * n_rx, n_bins),
-            plan.range_bin_m,
-            plan.max_targets,
-            plan.threshold_db,
-            plan.min_range_m,
-            plan.null_halfwidth_m,
-            plan.relative_threshold_db,
-        )
-        candidates = round_trips.T.reshape(n, n_rx, plan.max_targets)
-        powers = peaks.T.reshape(n, n_rx, plan.max_targets)
-        tick.candidates_m = candidates
-        tick.candidate_powers = powers
-        if profiler is not None:
-            t1 = perf_counter()
-            profiler.record("fused_cancel", t1 - t0, candidates.nbytes)
-            t0 = t1
-
-        # Associate: every slot's tracks through one bank step.
-        managers = [plan.assoc._managers[s] for s in tick.slots]
-        tick.tracks = plan.bank.step(managers, candidates, powers)
-        if profiler is not None:
-            profiler.record("fused_associate", perf_counter() - t0)
-
-        # Lazy writeback: this frame is the next tick's background
-        # reference; the pipeline flushes before any slab-level read.
-        np.copyto(sc["prev"], current)
-        plan._hot = (tick.slots.tobytes(), plan.state_epoch)
-        plan._hot_slots = tick.slots
-        plan._dirty = True
-    return tick
+    discard = flush

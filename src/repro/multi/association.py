@@ -350,7 +350,7 @@ def candidate_fixes_batched(
     Slot ``s`` of the result is bitwise ``candidate_fixes(tof_slots[s],
     solver, gate, power_slots[s], ..., seed_positions=seed_slots[s])``
     — the per-slot call is the executable spec, and this is the fast
-    path the fused serving tick's track bank births through. Only the
+    path the cohort track bank births through. Only the
     seed lists and the result list are walked slot by slot:
 
     * **Combos.** A mask over every slot's full ``K^n_rx`` index

@@ -98,6 +98,20 @@ def null_band(
     return power
 
 
+def check_cancel_args(max_targets: int, null_halfwidth_m: float) -> None:
+    """Refuse cancellation parameters the rounds loop cannot run on.
+
+    Without a finite, positive band every round would re-detect the
+    same reflector, and the kernel's band width in bins must be an
+    integer. Shared by :func:`successive_contours` and the
+    :class:`~repro.pipeline.multi.SuccessiveCancel` stage.
+    """
+    if max_targets < 1:
+        raise ValueError("max_targets must be at least 1")
+    if not 0.0 < null_halfwidth_m < np.inf:
+        raise ValueError("null_halfwidth_m must be finite and positive")
+
+
 def successive_contours(
     power: np.ndarray,
     range_bin_m: float,
@@ -129,10 +143,7 @@ def successive_contours(
     Returns:
         A :class:`MultiContourResult` with one candidate row per round.
     """
-    if max_targets < 1:
-        raise ValueError("max_targets must be at least 1")
-    if null_halfwidth_m <= 0:
-        raise ValueError("null_halfwidth_m must be positive")
+    check_cancel_args(max_targets, null_halfwidth_m)
     # The whole rounds loop is one backend kernel call
     # (:mod:`repro.kernels.cancellation`); the per-round
     # :class:`ContourResult` views are rebuilt from its dense outputs —

@@ -206,9 +206,9 @@ def _filter_step(
     arithmetic is the unrolled 2x2 tree shared with the fused tick
     kernels (:mod:`repro.kernels`), so one track's scalar step and a
     whole cohort bank's batched step are the same IEEE operations —
-    which is what lets the fused multi-person tick advance every
-    session's tracks in array math while staying bit-identical to the
-    per-slot staged loop.
+    which is what lets :class:`TrackBank` advance every session's
+    tracks in array math while staying bit-identical to the per-slot
+    :meth:`TrackManager.step`.
     """
     m0 = mean[..., 0]
     m1 = mean[..., 1]
@@ -610,11 +610,10 @@ class TrackManager:
         leftover_powers: list[np.ndarray] | None,
         live: list[Track],
     ) -> None:
-        """Birth tracks from unclaimed candidates (shared with the bank).
+        """Birth tracks from unclaimed candidates.
 
         ``live`` is the step-start live list, post-advance: it seeds the
-        ghost veto and the birth-exclusion neighborhood exactly as one
-        staged :meth:`step` does.
+        ghost veto and the birth-exclusion neighborhood.
         """
         births = candidate_fixes(
             leftovers,
@@ -710,29 +709,31 @@ class TrackManager:
 class TrackBank:
     """Structure-of-arrays stepper: one frame of many sessions at once.
 
-    The staged serving path advances a cohort tick slot by slot — one
-    :meth:`TrackManager.step` per session, each walking its
-    :class:`Track` objects one at a time. The bank advances the same
-    tick over a ``(slot, track)`` axis: it gathers every ticking slot's
-    live-track filter state into stacked arrays, runs prediction,
-    gating, the Kalman updates, and batched localization across all
-    slots in array math, and scatters the results back into the
-    managers' tracks. Claims run as one pass over every ``(slot,
+    :meth:`TrackManager.step` advances one session, walking its
+    :class:`Track` objects one at a time; stepping each slot's manager
+    in turn is the bank's executable spec. The bank advances a whole
+    cohort tick (:class:`~repro.pipeline.multi.Associate`, fused or
+    staged) over a ``(slot, track)`` axis: it gathers every ticking
+    slot's live-track filter state into stacked arrays, runs
+    prediction, gating, the Kalman updates, and batched localization
+    across all slots in array math, and scatters the results back into
+    the managers' tracks. Claims run as one pass over every ``(slot,
     antenna)`` problem (:func:`~repro.multi.association.
-    claim_candidates`, which the staged step calls for its one slot):
+    claim_candidates`, which the per-slot step calls for its one slot):
     problems whose in-gate pairs already form a matching are written
     with array math, and only the rest run the Hungarian solve.
     Births — attempted on nearly every slot-tick, since some candidate
     is almost always unclaimed — run as one array program over the
     cohort's leftover tensors
     (:func:`~repro.multi.association.candidate_fixes_batched`), whose
-    slot ``s`` is bitwise the staged :meth:`TrackManager._births` call.
+    slot ``s`` is bitwise the per-slot :meth:`TrackManager._births`
+    call.
 
     The managers remain the single source of truth: the bank holds no
     state of its own, so snapshot/restore, eviction, and the
     ``engine.track_manager`` accessors are untouched, and after a bank
-    step every manager is bit-identical to having stepped it staged —
-    the Kalman tree (:func:`_filter_step`), the lifecycle tail
+    step every manager is bit-identical to having stepped it on its
+    own — the Kalman tree (:func:`_filter_step`), the lifecycle tail
     (:meth:`Track._register`), the claim pass, and birth adoption are
     literally the same code, just batched where the math is
     elementwise.
@@ -740,10 +741,10 @@ class TrackBank:
     Requires a row-independent solver (``solver.row_independent``, e.g.
     the closed-form T-geometry solver): the batched ``solver.solve``
     over all slots' tracks must equal the per-track ``solve_one`` calls
-    bitwise. The tick compiler only fuses the associate stage when that
-    holds. All managers of a serving cohort share one spec, so the
-    frame interval, lifecycle config, fix gate, and solver are read
-    from the first manager.
+    bitwise. ``Associate`` routes only such cohorts through the bank.
+    All managers of a serving cohort share one spec, so the frame
+    interval, lifecycle config, fix gate, and solver are read from the
+    first manager.
     """
 
     def step(
@@ -763,7 +764,7 @@ class TrackBank:
 
         Returns:
             Per row, the reportable ``(track_id, position)`` pairs —
-            exactly the staged per-slot output.
+            exactly the per-slot :meth:`TrackManager.step` output.
         """
         lead = managers[0]
         dt = lead.frame_dt_s
@@ -808,7 +809,7 @@ class TrackBank:
             solved = lead.solver.solve(mean[:, :, 0]).positions
             feasible = np.all(np.isfinite(solved), axis=1)
             # NaN rows compare False everywhere, so gating the whole
-            # batch equals the staged finite-then-gate short circuit.
+            # batch equals the per-track finite-then-gate short circuit.
             feasible &= lead.gate.admits(solved)
             claims = np.count_nonzero(np.isfinite(claimed), axis=1)
             for i, track in enumerate(all_tracks):

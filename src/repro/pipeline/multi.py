@@ -13,10 +13,10 @@ Both advance session-lockstep ticks, so
 :class:`~repro.multi.tracker.MultiWiTrack` (offline),
 :class:`~repro.apps.realtime.RealtimeMultiTracker` (streaming) and a
 multi-person serving cohort (:mod:`repro.serve`) are the same code
-path. Session state: cancellation is stateless, and the association
-track banks are kept as one :class:`~repro.multi.tracks.TrackManager`
-per session slot — the structure-of-arrays analogue for inherently
-sequential per-session state.
+path, fused or staged. Session state: cancellation is stateless, and
+the association state is one :class:`~repro.multi.tracks.TrackManager`
+per session slot, which a row-independent cohort advances through one
+:class:`~repro.multi.tracks.TrackBank` step per tick.
 """
 
 from __future__ import annotations
@@ -25,8 +25,9 @@ from typing import Callable
 
 import numpy as np
 
-from ..multi.cancellation import successive_contours
-from ..multi.tracks import TrackManager
+from ..kernels.cancellation import successive_cancel
+from ..multi.cancellation import check_cancel_args
+from ..multi.tracks import TrackBank, TrackManager
 from .stages import Stage
 
 
@@ -49,13 +50,9 @@ class SuccessiveCancel(Stage):
         null_halfwidth_m: float = 0.5,
         relative_threshold_db: float = 36.0,
     ) -> None:
-        if max_targets < 1:
-            raise ValueError("max_targets must be at least 1")
-        # The fused plan calls the kernel directly, skipping the checks
-        # of successive_contours: without a band, every round would
-        # re-detect the same reflector.
-        if not 0.0 < null_halfwidth_m < np.inf:
-            raise ValueError("null_halfwidth_m must be finite and positive")
+        # process_tick calls the kernel directly, so the stage refuses
+        # here what successive_contours refuses per call.
+        check_cancel_args(max_targets, null_halfwidth_m)
         self.range_bin_m = range_bin_m
         self.max_targets = max_targets
         self.threshold_db = threshold_db
@@ -72,35 +69,37 @@ class SuccessiveCancel(Stage):
 
     def process_tick(self, tick):
         n_rows, n_rx, n_bins = tick.power.shape
-        result = successive_contours(
+        round_trips, peaks, _, _ = successive_cancel(
             tick.power.reshape(n_rows * n_rx, n_bins),
             self.range_bin_m,
-            max_targets=self.max_targets,
-            threshold_db=self.threshold_db,
-            min_range_m=self.min_range_m,
-            null_halfwidth_m=self.null_halfwidth_m,
-            relative_threshold_db=self.relative_threshold_db,
+            self.max_targets,
+            self.threshold_db,
+            self.min_range_m,
+            self.null_halfwidth_m,
+            self.relative_threshold_db,
         )
-        tick.candidates_m = result.round_trips_m.T.reshape(
-            n_rows, n_rx, self.max_targets
-        )
-        tick.candidate_powers = result.peak_powers.T.reshape(
-            n_rows, n_rx, self.max_targets
-        )
+        shape = (n_rows, n_rx, self.max_targets)
+        tick.candidates_m = round_trips.T.reshape(shape)
+        tick.candidate_powers = peaks.T.reshape(shape)
         return tick
 
 
 class Associate(Stage):
     """Track birth/claim/coast/kill over the candidate TOF sets.
 
-    Thin stage wrapper around :class:`~repro.multi.tracks.TrackManager`
-    (which is inherently sequential — association depends on every
-    previous frame). Writes ``tracks``: the reportable
-    ``(track_id, position)`` pairs after this frame.
+    Stage wrapper around :class:`~repro.multi.tracks.TrackManager`
+    (inherently sequential — association depends on every previous
+    frame). Writes ``tracks``: the reportable ``(track_id, position)``
+    pairs after this frame.
 
     Session state is one independent manager per slot; the factory
     builds managers for newly attached or recycled slots. Slot 0 is the
     manager passed at construction, preserving the single-session API.
+    A tick over a row-independent solver advances every ticking slot's
+    manager through one :class:`~repro.multi.tracks.TrackBank` step;
+    any other solver steps each slot's manager on its own
+    (:meth:`TrackManager.step`, which is also the bank's executable
+    spec).
     """
 
     def __init__(
@@ -108,9 +107,9 @@ class Associate(Stage):
         manager: TrackManager,
         factory: Callable[[], TrackManager] | None = None,
     ) -> None:
-        self._capacity = 1
         self._managers: list[TrackManager] = [manager]
         self._factory = factory
+        self._bank = TrackBank()
 
     @property
     def manager(self) -> TrackManager:
@@ -154,15 +153,14 @@ class Associate(Stage):
     def fuse_spec(self) -> str | None:
         """``"associate"`` when the cohort can advance as one track bank.
 
-        The fused tick runs every slot's tracks through one
-        :class:`~repro.multi.tracks.TrackBank` step, whose batched
-        localization solve must equal the staged per-track
+        The bank's batched localization solve must equal the per-track
         ``solve_one`` calls bitwise — true only for row-independent
-        solvers (the closed-form T geometry), so the warm-started
-        least-squares solver keeps the chain staged. The bank reads the
+        solvers (the closed-form T geometry); the warm-started
+        least-squares solver steps slot by slot. The bank reads the
         shared cohort constants (frame interval, lifecycle config, fix
-        gate, solver) from slot 0's manager; every slot manager comes
-        from one factory with one spec, which is what makes that sound.
+        gate, solver) from the tick's first manager; every slot manager
+        comes from one factory with one spec, which is what makes that
+        sound.
         """
         if getattr(self.manager.solver, "row_independent", False):
             return "associate"
@@ -178,14 +176,18 @@ class Associate(Stage):
         return [(t.track_id, t.position.copy()) for t in tracks]
 
     def process_tick(self, tick):
-        tick.tracks = [
-            self._step(
-                self._managers[tick.slots[row]],
-                tick.candidates_m[row],
-                tick.candidate_powers[row],
+        managers = [self._managers[slot] for slot in tick.slots]
+        if self.fuse_spec() is None:
+            tick.tracks = [
+                self._step(manager, candidates, powers)
+                for manager, candidates, powers in zip(
+                    managers, tick.candidates_m, tick.candidate_powers
+                )
+            ]
+        else:
+            tick.tracks = self._bank.step(
+                managers, tick.candidates_m, tick.candidate_powers
             )
-            for row in range(tick.num_rows)
-        ]
         return tick
 
     def reset(self) -> None:

@@ -474,9 +474,6 @@ class Pipeline:
         if plan is None:
             plan = self._tick_plan = compile_tick_plan(self.stages) or _UNFUSABLE
         if plan is not _UNFUSABLE and fusion_active():
-            # Hand the plan the current profiler (None when disabled) so
-            # fused kernels can attribute sub-stage rows.
-            plan.profiler = profiler
             if profiler is None:
                 return plan.run(tick)
             t0 = perf_counter()

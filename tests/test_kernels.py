@@ -386,14 +386,14 @@ class TestBackendSeam:
 
     def test_reference_registers_every_unfused_kernel(self):
         """``kernel()`` has no fallback, so the spec must cover every
-        kernel the fast path registers except the fused tick plans —
-        and must never reach for those."""
+        kernel the fast path registers except the fused tick plan —
+        and must never reach for it."""
         with use_backend("numpy"):
             fast = set(active_backend().impls)
         with use_backend("reference"):
             spec = set(active_backend().impls)
             assert fusion_active() is False
-        assert spec == fast - {"fused_tick_single", "fused_tick_multi"}
+        assert spec == fast - {"fused_tick_single"}
 
 
 class TestParallelRanges:

@@ -72,12 +72,14 @@ class TestSuccessiveContours:
             successive_contours(power, BIN_M, max_targets=0)
         with pytest.raises(ValueError):
             successive_contours(power, BIN_M, null_halfwidth_m=0.0)
+        for halfwidth in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="null_halfwidth_m"):
+                successive_contours(power, BIN_M, null_halfwidth_m=halfwidth)
 
-    @pytest.mark.parametrize("halfwidth", [0.0, -0.5, np.nan])
+    @pytest.mark.parametrize("halfwidth", [0.0, -0.5, np.nan, np.inf])
     def test_stage_rejects_bad_null_halfwidth(self, halfwidth):
-        # The fused plan reads the stage's half-width straight into the
-        # kernel, so the stage itself must refuse what
-        # successive_contours refuses.
+        # The stage reads its half-width straight into the kernel, so it
+        # must refuse what successive_contours refuses.
         with pytest.raises(ValueError, match="null_halfwidth_m"):
             SuccessiveCancel(
                 BIN_M, max_targets=4, null_halfwidth_m=halfwidth

@@ -5,7 +5,8 @@ The load-bearing properties:
 * N=1 serving output is **bitwise** ``Pipeline.run_stream`` output —
   the realtime apps are views over the engine, not a second code path;
 * N-session lockstep output equals N serial per-session runs *exactly*,
-  across mixed single/multi cohorts and staggered session start/stop —
+  across mixed single/K=2/K=3 cohorts (in process and over shard
+  workers) and staggered session start/stop —
   batching sessions for throughput never changes anyone's answer;
 * evicting a session mid-run does not perturb the survivors, and its
   slot is recycled for the next admission;
@@ -64,6 +65,17 @@ def multi_output(config, room):
     )
     people = [(HumanBody(name=f"p{i}"), w) for i, w in enumerate(walks)]
     return MultiScenario(people, room=room, config=config, seed=9).run()
+
+
+@pytest.fixture(scope="module")
+def three_person_output(config, room):
+    """A short 3-person recording, synthesized once."""
+    walks = non_colliding_walks(
+        room, np.random.default_rng(12), count=3, duration_s=2.0,
+        min_separation_m=1.0,
+    )
+    people = [(HumanBody(name=f"q{i}"), w) for i, w in enumerate(walks)]
+    return MultiScenario(people, room=room, config=config, seed=12).run()
 
 
 def frame_blocks(output, config, limit=None):
@@ -219,6 +231,40 @@ class TestLockstepEquivalence:
             config, range_bin_m, plan["m"]["blocks"], room
         )
         assert_tracks_equal(results["m"], reference)
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_mixed_k_cohorts(
+        self, workers, config, room, short_walks, multi_output,
+        three_person_output,
+    ):
+        """K=2, K=3 and single-person sessions on one engine: three
+        cohorts, each session bitwise its own serial run."""
+        range_bin_m = short_walks[0].range_bin_m
+        plan = {
+            "k2": {"spec": multi_session(
+                       config, range_bin_m, max_people=2, room=room),
+                   "blocks": frame_blocks(multi_output, config, 120)},
+            "k3": {"spec": multi_session(
+                       config, range_bin_m, max_people=3, room=room),
+                   "blocks": frame_blocks(three_person_output, config),
+                   "start": 5},
+            "one": {"spec": single_session(config, range_bin_m),
+                    "blocks": frame_blocks(short_walks[2], config, 120)},
+        }
+        with ServingEngine(workers=workers) as engine:
+            results, sessions = drive(engine, plan)
+        assert len({s.cohort.key for s in sessions.values()}) == 3
+
+        assert_single_equal(
+            results["one"],
+            serial_single(config, range_bin_m, plan["one"]["blocks"]),
+        )
+        for name, k in (("k2", 2), ("k3", 3)):
+            reference = serial_multi(
+                config, range_bin_m, plan[name]["blocks"], room, max_people=k
+            )
+            assert any(reference.tracks), f"{name} never tracked"
+            assert_tracks_equal(results[name], reference)
 
     def test_least_squares_session_warm_starts_like_solve(self, config, room):
         """A 4-receiver (least-squares) session carries its warm start
