@@ -45,7 +45,13 @@ from .exec import (
     default_runner,
     sharded_speedup_benchmark,
 )
-from .kernels import StageProfiler, enable_profiling
+from .kernels import (
+    StageProfiler,
+    backend_name,
+    enable_profiling,
+    fusion_active,
+    synthesis_workers,
+)
 from .sim.motion import non_colliding_walks, random_walk
 from .sim.room import line_of_sight_room, through_wall_room
 from .sim.scenario import Scenario
@@ -57,98 +63,6 @@ def _scale(args: argparse.Namespace) -> ExperimentScale:
         duration_s=args.duration,
         name="cli",
     )
-
-
-def _bench_trajectory_path() -> Path | None:
-    """Where the append-only ``repro bench`` trajectory lives.
-
-    ``REPRO_BENCH_TRAJECTORY`` overrides; otherwise the repo root
-    (detected by ``ROADMAP.md`` two levels above this file — an
-    installed package has no repo to write into), else the CWD.
-    """
-    override = os.environ.get("REPRO_BENCH_TRAJECTORY", "").strip()
-    if override:
-        return Path(override)
-    root = Path(__file__).resolve().parents[2]
-    if (root / "ROADMAP.md").exists():
-        return root / "BENCH_serving.json"
-    return Path.cwd() / "BENCH_serving.json"
-
-
-def _git(*args: str) -> str | None:
-    """Stdout of a git command run beside this file; None when it fails
-    (no git binary, or an installed package outside any checkout)."""
-    import subprocess
-
-    try:
-        done = subprocess.run(
-            ["git", *args], capture_output=True, text=True, timeout=5,
-            cwd=Path(__file__).resolve().parent,
-        )
-    except (OSError, subprocess.SubprocessError):
-        return None
-    return done.stdout if done.returncode == 0 else None
-
-
-def _worktree_dirty() -> bool | None:
-    """Whether the checkout has changes besides the trajectory file.
-
-    ``git status --porcelain`` paths are relative to the repo root, so
-    an appended-to ``BENCH_serving.json`` alone reads clean.
-    """
-    status = _git("status", "--porcelain")
-    if status is None:
-        return None
-    return any(
-        line[3:] != "BENCH_serving.json" for line in status.splitlines()
-    )
-
-
-def _append_bench_record(result: dict) -> None:
-    """Append one compact record of this ``repro bench`` run.
-
-    The trajectory file is a JSON array of {date, commit, dirty,
-    cpu_count, synthesis_workers, serial and sharded frames/s, p95,
-    backend, fused} rows — enough to plot serving throughput over the
-    repo's history without dragging full benchmark payloads along.
-    ``commit`` is the checked-out HEAD; ``dirty`` says whether the
-    measured code differs from it.
-    Best-effort: a read-only checkout or a missing git binary must
-    never fail the benchmark itself.
-    """
-    from .kernels import backend_name, synthesis_workers
-    from .kernels.tick import fusion_active
-
-    try:
-        commit = (_git("rev-parse", "--short", "HEAD") or "").strip()
-        record = {
-            "date": time.strftime("%Y-%m-%d"),
-            "commit": commit or None,
-            "dirty": _worktree_dirty(),
-            "cpu_count": os.cpu_count(),
-            "synthesis_workers": synthesis_workers(),
-            "serial_fps": result["serial_fps"],
-            "frames_per_s": result["sharded_fps"],
-            "p95_latency_ms": result.get("p95_latency_ms"),
-            "backend": backend_name(),
-            "fused": fusion_active(),
-        }
-        path = _bench_trajectory_path()
-        if path is None:
-            return
-        history = []
-        if path.exists():
-            try:
-                history = json.loads(path.read_text())
-                if not isinstance(history, list):
-                    history = []
-            except (ValueError, OSError):
-                history = []
-        history.append(record)
-        path.write_text(json.dumps(history, indent=2) + "\n")
-        print(f"trajectory : appended to {path}")
-    except OSError:
-        pass
 
 
 def _runner(args: argparse.Namespace) -> Runner:
@@ -345,6 +259,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     )
     result["duration_s"] = args.duration
     result["cache"] = cache_stats()
+    # The configuration this measurement ran under.
+    result["cpu_count"] = os.cpu_count()
+    result["synthesis_workers"] = synthesis_workers()
+    result["backend"] = backend_name()
+    result["fused"] = fusion_active()
 
     print(f"session    : {args.duration:.0f} s "
           f"({scenario.num_stream_frames} frames), "
@@ -376,7 +295,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.output is not None:
         args.output.write_text(json.dumps(result, indent=2) + "\n")
         print(f"wrote {args.output}")
-    _append_bench_record(result)
     return 0 if result["identical"] else 1
 
 

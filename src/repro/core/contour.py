@@ -124,8 +124,8 @@ def track_bottom_contour(
             left = power[rows, k - 1]
             mid = power[rows, k]
             right = power[rows, k + 1]
-            denom = left - 2.0 * mid + right
             with np.errstate(invalid="ignore", divide="ignore"):
+                denom = left - 2.0 * mid + right
                 refined = np.clip(0.5 * (left - right) / denom, -0.5, 0.5)
             offset = np.where(np.abs(denom) > 1e-30, refined, 0.0)
         contour[rows] = (k + offset) * range_bin_m

@@ -18,11 +18,13 @@ inlines the chain into one function over preallocated scratch slabs.
 On the steady path the only per-tick allocations are the output
 arrays that sessions retain (spectrum diff, ToFs, motion mask,
 positions) plus the small subpixel subset temporaries; every
-intermediate reuses plan scratch. The plan also keeps each stage's
-*gathered* state resident between ticks: when the same slot vector
-ticks again and no lifecycle event touched the slabs
-(``state_epoch``), the gathers are skipped — state round-trips
-through the same buffers, bit-identical to regathering.
+intermediate reuses plan scratch. Stage state lives only in the
+stages' own slabs. The serving scheduler keeps each cohort's slots
+dense, so a tick that covers the whole cohort carries the slot vector
+``0..n-1``, and the kernel updates the slabs in place through
+``[:n]`` views. Any other slot vector (priming ticks, partial cohorts,
+direct ``Pipeline.tick`` callers) gathers its rows and writes them
+back before the kernel returns.
 
 The ``reference`` backend never fuses (``Backend.fuse_ticks`` is
 False), so the staged loop is the fused kernel's executable
@@ -124,17 +126,8 @@ class TickPlan:
     execution share state, so a pipeline can cross the boundary
     mid-stream), the chain's scalar parameters folded once exactly as
     the staged stages fold them per call (same expressions, same
-    floats), and per-shape scratch slabs reused across ticks.
-
-    State-residency contract: while the same slot vector ticks fused
-    back to back, the *scratch copies* are authoritative and the slabs
-    lag (:attr:`_dirty`) — the pipeline calls :meth:`flush` as a read
-    barrier before anything reads or mutates the slabs directly
-    (``snapshot_session``, staged execution, lifecycle events), so
-    observable state is always current at those boundaries.
-    :attr:`state_epoch` (bumped by the pipeline on attach/evict/
-    restore/reset and on any staged execution) invalidates the resident
-    copies, and a changed slot vector flushes and re-gathers.
+    floats), and per-shape work buffers reused across ticks. The plan
+    keeps no stage state between ticks: the slabs are the only copy.
     """
 
     def __init__(self, bg, contour, gate, hold, kalman, localize) -> None:
@@ -161,76 +154,26 @@ class TickPlan:
             self.hh = h * h
             self.two_h = 2.0 * h
             self.range_gate = np.array([d, d, h])
-        #: Bumped by the owning pipeline whenever stage state changes
-        #: outside a fused tick; invalidates the resident gathers.
-        self.state_epoch = 0
-        #: (slots bytes, epoch) the resident state gathers are valid
-        #: for, or None.
-        self._hot = None
-        #: The slot vector the resident state belongs to (flush target).
-        self._hot_slots = None
-        #: True while the resident scratch copies are newer than the
-        #: slabs; :meth:`flush` writes them back.
-        self._dirty = False
+        #: ``arange(n)`` for the last tick's row count: the slot vector
+        #: of a tick that covers a whole dense cohort.
+        self._prefix = np.arange(0, dtype=np.intp)
         self._scratch: dict | None = None
 
     def run(self, tick):
         """Advance the whole chain one tick via the active backend."""
         return kernel("fused_tick_single")(self, tick)
 
-    def flush(self) -> None:
-        """Write the resident scratch state back to the stage slabs.
-
-        The read barrier of the lazy-writeback contract: the pipeline
-        calls this before anything else reads or mutates the slabs
-        (snapshot, staged execution, lifecycle events). Idempotent and
-        cheap when nothing is dirty.
-        """
-        if not self._dirty:
-            return
-        self._dirty = False
-        slots = self._hot_slots
-        sc = self._scratch
-        if slots is None or sc is None:
-            return
-        self.bg._previous[slots] = sc["prev"]
-        g = self.gate
-        g._last[slots] = sc["glast"]
-        g._since[slots] = sc["gsince"]
-        g._pending[slots] = sc["gpending"]
-        g._pending_len[slots] = sc["gplen"]
-        self.hold._held[slots] = sc["hheld"]
-        k = self.kalman
-        k._mean[slots] = sc["kmean"]
-        k._cov[slots] = sc["kcov"]
-        k._initialized[slots] = sc["klive"]
-
-    def discard(self) -> None:
-        """Drop the resident state without writing it back.
-
-        For paths that have already replaced the slab contents wholesale
-        (``Pipeline.reset``): flushing would resurrect pre-reset state.
-        """
-        self._dirty = False
-        self._hot = None
-        self._hot_slots = None
-
     def _scratch_for(self, n: int, n_rx: int, n_bins: int) -> dict:
-        """Per-tick scratch slabs, reallocated only on shape change."""
+        """Per-tick work buffers, reallocated only on shape change."""
         sc = self._scratch
         if sc is not None and sc["shape"] == (n, n_rx, n_bins):
             return sc
         rows = n * n_rx
         p = self.gate.confirmation_frames
         shape = (n, n_rx)
-        # A shape change only happens on a not-hot tick, and every
-        # not-hot tick flushes before reaching here — the old buffers
-        # hold nothing the slabs don't.
-        self.discard()
         self._scratch = sc = {
             "shape": (n, n_rx, n_bins),
             # Background subtract.
-            "prev": np.empty((n, n_rx, n_bins), dtype=np.complex128),
             "power": np.empty((n, n_rx, n_bins)),
             # Contour: median / threshold / scan.
             "msc": np.empty((rows, n_bins)),
@@ -241,11 +184,7 @@ class TickPlan:
             "found": np.empty(rows, dtype=bool),
             "first": np.empty(rows, dtype=np.intp),
             "sub": np.empty((4, rows)),
-            # Outlier gate: resident state + work buffers.
-            "glast": np.empty(shape),
-            "gsince": np.empty(shape, dtype=np.int64),
-            "gpending": np.empty(shape + (p,)),
-            "gplen": np.empty(shape, dtype=np.int64),
+            # Outlier gate.
             "gmiss": np.empty(shape, dtype=bool),
             "gnl": np.empty(shape, dtype=bool),
             "gsmall": np.empty(shape, dtype=bool),
@@ -269,21 +208,14 @@ class TickPlan:
                 n, n_rx, 1
             ),
             "gpos": np.empty(shape, dtype=np.int64),
-            # Hold: resident state.
-            "hheld": np.empty(shape),
+            # Hold.
             "hfin": np.empty(shape, dtype=bool),
-            # Kalman: resident state + temp registers.
-            "kmean": np.empty(shape + (2,)),
-            "kcov": np.empty(shape + (2, 2)),
-            "klive": np.empty(shape, dtype=bool),
+            # Kalman temp registers.
             "kmiss": np.empty(shape, dtype=bool),
             "kml": np.empty(shape, dtype=bool),
             "knml": np.empty(shape, dtype=bool),
             "kmeas": np.empty(shape, dtype=bool),
             "kt": [np.empty(shape) for _ in range(13)],
-            # Component views into kmean/kcov, precomputed so the
-            # steady path doesn't re-slice per tick.
-            "kviews": None,  # filled right below
             # Localize.
             "w3": np.empty((n, 3)),
             "sq3": np.empty((n, 3)),
@@ -295,73 +227,54 @@ class TickPlan:
             "vb": np.empty(n, dtype=bool),
             "v2": np.empty(n, dtype=bool),
         }
-        km, kcv = sc["kmean"], sc["kcov"]
-        sc["kviews"] = (
-            km[..., 0], km[..., 1],
-            kcv[..., 0, 0], kcv[..., 0, 1], kcv[..., 1, 0], kcv[..., 1, 1],
-        )
         return sc
 
 
-def _prologue(plan: TickPlan, tick, hot: bool = False):
-    """BackgroundSubtract's gather/scatter + priming compaction.
+def _prologue(plan: TickPlan, tick):
+    """BackgroundSubtract's update + priming compaction.
 
-    Mirrors the staged stage exactly:
-    gather each slot's previous frame *before* scattering the current
-    one, and drop still-priming rows from the tick (a session's first
-    frame only primes its reference row). Returns
-    ``(tick, current, previous, scratch)`` — ``current`` is None when
-    every row primed. ``hot`` certifies these slots completed a full
-    steady tick since the last lifecycle event, so every row is primed
-    without checking — and the previous frame is already resident in
-    ``sc["prev"]`` (the fused kernel parks each tick's frame there),
-    so the slab round-trip is skipped entirely.
+    Mirrors the staged stage exactly: each slot's previous frame is
+    read *before* the current one replaces it, and still-priming rows
+    are dropped from the tick (a session's first frame only primes its
+    reference row). Returns ``(tick, current, previous, dense)``;
+    ``current`` is None when every row primed. ``dense`` marks a steady
+    tick over the slots ``0..n-1``: ``previous`` is then the slab view
+    ``_previous[:n]``, which the caller overwrites with ``current``
+    once the difference is formed.
     """
     bg = plan.bg
     current = tick.spectrum
-    _, n_rx, n_bins = current.shape
+    n, n_rx, n_bins = current.shape
     bg._ensure(n_rx, n_bins)
     slots = tick.slots
-    if hot:
-        return tick, current, plan._scratch["prev"], plan._scratch
-    if bg._primed[slots].all():
-        sc = plan._scratch_for(len(slots), n_rx, n_bins)
-        previous = np.take(bg._previous, slots, axis=0, out=sc["prev"])
-        bg._previous[slots] = current
-        return tick, current, previous, sc
+    prefix = plan._prefix
+    if len(prefix) != n:
+        prefix = plan._prefix = np.arange(n, dtype=np.intp)
+    if (slots.tobytes() == prefix.tobytes()
+            and np.count_nonzero(bg._primed[:n]) == n):
+        return tick, current, bg._previous[:n], True
     primed = bg._primed[slots]
-    # Priming tick (some session's first frame): rare, so it takes the
-    # allocating path and drops the resident gathers.
-    plan._hot = None
     previous = bg._previous[slots]
     bg._previous[slots] = current
+    if primed.all():
+        return tick, current, previous, False
+    # Priming tick (some session's first frame): rare.
     bg._primed[slots] = True
     tick = tick.select(primed)
     if tick.num_rows == 0:
-        return tick, None, None, None
-    current = tick.spectrum
-    previous = previous[primed]
-    sc = plan._scratch_for(tick.num_rows, n_rx, n_bins)
-    return tick, current, previous, sc
+        return tick, None, None, False
+    return tick, tick.spectrum, previous[primed], False
 
 
-def _gate_fused(plan: TickPlan, v: np.ndarray, slots, sc: dict, hot: bool):
+def _gate_fused(plan: TickPlan, v: np.ndarray, last, since, pending, plen,
+                sc: dict):
     """The outlier gate, lean: same elementwise update as the staged
     ``OutlierGate.process_tick`` (bit-identical outputs and state,
     including the NaN-padded pending tails), with the stable-argsort
     pack replaced by an equivalent cumsum-addressed scatter and a fast
-    path when no row is relocating."""
+    path when no row is relocating. Updates the four state arrays in
+    place."""
     g = plan.gate
-    last = sc["glast"]
-    since = sc["gsince"]
-    pending = sc["gpending"]
-    plen = sc["gplen"]
-    if not hot:
-        np.take(g._last, slots, axis=0, out=last)
-        np.take(g._since, slots, axis=0, out=since)
-        np.take(g._pending, slots, axis=0, out=pending)
-        np.take(g._pending_len, slots, axis=0, out=plen)
-
     missing = np.isnan(v, out=sc["gmiss"])
     no_last = np.isnan(last, out=sc["gnl"])
     f2 = sc["gf2"]
@@ -411,9 +324,8 @@ def _gate_fused(plan: TickPlan, v: np.ndarray, slots, sc: dict, hot: bool):
         np.copyto(pending, f3, where=candidate[:, :, None])
         np.copyto(plen, i2, where=candidate)
     else:
-        # No relocations: pending buffers are untouched this tick (the
-        # slab already matches the resident copy), only lengths clear
-        # on acceptance.
+        # No relocations: pending buffers are untouched this tick, only
+        # lengths clear on acceptance.
         accept = direct
 
     out = sc["gout"]
@@ -426,31 +338,29 @@ def _gate_fused(plan: TickPlan, v: np.ndarray, slots, sc: dict, hot: bool):
     return out
 
 
-def _kalman_fused(plan: TickPlan, v: np.ndarray, slots, sc: dict, hot: bool):
+def _kalman_fused(plan: TickPlan, v: np.ndarray, mean, cov, live, sc: dict):
     """The Kalman bank, lean: the measured-and-initialized steady case
     unrolled over scratch registers (bit-identical to the dispatched
-    kernel's arithmetic); mixed ticks (NaN frames, fresh filters) fall
-    back to the staged kernel on the resident state."""
+    kernel's arithmetic); mixed ticks (NaN frames, fresh filters) take
+    the staged kernel's masked merges. Updates ``mean``/``cov``/``live``
+    in place."""
     k = plan.kalman
-    mean = sc["kmean"]
-    cov = sc["kcov"]
-    live = sc["klive"]
-    if not hot:
-        np.take(k._mean, slots, axis=0, out=mean)
-        np.take(k._cov, slots, axis=0, out=cov)
-        np.take(k._initialized, slots, axis=0, out=live)
     dt = k.frame_dt_s
     q00, q01, q11 = k._q00, k._q01, k._q11
     r = k.measurement_noise
 
+    views = (
+        mean[..., 0], mean[..., 1],
+        cov[..., 0, 0], cov[..., 0, 1], cov[..., 1, 0], cov[..., 1, 1],
+    )
     miss = np.isnan(v, out=sc["kmiss"])
     if miss.any() or not live.all():
-        return _kalman_fused_mixed(plan, v, sc, miss, live, dt,
+        return _kalman_fused_mixed(v, sc, miss, live, views, dt,
                                    q00, q01, q11, r)
 
     # Steady case: every filter initialized and measured. Same unrolled
     # predict+update as the kernel, written through registers.
-    m0, m1, c00, c01, c10, c11 = sc["kviews"]
+    m0, m1, c00, c01, c10, c11 = views
     ka, kb, kc, kd, ke, kf, kg, kh, kj = sc["kt"][:9]
     np.multiply(m1, dt, out=ka)
     np.add(m0, ka, out=ka)  # ka = pm0
@@ -484,23 +394,23 @@ def _kalman_fused(plan: TickPlan, v: np.ndarray, slots, sc: dict, hot: bool):
     np.add(kh, ke, out=c10)  # u10
     np.multiply(kj, kc, out=kh)
     np.add(kh, kf, out=c11)  # u11
-    # live | measured == live here: the resident copy is current.
+    # live | measured == live here: ``live`` needs no update.
     return out
 
 
-def _kalman_fused_mixed(plan: TickPlan, v, sc, miss, live,
+def _kalman_fused_mixed(v, sc, miss, live, views,
                         dt, q00, q01, q11, r):
-    """Mixed ticks (NaN frames and/or fresh filters), fully resident.
+    """Mixed ticks (NaN frames and/or fresh filters).
 
     Computes the staged kernel's vectorized predict+update over the
-    resident registers — the same expression trees as
+    state's component ``views`` — the same expression trees as
     ``_kalman_tick_numpy``, so identical rounding and NaN propagation —
     then applies its nested ``where`` selections as in-place masked
     copies per row class (live update / live predict / initialize).
     Bit-identical to routing the tick through the staged kernel,
-    without its fresh mean/cov allocations or the scratch round trip.
+    without its fresh mean/cov allocations.
     """
-    m0, m1, c00, c01, c10, c11 = sc["kviews"]
+    m0, m1, c00, c01, c10, c11 = views
     measured = np.logical_not(miss, out=sc["kmeas"])
     ml = np.logical_and(measured, live, out=sc["kml"])  # live update
     nml = np.logical_and(miss, live, out=sc["knml"])  # live predict
@@ -578,30 +488,34 @@ def _fused_tick_numpy(plan: TickPlan, tick):
     bit-identical to the staged loop — the parity suite holds this to
     ``np.array_equal``.
     """
-    hot = plan._hot is not None and plan._hot == (
-        tick.slots.tobytes(),
-        plan.state_epoch,
-    )
-    # Cleared while the chain mutates state; restored once the tick
-    # completes, so a mid-chain error can never leave a stale key.
-    plan._hot = None
-    if not hot:
-        # Different slots (or invalidated): park the previous cohort's
-        # resident state in the slabs before re-gathering.
-        plan.flush()
-    tick, current, previous, sc = _prologue(plan, tick, hot)
+    tick, current, previous, dense = _prologue(plan, tick)
     if current is None:
         return tick
     n, n_rx, n_bins = current.shape
     slots = tick.slots
-    plan.gate._ensure(n_rx)
-    plan.hold._ensure(n_rx)
-    plan.kalman._ensure(n_rx)
+    gate, hold, kalman = plan.gate, plan.hold, plan.kalman
+    gate._ensure(n_rx)
+    hold._ensure(n_rx)
+    kalman._ensure(n_rx)
+    slabs = (
+        gate._last, gate._since, gate._pending, gate._pending_len,
+        hold._held, kalman._mean, kalman._cov, kalman._initialized,
+    )
+    # A dense tick updates the slabs in place through [:n] views; any
+    # other slot vector works on gathered rows, written back below.
+    if dense:
+        state = [slab[:n] for slab in slabs]
+    else:
+        state = [slab[slots] for slab in slabs]
+    last, since, pending, plen, held, mean, cov, live = state
+    sc = plan._scratch_for(n, n_rx, n_bins)
 
     with np.errstate(invalid="ignore", divide="ignore"):
         # BackgroundSubtract: the diff is an output (sessions retain
         # row views of the spectrum), the power slab is scratch.
         diff = current - previous
+        if dense:
+            np.copyto(previous, current)  # the next tick's reference
         tick.spectrum = diff
         power = sc["power"]
         np.abs(diff, out=power)
@@ -685,26 +599,17 @@ def _fused_tick_numpy(plan: TickPlan, tick):
         tick.raw_tof_m = raw
         tick.motion = found.copy().reshape(n, n_rx)
 
-        # OutlierGate -> HoldInterpolate -> KalmanSmooth over the
-        # resident state.
-        tof = _gate_fused(plan, raw, slots, sc, hot)
-        hold = plan.hold
+        # OutlierGate -> HoldInterpolate -> KalmanSmooth.
+        tof = _gate_fused(plan, raw, last, since, pending, plen, sc)
         finite = np.isfinite(tof, out=sc["hfin"])
-        held = sc["hheld"]
-        if not hot:
-            np.take(hold._held, slots, axis=0, out=held)
         np.copyto(held, tof, where=finite)  # held = where(finite, v, held)
         if plan.hold_enabled:
             tof = held
-        tof = _kalman_fused(plan, tof, slots, sc, hot)
+        tof = _kalman_fused(plan, tof, mean, cov, live, sc)
         tick.tof_m = tof
-        # Lazy writeback: the scratch copies (including this frame as
-        # the next tick's background reference) are now authoritative;
-        # the pipeline flushes them before any slab-level read.
-        np.copyto(sc["prev"], current)
-        plan._hot = (slots.tobytes(), plan.state_epoch)
-        plan._hot_slots = slots
-        plan._dirty = True
+        if not dense:
+            for slab, rows in zip(slabs, state):
+                slab[slots] = rows
 
         # Localize: the closed-form T solver, inlined (same expression
         # grouping as TGeometrySolver.solve, constants prefolded).
@@ -762,13 +667,10 @@ class MultiTickPlan:
     """The multi-person chain, run stage by stage.
 
     Its stages already advance the whole cohort as array programs, so
-    no state is resident and the pipeline's barriers (:meth:`flush`,
-    :meth:`discard`, :attr:`state_epoch`) do nothing. The class stays
-    because the repository benchmark (``perfbench/``) wraps :meth:`run`
-    and stamps :func:`compile_tick_plan`'s verdict per cohort kind.
+    there is nothing to fuse. The class stays because the repository
+    benchmark (``perfbench/``) wraps :meth:`run` and stamps
+    :func:`compile_tick_plan`'s verdict per cohort kind.
     """
-
-    state_epoch = 0
 
     def __init__(self, *stages) -> None:
         self.stages = stages
@@ -779,8 +681,3 @@ class MultiTickPlan:
             if tick.num_rows == 0:
                 break
         return tick
-
-    def flush(self) -> None:
-        pass
-
-    discard = flush

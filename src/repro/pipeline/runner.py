@@ -252,37 +252,8 @@ class Pipeline:
             s.reset()
         self._frames_in[:] = start_frame
         self.latency = LatencyReport()
-        # The stages just wiped their slabs: discard (don't flush) the
-        # plan's resident copies, or stale state would resurrect.
-        plan = self._tick_plan
-        if plan is not None and plan is not _UNFUSABLE:
-            plan.discard()
-            plan.state_epoch += 1
         if self.profiler is not None:
             self.profiler = StageProfiler()
-
-    def _flush_plan_state(self) -> None:
-        """Write the compiled plan's resident state back to the slabs.
-
-        The read barrier of the fused path's lazy writeback: called
-        before anything reads or overwrites stage state directly
-        (snapshot, restore, eviction, staged execution).
-        """
-        plan = self._tick_plan
-        if plan is not None and plan is not _UNFUSABLE:
-            plan.flush()
-
-    def _invalidate_plan_state(self) -> None:
-        """Flush, then drop, the compiled plan's resident state gathers.
-
-        Called on every path that mutates stage state outside a fused
-        tick (lifecycle events, staged execution) so the fused path
-        re-gathers from the slabs next tick.
-        """
-        plan = self._tick_plan
-        if plan is not None and plan is not _UNFUSABLE:
-            plan.flush()
-            plan.state_epoch += 1
 
     # -- session lifecycle -------------------------------------------------
 
@@ -295,9 +266,11 @@ class Pipeline:
         """Grow every stage's state to at least ``n_sessions`` slots.
 
         Existing slots keep their state (growth never perturbs running
-        sessions); slot allocation/reuse is the caller's concern — the
-        serving engine keeps a free list and calls :meth:`evict_session`
-        when a session leaves.
+        sessions); slot allocation is the caller's concern — the serving
+        engine keeps each cohort's slots dense: when a session leaves,
+        the cohort's last member moves into the freed slot
+        (:meth:`snapshot_session` / :meth:`restore_session`) and the
+        last slot is evicted (:meth:`evict_session`).
         """
         if n_sessions < 1:
             raise ValueError("n_sessions must be >= 1")
@@ -311,7 +284,6 @@ class Pipeline:
             self._n_sessions = n_sessions
         for s in self.stages:
             s.attach(n_sessions)
-        self._invalidate_plan_state()
 
     def evict_session(self, slot: int) -> None:
         """Forget one slot's state everywhere; the slot may be reused.
@@ -320,9 +292,6 @@ class Pipeline:
         surviving sessions are unperturbed — pinned by the serving
         tests.
         """
-        # Park resident fused state first: flushing after the evict
-        # would resurrect the evicted slot's rows.
-        self._flush_plan_state()
         if not 0 <= slot < self._n_sessions:
             raise IndexError(
                 f"slot {slot} out of range for {self._n_sessions} sessions"
@@ -330,7 +299,6 @@ class Pipeline:
         for s in self.stages:
             s.evict(slot)
         self._frames_in[slot] = 0
-        self._invalidate_plan_state()
 
     def snapshot_session(self, slot: int) -> dict:
         """Picklable hand-off of one session's entire pipeline state.
@@ -346,9 +314,6 @@ class Pipeline:
             raise IndexError(
                 f"slot {slot} out of range for {self._n_sessions} sessions"
             )
-        # Read barrier: the fused path may hold this slot's state in
-        # plan scratch; park it in the slabs before reading them.
-        self._flush_plan_state()
         return {
             "frames_in": int(self._frames_in[slot]),
             "stages": [s.snapshot_slot(slot) for s in self.stages],
@@ -371,13 +336,9 @@ class Pipeline:
                 f"this pipeline has {len(self.stages)} stages; snapshots "
                 "only restore into pipelines of the same spec"
             )
-        # Flush *before* installing: a later flush would overwrite the
-        # restored rows with the plan's stale resident copies.
-        self._flush_plan_state()
         self._frames_in[slot] = state["frames_in"]
         for stage, stage_state in zip(self.stages, stage_states):
             stage.restore_slot(slot, stage_state)
-        self._invalidate_plan_state()
 
     def _crop(self, frames: np.ndarray) -> np.ndarray:
         if self._max_bins is None:
@@ -485,11 +446,6 @@ class Pipeline:
                 "dispatch", (perf_counter() - t_enter) - attributed
             )
             return tick
-        if plan is not _UNFUSABLE:
-            # Staged stages read and mutate the slabs directly: park
-            # the plan's resident state first, then invalidate it.
-            plan.flush()
-            plan.state_epoch += 1
         if profiler is None:
             for stage in self.stages:
                 tick = stage.process_tick(tick)

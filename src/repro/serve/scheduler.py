@@ -1,10 +1,14 @@
 """Session admission and the lockstep multiplexing scheduler.
 
-:class:`SessionManager` owns the cohorts: it admits sessions (growing or
-recycling state slots in the cohort's shared vectorized pipeline),
-closes them (evicting their slot without perturbing survivors), and
-hands the :class:`Scheduler` the ready work. :class:`Scheduler.tick`
-batches, per cohort, every session with a queued frame into **one**
+:class:`SessionManager` owns the cohorts: it admits sessions (appending
+a state slot to the cohort's shared vectorized pipeline), closes them
+(evicting their slot without perturbing survivors), and hands the
+:class:`Scheduler` the ready work. A cohort's slots stay dense — a
+leaving session's slot is refilled by the cohort's last member, its
+state moved bit-exactly — so a tick that covers the whole cohort
+carries the slot vector ``0..n-1``, which the fused tick reads and
+writes in place. :class:`Scheduler.tick` batches, per cohort, every
+session with a queued frame, in slot order, into **one**
 :meth:`Pipeline.tick <repro.pipeline.Pipeline.tick>` call — N sessions,
 one pass of numpy dispatch — and routes each output row back to its
 session with its latency sample.
@@ -38,6 +42,10 @@ from .session import Session, SessionSpec
 class Cohort:
     """Sessions sharing one vectorized pipeline (same :class:`SessionSpec`).
 
+    Slots are dense: :attr:`members` lists the cohort in slot order, so
+    member ``k`` owns state slot ``k``. A freed slot is refilled by the
+    last member (:meth:`release_slot`).
+
     Args:
         key: the spec's content key (splits append a ``/split<n>``
             suffix, so split cohorts never merge back by key lookup).
@@ -54,29 +62,39 @@ class Cohort:
         #: True for cohorts born from an adaptive split (rejoin candidates).
         self.split = False
         self.pipeline: Pipeline = spec.build_pipeline()
-        self.sessions: dict[int, Session] = {}
-        self._free_slots: list[int] = []
-        self._high_slot = 0
+        #: Members in slot order: a :class:`Session` in process, a
+        #: session id inside a shard worker.
+        self.members: list = []
 
     @property
     def num_sessions(self) -> int:
         """Live sessions currently in the cohort."""
-        return len(self.sessions)
+        return len(self.members)
 
-    def allocate_slot(self) -> int:
-        """Reuse an evicted slot or grow the pipeline's session axis."""
-        if self._free_slots:
-            self._free_slots.sort()
-            return self._free_slots.pop(0)
-        slot = self._high_slot
-        self._high_slot += 1
-        self.pipeline.attach_sessions(max(self._high_slot, 1))
+    def allocate_slot(self, member) -> int:
+        """Give ``member`` slot ``n``, growing the pipeline if needed."""
+        slot = len(self.members)
+        self.members.append(member)
+        self.pipeline.attach_sessions(slot + 1)
         return slot
 
-    def release_slot(self, slot: int) -> None:
-        """Evict one slot's state and mark it reusable."""
-        self.pipeline.evict_session(slot)
-        self._free_slots.append(slot)
+    def release_slot(self, slot: int):
+        """Free ``slot`` and keep the slots dense.
+
+        The last member's state moves into ``slot`` through the
+        :meth:`Pipeline.snapshot_session` /
+        :meth:`Pipeline.restore_session` hand-off, then the last slot is
+        evicted. Returns the moved member, whose slot is now ``slot``,
+        or None when ``slot`` was the last.
+        """
+        pipeline = self.pipeline
+        moved = self.members.pop()
+        last = len(self.members)
+        if slot != last:
+            pipeline.restore_session(slot, pipeline.snapshot_session(last))
+            self.members[slot] = moved
+        pipeline.evict_session(last)
+        return moved if slot != last else None
 
 
 class SessionManager:
@@ -127,12 +145,10 @@ class SessionManager:
         if cohort is None:
             cohort = Cohort(key, spec)
             self.cohorts[key] = cohort
-        session = Session(
-            self._next_id, spec, cohort.allocate_slot(), self.queue_capacity
-        )
+        session = Session(self._next_id, spec, -1, self.queue_capacity)
         self._next_id += 1
+        session.slot = cohort.allocate_slot(session)
         session.cohort = cohort
-        cohort.sessions[session.session_id] = session
         self.sessions[session.session_id] = session
         return session
 
@@ -140,16 +156,33 @@ class SessionManager:
         """The cohort a live session belongs to."""
         return session.cohort
 
+    def _release(self, session: Session) -> None:
+        """Free ``session``'s slot; the member moved into it learns so."""
+        moved = session.cohort.release_slot(session.slot)
+        if moved is not None:
+            moved.slot = session.slot
+
+    def _move(self, session: Session, target: Cohort) -> None:
+        """Hand ``session``'s pipeline state off into a slot of ``target``.
+
+        Bit-exact: :meth:`Pipeline.snapshot_session
+        <repro.pipeline.Pipeline.snapshot_session>` rows restored into a
+        pipeline of the same spec, so the move is invisible in the
+        session's outputs.
+        """
+        state = session.cohort.pipeline.snapshot_session(session.slot)
+        self._release(session)
+        session.slot = target.allocate_slot(session)
+        target.pipeline.restore_session(session.slot, state)
+        session.cohort = target
+
     def split(self, session: Session, burst: int = 1) -> Cohort:
         """Re-batch one session into its own fresh cohort, bit-exactly.
 
-        The session's pipeline state rows are handed off via
-        :meth:`Pipeline.snapshot_session
-        <repro.pipeline.Pipeline.snapshot_session>` into a freshly
-        built pipeline of the same spec, so the move is invisible in
-        the session's outputs — only scheduling changes: a singleton
-        cohort with ``burst > 1`` may drain several queued frames per
-        scheduler tick.
+        The session's state is handed off (:meth:`_move`) into a freshly
+        built pipeline of the same spec; only scheduling changes: a
+        singleton cohort with ``burst > 1`` may drain several queued
+        frames per scheduler tick.
 
         Args:
             session: the (live) session to split off.
@@ -162,18 +195,12 @@ class SessionManager:
         if old.num_sessions <= 1:
             old.burst = max(old.burst, burst)
             return old  # already alone; just let it catch up
-        state = old.pipeline.snapshot_session(session.slot)
-        old.release_slot(session.slot)
-        del old.sessions[session.session_id]
         key = f"{old.key}/split{self._split_seq}"
         self._split_seq += 1
         cohort = Cohort(key, session.spec, burst=burst)
         cohort.split = True
         self.cohorts[key] = cohort
-        session.slot = cohort.allocate_slot()
-        cohort.pipeline.restore_session(session.slot, state)
-        session.cohort = cohort
-        cohort.sessions[session.session_id] = session
+        self._move(session, cohort)
         return cohort
 
     def merge(self, session: Session, target: Cohort) -> None:
@@ -190,14 +217,8 @@ class SessionManager:
             return
         if target.spec.cohort_key() != session.spec.cohort_key():
             raise ValueError("sessions only merge into same-spec cohorts")
-        state = old.pipeline.snapshot_session(session.slot)
-        old.release_slot(session.slot)
-        del old.sessions[session.session_id]
-        session.slot = target.allocate_slot()
-        target.pipeline.restore_session(session.slot, state)
-        session.cohort = target
-        target.sessions[session.session_id] = session
-        if not old.sessions:
+        self._move(session, target)
+        if not old.members:
             self._harvest_profile(old)
             del self.cohorts[old.key]
 
@@ -207,7 +228,8 @@ class SessionManager:
         Any still-queued frames are dropped — call
         :meth:`Scheduler.drain` (or tick until the queue empties) first
         if they must be processed. Eviction resets only this session's
-        state rows; cohort mates are unperturbed.
+        state rows; cohort mates are unperturbed (the one moved into the
+        freed slot carries its state along).
         """
         if session.closed:
             raise RuntimeError(f"session {session.session_id} already closed")
@@ -215,10 +237,9 @@ class SessionManager:
         result = session.result()
         session.closed = True
         session.queue.clear()
-        del cohort.sessions[session.session_id]
         del self.sessions[session.session_id]
-        cohort.release_slot(session.slot)
-        if not cohort.sessions:
+        self._release(session)
+        if not cohort.members:
             # Last member out: drop the cohort so a long-running engine
             # with churning heterogeneous specs cannot accumulate idle
             # pipelines (and their grown state arrays) without bound.
@@ -282,16 +303,15 @@ class StragglerDetector:
             if sid in live_ids
         }
 
-    def sweep(self, cohorts) -> list[Session]:
+    def sweep(self, groups) -> list[Session]:
         """Observe every cohort; return all sessions due for a split.
 
-        The shared per-tick detection loop of both schedulers: each
-        cohort contributes its ``(session, queue depth)`` members.
+        The shared per-tick detection loop of both schedulers:
+        ``groups`` yields each cohort's sessions.
         """
         due: list[Session] = []
-        for cohort in cohorts:
-            members = [(s, len(s.queue)) for s in cohort.sessions.values()]
-            due.extend(self.observe(members))
+        for sessions in groups:
+            due.extend(self.observe([(s, len(s.queue)) for s in sessions]))
         return due
 
 
@@ -378,7 +398,7 @@ class Scheduler:
         consumed = 0
         for cohort in list(self.manager.cohorts.values()):
             for _ in range(cohort.burst):
-                ready = [s for s in cohort.sessions.values() if s.queue]
+                ready = [s for s in cohort.members if s.queue]
                 if not ready:
                     break
                 consumed += self._tick_cohort(cohort, ready)
@@ -401,7 +421,8 @@ class Scheduler:
             for s in self.manager.sessions.values()
         ):
             detector.prune(self.manager.sessions)
-            for session in detector.sweep(self.manager.cohorts.values()):
+            groups = (c.members for c in self.manager.cohorts.values())
+            for session in detector.sweep(groups):
                 self.manager.split(session, burst=self.catchup_burst)
                 self.splits += 1
         self._caught_up = {
@@ -412,7 +433,7 @@ class Scheduler:
         for cohort in list(self.manager.cohorts.values()):
             if not cohort.split or cohort.num_sessions != 1:
                 continue
-            (session,) = cohort.sessions.values()
+            (session,) = cohort.members
             if session.queue:
                 self._caught_up.pop(session.session_id, None)
                 continue

@@ -243,7 +243,10 @@ class Session:
     Args:
         session_id: stable engine-wide identity.
         spec: the pipeline structure this session runs.
-        slot: state row in the cohort's vectorized pipeline.
+        slot: state row in the cohort's vectorized pipeline. It moves
+            when a cohort mate leaves (slots stay dense), and is -1 for
+            a session served by shard workers, whose slots are
+            worker-local.
         queue_capacity: bound on frames queued ahead of processing;
             a full queue refuses new frames (backpressure) instead of
             letting one straggler grow without limit.

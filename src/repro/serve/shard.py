@@ -62,8 +62,11 @@ class ShardWorker:
     Instantiated by the worker pool *inside* the worker (actor
     factory); every method is an IPC entry point with picklable
     arguments and returns. Reuses :class:`~repro.serve.scheduler.Cohort`
-    for pipeline construction and slot recycling, so shard-side slot
-    lifecycle is the single-process lifecycle.
+    for pipeline construction and its dense slots, so shard-side slot
+    lifecycle is the single-process lifecycle: an eviction moves the
+    cohort's last member into the freed slot, and :meth:`step` ticks
+    each cohort's batch in slot order. Slots never leave the worker;
+    the parent addresses sessions by id.
     """
 
     def __init__(self) -> None:
@@ -102,7 +105,7 @@ class ShardWorker:
         if session_id in self._placement:
             raise RuntimeError(f"session {session_id} already on this shard")
         cohort = self._cohort(key, spec)
-        slot = cohort.allocate_slot()
+        slot = cohort.allocate_slot(session_id)
         if start_frame:
             pipeline = cohort.pipeline
             pipeline.restore_session(
@@ -112,17 +115,15 @@ class ShardWorker:
                     "stages": [{} for _ in pipeline.stages],
                 },
             )
-        cohort.sessions[session_id] = session_id  # membership marker
         self._placement[session_id] = (key, slot)
         return slot
 
     def restore(
         self, session_id: int, key: str, spec: SessionSpec, state: dict
-    ) -> int:
+    ) -> None:
         """Admit a session and install a migrated pipeline snapshot."""
         slot = self.admit(session_id, key, spec)
         self.cohorts[key].pipeline.restore_session(slot, state)
-        return slot
 
     def snapshot(self, session_id: int) -> dict:
         """Hand off one session's pipeline state (for migration)."""
@@ -133,9 +134,10 @@ class ShardWorker:
         """Forget a session's state slot; drop its cohort when empty."""
         key, slot = self._placement.pop(session_id)
         cohort = self.cohorts[key]
-        del cohort.sessions[session_id]
-        cohort.release_slot(slot)
-        if not cohort.sessions:
+        moved = cohort.release_slot(slot)
+        if moved is not None:
+            self._placement[moved] = (key, slot)
+        if not cohort.members:
             if cohort.pipeline.profiler is not None:
                 self._retired_profile.merge(cohort.pipeline.profiler)
             del self.cohorts[key]
@@ -180,14 +182,17 @@ class ShardWorker:
         by_cohort: dict[str, list[tuple[int, int, list[np.ndarray]]]] = {}
         for sid, blocks in batch:
             key, slot = self._placement[sid]
-            by_cohort.setdefault(key, []).append((sid, slot, blocks))
+            by_cohort.setdefault(key, []).append((slot, sid, blocks))
         for key, members in by_cohort.items():
             pipeline = self.cohorts[key].pipeline
+            # Slot order: a step that covers the whole cohort ticks the
+            # dense slot vector 0..n-1.
+            members.sort(key=lambda m: m[0])
             rounds = max(len(blocks) for _, _, blocks in members)
             for r in range(rounds):
                 active = [m for m in members if r < len(m[2])]
                 slots = np.fromiter(
-                    (slot for _, slot, _ in active),
+                    (slot for slot, _, _ in active),
                     dtype=np.intp,
                     count=len(active),
                 )
@@ -195,7 +200,7 @@ class ShardWorker:
                     [blocks[r] for _, _, blocks in active], slots
                 )
                 if tick.num_rows:
-                    sid_of_slot = {slot: sid for sid, slot, _ in active}
+                    sid_of_slot = {slot: sid for slot, sid, _ in active}
                     session_ids = np.fromiter(
                         (sid_of_slot[int(slot)] for slot in tick.slots),
                         dtype=np.int64,
@@ -573,7 +578,7 @@ class DistributedScheduler:
         session = Session(self._next_id, spec, -1, self.queue_capacity)
         self._next_id += 1
         try:
-            session.slot = self.pool.invoke(
+            self.pool.invoke(
                 cohort.shard, "admit", session.session_id, cohort.key, spec
             )
         except Exception as exc:
@@ -581,7 +586,7 @@ class DistributedScheduler:
                 raise
             self.last_failure = exc
             self._fail_shard(cohort.shard, [])
-            session.slot = self.pool.invoke(
+            self.pool.invoke(
                 cohort.shard, "admit", session.session_id, cohort.key, spec
             )
         session.cohort = cohort
@@ -714,7 +719,8 @@ class DistributedScheduler:
     def _rebatch(self) -> None:
         """Split persistent stragglers; rejoin the ones that caught up."""
         self.detector.prune(self.sessions)
-        for session in self.detector.sweep(self.cohorts.values()):
+        groups = (c.sessions.values() for c in self.cohorts.values())
+        for session in self.detector.sweep(groups):
             self._split(session)
         self._caught_up = {
             sid: count
@@ -777,7 +783,7 @@ class DistributedScheduler:
         split.sessions[session.session_id] = session
         self.splits += 1
         try:
-            session.slot = self.pool.invoke(
+            self.pool.invoke(
                 split.shard, "restore", session.session_id, key,
                 cohort.spec, state,
             )
@@ -828,7 +834,7 @@ class DistributedScheduler:
         target.sessions[session.session_id] = session
         self.rejoins += 1
         try:
-            session.slot = self.pool.invoke(
+            self.pool.invoke(
                 target.shard, "restore", session.session_id, target.key,
                 target.spec, state,
             )

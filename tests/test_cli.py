@@ -5,9 +5,8 @@ import os
 
 import pytest
 
-from repro import cli
 from repro.cli import build_parser, main
-from repro.kernels import synthesis_workers
+from repro.kernels import backend_name, fusion_active, synthesis_workers
 
 
 class TestParser:
@@ -58,37 +57,17 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "detected" in out
 
-
-class TestBenchTrajectory:
-    RESULT = {"serial_fps": 900.0, "sharded_fps": 1800.0,
-              "p95_latency_ms": 0.3}
-
-    def test_records_serial_fps_cores_and_dirty_flag(
-        self, tmp_path, monkeypatch
-    ):
-        path = tmp_path / "trajectory.json"
-        monkeypatch.setenv("REPRO_BENCH_TRAJECTORY", str(path))
-        cli._append_bench_record(dict(self.RESULT))
-        cli._append_bench_record(dict(self.RESULT, serial_fps=950.0))
-        records = json.loads(path.read_text())
-        assert [r["serial_fps"] for r in records] == [900.0, 950.0]
-        assert records[0]["frames_per_s"] == 1800.0
-        assert records[0]["cpu_count"] == os.cpu_count()
-        assert records[0]["synthesis_workers"] == synthesis_workers()
-        assert records[0]["dirty"] in (True, False, None)
-
-    @pytest.mark.parametrize(
-        "status, dirty",
-        [
-            ("", False),
-            (" M BENCH_serving.json\n", False),
-            (" M BENCH_serving.json\n M src/repro/cli.py\n", True),
-            ("?? notes.txt\n", True),
-            (None, None),
-        ],
-    )
-    def test_dirty_ignores_the_trajectory_file(
-        self, monkeypatch, status, dirty
-    ):
-        monkeypatch.setattr(cli, "_git", lambda *args: status)
-        assert cli._worktree_dirty() is dirty
+    def test_bench_runs(self, capsys, tmp_path):
+        """``repro bench`` matches serial output and stamps its JSON
+        with the configuration it measured."""
+        path = tmp_path / "bench.json"
+        code = main(["bench", "--workers", "1", "--duration", "3",
+                     "--output", str(path)])
+        assert code == 0
+        assert "identical  : yes" in capsys.readouterr().out
+        result = json.loads(path.read_text())
+        assert result["identical"] is True
+        assert result["cpu_count"] == os.cpu_count()
+        assert result["synthesis_workers"] == synthesis_workers()
+        assert result["backend"] == backend_name()
+        assert result["fused"] == fusion_active()

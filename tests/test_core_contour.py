@@ -140,3 +140,48 @@ class TestTinySpectra:
             )
             assert not result.motion_mask.any()
             assert np.isnan(result.round_trip_m).all()
+
+
+class TestNonFiniteCells:
+    """A non-finite or huge cell next to a peak raises no warning.
+
+    A corrupt frame must not turn into a warning (an error under a
+    strict filter) in the contour tracker: the subpixel fit's
+    denominator is computed under the same ``errstate`` as its ratio.
+    """
+
+    CELLS = ([1.0, np.inf, np.inf], [np.inf, np.inf, 1.0],
+             [np.inf, np.inf, np.inf], [-np.inf, 5.0, np.inf],
+             [1.0, np.nan, 5.0], [np.nan, 5.0, np.nan],
+             [1e300, 1e300, 1e300], [1.0, 1e300, 1e300],
+             [np.inf, 1e300, -np.inf])
+
+    def _rows(self):
+        rows = []
+        for cells in self.CELLS:
+            for at in (20, 21, 22):
+                row = np.ones(60)
+                row[at + 3] = 50.0  # a finite peak just past the cells
+                row[at:at + 3] = cells
+                rows.append(row)
+        return np.array(rows)
+
+    @pytest.mark.filterwarnings("error")
+    def test_track_bottom_contour(self):
+        power = self._rows()
+        result = track_bottom_contour(power, 0.1, min_range_m=0.5)
+        assert result.round_trip_m.shape == (len(power),)
+        for row in power:
+            track_bottom_contour(row[None], 0.1, min_range_m=0.5)
+
+    @pytest.mark.filterwarnings("error")
+    def test_reference_successive_cancel(self):
+        from repro.kernels import use_backend
+        from repro.kernels.cancellation import successive_cancel
+
+        power = self._rows()
+        with use_backend("reference"):
+            round_trips, _, _, _ = successive_cancel(
+                power, 0.1, 3, 12.0, 0.5, 0.5, 26.0
+            )
+        assert round_trips.shape == (3, len(power))

@@ -8,8 +8,9 @@ The load-bearing properties:
   across mixed single/K=2/K=3 cohorts (in process and over shard
   workers) and staggered session start/stop —
   batching sessions for throughput never changes anyone's answer;
-* evicting a session mid-run does not perturb the survivors, and its
-  slot is recycled for the next admission;
+* evicting a session mid-run does not perturb the survivors, and a
+  cohort's slots stay dense (``0..n-1``) through every admit, close,
+  evict, split and merge;
 * a NaN, infinite or huge block stays with the session that sent it:
   its cohort mates' results stay bitwise those of a clean run, for
   single- and K-person cohorts, in process or over shard workers,
@@ -20,6 +21,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import ArrayConfig, default_config
 from repro.core.localize import LeastSquaresSolver, make_solver
@@ -30,7 +32,12 @@ from repro.kernels.tick import enable_fusion, reset_fusion_override
 from repro.loadgen import SyntheticFrameSource
 from repro.multi import MultiScenario, MultiWiTrack
 from repro.pipeline import BackgroundSubtract, KalmanSmooth, LatencyReport
-from repro.serve import ServingEngine, multi_session, single_session
+from repro.serve import (
+    ServingEngine,
+    ShardWorker,
+    multi_session,
+    single_session,
+)
 from repro.sim import Scenario
 from repro.sim.body import HumanBody
 from repro.sim.motion import non_colliding_walks, random_walk
@@ -297,15 +304,14 @@ class TestLockstepEquivalence:
                        "evict": True},
             "c": {"spec": spec,
                   "blocks": frame_blocks(short_walks[2], config)},
-            # Admitted well after the victim's slot frees: exercises
-            # slot recycling under the survivors' feet.
+            # Admitted well after the victim leaves: the survivors'
+            # slots move under their feet before and after it joins.
             "d": {"spec": spec,
                   "blocks": frame_blocks(short_walks[3], config, 100),
                   "start": 60},
         }
         results, sessions = drive(engine, plan)
         assert results["victim"] is None
-        assert sessions["d"].slot == sessions["victim"].slot  # recycled
         for name in ("a", "c", "d"):
             reference = serial_single(
                 config, range_bin_m, plan[name]["blocks"]
@@ -394,10 +400,8 @@ class TestSessionVectorizedStages:
             pipe.tick(blocks, [0, 1])
         kalman = pipe.stage(KalmanSmooth)
         assert kalman._initialized is not None
-        # snapshot_session is the read barrier: the fused tick path
-        # keeps resident state in plan scratch and flushes it to the
-        # slabs before any direct slab-level read.
-        pipe.snapshot_session(0)
+        # The slabs are the only copy of stage state: they are read
+        # directly, with no barrier first.
         before = kalman._initialized[0].copy()
         pipe.evict_session(1)
         np.testing.assert_array_equal(kalman._initialized[0], before)
@@ -546,3 +550,136 @@ class TestNonFiniteContainment:
             )
             assert tracked, f"session {s} never tracked"
             assert _same_result(dirty[s], result), f"session {s}"
+
+
+#: One churn step: an event, which live session it picks, and how many
+#: frames every live session is fed afterwards.
+CHURN = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["single", "multi", "close", "evict", "split", "merge"]
+        ),
+        st.integers(0, 7),
+        st.integers(1, 3),
+    ),
+    min_size=3,
+    max_size=14,
+)
+
+
+def _assert_dense(engine):
+    """Every in-process cohort's members own exactly slots 0..n-1."""
+    for cohort in engine.manager.cohorts.values():
+        assert [s.slot for s in cohort.members] == list(
+            range(cohort.num_sessions)
+        ), cohort.key
+        assert all(s.cohort is cohort for s in cohort.members)
+
+
+def _churn(engine, events):
+    """Drive an admit/close/evict/split/merge schedule on ``engine``.
+
+    Splits and merges are direct :class:`SessionManager` calls, so they
+    run in process only. Returns ``(spec, blocks, result)`` for every
+    session closed cleanly.
+    """
+    specs = {
+        "single": single_session(),
+        "multi": multi_session(max_people=2, room=through_wall_room()),
+    }
+    check = _assert_dense if not engine.distributed else lambda engine: None
+    live, closed = [], []
+    for seed, (event, pick, frames) in enumerate(events):
+        if event in specs and len(live) < 6:
+            spec = specs[event]
+            source = SyntheticFrameSource(spec, seed=seed)
+            live.append((engine.admit(spec), spec, source, []))
+        elif event in ("close", "evict") and live:
+            session, spec, _, blocks = live.pop(pick % len(live))
+            if event == "close":
+                closed.append((spec, blocks, engine.close(session)))
+            else:
+                engine.evict(session)
+        elif event in ("split", "merge") and live and not engine.distributed:
+            session = live[pick % len(live)][0]
+            base = engine.manager.cohorts.get(session.spec.cohort_key())
+            if event == "split":
+                engine.manager.split(session, burst=2)
+            elif base is not None:
+                engine.manager.merge(session, base)
+        check(engine)
+        for _ in range(frames):
+            for session, _, source, blocks in live:
+                blocks.append(source.next_block())
+                engine.submit(session, blocks[-1])
+            engine.tick()
+            check(engine)
+    for session, spec, _, blocks in live:
+        closed.append((spec, blocks, engine.close(session)))
+        check(engine)
+    return closed
+
+
+def _assert_serial(closed):
+    """Each closed session equals its own serial ``run_stream``."""
+    for spec, blocks, result in closed:
+        reference = spec.build_pipeline().run_stream(blocks)
+        if spec.kind == "single":
+            assert_single_equal(result, reference)
+        elif reference.tracks is None:
+            assert result.tracks is None
+        else:
+            assert_tracks_equal(result, reference)
+
+
+class TestDenseSlots:
+    """Cohort slots stay ``0..n-1`` under churn: a leaving session's
+    slot is refilled by the cohort's last member, and that move never
+    changes anyone's answer."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(events=CHURN)
+    def test_in_process(self, events):
+        engine = ServingEngine()
+        _assert_serial(_churn(engine, events))
+        assert engine.manager.cohorts == {}
+
+    @settings(max_examples=4, deadline=None)
+    @given(events=CHURN)
+    def test_sharded(self, events):
+        with ServingEngine(workers=2) as engine:
+            closed = _churn(engine, events)
+        _assert_serial(closed)
+
+    def test_shard_worker_placement_stays_dense(self):
+        """Shard-side evictions move the last member and re-address it;
+        re-admission (failover) and restore (migration) append."""
+        spec = single_session()
+        worker = ShardWorker()
+        key = spec.cohort_key()
+
+        def placed():
+            cohort = worker.cohorts[key]
+            slots = {sid: slot for sid, (k, slot) in worker._placement.items()
+                     if k == key}
+            assert sorted(slots.values()) == list(range(cohort.num_sessions))
+            assert all(cohort.members[slot] == sid
+                       for sid, slot in slots.items())
+            return slots
+
+        sources = {sid: SyntheticFrameSource(spec, seed=sid)
+                   for sid in range(1, 6)}
+        for sid in range(1, 5):
+            worker.admit(sid, key, spec)
+        for _ in range(3):
+            worker.step([(sid, [sources[sid].next_block()])
+                         for sid in placed()])
+        state = worker.snapshot(2)
+        worker.evict(2)
+        assert placed()[4] == 1  # the last member moved into slot 1
+        worker.restore(5, key, spec, state)  # migration appends
+        worker.admit(6, key, spec, start_frame=3)  # failover appends
+        assert placed() == {1: 0, 4: 1, 3: 2, 5: 3, 6: 4}
+        worker.evict(1)
+        worker.evict(6)
+        assert placed() == {5: 0, 4: 1, 3: 2}

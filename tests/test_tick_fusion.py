@@ -6,10 +6,14 @@ contract that makes that safe to ship:
 
 * fused and staged execution produce **bit-identical** tick outputs and
   stage state, per backend, including the NaN hold/outlier paths;
-* lifecycle events (attach, evict, partial cohorts, snapshot/restore
-  across a fused<->staged boundary, alternating execution on one
-  pipeline) never desynchronize the plan's resident state from the
-  stage slabs;
+* the fused kernel's two state paths agree with the staged loop: a
+  tick over the dense slot vector ``0..n-1`` updates the stage slabs
+  in place through ``[:n]`` views, and any other slot vector (priming
+  ticks, partial cohorts, permutations) gathers its rows and writes
+  them back — pinned across lifecycle events (attach, evict, slot
+  moves, snapshot/restore across a fused<->staged boundary,
+  alternating execution on one pipeline) by example and by a
+  hypothesis property;
 * the ``reference`` backend never fuses, ``REPRO_FUSED=0`` /
   :func:`enable_fusion` force the staged loop everywhere, and the
   profiler reports the fused path under its own rows.
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import SystemConfig
 from repro.core.localize import LeastSquaresSolver, TGeometrySolver
@@ -316,6 +321,55 @@ class TestFusedStagedParity:
                 fixes += int(np.isfinite(ta.positions).all(axis=1).sum())
             assert fixes > 0  # the warm start was exercised
             _assert_state_equal(p_home, p_away, [2], "lsq migration")
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_any_slot_vector(self, config, data):
+        """Fused == staged over prefix, subset and permuted slot
+        vectors, with attach / evict / slot moves between ticks: the
+        in-place ``[:n]`` path and the gather path agree bitwise."""
+        draw = data.draw
+        n = draw(st.integers(1, 6), label="slots")
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        spf = config.pipeline.sweeps_per_frame
+        regimes = st.sampled_from(["target", "target", "still", "ramp"])
+        kinds = [draw(regimes) for _ in range(6)]
+        with use_backend("numpy"):
+            ps, pf = _pipeline(config, n), _pipeline(config, n)
+            for t in range(draw(st.integers(20, 40), label="ticks")):
+                event = draw(st.sampled_from(
+                    ["tick"] * 4 + ["attach", "evict", "move"]))
+                if event == "attach" and n < 6:
+                    n += 1
+                    for p in (ps, pf):
+                        p.attach_sessions(n)
+                elif event == "evict":
+                    slot = draw(st.integers(0, n - 1))
+                    for p in (ps, pf):
+                        p.evict_session(slot)
+                elif event == "move" and n > 1:
+                    src, dst = draw(st.permutations(range(n)))[:2]
+                    for p in (ps, pf):
+                        p.restore_session(dst, p.snapshot_session(src))
+                        p.evict_session(src)
+                shape = draw(st.sampled_from(["prefix", "subset", "perm"]))
+                if shape == "prefix":
+                    slots = np.arange(draw(st.integers(1, n)))
+                elif shape == "subset":
+                    chosen = draw(st.sets(st.integers(0, n - 1), min_size=1))
+                    slots = np.array(sorted(chosen))
+                else:
+                    slots = np.array(draw(st.permutations(range(n))))
+                arr = np.stack(
+                    [_block(rng, kinds[s], t + s, spf) for s in slots]
+                )
+                enable_fusion(False)
+                ta = ps.tick(arr.copy(), slots)
+                enable_fusion(True)
+                tb = pf.tick(arr.copy(), slots)
+                _assert_ticks_equal(ta, tb, f"tick{t} {slots}")
+                _assert_state_equal(ps, pf, range(n), f"tick{t} {slots}")
+            assert isinstance(pf._tick_plan, TickPlan)
 
     def test_alternating_execution_on_one_pipeline(self, config):
         """Flipping REPRO_FUSED mid-stream must not change outputs."""
