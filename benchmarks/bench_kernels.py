@@ -19,9 +19,16 @@ The numpy synthesis kernel splits its sweep tiles over
 at that count and at one worker, and the artifact records both counts
 with the host's ``cpu_count``.
 
+The single-person tick kernels (``contour_tick``, ``outlier_gate``, the
+in-place ``kalman_tick``) get rows at 1, 3 and 16 sessions; each of
+their calls first restores the inputs' initial state (a few small
+copies, timed alike on both backends), so every call is the same
+update.
+
 Before timing, both successive-cancellation rows (N=8 and a 2-session
-cohort, where the kernel is dispatch-bound) must give bitwise the same
-outputs under ``numpy`` as under its ``reference`` spec, and both sweep
+cohort, where the kernel is dispatch-bound) and every tick-kernel row
+must give bitwise the same outputs (and updated state) under ``numpy``
+as under its ``reference`` spec, and both sweep
 synthesis rows (N=8, and synth-1p's 16-session chunk) must agree with
 ``reference`` to the unit tests' tolerance (``rtol=1e-11``,
 ``atol=1e-12`` of the peak) and give bitwise the same output on one
@@ -40,6 +47,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -56,8 +64,10 @@ from repro.kernels import (
     available_backends,
     background_power,
     backend_name,
+    contour_tick,
     first_local_max_above,
     kalman_tick,
+    outlier_gate,
     row_median,
     set_backend,
     synthesis_workers,
@@ -113,6 +123,86 @@ def _synthesis_workload(rng, sessions: int, name: str) -> dict:
         "inner": 1,
         "run": run,
     }
+
+
+#: Session counts of the single-person tick-kernel rows.
+TICK_SESSIONS = (1, 3, 16)
+
+
+def _restoring(kernel_fn, values, initial: list, *args):
+    """A ``run`` that restores the state arrays, then calls the kernel.
+
+    ``kernel_fn(values, *state, *args)`` updates ``state`` in place;
+    ``run`` returns its output followed by the updated state.
+    """
+    state = [a.copy() for a in initial]
+
+    def run():
+        for dst, src in zip(state, initial):
+            np.copyto(dst, src)
+        return (kernel_fn(values, *state, *args), *state)
+
+    return run
+
+
+def _tick_kernel_workloads(rng) -> list[dict]:
+    """The single-person tick kernels at serving shapes, per cohort size.
+
+    Contour rows scan ``(sessions * n_rx, n_bins)`` power with one
+    reflector each; gate rows see a frame where a third of the
+    antennas jump (so the candidate pack runs) against partly filled
+    pending buffers; Kalman rows are the steady serving case, every
+    filter live and measured.
+    """
+    rows = []
+    bins = np.arange(N_BINS, dtype=np.float64)
+    for n in TICK_SESSIONS:
+        power = rng.uniform(0.0, 1.0, (n * N_RX, N_BINS))
+        for r in range(len(power)):
+            power[r] += 40.0 * np.exp(-0.5 * ((bins - 40.0 - r % 9) / 1.5) ** 2)
+        rows.append({
+            "kernel": f"contour_tick_n{n}",
+            "shape": f"power {power.shape}",
+            "frames": n,
+            "inner": 100,
+            "run": partial(contour_tick, power, 0.1774, 12.0, 1.0, 26.0, {}),
+        })
+
+        p = 4
+        values = rng.uniform(1.0, 9.0, (n, N_RX))
+        last = values + rng.uniform(-0.05, 0.05, values.shape)
+        jump = rng.uniform(size=values.shape) < 1 / 3
+        last[jump] += 1.0
+        pending_len = rng.integers(0, p, values.shape).astype(np.int64)
+        pending = values[:, :, None] + rng.uniform(-0.2, 0.2, (n, N_RX, p))
+        pending[np.arange(p) >= pending_len[:, :, None]] = np.nan
+        since = np.ones(values.shape, dtype=np.int64)
+        rows.append({
+            "kernel": f"outlier_gate_n{n}",
+            "shape": f"bank {values.shape} x {p}",
+            "frames": n,
+            "inner": 100,
+            "run": _restoring(
+                outlier_gate, values, [last, since, pending, pending_len],
+                0.15, 0.3, {},
+            ),
+        })
+
+        values = rng.uniform(1.0, 9.0, (n, N_RX))
+        mean = np.stack([values, np.zeros_like(values)], axis=-1)
+        cov = np.broadcast_to(np.eye(2), (n, N_RX, 2, 2)).copy()
+        live = np.ones(values.shape, dtype=bool)
+        rows.append({
+            "kernel": f"kalman_tick_n{n}",
+            "shape": f"bank {values.shape}",
+            "frames": n,
+            "inner": 100,
+            "run": _restoring(
+                kalman_tick, values, [mean, cov, live],
+                0.0125, 1e-4, 1e-3, 1e-2, 0.05, {},
+            ),
+        })
+    return rows
 
 
 def _workloads() -> list[dict]:
@@ -221,8 +311,9 @@ def _workloads() -> list[dict]:
             "shape": f"bank {values.shape}",
             "frames": tick_session_frames,
             "inner": 100,
-            "run": lambda: kalman_tick(
-                values, mean, cov, live, 0.0125, 1e-4, 1e-3, 1e-2, 0.05
+            "run": _restoring(
+                kalman_tick, values, [mean, cov, live],
+                0.0125, 1e-4, 1e-3, 1e-2, 0.05, {},
             ),
         },
         {
@@ -288,7 +379,33 @@ def _workloads() -> list[dict]:
                 seed_slots=[people] * N_SESSIONS,
             ),
         },
-    ]
+    ] + _tick_kernel_workloads(rng)
+
+
+#: Kernels whose numpy rows must be bitwise their reference spec.
+_BITWISE_KERNELS = ("contour_tick", "outlier_gate", "kalman_tick")
+
+
+def _tick_parity(workloads: list[dict]) -> dict[str, bool]:
+    """Per tick-kernel row: is numpy bitwise its reference spec?
+
+    Compares every output and every updated state array.
+    """
+    parity = {}
+    for work in workloads:
+        if not work["kernel"].startswith(_BITWISE_KERNELS):
+            continue
+        outputs = []
+        for name in ("numpy", "reference"):
+            set_backend(name)
+            outputs.append([np.array(a, copy=True) for a in work["run"]()])
+        fast, spec = outputs
+        parity[work["kernel"]] = all(
+            a.shape == b.shape and a.dtype == b.dtype
+            and a.tobytes() == b.tobytes()
+            for a, b in zip(fast, spec)
+        )
+    return parity
 
 
 def _cancellation_parity(workloads: list[dict]) -> dict[str, bool]:
@@ -388,11 +505,12 @@ def bench(repeats: int) -> dict:
     try:
         workloads = _workloads()
         parity = _cancellation_parity(workloads)
+        tick_parity = _tick_parity(workloads)
         synthesis_parity = _synthesis_parity(workloads)
         worker_parity = _worker_parity(workloads, workers)
         if not all(
             all(p.values())
-            for p in (parity, synthesis_parity, worker_parity)
+            for p in (parity, tick_parity, synthesis_parity, worker_parity)
         ):
             workloads = []  # main() reports the mismatch; time nothing
         for work in workloads:
@@ -434,6 +552,7 @@ def bench(repeats: int) -> dict:
         "cpu_count": os.cpu_count(),
         "synthesis_workers": workers,
         "cancellation_parity": parity,
+        "tick_kernel_parity": tick_parity,
         "synthesis_parity": synthesis_parity,
         "synthesis_worker_parity": worker_parity,
         "kernels": rows,
@@ -457,6 +576,17 @@ def main() -> int:
     if mismatched:
         print(
             "numpy successive_cancel differs from its reference spec on: "
+            + ", ".join(mismatched),
+            file=sys.stderr,
+        )
+        return 1
+    mismatched = [
+        kernel for kernel, ok in payload["tick_kernel_parity"].items()
+        if not ok
+    ]
+    if mismatched:
+        print(
+            "numpy tick kernels differ from their reference specs on: "
             + ", ".join(mismatched),
             file=sys.stderr,
         )

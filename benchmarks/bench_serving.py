@@ -52,7 +52,6 @@ from repro.exec import (
     synthesize,
 )
 from repro.kernels import backend_name, set_backend, synthesis_workers
-from repro.kernels.tick import enable_fusion, reset_fusion_override
 from repro.serve import ServingEngine, single_session
 from repro.sim import CohortFrameSource, Scenario, random_walk, through_wall_room
 from repro.sim.body import sample_population
@@ -432,82 +431,6 @@ def _synthetic_distributed(
     return out
 
 
-def _tick_fusion_comparison(config, range_bin_m, scenarios,
-                            repeats: int = 9,
-                            max_frames: int = 240) -> dict:
-    """Compiled tick plans vs the staged loop, same backend, same frames.
-
-    Pre-materializes every session's frames (synthesis out of the
-    loop), then times the engine's tick path twice — fusion forced off
-    (the staged per-stage loop) and on (one fused kernel call per
-    cohort tick) — best-of-``repeats`` each, and bit-checks the two
-    runs' session outputs against each other. The frames/s here is the
-    pure serving-tick surface the tick compiler optimizes; ingestion
-    and synthesis are identical on both sides and excluded.
-    """
-    source = CohortFrameSource(scenarios, chunk_frames=min(max_frames, 64))
-    n_frames = min(source.n_frames, max_frames)
-    frames = [[] for _ in scenarios]
-    for f, streams in enumerate(zip(*source.session_streams())):
-        if f >= n_frames:
-            break
-        for k, block in enumerate(streams):
-            frames[k].append(block)
-
-    def run_once(fused: bool):
-        enable_fusion(fused)
-        ticks = np.empty(n_frames)
-        with ServingEngine() as engine:
-            spec = single_session(config, range_bin_m)
-            sessions = [engine.admit(spec) for _ in frames]
-            for f in range(n_frames):
-                for session, stream in zip(sessions, frames):
-                    engine.submit(session, stream[f])
-                start = time.perf_counter()
-                engine.tick()
-                ticks[f] = time.perf_counter() - start
-            results = [engine.close(s) for s in sessions]
-        return ticks, results
-
-    # Alternate staged/fused passes within each repeat so environmental
-    # drift (a shared-core VM getting busy mid-benchmark) lands on both
-    # sides equally, and keep the elementwise per-tick minimum across
-    # repeats: tick f's floor is its real cost, and an OS hiccup during
-    # one repeat no longer pollutes the aggregate the way best-of-run
-    # does (every repeat carries some noise; no single run is clean).
-    staged_ticks = fused_ticks = None
-    staged_results = fused_results = None
-    try:
-        for _ in range(max(repeats, 1)):
-            s, staged_results = run_once(False)
-            staged_ticks = (
-                s if staged_ticks is None else np.minimum(staged_ticks, s)
-            )
-            f, fused_results = run_once(True)
-            fused_ticks = (
-                f if fused_ticks is None else np.minimum(fused_ticks, f)
-            )
-    finally:
-        reset_fusion_override()
-    staged_s = float(staged_ticks.sum())
-    fused_s = float(fused_ticks.sum())
-    total = len(frames) * n_frames
-    return {
-        "sessions": len(frames),
-        "frames_per_session": n_frames,
-        "backend": backend_name(),
-        "staged_s": staged_s,
-        "fused_s": fused_s,
-        "staged_fps": total / staged_s,
-        "fused_fps": total / fused_s,
-        "speedup": staged_s / fused_s,
-        "identical": all(
-            results_identical(a, b)
-            for a, b in zip(staged_results, fused_results)
-        ),
-    }
-
-
 def bench_synthetic(n_sessions: int, duration_s: float,
                     chunk_frames: int = 64, repeats: int = 3,
                     workers: int = 0) -> dict:
@@ -589,13 +512,6 @@ def bench_synthetic(n_sessions: int, duration_s: float,
             }
             if "stage_profile" in fused:
                 row["stage_profile"] = fused["stage_profile"]
-            if n == counts[-1]:
-                # Compiled tick plans vs the staged loop on the numpy
-                # backend — same frames, same backend, bit-checked.
-                set_backend("numpy")
-                row["tick_fusion"] = _tick_fusion_comparison(
-                    config, range_bin_m, scenarios, repeats=max(repeats, 3)
-                )
             if workers > 0 and n == counts[-1]:
                 set_backend("numpy")
                 row["distributed"] = _synthetic_distributed(
@@ -670,19 +586,6 @@ def main() -> int:
         top = payload["scaling"][-1]
         print(f"\nat N={top['sessions']}: {top['speedup']:.2f}x over "
               f"per-session synthesis (reference backend)")
-        fusion_ok = True
-        if "tick_fusion" in top:
-            tf = top["tick_fusion"]
-            fusion_ok = tf["identical"]
-            print(f"tick fusion ({tf['backend']} backend, "
-                  f"N={tf['sessions']}): staged "
-                  f"{tf['staged_fps']:.0f} frames/s, fused "
-                  f"{tf['fused_fps']:.0f} frames/s "
-                  f"({tf['speedup']:.2f}x), identical "
-                  f"{'yes' if tf['identical'] else 'NO'}")
-            fused_path = args.output.with_name("serving_fused.json")
-            fused_path.write_text(json.dumps(tf, indent=2) + "\n")
-            print(f"wrote {fused_path}")
         dist_ok = True
         if "distributed" in top:
             dist = top["distributed"]
@@ -700,7 +603,7 @@ def main() -> int:
                 print(f"ipc overhead pipe/shm: {ratio:.2f}x")
         args.output.write_text(json.dumps(payload, indent=2) + "\n")
         print(f"wrote {args.output}")
-        return 0 if dist_ok and fusion_ok and all(
+        return 0 if dist_ok and all(
             r["noise_free_parity"] for r in payload["scaling"]
         ) else 1
 

@@ -66,8 +66,8 @@ class TGeometrySolver:
     #: Each frame's solution depends on that frame alone, so rows may be
     #: batched freely (across time or across serving sessions).
     row_independent = True
-    #: Closed-form rowwise solve with three scalar parameters — the tick
-    #: compiler can inline it into a fused whole-chain kernel.
+    #: Closed-form rowwise solve: :class:`~repro.pipeline.Localize`
+    #: reports it to the tick-plan matcher as the ``localize`` kind.
     fuse_kind = "t_geometry"
 
     def __init__(self, array: AntennaArray, min_y_m: float = 0.2) -> None:
@@ -77,6 +77,10 @@ class TGeometrySolver:
         self.below_m = float(-rx[2, 2])
         self.min_y_m = min_y_m
         self.array = array
+        #: Each round trip must exceed its Tx-Rx baseline: (d, d, h).
+        self._ellipse_floor = np.array(
+            [self.separation_m, self.separation_m, self.below_m]
+        )
 
     @staticmethod
     def _validate_t_geometry(array: AntennaArray) -> None:
@@ -100,30 +104,35 @@ class TGeometrySolver:
 
     def solve(self, round_trips_m: np.ndarray) -> LocalizationResult:
         """Solve every frame of a ``(n_frames, >=3)`` round-trip array."""
-        k = np.atleast_2d(np.asarray(round_trips_m, dtype=np.float64))
+        k = np.asarray(round_trips_m, dtype=np.float64)
+        if k.ndim != 2:
+            k = np.atleast_2d(k)
         if k.shape[1] < 3:
             raise ValueError("need round trips for at least 3 antennas")
         k1, k2, k3 = k[:, 0], k[:, 1], k[:, 2]
         d = self.separation_m
         h = self.below_m
 
+        # One call squares all three round trips (x*x is x**2 bitwise);
+        # x, y and z land in their columns of the result.
+        sq = k[:, :3] * k[:, :3]
+        positions = np.empty((len(k), 3))
+        x, y, z = positions[:, 0], positions[:, 1], positions[:, 2]
         with np.errstate(invalid="ignore", divide="ignore"):
-            r0 = (k1**2 + k2**2 - 2.0 * d * d) / (2.0 * (k1 + k2))
-            x = (k1**2 - k2**2 + 2.0 * r0 * (k2 - k1)) / (4.0 * d)
-            z = (k3**2 - h * h - 2.0 * k3 * r0) / (2.0 * h)
-            y_sq = r0**2 - x**2 - z**2
-            y = np.sqrt(np.maximum(y_sq, 0.0))
+            r0 = (sq[:, 0] + sq[:, 1] - 2.0 * d * d) / (2.0 * (k1 + k2))
+            np.divide(sq[:, 0] - sq[:, 1] + 2.0 * r0 * (k2 - k1), 4.0 * d,
+                      out=x)
+            np.divide(sq[:, 2] - h * h - 2.0 * k3 * r0, 2.0 * h, out=z)
+            y_sq = r0 * r0 - x * x - z * z
+            np.sqrt(np.maximum(y_sq, 0.0), out=y)
 
-        positions = np.column_stack([x, y, z])
-        valid = (
-            np.isfinite(k).all(axis=1)
-            & (k1 > d)
-            & (k2 > d)
-            & (k3 > h)
-            & (r0 > 0.0)
-            & (y_sq > self.min_y_m**2)
-        )
-        positions[~valid] = np.nan
+        # Finite on every antenna, k1 > d, k2 > d, k3 > h, r0 > 0 and
+        # deep enough into the room.
+        valid = np.logical_and.reduce(np.isfinite(k), axis=1)
+        valid &= np.logical_and.reduce(k[:, :3] > self._ellipse_floor, axis=1)
+        valid &= r0 > 0.0
+        valid &= y_sq > self.min_y_m**2
+        np.copyto(positions, np.nan, where=~valid[:, None])
         return LocalizationResult(positions=positions, valid=valid)
 
     def solve_one(self, round_trips_m: np.ndarray) -> np.ndarray:

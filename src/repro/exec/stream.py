@@ -205,7 +205,7 @@ def results_identical(a: PipelineResult, b: PipelineResult) -> bool:
     Compares timestamps, every array field the single-person pipeline
     fills (NaN-tolerant for the float fields), and the multi-person
     ``tracks`` lists including track identities. This is the
-    determinism gate the sharded and fused-vs-staged benchmarks assert.
+    determinism gate the sharded and serving benchmarks assert.
     """
 
     def same(x: np.ndarray | None, y: np.ndarray | None, nan: bool) -> bool:

@@ -1,19 +1,18 @@
 """The kernel tier: pluggable array backends under the hot loops.
 
 Importing this package registers every kernel's ``numpy`` fast path
-and its ``reference`` executable spec (the fused single-person tick has
-no ``reference`` kernel: its spec is the staged stage loop). See
-:mod:`repro.kernels.backend` for the selection rules
-(``REPRO_BACKEND=numpy|reference``),
-:mod:`repro.kernels.tick` for the tick compiler that fuses the
-single-person stage chain into one kernel call (``REPRO_FUSED=0|1``), and
-:mod:`repro.kernels.profile` for the per-stage profiling hooks
-(``REPRO_PROFILE=1``).
+and its ``reference`` executable spec; each pipeline stage's arithmetic
+is one of them. See :mod:`repro.kernels.backend` for the selection
+rules (``REPRO_BACKEND=numpy|reference``), :mod:`repro.kernels.tick`
+for the tick plans that match a pipeline's stage chain
+(``REPRO_FUSED=0|1``), and :mod:`repro.kernels.profile` for the
+per-stage profiling hooks (``REPRO_PROFILE=1``).
 """
 
 from . import (  # noqa: F401  (register kernels)
     cancellation,
     contour,
+    gate,
     kalman,
     synthesis,
     tick,
@@ -29,7 +28,13 @@ from .backend import (
     use_backend,
 )
 from .cancellation import successive_cancel
-from .contour import background_power, first_local_max_above, row_median
+from .contour import (
+    background_power,
+    contour_tick,
+    first_local_max_above,
+    row_median,
+)
+from .gate import outlier_gate
 from .kalman import kalman_tick
 from .profile import (
     StageProfiler,
@@ -56,6 +61,7 @@ __all__ = [
     "backend_name",
     "background_power",
     "compile_tick_plan",
+    "contour_tick",
     "enable_fusion",
     "enable_profiling",
     "first_local_max_above",
@@ -63,6 +69,7 @@ __all__ = [
     "fusion_active",
     "kalman_tick",
     "kernel",
+    "outlier_gate",
     "profiling_enabled",
     "register",
     "reset_fusion_override",

@@ -1,7 +1,7 @@
 """The array-backend seam under the hot-loop kernels.
 
-Every hot kernel (sweep synthesis, background power + contour scan,
-successive cancellation, the 2x2 Kalman tick, the fused tick plans) is
+Every hot kernel (sweep synthesis, background power, the contour tick,
+the outlier gate, the 2x2 Kalman tick, successive cancellation) is
 registered here per backend and dispatched at call time, so raw-speed
 work is a *subsystem* with a switch rather than a series of one-off
 rewrites. Each kernel has one fast path and one executable spec:
@@ -10,16 +10,15 @@ rewrites. Each kernel has one fast path and one executable spec:
 * ``reference`` — the original (pre-kernel-tier) implementations,
   kept as the executable specification the numpy kernels are
   parity-tested against, and as the honest baseline the benchmarks
-  measure speedups from. It registers every kernel ``numpy`` does
-  except the fused tick plans, which it never runs
-  (``Backend.fuse_ticks`` is False).
+  measure speedups from. It registers every kernel ``numpy`` does.
 
 Selection: the ``REPRO_BACKEND`` environment variable (read on first
 use), :func:`set_backend`, or the :func:`use_backend` context manager
 (tests). Any other name raises.
 
 Parity: ``tests/test_kernels.py`` pins the numpy kernels against
-``reference``, and the tick-fusion suites pin fused == staged bitwise.
+``reference``, and ``tests/test_tick_fusion.py`` pins whole numpy
+pipelines against reference pipelines, bitwise.
 
 Cores: :func:`parallel_ranges` splits a kernel's independent items
 (the synthesis kernel's sweep tiles, a cohort chunk's streams) over
@@ -48,31 +47,18 @@ class Backend:
             hoist static (scalar round-trip/amplitude) paths out of the
             per-sweep scatter. False only for ``reference``, which must
             reproduce the original code's cost and math shape.
-        fuse_ticks: whether :meth:`Pipeline.tick
-            <repro.pipeline.Pipeline.tick>` may run a compiled
-            :class:`~repro.kernels.tick.TickPlan` (the whole stage
-            chain as one kernel call) instead of the staged loop.
-            False only for ``reference``, which stays the honest
-            stage-by-stage cost model the fused paths are measured
-            against.
         impls: kernel key -> callable.
     """
 
-    def __init__(
-        self,
-        name: str,
-        static_split: bool = True,
-        fuse_ticks: bool = True,
-    ) -> None:
+    def __init__(self, name: str, static_split: bool = True) -> None:
         self.name = name
         self.static_split = static_split
-        self.fuse_ticks = fuse_ticks
         self.impls: dict[str, Callable] = {}
 
 
 _BACKENDS: dict[str, Backend] = {
     "numpy": Backend("numpy"),
-    "reference": Backend("reference", static_split=False, fuse_ticks=False),
+    "reference": Backend("reference", static_split=False),
 }
 _active: Backend | None = None
 

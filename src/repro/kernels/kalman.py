@@ -2,8 +2,15 @@
 
 One vectorized predict+update over a ``(n_sessions, n_antennas)``
 bank of scalar constant-velocity filters (§4.4), with every 2x2
-matrix product unrolled to elementwise arithmetic. Both backends
-share this one implementation.
+matrix product unrolled to elementwise arithmetic, updating the bank
+in place.
+
+* ``reference`` — the nested ``np.where`` formulation over fresh
+  temporaries, scattered back into the bank.
+* ``numpy`` — the same expression trees written through scratch
+  registers: the steady case (every filter live and measured) as one
+  unrolled chain, mixed ticks as the spec's merges applied with masked
+  copies. Bitwise the spec, NaN propagation included.
 
 NaN inputs advance an initialized filter without a measurement
 (prediction); the first measurement initializes a filter; NaN before
@@ -27,28 +34,33 @@ def kalman_tick(
     q01: float,
     q11: float,
     r: float,
-):
+    scratch: dict,
+) -> np.ndarray:
     """One Kalman frame for a bank of filters (dispatched).
 
     Args:
         values: measurements ``(n, a)``; NaN = no measurement.
-        mean: ``[distance, velocity]`` means, ``(n, a, 2)``.
-        cov: covariances, ``(n, a, 2, 2)``.
-        live: which filters are initialized, ``(n, a)`` bool.
+        mean: ``[distance, velocity]`` means, ``(n, a, 2)``; updated
+            in place.
+        cov: covariances, ``(n, a, 2, 2)``; updated in place.
+        live: which filters are initialized, ``(n, a)`` bool; updated
+            in place.
         dt: frame interval.
         q00/q01/q11: discrete white-noise-acceleration process noise.
         r: measurement variance.
+        scratch: a dict the caller keeps across calls (work buffers).
 
     Returns:
-        ``(out, new_mean, new_cov, new_live)`` — fresh arrays; the
-        caller scatters them back into its state bank.
+        The filtered distances, a fresh ``(n, a)`` array.
     """
-    return kernel("kalman_tick")(values, mean, cov, live, dt, q00, q01, q11, r)
+    return kernel("kalman_tick")(
+        values, mean, cov, live, dt, q00, q01, q11, r, scratch
+    )
 
 
-@register("numpy", "kalman_tick")
 @register("reference", "kalman_tick")
-def _kalman_tick_numpy(values, mean, cov, live, dt, q00, q01, q11, r):
+def _kalman_tick_reference(values, mean, cov, live, dt, q00, q01, q11, r,
+                           scratch):
     measured = ~np.isnan(values)
 
     # Predict (all initialized filters advance, measured or not).
@@ -99,4 +111,151 @@ def _kalman_tick_numpy(values, mean, cov, live, dt, q00, q01, q11, r):
     newc[..., 1, 1] = np.where(
         measured, np.where(live, u11, 1.0), np.where(live, p11, c11)
     )
-    return out, new, newc, live | measured
+    mean[...] = new
+    cov[...] = newc
+    live |= measured
+    return out
+
+
+def _registers(scratch: dict, shape: tuple) -> dict:
+    """The numpy kernel's work buffers for one bank shape."""
+    if scratch.get("shape") != shape:
+        scratch.clear()
+        scratch.update(
+            shape=shape,
+            miss=np.empty(shape, dtype=bool),
+            ml=np.empty(shape, dtype=bool),
+            nml=np.empty(shape, dtype=bool),
+            meas=np.empty(shape, dtype=bool),
+            t=[np.empty(shape) for _ in range(13)],
+        )
+    return scratch
+
+
+@register("numpy", "kalman_tick")
+def _kalman_tick_numpy(values, mean, cov, live, dt, q00, q01, q11, r,
+                       scratch):
+    sc = _registers(scratch, values.shape)
+    views = (
+        mean[..., 0], mean[..., 1],
+        cov[..., 0, 0], cov[..., 0, 1], cov[..., 1, 0], cov[..., 1, 1],
+    )
+    miss = np.isnan(values, out=sc["miss"])
+    if np.count_nonzero(miss) or np.count_nonzero(live) != live.size:
+        return _kalman_mixed(values, sc, miss, live, views, dt,
+                             q00, q01, q11, r)
+
+    # Steady case: every filter initialized and measured. The spec's
+    # predict+update, written through registers.
+    m0, m1, c00, c01, c10, c11 = views
+    ka, kb, kc, kd, ke, kf, kg, kh, kj = sc["t"][:9]
+    np.multiply(m1, dt, out=ka)
+    np.add(m0, ka, out=ka)  # ka = pm0
+    np.multiply(c10, dt, out=kb)
+    np.add(c00, kb, out=kb)  # kb = a00
+    np.multiply(c11, dt, out=kc)
+    np.add(c01, kc, out=kc)  # kc = a01
+    np.multiply(kc, dt, out=kd)
+    np.add(kb, kd, out=kd)
+    np.add(kd, q00, out=kd)  # kd = p00
+    np.add(kc, q01, out=kc)  # kc = p01
+    np.multiply(c11, dt, out=ke)
+    np.add(c10, ke, out=ke)
+    np.add(ke, q01, out=ke)  # ke = p10
+    np.add(c11, q11, out=kf)  # kf = p11
+    np.subtract(values, ka, out=kg)  # kg = innovation
+    np.add(kd, r, out=kh)  # kh = s
+    np.divide(kd, kh, out=kb)  # kb = g0
+    np.divide(ke, kh, out=kh)  # kh = g1
+    out = np.empty_like(values)
+    np.multiply(kb, kg, out=kj)
+    np.add(ka, kj, out=out)  # out = um0
+    np.multiply(kh, kg, out=kj)
+    np.add(m1, kj, out=m1)  # m1 = um1
+    np.copyto(m0, out)  # m0 = um0
+    np.subtract(1.0, kb, out=kj)  # kj = 1 - g0
+    np.multiply(kj, kd, out=c00)  # u00
+    np.multiply(kj, kc, out=c01)  # u01
+    np.negative(kh, out=kj)  # kj = -g1
+    np.multiply(kj, kd, out=kh)
+    np.add(kh, ke, out=c10)  # u10
+    np.multiply(kj, kc, out=kh)
+    np.add(kh, kf, out=c11)  # u11
+    # live | measured == live here: ``live`` needs no update.
+    return out
+
+
+def _kalman_mixed(values, sc, miss, live, views, dt, q00, q01, q11, r):
+    """Mixed ticks (NaN frames and/or fresh filters).
+
+    The spec's predict+update over the bank's component ``views`` (same
+    expression trees, so identical rounding and NaN propagation), then
+    its nested ``where`` selections as in-place masked copies per row
+    class (live update / live predict / initialize).
+    """
+    m0, m1, c00, c01, c10, c11 = views
+    measured = np.logical_not(miss, out=sc["meas"])
+    ml = np.logical_and(measured, live, out=sc["ml"])  # live update
+    nml = np.logical_and(miss, live, out=sc["nml"])  # live predict
+    mnl = np.greater(measured, live, out=miss)  # first measurement
+    (pm0, a00, p00, p01, p10, p11, inn,
+     g0, g1, um0, u00, u10, u11) = sc["t"]
+    # Predict — same grouping as the spec.
+    np.multiply(m1, dt, out=pm0)
+    np.add(m0, pm0, out=pm0)  # pm0 = m0 + dt*m1
+    np.multiply(c10, dt, out=a00)
+    np.add(c00, a00, out=a00)  # a00 = c00 + dt*c10
+    np.multiply(c11, dt, out=p01)
+    np.add(c01, p01, out=p01)  # a01 = c01 + dt*c11
+    np.multiply(p01, dt, out=p00)
+    np.add(a00, p00, out=p00)
+    np.add(p00, q00, out=p00)  # p00 = (a00 + a01*dt) + q00
+    np.add(p01, q01, out=p01)  # p01 = a01 + q01
+    np.multiply(c11, dt, out=p10)
+    np.add(c10, p10, out=p10)
+    np.add(p10, q01, out=p10)  # p10 = (c10 + c11*dt) + q01
+    np.add(c11, q11, out=p11)  # p11 = c11 + q11
+    # Update — NaN innovations flow through um*, exactly as in the spec,
+    # and are never selected by the merges below.
+    np.subtract(values, pm0, out=inn)
+    np.add(p00, r, out=g0)  # s
+    np.divide(p10, g0, out=g1)  # g1 = p10 / s
+    np.divide(p00, g0, out=g0)  # g0 = p00 / s
+    np.multiply(g0, inn, out=um0)
+    np.add(pm0, um0, out=um0)  # um0 = pm0 + g0*innovation
+    um1 = np.multiply(g1, inn, out=inn)
+    np.add(m1, um1, out=um1)  # um1 = m1 + g1*innovation
+    omg = np.subtract(1.0, g0, out=a00)  # 1 - g0
+    np.multiply(omg, p00, out=u00)  # u00 = (1-g0)*p00
+    u01 = np.multiply(omg, p01, out=g0)  # u01 = (1-g0)*p01
+    ng1 = np.negative(g1, out=omg)  # -g1
+    np.multiply(ng1, p00, out=u10)
+    np.add(u10, p10, out=u10)  # u10 = (-g1)*p00 + p10
+    np.multiply(ng1, p01, out=u11)
+    np.add(u11, p11, out=u11)  # u11 = (-g1)*p01 + p11
+    # Merges: the spec's where(measured, where(live, ...)) nesting, one
+    # masked copy per (class, component).
+    out = np.empty_like(values)
+    np.copyto(out, np.nan)
+    np.copyto(out, pm0, where=nml)
+    np.copyto(out, values, where=mnl)
+    np.copyto(out, um0, where=ml)
+    np.copyto(m0, pm0, where=nml)
+    np.copyto(m0, values, where=mnl)
+    np.copyto(m0, um0, where=ml)
+    np.copyto(m1, 0.0, where=mnl)
+    np.copyto(m1, um1, where=ml)
+    np.copyto(c00, p00, where=nml)
+    np.copyto(c00, r, where=mnl)
+    np.copyto(c00, u00, where=ml)
+    np.copyto(c01, p01, where=nml)
+    np.copyto(c01, 0.0, where=mnl)
+    np.copyto(c01, u01, where=ml)
+    np.copyto(c10, p10, where=nml)
+    np.copyto(c10, 0.0, where=mnl)
+    np.copyto(c10, u10, where=ml)
+    np.copyto(c11, p11, where=nml)
+    np.copyto(c11, 1.0, where=mnl)
+    np.copyto(c11, u11, where=ml)
+    np.logical_or(live, measured, out=live)
+    return out

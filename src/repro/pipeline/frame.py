@@ -91,6 +91,9 @@ class SessionTick:
         times_s: per-session frame center time of each row.
         tracks: per-row reportable ``(track_id, position)`` lists
             (multi-person pipelines only).
+        dense: the rows are the slots ``0..n-1`` in order, so stages
+            may address their state slabs as ``[:n]`` views. Set by
+            the pipeline once per tick; :meth:`select` clears it.
     """
 
     slots: np.ndarray
@@ -105,6 +108,7 @@ class SessionTick:
     candidate_powers: np.ndarray | None = None
     positions: np.ndarray | None = None
     tracks: list[list[tuple[int, np.ndarray]]] | None = None
+    dense: bool = False
 
     @property
     def num_rows(self) -> int:

@@ -13,7 +13,7 @@ Both advance session-lockstep ticks, so
 :class:`~repro.multi.tracker.MultiWiTrack` (offline),
 :class:`~repro.apps.realtime.RealtimeMultiTracker` (streaming) and a
 multi-person serving cohort (:mod:`repro.serve`) are the same code
-path, fused or staged. Session state: cancellation is stateless, and
+path. Session state: cancellation is stateless, and
 the association state is one :class:`~repro.multi.tracks.TrackManager`
 per session slot, which a row-independent cohort advances through one
 :class:`~repro.multi.tracks.TrackBank` step per tick.

@@ -27,7 +27,7 @@ import numpy as np
 
 from ..config import SystemConfig
 from ..kernels.profile import StageProfiler, profiling_enabled
-from ..kernels.tick import compile_tick_plan, fusion_active
+from ..kernels.tick import compile_tick_plan, fusion_active, run_stages
 from .frame import Frame, SessionTick
 from .stages import (
     BackgroundSubtract,
@@ -43,7 +43,7 @@ from .stages import (
 #: Reused slot vector for the single-session ``push`` fast path.
 _SLOT0 = np.zeros(1, dtype=np.intp)
 
-#: Plan-cache sentinel: this stage graph was checked and is not fusable.
+#: Plan-cache sentinel: this stage graph was checked and matches no plan.
 _UNFUSABLE = object()
 
 
@@ -189,13 +189,14 @@ class Pipeline:
             self._max_bins = int(np.ceil(max_range_m / range_bin_m)) + 1
         self._n_sessions = 1
         self._frames_in = np.zeros(1, dtype=np.int64)
+        #: ``arange(num_sessions)``: a tick whose slot vector equals
+        #: its prefix is dense (``SessionTick.dense``).
+        self._prefix = np.arange(1, dtype=np.intp)
         self.latency = LatencyReport()
         #: Reused per-tick frame-averaging buffer (the averaged
         #: spectrum never outlives the tick: BackgroundSubtract copies
         #: what it keeps and replaces ``tick.spectrum`` with the diff).
         self._avg_scratch: np.ndarray | None = None
-        #: Reused cohort-stacking buffer for the list-input tick path.
-        self._stack_scratch: np.ndarray | None = None
         #: Per-stage {calls, wall_s, bytes} counters, or ``None`` when
         #: profiling was off at construction — the disabled path costs
         #: one ``is None`` check per tick (``REPRO_PROFILE=1`` or
@@ -204,8 +205,9 @@ class Pipeline:
             StageProfiler() if profiling_enabled() else None
         )
         self._stage_names = self._dedup_names(self.stages)
-        #: Lazily compiled :class:`~repro.kernels.tick.TickPlan` for the
-        #: whole stage chain (``_UNFUSABLE`` once checked and rejected).
+        #: Lazily compiled :class:`~repro.kernels.tick.TickPlan` (or
+        #: ``MultiTickPlan``) for the stage chain (``_UNFUSABLE`` once
+        #: checked and matching neither chain).
         self._tick_plan = None
 
     @staticmethod
@@ -282,6 +284,7 @@ class Pipeline:
                 ]
             )
             self._n_sessions = n_sessions
+            self._prefix = np.arange(n_sessions, dtype=np.intp)
         for s in self.stages:
             s.attach(n_sessions)
 
@@ -340,6 +343,13 @@ class Pipeline:
         for stage, stage_state in zip(self.stages, stage_states):
             stage.restore_slot(slot, stage_state)
 
+    def _average_buffer(self, shape: tuple) -> np.ndarray:
+        """The reused complex128 frame-average buffer, of ``shape``."""
+        buffer = self._avg_scratch
+        if buffer is None or buffer.shape != shape:
+            buffer = self._avg_scratch = np.empty(shape, np.complex128)
+        return buffer
+
     def _crop(self, frames: np.ndarray) -> np.ndarray:
         if self._max_bins is None:
             return frames
@@ -357,7 +367,9 @@ class Pipeline:
         One :class:`~repro.pipeline.frame.SessionTick` flows through one
         ``process_tick`` call per stage, so the per-frame numpy dispatch
         cost is paid once for the whole batch instead of once per
-        session — the amortization the serving engine exists for.
+        session — the amortization the serving engine exists for. The
+        chain runs under one ``np.errstate`` that silences the invalid
+        and divide-by-zero warnings NaN rows raise.
 
         Args:
             sweep_blocks: one ``(n_rx, sweeps_per_frame, n_bins)`` raw
@@ -375,50 +387,54 @@ class Pipeline:
             slots = np.arange(len(sweep_blocks), dtype=np.intp)
         else:
             slots = np.asarray(slots, dtype=np.intp)
-        if len(slots) != len(sweep_blocks):
+        n = len(slots)
+        if n != len(sweep_blocks):
             raise ValueError("need exactly one slot per sweep block")
-        if len(slots) > 1 and len(set(slots.tolist())) != len(slots):
+        dense = slots.tobytes() == self._prefix[:n].tobytes()
+        if not dense and n > 1 and len(set(slots.tolist())) != n:
             raise ValueError(
                 "slots must be distinct: one session advances at most "
                 "one frame per tick"
             )
         profiler = self.profiler
         t_enter = perf_counter() if profiler is not None else 0.0
-        if isinstance(sweep_blocks, np.ndarray):
+        # Crop before averaging: the mean is per-bin, so the order is
+        # bitwise-immaterial, and the cropped reduction touches only the
+        # bins the chain will actually read. add.reduce + divide is
+        # np.mean's own reduction without its Python wrapper (the same
+        # sums, in the same order, whether over a stacked cohort block
+        # or block by block).
+        if isinstance(sweep_blocks, np.ndarray) or not len(sweep_blocks):
             stacked = sweep_blocks
-        elif len(sweep_blocks) == 0:
-            stacked = np.stack([np.asarray(b) for b in sweep_blocks])
-        else:
-            # Stack into a reusable buffer: the per-tick cohort block is
-            # consumed by the frame average below and never retained, so
-            # a fresh allocation every tick is pure overhead. The buffer
-            # is complex128 — the dtype BackgroundSubtract keeps — never
-            # the first block's: one session's odd dtype must not recast
-            # its cohort mates' sweeps.
-            shape = (len(sweep_blocks),) + np.shape(sweep_blocks[0])
-            stacked = self._stack_scratch
-            if stacked is None or stacked.shape != shape:
-                stacked = self._stack_scratch = np.empty(shape, np.complex128)
-            for i, block in enumerate(sweep_blocks):
-                stacked[i] = block
-        t0 = perf_counter() if profiler is not None else 0.0
-        if stacked.dtype == np.complex128:
-            # Crop before averaging: the mean is per-bin, so the order
-            # is bitwise-immaterial, and the cropped reduction touches
-            # only the bins the chain will actually read.
+            if not isinstance(stacked, np.ndarray):
+                stacked = np.stack([np.asarray(b) for b in sweep_blocks])
+            t0 = perf_counter() if profiler is not None else 0.0
             cropped = self._crop(stacked)
-            n, n_rx, _, n_bins = cropped.shape
-            scratch = self._avg_scratch
-            if scratch is None or scratch.shape != (n, n_rx, n_bins):
-                scratch = self._avg_scratch = np.empty(
-                    (n, n_rx, n_bins), dtype=np.complex128
-                )
-            # add.reduce + divide is np.mean's own reduction without its
-            # Python wrapper (bitwise-identical pairwise summation).
-            np.add.reduce(cropped, axis=2, out=scratch)
-            averaged = np.divide(scratch, cropped.shape[2], out=scratch)
+            if cropped.dtype == np.complex128:
+                _, n_rx, spf, n_bins = cropped.shape
+                averaged = self._average_buffer((n, n_rx, n_bins))
+                np.add.reduce(cropped, axis=2, out=averaged)
+                np.divide(averaged, spf, out=averaged)
+            else:
+                averaged = cropped.mean(axis=2)
         else:
-            averaged = self._crop(stacked).mean(axis=2)
+            # A list of blocks averages each straight into the reused
+            # per-tick buffer, in complex128 — the dtype
+            # BackgroundSubtract keeps — never a block's own: one
+            # session's odd dtype must not recast its cohort mates'.
+            t0 = perf_counter() if profiler is not None else 0.0
+            n_rx, spf, width = np.shape(sweep_blocks[0])
+            n_bins = width if self._max_bins is None else min(
+                self._max_bins, width
+            )
+            averaged = self._average_buffer((n, n_rx, n_bins))
+            for i, block in enumerate(sweep_blocks):
+                if n_bins < width:
+                    block = block[..., :n_bins]
+                np.add.reduce(
+                    block, axis=1, dtype=np.complex128, out=averaged[i]
+                )
+            np.divide(averaged, spf, out=averaged)
         if profiler is not None:
             t1 = perf_counter()
             profiler.record("frame_average", t1 - t0, averaged.nbytes)
@@ -430,36 +446,24 @@ class Pipeline:
             indices=indices,
             times_s=(indices + 0.5) * self.frame_duration_s,
             spectrum=averaged,
+            dense=dense,
         )
         plan = self._tick_plan
         if plan is None:
             plan = self._tick_plan = compile_tick_plan(self.stages) or _UNFUSABLE
-        if plan is not _UNFUSABLE and fusion_active():
+        with np.errstate(invalid="ignore", divide="ignore"):
             if profiler is None:
-                return plan.run(tick)
-            t0 = perf_counter()
-            tick = plan.run(tick)
-            t1 = perf_counter()
-            profiler.record("fused_tick", t1 - t0, tick.nbytes)
-            attributed += t1 - t0
-            profiler.record(
-                "dispatch", (perf_counter() - t_enter) - attributed
-            )
-            return tick
-        if profiler is None:
-            for stage in self.stages:
+                if plan is not _UNFUSABLE and fusion_active():
+                    return plan.run(tick)
+                return run_stages(self.stages, tick)
+            for stage, name in zip(self.stages, self._stage_names):
+                t0 = perf_counter()
                 tick = stage.process_tick(tick)
+                t1 = perf_counter()
+                profiler.record(name, t1 - t0, tick.nbytes)
+                attributed += t1 - t0
                 if tick.num_rows == 0:
                     break
-            return tick
-        for stage, name in zip(self.stages, self._stage_names):
-            t0 = perf_counter()
-            tick = stage.process_tick(tick)
-            t1 = perf_counter()
-            profiler.record(name, t1 - t0, tick.nbytes)
-            attributed += t1 - t0
-            if tick.num_rows == 0:
-                break
         profiler.record("dispatch", (perf_counter() - t_enter) - attributed)
         return tick
 

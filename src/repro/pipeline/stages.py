@@ -17,6 +17,13 @@ requested capacity (existing state rows are preserved), and
 :meth:`Stage.evict` forgets one slot's state so the slot can be reused
 by a newly admitted session — without perturbing any other row.
 
+State addressing: a tick whose rows are the slots ``0..n-1`` in order
+(``tick.dense``, set once per tick by the pipeline) updates the state
+slabs in place through ``[:n]`` views; any other tick gathers its rows
+and writes them back (:func:`state_rows` / :func:`write_back`). Each
+stage's arithmetic is one backend-dispatched kernel over those rows,
+so both backends share the addressing.
+
 The single-person chain is
 
     BackgroundSubtract -> ContourExtract -> OutlierGate
@@ -31,9 +38,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.contour import track_bottom_contour
 from ..core.kalman import dwna_process_noise
-from ..kernels.contour import background_power
+from ..kernels.contour import background_power, contour_tick
+from ..kernels.gate import outlier_gate
 from ..kernels.kalman import kalman_tick
 from .frame import SessionTick
 
@@ -44,6 +51,27 @@ def _grow_rows(array: np.ndarray, capacity: int, fill) -> np.ndarray:
         return array
     pad_shape = (capacity - len(array),) + array.shape[1:]
     return np.concatenate([array, np.full(pad_shape, fill, dtype=array.dtype)])
+
+
+def state_rows(tick: SessionTick, slabs) -> list:
+    """The tick's rows of each state slab.
+
+    ``[:n]`` views on a dense tick (updates land in the slab); gathered
+    copies otherwise, which :func:`write_back` scatters back.
+    """
+    if tick.dense:
+        n = len(tick.slots)
+        return [slab[:n] for slab in slabs]
+    slots = tick.slots
+    return [slab[slots] for slab in slabs]
+
+
+def write_back(tick: SessionTick, slabs, rows) -> None:
+    """Scatter :func:`state_rows`' gathered rows back (dense: nothing)."""
+    if not tick.dense:
+        slots = tick.slots
+        for slab, part in zip(slabs, rows):
+            slab[slots] = part
 
 
 class Stage:
@@ -98,15 +126,11 @@ class Stage:
             self.evict(slot)
 
     def fuse_spec(self) -> str | None:
-        """Kernel-form descriptor for the tick compiler, or ``None``.
+        """The stage's kind for :func:`~repro.kernels.tick.compile_tick_plan`.
 
-        A stage that can run inside a compiled
-        :class:`~repro.kernels.tick.TickPlan` — its per-tick update is a
-        pure function over SoA state slabs plus the frame block, with no
-        Python objects in the loop — returns a kind string the compiler
-        pattern-matches (``"background"``, ``"contour"``, ...). ``None``
-        (the default) marks the stage unfusable and keeps the whole
-        chain on the staged loop.
+        A kind string (``"background"``, ``"contour"``, ...) the plan
+        compiler pattern-matches against the single- and multi-person
+        chains; ``None`` (the default) marks a stage no plan covers.
         """
         return None
 
@@ -177,20 +201,26 @@ class BackgroundSubtract(Stage):
 
     def process_tick(self, tick):
         current = tick.spectrum
-        _, n_rx, n_bins = current.shape
+        n, n_rx, n_bins = current.shape
         self._ensure(n_rx, n_bins)
-        slots = tick.slots
-        primed = self._primed[slots]
-        previous = self._previous[slots]
-        self._previous[slots] = current
-        self._primed[slots] = True
-        if not primed.all():
-            tick = tick.select(primed)
-            current = current[primed]
-            previous = previous[primed]
-            if tick.num_rows == 0:
-                return tick
-        diff = current - previous
+        if tick.dense and np.count_nonzero(self._primed[:n]) == n:
+            previous = self._previous[:n]
+            diff = current - previous
+            np.copyto(previous, current)  # the next tick's reference
+        else:
+            slots = tick.slots
+            primed = self._primed[slots]
+            previous = self._previous[slots]
+            self._previous[slots] = current
+            if not primed.all():
+                # Some session's first frame: it only primes its row.
+                self._primed[slots] = True
+                tick = tick.select(primed)
+                if tick.num_rows == 0:
+                    return tick
+                current = tick.spectrum
+                previous = previous[primed]
+            diff = current - previous
         tick.spectrum = diff
         scratch = self._power_scratch
         if scratch is None or scratch.shape != diff.shape:
@@ -209,10 +239,10 @@ class ContourExtract(Stage):
 
     Per antenna, the closest local maximum substantially above the noise
     floor. Writes ``raw_tof_m`` (kept for the pointing pipeline),
-    ``tof_m`` (the working copy downstream stages clean), and
-    ``motion``. Stateless, and the contour kernel is row-independent,
-    so a tick stacks every (session, antenna) row into one vectorized
-    call.
+    ``tof_m`` (the same array: downstream stages read it and write
+    fresh outputs), and ``motion``. Stateless, and the contour kernel
+    is row-independent, so a tick stacks every (session, antenna) row
+    into one :func:`~repro.kernels.contour.contour_tick` call.
     """
 
     def __init__(
@@ -226,22 +256,23 @@ class ContourExtract(Stage):
         self.threshold_db = threshold_db
         self.min_range_m = min_range_m
         self.relative_threshold_db = relative_threshold_db
+        self._scratch: dict = {}
 
     def fuse_spec(self) -> str:
         return "contour"
 
     def process_tick(self, tick):
         n_rows, n_rx, n_bins = tick.power.shape
-        result = track_bottom_contour(
+        contour, motion = contour_tick(
             tick.power.reshape(n_rows * n_rx, n_bins),
             self.range_bin_m,
-            threshold_db=self.threshold_db,
-            min_range_m=self.min_range_m,
-            relative_threshold_db=self.relative_threshold_db,
+            self.threshold_db,
+            self.min_range_m,
+            self.relative_threshold_db,
+            self._scratch,
         )
-        tick.raw_tof_m = result.round_trip_m.reshape(n_rows, n_rx)
-        tick.tof_m = tick.raw_tof_m.copy()
-        tick.motion = result.motion_mask.reshape(n_rows, n_rx)
+        tick.raw_tof_m = tick.tof_m = contour.reshape(n_rows, n_rx)
+        tick.motion = motion.reshape(n_rows, n_rx)
         return tick
 
 
@@ -259,7 +290,8 @@ class OutlierGate(Stage):
     accepted value, frames since acceptance, and a bounded pending
     buffer of jump candidates (at most ``confirmation_frames`` values,
     NaN-padded) with its fill count. Every update is elementwise, so
-    the whole gate advances one vectorized step per tick.
+    the whole gate advances one
+    :func:`~repro.kernels.gate.outlier_gate` step per tick.
     """
 
     def __init__(
@@ -282,9 +314,7 @@ class OutlierGate(Stage):
         self._since: np.ndarray | None = None  # (capacity, n_rx)
         self._pending: np.ndarray | None = None  # (capacity, n_rx, P)
         self._pending_len: np.ndarray | None = None  # (capacity, n_rx)
-        #: Reused per-tick work buffers keyed by (n_rows, n_rx); see
-        #: :meth:`_scratch_for`.
-        self._scratch: dict | None = None
+        self._scratch: dict = {}
 
     def _ensure(self, n_rx: int) -> None:
         if self._last is None:
@@ -329,107 +359,18 @@ class OutlierGate(Stage):
         self._pending[slot] = state["pending"]
         self._pending_len[slot] = state["pending_len"]
 
-    def _scratch_for(self, n_rows: int, n_rx: int) -> dict:
-        """Per-tick work buffers, reallocated only when the tick shape
-        changes (a steady serving cohort reuses them every frame)."""
-        p = self.confirmation_frames
-        sc = self._scratch
-        if sc is None or sc["last"].shape != (n_rows, n_rx):
-            shape = (n_rows, n_rx)
-            self._scratch = sc = {
-                "last": np.empty(shape),
-                "since": np.empty(shape, dtype=np.int64),
-                "pending": np.empty(shape + (p,)),
-                "pending_len": np.empty(shape, dtype=np.int64),
-                "f2": np.empty(shape),
-                "i2": np.empty(shape, dtype=np.int64),
-                "f3": np.empty(shape + (p,)),
-                "b3": np.empty(shape + (p,), dtype=bool),
-                "keep": np.empty(shape + (p,), dtype=bool),
-                "missing": np.empty(shape, dtype=bool),
-                "no_last": np.empty(shape, dtype=bool),
-                "small": np.empty(shape, dtype=bool),
-                "direct": np.empty(shape, dtype=bool),
-                "candidate": np.empty(shape, dtype=bool),
-                "accept": np.empty(shape, dtype=bool),
-                "n_keep": np.empty(shape, dtype=np.int64),
-                "w_idx": np.arange(p, dtype=np.int64)[None, None, :],
-            }
-        return sc
-
     def fuse_spec(self) -> str:
         return "outlier"
 
     def process_tick(self, tick):
-        """Gate the tick's ``(n_rows, n_rx)`` ToFs; advances its slots.
-
-        Same elementwise update as always, written through preallocated
-        scratch buffers (gathers via ``np.take(out=)``, ufuncs with
-        ``out=``, merges via ``np.copyto(where=)``) so a steady tick
-        performs no per-frame array allocations beyond the returned
-        gated values and the two argsort/take_along_axis packs — the
-        output is pinned bitwise against the original formulation.
-        """
-        values, slots = tick.tof_m, tick.slots
-        self._ensure(values.shape[1])
-        n_rows, n_rx = values.shape
-        sc = self._scratch_for(n_rows, n_rx)
-        last = np.take(self._last, slots, axis=0, out=sc["last"])
-        since = np.take(self._since, slots, axis=0, out=sc["since"])
-        pending = np.take(self._pending, slots, axis=0, out=sc["pending"])
-        pending_len = np.take(
-            self._pending_len, slots, axis=0, out=sc["pending_len"]
+        self._ensure(tick.tof_m.shape[1])
+        slabs = (self._last, self._since, self._pending, self._pending_len)
+        rows = state_rows(tick, slabs)
+        tick.tof_m = outlier_gate(
+            tick.tof_m, *rows, self.max_jump_m, self.agreement_m,
+            self._scratch,
         )
-
-        missing = np.isnan(values, out=sc["missing"])
-        no_last = np.isnan(last, out=sc["no_last"])
-        f2 = sc["f2"]
-        np.subtract(values, last, out=f2)
-        np.abs(f2, out=f2)
-        with np.errstate(invalid="ignore"):
-            small = np.less_equal(
-                f2, self.max_jump_m * since, out=sc["small"]
-            )
-        # direct = ~missing & (no_last | small);
-        # candidate = ~missing & ~no_last & ~small.
-        direct = np.logical_or(no_last, small, out=sc["direct"])
-        candidate = np.logical_or(no_last, small, out=sc["candidate"])
-        np.logical_not(candidate, out=candidate)
-        np.greater(direct, missing, out=direct)  # direct & ~missing
-        np.greater(candidate, missing, out=candidate)
-
-        # Candidate relocation: keep only pending values that agree with
-        # the newest one, append it, and accept once enough agree.
-        p = self.confirmation_frames
-        filled = np.less(sc["w_idx"], pending_len[:, :, None], out=sc["b3"])
-        f3 = sc["f3"]
-        np.subtract(pending, values[:, :, None], out=f3)
-        np.abs(f3, out=f3)
-        with np.errstate(invalid="ignore"):
-            keep = np.less_equal(f3, self.agreement_m, out=sc["keep"])
-        np.logical_and(filled, keep, out=keep)
-        order = np.argsort(~keep, axis=-1, kind="stable")
-        packed = np.take_along_axis(pending, order, axis=-1)
-        n_keep = np.sum(keep, axis=-1, out=sc["n_keep"])
-        i2 = np.minimum(n_keep, p - 1, out=sc["i2"])
-        np.put_along_axis(packed, i2[:, :, None], values[:, :, None], axis=-1)
-        np.add(n_keep, 1, out=i2)  # n_keep + 1
-        confirmed = np.greater_equal(i2, p, out=sc["b3"][..., 0])
-        np.logical_and(candidate, confirmed, out=confirmed)
-        accept = np.logical_or(direct, confirmed, out=sc["accept"])
-
-        out = np.where(accept, values, np.nan)
-        np.copyto(last, values, where=accept)
-        self._last[slots] = last
-        np.add(since, 1, out=since)
-        np.copyto(since, 1, where=accept)
-        self._since[slots] = since
-        np.copyto(pending, packed, where=candidate[:, :, None])
-        self._pending[slots] = pending
-        np.copyto(pending_len, i2, where=candidate)
-        np.copyto(pending_len, 0, where=accept)
-        self._pending_len[slots] = pending_len
-        tick.tof_m = out
+        write_back(tick, slabs, rows)
         return tick
 
     def reset(self) -> None:
@@ -437,7 +378,6 @@ class OutlierGate(Stage):
         self._since = None
         self._pending = None
         self._pending_len = None
-        self._scratch = None
 
 
 class HoldInterpolate(Stage):
@@ -447,6 +387,9 @@ class HoldInterpolate(Stage):
     interpolate the latest location estimate throughout the period
     during which we do not observe any motion." Frames before the first
     detection stay NaN — a causal tracker has no earlier knowledge.
+    One masked copy per tick: finite values overwrite the held rows,
+    which are then the tick's ``tof_m`` (copied off the slab on a dense
+    tick, so no output aliases state).
     """
 
     def __init__(self, enabled: bool = True) -> None:
@@ -482,13 +425,14 @@ class HoldInterpolate(Stage):
         return "hold"
 
     def process_tick(self, tick):
-        values, slots = tick.tof_m, tick.slots
+        values = tick.tof_m
         self._ensure(values.shape[1])
-        held = self._held[slots]
-        finite = np.isfinite(values)
+        rows = state_rows(tick, (self._held,))
+        held = rows[0]
+        np.copyto(held, values, where=np.isfinite(values))
+        write_back(tick, (self._held,), rows)
         if self.enabled:
-            tick.tof_m = np.where(finite, values, held)
-        self._held[slots] = np.where(finite, values, held)
+            tick.tof_m = held.copy() if tick.dense else held
         return tick
 
     def reset(self) -> None:
@@ -502,10 +446,10 @@ class KalmanSmooth(Stage):
     with the ``[distance, velocity]`` means and 2x2 covariances kept in
     structure-of-arrays form over (session, antenna); the unrolled
     predict+update itself is the backend-dispatched
-    :func:`repro.kernels.kalman.kalman_tick` kernel — one call advances
-    every antenna of every session. NaN inputs advance the filter
-    without a measurement (prediction), exactly as the realtime loop
-    needs.
+    :func:`repro.kernels.kalman.kalman_tick` kernel — one in-place call
+    advances every antenna of every session. NaN inputs advance the
+    filter without a measurement (prediction), exactly as the realtime
+    loop needs.
     """
 
     def __init__(
@@ -528,6 +472,7 @@ class KalmanSmooth(Stage):
         self._mean: np.ndarray | None = None  # (capacity, n_rx, 2)
         self._cov: np.ndarray | None = None  # (capacity, n_rx, 2, 2)
         self._initialized: np.ndarray | None = None  # (capacity, n_rx)
+        self._scratch: dict = {}
 
     def _ensure(self, n_rx: int) -> None:
         if self._mean is None:
@@ -568,22 +513,20 @@ class KalmanSmooth(Stage):
         return "kalman"
 
     def process_tick(self, tick):
-        slots = tick.slots
         self._ensure(tick.tof_m.shape[1])
-        tick.tof_m, new, newc, new_live = kalman_tick(
+        slabs = (self._mean, self._cov, self._initialized)
+        rows = state_rows(tick, slabs)
+        tick.tof_m = kalman_tick(
             tick.tof_m,
-            self._mean[slots],
-            self._cov[slots],
-            self._initialized[slots],
+            *rows,
             self.frame_dt_s,
             self._q00,
             self._q01,
             self._q11,
             self.measurement_noise,
+            self._scratch,
         )
-        self._mean[slots] = new
-        self._cov[slots] = newc
-        self._initialized[slots] = new_live
+        write_back(tick, slabs, rows)
         return tick
 
     def reset(self) -> None:
@@ -636,9 +579,9 @@ class Localize(Stage):
         self._last_fix[slot] = state["last_fix"]
 
     def fuse_spec(self) -> str | None:
-        # Only the closed-form T solver is a pure rowwise function; the
-        # warm-started least-squares solver carries a per-slot iterate
-        # and stays staged.
+        # Only the closed-form T solver is a pure rowwise function; a
+        # chain with the warm-started least-squares solver, which
+        # carries a per-slot iterate, matches no tick plan.
         if getattr(self.solver, "fuse_kind", None) == "t_geometry":
             return "localize"
         return None

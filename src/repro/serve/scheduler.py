@@ -36,7 +36,7 @@ import numpy as np
 
 from ..kernels.profile import StageProfiler
 from ..pipeline.runner import Pipeline, PipelineResult
-from .session import Session, SessionSpec
+from .session import BlockShape, Session, SessionSpec
 
 
 class Cohort:
@@ -112,6 +112,8 @@ class SessionManager:
         self.sessions: dict[int, Session] = {}
         self._next_id = 1
         self._split_seq = 0
+        #: One sweep-block shape check per spec (cohort key).
+        self.block_shapes: dict[str, BlockShape] = {}
         #: Stage counters of dropped cohorts (profiling runs only), so
         #: retiring the last member of a cohort doesn't lose its ticks.
         self.retired_profile = StageProfiler()
@@ -145,7 +147,12 @@ class SessionManager:
         if cohort is None:
             cohort = Cohort(key, spec)
             self.cohorts[key] = cohort
-        session = Session(self._next_id, spec, -1, self.queue_capacity)
+        shape = self.block_shapes.get(key)
+        if shape is None:
+            shape = self.block_shapes[key] = BlockShape(spec)
+        session = Session(
+            self._next_id, spec, -1, self.queue_capacity, shape
+        )
         self._next_id += 1
         session.slot = cohort.allocate_slot(session)
         session.cohort = cohort

@@ -232,6 +232,54 @@ def group_row_fields(group: dict, row: int) -> dict:
     return fields
 
 
+class BlockShape:
+    """The sweep blocks every session of one spec must send.
+
+    Cohort mates share one pipeline, whose tick averages their raw
+    blocks into one cohort array shaped by the first: a block of another
+    shape would fail the whole cohort's tick (in process) or its shard
+    worker (distributed). So a block is accepted only as a 3-D numeric
+    array of shape ``(n_rx, sweeps_per_frame, n_bins)``, with the bin
+    count of the first block accepted for the spec, even where the
+    max-range crop would cut both to the same bins.
+    """
+
+    def __init__(self, spec: SessionSpec) -> None:
+        config = spec.config
+        array = spec.array if spec.array is not None else config.array
+        self.lead = (array.num_receivers, config.pipeline.sweeps_per_frame)
+        #: Shape of the first accepted block.
+        self.shape: tuple | None = None
+
+    def check(self, block) -> None:
+        """Raise ``ValueError`` unless ``block`` has the spec's shape."""
+        shape = getattr(block, "shape", None)
+        if shape is not None and shape == self.shape and (
+            block.dtype.kind in "iufc"
+        ):
+            return
+        dtype = getattr(block, "dtype", None)
+        if shape is None or len(shape) != 3 or dtype is None or (
+            dtype.kind not in "iufc"
+        ):
+            kind = dtype if dtype is not None else type(block).__name__
+            raise ValueError(
+                f"a sweep block must be a 3-D numeric array; got {kind} "
+                f"with shape {shape}"
+            )
+        if shape[:2] != self.lead:
+            raise ValueError(
+                f"a sweep block must have shape (n_rx, sweeps_per_frame, "
+                f"n_bins) = {self.lead + ('n_bins',)}; got {shape}"
+            )
+        if self.shape is not None:
+            raise ValueError(
+                f"a sweep block must have {self.shape[2]} bins, like the "
+                f"first block of its spec; got {shape[2]}"
+            )
+        self.shape = shape
+
+
 class Session:
     """One live stream being served.
 
@@ -250,6 +298,8 @@ class Session:
         queue_capacity: bound on frames queued ahead of processing;
             a full queue refuses new frames (backpressure) instead of
             letting one straggler grow without limit.
+        block_shape: the sweep-block check shared by every session of
+            this spec.
     """
 
     def __init__(
@@ -258,11 +308,13 @@ class Session:
         spec: SessionSpec,
         slot: int,
         queue_capacity: int,
+        block_shape: BlockShape,
     ) -> None:
         if queue_capacity < 1:
             raise ValueError("queue_capacity must be >= 1")
         self.session_id = session_id
         self.spec = spec
+        self.block_shape = block_shape
         self.slot = slot
         self.queue_capacity = queue_capacity
         self.queue: deque[tuple[np.ndarray, float]] = deque()
@@ -291,12 +343,15 @@ class Session:
 
         The enqueue timestamp starts this frame's latency clock — queue
         wait counts against the 75 ms budget, exactly as it would for a
-        real user.
+        real user. A block of the wrong shape raises ``ValueError``
+        here, before it is queued (:class:`BlockShape`), so it never
+        reaches the sender's cohort mates.
         """
         if self.closed:
             raise RuntimeError(
                 f"session {self.session_id} is closed and takes no frames"
             )
+        self.block_shape.check(sweep_block)
         if len(self.queue) >= self.queue_capacity:
             return False
         self.queue.append((sweep_block, perf_counter()))

@@ -49,6 +49,7 @@ from ..pipeline.runner import PipelineResult
 from .scheduler import Cohort, StragglerDetector
 from .session import (
     AdmissionRefused,
+    BlockShape,
     Session,
     SessionSpec,
     group_row_fields,
@@ -416,6 +417,8 @@ class DistributedScheduler:
         self.failovers = 0
         self._next_id = 1
         self._split_seq = 0
+        #: One sweep-block shape check per spec (cohort key).
+        self.block_shapes: dict[str, BlockShape] = {}
 
     # -- placement ---------------------------------------------------------
 
@@ -575,7 +578,12 @@ class DistributedScheduler:
             self._split_seq += 1
             cohort = PlacedCohort(key, spec_key, spec, target)
             self.cohorts[key] = cohort
-        session = Session(self._next_id, spec, -1, self.queue_capacity)
+        shape = self.block_shapes.get(spec_key)
+        if shape is None:
+            shape = self.block_shapes[spec_key] = BlockShape(spec)
+        session = Session(
+            self._next_id, spec, -1, self.queue_capacity, shape
+        )
         self._next_id += 1
         try:
             self.pool.invoke(

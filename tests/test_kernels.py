@@ -8,8 +8,13 @@ The load-bearing properties:
 * the numpy successive-cancellation kernel is *bitwise* its
   ``reference`` spec over a hypothesis-drawn domain (ties, zeros,
   edge peaks, non-finite cells, every ``n_bins`` shape class);
-* ``reference`` registers every kernel ``numpy`` does except the fused
-  tick plans, which it never runs, so dispatch needs no fallback;
+* the single-person tick kernels (contour tick, outlier gate, in-place
+  Kalman tick) are *bitwise* their ``reference`` specs, outputs and
+  every state array, over non-finite and huge cells, rows without a
+  local maximum, every bin-count class, ``min_bin`` at the edges, 1-5
+  confirmation frames, and fresh, live and missing Kalman rows;
+* ``reference`` registers every kernel ``numpy`` does, so dispatch
+  needs no fallback;
 * the numpy synthesis kernel's internal optimizations — sweep tiling,
   scratch-buffer reuse, rank-grouped scatter, sweep tiles on worker
   threads — are *bitwise* invisible;
@@ -37,10 +42,11 @@ from repro.kernels import (
     active_backend,
     backend_name,
     background_power,
+    contour_tick,
     enable_profiling,
     first_local_max_above,
-    fusion_active,
     kalman_tick,
+    outlier_gate,
     profiling_enabled,
     reset_profiling_override,
     row_median,
@@ -362,6 +368,173 @@ class TestSuccessiveCancelSpec:
             assert _bitwise_equal(fast, spec)
 
 
+#: Cells the tick-kernel properties plant: non-finite, huge, negative.
+ODD_CELLS = [np.nan, np.inf, -np.inf, 1e300, -1.0]
+
+
+@st.composite
+def contour_inputs(draw):
+    """``contour_tick`` arguments: ``(power, range_bin_m, threshold_db,
+    min_range_m, relative_threshold_db)``.
+
+    ``n_bins`` 1-40 (odd, even, below 3); peaks anywhere, rows with no
+    local maximum (monotone), all-zero and flat rows; a few NaN, +-inf,
+    1e300 or negative cells; the first scanned bin from before the
+    array to past its end.
+    """
+    n_rows = draw(st.integers(1, 6))
+    n_bins = draw(st.integers(1, 40))
+    range_bin_m = draw(st.sampled_from([0.05, 0.1773919869822485, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.standard_normal((n_rows, n_bins)) + 1j * rng.standard_normal(
+        (n_rows, n_bins)
+    )
+    power = np.abs(z) ** 2
+    for _ in range(draw(st.integers(0, 2 * n_rows))):
+        row = draw(st.integers(0, n_rows - 1))
+        power[row, draw(st.integers(0, n_bins - 1))] += draw(
+            st.floats(2.0, 500.0)
+        )
+    for row in draw(st.lists(st.integers(0, n_rows - 1), max_size=3)):
+        kind = draw(st.sampled_from(["ramp", "zero", "flat"]))
+        if kind == "ramp":  # monotone: no local maximum
+            power[row] = np.cumsum(power[row])
+        else:
+            power[row] = 0.0 if kind == "zero" else 1.0
+    for _ in range(draw(st.integers(0, 3))):
+        power[
+            draw(st.integers(0, n_rows - 1)), draw(st.integers(0, n_bins - 1))
+        ] = draw(st.sampled_from(ODD_CELLS))
+    min_bin = draw(st.one_of(st.integers(-1, 3), st.integers(-1, n_bins + 1)))
+    return (
+        power,
+        range_bin_m,
+        draw(st.sampled_from([0.0, 6.0, 12.0, 40.0])),
+        (min_bin - 0.5) * range_bin_m,
+        draw(st.sampled_from([10.0, 26.0, 80.0])),
+    )
+
+
+def _cells(draw, rng, shape, odd=True):
+    """Finite values on a coarse grid (exact ties) or off it, with some
+    NaN and (``odd``) infinite or huge cells."""
+    if draw(st.booleans()):
+        values = rng.integers(0, 8, shape) * 0.1
+    else:
+        values = rng.uniform(0.0, 8.0, shape)
+    pool = ODD_CELLS if odd else [np.nan]
+    for _ in range(draw(st.integers(0, values.size))):
+        values[tuple(rng.integers(0, d) for d in shape)] = draw(
+            st.sampled_from(pool)
+        )
+    return values
+
+
+@st.composite
+def gate_inputs(draw):
+    """Four frames of ``outlier_gate`` input for a random gate state:
+    last values near or far from the frames (or NaN), pending buffers
+    with agreeing and disagreeing candidates, 1-5 confirmation frames."""
+    n = draw(st.integers(1, 4))
+    a = draw(st.integers(1, 3))
+    p = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    last = _cells(draw, rng, (n, a))
+    since = rng.integers(1, 6, (n, a)).astype(np.int64)
+    pending_len = rng.integers(0, p + 1, (n, a)).astype(np.int64)
+    pending = _cells(draw, rng, (n, a, p))
+    pending[np.arange(p) >= pending_len[:, :, None]] = np.nan
+    frames = [_cells(draw, rng, (n, a)) for _ in range(4)]
+    max_jump = draw(st.sampled_from([0.05, 0.15, 1.0]))
+    agreement = draw(st.sampled_from([2.0 * max_jump, 0.3, 2.0]))
+    return frames, (last, since, pending, pending_len), max_jump, agreement
+
+
+@st.composite
+def kalman_inputs(draw):
+    """Four frames of ``kalman_tick`` input for a bank of fresh and live
+    filters; frames carry missing (NaN), infinite or huge values, or
+    (``steady``) every filter is live and measured."""
+    n = draw(st.integers(1, 4))
+    a = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    steady = draw(st.booleans())
+    live = np.ones((n, a), bool) if steady else rng.random((n, a)) < 0.5
+    mean = rng.uniform(-3.0, 3.0, (n, a, 2))
+    cov = rng.uniform(0.0, 1.0, (n, a, 2, 2))
+    frames = [
+        rng.uniform(0.0, 8.0, (n, a)) if steady
+        else _cells(draw, rng, (n, a))
+        for _ in range(4)
+    ]
+    dt = draw(st.sampled_from([0.0125, 0.5]))
+    return frames, (mean, cov, live), dt
+
+
+def _same_bytes(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and (
+        a.tobytes() == b.tobytes()
+    )
+
+
+class TestTickKernelSpecs:
+    """The single-person tick kernels are bitwise their specs."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @given(args=contour_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_contour_tick(self, args):
+        power = args[0]
+        before = power.copy()
+        scratch = {}
+        with use_backend("numpy"):
+            got = contour_tick(*args, scratch)
+            again = contour_tick(*args, scratch)  # reused scratch
+        assert _same_bytes(power, before)
+        with use_backend("reference"):
+            want = contour_tick(*args, {})
+        for fast, repeat, spec in zip(got, again, want):
+            assert _same_bytes(fast, spec)
+            assert _same_bytes(repeat, spec)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @given(args=gate_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_outlier_gate(self, args):
+        frames, state, max_jump, agreement = args
+        fast = [x.copy() for x in state]
+        spec = [x.copy() for x in state]
+        scratch = {}
+        for values in frames:
+            with use_backend("numpy"):
+                got = outlier_gate(values, *fast, max_jump, agreement,
+                                   scratch)
+            with use_backend("reference"):
+                want = outlier_gate(values, *spec, max_jump, agreement, {})
+            assert _same_bytes(got, want)
+            for f, w in zip(fast, spec):
+                assert _same_bytes(f, w)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @given(args=kalman_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_kalman_tick(self, args):
+        frames, state, dt = args
+        fast = [x.copy() for x in state]
+        spec = [x.copy() for x in state]
+        noise = (dt, 1e-4, 1e-3, 1e-2, 0.05)
+        scratch = {}
+        for values in frames:
+            with use_backend("numpy"):
+                got = kalman_tick(values, *fast, *noise, scratch)
+            with use_backend("reference"):
+                want = kalman_tick(values, *spec, *noise, {})
+            assert _same_bytes(got, want)
+            for f, w in zip(fast, spec):
+                assert _same_bytes(f, w)
+
+
 class TestBackendSeam:
     def test_unknown_backend_rejected(self):
         for name in ("cupy", "numba"):
@@ -386,14 +559,13 @@ class TestBackendSeam:
 
     def test_reference_registers_every_unfused_kernel(self):
         """``kernel()`` has no fallback, so the spec must cover every
-        kernel the fast path registers except the fused tick plan —
-        and must never reach for it."""
+        kernel the fast path registers."""
         with use_backend("numpy"):
             fast = set(active_backend().impls)
         with use_backend("reference"):
             spec = set(active_backend().impls)
-            assert fusion_active() is False
-        assert spec == fast - {"fused_tick_single"}
+        assert spec == fast
+        assert {"contour_tick", "outlier_gate", "kalman_tick"} <= spec
 
 
 class TestParallelRanges:
@@ -682,10 +854,8 @@ class TestProfiling:
         for entry in profile.values():
             assert entry["calls"] > 0
             assert entry["wall_s"] >= 0.0
-        # Fused ticks run the whole chain as one kernel call and record
-        # it as the `fused_tick` row; staged ticks (REPRO_FUSED=0, or an
-        # unfusable chain) record one row per stage. Either way the
-        # serving tick path must show up in the profile.
-        assert "fused_tick" in profile or any(
-            "BackgroundSubtract" in name for name in profile
-        )
+        # Every tick records one row per stage, whichever way
+        # Pipeline.tick enters the chain.
+        for name in ("BackgroundSubtract", "ContourExtract", "OutlierGate",
+                     "HoldInterpolate", "KalmanSmooth", "Localize"):
+            assert name in profile, name

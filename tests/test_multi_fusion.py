@@ -1,6 +1,7 @@
 """The K-person tick: cohort track bank == per-slot spec, bitwise.
 
-Every K-person cohort tick runs the same stages, fused or staged:
+Every K-person cohort tick runs the same stages, whether
+``Pipeline.tick`` enters them through the tick plan or its own loop:
 background subtraction, one successive-cancellation kernel call over
 the stacked (session, antenna) rows, and association. For a
 row-independent solver, association advances every ticking slot through
@@ -9,9 +10,9 @@ steps each slot's :class:`~repro.multi.tracks.TrackManager` on its own,
 which is the bank's executable spec. These tests pin the bank against
 that spec:
 
-* a bank pipeline (closed-form T solver; fused wherever the backend
-  fuses) and a spec pipeline (the same solver declared row-dependent,
-  so its chain stays staged and steps slot by slot) produce
+* a bank pipeline (closed-form T solver, run through its tick plan)
+  and a spec pipeline (the same solver declared row-dependent, so its
+  chain matches no plan and steps slot by slot) produce
   **bit-identical** tick outputs, track identities, and manager state,
   per backend, through track birth, range crossings, coasting, and
   death;
@@ -21,8 +22,8 @@ that spec:
 * a hypothesis property drives ``TrackBank.step`` directly against
   twin managers stepped one by one;
 * a row-independent cohort runs ``TrackBank.step`` once per tick under
-  every backend and fusion setting, and the profiler reports the fused
-  K-person tick as one ``fused_tick`` row.
+  every backend and fusion setting, and the profiler records one row
+  per stage either way.
 """
 
 from __future__ import annotations
@@ -200,9 +201,9 @@ def _assert_state_equal(pa, pb, slots, where=""):
 
 
 class TestFusedStagedParity:
-    """The bank pipeline (fused where the backend fuses) == the per-slot
-    spec pipeline (always staged), bitwise, across backends and track
-    lifecycles."""
+    """The bank pipeline (through its tick plan) == the per-slot spec
+    pipeline (no plan: the pipeline's stage loop), bitwise, across
+    backends and track lifecycles."""
 
     @pytest.mark.parametrize("backend", ["numpy", "reference"])
     def test_steady_parity(self, backend, config):
@@ -309,7 +310,11 @@ class TestFusedStagedParity:
 
 
 class TestOneBankStepPerTick:
-    """Fused or staged, numpy or reference: one bank step per tick."""
+    """Plan or stage loop, numpy or reference: one bank step per tick.
+
+    ``fused`` sets the tick-plan switch, which only picks how
+    ``Pipeline.tick`` enters the same stages.
+    """
 
     def _count_steps(self, monkeypatch, config, factory):
         calls = {"bank": 0, "slot": 0}
@@ -502,46 +507,37 @@ class TestTrackBankProperty:
 
 
 class TestProfilerRows:
-    def test_fused_tick_and_dispatch_rows(self, config, monkeypatch):
+    def _profile(self, config, monkeypatch, fused):
         from repro.kernels import profile as profile_mod
 
         monkeypatch.setattr(profile_mod, "_forced", True)
         rng = np.random.default_rng(2)
         spf = config.pipeline.sweeps_per_frame
         with use_backend("numpy"):
-            enable_fusion(True)
+            enable_fusion(fused)
             p = _pipeline(config)
             assert isinstance(p.profiler, StageProfiler)
-            for t in range(4):
-                arr = np.stack(
-                    [_block(rng, t, s, spf) for s in range(N_SESSIONS)]
-                )
-                p.tick(arr, np.arange(N_SESSIONS))
-            stats = p.profiler.as_dict()
-            assert "fused_tick" in stats
-            assert "dispatch" in stats
-            assert "frame_average" in stats
-            assert stats["fused_tick"]["calls"] >= 3
-            # The staged per-stage rows must be absent on the fused path.
-            assert stats.get("SuccessiveCancel", {}).get("calls", 0) == 0
-            assert stats.get("Associate", {}).get("calls", 0) == 0
-
-    def test_staged_rows_when_fusion_off(self, config, monkeypatch):
-        from repro.kernels import profile as profile_mod
-
-        monkeypatch.setattr(profile_mod, "_forced", True)
-        rng = np.random.default_rng(2)
-        spf = config.pipeline.sweeps_per_frame
-        with use_backend("numpy"):
-            enable_fusion(False)
-            p = _pipeline(config)
             for t in range(3):
                 arr = np.stack(
                     [_block(rng, t, s, spf) for s in range(N_SESSIONS)]
                 )
                 p.tick(arr, np.arange(N_SESSIONS))
-            stats = p.profiler.as_dict()
-            assert "fused_tick" not in stats
-            # First tick only primes background subtraction; the chain
-            # proper runs on the remaining two.
-            assert stats["SuccessiveCancel"]["calls"] == 2
+        return p.profiler.as_dict()
+
+    def test_fused_tick_and_dispatch_rows(self, config, monkeypatch):
+        """With tick plans on, a profiled K-person tick still records
+        one row per stage (there is no whole-chain ``fused_tick`` row)."""
+        stats = self._profile(config, monkeypatch, fused=True)
+        assert set(stats) == {
+            "frame_average", "dispatch", "BackgroundSubtract",
+            "SuccessiveCancel", "Associate",
+        }
+        # First tick only primes background subtraction; the chain
+        # proper runs on the remaining two.
+        assert stats["SuccessiveCancel"]["calls"] == 2
+        assert stats["Associate"]["calls"] == 2
+
+    def test_staged_rows_when_fusion_off(self, config, monkeypatch):
+        stats = self._profile(config, monkeypatch, fused=False)
+        assert "fused_tick" not in stats
+        assert stats["SuccessiveCancel"]["calls"] == 2

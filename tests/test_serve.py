@@ -14,7 +14,9 @@ The load-bearing properties:
 * a NaN, infinite or huge block stays with the session that sent it:
   its cohort mates' results stay bitwise those of a clean run, for
   single- and K-person cohorts, in process or over shard workers,
-  fused or staged.
+  entering the chain through the tick plan or the stage loop;
+* a block of the wrong shape is refused with ``ValueError`` before it
+  is queued, so the cohort serves on as if it had never been sent.
 """
 
 import warnings
@@ -463,13 +465,27 @@ SERVING = {"inproc": (0, None), "pipe": (2, "pipe"), "shm": (2, "shm")}
 SINGLE_FIELDS = ("frame_times_s", "tof_m", "raw_tof_m", "motion", "positions")
 
 
-def _serve_cohort(kind, serving, corrupt=None, n_frames=48, corrupt_frame=20):
+def _malformed(block):
+    """Wrong-shape variants of one well-formed sweep block."""
+    return {
+        "cropped": block[..., :-7],
+        "2-D": block[0],
+        "antennas": block[:2],
+        "sweeps": block[:, :-1],
+        "non-numeric": block.astype(object),
+    }
+
+
+def _serve_cohort(kind, serving, corrupt=None, n_frames=48, corrupt_frame=20,
+                  malformed=False):
     """Four sessions of one spec served from cheap synthetic blocks.
 
     ``kind`` is ``single`` or ``multi`` (K=2); ``serving`` names a
     :data:`SERVING` configuration. With ``corrupt`` set, session 0's
     frame ``corrupt_frame`` carries that value in antenna 1's bins
-    30-60. Returns each session's closed result.
+    30-60. With ``malformed``, session 0 first offers every
+    :func:`_malformed` variant of that frame, each of which must raise
+    ``ValueError``. Returns each session's closed result.
     """
     if kind == "single":
         spec = single_session()
@@ -484,6 +500,12 @@ def _serve_cohort(kind, serving, corrupt=None, n_frames=48, corrupt_frame=20):
                 block = source.next_block()
                 if corrupt is not None and s == 0 and f == corrupt_frame:
                     block[1, :, 30:61] = corrupt
+                if malformed and s == 0 and f == corrupt_frame:
+                    for name, bad in _malformed(block).items():
+                        with pytest.raises(ValueError):
+                            engine.offer(session, bad)
+                        with pytest.raises(ValueError, match="sweep block"):
+                            engine.submit(session, bad)
                 engine.submit(session, block)
             engine.tick()
         return [engine.close(session) for session in sessions]
@@ -550,6 +572,55 @@ class TestNonFiniteContainment:
             )
             assert tracked, f"session {s} never tracked"
             assert _same_result(dirty[s], result), f"session {s}"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("corrupt", [np.nan, np.inf, 1e300])
+    def test_reference_backend_contains_too(self, corrupt):
+        """The ``reference`` kernels keep a corrupt block with its
+        sender as the numpy ones do (``fused`` above only picks how
+        ``Pipeline.tick`` enters the same stages)."""
+        with use_backend("reference"):
+            clean = _serve_cohort("single", "inproc")
+            dirty = _serve_cohort("single", "inproc", corrupt)
+        assert not _same_result(dirty[0], clean[0])
+        for s in (1, 2, 3):
+            assert np.isfinite(clean[s].positions).any(), f"session {s}"
+            assert _same_result(dirty[s], clean[s]), f"session {s}"
+
+
+class TestMalformedBlocks:
+    """A wrong-shape block stays with its sender: refused at offer."""
+
+    @pytest.mark.parametrize("kind", ["single", "multi"])
+    @pytest.mark.parametrize("serving", list(SERVING))
+    def test_refused_before_queueing(self, serving, kind, clean_runs):
+        with use_backend("numpy"):
+            key = (kind, serving, True)
+            if key not in clean_runs:
+                clean_runs[key] = _serve_cohort(kind, serving)
+            clean = clean_runs[key]
+            refused = _serve_cohort(kind, serving, malformed=True)
+        # Nothing malformed was queued: every session, the sender
+        # included, serves exactly its clean run.
+        for s in range(4):
+            assert refused[s].num_frames == clean[s].num_frames == 47
+            assert _same_result(refused[s], clean[s]), f"session {s}"
+
+    def test_bins_follow_the_first_block_of_the_spec(self):
+        spec = single_session()
+        engine = ServingEngine()
+        a, b = engine.admit(spec), engine.admit(spec)
+        block = SyntheticFrameSource(spec, seed=0).next_block()
+        assert engine.offer(a, block)
+        # A cohort tick shapes its frame average by its first raw
+        # block, so a wider block is refused too, whatever it would
+        # crop to.
+        wider = np.concatenate([block, block[..., :5]], axis=-1)
+        for bad in (wider, block[..., :-1]):
+            with pytest.raises(ValueError, match="bins, like the first"):
+                engine.offer(b, bad)
+        assert engine.offer(b, block)
+        assert engine.tick() == 2
 
 
 #: One churn step: an event, which live session it picks, and how many
