@@ -104,6 +104,18 @@ class TGeometrySolver:
 
     def solve(self, round_trips_m: np.ndarray) -> LocalizationResult:
         """Solve every frame of a ``(n_frames, >=3)`` round-trip array."""
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return self.solve_unguarded(round_trips_m)
+
+    def solve_unguarded(self, round_trips_m: np.ndarray) -> LocalizationResult:
+        """:meth:`solve` without its own ``np.errstate``.
+
+        For a caller that already silences invalid and divide-by-zero
+        warnings, which NaN, infinite and degenerate rows raise here:
+        :class:`~repro.pipeline.Localize` runs inside the one
+        ``np.errstate`` :meth:`Pipeline.tick
+        <repro.pipeline.Pipeline.tick>` holds for the whole chain.
+        """
         k = np.asarray(round_trips_m, dtype=np.float64)
         if k.ndim != 2:
             k = np.atleast_2d(k)
@@ -118,13 +130,11 @@ class TGeometrySolver:
         sq = k[:, :3] * k[:, :3]
         positions = np.empty((len(k), 3))
         x, y, z = positions[:, 0], positions[:, 1], positions[:, 2]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            r0 = (sq[:, 0] + sq[:, 1] - 2.0 * d * d) / (2.0 * (k1 + k2))
-            np.divide(sq[:, 0] - sq[:, 1] + 2.0 * r0 * (k2 - k1), 4.0 * d,
-                      out=x)
-            np.divide(sq[:, 2] - h * h - 2.0 * k3 * r0, 2.0 * h, out=z)
-            y_sq = r0 * r0 - x * x - z * z
-            np.sqrt(np.maximum(y_sq, 0.0), out=y)
+        r0 = (sq[:, 0] + sq[:, 1] - 2.0 * d * d) / (2.0 * (k1 + k2))
+        np.divide(sq[:, 0] - sq[:, 1] + 2.0 * r0 * (k2 - k1), 4.0 * d, out=x)
+        np.divide(sq[:, 2] - h * h - 2.0 * k3 * r0, 2.0 * h, out=z)
+        y_sq = r0 * r0 - x * x - z * z
+        np.sqrt(np.maximum(y_sq, 0.0), out=y)
 
         # Finite on every antenna, k1 > d, k2 > d, k3 > h, r0 > 0 and
         # deep enough into the room.

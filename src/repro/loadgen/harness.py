@@ -241,11 +241,7 @@ class LoadHarness:
         context = {
             "workload": self.workload.describe(),
             "capacity_frames_per_step": self.capacity,
-            "queue_capacity": (
-                self.engine.scheduler.queue_capacity
-                if self.engine.distributed
-                else self.engine.manager.queue_capacity
-            ),
+            "queue_capacity": self.engine.scheduler.queue_capacity,
             "workers": self.engine.workers,
             "engine": {
                 "ticks": self.engine.scheduler.ticks,

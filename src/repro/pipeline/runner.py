@@ -403,25 +403,24 @@ class Pipeline:
         # bins the chain will actually read. add.reduce + divide is
         # np.mean's own reduction without its Python wrapper (the same
         # sums, in the same order, whether over a stacked cohort block
-        # or block by block).
+        # or block by block). Both sum in complex128, the dtype
+        # BackgroundSubtract keeps, never a block's own: a stacked tick
+        # (Pipeline.push) and a list tick (the serving engine) then
+        # agree bitwise for every block dtype, and one session's odd
+        # dtype cannot recast its cohort mates'.
         if isinstance(sweep_blocks, np.ndarray) or not len(sweep_blocks):
             stacked = sweep_blocks
             if not isinstance(stacked, np.ndarray):
                 stacked = np.stack([np.asarray(b) for b in sweep_blocks])
             t0 = perf_counter() if profiler is not None else 0.0
             cropped = self._crop(stacked)
-            if cropped.dtype == np.complex128:
-                _, n_rx, spf, n_bins = cropped.shape
-                averaged = self._average_buffer((n, n_rx, n_bins))
-                np.add.reduce(cropped, axis=2, out=averaged)
-                np.divide(averaged, spf, out=averaged)
-            else:
-                averaged = cropped.mean(axis=2)
+            _, n_rx, spf, n_bins = cropped.shape
+            averaged = self._average_buffer((n, n_rx, n_bins))
+            np.add.reduce(cropped, axis=2, dtype=np.complex128, out=averaged)
+            np.divide(averaged, spf, out=averaged)
         else:
             # A list of blocks averages each straight into the reused
-            # per-tick buffer, in complex128 — the dtype
-            # BackgroundSubtract keeps — never a block's own: one
-            # session's odd dtype must not recast its cohort mates'.
+            # per-tick buffer.
             t0 = perf_counter() if profiler is not None else 0.0
             n_rx, spf, width = np.shape(sweep_blocks[0])
             n_bins = width if self._max_bins is None else min(

@@ -589,7 +589,8 @@ class Localize(Stage):
     def process_tick(self, tick):
         solver = self.solver
         if getattr(solver, "row_independent", False):
-            tick.positions = solver.solve(tick.tof_m).positions
+            # Pipeline.tick already silences the warnings of NaN rows.
+            tick.positions = solver.solve_unguarded(tick.tof_m).positions
             return tick
         self._ensure()
         positions = np.full((tick.num_rows, 3), np.nan)

@@ -11,9 +11,11 @@ cost once instead of N times.
   :class:`Session` (bounded queue, per-session latency, accumulated
   results), plus the :func:`single_session`/:func:`multi_session` spec
   helpers;
-* :mod:`scheduler` — :class:`SessionManager` (admit/retire, slot
-  reuse) and :class:`Scheduler` (batch every ready session of a cohort
-  into one vectorized tick);
+* :mod:`scheduler` — :class:`Scheduler`, the in-process front end
+  (admit/retire with dense slot reuse, split/merge, and one vectorized
+  tick over every ready session of a cohort), on the
+  :class:`~repro.serve.scheduler.SchedulerBase` both front ends share
+  (session registration, retirement, drain, re-batching decisions);
 * :mod:`shard` — the distributed tier: :class:`ShardWorker` (cohort
   pipelines inside long-lived worker processes) and
   :class:`DistributedScheduler` (whole-cohort placement, batched
@@ -25,7 +27,8 @@ cost once instead of N times.
 Load-bearing invariants, pinned by ``tests/test_serve.py`` and
 ``tests/test_serve_distributed.py``:
 
-* N=1 serving output is **bitwise** ``Pipeline.run_stream`` output;
+* N=1 serving output is **bitwise** ``Pipeline.run_stream`` output,
+  for every numeric block dtype;
 * N-session lockstep output equals N serial per-session runs exactly,
   across mixed single/multi cohorts and staggered start/stop;
 * distributed serving (workers >= 2) is result-identical to
@@ -36,7 +39,7 @@ Load-bearing invariants, pinned by ``tests/test_serve.py`` and
 """
 
 from .engine import ServingEngine
-from .scheduler import Cohort, Scheduler, SessionManager, StragglerDetector
+from .scheduler import Cohort, Scheduler, StragglerDetector
 from .session import (
     AdmissionRefused,
     Session,
@@ -54,7 +57,6 @@ __all__ = [
     "Scheduler",
     "ServingEngine",
     "Session",
-    "SessionManager",
     "SessionSpec",
     "ShardWorker",
     "StragglerDetector",

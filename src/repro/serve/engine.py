@@ -6,23 +6,28 @@ tracking sessions — heterogeneous configurations land in separate
 cohorts, each advanced in lockstep through a shared session-vectorized
 pipeline.
 
-With ``workers=0`` (the default) everything runs in this process: the
-:class:`~repro.serve.SessionManager` + :class:`~repro.serve.Scheduler`
-pair of PR 4, bit-for-bit. With ``workers=N`` the engine becomes the
-**front end of a distributed tier**: N long-lived shard worker
-processes (one :class:`~repro.serve.shard.ShardWorker` each, behind a
+The engine holds one front end, :attr:`ServingEngine.scheduler`, and
+drives it the same way whichever tier it is. With ``workers=0`` (the
+default) that is a :class:`~repro.serve.Scheduler`, and everything runs
+in this process. With ``workers=N`` the engine becomes the **front end
+of a distributed tier**: N long-lived shard worker processes (one
+:class:`~repro.serve.shard.ShardWorker` each, behind a
 :class:`~repro.exec.pool.WorkerPool`) host the cohort pipelines, and a
 :class:`~repro.serve.shard.DistributedScheduler` places whole cohorts,
 routes admissions/frames/evictions, and merges per-session results and
-latency reports. For the same admission schedule the two modes produce
-identical outputs (test-pinned): tick rows are independent sessions,
-so partitioning them across processes changes where the arithmetic
-runs, never what it computes.
+latency reports. Both share their session bookkeeping and re-batching
+policy (:class:`~repro.serve.scheduler.SchedulerBase`). For the same
+admission schedule the two modes produce identical outputs
+(test-pinned): tick rows are independent sessions, so partitioning
+them across processes changes where the arithmetic runs, never what it
+computes.
 
-The N=1 degenerate case is exactly ``Pipeline.run_stream``: a tick with
-one session is the same ``Pipeline.tick`` call ``Pipeline.push`` makes,
-so the realtime apps are thin single-session views over this engine
-with no second code path (pinned bitwise by ``tests/test_serve.py``).
+The N=1 degenerate case is exactly ``Pipeline.run_stream``, for any
+numeric block dtype: a tick with one session is the same
+``Pipeline.tick`` call ``Pipeline.push`` makes, averaging in complex128
+whether its blocks come stacked or as a list, so the realtime apps are
+thin single-session views over this engine with no second code path
+(pinned bitwise by ``tests/test_serve.py``).
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from ..exec.transport import DEFAULT_ARENA_BYTES, MAX_ARENA_BYTES
 from ..multi.tracks import TrackManager
 from ..pipeline.multi import Associate
 from ..pipeline.runner import PipelineResult
-from .scheduler import Scheduler, SessionManager
+from .scheduler import Scheduler
 from .session import AdmissionRefused, Session, SessionSpec
 from .shard import DistributedScheduler, ShardWorker
 
@@ -124,7 +129,6 @@ class ServingEngine:
                 transport=transport,
                 arena_bytes=arena_bytes,
             )
-            self.manager = None
             self.scheduler: Scheduler | DistributedScheduler = (
                 DistributedScheduler(
                     self.pool,
@@ -134,8 +138,7 @@ class ServingEngine:
                 )
             )
         else:
-            self.manager = SessionManager(queue_capacity)
-            self.scheduler = Scheduler(self.manager)
+            self.scheduler = Scheduler(queue_capacity)
 
     @property
     def distributed(self) -> bool:
@@ -158,9 +161,7 @@ class ServingEngine:
     @property
     def num_sessions(self) -> int:
         """Live sessions across every cohort."""
-        if self.distributed:
-            return self.scheduler.num_sessions
-        return self.manager.num_sessions
+        return self.scheduler.num_sessions
 
     def admit(self, spec: SessionSpec) -> Session:
         """Open a session; joins an existing cohort when specs match.
@@ -188,10 +189,7 @@ class ServingEngine:
             self.rejected_admissions += 1
             return None
         try:
-            if self.distributed:
-                session = self.scheduler.admit(spec)
-            else:
-                session = self.manager.admit(spec)
+            session = self.scheduler.admit(spec)
         except AdmissionRefused:
             self.rejected_admissions += 1
             return None
@@ -240,10 +238,7 @@ class ServingEngine:
         self._retire(session)
 
     def _retire(self, session: Session) -> PipelineResult:
-        if self.distributed:
-            result = self.scheduler.retire(session)
-        else:
-            result = self.manager.retire(session)
+        result = self.scheduler.retire(session)
         if self.admission is not None:
             self.admission.retired(session)
         return result
@@ -299,6 +294,5 @@ class ServingEngine:
                 "track managers live inside shard workers when serving "
                 "distributed; use workers=0 for in-process access"
             )
-        cohort = self.manager.cohort_of(session)
-        stage = cohort.pipeline.stage(Associate)
+        stage = session.cohort.pipeline.stage(Associate)
         return stage.manager_for(session.slot)

@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from time import perf_counter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -166,40 +167,28 @@ def multi_session(
     )
 
 
-def tick_row_fields(tick: SessionTick, row: int) -> dict:
-    """One tick row as a plain field dict (the local transport unit).
+class TickRows(NamedTuple):
+    """A tick's emitted rows as a shard worker replies with them.
 
-    Everything :meth:`Session.collect_fields` accumulates, extracted
-    from one row of a :class:`~repro.pipeline.frame.SessionTick`. The
-    local scheduler consumes it in-process; the distributed tier ships
-    whole-tick column slabs instead (:func:`tick_group`) and re-derives
-    these dicts row by row on the parent — same values either way, which
-    is what keeps distributed serving bitwise-identical to
-    single-process.
+    The shard→parent transport unit of the distributed tier: the output
+    columns of a :class:`~repro.pipeline.frame.SessionTick`, under the
+    same names, plus the parallel ``session_ids`` routing vector — the
+    tick's own fixed-dtype slabs, which the shm transport moves without
+    pickling, so building one copies nothing. :meth:`Session.collect`
+    reads a row of either.
     """
-    return {
-        "time_s": float(tick.times_s[row]),
-        "tof_m": None if tick.tof_m is None else tick.tof_m[row],
-        "raw_tof_m": None if tick.raw_tof_m is None else tick.raw_tof_m[row],
-        "motion": None if tick.motion is None else tick.motion[row],
-        "positions": None if tick.positions is None else tick.positions[row],
-        "tracks": None if tick.tracks is None else tick.tracks[row],
-    }
+
+    session_ids: np.ndarray
+    times_s: np.ndarray
+    tof_m: np.ndarray | None
+    raw_tof_m: np.ndarray | None
+    motion: np.ndarray | None
+    positions: np.ndarray | None
+    tracks: list | None
 
 
-#: SessionTick array fields shipped per group (leading axis = tick row).
-_GROUP_ARRAYS = ("tof_m", "raw_tof_m", "motion", "positions")
-
-
-def tick_group(tick: SessionTick, session_ids: np.ndarray) -> dict:
-    """One pipeline tick's emitted rows as column slabs (the IPC unit).
-
-    The shard→parent transport unit of the distributed tier: instead of
-    one field dict per row (many small pickles), a group carries each
-    output field as the tick's whole ``(n_rows, ...)`` array plus the
-    parallel ``session_ids`` routing vector — fixed-dtype slabs the shm
-    transport can move without pickling, and exactly what the pipeline
-    already produced, so building a group copies nothing.
+def tick_group(tick: SessionTick, session_ids: np.ndarray) -> TickRows:
+    """One pipeline tick's emitted rows as a :class:`TickRows` record.
 
     Args:
         tick: the tick (fresh arrays, produced by this call — groups
@@ -207,29 +196,15 @@ def tick_group(tick: SessionTick, session_ids: np.ndarray) -> dict:
         session_ids: engine-wide session id of each tick row,
             shape ``(tick.num_rows,)``.
     """
-    group: dict = {
-        "session_ids": session_ids,
-        "times_s": tick.times_s,
-        "tracks": tick.tracks,
-    }
-    for name in _GROUP_ARRAYS:
-        group[name] = getattr(tick, name)
-    return group
-
-
-def group_row_fields(group: dict, row: int) -> dict:
-    """One group row, re-expanded to the :func:`tick_row_fields` dict.
-
-    Value-identical to ``tick_row_fields(tick, row)`` on the
-    originating tick — the parent-side half of the slab round trip.
-    """
-    fields = {"time_s": float(group["times_s"][row])}
-    for name in _GROUP_ARRAYS:
-        column = group[name]
-        fields[name] = None if column is None else column[row]
-    tracks = group["tracks"]
-    fields["tracks"] = None if tracks is None else tracks[row]
-    return fields
+    return TickRows(
+        session_ids,
+        tick.times_s,
+        tick.tof_m,
+        tick.raw_tof_m,
+        tick.motion,
+        tick.positions,
+        tick.tracks,
+    )
 
 
 class BlockShape:
@@ -283,7 +258,7 @@ class BlockShape:
 class Session:
     """One live stream being served.
 
-    Created by :meth:`repro.serve.SessionManager.admit`; users feed raw
+    Created by a scheduler's ``admit``; users feed raw
     ``(n_rx, sweeps_per_frame, n_bins)`` sweep blocks through
     :meth:`offer` and read results from :attr:`last_position` /
     :attr:`last_tracks` (realtime) or :meth:`result` (accumulated).
@@ -322,7 +297,7 @@ class Session:
         self.frames_in = 0
         self.frames_out = 0
         self.closed = False
-        #: Set by SessionManager.admit — the cohort serving this session.
+        #: Set by the scheduler's admit — the cohort serving this session.
         self.cohort = None
         self.last_position: np.ndarray | None = None
         self.last_tracks: list[tuple[int, np.ndarray]] | None = None
@@ -358,47 +333,26 @@ class Session:
         self.frames_in += 1
         return True
 
-    def collect(self, tick: SessionTick, row: int) -> None:
-        """Accumulate one emitted tick row (engine-internal).
+    def collect(self, rows: SessionTick | TickRows, row: int) -> None:
+        """Accumulate one emitted row (engine-internal).
 
-        Same values as routing :func:`tick_row_fields` through
-        :meth:`collect_fields`, minus the intermediate dict — this runs
-        once per session per tick on the serving hot path.
+        ``rows`` is the tick itself in process, or the
+        :class:`TickRows` a shard worker replied with: the same
+        columns, so both tiers append identical values. Runs once per
+        session per tick on the serving hot path.
         """
-        self._times.append(float(tick.times_s[row]))
-        if tick.tof_m is not None:
-            self._tofs.append(tick.tof_m[row])
-        if tick.raw_tof_m is not None:
-            self._raws.append(tick.raw_tof_m[row])
-        if tick.motion is not None:
-            self._motions.append(tick.motion[row])
-        if tick.positions is not None:
-            self.last_position = tick.positions[row]
+        self._times.append(float(rows.times_s[row]))
+        if rows.tof_m is not None:
+            self._tofs.append(rows.tof_m[row])
+        if rows.raw_tof_m is not None:
+            self._raws.append(rows.raw_tof_m[row])
+        if rows.motion is not None:
+            self._motions.append(rows.motion[row])
+        if rows.positions is not None:
+            self.last_position = rows.positions[row]
             self._positions.append(self.last_position)
-        if tick.tracks is not None:
-            self.last_tracks = tick.tracks[row]
-            self._tracks.append(self.last_tracks)
-        self.frames_out += 1
-
-    def collect_fields(self, fields: dict) -> None:
-        """Accumulate one emitted output frame's field dict.
-
-        The distributed scheduler routes shard responses through here;
-        the local scheduler arrives via :meth:`collect`. Both paths
-        append identical values.
-        """
-        self._times.append(fields["time_s"])
-        if fields["tof_m"] is not None:
-            self._tofs.append(fields["tof_m"])
-        if fields["raw_tof_m"] is not None:
-            self._raws.append(fields["raw_tof_m"])
-        if fields["motion"] is not None:
-            self._motions.append(fields["motion"])
-        if fields["positions"] is not None:
-            self.last_position = fields["positions"]
-            self._positions.append(self.last_position)
-        if fields["tracks"] is not None:
-            self.last_tracks = fields["tracks"]
+        if rows.tracks is not None:
+            self.last_tracks = rows.tracks[row]
             self._tracks.append(self.last_tracks)
         self.frames_out += 1
 

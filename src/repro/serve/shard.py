@@ -45,14 +45,12 @@ import numpy as np
 
 from ..exec.pool import WorkerCrash, WorkerPool, remote_failure
 from ..kernels.profile import StageProfiler
-from ..pipeline.runner import PipelineResult
-from .scheduler import Cohort, StragglerDetector
+from .scheduler import Cohort, SchedulerBase, drop_cohort, merged_profile
 from .session import (
     AdmissionRefused,
-    BlockShape,
     Session,
     SessionSpec,
-    group_row_fields,
+    TickRows,
     tick_group,
 )
 
@@ -139,9 +137,7 @@ class ShardWorker:
         if moved is not None:
             self._placement[moved] = (key, slot)
         if not cohort.members:
-            if cohort.pipeline.profiler is not None:
-                self._retired_profile.merge(cohort.pipeline.profiler)
-            del self.cohorts[key]
+            drop_cohort(self.cohorts, cohort, self._retired_profile)
 
     @property
     def num_sessions(self) -> int:
@@ -152,7 +148,7 @@ class ShardWorker:
 
     def step(
         self, batch: list[tuple[int, list[np.ndarray]]]
-    ) -> tuple[list[dict], float]:
+    ) -> tuple[list[TickRows], float]:
         """Advance this shard one scheduler tick.
 
         Args:
@@ -168,10 +164,10 @@ class ShardWorker:
             the wall-clock seconds spent ticking pipelines, which the
             parent subtracts from the round-trip time to measure IPC
             overhead. Groups arrive in per-cohort round order, so each
-            session's rows are in its frame order; the parent expands
-            them row by row with
-            :func:`~repro.serve.session.group_row_fields`, value-
-            identical to the per-row dicts this method used to ship.
+            session's rows are in its frame order; the parent hands
+            each row to :meth:`Session.collect
+            <repro.serve.session.Session.collect>`, as the in-process
+            scheduler hands it the tick.
         """
         if self._fail_in is not None:
             self._fail_in -= 1
@@ -179,7 +175,7 @@ class ShardWorker:
                 self._fail_in = None
                 raise RuntimeError("injected shard failure (fail_next_step)")
         start = perf_counter()
-        groups: list[dict] = []
+        groups: list[TickRows] = []
         by_cohort: dict[str, list[tuple[int, int, list[np.ndarray]]]] = {}
         for sid, blocks in batch:
             key, slot = self._placement[sid]
@@ -225,12 +221,9 @@ class ShardWorker:
 
     def stage_profile(self) -> dict:
         """This shard's merged per-stage counters (picklable dict)."""
-        merged = StageProfiler()
-        merged.merge(self._retired_profile)
-        for cohort in self.cohorts.values():
-            if cohort.pipeline.profiler is not None:
-                merged.merge(cohort.pipeline.profiler)
-        return merged.as_dict()
+        return merged_profile(
+            self._retired_profile, self.cohorts.values()
+        ).as_dict()
 
     def fail_next_step(self, after: int = 1) -> None:
         """Arm fault injection: the ``after``-th next step raises.
@@ -278,12 +271,13 @@ class PlacedCohort:
         self.burst = burst
         #: True for cohorts born from an adaptive split (rejoin candidates).
         self.split = False
-        self.sessions: dict[int, Session] = {}
+        #: Members in admission order (slots are worker-local).
+        self.members: list[Session] = []
 
     @property
     def num_sessions(self) -> int:
         """Live sessions in this cohort."""
-        return len(self.sessions)
+        return len(self.members)
 
 
 class ShardStats:
@@ -344,13 +338,15 @@ class ShardStats:
         }
 
 
-class DistributedScheduler:
+class DistributedScheduler(SchedulerBase):
     """Place cohorts on shard workers; batch, route, merge, survive.
 
-    The distributed mirror of the local pair (:class:`SessionManager` +
-    :class:`Scheduler`): one object serves both roles because placement
-    *is* admission here. Sessions keep their bounded queues and
-    accumulated results in the parent; shards hold only pipeline state.
+    The distributed front end, shaped like the in-process
+    :class:`~repro.serve.scheduler.Scheduler` and sharing its
+    :class:`~repro.serve.scheduler.SchedulerBase` bookkeeping and
+    re-batching policy; placement *is* admission here. Sessions keep
+    their bounded queues and accumulated results in the parent; shards
+    hold only pipeline state.
 
     Args:
         pool: worker pool whose actors are :class:`ShardWorker`\\ s.
@@ -387,45 +383,28 @@ class DistributedScheduler:
         memory_model=None,
         shard_budget_bytes: int | None = None,
     ) -> None:
-        if queue_capacity < 1:
-            raise ValueError("queue_capacity must be >= 1")
-        if catchup_burst < 1 or rejoin_patience < 1:
-            raise ValueError("catchup_burst and rejoin_patience must be >= 1")
         if shard_budget_bytes is not None and shard_budget_bytes <= 0:
             raise ValueError("shard_budget_bytes must be positive")
+        super().__init__(
+            queue_capacity,
+            adaptive_split,
+            split_backlog,
+            split_patience,
+            catchup_burst,
+            rejoin_patience,
+        )
         self.pool = pool
-        self.queue_capacity = queue_capacity
         self.memory_model = memory_model
         self.shard_budget_bytes = shard_budget_bytes
-        self.adaptive_split = adaptive_split
-        self.catchup_burst = catchup_burst
-        self.rejoin_patience = rejoin_patience
-        self.detector = StragglerDetector(split_backlog, split_patience)
-        self._caught_up: dict[int, int] = {}
-        self.cohorts: dict[str, PlacedCohort] = {}
-        self.sessions: dict[int, Session] = {}
         self.excluded_shards: set[int] = set()
         self.shard_stats: dict[int, ShardStats] = {
             w: ShardStats() for w in range(pool.num_workers)
         }
-        self.ticks = 0
-        self.frames_processed = 0
-        self.splits = 0
-        self.rejoins = 0
         #: Most recent shard failure (surfaced when the tier goes down).
         self.last_failure: BaseException | None = None
         self.failovers = 0
-        self._next_id = 1
-        self._split_seq = 0
-        #: One sweep-block shape check per spec (cohort key).
-        self.block_shapes: dict[str, BlockShape] = {}
 
     # -- placement ---------------------------------------------------------
-
-    @property
-    def num_sessions(self) -> int:
-        """Live sessions across every cohort."""
-        return len(self.sessions)
 
     @property
     def num_shards(self) -> int:
@@ -514,10 +493,11 @@ class DistributedScheduler:
                 return
             target = self._least_loaded()
             try:
-                for sid, session in cohort.sessions.items():
+                for session in cohort.members:
                     consumed = session.frames_in - len(session.queue)
                     self.pool.invoke(
-                        target, "admit", sid, cohort.key, cohort.spec, consumed
+                        target, "admit", session.session_id, cohort.key,
+                        cohort.spec, consumed,
                     )
             except Exception as exc:
                 if not remote_failure(exc):
@@ -538,8 +518,8 @@ class DistributedScheduler:
 
     # -- admission / retirement --------------------------------------------
 
-    def admit(self, spec: SessionSpec) -> Session:
-        """Open a session on the least-loaded shard.
+    def _cohort_for(self, spec: SessionSpec, spec_key: str) -> PlacedCohort:
+        """The cohort an admission joins on the least-loaded shard.
 
         The session joins the same-spec cohort already living on that
         shard when there is one, and founds a sibling cohort there
@@ -552,7 +532,6 @@ class DistributedScheduler:
         raises :class:`~repro.serve.session.AdmissionRefused` — the
         session is refused *before* any state allocates anywhere.
         """
-        spec_key = spec.cohort_key()
         target = self._least_loaded()
         if self.memory_model is not None and self.shard_budget_bytes is not None:
             projected = (
@@ -578,16 +557,14 @@ class DistributedScheduler:
             self._split_seq += 1
             cohort = PlacedCohort(key, spec_key, spec, target)
             self.cohorts[key] = cohort
-        shape = self.block_shapes.get(spec_key)
-        if shape is None:
-            shape = self.block_shapes[spec_key] = BlockShape(spec)
-        session = Session(
-            self._next_id, spec, -1, self.queue_capacity, shape
-        )
-        self._next_id += 1
+        return cohort
+
+    def _join(self, session: Session, cohort: PlacedCohort) -> None:
+        """Open the session's state slot on its cohort's shard."""
         try:
             self.pool.invoke(
-                cohort.shard, "admit", session.session_id, cohort.key, spec
+                cohort.shard, "admit", session.session_id, cohort.key,
+                session.spec,
             )
         except Exception as exc:
             if not remote_failure(exc):
@@ -595,24 +572,15 @@ class DistributedScheduler:
             self.last_failure = exc
             self._fail_shard(cohort.shard, [])
             self.pool.invoke(
-                cohort.shard, "admit", session.session_id, cohort.key, spec
+                cohort.shard, "admit", session.session_id, cohort.key,
+                session.spec,
             )
-        session.cohort = cohort
-        cohort.sessions[session.session_id] = session
-        self.sessions[session.session_id] = session
-        return session
+        cohort.members.append(session)
 
-    def retire(self, session: Session) -> PipelineResult:
-        """Close a session; frees its shard slot and returns its result."""
-        if session.closed:
-            raise RuntimeError(f"session {session.session_id} already closed")
+    def _leave(self, session: Session) -> None:
+        """Free the session's shard slot; drop its cohort when empty."""
         cohort: PlacedCohort = session.cohort
-        result = session.result()
-        session.closed = True
-        session.queue.clear()
-        self.detector.forget(session)
-        del cohort.sessions[session.session_id]
-        del self.sessions[session.session_id]
+        cohort.members.remove(session)
         try:
             self.pool.invoke(cohort.shard, "evict", session.session_id)
         except Exception as exc:
@@ -620,9 +588,8 @@ class DistributedScheduler:
                 raise
             self.last_failure = exc
             self._fail_shard(cohort.shard, [])
-        if not cohort.sessions:
+        if not cohort.members:
             del self.cohorts[cohort.key]
-        return result
 
     # -- the scheduling loop -----------------------------------------------
 
@@ -643,7 +610,7 @@ class DistributedScheduler:
             int, list[tuple[Session, list[tuple[np.ndarray, float]]]]
         ] = {}
         for cohort in list(self.cohorts.values()):
-            for session in cohort.sessions.values():
+            for session in cohort.members:
                 take = min(len(session.queue), cohort.burst)
                 if take:
                     entries = [session.queue.popleft() for _ in range(take)]
@@ -693,12 +660,9 @@ class DistributedScheduler:
                     for _, enqueued in entries:
                         session.latency.latencies_s.append(done - enqueued)
                     consumed += len(entries)
-                for group in groups:
-                    session_ids = group["session_ids"]
-                    for row in range(len(session_ids)):
-                        self.sessions[int(session_ids[row])].collect_fields(
-                            group_row_fields(group, row)
-                        )
+                for rows in groups:
+                    for row, sid in enumerate(rows.session_ids.tolist()):
+                        self.sessions[sid].collect(rows, row)
         if failed:
             # Every response is in (or lost); only now is it safe to
             # exclude the casualties and re-admit their sessions on
@@ -713,41 +677,7 @@ class DistributedScheduler:
             self._rebatch()
         return consumed
 
-    def drain(self) -> int:
-        """Tick until every session queue is empty; frames consumed."""
-        total = 0
-        while True:
-            consumed = self.tick()
-            if consumed == 0:
-                return total
-            total += consumed
-
     # -- adaptive re-batching ----------------------------------------------
-
-    def _rebatch(self) -> None:
-        """Split persistent stragglers; rejoin the ones that caught up."""
-        self.detector.prune(self.sessions)
-        groups = (c.sessions.values() for c in self.cohorts.values())
-        for session in self.detector.sweep(groups):
-            self._split(session)
-        self._caught_up = {
-            sid: count
-            for sid, count in self._caught_up.items()
-            if sid in self.sessions
-        }
-        for cohort in list(self.cohorts.values()):
-            if not cohort.split or cohort.num_sessions != 1:
-                continue
-            (session,) = cohort.sessions.values()
-            if session.queue:
-                self._caught_up.pop(session.session_id, None)
-                continue
-            count = self._caught_up.get(session.session_id, 0) + 1
-            if count < self.rejoin_patience:
-                self._caught_up[session.session_id] = count
-                continue
-            self._caught_up.pop(session.session_id, None)
-            self._rejoin(session)
 
     def _split(self, session: Session) -> None:
         """Migrate one straggler into a singleton cohort, bit-exactly.
@@ -775,7 +705,7 @@ class DistributedScheduler:
             self.last_failure = exc
             self._fail_shard(source, [])
             return
-        del cohort.sessions[session.session_id]
+        cohort.members.remove(session)
         key = f"{cohort.spec_key}#{self._split_seq}"
         self._split_seq += 1
         split = PlacedCohort(
@@ -788,7 +718,7 @@ class DistributedScheduler:
         split.split = True
         self.cohorts[key] = split
         session.cohort = split
-        split.sessions[session.session_id] = session
+        split.members.append(session)
         self.splits += 1
         try:
             self.pool.invoke(
@@ -836,10 +766,10 @@ class DistributedScheduler:
             self.last_failure = exc
             self._fail_shard(source, [])
             return
-        del cohort.sessions[session.session_id]
+        cohort.members.remove(session)
         del self.cohorts[cohort.key]
         session.cohort = target
-        target.sessions[session.session_id] = session
+        target.members.append(session)
         self.rejoins += 1
         try:
             self.pool.invoke(

@@ -56,6 +56,25 @@ class TestClosedForm:
         result = solver.solve(np.array([[np.nan, 8.0, 8.0]]))
         assert not result.valid[0]
 
+    def test_degenerate_rows_are_invalid_without_warnings(self, solver):
+        """Infinite and zero-sum round trips divide inf by inf or by 0:
+        ``solve`` marks them invalid without a warning (tier-1 turns any
+        RuntimeWarning from this module into an error), and the
+        ``solve_unguarded`` arithmetic the Localize stage calls inside
+        ``Pipeline.tick``'s errstate gives the same answer."""
+        k = np.array([
+            [np.inf, 8.0, 8.0],
+            [np.inf, np.inf, np.inf],
+            [0.0, 0.0, 8.0],
+            [-4.0, 4.0, 8.0],
+        ])
+        result = solver.solve(k)
+        assert not result.valid.any()
+        with np.errstate(invalid="ignore", divide="ignore"):
+            unguarded = solver.solve_unguarded(k)
+        np.testing.assert_array_equal(unguarded.positions, result.positions)
+        np.testing.assert_array_equal(unguarded.valid, result.valid)
+
     def test_behind_array_rejected(self, array, solver):
         """Points behind the array produce y^2 <= 0 after the beam
         constraint: the solver must not hallucinate them."""

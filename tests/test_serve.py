@@ -2,8 +2,9 @@
 
 The load-bearing properties:
 
-* N=1 serving output is **bitwise** ``Pipeline.run_stream`` output —
-  the realtime apps are views over the engine, not a second code path;
+* N=1 serving output is **bitwise** ``Pipeline.run_stream`` output,
+  for every numeric block dtype — the realtime apps are views over the
+  engine, not a second code path;
 * N-session lockstep output equals N serial per-session runs *exactly*,
   across mixed single/K=2/K=3 cohorts (in process and over shard
   workers) and staggered session start/stop —
@@ -229,7 +230,7 @@ class TestLockstepEquivalence:
         # Two cohorts existed: singles shared one pipeline, multi its own.
         assert sessions["a"].cohort is sessions["b"].cohort
         assert sessions["m"].cohort is not sessions["a"].cohort
-        assert engine.manager.cohorts == {}  # all closed -> all dropped
+        assert engine.scheduler.cohorts == {}  # all closed -> all dropped
 
         for name in ("a", "b"):
             reference = serial_single(
@@ -372,12 +373,12 @@ class TestBackpressureAndLifecycle:
         spec = single_session(config, short_walks[0].range_bin_m)
         a, b = engine.admit(spec), engine.admit(spec)
         other = engine.admit(single_session(config, 0.2))
-        assert len(engine.manager.cohorts) == 2
+        assert len(engine.scheduler.cohorts) == 2
         engine.close(a)
-        assert len(engine.manager.cohorts) == 2  # b still lives there
+        assert len(engine.scheduler.cohorts) == 2  # b still lives there
         engine.close(b)
         engine.close(other)
-        assert engine.manager.cohorts == {}
+        assert engine.scheduler.cohorts == {}
 
 
 class TestSessionVectorizedStages:
@@ -456,6 +457,66 @@ class TestSessionVectorizedStages:
         blocks = np.zeros((2, 3, 5, 171), dtype=np.complex128)
         with pytest.raises(ValueError, match="distinct"):
             pipe.tick(blocks, [1, 1])
+
+
+#: Every numeric sweep-block dtype, made from a complex synthetic block.
+BLOCK_DTYPES = {
+    "complex128": lambda block: block,
+    "complex64": lambda block: block.astype(np.complex64),
+    "float64": lambda block: block.real,
+    "float32": lambda block: block.real.astype(np.float32),
+    "int16": lambda block: np.round(4000.0 * block.real).astype(np.int16),
+}
+
+#: The per-row tick columns a session accumulates.
+ROW_FIELDS = ("times_s", "tof_m", "raw_tof_m", "motion", "positions")
+
+
+class TestBlockDtypes:
+    """A tick averages any numeric block dtype the same way whether its
+    blocks arrive stacked (``Pipeline.push``, so ``run_stream``) or as a
+    list (the serving engine), so N=1 serving is ``run_stream`` for
+    every dtype, not only complex128."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        dtype=st.sampled_from(sorted(BLOCK_DTYPES)),
+        n=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+    )
+    def test_stacked_list_and_stream_agree(self, dtype, n, seed):
+        spec = single_session()
+        convert = BLOCK_DTYPES[dtype]
+        sources = [SyntheticFrameSource(spec, seed=seed + i) for i in range(n)]
+        frames = [
+            [convert(source.next_block()) for source in sources]
+            for _ in range(12)
+        ]
+        stacked, listed = spec.build_pipeline(), spec.build_pipeline()
+        stacked.attach_sessions(n)
+        listed.attach_sessions(n)
+        rows = [{name: [] for name in ROW_FIELDS} for _ in range(n)]
+        for blocks in frames:
+            a, b = stacked.tick(np.stack(blocks)), listed.tick(blocks)
+            np.testing.assert_array_equal(a.slots, b.slots)
+            for name in ROW_FIELDS:
+                np.testing.assert_array_equal(
+                    getattr(a, name), getattr(b, name)
+                )
+            for row, slot in enumerate(b.slots):
+                for name in ROW_FIELDS:
+                    rows[slot][name].append(getattr(b, name)[row])
+        for i in range(n):
+            reference = spec.build_pipeline().run_stream(
+                [blocks[i] for blocks in frames]
+            )
+            np.testing.assert_array_equal(
+                rows[i]["times_s"], reference.frame_times_s
+            )
+            for name in ROW_FIELDS[1:]:
+                np.testing.assert_array_equal(
+                    np.stack(rows[i][name]), getattr(reference, name)
+                )
 
 
 #: Serving configuration -> ``(workers, transport)``.
@@ -640,7 +701,7 @@ CHURN = st.lists(
 
 def _assert_dense(engine):
     """Every in-process cohort's members own exactly slots 0..n-1."""
-    for cohort in engine.manager.cohorts.values():
+    for cohort in engine.scheduler.cohorts.values():
         assert [s.slot for s in cohort.members] == list(
             range(cohort.num_sessions)
         ), cohort.key
@@ -650,7 +711,7 @@ def _assert_dense(engine):
 def _churn(engine, events):
     """Drive an admit/close/evict/split/merge schedule on ``engine``.
 
-    Splits and merges are direct :class:`SessionManager` calls, so they
+    Splits and merges are direct :class:`Scheduler` calls, so they
     run in process only. Returns ``(spec, blocks, result)`` for every
     session closed cleanly.
     """
@@ -673,11 +734,11 @@ def _churn(engine, events):
                 engine.evict(session)
         elif event in ("split", "merge") and live and not engine.distributed:
             session = live[pick % len(live)][0]
-            base = engine.manager.cohorts.get(session.spec.cohort_key())
+            base = engine.scheduler.cohorts.get(session.spec.cohort_key())
             if event == "split":
-                engine.manager.split(session, burst=2)
+                engine.scheduler.split(session, burst=2)
             elif base is not None:
-                engine.manager.merge(session, base)
+                engine.scheduler.merge(session, base)
         check(engine)
         for _ in range(frames):
             for session, _, source, blocks in live:
@@ -713,7 +774,7 @@ class TestDenseSlots:
     def test_in_process(self, events):
         engine = ServingEngine()
         _assert_serial(_churn(engine, events))
-        assert engine.manager.cohorts == {}
+        assert engine.scheduler.cohorts == {}
 
     @settings(max_examples=4, deadline=None)
     @given(events=CHURN)

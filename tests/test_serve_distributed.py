@@ -12,7 +12,8 @@ The load-bearing properties:
   bitwise;
 * adaptive re-batching splits a persistent straggler into its own
   cohort — migrating its pipeline state bit-exactly, in-process or
-  across worker processes — and burst-drains its backlog.
+  across worker processes — and burst-drains its backlog, and both
+  tiers split and rejoin on the same ticks.
 """
 
 import numpy as np
@@ -425,7 +426,7 @@ class TestAdaptiveRebatching:
         assert engine.scheduler.splits >= 1
         assert engine.scheduler.rejoins >= 1
         assert sessions[2].cohort is sessions[0].cohort  # back home
-        assert len(engine.manager.cohorts) == 0  # all closed cleanly
+        assert len(engine.scheduler.cohorts) == 0  # all closed cleanly
         for result, feed in zip(results, feeds):
             reference = serial_single(config, range_bin_m, feed)
             assert_single_equal(result, reference)
@@ -452,6 +453,46 @@ class TestAdaptiveRebatching:
         for result, feed in zip(results, feeds):
             reference = serial_single(config, range_bin_m, feed)
             assert_single_equal(result, reference)
+
+    def test_both_tiers_make_the_same_decisions(
+        self, config, short_walks, transport
+    ):
+        """In process and over shard workers, the straggler is split
+        and rejoined on the same ticks: the two front ends share one
+        re-batching policy, so their counters agree after every tick."""
+        traces = []
+        for workers in (0, 2):
+            with ServingEngine(
+                queue_capacity=64, workers=workers, transport=transport
+            ) as engine:
+                scheduler = engine.scheduler
+                scheduler.detector = StragglerDetector(backlog=4, patience=2)
+                scheduler.catchup_burst = 4
+                scheduler.rejoin_patience = 3
+                trace = []
+                tick = scheduler.tick
+
+                def traced_tick():
+                    consumed = tick()
+                    trace.append((
+                        scheduler.splits,
+                        scheduler.rejoins,
+                        scheduler.ticks,
+                        scheduler.frames_processed,
+                    ))
+                    return consumed
+
+                scheduler.tick = traced_tick
+                _, results, feeds, range_bin_m = self._straggle(
+                    engine, config, short_walks, cooldown=30
+                )
+            for result, feed in zip(results, feeds):
+                reference = serial_single(config, range_bin_m, feed)
+                assert_single_equal(result, reference)
+            traces.append(trace)
+        assert traces[0] == traces[1]
+        splits, rejoins, _, _ = traces[0][-1]
+        assert splits >= 1 and rejoins >= 1
 
     def test_stranded_split_cohort_becomes_base(self, config, short_walks):
         """An ex-split singleton with no base left is re-keyed as the
