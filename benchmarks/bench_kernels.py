@@ -32,8 +32,10 @@ as under its ``reference`` spec, and both sweep
 synthesis rows (N=8, and synth-1p's 16-session chunk) must agree with
 ``reference`` to the unit tests' tolerance (``rtol=1e-11``,
 ``atol=1e-12`` of the peak) and give bitwise the same output on one
-worker as on ``synthesis_workers()``; a mismatch is reported and the
-script exits 1 without timing anything.
+worker as on ``synthesis_workers()``, and the 16-slot replay-like birth
+search must give, slot by slot, bitwise the per-slot
+``candidate_fixes`` call; a mismatch is reported and the script exits
+1 without timing anything.
 
 Run:
     python benchmarks/bench_kernels.py [--repeats 5] [--out kernels.json]
@@ -74,12 +76,14 @@ from repro.kernels import (
 )
 from repro.kernels import backend as kernel_backend
 from repro.multi.association import (
+    candidate_fixes,
     candidate_fixes_batched,
     claim_candidates,
+    multipath_round_trips,
 )
 from repro.multi.cancellation import successive_contours
 from repro.multi.tracker import MultiWiTrack
-from repro.multi.tracks import Track, TrackBank, TrackManager
+from repro.multi.tracks import TrackBank
 from repro.sim.room import through_wall_room
 
 # Serving shapes at N=8 sessions, 3 antennas, 171 range bins: the
@@ -242,36 +246,35 @@ def _workloads() -> list[dict]:
 
     solver = TGeometrySolver(t_array())
     dt_s = 0.0125
-    bank = TrackBank()
-    bank_managers: list[TrackManager] = []
+    bank = TrackBank(dt_s, solver)
+    bank.attach(N_SESSIONS)
+    bank_slots = np.arange(N_SESSIONS)
     people = [np.array([-1.0, 3.0, -0.3]), np.array([1.2, 5.0, -0.2])]
     ghost = people[0] + np.array([0.25, 0.2, 0.0])
     bank_candidates = np.full((N_SESSIONS, N_RX, 6), np.nan)
     bank_powers = np.full((N_SESSIONS, N_RX, 6), np.nan)
-    for s in range(N_SESSIONS):
-        manager = TrackManager(dt_s, solver)
-        for i, p in enumerate(people):
-            tofs = solver.array.round_trip_distances(p)
-            manager.tracks.append(
-                Track(manager._next_id, dt_s, tofs, p, manager.config)
-            )
-            manager._next_id += 1
-            bank_candidates[s, :, i] = tofs
-            bank_powers[s, :, i] = 1.0 - 0.1 * i
-        bank_candidates[s, :, 2] = solver.array.round_trip_distances(ghost)
-        bank_powers[s, :, 2] = 0.5
-        bank_managers.append(manager)
+    for i, p in enumerate(people):
+        bank_candidates[:, :, i] = solver.array.round_trip_distances(p)
+        bank_powers[:, :, i] = 1.0 - 0.1 * i
+    bank_candidates[:, :, 2] = solver.array.round_trip_distances(ghost)
+    bank_powers[:, :, 2] = 0.5
+    # Two steps birth both people in every slot (one birth per frame;
+    # the ghost stays inside the first person's exclusion radius).
+    for _ in people:
+        bank.step(bank_slots, bank_candidates, bank_powers)
+    managers = [bank.manager(s) for s in range(N_SESSIONS)]
+    assert all(len(m.tracks) == len(people) for m in managers)
     # The cohort claim pass on the same tensors: the bank's tracks'
-    # predictions and gates, taken before any bank step moves them. The
-    # spare candidate sits inside track 0's gate on every antenna, so
-    # all 24 (slot, antenna) problems go to the Hungarian solve; without
-    # it every problem is a matching and none does.
-    claim_tracks = [t for m in bank_managers for t in m.live_tracks()]
+    # predictions and gates, taken before the timed bank steps move
+    # them. The spare candidate sits inside track 0's gate on every
+    # antenna, so all 24 (slot, antenna) problems go to the Hungarian
+    # solve; without it every problem is a matching and none does.
+    claim_tracks = [t for m in managers for t in m.live_tracks()]
     claim_predictions = np.stack(
         [t.predicted_tofs() for t in claim_tracks]
     )
     claim_gates = np.array([t.tof_gate_m() for t in claim_tracks])
-    claim_counts = np.array([len(m.live_tracks()) for m in bank_managers])
+    claim_counts = np.array([len(m.live_tracks()) for m in managers])
     matching_candidates = np.delete(bank_candidates, 2, axis=2)
     # The cohort birth search on the same tensors, every candidate
     # unclaimed, with a through-wall serving spec's gate and wall-bounce
@@ -340,7 +343,7 @@ def _workloads() -> list[dict]:
             "frames": tick_session_frames,
             "inner": 20,
             "run": lambda: bank.step(
-                bank_managers, bank_candidates, bank_powers
+                bank_slots, bank_candidates, bank_powers
             ),
         },
         {
@@ -376,10 +379,81 @@ def _workloads() -> list[dict]:
                 power_slots=bank_powers,
                 max_fixes=1,
                 ghost_images=births_spec.ghost_images,
-                seed_slots=[people] * N_SESSIONS,
+                seed_positions=np.tile(people, (N_SESSIONS, 1)),
+                seed_slots=np.repeat(bank_slots, len(people)),
             ),
         },
+        _replay_births_workload(np.random.default_rng(23), births_spec),
     ] + _tick_kernel_workloads(rng)
+
+
+def _replay_births_workload(rng, spec: MultiWiTrack) -> dict:
+    """A replay-2p-like birth search: 16 slots, 6 candidates per antenna.
+
+    Each slot tracks two people, who seed the ghost veto from near
+    their true positions, and whose direct echoes the claims took.
+    The leftovers are what successive cancellation keeps finding
+    besides: three of the people's wall-bounce echoes and a junk echo
+    per antenna, a near-twin echo in one slot in four, and a
+    newcomer's direct echo in one slot in eight. As on replay-2p, the
+    seed veto removes most combos and few slots birth.
+    """
+    array = spec.solver.array
+    tofs = np.full((N_SYNTH_1P, N_RX, 6), np.nan)
+    seeds = []
+    for s in range(N_SYNTH_1P):
+        people = [
+            rng.uniform([-2.5, 1.5, -0.8], [2.5, 9.0, 0.6]) for _ in range(2)
+        ]
+        seeds.append([p + rng.normal(0.0, 0.05, 3) for p in people])
+        echoes = []
+        for p, n_images in zip(people, (2, 1)):
+            images = multipath_round_trips(
+                p, array.tx.position, spec.ghost_images
+            )
+            picks = rng.choice(len(images), n_images, replace=False)
+            echoes += list(images[picks])
+        if s % 4 == 1:
+            echoes.append(array.round_trip_distances(people[0]) + 0.3)
+        if s % 8 == 3:
+            echoes.append(
+                array.round_trip_distances(np.array([0.4, 6.5, -0.1]))
+            )
+        for a in range(N_RX):
+            column = [e[a] for e in echoes] + [rng.uniform(3.0, 18.0)]
+            tofs[s, a, : len(column)] = rng.permutation(column)
+    powers = rng.choice([1e-12, 3e-13, 1e-13, 3e-14], size=tofs.shape)
+    kwargs = dict(
+        gate=spec.gate,
+        max_fixes=1,
+        ghost_images=spec.ghost_images,
+    )
+    seed_positions = np.array([p for slot in seeds for p in slot])
+    seed_slots = np.repeat(np.arange(N_SYNTH_1P), 2)
+
+    def run():
+        return candidate_fixes_batched(
+            tofs, spec.solver, power_slots=powers,
+            seed_positions=seed_positions, seed_slots=seed_slots, **kwargs,
+        )
+
+    def spec_run():
+        return [
+            candidate_fixes(
+                list(tofs[s]), spec.solver, power_sets=list(powers[s]),
+                seed_positions=seeds[s], **kwargs,
+            )
+            for s in range(N_SYNTH_1P)
+        ]
+
+    return {
+        "kernel": f"birth_search_replay_n{N_SYNTH_1P}",
+        "shape": f"candidates {tofs.shape}",
+        "frames": N_SYNTH_1P,
+        "inner": 20,
+        "run": run,
+        "spec": spec_run,
+    }
 
 
 #: Kernels whose numpy rows must be bitwise their reference spec.
@@ -458,6 +532,21 @@ def _synthesis_parity(workloads: list[dict]) -> dict[str, bool]:
     return parity
 
 
+def _births_parity(workloads: list[dict]) -> dict[str, bool]:
+    """Per birth-search row with a spec: is every slot bitwise the
+    per-slot :func:`candidate_fixes` call?"""
+    parity = {}
+    for work in workloads:
+        if "spec" not in work:
+            continue
+        fast, spec = work["run"](), work["spec"]()
+        parity[work["kernel"]] = len(fast) == len(spec) and all(
+            a.shape == b.shape and a.tobytes() == b.tobytes()
+            for a, b in zip(fast, spec)
+        )
+    return parity
+
+
 @contextmanager
 def _workers(n: int):
     """Run the numpy synthesis kernel's tiles on ``n`` threads."""
@@ -508,9 +597,13 @@ def bench(repeats: int) -> dict:
         tick_parity = _tick_parity(workloads)
         synthesis_parity = _synthesis_parity(workloads)
         worker_parity = _worker_parity(workloads, workers)
+        births_parity = _births_parity(workloads)
         if not all(
             all(p.values())
-            for p in (parity, tick_parity, synthesis_parity, worker_parity)
+            for p in (
+                parity, tick_parity, synthesis_parity, worker_parity,
+                births_parity,
+            )
         ):
             workloads = []  # main() reports the mismatch; time nothing
         for work in workloads:
@@ -555,6 +648,7 @@ def bench(repeats: int) -> dict:
         "tick_kernel_parity": tick_parity,
         "synthesis_parity": synthesis_parity,
         "synthesis_worker_parity": worker_parity,
+        "births_parity": births_parity,
         "kernels": rows,
     }
 
@@ -611,6 +705,16 @@ def main() -> int:
         print(
             f"numpy accumulate_spectra on {workers} workers differs from "
             "one worker on: " + ", ".join(mismatched),
+            file=sys.stderr,
+        )
+        return 1
+    mismatched = [
+        kernel for kernel, ok in payload["births_parity"].items() if not ok
+    ]
+    if mismatched:
+        print(
+            "candidate_fixes_batched differs from the per-slot "
+            "candidate_fixes on: " + ", ".join(mismatched),
             file=sys.stderr,
         )
         return 1

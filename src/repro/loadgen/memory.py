@@ -45,9 +45,9 @@ def _state_nbytes(obj, seen: set[int] | None = None) -> int:
     """Total ndarray bytes reachable from ``obj`` (cycle-safe).
 
     Recurses through dicts, sequences, and plain-object ``__dict__``\\ s
-    — deep enough to reach e.g. the per-slot
-    :class:`~repro.multi.tracks.TrackManager` banks inside an
-    ``Associate`` stage.
+    — deep enough to reach e.g. the
+    :class:`~repro.multi.tracks.TrackBank` record slab and per-slot
+    histories inside an ``Associate`` stage.
     """
     if seen is None:
         seen = set()

@@ -121,7 +121,10 @@ def multipath_round_trips(
         Image round trips, shape ``(n_planes, n_rx)``.
     """
     d_tx = float(np.linalg.norm(position - tx_position))
-    d_img = np.linalg.norm(image_positions - position[None, None, :], axis=2)
+    sq = np.square(image_positions - position[None, None, :])
+    # x, y, z summed in order (np.linalg.norm's order over this axis),
+    # written out so that _arcs can sum in any memory layout bitwise.
+    d_img = np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
     return d_tx + d_img
 
 
@@ -343,23 +346,33 @@ def candidate_fixes_batched(
     max_fixes: int | None = None,
     ghost_images: np.ndarray | None = None,
     ghost_tolerance_m: float = 0.6,
-    seed_slots: Sequence[Sequence[np.ndarray] | None] | None = None,
+    seed_positions: np.ndarray | None = None,
+    seed_slots: np.ndarray | None = None,
 ) -> list[np.ndarray]:
     """:func:`candidate_fixes` for a whole cohort as one array program.
 
     Slot ``s`` of the result is bitwise ``candidate_fixes(tof_slots[s],
-    solver, gate, power_slots[s], ..., seed_positions=seed_slots[s])``
-    — the per-slot call is the executable spec, and this is the fast
-    path the cohort track bank births through. Only the
-    seed lists and the result list are walked slot by slot:
+    solver, gate, power_slots[s], ..., seed_positions=seed_positions[
+    seed_slots == s])`` — the per-slot call is the executable spec, and
+    this is the fast path the cohort track bank births through. Only
+    the result list is walked slot by slot:
 
+    * **Seed veto.** The spec's first greedy round kills every combo
+      with two or more components within ``ghost_tolerance_m`` of a
+      seed's multipath arc, and arcs only accumulate, so such a combo
+      can never be picked. That test reads round trips, not solved
+      positions: each candidate's nearest seed arc is computed once per
+      ``(slot, rx, K)``, and the combos it vetoes never reach the
+      solve. The survivors' first-round arc distances are gathered from
+      the same table.
     * **Combos.** A mask over every slot's full ``K^n_rx`` index
-      product marks the tuples with a candidate on every antenna; in
-      C order they are each slot's product of per-antenna candidate
-      subsets — the per-slot combo table, stacked — and one gather
-      builds them. The solve, the volume gate, the residual and the
-      power score are elementwise per row (the solve by the
-      ``solver.row_independent`` contract), so one pass serves all.
+      product marks the tuples with a candidate on every antenna that
+      the seed veto spares; in C order they are each slot's product of
+      per-antenna candidate subsets — the per-slot combo table, stacked
+      — and one gather builds them. The solve, the volume gate, the
+      residual and the power score are elementwise per row (the solve
+      by the ``solver.row_independent`` contract), so one pass serves
+      all.
     * **Greedy selection.** :func:`_greedy_select` runs round by round
       over every slot at once: each round re-scores the live rows
       against their slot's multipath arcs, takes each slot's first
@@ -375,7 +388,9 @@ def candidate_fixes_batched(
         solver: row-independent localization solver shared by all slots.
         gate: feasibility gate shared by all slots.
         power_slots: echo power per candidate, same shape (or None).
-        seed_slots: per slot, the ghost-veto seed positions (or None).
+        seed_positions: ghost-veto seed positions of every slot,
+            shape ``(n_seeds, 3)`` (or None).
+        seed_slots: the slot of each seed, shape ``(n_seeds,)``.
 
     Returns:
         One ``(n_fixes, 3)`` array per slot, empty where nothing
@@ -396,16 +411,41 @@ def candidate_fixes_batched(
     n_slots, n_rx, n_cand = tofs.shape
     empty = np.empty((0, 3))
     out: list[np.ndarray] = [empty] * n_slots
+    array = solver.array
+    tx_position = array.tx.position
+    suppress = ghost_images is not None and len(ghost_images) > 0
 
-    # complete[s, i0, ..., i_{n_rx-1}]: slot s has a candidate at index
-    # i_a on every antenna a. Its C-order nonzeros are each slot's
-    # index product in order, last antenna fastest.
-    present = ~np.isnan(tofs)
-    complete = present[:, 0]
+    # Each candidate's distance to the nearest multipath arc of its
+    # slot's seeds: inf without seeds, and NaN where an arc is NaN, as
+    # in the spec's np.min over the arc list.
+    seeded = None
+    if suppress and seed_positions is not None and len(seed_positions):
+        order = np.argsort(seed_slots, kind="stable")
+        table = _arc_table(
+            n_slots,
+            np.asarray(seed_slots)[order],
+            _arcs(
+                np.asarray(seed_positions, dtype=np.float64)[order],
+                tx_position,
+                ghost_images,
+            ),
+        )
+        seeded = np.abs(tofs - table[..., None]).min(axis=0)
+
+    # Each candidate's veto weight: 0 off every seed arc, 1 on one, 2
+    # where there is no candidate. weight[s, i0, ..., i_{n_rx-1}] sums
+    # them over a combo, so below 2 the combo exists on every antenna
+    # and at most one component lies on a seed arc. Its C-order
+    # nonzeros are each slot's surviving index product in order, last
+    # antenna fastest.
+    on_arc = False if seeded is None else seeded <= ghost_tolerance_m
+    per_candidate = np.where(np.isnan(tofs), 2, on_arc).astype(np.intp)
+    weight = per_candidate[:, 0]
     for a in range(1, n_rx):
-        complete = complete[..., None] & present[:, a].reshape(
+        weight = weight[..., None] + per_candidate[:, a].reshape(
             (n_slots,) + (1,) * a + (n_cand,)
         )
+    complete = weight < 2
     slot_of, *columns = np.unravel_index(
         np.flatnonzero(complete), complete.shape
     )
@@ -420,9 +460,10 @@ def candidate_fixes_batched(
     # rows in a hundred for the row reductions that follow.
     rows = np.flatnonzero(result.valid & gate.admits(positions))
     rows = rows[np.isfinite(positions[rows]).all(axis=1)]
+    if len(rows) == 0:
+        return out
 
     # Round-trip consistency: re-project each fix through the array.
-    array = solver.array
     positions = positions[rows]
     combos = combos[rows]
     d_tx = np.linalg.norm(positions - array.tx.position[None, :], axis=1)
@@ -464,31 +505,13 @@ def candidate_fixes_batched(
     alive = np.ones(len(rows), dtype=bool)
 
     # Ghost evidence: each row's distance to the nearest multipath arc
-    # of its slot, per antenna. Folding new arcs in with a running
-    # minimum equals the spec's minimum over the whole arc list.
-    suppress = ghost_images is not None and len(ghost_images) > 0
-    if suppress:
-        tx_position = array.tx.position
+    # of its slot, per antenna — the seeds' from the veto table, then
+    # each kept fix's folded in with a running minimum, which equals
+    # the spec's minimum over the whole arc list.
+    if seeded is not None:
+        nearest = seeded[slot_of[:, None], np.arange(n_rx), index_combos]
+    elif suppress:
         nearest = np.full((len(rows), n_rx), np.inf)
-        if seed_slots is not None:
-            seeds = [
-                (g, seed)
-                for g, s in enumerate(slots.tolist())
-                if seed_slots[s] is not None
-                for seed in seed_slots[s]
-            ]
-            if seeds:
-                _fold_arcs(
-                    nearest,
-                    combos,
-                    seg_of,
-                    np.array([g for g, _ in seeds]),
-                    _arcs(
-                        np.array([p for _, p in seeds], dtype=np.float64),
-                        tx_position,
-                        ghost_images,
-                    ),
-                )
 
     while True:
         live = alive & (n_kept < limit)[seg_of]
@@ -556,14 +579,31 @@ def _arcs(
 
     Shape ``(n_points, 3)`` to ``(n_points, n_planes, n_rx)``. The Tx
     leg is the 1-D norm (a BLAS dot), reproduced row by row by
-    ``np.vecdot``; the image legs are the same axis reduction.
+    ``np.vecdot``; the image legs sum the same squares in the same
+    order, with the points on the fast axis.
     """
     to_tx = points - tx_position
     d_tx = np.sqrt(np.vecdot(to_tx, to_tx))
-    d_img = np.linalg.norm(
-        ghost_images[None] - points[:, None, None, :], axis=3
-    )
-    return d_tx[:, None, None] + d_img
+    sq = np.square(ghost_images[..., None] - points.T)
+    d_img = np.sqrt(sq[:, :, 0] + sq[:, :, 1] + sq[:, :, 2])
+    return d_tx[:, None, None] + d_img.transpose(2, 0, 1)
+
+
+def _arc_table(
+    n_seg: int, arc_seg: np.ndarray, arcs: np.ndarray
+) -> np.ndarray:
+    """Pad each segment's arcs into one ``(arc, segment, antenna)`` table.
+
+    ``arcs[i]``, shape ``(n_planes, n_rx)``, belongs to segment
+    ``arc_seg[i]`` (sorted). Missing cells are ``inf``, so a round trip
+    meets exactly its own segment's arcs in a minimum over the first
+    axis (the outer axis, which numpy reduces fastest).
+    """
+    rank = np.arange(len(arc_seg)) - np.searchsorted(arc_seg, arc_seg)
+    n_planes, n_rx = arcs.shape[1:]
+    table = np.full((rank.max() + 1, n_planes, n_seg, n_rx), np.inf)
+    table[rank, :, arc_seg] = arcs
+    return table.reshape(-1, n_seg, n_rx)
 
 
 def _fold_arcs(
@@ -575,20 +615,11 @@ def _fold_arcs(
 ) -> None:
     """Lower each row's nearest-arc distance by its segment's new arcs.
 
-    ``arcs[i]``, shape ``(n_planes, n_rx)``, belongs to segment
-    ``arc_seg[i]`` (sorted). They pad into one ``(segment, arc set,
-    plane, antenna)`` table of ``inf``, so each row meets exactly its
-    own segment's arcs; NaN propagates like the spec's ``np.min`` over
-    the whole arc list.
+    ``arcs[i]`` belongs to segment ``arc_seg[i]`` (sorted); NaN
+    propagates like the spec's ``np.min`` over the whole arc list.
     """
-    n_seg = seg_of[-1] + 1
-    rank = np.arange(len(arc_seg)) - np.searchsorted(arc_seg, arc_seg)
-    table = np.full((n_seg, rank.max() + 1) + arcs.shape[1:], np.inf)
-    table[arc_seg, rank] = arcs
-    own = table.reshape(n_seg, -1, arcs.shape[-1])[seg_of]
-    np.minimum(
-        nearest, np.abs(combos[:, None, :] - own).min(axis=1), out=nearest
-    )
+    own = _arc_table(seg_of[-1] + 1, arc_seg, arcs)[:, seg_of]
+    np.minimum(nearest, np.abs(combos - own).min(axis=0), out=nearest)
 
 
 def assign_fixes(

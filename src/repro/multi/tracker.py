@@ -106,7 +106,6 @@ class MultiWiTrack:
             range_bin_m,
             manager=self.make_manager(),
             num_candidates=self.num_candidates,
-            manager_factory=self.make_manager,
         )
 
     def track(

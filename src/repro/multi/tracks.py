@@ -28,7 +28,7 @@ The lifecycle lets people enter and leave the scene:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -244,8 +244,52 @@ def _filter_step(
     cov[..., 1, 1] = np.where(measured, uc11, p11)
 
 
+#: Lifecycle states by their code in the bank's ``status`` field.
+_STATUSES = tuple(TrackStatus)
+_TENTATIVE, _CONFIRMED, _COASTING, _DEAD = range(len(_STATUSES))
+_CODE = {status: code for code, status in enumerate(_STATUSES)}
+#: Which status codes the app emits (confirmed or coasting).
+_REPORTABLE = np.array([False, True, True, False])
+
+
+def _track_dtype(n_rx: int) -> np.dtype:
+    """One track's record in a :class:`TrackBank` slab.
+
+    The per-antenna constant-velocity filter state is ``mean`` (n_rx,
+    2) and ``cov`` (n_rx, 2, 2); the first measurement initializes
+    state [tof, 0] with cov diag(r, 1), exactly KalmanFilter1D's first
+    update.
+    """
+    return np.dtype(
+        [
+            ("id", np.int64),
+            ("hits", np.int64),
+            ("misses", np.int64),
+            ("age", np.int64),
+            ("support", np.float64),
+            ("position", np.float64, (3,)),
+            ("mean", np.float64, (n_rx, 2)),
+            ("cov", np.float64, (n_rx, 2, 2)),
+            ("status", np.int8),
+        ],
+        align=True,
+    )
+
+
+#: A frame's history entry with no reportable track.
+_NO_TRACKS = (np.empty(0, np.int64), np.empty((0, 3)), np.empty(0, bool))
+
+
 class Track:
-    """One hypothesized person: a per-antenna TOF Kalman bank.
+    """One hypothesized person: a view of one row of a :class:`TrackBank`.
+
+    The row holds the person's per-antenna TOF Kalman bank and
+    lifecycle counters; every attribute reads and writes it, so a track
+    and its bank are one copy of the state. Built directly, a track
+    owns a private one-row bank.
+
+    The view follows its track while the bank compacts deaths; once the
+    track has left the bank it reads as dead.
 
     Args:
         track_id: stable identity of this track.
@@ -264,34 +308,89 @@ class Track:
         position: np.ndarray,
         config: TrackManagerConfig,
     ) -> None:
+        bank = TrackBank(dt_s, None, config)
+        bank._append(0, track_id, tofs, position)
+        self._bind(bank, 0, 0, track_id)
+
+    @classmethod
+    def _view(cls, bank: "TrackBank", slot: int, row: int) -> "Track":
+        track = cls.__new__(cls)
+        track._bind(bank, slot, row, int(bank._tracks["id"][slot, row]))
+        return track
+
+    def _bind(
+        self, bank: "TrackBank", slot: int, row: int, track_id: int
+    ) -> None:
+        self._bank = bank
+        self._slot = slot
+        self._row = row
         self.track_id = track_id
-        self.config = config
-        self.status = TrackStatus.TENTATIVE
-        self.hits = 1
-        self.misses = 0
-        self.age = 1
-        self.support = 1.0
-        self._dt_s = dt_s
-        self._support_decay = float(
-            np.exp(-dt_s / config.support_time_constant_s)
-        )
-        self.position = np.asarray(position, dtype=np.float64).copy()
-        # Per-antenna constant-velocity filter state, structure-of-arrays:
-        # mean (n_rx, 2) and covariance (n_rx, 2, 2). The first
-        # measurement initializes state [tof, 0] with cov diag(r, 1) —
-        # exactly KalmanFilter1D's first update.
-        n_rx = len(tofs)
-        self._q00, self._q01, self._q11 = dwna_process_noise(
-            dt_s, config.tof_process_noise
-        )
-        self._r = float(config.tof_measurement_noise)
-        self._mean = np.zeros((n_rx, 2))
-        self._mean[:, 0] = np.asarray(tofs, dtype=np.float64)
-        self._cov = np.zeros((n_rx, 2, 2))
-        self._cov[:, 0, 0] = self._r
-        self._cov[:, 1, 1] = 1.0
-        if config.confirm_hits <= 1:
-            self.status = TrackStatus.CONFIRMED
+        self.config = bank.config
+
+    def _locate(self) -> int:
+        """This track's row now (deaths before it move it up)."""
+        bank, slot, row = self._bank, self._slot, self._row
+        ids = bank._tracks["id"][slot, : bank._count[slot]]
+        if row >= len(ids) or ids[row] != self.track_id:
+            rows = np.flatnonzero(ids == self.track_id)
+            if not len(rows):
+                raise LookupError(f"track {self.track_id} left its bank")
+            self._row = row = int(rows[0])
+        return row
+
+    def _cell(self, field: str):
+        """This track's entry of one record field (a view for arrays)."""
+        return self._bank._tracks[field][self._slot, self._locate()]
+
+    def _set(self, field: str, value) -> None:
+        self._bank._tracks[field][self._slot, self._locate()] = value
+
+    @property
+    def status(self) -> TrackStatus:
+        try:
+            return _STATUSES[self._cell("status")]
+        except LookupError:
+            return TrackStatus.DEAD
+
+    @status.setter
+    def status(self, value: TrackStatus) -> None:
+        self._set("status", _CODE[value])
+
+    hits = property(
+        lambda self: int(self._cell("hits")),
+        lambda self, v: self._set("hits", v),
+    )
+    misses = property(
+        lambda self: int(self._cell("misses")),
+        lambda self, v: self._set("misses", v),
+    )
+    age = property(
+        lambda self: int(self._cell("age")),
+        lambda self, v: self._set("age", v),
+    )
+    support = property(
+        lambda self: float(self._cell("support")),
+        lambda self, v: self._set("support", v),
+    )
+
+    @property
+    def position(self) -> np.ndarray:
+        """Latest feasible 3D fix (a copy)."""
+        return self._cell("position").copy()
+
+    @position.setter
+    def position(self, value: np.ndarray) -> None:
+        self._set("position", value)
+
+    @property
+    def _mean(self) -> np.ndarray:
+        """Filter means ``(n_rx, 2)``, a view into the bank."""
+        return self._cell("mean")
+
+    @property
+    def _cov(self) -> np.ndarray:
+        """Filter covariances ``(n_rx, 2, 2)``, a view into the bank."""
+        return self._cell("cov")
 
     @property
     def num_rx(self) -> int:
@@ -315,12 +414,14 @@ class Track:
 
     def predicted_tofs(self) -> np.ndarray:
         """One-frame-ahead round trips *without* advancing filter state."""
-        return self._mean[:, 0] + self._dt_s * self._mean[:, 1]
+        mean = self._mean
+        return mean[:, 0] + self._bank.frame_dt_s * mean[:, 1]
 
     def tof_gate_m(self) -> float:
         """Current per-antenna claim gate, widened while coasting."""
         grown = self.config.tof_gate_m + (
-            self.config.tof_gate_growth_mps * self.misses * self._dt_s
+            self.config.tof_gate_growth_mps * self.misses
+            * self._bank.frame_dt_s
         )
         return float(min(grown, self.config.max_tof_gate_m))
 
@@ -347,18 +448,18 @@ class Track:
         """
         values = np.asarray(claimed_tofs, dtype=np.float64)
         claims = int(np.count_nonzero(np.isfinite(values)))
+        bank = self._bank
+        mean, cov = self._mean, self._cov
         _filter_step(
             values,
-            self._mean,
-            self._cov,
-            self._dt_s,
-            self._q00,
-            self._q01,
-            self._q11,
-            self._r,
+            mean,
+            cov,
+            bank.frame_dt_s,
+            *bank._q,
+            bank._r,
             self.config.coast_velocity_decay,
         )
-        solved = solver.solve_one(self._mean[:, 0])
+        solved = solver.solve_one(mean[:, 0])
         feasible = bool(np.all(np.isfinite(solved)))
         if feasible and gate is not None:
             feasible = bool(gate.admits(solved[None, :])[0])
@@ -369,9 +470,8 @@ class Track:
     ) -> None:
         """Fold one frame's claim count and solved fix into the lifecycle.
 
-        Shared tail of :meth:`advance` and the cohort
-        :class:`TrackBank` step (which computes ``solved``/``feasible``
-        batched across every session's tracks).
+        The per-track spec of :meth:`TrackBank._register`, which folds a
+        whole cohort's tracks with masked updates.
         """
         if feasible:
             self.position = solved
@@ -386,13 +486,11 @@ class Track:
     # -- lifecycle ---------------------------------------------------------
 
     def _hit(self, weight: float = 1.0) -> None:
+        decay = self._bank._support_decay
         self.hits += 1
         self.misses = 0
         self.age += 1
-        self.support = (
-            self._support_decay * self.support
-            + (1.0 - self._support_decay) * weight
-        )
+        self.support = decay * self.support + (1.0 - decay) * weight
         if self.status is TrackStatus.COASTING:
             self.status = TrackStatus.CONFIRMED
         elif (
@@ -404,7 +502,7 @@ class Track:
     def _miss(self) -> None:
         self.misses += 1
         self.age += 1
-        self.support *= self._support_decay
+        self.support *= self._bank._support_decay
         if self.status is TrackStatus.TENTATIVE:
             if self.misses > self.config.max_tentative_misses:
                 self.status = TrackStatus.DEAD
@@ -489,11 +587,11 @@ class MultiTrack:
         )
 
 
-@dataclass
-class _Snapshot:
-    """Reportable tracks of one frame (internal history record)."""
-
-    entries: dict[int, tuple[np.ndarray, bool]] = field(default_factory=dict)
+def _from_bank(name: str) -> property:
+    return property(
+        lambda self: getattr(self._bank, name),
+        doc=f"The bank's ``{name}`` (shared by all its slots).",
+    )
 
 
 class TrackManager:
@@ -502,6 +600,12 @@ class TrackManager:
     Drives the offline tracker and the streaming app alike: call
     :meth:`step` once per frame with that frame's per-antenna candidate
     TOF sets, then :meth:`result` to package the accumulated history.
+
+    A manager is a view of one slot of a :class:`TrackBank`; built
+    directly, it owns a one-slot bank. Its :meth:`step` walks the slot's
+    tracks one at a time and is the executable spec of
+    :meth:`TrackBank.step`, which advances many slots as one array
+    program over the same rows.
 
     Args:
         frame_dt_s: frame interval (12.5 ms at the paper's cadence).
@@ -525,23 +629,59 @@ class TrackManager:
         ghost_images: np.ndarray | None = None,
         max_births_per_frame: int = 1,
     ) -> None:
-        if frame_dt_s <= 0:
-            raise ValueError("frame_dt_s must be positive")
-        self.frame_dt_s = frame_dt_s
-        self.solver = solver
-        self.config = config or TrackManagerConfig()
-        self.gate = gate or FixGate()
-        self.ghost_images = ghost_images
-        self.max_births_per_frame = max_births_per_frame
-        self.tracks: list[Track] = []
-        self._next_id = 1
-        self._history: list[_Snapshot] = []
-        self._ever_confirmed: list[int] = []
+        self._bank = TrackBank(
+            frame_dt_s, solver, config, gate, ghost_images,
+            max_births_per_frame,
+        )
+        self._slot = 0
+
+    @classmethod
+    def _view(cls, bank: "TrackBank", slot: int) -> "TrackManager":
+        manager = cls.__new__(cls)
+        manager._bank = bank
+        manager._slot = slot
+        return manager
+
+    frame_dt_s = _from_bank("frame_dt_s")
+    solver = _from_bank("solver")
+    config = _from_bank("config")
+    gate = _from_bank("gate")
+    ghost_images = _from_bank("ghost_images")
+    max_births_per_frame = _from_bank("max_births_per_frame")
+
+    @property
+    def bank(self) -> "TrackBank":
+        """The bank holding this manager's slot."""
+        return self._bank
+
+    @property
+    def _history(self) -> list:
+        """Per frame, the reportable ``(ids, positions, coasting)``."""
+        return self._bank._history[self._slot]
+
+    @property
+    def _next_id(self) -> int:
+        return int(self._bank._next_id[self._slot])
+
+    @property
+    def _ever_confirmed(self) -> list[int]:
+        """Ids ever reported, in order of first report."""
+        return list(
+            dict.fromkeys(
+                i for ids, _, _ in self._history for i in ids.tolist()
+            )
+        )
 
     @property
     def num_frames(self) -> int:
         """Frames processed so far."""
         return len(self._history)
+
+    @property
+    def tracks(self) -> list[Track]:
+        """Views of the slot's tracks, in birth order."""
+        n = int(self._bank._count[self._slot])
+        return [Track._view(self._bank, self._slot, row) for row in range(n)]
 
     def live_tracks(self) -> list[Track]:
         """Tracks that are not dead."""
@@ -601,20 +741,6 @@ class TrackManager:
                 np.where(keep[a, : len(values)], np.asarray(power), np.nan)
                 for a, (values, power) in enumerate(zip(tofs, power_sets))
             ]
-        self._births(leftovers, leftover_powers, live)
-        return self._finalize()
-
-    def _births(
-        self,
-        leftovers: list[np.ndarray],
-        leftover_powers: list[np.ndarray] | None,
-        live: list[Track],
-    ) -> None:
-        """Birth tracks from unclaimed candidates.
-
-        ``live`` is the step-start live list, post-advance: it seeds the
-        ghost veto and the birth-exclusion neighborhood.
-        """
         births = candidate_fixes(
             leftovers,
             self.solver,
@@ -622,62 +748,15 @@ class TrackManager:
             power_sets=leftover_powers,
             max_fixes=self.max_births_per_frame,
             ghost_images=self.ghost_images,
-            seed_positions=self._birth_seeds(live),
+            # Any track with real evidence seeds the veto — waiting for
+            # confirmation would leave the first frames unguarded, and
+            # early-born multipath ghosts are the persistent ones.
+            seed_positions=[t.position for t in live if t.hits >= 2],
         )
-        self._adopt_births(births, live)
-
-    def _birth_seeds(self, live: list[Track]) -> list[np.ndarray]:
-        """Ghost-veto seed positions for this frame's birth attempt.
-
-        Any track with real evidence seeds the veto — waiting for
-        confirmation would leave the first frames unguarded, and
-        early-born multipath ghosts are the persistent ones.
-        """
-        return [t.position for t in live if t.hits >= 2]
-
-    def _adopt_births(
-        self, births: np.ndarray, live: list[Track]
-    ) -> None:
-        """Turn surviving birth fixes into tracks (exclusion applied).
-
-        Split from :meth:`_births` so the cohort :class:`TrackBank` can
-        feed it fixes from one batched
-        :func:`~repro.multi.association.candidate_fixes_batched` pass.
-        """
-        born: list[np.ndarray] = []
-        for fix in births:
-            neighbors = [t.position for t in live if t.is_alive] + born
-            if any(
-                np.linalg.norm(p - fix) < self.config.birth_exclusion_m
-                for p in neighbors
-            ):
-                continue
-            self.tracks.append(
-                Track(
-                    self._next_id,
-                    self.frame_dt_s,
-                    self.solver.array.round_trip_distances(fix),
-                    fix,
-                    self.config,
-                )
-            )
-            self._next_id += 1
-            born.append(fix)
-
-    def _finalize(self) -> list[Track]:
-        """Cull dead tracks and record the frame snapshot (shared tail)."""
-        self.tracks = [t for t in self.tracks if t.is_alive]
-
-        snapshot = _Snapshot()
-        for track in self.tracks:
-            if track.is_reportable:
-                if track.track_id not in self._ever_confirmed:
-                    self._ever_confirmed.append(track.track_id)
-                snapshot.entries[track.track_id] = (
-                    track.position.copy(),
-                    track.status is TrackStatus.COASTING,
-                )
-        self._history.append(snapshot)
+        self._bank._adopt(
+            self._slot, births, [t.position for t in live if t.is_alive]
+        )
+        self._bank._finalize(np.array([self._slot]))
         return self.reportable_tracks()
 
     def result(self, frame_times_s: np.ndarray) -> MultiTrack:
@@ -693,11 +772,12 @@ class TrackManager:
         positions = np.full((n_tracks, self.num_frames, 3), np.nan)
         coasting = np.zeros((n_tracks, self.num_frames), dtype=bool)
         index = {track_id: row for row, track_id in enumerate(ids)}
-        for f, snapshot in enumerate(self._history):
-            for track_id, (position, coasted) in snapshot.entries.items():
-                row = index[track_id]
-                positions[row, f] = position
-                coasting[row, f] = coasted
+        for f, (frame_ids, frame_positions, coasted) in enumerate(
+            self._history
+        ):
+            rows = [index[track_id] for track_id in frame_ids.tolist()]
+            positions[rows, f] = frame_positions
+            coasting[rows, f] = coasted
         return MultiTrack(
             frame_times_s=frame_times_s,
             positions=positions,
@@ -707,57 +787,312 @@ class TrackManager:
 
 
 class TrackBank:
-    """Structure-of-arrays stepper: one frame of many sessions at once.
+    """The track state of many sessions, and their one-frame stepper.
 
-    :meth:`TrackManager.step` advances one session, walking its
-    :class:`Track` objects one at a time; stepping each slot's manager
-    in turn is the bank's executable spec. The bank advances a whole
-    cohort tick (:class:`~repro.pipeline.multi.Associate`, fused or
-    staged) over a ``(slot, track)`` axis: it gathers every ticking
-    slot's live-track filter state into stacked arrays, runs
-    prediction, gating, the Kalman updates, and batched localization
-    across all slots in array math, and scatters the results back into
-    the managers' tracks. Claims run as one pass over every ``(slot,
-    antenna)`` problem (:func:`~repro.multi.association.
-    claim_candidates`, which the per-slot step calls for its one slot):
-    problems whose in-gate pairs already form a matching are written
-    with array math, and only the rest run the Hungarian solve.
+    Every track of every slot is one record (:func:`_track_dtype`: id,
+    filter mean and covariance, status, hits, misses, age, support,
+    position) in one ``(slot, track)`` slab, grown on demand. A slot's
+    live tracks are its first ``count[slot]`` rows in birth order:
+    births append, deaths compact at the end of the frame. Each slot
+    also keeps its next track id and its per-frame history of reportable
+    tracks. :class:`TrackManager` and :class:`Track` are views of a
+    slot and of a row, so there is one copy of the state;
+    :meth:`detach` and :meth:`adopt` move one slot's rows for eviction,
+    migration and snapshot/restore.
+
+    :meth:`step` advances a cohort tick (:class:`~repro.pipeline.multi.
+    Associate`) over the ticking slots' rows at once: it gathers their
+    records, runs prediction, gating, the Kalman updates and batched
+    localization in array math, folds the lifecycle with masked updates
+    (:meth:`_register`), and scatters the records back. Claims run as
+    one pass over every ``(slot, antenna)`` problem (:func:`~repro.multi.
+    association.claim_candidates`, which the per-slot step calls for its
+    one slot): problems whose in-gate pairs already form a matching are
+    written with array math, and only the rest run the Hungarian solve.
     Births — attempted on nearly every slot-tick, since some candidate
     is almost always unclaimed — run as one array program over the
-    cohort's leftover tensors
-    (:func:`~repro.multi.association.candidate_fixes_batched`), whose
-    slot ``s`` is bitwise the per-slot :meth:`TrackManager._births`
-    call.
-
-    The managers remain the single source of truth: the bank holds no
-    state of its own, so snapshot/restore, eviction, and the
-    ``engine.track_manager`` accessors are untouched, and after a bank
-    step every manager is bit-identical to having stepped it on its
-    own — the Kalman tree (:func:`_filter_step`), the lifecycle tail
-    (:meth:`Track._register`), the claim pass, and birth adoption are
-    literally the same code, just batched where the math is
-    elementwise.
+    cohort's leftover tensors (:func:`~repro.multi.association.
+    candidate_fixes_batched`, seeded from the slab), whose slot ``s`` is
+    bitwise the per-slot :func:`~repro.multi.association.candidate_fixes`
+    call. After a step every slot is bit-identical to having stepped its
+    :class:`TrackManager` on its own: the Kalman tree
+    (:func:`_filter_step`) and the birth adoption and end-of-frame
+    bookkeeping are the same code, and the masked lifecycle updates are
+    pinned against :meth:`Track._register`.
 
     Requires a row-independent solver (``solver.row_independent``, e.g.
-    the closed-form T-geometry solver): the batched ``solver.solve``
-    over all slots' tracks must equal the per-track ``solve_one`` calls
-    bitwise. ``Associate`` routes only such cohorts through the bank.
-    All managers of a serving cohort share one spec, so the frame
-    interval, lifecycle config, fix gate, and solver are read from the
-    first manager.
+    the closed-form T-geometry solver) to :meth:`step`: the batched
+    ``solver.solve`` over all slots' tracks must equal the per-track
+    ``solve_one`` calls bitwise. ``Associate`` steps any other solver's
+    slots through their managers.
+
+    Args:
+        frame_dt_s: frame interval (12.5 ms at the paper's cadence).
+        solver: localization solver of the deployed array.
+        config: lifecycle tunables.
+        gate: feasibility gate for birth fixes.
+        ghost_images: bounce-plane antenna images for multipath-ghost
+            suppression.
+        max_births_per_frame: cap on new tracks born per slot and frame.
     """
+
+    def __init__(
+        self,
+        frame_dt_s: float,
+        solver: Solver,
+        config: TrackManagerConfig | None = None,
+        gate: FixGate | None = None,
+        ghost_images: np.ndarray | None = None,
+        max_births_per_frame: int = 1,
+    ) -> None:
+        if frame_dt_s <= 0:
+            raise ValueError("frame_dt_s must be positive")
+        self.frame_dt_s = frame_dt_s
+        self.solver = solver
+        self.config = config or TrackManagerConfig()
+        self.gate = gate or FixGate()
+        self.ghost_images = ghost_images
+        self.max_births_per_frame = max_births_per_frame
+        self._q = dwna_process_noise(
+            frame_dt_s, self.config.tof_process_noise
+        )
+        self._r = float(self.config.tof_measurement_noise)
+        self._support_decay = float(
+            np.exp(-frame_dt_s / self.config.support_time_constant_s)
+        )
+        #: The ``(slot, track)`` record slab; allocated by the first birth.
+        self._tracks: np.ndarray | None = None
+        self._count = np.zeros(1, dtype=np.intp)
+        self._next_id = np.ones(1, dtype=np.int64)
+        self._history: list[list] = [[]]
+
+    @property
+    def num_slots(self) -> int:
+        """Slots the bank holds state for."""
+        return len(self._count)
+
+    def manager(self, slot: int) -> TrackManager:
+        """The :class:`TrackManager` view of one slot."""
+        return TrackManager._view(self, slot)
+
+    # -- slots -------------------------------------------------------------
+
+    def attach(self, n_slots: int) -> None:
+        """Grow to ``n_slots`` slots (new slots start empty)."""
+        extra = n_slots - self.num_slots
+        if extra <= 0:
+            return
+        self._count = np.concatenate([self._count, np.zeros(extra, np.intp)])
+        self._next_id = np.concatenate(
+            [self._next_id, np.ones(extra, np.int64)]
+        )
+        self._history.extend([] for _ in range(extra))
+        if self._tracks is not None:
+            self._resize(n_slots, self._tracks.shape[1])
+
+    def evict(self, slot: int) -> None:
+        """Forget one slot's tracks, ids and history."""
+        self._count[slot] = 0
+        self._next_id[slot] = 1
+        self._history[slot] = []
+
+    def clear(self) -> None:
+        """Forget every slot's state."""
+        for slot in range(self.num_slots):
+            self.evict(slot)
+
+    def detach(self, slot: int) -> TrackManager:
+        """A standalone manager holding a copy of one slot's state.
+
+        The manager pickles, so it can carry the slot to another
+        process.
+        """
+        manager = TrackManager(
+            self.frame_dt_s, self.solver, self.config, self.gate,
+            self.ghost_images, self.max_births_per_frame,
+        )
+        manager._bank.adopt(0, self.manager(slot))
+        return manager
+
+    def adopt(self, slot: int, manager: TrackManager) -> None:
+        """Install a manager's state (e.g. from :meth:`detach`) into a slot."""
+        source, at = manager._bank, manager._slot
+        n = int(source._count[at])
+        if n:
+            self._reserve(n, source._tracks["mean"].shape[2])
+            self._tracks[slot, :n] = source._tracks[at, :n]
+        self._count[slot] = n
+        self._next_id[slot] = source._next_id[at]
+        self._history[slot] = list(source._history[at])
+
+    def _reserve(self, n_tracks: int, n_rx: int) -> None:
+        """Make room for ``n_tracks`` rows per slot."""
+        if self._tracks is None:
+            self._tracks = np.zeros(
+                (self.num_slots, max(n_tracks, 4)), _track_dtype(n_rx)
+            )
+        elif n_tracks > self._tracks.shape[1]:
+            grown = max(n_tracks, 2 * self._tracks.shape[1])
+            self._resize(self.num_slots, grown)
+
+    def _resize(self, n_slots: int, n_tracks: int) -> None:
+        old = self._tracks
+        self._tracks = np.zeros((n_slots, n_tracks), old.dtype)
+        self._tracks[: len(old), : old.shape[1]] = old
+
+    # -- rows --------------------------------------------------------------
+
+    def _append(
+        self, slot: int, track_id: int, tofs: np.ndarray, position: np.ndarray
+    ) -> None:
+        """Birth one tentative track at the end of a slot's rows."""
+        tofs = np.asarray(tofs, dtype=np.float64)
+        row = int(self._count[slot])
+        self._reserve(row + 1, len(tofs))
+        record = self._tracks[slot, row]
+        record["id"] = track_id
+        record["hits"] = 1
+        record["misses"] = 0
+        record["age"] = 1
+        record["support"] = 1.0
+        record["position"] = position
+        record["mean"][:, 0] = tofs
+        record["mean"][:, 1] = 0.0
+        record["cov"] = 0.0
+        record["cov"][:, 0, 0] = self._r
+        record["cov"][:, 1, 1] = 1.0
+        record["status"] = (
+            _CONFIRMED if self.config.confirm_hits <= 1 else _TENTATIVE
+        )
+        self._count[slot] = row + 1
+
+    def _adopt(
+        self, slot: int, births: np.ndarray, neighbors: list[np.ndarray]
+    ) -> None:
+        """Turn surviving birth fixes into tracks (exclusion applied).
+
+        ``neighbors`` are the positions of the slot's tracks still
+        alive after this frame's update; a fix this close to one of them
+        or to an earlier birth is a duplicate echo and is dropped.
+        """
+        born: list[np.ndarray] = []
+        for fix in births:
+            if any(
+                np.linalg.norm(p - fix) < self.config.birth_exclusion_m
+                for p in [*neighbors, *born]
+            ):
+                continue
+            self._append(
+                slot,
+                int(self._next_id[slot]),
+                self.solver.array.round_trip_distances(fix),
+                fix,
+            )
+            self._next_id[slot] += 1
+            born.append(fix)
+
+    def _register(
+        self,
+        live: np.ndarray,
+        claims: np.ndarray,
+        solved: np.ndarray,
+        feasible: np.ndarray,
+    ) -> None:
+        """:meth:`Track._register` of many track records, as masked updates."""
+        cfg = self.config
+        n_rx = live["mean"].shape[1]
+        decay = self._support_decay
+        np.copyto(live["position"], solved, where=feasible[:, None])
+        hit = claims >= min(cfg.min_claims, n_rx)
+        hits = live["hits"] + hit
+        misses = np.where(hit, 0, live["misses"] + 1)
+        weight = np.where(feasible, claims / n_rx, 0.0)
+        support = np.where(
+            hit,
+            decay * live["support"] + (1.0 - decay) * weight,
+            live["support"] * decay,
+        )
+        # A hit confirms, unless a tentative track is still short of
+        # confirm_hits; a miss kills on the tentative or coast budget,
+        # else leaves a tentative track tentative and coasts the rest.
+        tentative = live["status"] == _TENTATIVE
+        budget = np.minimum(cfg.max_coast_frames, cfg.coast_per_hit * hits)
+        dies = np.where(
+            tentative,
+            misses > cfg.max_tentative_misses,
+            (misses > budget) | (support < cfg.min_support),
+        )
+        short = tentative & (hits < cfg.confirm_hits)
+        live["status"] = np.where(
+            hit,
+            np.where(short, _TENTATIVE, _CONFIRMED),
+            np.where(dies, _DEAD, np.where(tentative, _TENTATIVE, _COASTING)),
+        )
+        live["hits"] = hits
+        live["misses"] = misses
+        live["age"] += 1
+        live["support"] = support
+
+    def _finalize(
+        self, slots: np.ndarray
+    ) -> list[list[tuple[int, np.ndarray]]]:
+        """End a frame of the given slots: compact deaths, record history.
+
+        Returns, per slot, the reportable ``(track_id, position)`` pairs
+        in row order; each slot's history gains the same tracks with
+        their coasting flags.
+        """
+        counts = self._count[slots]
+        if self._tracks is None or not counts.any():
+            for slot in slots.tolist():
+                self._history[slot].append(_NO_TRACKS)
+            return [[] for _ in range(len(slots))]
+        in_use = np.arange(self._tracks.shape[1]) < counts[:, None]
+        # Rows past a slot's count read as tentative: neither dead nor
+        # reportable.
+        status = np.where(in_use, self._tracks["status"][slots], _TENTATIVE)
+        dead = status == _DEAD
+        if dead.any():
+            for row in np.flatnonzero(dead.any(axis=1)).tolist():
+                slot = slots[row]
+                keep = np.flatnonzero(in_use[row] & ~dead[row])
+                self._tracks[slot, : len(keep)] = self._tracks[slot, keep]
+                self._count[slot] = len(keep)
+                status[row, : len(keep)] = status[row, keep]
+                status[row, len(keep) :] = _TENTATIVE
+        rows, cols = np.nonzero(_REPORTABLE[status])
+        at = (slots[rows], cols)
+        ids = self._tracks["id"][at]
+        positions = self._tracks["position"][at]
+        recorded = positions.copy()
+        coasting = status[rows, cols] == _COASTING
+        pairs = list(zip(ids.tolist(), positions))
+        ends = np.searchsorted(rows, np.arange(1, len(slots) + 1)).tolist()
+        out = []
+        start = 0
+        for slot, end in zip(slots.tolist(), ends):
+            out.append(pairs[start:end])
+            self._history[slot].append(
+                (ids[start:end], recorded[start:end], coasting[start:end])
+                if end > start
+                else _NO_TRACKS
+            )
+            start = end
+        return out
+
+    # -- the cohort step ---------------------------------------------------
 
     def step(
         self,
-        managers: list[TrackManager],
+        slots: np.ndarray,
         candidates: np.ndarray,
         powers: np.ndarray,
     ) -> list[list[tuple[int, np.ndarray]]]:
-        """Advance one frame of every manager from its candidate sets.
+        """Advance one frame of every given slot from its candidate sets.
 
         Args:
-            managers: the ticking slots' managers, in tick-row order
-                (one entry per row; a manager may appear once only).
+            slots: the ticking slots, in tick-row order (each at most
+                once).
             candidates: candidate round trips, shape
                 ``(n_rows, n_rx, K)``, NaN-padded.
             powers: echo power per candidate, same shape.
@@ -766,79 +1101,67 @@ class TrackBank:
             Per row, the reportable ``(track_id, position)`` pairs —
             exactly the per-slot :meth:`TrackManager.step` output.
         """
-        lead = managers[0]
-        dt = lead.frame_dt_s
-        cfg = lead.config
-        live_per = [m.live_tracks() for m in managers]
-        all_tracks = [t for live in live_per for t in live]
-        total = len(all_tracks)
-
+        slots = np.asarray(slots, dtype=np.intp)
+        cfg, dt = self.config, self.frame_dt_s
+        counts = self._count[slots]
         consumed = np.zeros(candidates.shape, dtype=bool)
-        if total:
-            # Gather: (track, antenna) filter state across every slot.
-            mean = np.stack([t._mean for t in all_tracks])
-            cov = np.stack([t._cov for t in all_tracks])
-            misses = np.array(
-                [t.misses for t in all_tracks], dtype=np.float64
+        seeds = seed_rows = None
+        if counts.any():
+            # Gather: every ticking slot's live track records, grouped
+            # by row in birth order.
+            row_of, col = np.nonzero(
+                np.arange(self._tracks.shape[1]) < counts[:, None]
             )
+            at = (slots[row_of], col)
+            live = self._tracks[at]
+            mean, cov = live["mean"], live["cov"]
             predictions = mean[:, :, 0] + dt * mean[:, :, 1]
             gates = np.minimum(
-                cfg.tof_gate_m + cfg.tof_gate_growth_mps * misses * dt,
+                cfg.tof_gate_m + cfg.tof_gate_growth_mps * live["misses"] * dt,
                 cfg.max_tof_gate_m,
             )
             claimed, consumed = claim_candidates(
-                predictions,
-                gates,
-                candidates,
-                [len(live) for live in live_per],
+                predictions, gates, candidates, counts
             )
             # Advance: one Kalman tree over every (track, antenna) cell,
             # one localization solve over every track.
-            q00, q01, q11 = dwna_process_noise(dt, cfg.tof_process_noise)
             _filter_step(
-                claimed,
-                mean,
-                cov,
-                dt,
-                q00,
-                q01,
-                q11,
-                float(cfg.tof_measurement_noise),
+                claimed, mean, cov, dt, *self._q, self._r,
                 cfg.coast_velocity_decay,
             )
-            solved = lead.solver.solve(mean[:, :, 0]).positions
+            solved = self.solver.solve(mean[:, :, 0]).positions
             feasible = np.all(np.isfinite(solved), axis=1)
             # NaN rows compare False everywhere, so gating the whole
             # batch equals the per-track finite-then-gate short circuit.
-            feasible &= lead.gate.admits(solved)
+            feasible &= self.gate.admits(solved)
             claims = np.count_nonzero(np.isfinite(claimed), axis=1)
-            for i, track in enumerate(all_tracks):
-                track._mean[:] = mean[i]
-                track._cov[:] = cov[i]
-                track._register(
-                    int(claims[i]), solved[i].copy(), bool(feasible[i])
-                )
+            self._register(live, claims, solved, feasible)
+            self._tracks[at] = live
+            # Any track with real evidence seeds the ghost veto, the
+            # ones that died this frame included (as in the spec).
+            seeded = live["hits"] >= 2
+            seeds, seed_rows = live["position"][seeded], row_of[seeded]
 
-        # Leftovers: every finite candidate no track claimed, one
-        # vectorized mask instead of per-slot keep loops. Births run as
-        # one array program over the whole cohort's leftover tensors
-        # (the gate, ghost images, and birth cap are cohort-wide spec
-        # state, read from the lead manager like the rest of the step).
+        # Leftovers: every finite candidate no track claimed. Births run
+        # as one array program over the whole cohort's leftover tensors.
         keep = np.isfinite(candidates) & ~consumed
-        births_per = candidate_fixes_batched(
+        births = candidate_fixes_batched(
             np.where(keep, candidates, np.nan),
-            lead.solver,
-            gate=lead.gate,
+            self.solver,
+            gate=self.gate,
             power_slots=np.where(keep, powers, np.nan),
-            max_fixes=lead.max_births_per_frame,
-            ghost_images=lead.ghost_images,
-            seed_slots=[
-                m._birth_seeds(live) for m, live in zip(managers, live_per)
-            ],
+            max_fixes=self.max_births_per_frame,
+            ghost_images=self.ghost_images,
+            seed_positions=seeds,
+            seed_slots=seed_rows,
         )
-        out = []
-        for s, manager in enumerate(managers):
-            manager._adopt_births(births_per[s], live_per[s])
-            tracks = manager._finalize()
-            out.append([(t.track_id, t.position.copy()) for t in tracks])
-        return out
+        for row, fixes in enumerate(births):
+            if len(fixes):
+                slot, n = slots[row], counts[row]
+                neighbors = []
+                if n:
+                    advanced = self._tracks[slot, :n]
+                    alive = advanced["status"] != _DEAD
+                    neighbors = list(advanced["position"][alive])
+                self._adopt(slot, fixes, neighbors)
+        return self._finalize(slots)

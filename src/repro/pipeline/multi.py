@@ -14,20 +14,18 @@ Both advance session-lockstep ticks, so
 :class:`~repro.apps.realtime.RealtimeMultiTracker` (streaming) and a
 multi-person serving cohort (:mod:`repro.serve`) are the same code
 path. Session state: cancellation is stateless, and
-the association state is one :class:`~repro.multi.tracks.TrackManager`
-per session slot, which a row-independent cohort advances through one
-:class:`~repro.multi.tracks.TrackBank` step per tick.
+the association state is one slot of a
+:class:`~repro.multi.tracks.TrackBank`, which a row-independent cohort
+advances through one bank step per tick.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
 from ..kernels.cancellation import successive_cancel
 from ..multi.cancellation import check_cancel_args
-from ..multi.tracks import TrackBank, TrackManager
+from ..multi.tracks import TrackManager
 from .stages import Stage
 
 
@@ -87,68 +85,56 @@ class SuccessiveCancel(Stage):
 class Associate(Stage):
     """Track birth/claim/coast/kill over the candidate TOF sets.
 
-    Stage wrapper around :class:`~repro.multi.tracks.TrackManager`
+    Stage wrapper around a :class:`~repro.multi.tracks.TrackBank`
     (inherently sequential — association depends on every previous
     frame). Writes ``tracks``: the reportable ``(track_id, position)``
     pairs after this frame.
 
-    Session state is one independent manager per slot; the factory
-    builds managers for newly attached or recycled slots. Slot 0 is the
-    manager passed at construction, preserving the single-session API.
-    A tick over a row-independent solver advances every ticking slot's
-    manager through one :class:`~repro.multi.tracks.TrackBank` step;
-    any other solver steps each slot's manager on its own
-    (:meth:`TrackManager.step`, which is also the bank's executable
-    spec).
+    Session state is one slot of the bank: every session's tracks are
+    rows of the bank's ``(slot, track)`` slab, grown on demand. The bank
+    is the one passed in by its slot-0 manager, preserving the
+    single-session API, and every slot shares its spec (frame interval,
+    lifecycle config, fix gate, solver). A tick over a row-independent
+    solver advances every ticking slot through one
+    :meth:`TrackBank.step <repro.multi.tracks.TrackBank.step>`; any
+    other solver steps each slot's manager view on its own
+    (:meth:`TrackManager.step <repro.multi.tracks.TrackManager.step>`,
+    which is also the bank's executable spec).
     """
 
-    def __init__(
-        self,
-        manager: TrackManager,
-        factory: Callable[[], TrackManager] | None = None,
-    ) -> None:
-        self._managers: list[TrackManager] = [manager]
-        self._factory = factory
-        self._bank = TrackBank()
+    def __init__(self, manager: TrackManager) -> None:
+        self._bank = manager.bank
 
     @property
     def manager(self) -> TrackManager:
         """Slot 0's track manager (the single-session view)."""
-        return self._managers[0]
+        return self._bank.manager(0)
 
     def manager_for(self, slot: int) -> TrackManager:
-        """The track manager advancing the given session slot."""
-        return self._managers[slot]
-
-    def _spawn(self) -> TrackManager:
-        if self._factory is None:
-            raise RuntimeError(
-                "Associate needs a manager factory to manage sessions"
-            )
-        return self._factory()
+        """The track manager view of the given session slot."""
+        return self._bank.manager(slot)
 
     def _grow(self, capacity: int) -> None:
-        while len(self._managers) < capacity:
-            self._managers.append(self._spawn())
+        self._bank.attach(capacity)
 
     def evict(self, slot: int) -> None:
-        self._managers[slot] = self._spawn()
+        self._bank.evict(slot)
 
     def snapshot_slot(self, slot: int) -> dict:
-        """Hand off the slot's manager (move semantics — see Stage).
+        """Hand off the slot's tracks as a standalone manager.
 
-        The manager is inherently sequential state; the hand-off carries
-        the object itself (picklable, so it survives a pipe to another
-        process). Evict the source slot afterwards — two pipelines must
-        never advance one manager.
+        The manager holds a copy of the slot's rows and history
+        (picklable, so it survives a pipe to another process). Evict
+        the source slot afterwards — two pipelines must never advance
+        one session.
         """
-        return {"manager": self._managers[slot]}
+        return {"manager": self._bank.detach(slot)}
 
     def restore_slot(self, slot: int, state: dict) -> None:
         if not state:
             self.evict(slot)
             return
-        self._managers[slot] = state["manager"]
+        self._bank.adopt(slot, state["manager"])
 
     def fuse_spec(self) -> str | None:
         """``"associate"`` when the cohort can advance as one track bank.
@@ -156,13 +142,9 @@ class Associate(Stage):
         The bank's batched localization solve must equal the per-track
         ``solve_one`` calls bitwise — true only for row-independent
         solvers (the closed-form T geometry); the warm-started
-        least-squares solver steps slot by slot. The bank reads the
-        shared cohort constants (frame interval, lifecycle config, fix
-        gate, solver) from the tick's first manager; every slot manager
-        comes from one factory with one spec, which is what makes that
-        sound.
+        least-squares solver steps slot by slot.
         """
-        if getattr(self.manager.solver, "row_independent", False):
+        if getattr(self._bank.solver, "row_independent", False):
             return "associate"
         return None
 
@@ -173,22 +155,21 @@ class Associate(Stage):
             [candidates[a] for a in range(candidates.shape[0])],
             [powers[a] for a in range(powers.shape[0])],
         )
-        return [(t.track_id, t.position.copy()) for t in tracks]
+        return [(t.track_id, t.position) for t in tracks]
 
     def process_tick(self, tick):
-        managers = [self._managers[slot] for slot in tick.slots]
         if self.fuse_spec() is None:
             tick.tracks = [
-                self._step(manager, candidates, powers)
-                for manager, candidates, powers in zip(
-                    managers, tick.candidates_m, tick.candidate_powers
+                self._step(self._bank.manager(slot), candidates, powers)
+                for slot, candidates, powers in zip(
+                    tick.slots, tick.candidates_m, tick.candidate_powers
                 )
             ]
         else:
             tick.tracks = self._bank.step(
-                managers, tick.candidates_m, tick.candidate_powers
+                tick.slots, tick.candidates_m, tick.candidate_powers
             )
         return tick
 
     def reset(self) -> None:
-        self._managers = [self._spawn() for _ in self._managers]
+        self._bank.clear()

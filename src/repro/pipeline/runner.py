@@ -618,16 +618,15 @@ def multi_person_pipeline(
     range_bin_m: float,
     manager,
     num_candidates: int,
-    manager_factory=None,
 ) -> Pipeline:
     """The multi-person chain: shared front end + cancel + associate.
 
     Args:
         config: full system configuration.
         range_bin_m: round-trip distance per spectrum bin.
-        manager: the :class:`~repro.multi.tracks.TrackManager` to drive.
+        manager: the :class:`~repro.multi.tracks.TrackManager` whose
+            bank holds every session slot's tracks.
         num_candidates: cancellation rounds per antenna and frame.
-        manager_factory: rebuilds a fresh manager on :meth:`Pipeline.reset`.
     """
     from .multi import Associate, SuccessiveCancel
 
@@ -635,7 +634,7 @@ def multi_person_pipeline(
     stages: list[Stage] = [
         BackgroundSubtract(),
         SuccessiveCancel(range_bin_m, max_targets=num_candidates),
-        Associate(manager, factory=manager_factory),
+        Associate(manager),
     ]
     return Pipeline(
         stages,

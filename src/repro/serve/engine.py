@@ -284,10 +284,14 @@ class ServingEngine:
         self.shutdown()
 
     def track_manager(self, session: Session) -> TrackManager:
-        """The per-session track bank of a live multi-person session.
+        """A view of a live multi-person session's tracks.
 
-        In-process engines only: a distributed session's track bank
-        lives inside its shard worker and has no parent-side object.
+        The manager views the session's slot of its cohort's
+        :class:`~repro.multi.tracks.TrackBank`; a cohort mate's
+        retirement can move the session to another slot, so fetch the
+        view again rather than keep it. In-process engines only: a
+        distributed session's track bank lives inside its shard worker
+        and has no parent-side object.
         """
         if self.distributed:
             raise RuntimeError(

@@ -402,8 +402,10 @@ class Scheduler(SchedulerBase):
         """
         old = session.cohort
         if old.num_sessions <= 1:
+            # Already alone: let it catch up, and rejoin resets it.
             old.burst = max(old.burst, burst)
-            return old  # already alone; just let it catch up
+            old.split = True
+            return old
         key = f"{old.key}/split{self._split_seq}"
         self._split_seq += 1
         cohort = Cohort(key, session.spec, burst=burst)
@@ -428,24 +430,26 @@ class Scheduler(SchedulerBase):
         self._move(session, target)
 
     def _split(self, session: Session) -> None:
-        self.split(session, burst=self.catchup_burst)
-        self.splits += 1
+        old = session.cohort
+        if self.split(session, burst=self.catchup_burst) is not old:
+            self.splits += 1
 
     def _rejoin(self, session: Session) -> None:
         cohort = session.cohort
         base = self.cohorts.get(session.spec.cohort_key())
+        if base is not None and base is not cohort:
+            self.merge(session, base)
+            self.rejoins += 1
+            return
         if base is None:
             # Nobody left to rejoin: this cohort *becomes* the base
             # (re-keyed to the spec key so future admissions join it
             # instead of founding a parallel pipeline).
             del self.cohorts[cohort.key]
             cohort.key = session.spec.cohort_key()
-            cohort.burst = 1
-            cohort.split = False
             self.cohorts[cohort.key] = cohort
-        else:
-            self.merge(session, base)
-            self.rejoins += 1
+        cohort.burst = 1
+        cohort.split = False
 
     def _tick_cohort(self, cohort: Cohort, ready: list[Session]) -> int:
         """One lockstep pipeline tick over the given ready sessions."""

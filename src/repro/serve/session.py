@@ -296,6 +296,8 @@ class Session:
         self.latency = LatencyReport()
         self.frames_in = 0
         self.frames_out = 0
+        #: Blocks :meth:`offer` refused for their shape or dtype.
+        self.rejected_malformed = 0
         self.closed = False
         #: Set by the scheduler's admit — the cohort serving this session.
         self.cohort = None
@@ -320,13 +322,18 @@ class Session:
         wait counts against the 75 ms budget, exactly as it would for a
         real user. A block of the wrong shape raises ``ValueError``
         here, before it is queued (:class:`BlockShape`), so it never
-        reaches the sender's cohort mates.
+        reaches the sender's cohort mates, and counts in
+        :attr:`rejected_malformed`.
         """
         if self.closed:
             raise RuntimeError(
                 f"session {self.session_id} is closed and takes no frames"
             )
-        self.block_shape.check(sweep_block)
+        try:
+            self.block_shape.check(sweep_block)
+        except ValueError:
+            self.rejected_malformed += 1
+            raise
         if len(self.queue) >= self.queue_capacity:
             return False
         self.queue.append((sweep_block, perf_counter()))

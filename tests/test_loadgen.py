@@ -30,7 +30,12 @@ from repro.loadgen import (
     build_workload,
     frame_shape,
 )
-from repro.serve import AdmissionRefused, ServingEngine, single_session
+from repro.serve import (
+    AdmissionRefused,
+    ServingEngine,
+    multi_session,
+    single_session,
+)
 
 FRAME_DT_S = 0.0125  # 5 sweeps x 2.5 ms, the default spec frame period
 
@@ -129,6 +134,34 @@ class TestSyntheticFrames:
         b = SyntheticFrameSource(spec, seed=5)
         for _ in range(4):
             assert np.array_equal(a.next_block(), b.next_block())
+
+    @pytest.mark.parametrize("kind", ["single", "multi"])
+    @pytest.mark.parametrize("n_targets", [1, 2, 3])
+    def test_block_is_the_two_draw_expression(self, kind, n_targets):
+        """The in-place block equals noise drawn as two separate halves
+        and summed with the signal, bitwise, on the same stream."""
+        spec = (single_session if kind == "single" else multi_session)()
+        source = SyntheticFrameSource(spec, seed=11, n_targets=n_targets)
+        twin = SyntheticFrameSource(spec, seed=11, n_targets=n_targets)
+        for _ in range(50):
+            rng, (n_rx, spf, n_bins) = twin._rng, twin.shape
+            twin._pos = np.clip(
+                twin._pos + rng.normal(0.0, 0.4, size=twin._pos.shape),
+                twin._lo,
+                twin._hi,
+            )
+            noise = 0.05 * (
+                rng.standard_normal((n_rx, spf, n_bins))
+                + 1j * rng.standard_normal((n_rx, spf, n_bins))
+            )
+            bumps = np.exp(
+                -0.5 * ((twin._bins[None, :] - twin._pos[:, None]) / 2.5) ** 2
+            )
+            phases = np.exp(
+                1j * rng.uniform(0.0, 2.0 * np.pi, size=len(twin._pos))
+            )
+            want = noise + (phases[:, None] * bumps).sum(axis=0)[None, None, :]
+            assert source.next_block().tobytes() == want.tobytes()
 
     def test_engine_produces_positions(self, spec):
         """Synthetic frames do real work: the pipeline localizes them."""

@@ -188,6 +188,68 @@ def birth_cohorts(draw):
     return tofs, powers, seeds
 
 
+def _flat_seeds(seeds):
+    """Per-slot seed lists as the batched call's flat seed arrays."""
+    pairs = [(s, p) for s, slot in enumerate(seeds) for p in slot or []]
+    return dict(
+        seed_positions=np.array([p for _, p in pairs]).reshape(-1, 3),
+        seed_slots=np.array([s for s, _ in pairs], dtype=np.intp),
+    )
+
+
+@st.composite
+def veto_boundaries(draw):
+    """Cohorts whose ghost tolerance sits on a seed-arc distance.
+
+    Like :func:`birth_cohorts`, with seeds near the people (a few NaN).
+    One slot's person has her echoes' nearest seed-arc distances taken
+    the spec's way; the tolerance is the second smallest, or the float
+    just below or above it, so her pure combo sits just inside, exactly
+    on, or just outside the two-component veto.
+    """
+    n_slots = draw(st.integers(min_value=1, max_value=6))
+    k = draw(st.integers(min_value=1, max_value=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tofs = np.full((n_slots, 3, k), np.nan)
+    seeds = []
+    echoes_of = []
+    for s in range(n_slots):
+        people = [_in_room(rng) for _ in range(rng.integers(1, 4))]
+        echoes = [_ARRAY.round_trip_distances(p) for p in people]
+        echoes_of.append(echoes)
+        for a in range(3):
+            column = [e[a] for e in echoes]
+            column += list(rng.uniform(1.0, 20.0, rng.integers(0, 2)))
+            column = column[:k]
+            tofs[s, a, : len(column)] = column
+        slot_seeds = []
+        for p in people[: rng.integers(0, len(people) + 1)]:
+            seed = p + rng.normal(0.0, 0.6, 3)
+            if rng.random() < 0.1:
+                seed[rng.integers(3)] = np.nan
+            slot_seeds.append(seed)
+        seeds.append(slot_seeds)
+    powers = rng.choice(_POWERS, size=tofs.shape)
+    powers[np.isnan(tofs) | (rng.random(tofs.shape) < 0.05)] = np.nan
+
+    s = int(rng.integers(n_slots))
+    tolerance = 0.6
+    if seeds[s]:
+        arcs = np.stack([
+            multipath_round_trips(p, _ARRAY.tx.position, _IMAGES)
+            for p in seeds[s]
+        ])
+        echo = echoes_of[s][0]
+        nearest = [np.min(np.abs(echo[a] - arcs[:, :, a])) for a in range(3)]
+        boundary = np.sort(nearest)[1]
+        if np.isfinite(boundary):
+            side = draw(st.sampled_from([-1.0, 0.0, 1.0]))
+            tolerance = float(np.nextafter(boundary, side * np.inf))
+            if side == 0.0:
+                tolerance = float(boundary)
+    return tofs, powers, seeds, tolerance
+
+
 class TestBatchedBirthSearch:
     """``candidate_fixes_batched`` is the per-slot spec, slot by slot."""
 
@@ -212,7 +274,7 @@ class TestBatchedBirthSearch:
             tofs,
             _SOLVER,
             power_slots=powers if use_powers else None,
-            seed_slots=seeds if use_seeds else None,
+            **(_flat_seeds(seeds) if use_seeds else {}),
             **shared,
         )
         assert len(batched) == len(tofs)
@@ -226,6 +288,54 @@ class TestBatchedBirthSearch:
             )
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+    @given(cohort=veto_boundaries(), max_fixes=st.sampled_from([None, 1]))
+    @settings(max_examples=150, deadline=None)
+    def test_seed_veto_boundary_is_the_per_slot_call(self, cohort, max_fixes):
+        """Combos on either side of the seed veto, and on it, as the spec.
+
+        The batched search drops seed-vetoed combos before the solve;
+        the spec kills them in its first greedy round.
+        """
+        tofs, powers, seeds, tolerance = cohort
+        shared = dict(
+            gate=_GATE,
+            max_fixes=max_fixes,
+            ghost_images=_IMAGES,
+            ghost_tolerance_m=tolerance,
+        )
+        batched = candidate_fixes_batched(
+            tofs, _SOLVER, power_slots=powers, **_flat_seeds(seeds), **shared
+        )
+        for s, got in enumerate(batched):
+            want = candidate_fixes(
+                list(tofs[s]),
+                _SOLVER,
+                power_sets=list(powers[s]),
+                seed_positions=seeds[s],
+                **shared,
+            )
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_seed_veto_skips_the_solve(self, array, solver, monkeypatch):
+        """A combo two seed arcs veto never reaches the solver."""
+        ghost_images = room_ghost_images(array, through_wall_room())
+        person = np.array([0.5, 4.0, 0.0])
+        image = multipath_round_trips(person, array.tx.position, ghost_images)
+        tofs = np.stack(tof_sets_for(array, [person]))[None]
+        tofs[0, :2, 0] = image[0, :2]
+        solved = []
+        solve = type(solver).solve
+        monkeypatch.setattr(
+            type(solver), "solve",
+            lambda self, k: solved.append(len(k)) or solve(self, k),
+        )
+        fixes = candidate_fixes_batched(
+            tofs, solver, ghost_images=ghost_images,
+            seed_positions=person[None], seed_slots=np.array([0]),
+        )
+        assert solved == [] and fixes[0].shape == (0, 3)
 
     def test_cohort_of_known_cases(self, array, solver):
         """Two people, one person plus a junk echo, and a dead antenna."""

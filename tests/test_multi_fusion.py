@@ -86,10 +86,7 @@ def _spec_manager():
 
 
 def _pipeline(config, n_sessions=N_SESSIONS, factory=_manager):
-    p = multi_person_pipeline(
-        config, RANGE_BIN_M, factory(), MAX_TARGETS,
-        manager_factory=factory,
-    )
+    p = multi_person_pipeline(config, RANGE_BIN_M, factory(), MAX_TARGETS)
     p.attach_sessions(n_sessions)
     return p
 
@@ -274,22 +271,27 @@ class TestFusedStagedParity:
                 )
                 pb.tick(arr.copy(), np.arange(N_SESSIONS))
                 ps.tick(arr.copy(), np.arange(N_SESSIONS))
-            # Migrate the bank-run session and the spec-run session into
-            # fresh spec pipelines; they must stay in lockstep bit for
-            # bit, track identities included. (The reverse direction is
-            # not a same-spec migration: the bank refuses a row-dependent
-            # solver as a cohort's lead.)
+            # Migrate the bank-run session into a fresh spec pipeline and
+            # the spec-run session into a fresh spec and a fresh bank
+            # pipeline; a restore moves the slot's track rows, so all
+            # three stay in lockstep bit for bit, track identities
+            # included.
             p_from_bank = _spec_pipeline(config)
             p_from_bank.restore_session(3, pb.snapshot_session(2))
             p_from_spec = _spec_pipeline(config)
             p_from_spec.restore_session(3, ps.snapshot_session(2))
+            p_into_bank = _pipeline(config)
+            p_into_bank.restore_session(3, ps.snapshot_session(2))
             for t in range(12):
                 arr = _block(rng, 14 + t, 2, spf,
                              "walkers" if t % 3 else "still")[None]
                 ta = p_from_spec.tick(arr.copy(), np.array([3]))
                 tb = p_from_bank.tick(arr.copy(), np.array([3]))
+                tc = p_into_bank.tick(arr.copy(), np.array([3]))
                 _assert_ticks_equal(ta, tb, f"mig{t}")
+                _assert_ticks_equal(ta, tc, f"into-bank{t}")
             _assert_state_equal(p_from_spec, p_from_bank, [3], "migration")
+            _assert_state_equal(p_from_spec, p_into_bank, [3], "into bank")
 
     def test_alternating_execution_on_one_pipeline(self, config):
         """Flipping REPRO_FUSED mid-stream must not change outputs."""
@@ -444,31 +446,30 @@ def _bank_run(rng, n_slots, n_ticks, k):
 def _step_bank_and_spec(run, n_slots, ghost_images, max_births):
     """Step a bank and twin per-slot managers through ``run``.
 
-    Asserts every tick's bank output and every manager's state equal
-    the per-slot spec bitwise; returns the spec managers and the track
+    Asserts every tick's bank output and every slot's state equal the
+    per-slot spec bitwise; returns the spec managers and the track
     statuses seen along the way.
     """
-    def build():
-        return [
-            TrackManager(
-                DT_S, TGeometrySolver(ARRAY), config=_FAST, gate=_GATE,
-                ghost_images=ghost_images, max_births_per_frame=max_births,
-            )
-            for _ in range(n_slots)
-        ]
-
-    bank_managers, spec_managers = build(), build()
-    bank = TrackBank()
+    spec = dict(
+        config=_FAST, gate=_GATE, ghost_images=ghost_images,
+        max_births_per_frame=max_births,
+    )
+    bank = TrackBank(DT_S, TGeometrySolver(ARRAY), **spec)
+    bank.attach(n_slots)
+    spec_managers = [
+        TrackManager(DT_S, TGeometrySolver(ARRAY), **spec)
+        for _ in range(n_slots)
+    ]
     seen = set()
     for t, (slots, tofs, powers) in enumerate(run):
-        got = bank.step([bank_managers[s] for s in slots], tofs, powers)
+        got = bank.step(slots, tofs, powers)
         want = []
         for row, s in enumerate(slots):
             tracks = spec_managers[s].step(list(tofs[row]), list(powers[row]))
             want.append([(tr.track_id, tr.position.copy()) for tr in tracks])
         _assert_tracks_equal(got, want, f"tick{t}")
-        for a, b in zip(bank_managers, spec_managers):
-            assert _manager_sig(a) == _manager_sig(b), f"tick{t}"
+        for s, b in enumerate(spec_managers):
+            assert _manager_sig(bank.manager(s)) == _manager_sig(b), f"tick{t}"
             seen.update(tr.status for tr in b.tracks)
     return spec_managers, seen
 

@@ -109,6 +109,35 @@ class TestTrackLifecycle:
             manager.result(np.arange(3) * DT)
 
 
+class TestTrackViews:
+    def test_held_track_follows_its_row(self, array, solver):
+        """A track held across steps keeps reading its own state after
+        an older track dies and the bank compacts it away, and reads as
+        dead once it has left the bank itself."""
+        manager = make_manager(
+            solver, confirm_hits=2, max_coast_frames=3, coast_per_hit=1.0
+        )
+        p0 = np.array([0.5, 3.0, 0.0])
+        p1 = np.array([-0.5, 6.0, 0.0])
+        for people in ([p0], [p0, p1]):
+            for _ in range(6):
+                manager.step(candidates_for(array, people))
+        assert len(manager.tracks) == 2
+        held = manager.tracks[1]  # p1's, behind p0's in row order
+        for _ in range(8):
+            manager.step(candidates_for(array, [p1]))
+        (row,) = manager.tracks
+        assert row.track_id == held.track_id
+        assert (held.hits, held.misses, held.status) == (
+            row.hits, row.misses, row.status
+        )
+        assert held.position.tobytes() == row.position.tobytes()
+        for _ in range(40):
+            manager.step(candidates_for(array, []))
+        assert manager.tracks == []
+        assert not held.is_alive
+
+
 class TestTrackInternals:
     def test_track_smooths_tofs(self, array, solver):
         config = TrackManagerConfig()

@@ -538,23 +538,26 @@ def _malformed(block):
 
 
 def _serve_cohort(kind, serving, corrupt=None, n_frames=48, corrupt_frame=20,
-                  malformed=False):
+                  malformed=False, sessions=None):
     """Four sessions of one spec served from cheap synthetic blocks.
 
     ``kind`` is ``single`` or ``multi`` (K=2); ``serving`` names a
     :data:`SERVING` configuration. With ``corrupt`` set, session 0's
     frame ``corrupt_frame`` carries that value in antenna 1's bins
-    30-60. With ``malformed``, session 0 first offers every
+    30-60. With ``malformed``, session 0 first offers and submits every
     :func:`_malformed` variant of that frame, each of which must raise
-    ``ValueError``. Returns each session's closed result.
+    ``ValueError``. Returns each session's closed result; a list passed
+    as ``sessions`` receives the sessions.
     """
     if kind == "single":
         spec = single_session()
     else:
         spec = multi_session(max_people=2, room=through_wall_room())
     workers, transport = SERVING[serving]
+    if sessions is None:
+        sessions = []
     with ServingEngine(workers=workers, transport=transport) as engine:
-        sessions = [engine.admit(spec) for _ in range(4)]
+        sessions[:] = [engine.admit(spec) for _ in range(4)]
         sources = [SyntheticFrameSource(spec, seed=s) for s in range(4)]
         for f in range(n_frames):
             for s, (session, source) in enumerate(zip(sessions, sources)):
@@ -660,12 +663,32 @@ class TestMalformedBlocks:
             if key not in clean_runs:
                 clean_runs[key] = _serve_cohort(kind, serving)
             clean = clean_runs[key]
-            refused = _serve_cohort(kind, serving, malformed=True)
+            sessions = []
+            refused = _serve_cohort(
+                kind, serving, malformed=True, sessions=sessions
+            )
         # Nothing malformed was queued: every session, the sender
         # included, serves exactly its clean run.
         for s in range(4):
             assert refused[s].num_frames == clean[s].num_frames == 47
             assert _same_result(refused[s], clean[s]), f"session {s}"
+        # Each refused offer or submit counts once, on its sender only.
+        variants = len(_malformed(np.zeros((3, 5, 171))))
+        assert [s.rejected_malformed for s in sessions] == [
+            2 * variants, 0, 0, 0
+        ]
+
+    def test_a_refused_block_counts_one_rejection(self):
+        spec = single_session()
+        engine = ServingEngine()
+        sessions = [engine.admit(spec) for _ in range(4)]
+        block = SyntheticFrameSource(spec, seed=0).next_block()
+        for session in sessions:
+            assert engine.offer(session, block)
+        with pytest.raises(ValueError):
+            engine.offer(sessions[0], block[..., :164])
+        assert engine.tick() == 4
+        assert [s.rejected_malformed for s in sessions] == [1, 0, 0, 0]
 
     def test_bins_follow_the_first_block_of_the_spec(self):
         spec = single_session()

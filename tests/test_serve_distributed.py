@@ -494,6 +494,35 @@ class TestAdaptiveRebatching:
         splits, rejoins, _, _ = traces[0][-1]
         assert splits >= 1 and rejoins >= 1
 
+    def test_lone_session_split_resets_after_catching_up(
+        self, config, short_walks
+    ):
+        """Splitting a session already alone in its cohort only raises
+        its burst; ``rejoin_patience`` caught-up ticks later it is an
+        ordinary cohort again, in both tiers, with nothing counted."""
+        spec = single_session(config, short_walks[0].range_bin_m)
+        block = frame_blocks(short_walks[0], config, 1)[0]
+        seen = []
+        for workers in (0, 2):
+            with ServingEngine(queue_capacity=64, workers=workers) as engine:
+                scheduler = engine.scheduler
+                scheduler.catchup_burst = 3
+                scheduler.rejoin_patience = 4
+                session = engine.admit(spec)
+                engine.submit(session, block)
+                engine.tick()
+                scheduler._split(session)
+                cohort = session.cohort
+                assert (cohort.burst, cohort.split) == (3, True)
+                for _ in range(scheduler.rejoin_patience):
+                    engine.tick()
+                assert session.cohort is cohort
+                seen.append((
+                    cohort.burst, cohort.split,
+                    scheduler.splits, scheduler.rejoins,
+                ))
+        assert seen[0] == seen[1] == (1, False, 0, 0)
+
     def test_stranded_split_cohort_becomes_base(self, config, short_walks):
         """An ex-split singleton with no base left is re-keyed as the
         base, so future same-spec admissions join it instead of

@@ -157,8 +157,7 @@ class TestPlanCompilation:
 
         solver = _solver()
         p = multi_person_pipeline(
-            config, RANGE_BIN_M, TrackManager(0.0125, solver), 2,
-            manager_factory=lambda: TrackManager(0.0125, _solver()),
+            config, RANGE_BIN_M, TrackManager(0.0125, solver), 2
         )
         assert isinstance(compile_tick_plan(p.stages), MultiTickPlan)
 
