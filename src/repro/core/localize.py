@@ -64,11 +64,10 @@ class TGeometrySolver:
     """
 
     #: Each frame's solution depends on that frame alone, so rows may be
-    #: batched freely (across time or across serving sessions).
+    #: batched freely (across time or across serving sessions), and
+    #: :class:`~repro.pipeline.Localize` reports it to the tick-plan
+    #: matcher as the ``localize`` kind.
     row_independent = True
-    #: Closed-form rowwise solve: :class:`~repro.pipeline.Localize`
-    #: reports it to the tick-plan matcher as the ``localize`` kind.
-    fuse_kind = "t_geometry"
 
     def __init__(self, array: AntennaArray, min_y_m: float = 0.2) -> None:
         self._validate_t_geometry(array)

@@ -12,10 +12,17 @@ equivalence the serving tests pin. An offline recording and the
 realtime stream of Section 7 are the single-row case on slot 0 — there
 is no second code path.
 
-Session lifecycle: :meth:`Stage.attach` grows the session axis to a
-requested capacity (existing state rows are preserved), and
-:meth:`Stage.evict` forgets one slot's state so the slot can be reused
-by a newly admitted session — without perturbing any other row.
+Declared state: a stage lists its per-slot state once, as the class
+constant :attr:`Stage.STATE` (field -> dtype and fill value); field
+``f`` is the slab attribute ``_f``, allocated on the stage's first
+frame, which fixes its trailing shape. :class:`Stage` alone runs the
+slot lifecycle over those slabs: :meth:`Stage.attach` grows the session
+axis (existing rows are preserved, new rows hold the fill),
+:meth:`Stage.evict` resets one slot's rows to the fill — an evicted
+slot is a fresh slot, so it can be reused by a newly admitted session —
+without perturbing any other row, and :meth:`Stage.snapshot_slot` hands
+a slot off as one ``{field: row}`` dict that :meth:`Stage.restore_slot`
+installs (an empty dict restores a fresh slot).
 
 State addressing: a tick whose rows are the slots ``0..n-1`` in order
 (``tick.dense``, set once per tick by the pipeline) updates the state
@@ -36,6 +43,8 @@ and the multi-person chain swaps the middle for
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from ..core.kalman import dwna_process_noise
@@ -43,14 +52,6 @@ from ..kernels.contour import background_power, contour_tick
 from ..kernels.gate import outlier_gate
 from ..kernels.kalman import kalman_tick
 from .frame import SessionTick
-
-
-def _grow_rows(array: np.ndarray, capacity: int, fill) -> np.ndarray:
-    """Pad an SoA state array with default rows up to ``capacity``."""
-    if len(array) >= capacity:
-        return array
-    pad_shape = (capacity - len(array),) + array.shape[1:]
-    return np.concatenate([array, np.full(pad_shape, fill, dtype=array.dtype)])
 
 
 def state_rows(tick: SessionTick, slabs) -> list:
@@ -77,14 +78,46 @@ def write_back(tick: SessionTick, slabs, rows) -> None:
 class Stage:
     """One stateful step of the pipeline.
 
-    Subclasses fill in :meth:`process_tick`. :meth:`reset` forgets all
-    online state so a pipeline can be reused for a fresh recording;
-    :meth:`attach` / :meth:`evict` manage the session axis of the state
-    arrays.
+    Subclasses fill in :meth:`process_tick` and declare their per-slot
+    state once, in :attr:`STATE`; this class alone runs the slot
+    lifecycle over it. :meth:`attach` / :meth:`evict` manage the
+    session axis of the state slabs, :meth:`snapshot_slot` /
+    :meth:`restore_slot` hand one slot off, and :meth:`reset` forgets
+    all online state so a pipeline can be reused for a fresh recording.
     """
 
-    #: Sessions the state arrays are sized for (slot 0 always exists).
+    #: Per-slot state: field -> ``(dtype, fill)``. Field ``f`` is the
+    #: slab attribute ``_f``, shaped ``(capacity, *trailing)``: ``None``
+    #: until :meth:`_allocate` fixes the trailing shape on the stage's
+    #: first frame. A fresh slot's rows hold the fill.
+    STATE: dict = {}
+
+    #: ``(field, attribute, dtype, fill)`` per :attr:`STATE` entry,
+    #: built once per class so no lifecycle call formats a name.
+    _SLABS: tuple = ()
+
+    #: Sessions the state slabs are sized for (slot 0 always exists).
     _capacity: int = 1
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._SLABS = tuple(
+            (field, sys.intern("_" + field), np.dtype(dtype), fill)
+            for field, (dtype, fill) in cls.STATE.items()
+        )
+
+    def __init__(self) -> None:
+        self.reset()
+
+    def _allocate(self, **trailing: tuple) -> None:
+        """Allocate every slab at capacity, each row at its fill.
+
+        ``trailing`` gives each field's per-slot shape (``()`` for one
+        value per slot).
+        """
+        for field, attr, dtype, fill in self._SLABS:
+            shape = (self._capacity, *trailing[field])
+            setattr(self, attr, np.full(shape, fill, dtype))
 
     def attach(self, n_sessions: int) -> None:
         """Ensure state capacity for ``n_sessions`` slots.
@@ -99,31 +132,50 @@ class Stage:
             self._grow(n_sessions)
 
     def _grow(self, capacity: int) -> None:
-        """Grow already-allocated state arrays (default: stateless)."""
+        """Pad the allocated slabs with fresh rows up to ``capacity``."""
+        for _, attr, dtype, fill in self._SLABS:
+            slab = getattr(self, attr)
+            if slab is not None:
+                rows = (capacity - len(slab), *slab.shape[1:])
+                pad = np.full(rows, fill, dtype)
+                setattr(self, attr, np.concatenate([slab, pad]))
 
     def evict(self, slot: int) -> None:
-        """Forget one slot's state (default: stateless, nothing held)."""
+        """Forget one slot's state: its rows go back to their fill."""
+        for _, attr, _, fill in self._SLABS:
+            slab = getattr(self, attr)
+            if slab is not None:
+                slab[slot] = fill
 
     def snapshot_slot(self, slot: int) -> dict:
-        """Picklable hand-off of one slot's state (default: stateless).
+        """Picklable hand-off of one slot's state, as ``{field: row}``.
 
         The returned mapping is everything :meth:`restore_slot` needs to
         continue the slot bit-exactly in *another* pipeline of the same
         structure — possibly in another process (cohort migration). It
         is a **hand-off**, not a shared view: restore it into exactly
-        one slot and :meth:`evict` the source, or discard it.
+        one slot and :meth:`evict` the source, or discard it. Empty
+        while the stage holds no state.
         """
-        return {}
+        return {
+            field: slab[slot].copy()
+            for field, attr, _, _ in self._SLABS
+            if (slab := getattr(self, attr)) is not None
+        }
 
     def restore_slot(self, slot: int, state: dict) -> None:
         """Install a :meth:`snapshot_slot` hand-off into one slot.
 
-        An empty state means the source slot held nothing yet (the
-        stage had not allocated, or the slot was fresh) and restores to
-        a fresh slot. The slot must already be attached.
+        An empty state means the source stage held nothing yet and
+        restores to a fresh slot. The slot must already be attached.
         """
         if not state:
             self.evict(slot)
+            return
+        if getattr(self, self._SLABS[0][1]) is None:
+            self._allocate(**{f: np.shape(row) for f, row in state.items()})
+        for field, attr, _, _ in self._SLABS:
+            getattr(self, attr)[slot] = state[field]
 
     def fuse_spec(self) -> str | None:
         """The stage's kind for :func:`~repro.kernels.tick.compile_tick_plan`.
@@ -144,6 +196,8 @@ class Stage:
 
     def reset(self) -> None:
         """Forget all online state (every slot)."""
+        for _, attr, _, _ in self._SLABS:
+            setattr(self, attr, None)
 
 
 class BackgroundSubtract(Stage):
@@ -156,45 +210,15 @@ class BackgroundSubtract(Stage):
     priming rows are dropped from the tick.
     """
 
+    STATE = {"previous": (np.complex128, 0.0), "primed": (bool, False)}
+
     def __init__(self) -> None:
-        self._capacity = 1
-        self._previous: np.ndarray | None = None  # (capacity, n_rx, n_bins)
-        self._primed: np.ndarray | None = None  # (capacity,)
+        super().__init__()
         #: Reused per-tick |diff|^2 buffer. ``tick.power`` is consumed
         #: within the tick (contour scan) and never retained by the
         #: collectors, so handing out the same buffer every tick is
         #: safe — and drops two array allocations per frame.
         self._power_scratch: np.ndarray | None = None
-
-    def _ensure(self, n_rx: int, n_bins: int) -> None:
-        if self._previous is None:
-            self._previous = np.zeros(
-                (self._capacity, n_rx, n_bins), dtype=np.complex128
-            )
-            self._primed = np.zeros(self._capacity, dtype=bool)
-
-    def _grow(self, capacity: int) -> None:
-        if self._previous is not None:
-            self._previous = _grow_rows(self._previous, capacity, 0.0)
-            self._primed = _grow_rows(self._primed, capacity, False)
-
-    def evict(self, slot: int) -> None:
-        if self._primed is not None:
-            self._primed[slot] = False
-
-    def snapshot_slot(self, slot: int) -> dict:
-        if self._previous is None or not self._primed[slot]:
-            return {}
-        return {"previous": self._previous[slot].copy()}
-
-    def restore_slot(self, slot: int, state: dict) -> None:
-        if not state:
-            self.evict(slot)
-            return
-        previous = state["previous"]
-        self._ensure(*previous.shape)
-        self._previous[slot] = previous
-        self._primed[slot] = True
 
     def fuse_spec(self) -> str:
         return "background"
@@ -202,7 +226,8 @@ class BackgroundSubtract(Stage):
     def process_tick(self, tick):
         current = tick.spectrum
         n, n_rx, n_bins = current.shape
-        self._ensure(n_rx, n_bins)
+        if self._previous is None:
+            self._allocate(previous=(n_rx, n_bins), primed=())
         if tick.dense and np.count_nonzero(self._primed[:n]) == n:
             previous = self._previous[:n]
             diff = current - previous
@@ -227,11 +252,6 @@ class BackgroundSubtract(Stage):
             scratch = self._power_scratch = np.empty(diff.shape)
         tick.power = background_power(diff, scratch)
         return tick
-
-    def reset(self) -> None:
-        self._previous = None
-        self._primed = None
-        self._power_scratch = None
 
 
 class ContourExtract(Stage):
@@ -294,6 +314,13 @@ class OutlierGate(Stage):
     :func:`~repro.kernels.gate.outlier_gate` step per tick.
     """
 
+    STATE = {
+        "last": (float, np.nan),
+        "since": (np.int64, 1),
+        "pending": (float, np.nan),
+        "pending_len": (np.int64, 0),
+    }
+
     def __init__(
         self,
         max_jump_m: float = 0.15,
@@ -309,61 +336,21 @@ class OutlierGate(Stage):
         self.agreement_m = (
             agreement_m if agreement_m is not None else 2.0 * max_jump_m
         )
-        self._capacity = 1
-        self._last: np.ndarray | None = None  # (capacity, n_rx)
-        self._since: np.ndarray | None = None  # (capacity, n_rx)
-        self._pending: np.ndarray | None = None  # (capacity, n_rx, P)
-        self._pending_len: np.ndarray | None = None  # (capacity, n_rx)
+        super().__init__()
         self._scratch: dict = {}
-
-    def _ensure(self, n_rx: int) -> None:
-        if self._last is None:
-            capacity = self._capacity
-            self._last = np.full((capacity, n_rx), np.nan)
-            self._since = np.ones((capacity, n_rx), dtype=np.int64)
-            self._pending = np.full(
-                (capacity, n_rx, self.confirmation_frames), np.nan
-            )
-            self._pending_len = np.zeros((capacity, n_rx), dtype=np.int64)
-
-    def _grow(self, capacity: int) -> None:
-        if self._last is not None:
-            self._last = _grow_rows(self._last, capacity, np.nan)
-            self._since = _grow_rows(self._since, capacity, 1)
-            self._pending = _grow_rows(self._pending, capacity, np.nan)
-            self._pending_len = _grow_rows(self._pending_len, capacity, 0)
-
-    def evict(self, slot: int) -> None:
-        if self._last is not None:
-            self._last[slot] = np.nan
-            self._since[slot] = 1
-            self._pending_len[slot] = 0
-
-    def snapshot_slot(self, slot: int) -> dict:
-        if self._last is None:
-            return {}
-        return {
-            "last": self._last[slot].copy(),
-            "since": self._since[slot].copy(),
-            "pending": self._pending[slot].copy(),
-            "pending_len": self._pending_len[slot].copy(),
-        }
-
-    def restore_slot(self, slot: int, state: dict) -> None:
-        if not state:
-            self.evict(slot)
-            return
-        self._ensure(len(state["last"]))
-        self._last[slot] = state["last"]
-        self._since[slot] = state["since"]
-        self._pending[slot] = state["pending"]
-        self._pending_len[slot] = state["pending_len"]
 
     def fuse_spec(self) -> str:
         return "outlier"
 
     def process_tick(self, tick):
-        self._ensure(tick.tof_m.shape[1])
+        if self._last is None:
+            n_rx = tick.tof_m.shape[1]
+            self._allocate(
+                last=(n_rx,),
+                since=(n_rx,),
+                pending=(n_rx, self.confirmation_frames),
+                pending_len=(n_rx,),
+            )
         slabs = (self._last, self._since, self._pending, self._pending_len)
         rows = state_rows(tick, slabs)
         tick.tof_m = outlier_gate(
@@ -372,12 +359,6 @@ class OutlierGate(Stage):
         )
         write_back(tick, slabs, rows)
         return tick
-
-    def reset(self) -> None:
-        self._last = None
-        self._since = None
-        self._pending = None
-        self._pending_len = None
 
 
 class HoldInterpolate(Stage):
@@ -392,41 +373,19 @@ class HoldInterpolate(Stage):
     tick, so no output aliases state).
     """
 
+    STATE = {"held": (float, np.nan)}
+
     def __init__(self, enabled: bool = True) -> None:
+        super().__init__()
         self.enabled = enabled
-        self._capacity = 1
-        self._held: np.ndarray | None = None  # (capacity, n_rx)
-
-    def _ensure(self, n_rx: int) -> None:
-        if self._held is None:
-            self._held = np.full((self._capacity, n_rx), np.nan)
-
-    def _grow(self, capacity: int) -> None:
-        if self._held is not None:
-            self._held = _grow_rows(self._held, capacity, np.nan)
-
-    def evict(self, slot: int) -> None:
-        if self._held is not None:
-            self._held[slot] = np.nan
-
-    def snapshot_slot(self, slot: int) -> dict:
-        if self._held is None:
-            return {}
-        return {"held": self._held[slot].copy()}
-
-    def restore_slot(self, slot: int, state: dict) -> None:
-        if not state:
-            self.evict(slot)
-            return
-        self._ensure(len(state["held"]))
-        self._held[slot] = state["held"]
 
     def fuse_spec(self) -> str:
         return "hold"
 
     def process_tick(self, tick):
         values = tick.tof_m
-        self._ensure(values.shape[1])
+        if self._held is None:
+            self._allocate(held=(values.shape[1],))
         rows = state_rows(tick, (self._held,))
         held = rows[0]
         np.copyto(held, values, where=np.isfinite(values))
@@ -434,9 +393,6 @@ class HoldInterpolate(Stage):
         if self.enabled:
             tick.tof_m = held.copy() if tick.dense else held
         return tick
-
-    def reset(self) -> None:
-        self._held = None
 
 
 class KalmanSmooth(Stage):
@@ -451,6 +407,12 @@ class KalmanSmooth(Stage):
     filter without a measurement (prediction), exactly as the realtime
     loop needs.
     """
+
+    STATE = {
+        "mean": (float, 0.0),
+        "cov": (float, 0.0),
+        "initialized": (bool, False),
+    }
 
     def __init__(
         self,
@@ -468,52 +430,18 @@ class KalmanSmooth(Stage):
         self._q00, self._q01, self._q11 = dwna_process_noise(
             frame_dt_s, process_noise
         )
-        self._capacity = 1
-        self._mean: np.ndarray | None = None  # (capacity, n_rx, 2)
-        self._cov: np.ndarray | None = None  # (capacity, n_rx, 2, 2)
-        self._initialized: np.ndarray | None = None  # (capacity, n_rx)
+        super().__init__()
         self._scratch: dict = {}
-
-    def _ensure(self, n_rx: int) -> None:
-        if self._mean is None:
-            capacity = self._capacity
-            self._mean = np.zeros((capacity, n_rx, 2))
-            self._cov = np.zeros((capacity, n_rx, 2, 2))
-            self._initialized = np.zeros((capacity, n_rx), dtype=bool)
-
-    def _grow(self, capacity: int) -> None:
-        if self._mean is not None:
-            self._mean = _grow_rows(self._mean, capacity, 0.0)
-            self._cov = _grow_rows(self._cov, capacity, 0.0)
-            self._initialized = _grow_rows(self._initialized, capacity, False)
-
-    def evict(self, slot: int) -> None:
-        if self._initialized is not None:
-            self._initialized[slot] = False
-
-    def snapshot_slot(self, slot: int) -> dict:
-        if self._mean is None:
-            return {}
-        return {
-            "mean": self._mean[slot].copy(),
-            "cov": self._cov[slot].copy(),
-            "initialized": self._initialized[slot].copy(),
-        }
-
-    def restore_slot(self, slot: int, state: dict) -> None:
-        if not state:
-            self.evict(slot)
-            return
-        self._ensure(len(state["mean"]))
-        self._mean[slot] = state["mean"]
-        self._cov[slot] = state["cov"]
-        self._initialized[slot] = state["initialized"]
 
     def fuse_spec(self) -> str:
         return "kalman"
 
     def process_tick(self, tick):
-        self._ensure(tick.tof_m.shape[1])
+        if self._mean is None:
+            n_rx = tick.tof_m.shape[1]
+            self._allocate(
+                mean=(n_rx, 2), cov=(n_rx, 2, 2), initialized=(n_rx,)
+            )
         slabs = (self._mean, self._cov, self._initialized)
         rows = state_rows(tick, slabs)
         tick.tof_m = kalman_tick(
@@ -529,11 +457,6 @@ class KalmanSmooth(Stage):
         write_back(tick, slabs, rows)
         return tick
 
-    def reset(self) -> None:
-        self._mean = None
-        self._cov = None
-        self._initialized = None
-
 
 class Localize(Stage):
     """Ellipsoid-intersection 3D localization (§5).
@@ -547,42 +470,20 @@ class Localize(Stage):
     frame loop, so one session's iterate never seeds another's.
     """
 
+    #: Last accepted fix per slot (NaN row: none yet); allocated only
+    #: for solvers that are not row-independent.
+    STATE = {"last_fix": (float, np.nan)}
+
     def __init__(self, solver) -> None:
+        super().__init__()
         self.solver = solver
-        self._capacity = 1
-        #: Last accepted fix per slot (NaN row: none yet); allocated
-        #: only for solvers that are not row-independent.
-        self._last_fix: np.ndarray | None = None  # (capacity, 3)
-
-    def _ensure(self) -> None:
-        if self._last_fix is None:
-            self._last_fix = np.full((self._capacity, 3), np.nan)
-
-    def _grow(self, capacity: int) -> None:
-        if self._last_fix is not None:
-            self._last_fix = _grow_rows(self._last_fix, capacity, np.nan)
-
-    def evict(self, slot: int) -> None:
-        if self._last_fix is not None:
-            self._last_fix[slot] = np.nan
-
-    def snapshot_slot(self, slot: int) -> dict:
-        if self._last_fix is None:
-            return {}
-        return {"last_fix": self._last_fix[slot].copy()}
-
-    def restore_slot(self, slot: int, state: dict) -> None:
-        if not state:
-            self.evict(slot)
-            return
-        self._ensure()
-        self._last_fix[slot] = state["last_fix"]
 
     def fuse_spec(self) -> str | None:
-        # Only the closed-form T solver is a pure rowwise function; a
-        # chain with the warm-started least-squares solver, which
-        # carries a per-slot iterate, matches no tick plan.
-        if getattr(self.solver, "fuse_kind", None) == "t_geometry":
+        # Only a row-independent solver (the closed-form T solver) is a
+        # pure rowwise function; a chain with the warm-started
+        # least-squares solver, which carries a per-slot iterate,
+        # matches no tick plan.
+        if getattr(self.solver, "row_independent", False):
             return "localize"
         return None
 
@@ -592,7 +493,8 @@ class Localize(Stage):
             # Pipeline.tick already silences the warnings of NaN rows.
             tick.positions = solver.solve_unguarded(tick.tof_m).positions
             return tick
-        self._ensure()
+        if self._last_fix is None:
+            self._allocate(last_fix=(3,))
         positions = np.full((tick.num_rows, 3), np.nan)
         for row, slot in enumerate(tick.slots):
             last = self._last_fix[slot]
@@ -603,6 +505,3 @@ class Localize(Stage):
                 positions[row] = self._last_fix[slot] = fix
         tick.positions = positions
         return tick
-
-    def reset(self) -> None:
-        self._last_fix = None

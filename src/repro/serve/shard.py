@@ -507,13 +507,18 @@ class DistributedScheduler(SchedulerBase):
                 continue
             cohort.shard = target
 
-    def _fail_shard(
-        self,
-        shard: int,
-        in_flight: list[tuple[Session, list[tuple[np.ndarray, float]]]],
-    ) -> None:
-        """Exclude + fail over in one call (no other requests in flight)."""
-        self._exclude_shard(shard, in_flight)
+    def _fail_shard(self, shard: int, exc: BaseException) -> None:
+        """Fail over a shard whose call raised ``exc`` (none in flight).
+
+        A remote failure is recorded as :attr:`last_failure` before the
+        shard is excluded and its cohorts re-placed, so when this loss
+        takes the tier down, the "no live shard" error chains it. Any
+        other exception is the caller's own bug and propagates.
+        """
+        if not remote_failure(exc):
+            raise exc
+        self.last_failure = exc
+        self._exclude_shard(shard, [])
         self._failover()
 
     # -- admission / retirement --------------------------------------------
@@ -567,10 +572,7 @@ class DistributedScheduler(SchedulerBase):
                 session.spec,
             )
         except Exception as exc:
-            if not remote_failure(exc):
-                raise
-            self.last_failure = exc
-            self._fail_shard(cohort.shard, [])
+            self._fail_shard(cohort.shard, exc)
             self.pool.invoke(
                 cohort.shard, "admit", session.session_id, cohort.key,
                 session.spec,
@@ -584,10 +586,7 @@ class DistributedScheduler(SchedulerBase):
         try:
             self.pool.invoke(cohort.shard, "evict", session.session_id)
         except Exception as exc:
-            if not remote_failure(exc):
-                raise
-            self.last_failure = exc
-            self._fail_shard(cohort.shard, [])
+            self._fail_shard(cohort.shard, exc)
         if not cohort.members:
             del self.cohorts[cohort.key]
 
@@ -700,10 +699,7 @@ class DistributedScheduler(SchedulerBase):
             state = self.pool.invoke(source, "snapshot", session.session_id)
             self.pool.invoke(source, "evict", session.session_id)
         except Exception as exc:
-            if not remote_failure(exc):
-                raise
-            self.last_failure = exc
-            self._fail_shard(source, [])
+            self._fail_shard(source, exc)
             return
         cohort.members.remove(session)
         key = f"{cohort.spec_key}#{self._split_seq}"
@@ -726,12 +722,10 @@ class DistributedScheduler(SchedulerBase):
                 cohort.spec, state,
             )
         except Exception as exc:
-            if not remote_failure(exc):
-                raise
             # The migrated state died with the target; ordinary failover
             # re-places the (already-registered) session with fresh
             # state on the session clock.
-            self._fail_shard(split.shard, [])
+            self._fail_shard(split.shard, exc)
 
     def _rejoin(self, session: Session) -> None:
         """Merge a caught-up split session back into a sibling cohort.
@@ -761,10 +755,7 @@ class DistributedScheduler(SchedulerBase):
             state = self.pool.invoke(source, "snapshot", session.session_id)
             self.pool.invoke(source, "evict", session.session_id)
         except Exception as exc:
-            if not remote_failure(exc):
-                raise
-            self.last_failure = exc
-            self._fail_shard(source, [])
+            self._fail_shard(source, exc)
             return
         cohort.members.remove(session)
         del self.cohorts[cohort.key]
@@ -777,10 +768,7 @@ class DistributedScheduler(SchedulerBase):
                 target.spec, state,
             )
         except Exception as exc:
-            if not remote_failure(exc):
-                raise
-            self.last_failure = exc
-            self._fail_shard(target.shard, [])
+            self._fail_shard(target.shard, exc)
 
     # -- reporting ---------------------------------------------------------
 
@@ -800,10 +788,7 @@ class DistributedScheduler(SchedulerBase):
             try:
                 merged.merge(self.pool.invoke(shard, "stage_profile"))
             except Exception as exc:
-                if not remote_failure(exc):
-                    raise
-                self.last_failure = exc
-                self._fail_shard(shard, [])
+                self._fail_shard(shard, exc)
         return merged
 
     def shard_report(self) -> list[dict]:

@@ -21,7 +21,7 @@ import pytest
 
 from repro.config import default_config
 from repro.core.tracker import WiTrack
-from repro.exec.pool import pool_available
+from repro.exec.pool import WorkerCrash, pool_available
 from repro.exec.transport import shm_available
 from repro.multi import MultiScenario, MultiWiTrack
 from repro.serve import ServingEngine, multi_session, single_session
@@ -117,6 +117,36 @@ def assert_tracks_equal(result, reference):
         assert [tid for tid, _ in ours] == [tid for tid, _ in theirs]
         for (_, p1), (_, p2) in zip(ours, theirs):
             np.testing.assert_array_equal(p1, p2)
+
+
+def assert_failed_over(config, range_bin_m, blocks, result):
+    """A session that failed over once: every frame consumed, one extra
+    priming frame lost at the failover boundary, clock intact — its
+    output after the boundary equals a fresh pipeline resumed at the
+    failover frame (the reset-boundary semantics of the sharded stream
+    runner)."""
+    reference = serial_single(config, range_bin_m, blocks)
+    assert result.num_frames == reference.num_frames - 1
+    split = np.flatnonzero(np.diff(result.frame_times_s) > 0.013)
+    assert len(split) == 1  # exactly one reset boundary
+    boundary = int(split[0]) + 1
+    np.testing.assert_array_equal(
+        result.frame_times_s[:boundary], reference.frame_times_s[:boundary]
+    )
+    np.testing.assert_array_equal(
+        result.positions[:boundary], reference.positions[:boundary]
+    )
+    # Suffix: a fresh pipeline resumed on the session clock.
+    consumed = boundary + 1  # prefix outputs + initial priming
+    resumed = WiTrack(config).pipeline(range_bin_m)
+    resumed.reset(start_frame=consumed)
+    suffix_ref = resumed.run_stream(np.concatenate(blocks[consumed:], axis=1))
+    np.testing.assert_array_equal(
+        result.frame_times_s[boundary:], suffix_ref.frame_times_s
+    )
+    np.testing.assert_array_equal(
+        result.positions[boundary:], suffix_ref.positions
+    )
 
 
 def drive(engine, plan):
@@ -317,42 +347,13 @@ class TestWorkerFailure:
             assert engine.pool.live_workers() == [survivor_shard]
 
         for s, result, bl in zip(sessions, results, blocks):
-            reference = serial_single(config, range_bin_m, bl)
             if s in by_shard[survivor_shard]:
                 # Survivors: bitwise as if nothing happened.
+                reference = serial_single(config, range_bin_m, bl)
                 assert_single_equal(result, reference)
             else:
-                # Failed over: every frame consumed, one extra priming
-                # frame lost at the failover boundary, clock intact.
                 assert s.frames_in == 120
-                assert result.num_frames == reference.num_frames - 1
-                split = np.flatnonzero(
-                    np.diff(result.frame_times_s) > 0.013
-                )
-                assert len(split) == 1  # exactly one reset boundary
-                boundary = int(split[0]) + 1
-                prefix = reference.frame_times_s[:boundary]
-                np.testing.assert_array_equal(
-                    result.frame_times_s[:boundary], prefix
-                )
-                np.testing.assert_array_equal(
-                    result.positions[:boundary],
-                    reference.positions[:boundary],
-                )
-                # Suffix: a fresh pipeline resumed on the session clock.
-                consumed = boundary + 1  # prefix outputs + initial priming
-                resumed = WiTrack(config).pipeline(range_bin_m)
-                resumed.reset(start_frame=consumed)
-                suffix_ref = resumed.run_stream(
-                    np.concatenate(bl[consumed:], axis=1)
-                )
-                np.testing.assert_array_equal(
-                    result.frame_times_s[boundary:],
-                    suffix_ref.frame_times_s,
-                )
-                np.testing.assert_array_equal(
-                    result.positions[boundary:], suffix_ref.positions
-                )
+                assert_failed_over(config, range_bin_m, bl, result)
 
     def test_all_shards_failing_raises(self, config, short_walks):
         spec = single_session(config, short_walks[0].range_bin_m)
@@ -363,6 +364,88 @@ class TestWorkerFailure:
             engine.submit(session, blocks[0])
             with pytest.raises(RuntimeError, match="no live shard"):
                 engine.tick()
+
+    @staticmethod
+    def _restore_dies(pool):
+        """Make every ``restore`` kill its shard first; returns the
+        crashes raised, and the original ``invoke`` to put back."""
+        crashes = []
+        invoke = pool.invoke
+
+        def dying_invoke(worker, method, *args, **kwargs):
+            if method != "restore":
+                return invoke(worker, method, *args, **kwargs)
+            pool.kill(worker)  # the shard receiving the state dies
+            try:
+                return invoke(worker, method, *args, **kwargs)
+            except WorkerCrash as exc:
+                crashes.append(exc)
+                raise
+
+        pool.invoke = dying_invoke
+        return crashes, invoke
+
+    def test_split_target_dying_fails_over(self, config, short_walks):
+        """The shard receiving a split's state dies in ``restore``.
+
+        The split session, and the cohort mate it left on that shard,
+        fail over like a shard raising mid-tick; the session on the
+        other shard is untouched bitwise; and the crash is the failure
+        the scheduler records.
+        """
+        range_bin_m = short_walks[0].range_bin_m
+        spec = single_session(config, range_bin_m)
+        blocks = [frame_blocks(out, config, 80) for out in short_walks[:3]]
+        with ServingEngine(workers=2) as engine:
+            scheduler = engine.scheduler
+            sessions = [engine.admit(spec) for _ in blocks]
+            mate, survivor, straggler = sessions
+            assert straggler.cohort is mate.cohort
+            victim_shard = mate.cohort.shard
+            for f in range(30):
+                for s, bl in zip(sessions, blocks):
+                    engine.submit(s, bl[f])
+                engine.tick()
+            crashes, invoke = self._restore_dies(engine.pool)
+            scheduler._split(straggler)
+            engine.pool.invoke = invoke
+            assert scheduler.splits == 1
+            assert scheduler.failovers == 1
+            assert scheduler.excluded_shards == {victim_shard}
+            assert len(crashes) == 1
+            assert scheduler.last_failure is crashes[0]
+            assert straggler.cohort.shard == survivor.cohort.shard
+            for f in range(30, 80):
+                for s, bl in zip(sessions, blocks):
+                    engine.submit(s, bl[f])
+                engine.tick()
+            engine.drain()
+            results = [engine.close(s) for s in sessions]
+        assert_single_equal(
+            results[1], serial_single(config, range_bin_m, blocks[1])
+        )
+        for s in (0, 2):
+            assert sessions[s].frames_in == 80
+            assert_failed_over(config, range_bin_m, blocks[s], results[s])
+
+    def test_split_target_dying_takes_down_a_lone_shard(
+        self, config, short_walks
+    ):
+        """When the dead split target was the last shard, the "no live
+        shard" error chains the crash that killed it."""
+        spec = single_session(config, short_walks[0].range_bin_m)
+        blocks = frame_blocks(short_walks[0], config, 3)
+        with ServingEngine(workers=1) as engine:
+            a, b = engine.admit(spec), engine.admit(spec)
+            for block in blocks:
+                engine.submit(a, block)
+                engine.submit(b, block)
+                engine.tick()
+            crashes, _ = self._restore_dies(engine.pool)
+            with pytest.raises(RuntimeError, match="no live shard") as info:
+                engine.scheduler._split(b)
+        assert len(crashes) == 1
+        assert info.value.__cause__ is crashes[0]
 
 
 class TestAdaptiveRebatching:
