@@ -171,11 +171,6 @@ class RealtimeMultiTracker(_SingleSessionView):
         """Upper bound on concurrently tracked people."""
         return self._max_people
 
-    @property
-    def manager(self):
-        """This session's :class:`~repro.multi.tracks.TrackManager`."""
-        return self.engine.track_manager(self.session)
-
     def process_frame(
         self, sweep_block: np.ndarray
     ) -> list[tuple[int, np.ndarray]]:
@@ -195,10 +190,11 @@ class RealtimeMultiTracker(_SingleSessionView):
     def run(self, spectra: np.ndarray) -> MultiTrack:
         """Stream a recording; returns ALL tracks accumulated so far.
 
-        Timestamps cover every frame this tracker has ever processed,
-        so interleaving :meth:`process_frame` calls and repeated
-        :meth:`run` calls (continued streaming, as with
-        :class:`RealtimeTracker`) keeps the history consistent.
+        Built from the session's result, so timestamps cover every frame
+        this tracker has ever emitted: interleaving
+        :meth:`process_frame` calls and repeated :meth:`run` calls
+        (continued streaming, as with :class:`RealtimeTracker`) keeps
+        the history consistent.
         """
         spectra = np.asarray(spectra)
         n_rx, n_sweeps, _ = spectra.shape
@@ -208,9 +204,4 @@ class RealtimeMultiTracker(_SingleSessionView):
         n_frames = n_sweeps // spf
         for f in range(n_frames):
             self.process_frame(spectra[:, f * spf : (f + 1) * spf, :])
-        manager = self.manager
-        frame_duration = spf * self.config.fmcw.sweep_duration_s
-        # The priming frame emits nothing, so processed frame i lands at
-        # (i + 1.5) frame durations — the offline track's convention.
-        times = (np.arange(manager.num_frames) + 1.5) * frame_duration
-        return manager.result(times)
+        return MultiTrack.from_result(self.session.result())

@@ -429,7 +429,7 @@ class SpectraCache(NpzLruCache):
 #: (per-frame complex spectrograms) is deliberately excluded — a cached
 #: result serves re-aggregation runs, which never need spectrograms, and
 #: storing them would make this cache as heavy as the spectra cache.
-_RESULT_FIELDS = ("tof_m", "raw_tof_m", "motion", "positions")
+_RESULT_FIELDS = ("tof_m", "raw_tof_m", "motion", "positions", "coasting")
 
 
 class ResultCache(NpzLruCache):

@@ -141,6 +141,7 @@ def merge_results(parts: list[PipelineResult]) -> PipelineResult:
         motion=cat("motion"),
         positions=cat("positions"),
         tracks=tracks,
+        coasting=cat("coasting"),
         subtracted=cat("subtracted"),
         latency=latency,
         stage_profile=stage_profile,
@@ -204,8 +205,9 @@ def results_identical(a: PipelineResult, b: PipelineResult) -> bool:
 
     Compares timestamps, every array field the single-person pipeline
     fills (NaN-tolerant for the float fields), and the multi-person
-    ``tracks`` lists including track identities. This is the
-    determinism gate the sharded and serving benchmarks assert.
+    ``tracks`` lists including track identities, with their coasting
+    flags. This is the determinism gate the sharded and serving
+    benchmarks assert.
     """
 
     def same(x: np.ndarray | None, y: np.ndarray | None, nan: bool) -> bool:
@@ -233,6 +235,7 @@ def results_identical(a: PipelineResult, b: PipelineResult) -> bool:
         and same(a.raw_tof_m, b.raw_tof_m, nan=True)
         and same(a.motion, b.motion, nan=False)
         and same_tracks(a.tracks, b.tracks)
+        and same(a.coasting, b.coasting, nan=False)
     )
 
 

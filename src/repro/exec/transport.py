@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import math
 import os
 import secrets
 import warnings
@@ -403,7 +404,7 @@ def _read_entries(
     arrays: list[np.ndarray] = []
     for offset, shape, dtype_str in entries:
         dtype = np.dtype(dtype_str)
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        count = math.prod(shape)
         arr = np.frombuffer(buf, dtype=dtype, count=count, offset=offset)
         arrays.append(arr.reshape(shape).copy())
         counters.bytes_shm += count * dtype.itemsize

@@ -35,7 +35,7 @@ from .workload import frame_shape
 _COMPLEX_BYTES = 16
 
 #: Flat per-session allowance for non-array bookkeeping (queue deque,
-#: accumulator lists, Session object itself). Deliberately coarse — the
+#: output buffers, Session object itself). Deliberately coarse — the
 #: array state dominates — but nonzero so even an array-free spec has a
 #: positive footprint.
 _SESSION_OVERHEAD_BYTES = 16 * 1024
@@ -46,8 +46,8 @@ def _state_nbytes(obj, seen: set[int] | None = None) -> int:
 
     Recurses through dicts, sequences, and plain-object ``__dict__``\\ s
     — deep enough to reach e.g. the
-    :class:`~repro.multi.tracks.TrackBank` record slab and per-slot
-    histories inside an ``Associate`` stage.
+    :class:`~repro.multi.tracks.TrackBank` record slab inside an
+    ``Associate`` stage.
     """
     if seen is None:
         seen = set()

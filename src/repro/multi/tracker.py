@@ -122,13 +122,10 @@ class MultiWiTrack:
         Returns:
             The :class:`MultiTrack` of all confirmed people.
         """
-        from ..pipeline.multi import Associate
-
         if isinstance(spectra, np.ndarray):
             spectra = self._validate(spectra)
-        pipe = self.pipeline(range_bin_m)
-        result = pipe.run_stream(spectra).require_frames()
-        return pipe.stage(Associate).manager.result(result.frame_times_s)
+        result = self.pipeline(range_bin_m).run_stream(spectra)
+        return MultiTrack.from_result(result.require_frames())
 
     def _validate(self, spectra: np.ndarray) -> np.ndarray:
         spectra = np.asarray(spectra)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,9 +53,9 @@ def tracks_to_arrays(
     :class:`~repro.pipeline.PipelineResult` — one ``(track_id,
     position)`` list per frame — flattened into three fixed-dtype
     arrays: per-frame entry counts, flat track ids, and flat positions.
-    This is what lets the result-level cache hold multi-person runs
-    (the caveat PR 4 left open): the arrays round-trip through ``.npz``
-    bitwise, and :func:`tracks_from_arrays` rebuilds the exact lists.
+    This is what lets the result-level cache hold multi-person runs:
+    the arrays round-trip through ``.npz`` bitwise, and
+    :func:`tracks_from_arrays` rebuilds the exact lists.
 
     Args:
         tracks: per-frame reportable ``(track_id, position)`` lists.
@@ -81,22 +82,58 @@ def tracks_to_arrays(
 def tracks_from_arrays(
     counts: np.ndarray, ids: np.ndarray, positions: np.ndarray
 ) -> list[list[tuple[int, np.ndarray]]]:
-    """Rebuild per-frame track lists from :func:`tracks_to_arrays`."""
+    """Rebuild per-frame track lists (of row views of ``positions``)."""
     if int(counts.sum()) != len(ids) or len(ids) != len(positions):
         raise ValueError(
             f"inconsistent track arrays: counts sum to {int(counts.sum())} "
             f"but {len(ids)} ids / {len(positions)} positions given"
         )
+    pairs = list(zip(ids.tolist(), positions))
     out: list[list[tuple[int, np.ndarray]]] = []
     offset = 0
-    for count in counts:
-        frame = [
-            (int(ids[offset + j]), positions[offset + j].copy())
-            for j in range(int(count))
-        ]
-        out.append(frame)
-        offset += int(count)
+    for count in counts.tolist():
+        out.append(pairs[offset : offset + count])
+        offset += count
     return out
+
+
+class TrackColumns(NamedTuple):
+    """A K-person tick's reportable tracks, as columns.
+
+    The :func:`tracks_to_arrays` layout plus coasting flags: row ``r``
+    owns the next ``counts[r]`` entries of ``ids`` ``(total,)``,
+    ``positions`` ``(total, 3)`` and ``coasting`` ``(total,)`` (True
+    where the position is a coasted prediction), in row order.
+    """
+
+    counts: np.ndarray
+    ids: np.ndarray
+    positions: np.ndarray
+    coasting: np.ndarray
+
+    @classmethod
+    def of(cls, rows: list[list["Track"]]) -> "TrackColumns":
+        """Columns of per-row :meth:`TrackManager.step` outputs."""
+        flat = [track for tracks in rows for track in tracks]
+        return cls(
+            np.array([len(tracks) for tracks in rows], dtype=np.int64),
+            np.array([t.track_id for t in flat], dtype=np.int64),
+            np.array([t.position for t in flat], np.float64).reshape(-1, 3),
+            np.array(
+                [t.status is TrackStatus.COASTING for t in flat], dtype=bool
+            ),
+        )
+
+    def lists(self) -> list[list[tuple[int, np.ndarray]]]:
+        """Per row, the ``(track_id, position)`` pairs."""
+        return tracks_from_arrays(self.counts, self.ids, self.positions)
+
+    def select(self, keep: np.ndarray) -> "TrackColumns":
+        """The columns of the rows where ``keep`` is True."""
+        entries = np.repeat(keep, self.counts)
+        return TrackColumns(
+            self.counts[keep], *(column[entries] for column in self[1:])
+        )
 
 
 class TrackStatus(enum.Enum):
@@ -274,10 +311,6 @@ def _track_dtype(n_rx: int) -> np.dtype:
         ],
         align=True,
     )
-
-
-#: A frame's history entry with no reportable track.
-_NO_TRACKS = (np.empty(0, np.int64), np.empty((0, 3)), np.empty(0, bool))
 
 
 class Track:
@@ -561,6 +594,39 @@ class MultiTrack:
         idx = self.track_ids.index(track_id)
         return self.positions[idx]
 
+    @classmethod
+    def from_result(cls, result) -> "MultiTrack":
+        """The tracks of a K-person :class:`~repro.pipeline.PipelineResult`.
+
+        One row per track ever reported, in order of first report; NaN
+        (and not coasting) where the track was not reported. Raises
+        ValueError when ``tracks`` and the timestamps differ in length,
+        or the tracks carry no coasting flags.
+        """
+        frame_times_s = np.asarray(result.frame_times_s, dtype=np.float64)
+        frames, n_frames = result.tracks or [], len(frame_times_s)
+        if len(frames) != n_frames:
+            raise ValueError(
+                f"{len(frames)} frames of tracks but {n_frames} "
+                "timestamps given"
+            )
+        arrays = tracks_to_arrays(frames)
+        ids = arrays["track_ids_flat"].tolist()
+        if ids and result.coasting is None:
+            raise ValueError("the result carries no coasting flags")
+        track_ids = tuple(dict.fromkeys(ids))
+        index = {track_id: row for row, track_id in enumerate(track_ids)}
+        at = (
+            np.array([index[track_id] for track_id in ids], dtype=np.intp),
+            np.repeat(np.arange(n_frames), arrays["track_counts"]),
+        )
+        positions = np.full((len(track_ids), n_frames, 3), np.nan)
+        positions[at] = arrays["track_positions_flat"]
+        coasting = np.zeros((len(track_ids), n_frames), dtype=bool)
+        if ids:
+            coasting[at] = result.coasting
+        return cls(frame_times_s, positions, track_ids, coasting)
+
     def to_arrays(self) -> dict[str, np.ndarray]:
         """Pure-array form of the whole result (``.npz``-storable).
 
@@ -597,9 +663,10 @@ def _from_bank(name: str) -> property:
 class TrackManager:
     """Birth, update, coast, and kill tracks frame by frame.
 
-    Drives the offline tracker and the streaming app alike: call
-    :meth:`step` once per frame with that frame's per-antenna candidate
-    TOF sets, then :meth:`result` to package the accumulated history.
+    Call :meth:`step` once per frame with that frame's per-antenna
+    candidate TOF sets; it returns the frame's reportable tracks. The
+    manager keeps no per-frame history: a pipeline accumulates the
+    outputs, and :meth:`MultiTrack.from_result` packages them.
 
     A manager is a view of one slot of a :class:`TrackBank`; built
     directly, it owns a one-slot bank. Its :meth:`step` walks the slot's
@@ -655,27 +722,8 @@ class TrackManager:
         return self._bank
 
     @property
-    def _history(self) -> list:
-        """Per frame, the reportable ``(ids, positions, coasting)``."""
-        return self._bank._history[self._slot]
-
-    @property
     def _next_id(self) -> int:
         return int(self._bank._next_id[self._slot])
-
-    @property
-    def _ever_confirmed(self) -> list[int]:
-        """Ids ever reported, in order of first report."""
-        return list(
-            dict.fromkeys(
-                i for ids, _, _ in self._history for i in ids.tolist()
-            )
-        )
-
-    @property
-    def num_frames(self) -> int:
-        """Frames processed so far."""
-        return len(self._history)
 
     @property
     def tracks(self) -> list[Track]:
@@ -759,32 +807,6 @@ class TrackManager:
         self._bank._finalize(np.array([self._slot]))
         return self.reportable_tracks()
 
-    def result(self, frame_times_s: np.ndarray) -> MultiTrack:
-        """Package the accumulated history as a :class:`MultiTrack`."""
-        frame_times_s = np.asarray(frame_times_s, dtype=np.float64)
-        if len(frame_times_s) != self.num_frames:
-            raise ValueError(
-                f"{self.num_frames} frames processed but "
-                f"{len(frame_times_s)} timestamps given"
-            )
-        ids = tuple(self._ever_confirmed)
-        n_tracks = len(ids)
-        positions = np.full((n_tracks, self.num_frames, 3), np.nan)
-        coasting = np.zeros((n_tracks, self.num_frames), dtype=bool)
-        index = {track_id: row for row, track_id in enumerate(ids)}
-        for f, (frame_ids, frame_positions, coasted) in enumerate(
-            self._history
-        ):
-            rows = [index[track_id] for track_id in frame_ids.tolist()]
-            positions[rows, f] = frame_positions
-            coasting[rows, f] = coasted
-        return MultiTrack(
-            frame_times_s=frame_times_s,
-            positions=positions,
-            track_ids=ids,
-            coasting=coasting,
-        )
-
 
 class TrackBank:
     """The track state of many sessions, and their one-frame stepper.
@@ -794,8 +816,10 @@ class TrackBank:
     position) in one ``(slot, track)`` slab, grown on demand. A slot's
     live tracks are its first ``count[slot]`` rows in birth order:
     births append, deaths compact at the end of the frame. Each slot
-    also keeps its next track id and its per-frame history of reportable
-    tracks. :class:`TrackManager` and :class:`Track` are views of a
+    also keeps its next track id. The bank holds filter and lifecycle
+    state only, never a per-frame history: a step returns its reportable
+    tracks as :class:`TrackColumns`, and whoever serves the session
+    keeps them. :class:`TrackManager` and :class:`Track` are views of a
     slot and of a row, so there is one copy of the state;
     :meth:`detach` and :meth:`adopt` move one slot's rows for eviction,
     migration and snapshot/restore.
@@ -864,7 +888,6 @@ class TrackBank:
         self._tracks: np.ndarray | None = None
         self._count = np.zeros(1, dtype=np.intp)
         self._next_id = np.ones(1, dtype=np.int64)
-        self._history: list[list] = [[]]
 
     @property
     def num_slots(self) -> int:
@@ -886,15 +909,13 @@ class TrackBank:
         self._next_id = np.concatenate(
             [self._next_id, np.ones(extra, np.int64)]
         )
-        self._history.extend([] for _ in range(extra))
         if self._tracks is not None:
             self._resize(n_slots, self._tracks.shape[1])
 
     def evict(self, slot: int) -> None:
-        """Forget one slot's tracks, ids and history."""
+        """Forget one slot's tracks and ids."""
         self._count[slot] = 0
         self._next_id[slot] = 1
-        self._history[slot] = []
 
     def clear(self) -> None:
         """Forget every slot's state."""
@@ -923,7 +944,6 @@ class TrackBank:
             self._tracks[slot, :n] = source._tracks[at, :n]
         self._count[slot] = n
         self._next_id[slot] = source._next_id[at]
-        self._history[slot] = list(source._history[at])
 
     def _reserve(self, n_tracks: int, n_rx: int) -> None:
         """Make room for ``n_tracks`` rows per slot."""
@@ -1033,20 +1053,20 @@ class TrackBank:
         live["age"] += 1
         live["support"] = support
 
-    def _finalize(
-        self, slots: np.ndarray
-    ) -> list[list[tuple[int, np.ndarray]]]:
-        """End a frame of the given slots: compact deaths, record history.
+    def _finalize(self, slots: np.ndarray) -> TrackColumns:
+        """End a frame of the given slots: compact deaths, report.
 
-        Returns, per slot, the reportable ``(track_id, position)`` pairs
-        in row order; each slot's history gains the same tracks with
-        their coasting flags.
+        Returns the slots' reportable tracks, in slot order and then row
+        order.
         """
         counts = self._count[slots]
         if self._tracks is None or not counts.any():
-            for slot in slots.tolist():
-                self._history[slot].append(_NO_TRACKS)
-            return [[] for _ in range(len(slots))]
+            return TrackColumns(
+                np.zeros(len(slots), dtype=np.int64),
+                np.empty(0, dtype=np.int64),
+                np.empty((0, 3)),
+                np.empty(0, dtype=bool),
+            )
         in_use = np.arange(self._tracks.shape[1]) < counts[:, None]
         # Rows past a slot's count read as tentative: neither dead nor
         # reportable.
@@ -1062,23 +1082,12 @@ class TrackBank:
                 status[row, len(keep) :] = _TENTATIVE
         rows, cols = np.nonzero(_REPORTABLE[status])
         at = (slots[rows], cols)
-        ids = self._tracks["id"][at]
-        positions = self._tracks["position"][at]
-        recorded = positions.copy()
-        coasting = status[rows, cols] == _COASTING
-        pairs = list(zip(ids.tolist(), positions))
-        ends = np.searchsorted(rows, np.arange(1, len(slots) + 1)).tolist()
-        out = []
-        start = 0
-        for slot, end in zip(slots.tolist(), ends):
-            out.append(pairs[start:end])
-            self._history[slot].append(
-                (ids[start:end], recorded[start:end], coasting[start:end])
-                if end > start
-                else _NO_TRACKS
-            )
-            start = end
-        return out
+        return TrackColumns(
+            np.bincount(rows, minlength=len(slots)).astype(np.int64),
+            self._tracks["id"][at],
+            self._tracks["position"][at],
+            status[rows, cols] == _COASTING,
+        )
 
     # -- the cohort step ---------------------------------------------------
 
@@ -1087,7 +1096,7 @@ class TrackBank:
         slots: np.ndarray,
         candidates: np.ndarray,
         powers: np.ndarray,
-    ) -> list[list[tuple[int, np.ndarray]]]:
+    ) -> TrackColumns:
         """Advance one frame of every given slot from its candidate sets.
 
         Args:
@@ -1098,8 +1107,8 @@ class TrackBank:
             powers: echo power per candidate, same shape.
 
         Returns:
-            Per row, the reportable ``(track_id, position)`` pairs —
-            exactly the per-slot :meth:`TrackManager.step` output.
+            The rows' reportable tracks — exactly the per-slot
+            :meth:`TrackManager.step` outputs, as columns.
         """
         slots = np.asarray(slots, dtype=np.intp)
         cfg, dt = self.config, self.frame_dt_s

@@ -12,6 +12,8 @@ them now compose:
 * :mod:`stages` — the stateful single-person stages;
 * :mod:`multi` — the multi-person stages (successive cancellation and
   track association);
+* :mod:`outputs` — :class:`OutputColumns`, the one accumulator that
+  keeps a stream's emitted rows (``run_stream`` and serving sessions);
 * :mod:`runner` — the :class:`Pipeline` runner plus the stage-graph
   factories.
 
@@ -24,6 +26,7 @@ independent sessions without a second code path.
 """
 
 from .frame import Frame, SessionTick
+from .outputs import OutputColumns, RowBatch
 from .runner import (
     LatencyReport,
     Pipeline,
@@ -45,6 +48,8 @@ from .multi import Associate, SuccessiveCancel
 __all__ = [
     "Frame",
     "SessionTick",
+    "OutputColumns",
+    "RowBatch",
     "LatencyReport",
     "Pipeline",
     "PipelineResult",

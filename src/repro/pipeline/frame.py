@@ -20,8 +20,12 @@ joiners, stragglers, drained queues).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from ..multi.tracks import TrackColumns
 
 #: SessionTick array fields whose leading axis is the session row.
 _TICK_ARRAYS = (
@@ -89,8 +93,9 @@ class SessionTick:
         slots: pipeline session slot of each row, shape ``(n_active,)``.
         indices: per-session input frame index of each row.
         times_s: per-session frame center time of each row.
-        tracks: per-row reportable ``(track_id, position)`` lists
-            (multi-person pipelines only).
+        tracks: the rows' reportable tracks as
+            :class:`~repro.multi.tracks.TrackColumns` (multi-person
+            pipelines only).
         dense: the rows are the slots ``0..n-1`` in order, so stages
             may address their state slabs as ``[:n]`` views. Set by
             the pipeline once per tick; :meth:`select` clears it.
@@ -107,7 +112,7 @@ class SessionTick:
     candidates_m: np.ndarray | None = None
     candidate_powers: np.ndarray | None = None
     positions: np.ndarray | None = None
-    tracks: list[list[tuple[int, np.ndarray]]] | None = None
+    tracks: TrackColumns | None = None
     dense: bool = False
 
     @property
@@ -142,7 +147,7 @@ class SessionTick:
             if value is not None:
                 setattr(out, name, value[keep])
         if self.tracks is not None:
-            out.tracks = [t for t, k in zip(self.tracks, keep) if k]
+            out.tracks = self.tracks.select(keep)
         return out
 
     def write_frame(self, frame: Frame, row: int = 0) -> Frame:
@@ -152,5 +157,5 @@ class SessionTick:
             if value is not None:
                 setattr(frame, frame_name, value[row])
         if self.tracks is not None:
-            frame.tracks = self.tracks[row]
+            frame.tracks = self.tracks.lists()[row]
         return frame

@@ -21,11 +21,9 @@ advances through one bank step per tick.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..kernels.cancellation import successive_cancel
 from ..multi.cancellation import check_cancel_args
-from ..multi.tracks import TrackManager
+from ..multi.tracks import TrackColumns, TrackManager
 from .stages import Stage
 
 
@@ -87,8 +85,8 @@ class Associate(Stage):
 
     Stage wrapper around a :class:`~repro.multi.tracks.TrackBank`
     (inherently sequential — association depends on every previous
-    frame). Writes ``tracks``: the reportable ``(track_id, position)``
-    pairs after this frame.
+    frame). Writes ``tracks``: the rows' reportable tracks after this
+    frame, as :class:`~repro.multi.tracks.TrackColumns`.
 
     Session state is one slot of the bank: every session's tracks are
     rows of the bank's ``(slot, track)`` slab, grown on demand. The bank
@@ -123,7 +121,7 @@ class Associate(Stage):
     def snapshot_slot(self, slot: int) -> dict:
         """Hand off the slot's tracks as a standalone manager.
 
-        The manager holds a copy of the slot's rows and history
+        The manager holds a copy of the slot's rows and next track id
         (picklable, so it survives a pipe to another process). Evict
         the source slot afterwards — two pipelines must never advance
         one session.
@@ -148,23 +146,14 @@ class Associate(Stage):
             return "associate"
         return None
 
-    def _step(
-        self, manager: TrackManager, candidates: np.ndarray, powers: np.ndarray
-    ):
-        tracks = manager.step(
-            [candidates[a] for a in range(candidates.shape[0])],
-            [powers[a] for a in range(powers.shape[0])],
-        )
-        return [(t.track_id, t.position) for t in tracks]
-
     def process_tick(self, tick):
         if self.fuse_spec() is None:
-            tick.tracks = [
-                self._step(self._bank.manager(slot), candidates, powers)
+            tick.tracks = TrackColumns.of([
+                self._bank.manager(slot).step(list(candidates), list(powers))
                 for slot, candidates, powers in zip(
                     tick.slots, tick.candidates_m, tick.candidate_powers
                 )
-            ]
+            ])
         else:
             tick.tracks = self._bank.step(
                 tick.slots, tick.candidates_m, tick.candidate_powers

@@ -29,6 +29,7 @@ from ..config import SystemConfig
 from ..kernels.profile import StageProfiler, profiling_enabled
 from ..kernels.tick import compile_tick_plan, fusion_active, run_stages
 from .frame import Frame, SessionTick
+from .outputs import OutputColumns, RowBatch
 from .stages import (
     BackgroundSubtract,
     ContourExtract,
@@ -108,8 +109,10 @@ class PipelineResult:
     """Everything one pipeline run produced.
 
     Single-person pipelines fill the TOF/position fields; multi-person
-    pipelines fill ``tracks``. Field layouts are frame-major; consumers
-    transpose as needed.
+    pipelines fill ``tracks`` and ``coasting``
+    (:meth:`MultiTrack.from_result <repro.multi.tracks.MultiTrack.
+    from_result>` packages the two). Field layouts are frame-major;
+    consumers transpose as needed.
 
     Attributes:
         frame_times_s: timestamp of each output frame.
@@ -118,6 +121,9 @@ class PipelineResult:
         motion: per-antenna motion detections, same shape.
         positions: 3D fixes, ``(n_frames, 3)``.
         tracks: per-frame reportable ``(track_id, position)`` lists.
+        coasting: one flag per ``tracks`` entry, in frame order (the
+            flat order of :func:`~repro.multi.tracks.tracks_to_arrays`):
+            True where the position is a coasted prediction.
         subtracted: background-subtracted complex frames,
             ``(n_frames, n_rx, n_bins)`` (only when recorded).
         latency: per-frame latency report (None on results restored
@@ -134,6 +140,7 @@ class PipelineResult:
     motion: np.ndarray | None = None
     positions: np.ndarray | None = None
     tracks: list[list[tuple[int, np.ndarray]]] | None = None
+    coasting: np.ndarray | None = None
     subtracted: np.ndarray | None = None
     latency: LatencyReport | None = None
     stage_profile: dict[str, dict[str, float]] | None = None
@@ -466,6 +473,13 @@ class Pipeline:
         profiler.record("dispatch", (perf_counter() - t_enter) - attributed)
         return tick
 
+    def _tick_one(self, sweep_block: np.ndarray) -> SessionTick:
+        """The slot-0 tick of one sweep block, timed into :attr:`latency`."""
+        start = perf_counter()
+        tick = self.tick(np.asarray(sweep_block)[None], _SLOT0)
+        self.latency.latencies_s.append(perf_counter() - start)
+        return tick
+
     def push(self, sweep_block: np.ndarray) -> Frame | None:
         """Process one frame worth of sweeps for all antennas (slot 0).
 
@@ -481,15 +495,12 @@ class Pipeline:
             pipeline is still priming (first frame). Wall-clock
             processing time is appended to :attr:`latency` either way.
         """
-        start = perf_counter()
-        tick = self.tick(np.asarray(sweep_block)[None], _SLOT0)
-        frame: Frame | None = None
-        if tick.num_rows:
-            frame = tick.write_frame(
-                Frame(index=int(tick.indices[0]), time_s=float(tick.times_s[0]))
-            )
-        self.latency.latencies_s.append(perf_counter() - start)
-        return frame
+        tick = self._tick_one(sweep_block)
+        if not tick.num_rows:
+            return None
+        return tick.write_frame(
+            Frame(index=int(tick.indices[0]), time_s=float(tick.times_s[0]))
+        )
 
     def stream(
         self, frames: Iterable[np.ndarray] | np.ndarray
@@ -514,10 +525,12 @@ class Pipeline:
         """Stream a whole recording and collect the per-frame outputs.
 
         This accumulates every frame's fields into one
-        :class:`PipelineResult` (use :meth:`stream` directly for
-        unbounded sessions where accumulation is unwanted). Calls
-        continue the same session: splitting a recording across two
-        calls yields the frames of one call over the whole.
+        :class:`PipelineResult`, through the
+        :class:`~repro.pipeline.outputs.OutputColumns` a serving session
+        keeps its outputs in (use :meth:`stream` directly for unbounded
+        sessions where accumulation is unwanted). Calls continue the
+        same session: splitting a recording across two calls yields the
+        frames of one call over the whole.
 
         Args:
             frames: a full ``(n_rx, n_sweeps, n_bins)`` recording or an
@@ -526,35 +539,14 @@ class Pipeline:
                 frames in the result (needed to rebuild per-antenna
                 spectrograms, e.g. for the pointing pipeline).
         """
-        times: list[float] = []
-        tofs: list[np.ndarray] = []
-        raws: list[np.ndarray] = []
-        motions: list[np.ndarray] = []
-        positions: list[np.ndarray] = []
-        tracks: list[list[tuple[int, np.ndarray]]] = []
-        spectra: list[np.ndarray] = []
-        for frame in self.stream(frames):
-            times.append(frame.time_s)
-            if frame.tof_m is not None:
-                tofs.append(frame.tof_m)
-            if frame.raw_tof_m is not None:
-                raws.append(frame.raw_tof_m)
-            if frame.motion is not None:
-                motions.append(frame.motion)
-            if frame.position is not None:
-                positions.append(frame.position)
-            if frame.tracks is not None:
-                tracks.append(frame.tracks)
-            if record_spectra and frame.spectrum is not None:
-                spectra.append(frame.spectrum)
-        return PipelineResult(
-            frame_times_s=np.asarray(times),
-            tof_m=np.stack(tofs) if tofs else None,
-            raw_tof_m=np.stack(raws) if raws else None,
-            motion=np.stack(motions) if motions else None,
-            positions=np.stack(positions) if positions else None,
-            tracks=tracks if tracks else None,
-            subtracted=np.stack(spectra) if spectra else None,
+        if isinstance(frames, np.ndarray):
+            frames = self._blocks(frames)
+        outputs = OutputColumns()
+        for block in frames:
+            tick = self._tick_one(block)
+            if tick.num_rows:
+                outputs.append(RowBatch(tick, spectra=record_spectra), 0)
+        return outputs.result(
             latency=self.latency,
             stage_profile=(
                 self.profiler.as_dict() if self.profiler is not None else None

@@ -39,6 +39,7 @@ from time import perf_counter
 import numpy as np
 
 from ..kernels.profile import StageProfiler
+from ..pipeline.outputs import RowBatch
 from ..pipeline.runner import Pipeline, PipelineResult
 from .session import BlockShape, Session, SessionSpec
 
@@ -459,23 +460,20 @@ class Scheduler(SchedulerBase):
         )
         tick = cohort.pipeline.tick([b for b, _ in entries], slots)
         done = perf_counter()
+        batch = RowBatch(tick)
         if len(tick.slots) == len(ready):
             # Every session emitted a row; the pipeline preserves input
             # order, so row k belongs to ready[k] — no slot map needed.
-            for row, (session, (_, enqueued)) in enumerate(
-                zip(ready, entries)
-            ):
-                session.latency.latencies_s.append(done - enqueued)
-                session.collect(tick, row)
-            return len(ready)
-        row_of_slot = {
-            slot: row for row, slot in enumerate(tick.slots.tolist())
-        }
-        for session, (_, enqueued) in zip(ready, entries):
+            rows = range(len(ready))
+        else:
+            row_of_slot = {
+                slot: row for row, slot in enumerate(tick.slots.tolist())
+            }
+            rows = [row_of_slot.get(session.slot) for session in ready]
+        for session, (_, enqueued), row in zip(ready, entries, rows):
             session.latency.latencies_s.append(done - enqueued)
-            row = row_of_slot.get(session.slot)
             if row is not None:
-                session.collect(tick, row)
+                session.outputs.append(batch, row)
         return len(ready)
 
     def tick(self) -> int:

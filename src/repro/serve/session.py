@@ -9,9 +9,11 @@ lockstep ticks. Heterogeneous deployments simply produce several
 cohorts.
 
 A :class:`Session` is one live stream: a bounded input queue of raw
-sweep blocks (the backpressure seam), the per-frame output accumulators,
-and a per-session :class:`~repro.pipeline.LatencyReport` measuring
-enqueue-to-emit wall time against the paper's 75 ms budget (§7).
+sweep blocks (the backpressure seam), its outputs kept once as columns
+(:class:`~repro.pipeline.outputs.OutputColumns`, the accumulator
+``Pipeline.run_stream`` uses too), and a per-session
+:class:`~repro.pipeline.LatencyReport` measuring enqueue-to-emit wall
+time against the paper's 75 ms budget (§7).
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ import numpy as np
 from ..config import SystemConfig, default_config
 from ..core.localize import make_solver
 from ..geometry.antennas import AntennaArray, t_array
-from ..multi.tracks import TrackManagerConfig
+from ..multi.tracks import TrackColumns, TrackManagerConfig
 from ..pipeline.frame import SessionTick
+from ..pipeline.outputs import OutputColumns
 from ..pipeline.runner import (
     LatencyReport,
     Pipeline,
@@ -173,9 +176,11 @@ class TickRows(NamedTuple):
     The shard→parent transport unit of the distributed tier: the output
     columns of a :class:`~repro.pipeline.frame.SessionTick`, under the
     same names, plus the parallel ``session_ids`` routing vector — the
-    tick's own fixed-dtype slabs, which the shm transport moves without
-    pickling, so building one copies nothing. :meth:`Session.collect`
-    reads a row of either.
+    tick's own fixed-dtype slabs (K-person tracks included, as
+    :class:`~repro.multi.tracks.TrackColumns`), which the shm transport
+    moves without pickling, so building one copies nothing. The parent
+    packs either into one :class:`~repro.pipeline.outputs.RowBatch`, and
+    each routed row goes to its session's ``outputs``.
     """
 
     session_ids: np.ndarray
@@ -184,7 +189,7 @@ class TickRows(NamedTuple):
     raw_tof_m: np.ndarray | None
     motion: np.ndarray | None
     positions: np.ndarray | None
-    tracks: list | None
+    tracks: TrackColumns | None
 
 
 def tick_group(tick: SessionTick, session_ids: np.ndarray) -> TickRows:
@@ -295,25 +300,34 @@ class Session:
         self.queue: deque[tuple[np.ndarray, float]] = deque()
         self.latency = LatencyReport()
         self.frames_in = 0
-        self.frames_out = 0
         #: Blocks :meth:`offer` refused for their shape or dtype.
         self.rejected_malformed = 0
         self.closed = False
         #: Set by the scheduler's admit — the cohort serving this session.
         self.cohort = None
-        self.last_position: np.ndarray | None = None
-        self.last_tracks: list[tuple[int, np.ndarray]] | None = None
-        self._times: list[float] = []
-        self._tofs: list[np.ndarray] = []
-        self._raws: list[np.ndarray] = []
-        self._motions: list[np.ndarray] = []
-        self._positions: list[np.ndarray] = []
-        self._tracks: list[list[tuple[int, np.ndarray]]] = []
+        #: Every emitted row, kept once; the scheduler appends each row
+        #: it routes here.
+        self.outputs = OutputColumns()
 
     @property
     def pending(self) -> int:
         """Frames queued but not yet processed."""
         return len(self.queue)
+
+    @property
+    def frames_out(self) -> int:
+        """Output rows emitted so far."""
+        return len(self.outputs)
+
+    @property
+    def last_position(self) -> np.ndarray | None:
+        """The latest emitted 3D fix (single-person sessions)."""
+        return self.outputs.last("positions")
+
+    @property
+    def last_tracks(self) -> list[tuple[int, np.ndarray]] | None:
+        """The latest emitted ``(track_id, position)`` pairs (K-person)."""
+        return self.outputs.last_pairs()
 
     def offer(self, sweep_block: np.ndarray) -> bool:
         """Enqueue one frame; False when the bounded queue is full.
@@ -340,37 +354,6 @@ class Session:
         self.frames_in += 1
         return True
 
-    def collect(self, rows: SessionTick | TickRows, row: int) -> None:
-        """Accumulate one emitted row (engine-internal).
-
-        ``rows`` is the tick itself in process, or the
-        :class:`TickRows` a shard worker replied with: the same
-        columns, so both tiers append identical values. Runs once per
-        session per tick on the serving hot path.
-        """
-        self._times.append(float(rows.times_s[row]))
-        if rows.tof_m is not None:
-            self._tofs.append(rows.tof_m[row])
-        if rows.raw_tof_m is not None:
-            self._raws.append(rows.raw_tof_m[row])
-        if rows.motion is not None:
-            self._motions.append(rows.motion[row])
-        if rows.positions is not None:
-            self.last_position = rows.positions[row]
-            self._positions.append(self.last_position)
-        if rows.tracks is not None:
-            self.last_tracks = rows.tracks[row]
-            self._tracks.append(self.last_tracks)
-        self.frames_out += 1
-
     def result(self) -> PipelineResult:
         """Everything this session has produced, ``run_stream``-shaped."""
-        return PipelineResult(
-            frame_times_s=np.asarray(self._times),
-            tof_m=np.stack(self._tofs) if self._tofs else None,
-            raw_tof_m=np.stack(self._raws) if self._raws else None,
-            motion=np.stack(self._motions) if self._motions else None,
-            positions=np.stack(self._positions) if self._positions else None,
-            tracks=self._tracks if self._tracks else None,
-            latency=self.latency,
-        )
+        return self.outputs.result(latency=self.latency)

@@ -34,7 +34,8 @@ Adaptive re-batching crosses processes here: a straggling session's
 state is pulled out of its shard via :meth:`Pipeline.snapshot_session`
 (picklable by design), restored bit-exactly into a fresh singleton
 cohort on the least-loaded shard, and drained at ``catchup_burst``
-frames per tick.
+frames per tick. When that shard is the session's own, the state never
+leaves the worker (:meth:`ShardWorker.move`).
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ import numpy as np
 
 from ..exec.pool import WorkerCrash, WorkerPool, remote_failure
 from ..kernels.profile import StageProfiler
+from ..pipeline.outputs import RowBatch
 from .scheduler import Cohort, SchedulerBase, drop_cohort, merged_profile
 from .session import (
     AdmissionRefused,
@@ -139,6 +141,13 @@ class ShardWorker:
         if not cohort.members:
             drop_cohort(self.cohorts, cohort, self._retired_profile)
 
+    def move(self, session_id: int, key: str, spec: SessionSpec) -> None:
+        """Move a session into cohort ``key`` of this shard, bit-exactly
+        (:meth:`snapshot`, :meth:`evict`, :meth:`restore` in one call)."""
+        state = self.snapshot(session_id)
+        self.evict(session_id)
+        self.restore(session_id, key, spec, state)
+
     @property
     def num_sessions(self) -> int:
         """Sessions currently placed on this shard."""
@@ -164,10 +173,9 @@ class ShardWorker:
             the wall-clock seconds spent ticking pipelines, which the
             parent subtracts from the round-trip time to measure IPC
             overhead. Groups arrive in per-cohort round order, so each
-            session's rows are in its frame order; the parent hands
-            each row to :meth:`Session.collect
-            <repro.serve.session.Session.collect>`, as the in-process
-            scheduler hands it the tick.
+            session's rows are in its frame order; the parent packs each
+            group once and appends each row to its session's
+            ``outputs``, as the in-process scheduler does with the tick.
         """
         if self._fail_in is not None:
             self._fail_in -= 1
@@ -433,8 +441,15 @@ class DistributedScheduler(SchedulerBase):
                 )
         return load
 
-    def _least_loaded(self) -> int:
+    def _least_loaded(self, leaving: PlacedCohort | None = None) -> int:
+        """The live shard with the least load (lowest index on ties).
+
+        ``leaving`` counts one session fewer on that cohort's shard: the
+        placement of a session about to leave it.
+        """
         load = self._shard_load()
+        if leaving is not None and leaving.shard in load:
+            load[leaving.shard] -= self._session_cost(leaving.spec)
         if not load:
             # Chain the last remote failure: when a poison input (e.g. a
             # malformed frame that deterministically raises) has burned
@@ -660,8 +675,9 @@ class DistributedScheduler(SchedulerBase):
                         session.latency.latencies_s.append(done - enqueued)
                     consumed += len(entries)
                 for rows in groups:
+                    batch = RowBatch(rows)
                     for row, sid in enumerate(rows.session_ids.tolist()):
-                        self.sessions[sid].collect(rows, row)
+                        self.sessions[sid].outputs.append(batch, row)
         if failed:
             # Every response is in (or lost); only now is it safe to
             # exclude the casualties and re-admit their sessions on
@@ -678,64 +694,75 @@ class DistributedScheduler(SchedulerBase):
 
     # -- adaptive re-batching ----------------------------------------------
 
+    def _migrate(self, session: Session, target: PlacedCohort) -> bool:
+        """Move ``session``'s pipeline state into ``target``, bit-exactly.
+
+        Within one shard this is one :meth:`ShardWorker.move` call;
+        across shards the state crosses as a
+        :meth:`Pipeline.snapshot_session` hand-off. A source cohort left
+        empty is dropped. A shard failure falls back to the ordinary
+        failover path (fresh state), never an inconsistent one: the
+        session joins ``target`` *before* its state lands there, so
+        failover finds it even when the target dies. Returns False when
+        the source failed first (the session fails over with its
+        cohort).
+        """
+        source: PlacedCohort = session.cohort
+        sid, call = session.session_id, ("move",)
+        if target.shard != source.shard:
+            try:
+                state = self.pool.invoke(source.shard, "snapshot", sid)
+                self.pool.invoke(source.shard, "evict", sid)
+            except Exception as exc:
+                self._fail_shard(source.shard, exc)
+                return False
+            call = ("restore", state)
+        source.members.remove(session)
+        if not source.members:
+            del self.cohorts[source.key]
+        self.cohorts[target.key] = target
+        session.cohort = target
+        target.members.append(session)
+        try:
+            self.pool.invoke(
+                target.shard, call[0], sid, target.key, target.spec, *call[1:]
+            )
+        except Exception as exc:
+            self._fail_shard(target.shard, exc)
+        return True
+
     def _split(self, session: Session) -> None:
         """Migrate one straggler into a singleton cohort, bit-exactly.
 
-        The session's pipeline state crosses processes as a
-        :meth:`Pipeline.snapshot_session` hand-off; the new cohort gets
-        the catch-up burst budget and lands on the least-loaded shard.
-        A shard failure during migration falls back to the ordinary
-        failover path (fresh state), never an inconsistent one — the
-        session is registered in its new cohort *before* the restore,
-        so failover finds it even when the restore target dies.
+        The new cohort gets the catch-up burst budget and lands on the
+        least-loaded shard (:meth:`_migrate`).
         """
         cohort: PlacedCohort = session.cohort
         if cohort.num_sessions <= 1:
             cohort.burst = max(cohort.burst, self.catchup_burst)
             cohort.split = True
             return
-        source = cohort.shard
-        try:
-            state = self.pool.invoke(source, "snapshot", session.session_id)
-            self.pool.invoke(source, "evict", session.session_id)
-        except Exception as exc:
-            self._fail_shard(source, exc)
-            return
-        cohort.members.remove(session)
-        key = f"{cohort.spec_key}#{self._split_seq}"
-        self._split_seq += 1
         split = PlacedCohort(
-            key,
+            f"{cohort.spec_key}#{self._split_seq}",
             cohort.spec_key,
             cohort.spec,
-            self._least_loaded(),
+            self._least_loaded(leaving=cohort),
             burst=self.catchup_burst,
         )
+        self._split_seq += 1
         split.split = True
-        self.cohorts[key] = split
-        session.cohort = split
-        split.members.append(session)
-        self.splits += 1
-        try:
-            self.pool.invoke(
-                split.shard, "restore", session.session_id, key,
-                cohort.spec, state,
-            )
-        except Exception as exc:
-            # The migrated state died with the target; ordinary failover
-            # re-places the (already-registered) session with fresh
-            # state on the session clock.
-            self._fail_shard(split.shard, exc)
+        if self._migrate(session, split):
+            self.splits += 1
 
     def _rejoin(self, session: Session) -> None:
         """Merge a caught-up split session back into a sibling cohort.
 
         Splits are temporary: once the backlog is gone, the session
-        migrates (bit-exactly, same snapshot hand-off) into a same-spec
-        non-split cohort — preferring one already on its shard — so
-        transient stragglers cannot fragment the lockstep batching
-        permanently. With no sibling to rejoin, the cohort simply stops
-        being special.
+        migrates (bit-exactly, :meth:`_migrate`) into a same-spec
+        non-split cohort — preferring one already on its shard, where
+        the state stays in the worker — so transient stragglers cannot
+        fragment the lockstep batching permanently. With no sibling to
+        rejoin, the cohort simply stops being special.
         """
         cohort: PlacedCohort = session.cohort
         siblings = [
@@ -750,25 +777,8 @@ class DistributedScheduler(SchedulerBase):
         target = next(
             (c for c in siblings if c.shard == cohort.shard), siblings[0]
         )
-        source = cohort.shard
-        try:
-            state = self.pool.invoke(source, "snapshot", session.session_id)
-            self.pool.invoke(source, "evict", session.session_id)
-        except Exception as exc:
-            self._fail_shard(source, exc)
-            return
-        cohort.members.remove(session)
-        del self.cohorts[cohort.key]
-        session.cohort = target
-        target.members.append(session)
-        self.rejoins += 1
-        try:
-            self.pool.invoke(
-                target.shard, "restore", session.session_id, target.key,
-                target.spec, state,
-            )
-        except Exception as exc:
-            self._fail_shard(target.shard, exc)
+        if self._migrate(session, target):
+            self.rejoins += 1
 
     # -- reporting ---------------------------------------------------------
 

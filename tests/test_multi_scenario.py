@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.eval.metrics import mot_metrics
-from repro.multi import MultiScenario, MultiWiTrack
+from repro.multi import MultiScenario, MultiTrack, MultiWiTrack, TrackStatus
 from repro.sim import (
     HumanBody,
     non_colliding_walks,
@@ -25,6 +25,46 @@ def two_person_output():
         (HumanBody(name="far"), walks[1]),
     ]
     return MultiScenario(people, room=room, seed=8).run()
+
+
+@pytest.fixture(scope="module")
+def crossing_output():
+    """Two people crossing in range: their echoes merge for a stretch."""
+    room = through_wall_room()
+    y0 = (room.front_wall_y or 0.0) + 2.5
+    a = waypoint_walk(np.array([[-1.0, y0], [-1.0, y0 + 4.0]]), speed_mps=0.8)
+    b = waypoint_walk(np.array([[1.0, y0 + 4.0], [1.0, y0]]), speed_mps=0.8)
+    people = [(HumanBody(name="a"), a), (HumanBody(name="b"), b)]
+    return MultiScenario(people, room=room, seed=2).run()
+
+
+def _spec_multi_track(tracker: MultiWiTrack, out) -> MultiTrack:
+    """The MultiTrack of the per-slot spec, built here from scratch.
+
+    The tracker's own front end yields every frame's candidate sets; a
+    fresh :meth:`TrackManager.step` advances on them, and its reported
+    tracks fill one row per track id (in order of first report), NaN
+    where a track was not reported, with the coasting flags beside.
+    """
+    spec = tracker.make_manager()
+    times, frames = [], []
+    for frame in tracker.pipeline(out.range_bin_m).stream(out.spectra):
+        tracks = spec.step(
+            list(frame.candidates_m), list(frame.candidate_powers)
+        )
+        times.append(frame.time_s)
+        frames.append([
+            (t.track_id, t.position, t.status is TrackStatus.COASTING)
+            for t in tracks
+        ])
+    ids = list(dict.fromkeys(tid for frame in frames for tid, _, _ in frame))
+    positions = np.full((len(ids), len(frames), 3), np.nan)
+    coasting = np.zeros((len(ids), len(frames)), dtype=bool)
+    for f, frame in enumerate(frames):
+        for tid, position, coasted in frame:
+            positions[ids.index(tid), f] = position
+            coasting[ids.index(tid), f] = coasted
+    return MultiTrack(np.asarray(times), positions, tuple(ids), coasting)
 
 
 class TestMultiScenario:
@@ -100,7 +140,7 @@ class TestMultiPipeline:
         errors = mot.per_truth_errors[np.isfinite(mot.per_truth_errors)]
         assert np.median(errors) < 0.7
 
-    def test_crossing_people_identity_accounting(self):
+    def test_crossing_people_identity_accounting(self, crossing_output):
         """Two people crossing in depth: tracked through or switched.
 
         The crossing merges their echoes for a stretch; the tracker
@@ -108,20 +148,8 @@ class TestMultiPipeline:
         over identity (counted switches) — but never lose a person for
         long. This pins down the accounting, not perfection.
         """
-        room = through_wall_room()
-        y0 = (room.front_wall_y or 0.0) + 2.5
-        a = waypoint_walk(
-            np.array([[-1.0, y0], [-1.0, y0 + 4.0]]), speed_mps=0.8
-        )
-        b = waypoint_walk(
-            np.array([[1.0, y0 + 4.0], [1.0, y0]]), speed_mps=0.8
-        )
-        people = [
-            (HumanBody(name="a"), a),
-            (HumanBody(name="b"), b),
-        ]
-        out = MultiScenario(people, room=room, seed=2).run()
-        tracker = MultiWiTrack(out.config, max_people=2, room=room)
+        out = crossing_output
+        tracker = MultiWiTrack(out.config, max_people=2, room=out.room)
         result = tracker.track(out.spectra, out.range_bin_m)
         truth = out.truth_at(result.frame_times_s)
         mot = mot_metrics(truth, result.positions)
@@ -130,6 +158,24 @@ class TestMultiPipeline:
         # Identity accounting is finite and small: either maintained
         # through the crossing or a handful of explicit switches.
         assert mot.id_switches <= 4
+
+    @pytest.mark.parametrize("scenario", ["two_person_output", "crossing_output"])
+    def test_track_equals_the_per_slot_spec(self, scenario, request):
+        """``MultiWiTrack.track`` (the cohort bank, its outputs kept as
+        columns) returns bitwise the MultiTrack of the per-slot spec:
+        ids, positions and coasting flags."""
+        out = request.getfixturevalue(scenario)
+        tracker = MultiWiTrack(out.config, max_people=2, room=out.room)
+        got = tracker.track(out.spectra, out.range_bin_m)
+        want = _spec_multi_track(tracker, out)
+        assert got.num_tracks >= 2
+        assert got.track_ids == want.track_ids
+        for field in ("frame_times_s", "positions", "coasting"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), field
+            np.testing.assert_array_equal(a, b, err_msg=field)
+        if scenario == "crossing_output":
+            assert got.coasting.any(), "no coasted frame to compare"
 
     def test_rejects_bad_spectra(self, two_person_output):
         out = two_person_output

@@ -9,12 +9,14 @@ from repro.multi.association import MAX_CLAIM_GATE_M
 from repro.multi.tracks import (
     MultiTrack,
     Track,
+    TrackColumns,
     TrackManager,
     TrackManagerConfig,
     TrackStatus,
     tracks_from_arrays,
     tracks_to_arrays,
 )
+from repro.pipeline import PipelineResult
 
 DT = 0.0125
 
@@ -31,7 +33,40 @@ def solver(array):
 
 def make_manager(solver, **overrides):
     config = TrackManagerConfig(**overrides)
-    return TrackManager(DT, solver, config=config)
+    return Recorder(TrackManager(DT, solver, config=config))
+
+
+class Recorder:
+    """A manager that keeps its step outputs, the way a pipeline keeps
+    a K-person session's outputs, for :meth:`MultiTrack.from_result`."""
+
+    def __init__(self, manager: TrackManager) -> None:
+        self.manager = manager
+        self.steps: list[TrackColumns] = []
+
+    def __getattr__(self, name):
+        return getattr(self.manager, name)
+
+    def step(self, tof_sets, power_sets=None):
+        tracks = self.manager.step(tof_sets, power_sets)
+        self.steps.append(TrackColumns.of([tracks]))
+        return tracks
+
+    @property
+    def num_frames(self) -> int:
+        return len(self.steps)
+
+    def result(self, frame_times_s) -> MultiTrack:
+        return MultiTrack.from_result(
+            PipelineResult(
+                frame_times_s=frame_times_s,
+                tracks=[columns.lists()[0] for columns in self.steps],
+                coasting=np.concatenate(
+                    [columns.coasting for columns in self.steps]
+                    or [np.empty(0, bool)]
+                ),
+            )
+        )
 
 
 def candidates_for(array, positions):
@@ -103,10 +138,24 @@ class TestTrackLifecycle:
         first, second = result.positions[0], result.positions[1]
         assert np.isfinite(first[:, 0]).sum() > np.isfinite(second[:, 0]).sum()
 
-    def test_result_requires_matching_times(self, solver):
+    def test_result_requires_matching_times(self, array, solver):
         manager = make_manager(solver)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="0 frames of tracks but 3"):
             manager.result(np.arange(3) * DT)
+        for _ in range(5):
+            manager.step(candidates_for(array, [np.array([0.2, 4.0, 0.0])]))
+        with pytest.raises(ValueError, match="5 frames of tracks but 4"):
+            manager.result(np.arange(4) * DT)
+
+    def test_result_requires_coasting_flags(self, array, solver):
+        manager = make_manager(solver)
+        for _ in range(6):
+            manager.step(candidates_for(array, [np.array([0.2, 4.0, 0.0])]))
+        tracks = [columns.lists()[0] for columns in manager.steps]
+        with pytest.raises(ValueError, match="coasting"):
+            MultiTrack.from_result(
+                PipelineResult(frame_times_s=np.arange(6) * DT, tracks=tracks)
+            )
 
 
 class TestTrackViews:
@@ -247,6 +296,28 @@ class TestMultiTrackResult:
         positions = result.track(track_id)
         assert positions.shape == (10, 3)
         assert np.isfinite(positions[-1]).all()
+
+    def test_coasting_cells(self, array, solver):
+        """A coasted frame's cell is flagged; unreported cells are NaN."""
+        manager = make_manager(
+            solver, confirm_hits=3, max_coast_frames=10, coast_per_hit=1.0
+        )
+        person = np.array([0.2, 4.0, 0.0])
+        statuses = []
+        for frame in range(30):
+            people = [person] if frame < 6 else []
+            tracks = manager.step(candidates_for(array, people))
+            statuses.append(tracks[0].status if tracks else None)
+        assert TrackStatus.COASTING in statuses
+        result = manager.result(np.arange(30) * DT)
+        assert result.num_tracks == 1
+        np.testing.assert_array_equal(
+            result.coasting[0],
+            [status is TrackStatus.COASTING for status in statuses],
+        )
+        np.testing.assert_array_equal(
+            result.active_mask[0], [status is not None for status in statuses]
+        )
 
     def test_array_round_trip(self, array, solver):
         """MultiTrack <-> dense arrays is lossless (result-cache format)."""

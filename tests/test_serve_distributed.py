@@ -367,13 +367,15 @@ class TestWorkerFailure:
 
     @staticmethod
     def _restore_dies(pool):
-        """Make every ``restore`` kill its shard first; returns the
-        crashes raised, and the original ``invoke`` to put back."""
+        """Make every call that lands a session's state on a shard —
+        ``restore``, or ``move`` when the state stays on its shard —
+        kill that shard first; returns the crashes raised, and the
+        original ``invoke`` to put back."""
         crashes = []
         invoke = pool.invoke
 
         def dying_invoke(worker, method, *args, **kwargs):
-            if method != "restore":
+            if method not in ("restore", "move"):
                 return invoke(worker, method, *args, **kwargs)
             pool.kill(worker)  # the shard receiving the state dies
             try:
@@ -386,12 +388,15 @@ class TestWorkerFailure:
         return crashes, invoke
 
     def test_split_target_dying_fails_over(self, config, short_walks):
-        """The shard receiving a split's state dies in ``restore``.
+        """The shard receiving a split's state dies as it lands.
 
-        The split session, and the cohort mate it left on that shard,
-        fail over like a shard raising mid-tick; the session on the
-        other shard is untouched bitwise; and the crash is the failure
-        the scheduler records.
+        With the split placed on its own shard (the least loaded once
+        the straggler leaves its cohort), the state lands there in one
+        ``move``, and that is where the shard dies. The split session,
+        and the cohort mate it left on that shard, fail over like a
+        shard raising mid-tick; the session on the other shard is
+        untouched bitwise; and the crash is the failure the scheduler
+        records.
         """
         range_bin_m = short_walks[0].range_bin_m
         spec = single_session(config, range_bin_m)
@@ -406,6 +411,9 @@ class TestWorkerFailure:
                 for s, bl in zip(sessions, blocks):
                     engine.submit(s, bl[f])
                 engine.tick()
+            assert scheduler._least_loaded(leaving=mate.cohort) == (
+                victim_shard
+            )
             crashes, invoke = self._restore_dies(engine.pool)
             scheduler._split(straggler)
             engine.pool.invoke = invoke
@@ -427,6 +435,49 @@ class TestWorkerFailure:
         for s in (0, 2):
             assert sessions[s].frames_in == 80
             assert_failed_over(config, range_bin_m, blocks[s], results[s])
+
+    def test_same_shard_split_moves_state_in_one_call(
+        self, config, short_walks, transport
+    ):
+        """A split placed on the session's own shard moves its state
+        inside the worker: one ``move``, no ``snapshot`` or ``restore``
+        round trip through the parent, and outputs stay bitwise the
+        serial run's."""
+        range_bin_m = short_walks[0].range_bin_m
+        spec = single_session(config, range_bin_m)
+        blocks = [frame_blocks(out, config, 60) for out in short_walks[:3]]
+        with ServingEngine(workers=2, transport=transport) as engine:
+            scheduler = engine.scheduler
+            sessions = [engine.admit(spec) for _ in blocks]
+            mate, _, straggler = sessions
+            source = straggler.cohort.shard
+            for f in range(20):
+                for s, bl in zip(sessions, blocks):
+                    engine.submit(s, bl[f])
+                engine.tick()
+            calls = []
+            invoke = engine.pool.invoke
+
+            def spying_invoke(worker, method, *args, **kwargs):
+                calls.append((worker, method))
+                return invoke(worker, method, *args, **kwargs)
+
+            engine.pool.invoke = spying_invoke
+            scheduler._split(straggler)
+            engine.pool.invoke = invoke
+            assert calls == [(source, "move")]
+            assert scheduler.splits == 1
+            assert straggler.cohort.split
+            assert straggler.cohort is not mate.cohort
+            assert straggler.cohort.shard == source
+            for f in range(20, 60):
+                for s, bl in zip(sessions, blocks):
+                    engine.submit(s, bl[f])
+                engine.tick()
+            engine.drain()
+            results = [engine.close(s) for s in sessions]
+        for result, bl in zip(results, blocks):
+            assert_single_equal(result, serial_single(config, range_bin_m, bl))
 
     def test_split_target_dying_takes_down_a_lone_shard(
         self, config, short_walks

@@ -6,10 +6,14 @@ over it; ``Associate`` hands its slot of the track bank off as a
 standalone manager. The property pinned here, over single-person
 pipelines (both solvers) and a K=2 pipeline: after any ticks, evicting
 a slot leaves the state of a slot that was never used, and frames then
-fed to it give bitwise the outputs of a fresh pipeline.
+fed to it give bitwise the outputs of a fresh pipeline. A K=2 slot's
+hand-off holds filter and lifecycle state only: it does not grow with
+the frames the slot has served.
 """
 
 from __future__ import annotations
+
+import pickle
 
 import numpy as np
 import pytest
@@ -54,11 +58,11 @@ def _block(config, rng, t, slot, people):
 
 
 def _manager_state(manager: TrackManager) -> tuple:
-    """A handed-off manager's count, next id, history and rows."""
+    """A handed-off manager's count, next id and rows."""
     bank = manager.bank
     n = int(bank._count[0])
     rows = bank._tracks[0, :n].tobytes() if n else b""
-    return n, int(bank._next_id[0]), bank._history[0], rows
+    return n, int(bank._next_id[0]), rows
 
 
 def _same(a, b) -> bool:
@@ -113,3 +117,22 @@ def test_evicted_slot_is_a_fresh_slot(config, kind, data):
         got = used.tick(block.copy(), slot)
         want = fresh.tick(block.copy(), slot)
         assert _same(_outputs(got), _outputs(want)), t
+
+
+def test_multi_slot_snapshot_does_not_grow_with_frames(config):
+    """A K=2 slot's hand-off is the same size whenever it holds the same
+    number of tracks, however many frames the slot has served: the bank
+    keeps no per-frame history (the session keeps the outputs)."""
+    pipeline = _pipeline(config, "multi")
+    pipeline.attach_sessions(2)
+    rng = np.random.default_rng(5)
+    sizes: dict[int, set[int]] = {}
+    for t in range(200):
+        # The walkers restart every 40 frames: tracks die and are reborn.
+        blocks = [_block(config, rng, t % 40, s, 2) for s in range(2)]
+        pipeline.tick(np.stack(blocks), np.arange(2))
+        state = pipeline.snapshot_session(0)
+        tracks = int(state["stages"][-1]["manager"].bank._count[0])
+        sizes.setdefault(tracks, set()).add(len(pickle.dumps(state)))
+    assert max(sizes) >= 2, "the walkers were never tracked"
+    assert all(len(seen) == 1 for seen in sizes.values()), sizes

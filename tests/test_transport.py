@@ -172,6 +172,20 @@ class TestCodec:
         parent.decode_response(worker.encode_response(second))
         assert_payload_equal(decoded_first, first)
 
+    def test_zero_dimensional_array_roundtrip(self, pair):
+        """A 0-d array big enough for the arena (a 100-character string
+        scalar, 400 B) crosses it and comes back 0-d."""
+        parent, worker = pair
+        scalar = np.array("x" * 100)
+        assert scalar.shape == () and scalar.nbytes >= SHM_MIN_ARRAY_BYTES
+        payload = {"scalar": scalar, "row": np.arange(64.0)}
+        wire = parent.encode_request(payload)
+        assert wire[0] == "#shm"
+        assert [shape for _, shape, _ in wire[1]] == [(), (64,)]
+        decoded = worker.decode_request(wire)
+        assert decoded["scalar"].shape == ()
+        assert_payload_equal(decoded, payload)
+
     def test_pipe_wire_is_the_payload_object(self):
         parent = ParentTransport("pipe")
         payload = {"a": np.ones((64, 64)), "b": [1, 2]}
