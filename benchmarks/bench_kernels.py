@@ -23,7 +23,10 @@ The single-person tick kernels (``contour_tick``, ``outlier_gate``, the
 in-place ``kalman_tick``) get rows at 1, 3 and 16 sessions; each of
 their calls first restores the inputs' initial state (a few small
 copies, timed alike on both backends), so every call is the same
-update.
+update. ``kalman_tick_bank`` is the track bank's call of the same
+kernel: replay-2p's 33 tracks x 3 antennas, every filter live, about
+30% of the claims missing, velocity decay 0.97, with ``mean`` and
+``cov`` the fields of one track record slab.
 
 Before timing, both successive-cancellation rows (N=8 and a 2-session
 cohort, where the kernel is dispatch-bound) and every tick-kernel row
@@ -83,7 +86,7 @@ from repro.multi.association import (
 )
 from repro.multi.cancellation import successive_contours
 from repro.multi.tracker import MultiWiTrack
-from repro.multi.tracks import TrackBank
+from repro.multi.tracks import TrackBank, _track_dtype
 from repro.sim.room import through_wall_room
 
 # Serving shapes at N=8 sessions, 3 antennas, 171 range bins: the
@@ -203,10 +206,47 @@ def _tick_kernel_workloads(rng) -> list[dict]:
             "inner": 100,
             "run": _restoring(
                 kalman_tick, values, [mean, cov, live],
-                0.0125, 1e-4, 1e-3, 1e-2, 0.05, {},
+                0.0125, 1e-4, 1e-3, 1e-2, 0.05, 1.0, {},
             ),
         })
     return rows
+
+
+def _kalman_bank_workload(rng) -> dict:
+    """``TrackBank.step``'s Kalman tick at replay-2p's shape.
+
+    33 tracks x 3 antennas, every filter live, about 30% of the claims
+    missing (coasting antennas, whose velocity damps by 0.97), on the
+    strided ``mean``/``cov`` fields of a track record slab; each call
+    first restores the slab, so every call is the same update.
+    """
+    n_tracks = 33
+    records = np.zeros(n_tracks, _track_dtype(N_RX))
+    claimed = rng.uniform(1.0, 9.0, (n_tracks, N_RX))
+    records["mean"][..., 0] = claimed + rng.uniform(-0.05, 0.05, claimed.shape)
+    records["mean"][..., 1] = rng.uniform(-1.0, 1.0, claimed.shape)
+    records["cov"] = np.array([[4e-3, 1e-3], [1e-3, 0.5]])
+    claimed[rng.uniform(size=claimed.shape) < 0.3] = np.nan
+    live = np.ones(claimed.shape, dtype=bool)
+    slab = records.copy()
+    scratch: dict = {}
+
+    def run():
+        np.copyto(slab, records)
+        mean, cov = slab["mean"], slab["cov"]
+        out = kalman_tick(
+            claimed, mean, cov, live, 0.0125, 1e-4, 1e-3, 1e-2, 0.05, 0.97,
+            scratch,
+        )
+        return out, mean, cov, live
+
+    return {
+        "kernel": "kalman_tick_bank",
+        "shape": f"tracks {claimed.shape}",
+        "frames": N_SYNTH_1P,
+        "inner": 100,
+        "run": run,
+    }
 
 
 def _workloads() -> list[dict]:
@@ -316,9 +356,10 @@ def _workloads() -> list[dict]:
             "inner": 100,
             "run": _restoring(
                 kalman_tick, values, [mean, cov, live],
-                0.0125, 1e-4, 1e-3, 1e-2, 0.05, {},
+                0.0125, 1e-4, 1e-3, 1e-2, 0.05, 1.0, {},
             ),
         },
+        _kalman_bank_workload(np.random.default_rng(29)),
         {
             "kernel": "successive_contours",
             "shape": f"power {cancel_power.shape}",

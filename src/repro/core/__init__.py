@@ -17,7 +17,7 @@ from .background import background_subtract
 from .contour import ContourResult, noise_floor, track_bottom_contour
 from .outliers import reject_outliers
 from .interpolation import interpolate_gaps
-from .kalman import KalmanFilter1D, smooth_series
+from .kalman import smooth_series
 from .tof import TOFEstimate, TOFEstimator
 from .localize import (
     LeastSquaresSolver,
@@ -40,7 +40,6 @@ __all__ = [
     "track_bottom_contour",
     "reject_outliers",
     "interpolate_gaps",
-    "KalmanFilter1D",
     "smooth_series",
     "TOFEstimate",
     "TOFEstimator",

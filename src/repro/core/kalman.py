@@ -1,28 +1,32 @@
-"""Constant-velocity Kalman filter (paper Section 4.4).
+"""Constant-velocity Kalman smoothing (paper Section 4.4).
 
 "Because human motion is continuous, the variation in a reflector's
 distance to each receive antenna should stay smooth over time. Thus,
 WiTrack uses a Kalman Filter to smooth the distance estimates."
 
 The filter runs on the 1D round-trip distance per antenna with a
-constant-velocity state ``[distance, velocity]``. It is written to be
-usable online (one ``update`` per frame, as the realtime loop needs) and
-batch (``filter_series``).
+constant-velocity state ``[distance, velocity]``. Its one
+implementation is the backend-dispatched
+:func:`repro.kernels.kalman.kalman_tick` bank kernel, which the session
+stages and the track bank run online; :func:`smooth_series` runs it
+offline over one whole series.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..kernels.kalman import kalman_tick
+
 
 def dwna_process_noise(dt_s: float, q: float) -> tuple[float, float, float]:
     """Discrete white-noise-acceleration covariance entries.
 
     Returns ``(q00, q01, q11)`` of the symmetric 2x2 process-noise
-    matrix ``q * [[dt^4/4, dt^3/2], [dt^3/2, dt^2]]`` — shared by this
-    scalar filter and the vectorized
-    :class:`repro.pipeline.stages.KalmanSmooth` bank so the two can
-    never drift apart.
+    matrix ``q * [[dt^4/4, dt^3/2], [dt^3/2, dt^2]]``, the process noise
+    every :func:`~repro.kernels.kalman.kalman_tick` caller passes
+    (:func:`smooth_series`, :class:`repro.pipeline.stages.KalmanSmooth`
+    and :class:`repro.multi.tracks.TrackBank`).
     """
     return (
         q * (dt_s**4 / 4.0),
@@ -31,89 +35,40 @@ def dwna_process_noise(dt_s: float, q: float) -> tuple[float, float, float]:
     )
 
 
-class KalmanFilter1D:
-    """Scalar constant-velocity Kalman filter.
-
-    Args:
-        dt_s: frame interval (12.5 ms for the paper's 5-sweep frames).
-        process_noise: white-acceleration spectral density; larger values
-            trust the measurements more.
-        measurement_noise: variance of one distance measurement (m^2).
-    """
-
-    def __init__(
-        self,
-        dt_s: float,
-        process_noise: float = 5e-4,
-        measurement_noise: float = 4e-3,
-    ) -> None:
-        if dt_s <= 0:
-            raise ValueError("dt_s must be positive")
-        if process_noise <= 0 or measurement_noise <= 0:
-            raise ValueError("noise parameters must be positive")
-        self.dt_s = dt_s
-        self.transition = np.array([[1.0, dt_s], [0.0, 1.0]])
-        q00, q01, q11 = dwna_process_noise(dt_s, process_noise)
-        self.process_cov = np.array([[q00, q01], [q01, q11]])
-        self.measurement_var = measurement_noise
-        self.state: np.ndarray | None = None
-        self.cov = np.diag([1.0, 1.0])
-
-    @property
-    def initialized(self) -> bool:
-        """True after the first measurement."""
-        return self.state is not None
-
-    def reset(self) -> None:
-        """Forget all state (new track)."""
-        self.state = None
-        self.cov = np.diag([1.0, 1.0])
-
-    def predict(self) -> float:
-        """Advance one frame without a measurement; returns the estimate."""
-        if self.state is None:
-            raise RuntimeError("filter not initialized; no measurement yet")
-        self.state = self.transition @ self.state
-        self.cov = self.transition @ self.cov @ self.transition.T + self.process_cov
-        return float(self.state[0])
-
-    def update(self, measurement: float) -> float:
-        """Fuse one distance measurement; returns the filtered estimate."""
-        if np.isnan(measurement):
-            raise ValueError("measurement must be finite; use predict() for gaps")
-        if self.state is None:
-            self.state = np.array([measurement, 0.0])
-            self.cov = np.diag([self.measurement_var, 1.0])
-            return measurement
-        self.predict()
-        assert self.state is not None
-        innovation = measurement - self.state[0]
-        h = np.array([1.0, 0.0])
-        s = float(h @ self.cov @ h + self.measurement_var)
-        gain = (self.cov @ h) / s
-        self.state = self.state + gain * innovation
-        self.cov = (np.eye(2) - np.outer(gain, h)) @ self.cov
-        return float(self.state[0])
-
-    def filter_series(self, series: np.ndarray) -> np.ndarray:
-        """Run the filter over a whole series (NaNs become predictions)."""
-        out = np.empty(len(series), dtype=np.float64)
-        for i, value in enumerate(series):
-            if np.isnan(value):
-                out[i] = self.predict() if self.initialized else np.nan
-            else:
-                out[i] = self.update(float(value))
-        return out
-
-
 def smooth_series(
     series: np.ndarray,
     dt_s: float,
     process_noise: float = 5e-4,
     measurement_noise: float = 4e-3,
 ) -> np.ndarray:
-    """One-call Kalman smoothing of a distance series."""
-    kf = KalmanFilter1D(
-        dt_s, process_noise=process_noise, measurement_noise=measurement_noise
-    )
-    return kf.filter_series(np.asarray(series, dtype=np.float64))
+    """One-call Kalman smoothing of a distance series.
+
+    Runs :func:`~repro.kernels.kalman.kalman_tick` frame by frame on a
+    one-filter bank: the first measurement initializes the filter, NaN
+    samples before it stay NaN, and later NaN samples become
+    predictions.
+
+    Args:
+        series: distances, one per frame; NaN = no measurement.
+        dt_s: frame interval (12.5 ms for the paper's 5-sweep frames).
+        process_noise: white-acceleration spectral density; larger
+            values trust the measurements more.
+        measurement_noise: variance of one distance measurement (m^2).
+    """
+    if dt_s <= 0:
+        raise ValueError("dt_s must be positive")
+    if process_noise <= 0 or measurement_noise <= 0:
+        raise ValueError("noise parameters must be positive")
+    series = np.asarray(series, dtype=np.float64)
+    values = series.reshape(len(series), 1, 1)
+    q = dwna_process_noise(dt_s, process_noise)
+    mean, cov = np.zeros((1, 1, 2)), np.zeros((1, 1, 2, 2))
+    live = np.zeros((1, 1), dtype=bool)
+    scratch: dict = {}
+    out = np.empty(len(values))
+    for i, value in enumerate(values):
+        out[i] = kalman_tick(
+            value, mean, cov, live, dt_s, *q, measurement_noise, 1.0,
+            scratch,
+        )[0, 0]
+    return out

@@ -1,9 +1,12 @@
-"""The unrolled 2x2 constant-velocity Kalman tick kernel.
+"""The unrolled 2x2 constant-velocity Kalman tick kernel (§4.4).
 
-One vectorized predict+update over a ``(n_sessions, n_antennas)``
-bank of scalar constant-velocity filters (§4.4), with every 2x2
-matrix product unrolled to elementwise arithmetic, updating the bank
-in place.
+One vectorized predict+update over a bank of scalar constant-velocity
+filters of any shape, with every 2x2 matrix product unrolled to
+elementwise arithmetic, updating the bank in place. It is the
+package's one such filter: sessions
+(:class:`~repro.pipeline.stages.KalmanSmooth`), tracks
+(:class:`~repro.multi.tracks.TrackBank`) and
+:func:`~repro.core.kalman.smooth_series` all run it.
 
 * ``reference`` — the nested ``np.where`` formulation over fresh
   temporaries, scattered back into the bank.
@@ -13,8 +16,8 @@ in place.
   copies. Bitwise the spec, NaN propagation included.
 
 NaN inputs advance an initialized filter without a measurement
-(prediction); the first measurement initializes a filter; NaN before
-that stays NaN.
+(prediction, its velocity damped by ``decay``); the first measurement
+initializes a filter; NaN before that stays NaN.
 """
 
 from __future__ import annotations
@@ -34,33 +37,37 @@ def kalman_tick(
     q01: float,
     q11: float,
     r: float,
+    decay: float,
     scratch: dict,
 ) -> np.ndarray:
     """One Kalman frame for a bank of filters (dispatched).
 
     Args:
-        values: measurements ``(n, a)``; NaN = no measurement.
-        mean: ``[distance, velocity]`` means, ``(n, a, 2)``; updated
+        values: measurements, any shape ``S`` (``(n, a)`` for
+            sessions x antennas); NaN = no measurement.
+        mean: ``[distance, velocity]`` means, ``S + (2,)``; updated
             in place.
-        cov: covariances, ``(n, a, 2, 2)``; updated in place.
-        live: which filters are initialized, ``(n, a)`` bool; updated
-            in place.
+        cov: covariances, ``S + (2, 2)``; updated in place.
+        live: which filters are initialized, ``S`` bool; updated in
+            place.
         dt: frame interval.
         q00/q01/q11: discrete white-noise-acceleration process noise.
         r: measurement variance.
+        decay: per-frame factor on the velocity of a live filter with
+            no measurement (1.0: plain constant-velocity prediction).
         scratch: a dict the caller keeps across calls (work buffers).
 
     Returns:
-        The filtered distances, a fresh ``(n, a)`` array.
+        The filtered distances, a fresh array of shape ``S``.
     """
     return kernel("kalman_tick")(
-        values, mean, cov, live, dt, q00, q01, q11, r, scratch
+        values, mean, cov, live, dt, q00, q01, q11, r, decay, scratch
     )
 
 
 @register("reference", "kalman_tick")
 def _kalman_tick_reference(values, mean, cov, live, dt, q00, q01, q11, r,
-                           scratch):
+                           decay, scratch):
     measured = ~np.isnan(values)
 
     # Predict (all initialized filters advance, measured or not).
@@ -97,7 +104,9 @@ def _kalman_tick_reference(values, mean, cov, live, dt, q00, q01, q11, r,
     new[..., 0] = np.where(
         measured, np.where(live, um0, values), np.where(live, pm0, m0)
     )
-    new[..., 1] = np.where(measured, np.where(live, um1, 0.0), m1)
+    new[..., 1] = np.where(
+        measured, np.where(live, um1, 0.0), np.where(live, m1 * decay, m1)
+    )
     newc = np.empty_like(cov)
     newc[..., 0, 0] = np.where(
         measured, np.where(live, u00, r), np.where(live, p00, c00)
@@ -134,16 +143,17 @@ def _registers(scratch: dict, shape: tuple) -> dict:
 
 @register("numpy", "kalman_tick")
 def _kalman_tick_numpy(values, mean, cov, live, dt, q00, q01, q11, r,
-                       scratch):
+                       decay, scratch):
     sc = _registers(scratch, values.shape)
     views = (
         mean[..., 0], mean[..., 1],
         cov[..., 0, 0], cov[..., 0, 1], cov[..., 1, 0], cov[..., 1, 1],
     )
     miss = np.isnan(values, out=sc["miss"])
-    if np.count_nonzero(miss) or np.count_nonzero(live) != live.size:
-        return _kalman_mixed(values, sc, miss, live, views, dt,
-                             q00, q01, q11, r)
+    all_live = np.count_nonzero(live) == live.size
+    if np.count_nonzero(miss) or not all_live:
+        return _kalman_mixed(values, sc, miss, live, all_live, views, dt,
+                             q00, q01, q11, r, decay)
 
     # Steady case: every filter initialized and measured. The spec's
     # predict+update, written through registers.
@@ -185,19 +195,25 @@ def _kalman_tick_numpy(values, mean, cov, live, dt, q00, q01, q11, r,
     return out
 
 
-def _kalman_mixed(values, sc, miss, live, views, dt, q00, q01, q11, r):
+def _kalman_mixed(values, sc, miss, live, all_live, views, dt,
+                  q00, q01, q11, r, decay):
     """Mixed ticks (NaN frames and/or fresh filters).
 
     The spec's predict+update over the bank's component ``views`` (same
     expression trees, so identical rounding and NaN propagation), then
     its nested ``where`` selections as in-place masked copies per row
-    class (live update / live predict / initialize).
+    class (live update / live predict / initialize). With ``all_live``
+    (a track bank) every cell is a live update or a live predict, so
+    the initialize class and the NaN prefill of the output are skipped.
     """
     m0, m1, c00, c01, c10, c11 = views
     measured = np.logical_not(miss, out=sc["meas"])
-    ml = np.logical_and(measured, live, out=sc["ml"])  # live update
-    nml = np.logical_and(miss, live, out=sc["nml"])  # live predict
-    mnl = np.greater(measured, live, out=miss)  # first measurement
+    if all_live:
+        ml, nml, mnl = measured, miss, None
+    else:
+        ml = np.logical_and(measured, live, out=sc["ml"])  # live update
+        nml = np.logical_and(miss, live, out=sc["nml"])  # live predict
+        mnl = np.greater(measured, live, out=miss)  # first measurement
     (pm0, a00, p00, p01, p10, p11, inn,
      g0, g1, um0, u00, u10, u11) = sc["t"]
     # Predict — same grouping as the spec.
@@ -236,26 +252,29 @@ def _kalman_mixed(values, sc, miss, live, views, dt, q00, q01, q11, r):
     # Merges: the spec's where(measured, where(live, ...)) nesting, one
     # masked copy per (class, component).
     out = np.empty_like(values)
-    np.copyto(out, np.nan)
+    if mnl is not None:
+        np.copyto(out, np.nan)
+        np.copyto(out, values, where=mnl)
+        np.copyto(m0, values, where=mnl)
+        np.copyto(m1, 0.0, where=mnl)
+        np.copyto(c00, r, where=mnl)
+        np.copyto(c01, 0.0, where=mnl)
+        np.copyto(c10, 0.0, where=mnl)
+        np.copyto(c11, 1.0, where=mnl)
+        np.logical_or(live, measured, out=live)
     np.copyto(out, pm0, where=nml)
-    np.copyto(out, values, where=mnl)
     np.copyto(out, um0, where=ml)
     np.copyto(m0, pm0, where=nml)
-    np.copyto(m0, values, where=mnl)
     np.copyto(m0, um0, where=ml)
-    np.copyto(m1, 0.0, where=mnl)
+    if decay != 1.0:
+        np.multiply(m1, decay, out=m1, where=nml)
     np.copyto(m1, um1, where=ml)
     np.copyto(c00, p00, where=nml)
-    np.copyto(c00, r, where=mnl)
     np.copyto(c00, u00, where=ml)
     np.copyto(c01, p01, where=nml)
-    np.copyto(c01, 0.0, where=mnl)
     np.copyto(c01, u01, where=ml)
     np.copyto(c10, p10, where=nml)
-    np.copyto(c10, 0.0, where=mnl)
     np.copyto(c10, u10, where=ml)
     np.copyto(c11, p11, where=nml)
-    np.copyto(c11, 1.0, where=mnl)
     np.copyto(c11, u11, where=ml)
-    np.logical_or(live, measured, out=live)
     return out

@@ -34,6 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..core.kalman import dwna_process_noise
+from ..kernels.kalman import kalman_tick
 from .association import (
     MAX_CLAIM_GATE_M,
     FixGate,
@@ -223,64 +224,6 @@ class TrackManagerConfig:
             raise ValueError("min_claims must be at least 1")
 
 
-def _filter_step(
-    values: np.ndarray,
-    mean: np.ndarray,
-    cov: np.ndarray,
-    dt: float,
-    q00: float,
-    q01: float,
-    q11: float,
-    r: float,
-    decay: float,
-) -> None:
-    """One predict/update step of the per-antenna TOF filters, in place.
-
-    Elementwise over any leading shape: ``values`` is ``(...,)`` aligned
-    with ``mean`` ``(..., 2)`` and ``cov`` ``(..., 2, 2)``. Finite cells
-    run the measurement update; NaN cells predict and damp their
-    velocity by ``decay`` (the paper's stopped-person semantics). The
-    arithmetic is the unrolled 2x2 tree shared with the fused tick
-    kernels (:mod:`repro.kernels`), so one track's scalar step and a
-    whole cohort bank's batched step are the same IEEE operations —
-    which is what lets :class:`TrackBank` advance every session's
-    tracks in array math while staying bit-identical to the per-slot
-    :meth:`TrackManager.step`.
-    """
-    m0 = mean[..., 0]
-    m1 = mean[..., 1]
-    c00 = cov[..., 0, 0]
-    c01 = cov[..., 0, 1]
-    c10 = cov[..., 1, 0]
-    c11 = cov[..., 1, 1]
-    pm0 = m0 + dt * m1
-    a00 = c00 + dt * c10
-    a01 = c01 + dt * c11
-    p00 = (a00 + a01 * dt) + q00
-    p01 = a01 + q01
-    p10 = (c10 + c11 * dt) + q01
-    p11 = c11 + q11
-    measured = np.isfinite(values)
-    with np.errstate(invalid="ignore"):
-        innovation = values - pm0
-        s = p00 + r
-        g0 = p00 / s
-        g1 = p10 / s
-        um0 = pm0 + g0 * innovation
-        um1 = m1 + g1 * innovation
-        uc00 = (1.0 - g0) * p00
-        uc01 = (1.0 - g0) * p01
-        uc10 = (-g1) * p00 + p10
-        uc11 = (-g1) * p01 + p11
-        cm1 = m1 * decay
-    mean[..., 0] = np.where(measured, um0, pm0)
-    mean[..., 1] = np.where(measured, um1, cm1)
-    cov[..., 0, 0] = np.where(measured, uc00, p00)
-    cov[..., 0, 1] = np.where(measured, uc01, p01)
-    cov[..., 1, 0] = np.where(measured, uc10, p10)
-    cov[..., 1, 1] = np.where(measured, uc11, p11)
-
-
 #: Lifecycle states by their code in the bank's ``status`` field.
 _STATUSES = tuple(TrackStatus)
 _TENTATIVE, _CONFIRMED, _COASTING, _DEAD = range(len(_STATUSES))
@@ -293,9 +236,10 @@ def _track_dtype(n_rx: int) -> np.dtype:
     """One track's record in a :class:`TrackBank` slab.
 
     The per-antenna constant-velocity filter state is ``mean`` (n_rx,
-    2) and ``cov`` (n_rx, 2, 2); the first measurement initializes
-    state [tof, 0] with cov diag(r, 1), exactly KalmanFilter1D's first
-    update.
+    2) and ``cov`` (n_rx, 2, 2), which
+    :func:`~repro.kernels.kalman.kalman_tick` advances in place. A
+    birth initializes state [tof, 0] with cov diag(r, 1), as the
+    kernel's first measurement does.
     """
     return np.dtype(
         [
@@ -481,17 +425,8 @@ class Track:
         """
         values = np.asarray(claimed_tofs, dtype=np.float64)
         claims = int(np.count_nonzero(np.isfinite(values)))
-        bank = self._bank
-        mean, cov = self._mean, self._cov
-        _filter_step(
-            values,
-            mean,
-            cov,
-            bank.frame_dt_s,
-            *bank._q,
-            bank._r,
-            self.config.coast_velocity_decay,
-        )
+        mean = self._mean
+        self._bank._kalman(values, mean, self._cov)
         solved = solver.solve_one(mean[:, 0])
         feasible = bool(np.all(np.isfinite(solved)))
         if feasible and gate is not None:
@@ -839,8 +774,9 @@ class TrackBank:
     candidate_fixes_batched`, seeded from the slab), whose slot ``s`` is
     bitwise the per-slot :func:`~repro.multi.association.candidate_fixes`
     call. After a step every slot is bit-identical to having stepped its
-    :class:`TrackManager` on its own: the Kalman tree
-    (:func:`_filter_step`) and the birth adoption and end-of-frame
+    :class:`TrackManager` on its own: the Kalman tick (:meth:`_kalman`,
+    the elementwise :func:`~repro.kernels.kalman.kalman_tick` that also
+    serves sessions) and the birth adoption and end-of-frame
     bookkeeping are the same code, and the masked lifecycle updates are
     pinned against :meth:`Track._register`.
 
@@ -888,6 +824,7 @@ class TrackBank:
         self._tracks: np.ndarray | None = None
         self._count = np.zeros(1, dtype=np.intp)
         self._next_id = np.ones(1, dtype=np.int64)
+        self._scratch: dict = {}
 
     @property
     def num_slots(self) -> int:
@@ -961,6 +898,22 @@ class TrackBank:
         self._tracks[: len(old), : old.shape[1]] = old
 
     # -- rows --------------------------------------------------------------
+
+    def _kalman(
+        self, claimed: np.ndarray, mean: np.ndarray, cov: np.ndarray
+    ) -> None:
+        """Advance track filters one frame in place.
+
+        ``claimed`` holds each filter's claimed round trip, NaN where
+        the antenna coasts; every filter is live (a birth initializes
+        it), and a coasting filter's velocity damps by
+        ``coast_velocity_decay`` (the paper's stopped-person semantics).
+        """
+        kalman_tick(
+            claimed, mean, cov, np.ones(claimed.shape, dtype=bool),
+            self.frame_dt_s, *self._q, self._r,
+            self.config.coast_velocity_decay, self._scratch,
+        )
 
     def _append(
         self, slot: int, track_id: int, tofs: np.ndarray, position: np.ndarray
@@ -1132,12 +1085,9 @@ class TrackBank:
             claimed, consumed = claim_candidates(
                 predictions, gates, candidates, counts
             )
-            # Advance: one Kalman tree over every (track, antenna) cell,
+            # Advance: one Kalman tick over every (track, antenna) cell,
             # one localization solve over every track.
-            _filter_step(
-                claimed, mean, cov, dt, *self._q, self._r,
-                cfg.coast_velocity_decay,
-            )
+            self._kalman(claimed, mean, cov)
             solved = self.solver.solve(mean[:, :, 0]).positions
             feasible = np.all(np.isfinite(solved), axis=1)
             # NaN rows compare False everywhere, so gating the whole

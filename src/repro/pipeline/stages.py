@@ -398,14 +398,14 @@ class HoldInterpolate(Stage):
 class KalmanSmooth(Stage):
     """Per-antenna constant-velocity Kalman smoothing (§4.4).
 
-    The same filter as :class:`~repro.core.kalman.KalmanFilter1D`, but
-    with the ``[distance, velocity]`` means and 2x2 covariances kept in
+    The ``[distance, velocity]`` means and 2x2 covariances are kept in
     structure-of-arrays form over (session, antenna); the unrolled
     predict+update itself is the backend-dispatched
-    :func:`repro.kernels.kalman.kalman_tick` kernel — one in-place call
-    advances every antenna of every session. NaN inputs advance the
-    filter without a measurement (prediction), exactly as the realtime
-    loop needs.
+    :func:`repro.kernels.kalman.kalman_tick` kernel (velocity decay 1.0)
+    — one in-place call advances every antenna of every session, and
+    the offline :func:`~repro.core.kalman.smooth_series` and the track
+    bank run the same kernel. NaN inputs advance the filter without a
+    measurement (prediction), exactly as the realtime loop needs.
     """
 
     STATE = {
@@ -427,9 +427,7 @@ class KalmanSmooth(Stage):
         self.frame_dt_s = frame_dt_s
         self.process_noise = process_noise
         self.measurement_noise = measurement_noise
-        self._q00, self._q01, self._q11 = dwna_process_noise(
-            frame_dt_s, process_noise
-        )
+        self._q = dwna_process_noise(frame_dt_s, process_noise)
         super().__init__()
         self._scratch: dict = {}
 
@@ -445,14 +443,8 @@ class KalmanSmooth(Stage):
         slabs = (self._mean, self._cov, self._initialized)
         rows = state_rows(tick, slabs)
         tick.tof_m = kalman_tick(
-            tick.tof_m,
-            *rows,
-            self.frame_dt_s,
-            self._q00,
-            self._q01,
-            self._q11,
-            self.measurement_noise,
-            self._scratch,
+            tick.tof_m, *rows, self.frame_dt_s, *self._q,
+            self.measurement_noise, 1.0, self._scratch,
         )
         write_back(tick, slabs, rows)
         return tick

@@ -219,9 +219,9 @@ class BlockShape:
     blocks into one cohort array shaped by the first: a block of another
     shape would fail the whole cohort's tick (in process) or its shard
     worker (distributed). So a block is accepted only as a 3-D numeric
-    array of shape ``(n_rx, sweeps_per_frame, n_bins)``, with the bin
-    count of the first block accepted for the spec, even where the
-    max-range crop would cut both to the same bins.
+    array of shape ``(n_rx, sweeps_per_frame, n_bins)`` with at least
+    one bin, and with the bin count of the first block accepted for the
+    spec, even where the max-range crop would cut both to the same bins.
     """
 
     def __init__(self, spec: SessionSpec) -> None:
@@ -257,6 +257,8 @@ class BlockShape:
                 f"a sweep block must have {self.shape[2]} bins, like the "
                 f"first block of its spec; got {shape[2]}"
             )
+        if not shape[2]:
+            raise ValueError("a sweep block must have at least one bin")
         self.shape = shape
 
 

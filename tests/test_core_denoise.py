@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.interpolation import gap_lengths, interpolate_gaps
-from repro.core.kalman import KalmanFilter1D, smooth_series
+from repro.core.kalman import smooth_series
 from repro.core.outliers import jump_statistics, reject_outliers
+from repro.pipeline import KalmanSmooth
+from repro.pipeline.frame import SessionTick
 
 
 class TestOutlierRejection:
@@ -113,29 +116,46 @@ class TestKalman:
         assert np.all(np.isfinite(smoothed[100:120]))
         assert 5.9 < smoothed[110] < 6.6
 
-    def test_filter_requires_init_before_predict(self):
-        kf = KalmanFilter1D(0.0125)
-        with pytest.raises(RuntimeError):
-            kf.predict()
-
-    def test_update_rejects_nan(self):
-        kf = KalmanFilter1D(0.0125)
-        with pytest.raises(ValueError):
-            kf.update(float("nan"))
-
-    def test_reset(self):
-        kf = KalmanFilter1D(0.0125)
-        kf.update(5.0)
-        assert kf.initialized
-        kf.reset()
-        assert not kf.initialized
-
     def test_rejects_bad_params(self):
-        with pytest.raises(ValueError):
-            KalmanFilter1D(0.0)
-        with pytest.raises(ValueError):
-            KalmanFilter1D(0.0125, process_noise=-1.0)
+        series = np.linspace(5.0, 6.0, 10)
+        with pytest.raises(ValueError, match="dt_s must be positive"):
+            smooth_series(series, 0.0)
+        for noise in ({"process_noise": -1.0}, {"measurement_noise": 0.0}):
+            with pytest.raises(ValueError, match="noise parameters"):
+                smooth_series(series, 0.0125, **noise)
 
     def test_all_nan_series(self):
         out = smooth_series(np.full(5, np.nan), 0.0125)
         assert np.all(np.isnan(out))
+
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.floats(-50.0, 50.0), st.just(float("nan"))
+            ),
+            min_size=1,
+            max_size=60,
+        ),
+        dt=st.sampled_from([0.0125, 0.05, 1.0]),
+        q=st.sampled_from([5e-4, 10.0]),
+        r=st.sampled_from([1e-3, 4e-3]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_session_stage(self, values, dt, q, r):
+        """The offline smoother is, bitwise, the session pipeline's
+        :class:`KalmanSmooth` stage run over the series as a
+        one-session, one-antenna stream."""
+        series = np.asarray(values)
+        stage = KalmanSmooth(dt, process_noise=q, measurement_noise=r)
+        streamed = []
+        for i, value in enumerate(series):
+            tick = SessionTick(
+                slots=np.zeros(1, dtype=np.intp),
+                indices=np.array([i]),
+                times_s=np.array([i * dt]),
+                tof_m=np.array([[value]]),
+                dense=True,
+            )
+            streamed.append(stage.process_tick(tick).tof_m[0, 0])
+        got = smooth_series(series, dt, process_noise=q, measurement_noise=r)
+        assert got.tobytes() == np.array(streamed).tobytes()

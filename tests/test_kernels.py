@@ -453,22 +453,45 @@ def gate_inputs(draw):
 @st.composite
 def kalman_inputs(draw):
     """Four frames of ``kalman_tick`` input for a bank of fresh and live
-    filters; frames carry missing (NaN), infinite or huge values, or
-    (``steady``) every filter is live and measured."""
+    filters, with a velocity decay of 1.0 (sessions), 0.97 (tracks) or
+    any in [0, 1].
+
+    Frames carry missing (NaN), infinite or huge values (``mixed``); or
+    every filter is live and measured (``steady``); or every filter is
+    live and some cells are NaN (``bank``: a track bank's claims).
+    ``mean`` and ``cov`` are fields of one structured record array, the
+    strided views a track bank passes, or (``strided`` False)
+    contiguous arrays, as a stage's state rows are.
+    """
     n = draw(st.integers(1, 4))
     a = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    steady = draw(st.booleans())
-    live = np.ones((n, a), bool) if steady else rng.random((n, a)) < 0.5
-    mean = rng.uniform(-3.0, 3.0, (n, a, 2))
-    cov = rng.uniform(0.0, 1.0, (n, a, 2, 2))
-    frames = [
-        rng.uniform(0.0, 8.0, (n, a)) if steady
-        else _cells(draw, rng, (n, a))
-        for _ in range(4)
-    ]
+    case = draw(st.sampled_from(["mixed", "steady", "bank"]))
+    if case == "mixed":
+        live = rng.random((n, a)) < 0.5
+    else:
+        live = np.ones((n, a), bool)
+    records = np.zeros(n, dtype=np.dtype([
+        ("id", np.int64),
+        ("mean", np.float64, (a, 2)),
+        ("cov", np.float64, (a, 2, 2)),
+        ("status", np.int8),
+    ], align=True))
+    records["id"] = np.arange(n)
+    records["mean"] = rng.uniform(-3.0, 3.0, (n, a, 2))
+    records["cov"] = rng.uniform(0.0, 1.0, (n, a, 2, 2))
+    frames = []
+    for _ in range(4):
+        if case == "mixed":
+            frames.append(_cells(draw, rng, (n, a)))
+            continue
+        values = rng.uniform(0.0, 8.0, (n, a))
+        if case == "bank":
+            values[rng.random((n, a)) < 0.3] = np.nan
+        frames.append(values)
     dt = draw(st.sampled_from([0.0125, 0.5]))
-    return frames, (mean, cov, live), dt
+    decay = draw(st.one_of(st.sampled_from([1.0, 0.97]), st.floats(0.0, 1.0)))
+    return frames, records, live, draw(st.booleans()), dt, decay
 
 
 def _same_bytes(a, b) -> bool:
@@ -520,10 +543,18 @@ class TestTickKernelSpecs:
     @given(args=kalman_inputs())
     @settings(max_examples=300, deadline=None)
     def test_kalman_tick(self, args):
-        frames, state, dt = args
-        fast = [x.copy() for x in state]
-        spec = [x.copy() for x in state]
-        noise = (dt, 1e-4, 1e-3, 1e-2, 0.05)
+        frames, records, live, strided, dt, decay = args
+        noise = (dt, 1e-4, 1e-3, 1e-2, 0.05, decay)
+
+        def bank():
+            slab = records.copy()
+            if strided:
+                return slab, [slab["mean"], slab["cov"], live.copy()]
+            return slab, [slab["mean"].copy(), slab["cov"].copy(),
+                          live.copy()]
+
+        fast_slab, fast = bank()
+        spec_slab, spec = bank()
         scratch = {}
         for values in frames:
             with use_backend("numpy"):
@@ -533,6 +564,10 @@ class TestTickKernelSpecs:
             assert _same_bytes(got, want)
             for f, w in zip(fast, spec):
                 assert _same_bytes(f, w)
+        # The filter state is all a tick writes.
+        for slab in (fast_slab, spec_slab):
+            assert _same_bytes(slab["id"], records["id"])
+            assert _same_bytes(slab["status"], records["status"])
 
 
 class TestBackendSeam:

@@ -589,6 +589,33 @@ def _same_result(a, b):
     )
 
 
+def _serve_beside_k2(serving, empty_first, n_frames=48):
+    """A single-person session served next to two K=2 sessions.
+
+    With ``empty_first``, the single-person session first offers a
+    zero-bin block, which must raise ``ValueError``, and then its
+    well-formed block, which must be accepted. Returns each session's
+    closed result (the single-person sender first) and the sessions.
+    """
+    multi = multi_session(max_people=2, room=through_wall_room())
+    specs = [single_session(), multi, multi]
+    workers, transport = SERVING[serving]
+    with ServingEngine(workers=workers, transport=transport) as engine:
+        sessions = [engine.admit(spec) for spec in specs]
+        sources = [
+            SyntheticFrameSource(spec, seed=s) for s, spec in enumerate(specs)
+        ]
+        for f in range(n_frames):
+            for session, source in zip(sessions, sources):
+                block = source.next_block()
+                if empty_first and f == 0 and session is sessions[0]:
+                    with pytest.raises(ValueError, match="at least one bin"):
+                        engine.offer(session, block[..., :0])
+                assert engine.offer(session, block)
+            engine.tick()
+        return [engine.close(session) for session in sessions], sessions
+
+
 @pytest.fixture(scope="module")
 def clean_runs():
     """One clean serve per configuration, shared by every corruption."""
@@ -689,6 +716,22 @@ class TestMalformedBlocks:
             engine.offer(sessions[0], block[..., :164])
         assert engine.tick() == 4
         assert [s.rejected_malformed for s in sessions] == [1, 0, 0, 0]
+
+    @pytest.mark.parametrize("serving", list(SERVING))
+    def test_zero_bin_first_block_stays_with_its_sender(self, serving):
+        """An empty ``(n_rx, sweeps, 0)`` first block is refused at the
+        edge: admitted, it failed the next cohort tick in process, and
+        with shard workers every worker it failed over to."""
+        with use_backend("numpy"):
+            clean, _ = _serve_beside_k2(serving, empty_first=False)
+            dirty, sessions = _serve_beside_k2(serving, empty_first=True)
+        assert [s.rejected_malformed for s in sessions] == [1, 0, 0]
+        # The K=2 sessions track, and serve exactly their clean run; so
+        # does the sender, from its first well-formed block on.
+        assert all(any(result.tracks) for result in clean[1:])
+        for s in range(3):
+            assert dirty[s].num_frames == clean[s].num_frames
+            assert _same_result(dirty[s], clean[s]), f"session {s}"
 
     def test_bins_follow_the_first_block_of_the_spec(self):
         spec = single_session()
