@@ -286,9 +286,7 @@ def run_multi_tracking_experiment(
         config, max_people=num_people, room=room
     )
     # Through the result-level cache (REPRO_CACHE): an unchanged
-    # (scenario, pipeline) rerun skips synthesis *and* tracking, for
-    # multi-person runs too since the track arrays gained a stable
-    # serialization.
+    # (scenario, pipeline) rerun skips synthesis *and* tracking.
     result = tracked_multi_scenario(scenario, tracker)
 
     vicon = ViconSystem()

@@ -14,14 +14,13 @@ changes the key, so stale hits are impossible by construction.
 Bender et al.'s adaptive filters: a cache that stops at spectra still
 pays full *tracking* price on every pure re-aggregation run. It keys
 (scenario content, pipeline configuration) to the
-:class:`~repro.pipeline.PipelineResult` arrays — multi-person track
-lists included, via the stable array serialization in
-:mod:`repro.multi.tracks` — so a figure rerun that only re-scores
-existing parameters skips synthesis **and** tracking (the
-:func:`tracked_scenario` / :func:`tracked_multi_scenario` seams). Both caches share the same
-storage/LRU machinery and environment switches, and feed the
-process-wide :func:`cache_stats` counters that ``repro bench`` and the
-throughput benchmarks surface.
+:class:`~repro.pipeline.PipelineResult` arrays — a multi-person
+result's one form, its track columns, included — so a figure rerun
+that only re-scores existing parameters skips synthesis **and**
+tracking (the :func:`tracked_scenario` / :func:`tracked_multi_scenario`
+seams). Both caches share the same storage/LRU machinery and
+environment switches, and feed the process-wide :func:`cache_stats`
+counters that ``repro bench`` and the throughput benchmarks surface.
 
 Opt-in via environment (off by default so plain test runs stay
 write-free):
@@ -425,11 +424,12 @@ class SpectraCache(NpzLruCache):
             body=scenario.body,
         )
 
-#: PipelineResult fields the result cache persists. ``subtracted``
-#: (per-frame complex spectrograms) is deliberately excluded — a cached
-#: result serves re-aggregation runs, which never need spectrograms, and
-#: storing them would make this cache as heavy as the spectra cache.
-_RESULT_FIELDS = ("tof_m", "raw_tof_m", "motion", "positions", "coasting")
+#: PipelineResult fields the result cache persists, besides the
+#: timestamps and the track columns. ``subtracted`` (per-frame complex
+#: spectrograms) is deliberately excluded — a cached result serves
+#: re-aggregation runs, which never need spectrograms, and storing them
+#: would make this cache as heavy as the spectra cache.
+_RESULT_FIELDS = ("tof_m", "raw_tof_m", "motion", "positions")
 
 
 class ResultCache(NpzLruCache):
@@ -442,20 +442,18 @@ class ResultCache(NpzLruCache):
     figure grid whose parameters did not change — then skip the
     pipeline entirely.
 
-    Multi-person results are supported at two levels: the ragged
-    per-frame ``tracks`` lists of a :class:`PipelineResult` flatten
-    through :func:`repro.multi.tracks.tracks_to_arrays` (a stable
-    array serialization, so they round-trip bitwise through ``.npz``),
-    and whole :class:`~repro.multi.MultiTrack` results store via
-    :meth:`get_multi`/:meth:`put_multi` — the format the
-    :func:`tracked_multi_scenario` seam uses.
+    A multi-person result is stored in its one form, its
+    :class:`~repro.multi.tracks.TrackColumns` (one ``track_<field>``
+    array per column), which round-trips bitwise through ``.npz``;
+    :func:`tracked_multi_scenario` packages it as a
+    :class:`~repro.multi.MultiTrack` after the read.
     """
 
     stats_kind = "results"
 
     def get(self, key: str):
         """The cached :class:`PipelineResult` for ``key``, or ``None``."""
-        from ..multi.tracks import tracks_from_arrays
+        from ..multi.tracks import TrackColumns
         from ..pipeline.runner import PipelineResult
 
         arrays = self._load_arrays(key)
@@ -466,44 +464,23 @@ class ResultCache(NpzLruCache):
         fields = {
             name: arrays[name] for name in _RESULT_FIELDS if name in arrays
         }
-        tracks = None
         if "track_counts" in arrays:
-            tracks = tracks_from_arrays(
-                arrays["track_counts"],
-                arrays["track_ids_flat"],
-                arrays["track_positions_flat"],
+            fields["track_columns"] = TrackColumns(
+                *(arrays[f"track_{name}"] for name in TrackColumns._fields)
             )
-        return PipelineResult(
-            frame_times_s=arrays["frame_times_s"], tracks=tracks, **fields
-        )
+        return PipelineResult(frame_times_s=arrays["frame_times_s"], **fields)
 
     def put(self, key: str, result: Any) -> None:
         """Store a pipeline result under ``key``."""
-        from ..multi.tracks import tracks_to_arrays
-
         arrays = {"frame_times_s": result.frame_times_s}
         for name in _RESULT_FIELDS:
             value = getattr(result, name)
             if value is not None:
                 arrays[name] = value
-        if result.tracks is not None:
-            arrays.update(tracks_to_arrays(result.tracks))
+        if result.track_columns is not None:
+            for name, value in result.track_columns._asdict().items():
+                arrays[f"track_{name}"] = value
         self._store_arrays(key, arrays)
-
-    def get_multi(self, key: str):
-        """The cached :class:`~repro.multi.MultiTrack`, or ``None``."""
-        from ..multi.tracks import MultiTrack
-
-        arrays = self._load_arrays(key)
-        if arrays is None:
-            self._count("misses")
-            return None
-        self._count("hits")
-        return MultiTrack.from_arrays(arrays)
-
-    def put_multi(self, key: str, track: Any) -> None:
-        """Store a :class:`~repro.multi.MultiTrack` under ``key``."""
-        self._store_arrays(key, track.to_arrays())
 
 
 def _cache_env() -> tuple[Path, int] | None:
@@ -630,11 +607,13 @@ def multi_result_key(scenario: Any, tracker: Any) -> str:
     output goes in: the scenario content, the tracker's system
     configuration and antenna geometry, cancellation depth, the track
     lifecycle tunables, the ghost gate and bounce-plane images, and the
-    solver selection.
+    solver selection. The tag's version changes with the stored format
+    (now a :class:`~repro.pipeline.PipelineResult` with track columns),
+    so an entry of another format is never read as this one.
     """
     solver = tracker.solver
     return content_key(
-        "multi_track.v1",
+        "multi_track.v2",
         scenario_key(scenario),
         tracker.config,
         tracker.array,
@@ -652,16 +631,14 @@ def multi_result_key(scenario: Any, tracker: Any) -> str:
 def tracked_multi_scenario(scenario: Any, tracker: Any) -> Any:
     """Synthesize + track a multi-person scenario, memoized.
 
-    The multi-person mirror of :func:`tracked_scenario`, closing the
-    single-person-only caveat the result cache shipped with: a
-    re-aggregation run whose (scenario, pipeline) content is unchanged
-    returns the stored :class:`~repro.multi.MultiTrack` — dense arrays
-    via :meth:`MultiTrack.to_arrays
-    <repro.multi.tracks.MultiTrack.to_arrays>` — without synthesizing
-    or tracking anything. With the cache disabled it is exactly
-    ``tracker.track(synthesize(...))``; a miss still flows through
-    :func:`synthesize`, so the spectra cache keeps helping runs that
-    changed only pipeline-side parameters.
+    The multi-person mirror of :func:`tracked_scenario`: with the cache
+    enabled, a re-aggregation run whose (scenario, pipeline) content is
+    unchanged reads the stored K-person
+    :class:`~repro.pipeline.PipelineResult` and packages it, without
+    synthesizing or tracking anything. With the cache disabled it is
+    exactly ``tracker.track(synthesize(...))``; a miss still flows
+    through :func:`synthesize`, so the spectra cache keeps helping runs
+    that changed only pipeline-side parameters.
 
     Args:
         scenario: a :class:`~repro.multi.MultiScenario`.
@@ -670,14 +647,18 @@ def tracked_multi_scenario(scenario: Any, tracker: Any) -> Any:
     Returns:
         The tracker's :class:`~repro.multi.MultiTrack`.
     """
+    from ..multi.tracks import MultiTrack
+
     cache = default_result_cache()
     if cache is None:
         measured = synthesize(scenario)
         return tracker.track(measured.spectra, measured.range_bin_m)
     key = multi_result_key(scenario, tracker)
-    track = cache.get_multi(key)
-    if track is None:
+    result = cache.get(key)
+    if result is None:
         measured = synthesize(scenario)
-        track = tracker.track(measured.spectra, measured.range_bin_m)
-        cache.put_multi(key, track)
-    return track
+        result = tracker.pipeline(measured.range_bin_m).run_stream(
+            measured.spectra
+        )
+        cache.put(key, result)
+    return MultiTrack.from_result(result.require_frames())

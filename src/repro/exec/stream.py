@@ -28,6 +28,7 @@ from time import perf_counter
 import numpy as np
 
 from ..kernels.profile import StageProfiler
+from ..multi.tracks import TrackColumns
 from ..pipeline.runner import LatencyReport, PipelineResult
 from .plan import ExperimentPlan, WorkItem
 from .runners import Runner, default_runner
@@ -99,28 +100,25 @@ def track_scenario_shard(
 def merge_results(parts: list[PipelineResult]) -> PipelineResult:
     """Concatenate per-shard results into one session result.
 
-    Array fields are stacked along the frame axis (a field must be
-    present in every non-empty part or in none); per-shard latency
-    reports pool into one.
+    Array fields and the track columns are concatenated along the frame
+    axis (a field must be present in every non-empty part or in none);
+    per-shard latency reports pool into one.
     """
     parts = [p for p in parts if p.num_frames > 0]
     if not parts:
         return PipelineResult(frame_times_s=np.asarray([]))
 
-    def cat(name: str) -> np.ndarray | None:
-        arrays = [getattr(p, name) for p in parts]
-        present = [a for a in arrays if a is not None]
+    def cat(name: str):
+        values = [getattr(p, name) for p in parts]
+        present = [v for v in values if v is not None]
         if not present:
             return None
-        if len(present) != len(arrays):
+        if len(present) != len(values):
             raise ValueError(f"field {name!r} present in only some shards")
+        if isinstance(present[0], TrackColumns):
+            return TrackColumns(*map(np.concatenate, zip(*present)))
         return np.concatenate(present, axis=0)
 
-    tracks: list | None = None
-    if any(p.tracks is not None for p in parts):
-        tracks = []
-        for p in parts:
-            tracks.extend(p.tracks or [])
     latency = None
     if any(p.latency is not None for p in parts):
         latency = LatencyReport()
@@ -140,8 +138,7 @@ def merge_results(parts: list[PipelineResult]) -> PipelineResult:
         raw_tof_m=cat("raw_tof_m"),
         motion=cat("motion"),
         positions=cat("positions"),
-        tracks=tracks,
-        coasting=cat("coasting"),
+        track_columns=cat("track_columns"),
         subtracted=cat("subtracted"),
         latency=latency,
         stage_profile=stage_profile,
@@ -205,9 +202,9 @@ def results_identical(a: PipelineResult, b: PipelineResult) -> bool:
 
     Compares timestamps, every array field the single-person pipeline
     fills (NaN-tolerant for the float fields), and the multi-person
-    ``tracks`` lists including track identities, with their coasting
-    flags. This is the determinism gate the sharded and serving
-    benchmarks assert.
+    track columns: per-frame counts, track identities, positions and
+    coasting flags. This is the determinism gate the sharded and
+    serving benchmarks assert.
     """
 
     def same(x: np.ndarray | None, y: np.ndarray | None, nan: bool) -> bool:
@@ -215,18 +212,10 @@ def results_identical(a: PipelineResult, b: PipelineResult) -> bool:
             return (x is None) == (y is None)
         return np.array_equal(x, y, equal_nan=nan)
 
-    def same_tracks(x, y) -> bool:
+    def same_columns(x: TrackColumns | None, y: TrackColumns | None) -> bool:
         if x is None or y is None:
             return (x is None) == (y is None)
-        if len(x) != len(y):
-            return False
-        for fx, fy in zip(x, y):
-            if len(fx) != len(fy):
-                return False
-            for (ix, px), (iy, py) in zip(fx, fy):
-                if ix != iy or not np.array_equal(px, py, equal_nan=True):
-                    return False
-        return True
+        return all(same(u, v, nan=True) for u, v in zip(x, y))
 
     return (
         same(a.frame_times_s, b.frame_times_s, nan=False)
@@ -234,8 +223,7 @@ def results_identical(a: PipelineResult, b: PipelineResult) -> bool:
         and same(a.tof_m, b.tof_m, nan=True)
         and same(a.raw_tof_m, b.raw_tof_m, nan=True)
         and same(a.motion, b.motion, nan=False)
-        and same_tracks(a.tracks, b.tracks)
-        and same(a.coasting, b.coasting, nan=False)
+        and same_columns(a.track_columns, b.track_columns)
     )
 
 

@@ -48,15 +48,11 @@ from .association import (
 def tracks_to_arrays(
     tracks: list[list[tuple[int, np.ndarray]]],
 ) -> dict[str, np.ndarray]:
-    """Stable array serialization of per-frame track lists.
+    """Per-frame track lists flattened into three fixed-dtype arrays.
 
-    The ragged ``tracks`` field of a multi-person
-    :class:`~repro.pipeline.PipelineResult` — one ``(track_id,
-    position)`` list per frame — flattened into three fixed-dtype
-    arrays: per-frame entry counts, flat track ids, and flat positions.
-    This is what lets the result-level cache hold multi-person runs:
-    the arrays round-trip through ``.npz`` bitwise, and
-    :func:`tracks_from_arrays` rebuilds the exact lists.
+    Nothing in the package calls it: K-person results keep their tracks
+    as :class:`TrackColumns`. It stays because the repository benchmark
+    (``perfbench/workloads.py``) digests results through it.
 
     Args:
         tracks: per-frame reportable ``(track_id, position)`` lists.
@@ -80,31 +76,15 @@ def tracks_to_arrays(
     }
 
 
-def tracks_from_arrays(
-    counts: np.ndarray, ids: np.ndarray, positions: np.ndarray
-) -> list[list[tuple[int, np.ndarray]]]:
-    """Rebuild per-frame track lists (of row views of ``positions``)."""
-    if int(counts.sum()) != len(ids) or len(ids) != len(positions):
-        raise ValueError(
-            f"inconsistent track arrays: counts sum to {int(counts.sum())} "
-            f"but {len(ids)} ids / {len(positions)} positions given"
-        )
-    pairs = list(zip(ids.tolist(), positions))
-    out: list[list[tuple[int, np.ndarray]]] = []
-    offset = 0
-    for count in counts.tolist():
-        out.append(pairs[offset : offset + count])
-        offset += count
-    return out
-
-
 class TrackColumns(NamedTuple):
-    """A K-person tick's reportable tracks, as columns.
+    """Reportable tracks of a tick's rows, or of a whole stream's frames.
 
-    The :func:`tracks_to_arrays` layout plus coasting flags: row ``r``
-    owns the next ``counts[r]`` entries of ``ids`` ``(total,)``,
-    ``positions`` ``(total, 3)`` and ``coasting`` ``(total,)`` (True
-    where the position is a coasted prediction), in row order.
+    Row (or frame) ``r`` owns the next ``counts[r]`` entries of ``ids``
+    ``(total,)``, ``positions`` ``(total, 3)`` and ``coasting``
+    ``(total,)`` (True where the position is a coasted prediction), in
+    row order. A K-person tick emits one, and a K-person
+    :class:`~repro.pipeline.PipelineResult` keeps its whole stream's
+    tracks as one, frame by frame.
     """
 
     counts: np.ndarray
@@ -126,8 +106,22 @@ class TrackColumns(NamedTuple):
         )
 
     def lists(self) -> list[list[tuple[int, np.ndarray]]]:
-        """Per row, the ``(track_id, position)`` pairs."""
-        return tracks_from_arrays(self.counts, self.ids, self.positions)
+        """Per row, the ``(track_id, position)`` pairs (row views of
+        ``positions``); ValueError when the columns disagree in length."""
+        counts, ids, positions = self.counts, self.ids, self.positions
+        if int(counts.sum()) != len(ids) or len(ids) != len(positions):
+            raise ValueError(
+                f"inconsistent track columns: counts sum to "
+                f"{int(counts.sum())} but {len(ids)} ids / "
+                f"{len(positions)} positions given"
+            )
+        pairs = list(zip(ids.tolist(), positions))
+        out: list[list[tuple[int, np.ndarray]]] = []
+        offset = 0
+        for count in counts.tolist():
+            out.append(pairs[offset : offset + count])
+            offset += count
+        return out
 
     def select(self, keep: np.ndarray) -> "TrackColumns":
         """The columns of the rows where ``keep`` is True."""
@@ -535,57 +529,29 @@ class MultiTrack:
 
         One row per track ever reported, in order of first report; NaN
         (and not coasting) where the track was not reported. Raises
-        ValueError when ``tracks`` and the timestamps differ in length,
-        or the tracks carry no coasting flags.
+        ValueError when the result's ``track_columns`` and timestamps
+        cover different numbers of frames.
         """
         frame_times_s = np.asarray(result.frame_times_s, dtype=np.float64)
-        frames, n_frames = result.tracks or [], len(frame_times_s)
-        if len(frames) != n_frames:
+        columns = result.track_columns or TrackColumns.of([])
+        n_frames = len(frame_times_s)
+        if len(columns.counts) != n_frames:
             raise ValueError(
-                f"{len(frames)} frames of tracks but {n_frames} "
+                f"{len(columns.counts)} frames of tracks but {n_frames} "
                 "timestamps given"
             )
-        arrays = tracks_to_arrays(frames)
-        ids = arrays["track_ids_flat"].tolist()
-        if ids and result.coasting is None:
-            raise ValueError("the result carries no coasting flags")
+        ids = columns.ids.tolist()
         track_ids = tuple(dict.fromkeys(ids))
         index = {track_id: row for row, track_id in enumerate(track_ids)}
         at = (
             np.array([index[track_id] for track_id in ids], dtype=np.intp),
-            np.repeat(np.arange(n_frames), arrays["track_counts"]),
+            np.repeat(np.arange(n_frames), columns.counts),
         )
         positions = np.full((len(track_ids), n_frames, 3), np.nan)
-        positions[at] = arrays["track_positions_flat"]
+        positions[at] = columns.positions
         coasting = np.zeros((len(track_ids), n_frames), dtype=bool)
-        if ids:
-            coasting[at] = result.coasting
+        coasting[at] = columns.coasting
         return cls(frame_times_s, positions, track_ids, coasting)
-
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        """Pure-array form of the whole result (``.npz``-storable).
-
-        Everything a :class:`MultiTrack` carries is already dense
-        arrays except the ``track_ids`` tuple; :meth:`from_arrays`
-        round-trips bitwise — the multi-person result-cache entry
-        format.
-        """
-        return {
-            "frame_times_s": self.frame_times_s,
-            "positions": self.positions,
-            "track_ids": np.asarray(self.track_ids, dtype=np.int64),
-            "coasting": self.coasting,
-        }
-
-    @classmethod
-    def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "MultiTrack":
-        """Rebuild a :class:`MultiTrack` from :meth:`to_arrays` output."""
-        return cls(
-            frame_times_s=arrays["frame_times_s"],
-            positions=arrays["positions"],
-            track_ids=tuple(int(i) for i in arrays["track_ids"]),
-            coasting=arrays["coasting"].astype(bool),
-        )
 
 
 def _from_bank(name: str) -> property:

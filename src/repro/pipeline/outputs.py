@@ -4,10 +4,10 @@
 an :class:`OutputColumns`: a float64 row buffer whose columns are the
 row's fields (time, TOFs, motion, position; a K-person row's track
 count), plus a float64 buffer of ``(id, x, y, z, coasting)`` track
-entries — the :func:`~repro.multi.tracks.tracks_to_arrays` layout plus
-the coasting flags. Both grow by doubling. Every field a tick carries
-(floats, complex spectra, bools, integers below 2**53) is exact in
-float64, and :meth:`OutputColumns.result` gives each back in its dtype.
+entries, the flat part of :class:`~repro.multi.tracks.TrackColumns`.
+Both grow by doubling. Every field a tick carries (floats, complex
+spectra, bools, integers below 2**53) is exact in float64, and
+:meth:`OutputColumns.result` gives each back in its dtype.
 
 A tick is packed once into a :class:`RowBatch` shared by every stream it
 served, one ``concatenate`` per buffer, so keeping a row is one row copy
@@ -21,7 +21,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from ..multi.tracks import tracks_from_arrays
+from ..multi.tracks import TrackColumns
 
 #: Per-row columns a tick or shard reply carries, in column order, and
 #: the :class:`~repro.pipeline.PipelineResult` field each fills.
@@ -197,9 +197,10 @@ class OutputColumns:
         """The kept rows as a :class:`~repro.pipeline.PipelineResult`.
 
         Each field is read-only, a view of the buffer when it is
-        float64; the per-frame ``tracks`` lists are built here, with the
-        flat ``coasting`` flags beside them. ``extra`` sets further
-        fields (``latency``).
+        float64; a K-person stream's tracks come back as one
+        :class:`~repro.multi.tracks.TrackColumns` over the kept
+        entries, frame by frame. ``extra`` sets further fields
+        (``latency``).
         """
         from .runner import PipelineResult
 
@@ -216,10 +217,10 @@ class OutputColumns:
             fields["subtracted"] = kept["spectrum"]
         if "track_count" in kept:
             entries = self._tracks[: self._m]
-            fields["tracks"] = tracks_from_arrays(
+            fields["track_columns"] = TrackColumns(
                 kept["track_count"],
-                entries[:, 0].astype(np.int64),
+                _field(entries, np.dtype(np.int64), (), 0, 1),
                 _field(entries, _F64, (3,), 1, 4),
+                _field(entries, np.dtype(bool), (), 4, 5),
             )
-            fields["coasting"] = _field(entries, np.dtype(bool), (), 4, 5)
         return PipelineResult(**fields, **extra)

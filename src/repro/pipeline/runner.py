@@ -28,6 +28,7 @@ import numpy as np
 from ..config import SystemConfig
 from ..kernels.profile import StageProfiler, profiling_enabled
 from ..kernels.tick import compile_tick_plan, fusion_active, run_stages
+from ..multi.tracks import TrackColumns
 from .frame import Frame, SessionTick
 from .outputs import OutputColumns, RowBatch
 from .stages import (
@@ -109,9 +110,9 @@ class PipelineResult:
     """Everything one pipeline run produced.
 
     Single-person pipelines fill the TOF/position fields; multi-person
-    pipelines fill ``tracks`` and ``coasting``
+    pipelines fill ``track_columns``, the one form of their output
     (:meth:`MultiTrack.from_result <repro.multi.tracks.MultiTrack.
-    from_result>` packages the two). Field layouts are frame-major;
+    from_result>` packages it). Field layouts are frame-major;
     consumers transpose as needed.
 
     Attributes:
@@ -120,10 +121,9 @@ class PipelineResult:
         raw_tof_m: raw bottom contours, same shape.
         motion: per-antenna motion detections, same shape.
         positions: 3D fixes, ``(n_frames, 3)``.
-        tracks: per-frame reportable ``(track_id, position)`` lists.
-        coasting: one flag per ``tracks`` entry, in frame order (the
-            flat order of :func:`~repro.multi.tracks.tracks_to_arrays`):
-            True where the position is a coasted prediction.
+        track_columns: the reportable tracks of every frame, as
+            :class:`~repro.multi.tracks.TrackColumns` (per-frame
+            counts, flat ids, positions and coasting flags).
         subtracted: background-subtracted complex frames,
             ``(n_frames, n_rx, n_bins)`` (only when recorded).
         latency: per-frame latency report (None on results restored
@@ -139,11 +139,22 @@ class PipelineResult:
     raw_tof_m: np.ndarray | None = None
     motion: np.ndarray | None = None
     positions: np.ndarray | None = None
-    tracks: list[list[tuple[int, np.ndarray]]] | None = None
-    coasting: np.ndarray | None = None
+    track_columns: TrackColumns | None = None
     subtracted: np.ndarray | None = None
     latency: LatencyReport | None = None
     stage_profile: dict[str, dict[str, float]] | None = None
+
+    @property
+    def tracks(self) -> list[list[tuple[int, np.ndarray]]] | None:
+        """Per-frame ``(track_id, position)`` lists of ``track_columns``.
+
+        Built on every read and never kept, so a result holds its tracks
+        once. The package reads ``track_columns``; this view serves the
+        repository benchmark's digest and MOTA check.
+        """
+        if self.track_columns is None:
+            return None
+        return self.track_columns.lists()
 
     @property
     def num_frames(self) -> int:

@@ -223,26 +223,29 @@ class TestResultCache:
         assert result_key(scenario, warm) != result_key(scenario, no_warm)
 
     def test_track_lists_round_trip_bitwise(self, tmp_path):
-        """Ragged multi-person track lists survive the .npz round trip."""
+        """A K-person result's track columns survive the .npz round trip
+        bitwise: ragged per-frame lists, ids, positions, coasting."""
+        from repro.multi.tracks import TrackColumns
         from repro.pipeline import PipelineResult
 
         cache = ResultCache(tmp_path)
-        tracks = [
-            [],  # frames with nobody reportable keep their slot
-            [(1, np.array([0.5, 3.0, -0.2]))],
-            [(1, np.array([0.6, 3.1, -0.1])), (4, np.array([1.0, 5.0, 0.0]))],
-            [],
-        ]
-        result = PipelineResult(
-            frame_times_s=np.arange(4) * 0.0125, tracks=tracks
+        columns = TrackColumns(
+            np.array([0, 1, 2, 0]),  # empty frames keep their slot
+            np.array([1, 1, 4]),
+            np.array([[0.5, 3.0, -0.2], [0.6, 3.1, -0.1], [1.0, 5.0, np.nan]]),
+            np.array([False, True, False]),
         )
-        cache.put("key", result)
+        cache.put("key", PipelineResult(
+            frame_times_s=np.arange(4) * 0.0125, track_columns=columns
+        ))
         restored = cache.get("key")
-        assert len(restored.tracks) == len(tracks)
-        for ours, theirs in zip(restored.tracks, tracks):
-            assert [tid for tid, _ in ours] == [tid for tid, _ in theirs]
-            for (_, p1), (_, p2) in zip(ours, theirs):
-                np.testing.assert_array_equal(p1, p2)
+        for name, want in columns._asdict().items():
+            got = getattr(restored.track_columns, name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+            assert np.array_equal(got, want, equal_nan=True), name
+        assert [[tid for tid, _ in frame] for frame in restored.tracks] == [
+            [], [1], [1, 4], []
+        ]
 
     def test_tracked_scenario_hit_skips_everything(
         self, scenario, monkeypatch, tmp_path
@@ -335,6 +338,11 @@ class TestMultiResultCache:
         )
         assert first.track_ids == second.track_ids
         np.testing.assert_array_equal(first.coasting, second.coasting)
+        # The entry is the K-person PipelineResult, tracks as columns.
+        stored = ResultCache(tmp_path / "results").get(
+            multi_result_key(scenario, tracker)
+        )
+        assert stored.track_columns.counts.shape == (second.num_frames,)
 
     def test_disabled_cache_is_plain_track(self, multi_setup, monkeypatch):
         scenario, tracker = multi_setup

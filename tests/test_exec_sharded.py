@@ -5,18 +5,64 @@ the full stream's frames (the simulator fast-forward), and the merged
 result is independent of how many workers executed the shard plan.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.multi.tracks import MultiTrack, TrackColumns
 from repro.pipeline.runner import LatencyReport, PipelineResult
 from repro.exec import (
     MIN_SHARD_FRAMES,
     ShardedStreamRunner,
     merge_results,
     plan_shards,
+    results_identical,
     track_scenario_shard,
 )
 from repro.sim import Scenario, random_walk, through_wall_room
+
+
+def k_person_result() -> PipelineResult:
+    """Five frames of K-person output: empty frames, a NaN position
+    and a coasted entry included."""
+    positions = np.arange(18, dtype=np.float64).reshape(6, 3) / 7
+    positions[4, 1] = np.nan
+    return PipelineResult(
+        frame_times_s=np.arange(5) * 0.0125,
+        track_columns=TrackColumns(
+            counts=np.array([1, 2, 0, 2, 1]),
+            ids=np.array([1, 1, 2, 1, 3, 3]),
+            positions=positions,
+            coasting=np.array([False, False, True, False, True, False]),
+        ),
+    )
+
+
+def single_person_result() -> PipelineResult:
+    """Three frames of single-person output, one of them all NaN."""
+    positions = np.arange(9, dtype=np.float64).reshape(3, 3)
+    positions[1] = np.nan
+    return PipelineResult(
+        frame_times_s=np.arange(3) * 0.0125,
+        tof_m=positions + 1,
+        raw_tof_m=positions + 2,
+        motion=np.eye(3, dtype=bool),
+        positions=positions,
+    )
+
+
+def frames(result: PipelineResult, start: int, stop: int) -> PipelineResult:
+    """Frames ``[start, stop)`` of a K-person result."""
+    columns = result.track_columns
+    bounds = np.concatenate([[0], np.cumsum(columns.counts)])
+    entries = slice(bounds[start], bounds[stop])
+    return PipelineResult(
+        frame_times_s=result.frame_times_s[start:stop],
+        track_columns=TrackColumns(
+            columns.counts[start:stop], *(c[entries] for c in columns[1:])
+        ),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -156,3 +202,80 @@ class TestMergeResults:
         )
         merged = merge_results([a, b])
         assert merged.num_frames == 1
+
+    def test_k_person_parts(self):
+        whole = k_person_result()
+        a, b = frames(whole, 0, 3), frames(whole, 3, 5)
+        merged = merge_results([a, b])
+        for name, want in whole.track_columns._asdict().items():
+            got = getattr(merged.track_columns, name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+            assert np.array_equal(got, want, equal_nan=True), name
+        joined = a.tracks + b.tracks
+        assert [[tid for tid, _ in f] for f in merged.tracks] == [
+            [tid for tid, _ in f] for f in joined
+        ]
+        for got, want in zip(merged.tracks, joined):
+            for (_, p), (_, q) in zip(got, want):
+                assert np.array_equal(p, q, equal_nan=True)
+        got, want = map(MultiTrack.from_result, (merged, whole))
+        assert got.track_ids == want.track_ids
+        for field in ("frame_times_s", "positions", "coasting"):
+            np.testing.assert_array_equal(
+                getattr(got, field), getattr(want, field)
+            )
+        untracked = PipelineResult(frame_times_s=np.array([1.0]))
+        with pytest.raises(ValueError, match="track_columns"):
+            merge_results([a, untracked, b])
+
+
+def _moved(columns: TrackColumns) -> TrackColumns:
+    """The same flat entries, one moved to the next frame."""
+    counts = columns.counts.copy()
+    counts[[1, 2]] += [-1, 1]
+    return columns._replace(counts=counts)
+
+
+def _changed(name: str, index, value):
+    def change(columns: TrackColumns) -> TrackColumns:
+        array = getattr(columns, name).copy()
+        array[index] = value
+        return columns._replace(**{name: array})
+
+    return change
+
+
+class TestResultsIdentical:
+    """The determinism gate of the sharded and serving benchmarks."""
+
+    @pytest.mark.parametrize("make", [single_person_result, k_person_result])
+    def test_equal_results_are_identical(self, make):
+        """Equal results are identical, their NaN positions included."""
+        assert results_identical(make(), make())
+
+    def test_one_timestamp_differs(self):
+        a = k_person_result()
+        times = a.frame_times_s.copy()
+        times[-1] += 1e-9
+        assert not results_identical(a, replace(a, frame_times_s=times))
+
+    @pytest.mark.parametrize("change", [
+        _changed("ids", 3, 7),
+        _changed("positions", (0, 2), 0.5),
+        _changed("coasting", 5, True),
+        _moved,
+    ], ids=["track id", "position", "coasting", "moved entry"])
+    def test_one_track_change_differs(self, change):
+        a = k_person_result()
+        b = replace(a, track_columns=change(a.track_columns))
+        assert not results_identical(a, b)
+        assert not results_identical(b, a)
+
+    @pytest.mark.parametrize("name", ["positions", "tof_m", "track_columns"])
+    def test_field_present_on_one_side_differs(self, name):
+        a = k_person_result() if name == "track_columns" else (
+            single_person_result()
+        )
+        b = replace(a, **{name: None})
+        assert not results_identical(a, b)
+        assert not results_identical(b, a)

@@ -13,7 +13,6 @@ from repro.multi.tracks import (
     TrackManager,
     TrackManagerConfig,
     TrackStatus,
-    tracks_from_arrays,
     tracks_to_arrays,
 )
 from repro.pipeline import PipelineResult
@@ -57,15 +56,11 @@ class Recorder:
         return len(self.steps)
 
     def result(self, frame_times_s) -> MultiTrack:
+        columns = None
+        if self.steps:
+            columns = TrackColumns(*map(np.concatenate, zip(*self.steps)))
         return MultiTrack.from_result(
-            PipelineResult(
-                frame_times_s=frame_times_s,
-                tracks=[columns.lists()[0] for columns in self.steps],
-                coasting=np.concatenate(
-                    [columns.coasting for columns in self.steps]
-                    or [np.empty(0, bool)]
-                ),
-            )
+            PipelineResult(frame_times_s=frame_times_s, track_columns=columns)
         )
 
 
@@ -146,16 +141,6 @@ class TestTrackLifecycle:
             manager.step(candidates_for(array, [np.array([0.2, 4.0, 0.0])]))
         with pytest.raises(ValueError, match="5 frames of tracks but 4"):
             manager.result(np.arange(4) * DT)
-
-    def test_result_requires_coasting_flags(self, array, solver):
-        manager = make_manager(solver)
-        for _ in range(6):
-            manager.step(candidates_for(array, [np.array([0.2, 4.0, 0.0])]))
-        tracks = [columns.lists()[0] for columns in manager.steps]
-        with pytest.raises(ValueError, match="coasting"):
-            MultiTrack.from_result(
-                PipelineResult(frame_times_s=np.arange(6) * DT, tracks=tracks)
-            )
 
 
 class TestTrackViews:
@@ -319,21 +304,11 @@ class TestMultiTrackResult:
             result.active_mask[0], [status is not None for status in statuses]
         )
 
-    def test_array_round_trip(self, array, solver):
-        """MultiTrack <-> dense arrays is lossless (result-cache format)."""
-        manager = make_manager(solver)
-        person = np.array([0.2, 4.0, 0.0])
-        for _ in range(10):
-            manager.step(candidates_for(array, [person]))
-        result = manager.result(np.arange(10) * DT)
-        back = MultiTrack.from_arrays(result.to_arrays())
-        np.testing.assert_array_equal(back.frame_times_s, result.frame_times_s)
-        np.testing.assert_array_equal(back.positions, result.positions)
-        assert back.track_ids == result.track_ids
-        np.testing.assert_array_equal(back.coasting, result.coasting)
-
 
 class TestTrackListSerialization:
+    """``TrackColumns.lists`` rebuilds per-frame lists exactly, and
+    ``tracks_to_arrays`` (the benchmark's digest layout) inverts it."""
+
     def test_round_trip_preserves_ragged_structure(self):
         tracks = [
             [],
@@ -343,11 +318,12 @@ class TestTrackListSerialization:
         arrays = tracks_to_arrays(tracks)
         assert arrays["track_counts"].tolist() == [0, 1, 2]
         assert arrays["track_positions_flat"].shape == (3, 3)
-        back = tracks_from_arrays(
+        back = TrackColumns(
             arrays["track_counts"],
             arrays["track_ids_flat"],
             arrays["track_positions_flat"],
-        )
+            np.zeros(3, bool),
+        ).lists()
         assert [[tid for tid, _ in frame] for frame in back] == [
             [], [3], [3, 7]
         ]
@@ -358,14 +334,11 @@ class TestTrackListSerialization:
     def test_empty_stream(self):
         arrays = tracks_to_arrays([])
         assert arrays["track_counts"].shape == (0,)
-        assert tracks_from_arrays(
-            arrays["track_counts"],
-            arrays["track_ids_flat"],
-            arrays["track_positions_flat"],
-        ) == []
+        assert TrackColumns.of([]).lists() == []
 
     def test_inconsistent_arrays_rejected(self):
         with pytest.raises(ValueError, match="inconsistent"):
-            tracks_from_arrays(
-                np.array([2]), np.array([1]), np.zeros((1, 3))
-            )
+            TrackColumns(
+                np.array([2]), np.array([1]), np.zeros((1, 3)),
+                np.zeros(1, bool),
+            ).lists()

@@ -6,12 +6,14 @@ for any stream of ticks — any subset of sessions per tick, any field
 set and dtype a tick carries, K-person rows with 0 to k tracks, long
 enough to cross the buffers' growth boundaries — each session's
 ``result()`` equals what per-frame lists stacked at the end give, field
-by field (values, shapes, dtypes), with ``tracks`` as
-``(int, float64[3])`` lists; and a result taken mid-stream is not
-disturbed by the rows kept after it.
+by field (values, shapes, dtypes), the track columns included and
+their ``tracks`` view as ``(int, float64[3])`` lists; and a result
+taken mid-stream is not disturbed by the rows kept after it.
 """
 
 from __future__ import annotations
+
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -34,7 +36,7 @@ class ListsAndStack:
     """Per-frame lists, stacked at the end: the accumulator's spec."""
 
     def __init__(self) -> None:
-        self.times, self.tracks, self.coasting = [], [], []
+        self.times, self.tracks = [], []
         self.fields: dict[str, list] = {name: [] for name in _SINGLE}
 
     def collect(self, rows, row: int) -> None:
@@ -48,33 +50,45 @@ class ListsAndStack:
             start = int(columns.counts[:row].sum())
             stop = start + int(columns.counts[row])
             self.tracks.append([
-                (int(columns.ids[i]), columns.positions[i])
+                (int(columns.ids[i]), columns.positions[i],
+                 bool(columns.coasting[i]))
                 for i in range(start, stop)
             ])
-            self.coasting.extend(columns.coasting[start:stop].tolist())
 
     def result(self) -> PipelineResult:
         stacked = {
             name: np.stack(kept) if kept else None
             for name, kept in self.fields.items()
         }
+        track_columns = None
+        if self.tracks:
+            flat = [entry for frame in self.tracks for entry in frame]
+            track_columns = TrackColumns(
+                np.array([len(frame) for frame in self.tracks], np.int64),
+                np.array([tid for tid, _, _ in flat], np.int64),
+                np.array([pos for _, pos, _ in flat]).reshape(-1, 3),
+                np.array([coasted for _, _, coasted in flat], bool),
+            )
         return PipelineResult(
             frame_times_s=np.asarray(self.times),
-            tracks=list(self.tracks) if self.tracks else None,
-            coasting=np.asarray(self.coasting, bool) if self.tracks else None,
+            track_columns=track_columns,
             **stacked,
         )
 
 
 def assert_results_equal(got: PipelineResult, want: PipelineResult) -> None:
-    for name in ("frame_times_s", "coasting", *_SINGLE):
-        a, b = getattr(got, name), getattr(want, name)
+    arrays = ["frame_times_s", *_SINGLE]
+    assert (got.track_columns is None) == (want.track_columns is None)
+    if got.track_columns is not None:
+        arrays += [f"track_columns.{name}" for name in TrackColumns._fields]
+    for name in arrays:
+        a, b = (attrgetter(name)(result) for result in (got, want))
         assert (a is None) == (b is None), name
         if a is not None:
             assert (a.dtype, a.shape) == (b.dtype, b.shape), name
             assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), name
-    assert (got.tracks is None) == (want.tracks is None)
-    if got.tracks is None:
+    if got.track_columns is None:
+        assert got.tracks is None
         return
     assert len(got.tracks) == len(want.tracks)
     for frame_got, frame_want in zip(got.tracks, want.tracks):
