@@ -161,7 +161,7 @@ class SpecMemoryModel:
             shard_budget_bytes: per-shard predicted-bytes cap, when the
                 tier runs memory-governed placement.
             burst: worst-case frames per session per step (the
-                scheduler's ``catchup_burst``).
+                scheduler's ``CATCHUP_BURST``).
         """
         n_rx, spf, n_bins = frame_shape(spec)
         frame_bytes = n_rx * spf * n_bins * _COMPLEX_BYTES

@@ -325,9 +325,10 @@ class Pipeline:
         """Picklable hand-off of one session's entire pipeline state.
 
         Everything needed to continue the session bit-exactly in another
-        pipeline **of the same spec** — another cohort's instance after
-        an adaptive split, or a shard worker in another process (the
-        state dict crosses the IPC pipe as-is). Hand-off semantics:
+        slot of this pipeline — a cohort's last member moving into a
+        freed slot — or in another pipeline **of the same spec**, even
+        in another process (the state dict is picklable). Hand-off
+        semantics:
         restore into exactly one slot and :meth:`evict_session` the
         source, or discard.
         """

@@ -12,14 +12,15 @@ cost once instead of N times.
   results), plus the :func:`single_session`/:func:`multi_session` spec
   helpers;
 * :mod:`scheduler` — :class:`Scheduler`, the in-process front end
-  (admit/retire with dense slot reuse, split/merge, and one vectorized
-  tick over every ready session of a cohort), on the
-  :class:`~repro.serve.scheduler.SchedulerBase` both front ends share
-  (session registration, retirement, drain, re-batching decisions);
+  (admit/retire with dense slot reuse, and one vectorized tick over
+  every ready session of a cohort, plus catch-up rounds for its
+  stragglers), on the :class:`~repro.serve.scheduler.SchedulerBase`
+  both front ends share (session registration, retirement, drain,
+  catch-up decisions);
 * :mod:`shard` — the distributed tier: :class:`ShardWorker` (cohort
   pipelines inside long-lived worker processes) and
   :class:`DistributedScheduler` (whole-cohort placement, batched
-  per-shard steps, failover, adaptive re-batching);
+  per-shard steps, failover, catch-up on the session's own shard);
 * :mod:`engine` — the :class:`ServingEngine` facade the apps and the
   ``repro serve`` CLI embed; ``workers=N`` turns it into the front end
   of the distributed tier, ``workers=0`` keeps everything in-process.

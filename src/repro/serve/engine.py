@@ -15,7 +15,7 @@ of a distributed tier**: N long-lived shard worker processes (one
 :class:`~repro.exec.pool.WorkerPool`) host the cohort pipelines, and a
 :class:`~repro.serve.shard.DistributedScheduler` places whole cohorts,
 routes admissions/frames/evictions, and merges per-session results and
-latency reports. Both share their session bookkeeping and re-batching
+latency reports. Both share their session bookkeeping and catch-up
 policy (:class:`~repro.serve.scheduler.SchedulerBase`). For the same
 admission schedule the two modes produce identical outputs
 (test-pinned): tick rows are independent sessions, so partitioning

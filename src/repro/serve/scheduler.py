@@ -18,18 +18,19 @@ whose producer runs hot hits its bounded queue and is refused frames.
 But a session whose queue depth *persistently* lags its cohort mates is
 a scheduling problem: in lockstep it can drain at most one frame per
 cohort tick, so a producer that outpaces the tick rate backs it up
-without bound. The scheduler's answer is **adaptive re-batching**: the
-straggler is split into its own single-session cohort — its pipeline
-state handed off bit-exactly via :meth:`Pipeline.snapshot_session
-<repro.pipeline.Pipeline.snapshot_session>` — where the scheduler may
-drain up to ``catchup_burst`` frames per tick until it catches up.
-Splitting never changes any output (the serving tests pin this); it
-only changes *when* frames are processed.
+without bound. The scheduler's answer is **catch-up in place**: the
+straggler's :attr:`~repro.serve.session.Session.burst` rises to
+:attr:`SchedulerBase.CATCHUP_BURST`, and each pass adds rounds over its
+cohort's catching-up members that still hold a frame, in the same
+pipeline and the same slot, until its queue has stayed empty for
+:attr:`SchedulerBase.CAUGHT_UP_PASSES` passes. No state moves; catch-up
+never changes any output (the serving tests pin this), only *when*
+frames are processed.
 
 The distributed front end (:class:`~repro.serve.shard.DistributedScheduler`)
 runs the same policy over shard workers. What the two share —
 session registration, the closing half of ``retire``, ``drain`` and the
-re-batching decisions — lives once, in :class:`SchedulerBase`.
+catch-up decisions — lives once, in :class:`SchedulerBase`.
 """
 
 from __future__ import annotations
@@ -52,20 +53,13 @@ class Cohort:
     last member (:meth:`release_slot`).
 
     Args:
-        key: the spec's content key (splits append a ``/split<n>``
-            suffix, so split cohorts never merge back by key lookup).
+        key: the cohort's key (the spec's content key in process).
         spec: the shared pipeline structure.
-        burst: frames the scheduler may drain per session per tick —
-            1 for ordinary cohorts, ``catchup_burst`` for cohorts born
-            from an adaptive split.
     """
 
-    def __init__(self, key: str, spec: SessionSpec, burst: int = 1) -> None:
+    def __init__(self, key: str, spec: SessionSpec) -> None:
         self.key = key
         self.spec = spec
-        self.burst = burst
-        #: True for cohorts born from an adaptive split (rejoin candidates).
-        self.split = False
         self.pipeline: Pipeline = spec.build_pipeline()
         #: Members in slot order: a :class:`Session` in process, a
         #: session id inside a shard worker.
@@ -133,17 +127,18 @@ class StragglerDetector:
     """Spot sessions whose queue depth persistently lags their cohort.
 
     Both front ends run it through :meth:`SchedulerBase._rebatch`:
-    after each tick, feed it every multi-member cohort's ``(session,
-    queue depth)`` pairs; it returns the sessions that have lagged the
-    cohort's *shallowest* queue by at least ``backlog`` frames for
-    ``patience`` consecutive ticks — the candidates for an adaptive
-    split.
+    after each tick, feed it every cohort's ``(session, queue depth)``
+    pairs, its catching-up members left out; it returns the sessions
+    that have lagged the cohort's *shallowest* queue by at least
+    ``backlog`` frames for ``patience`` consecutive ticks — the
+    sessions to put into catch-up. A cohort of fewer than two has no
+    one to lag.
 
     Args:
         backlog: queue-depth excess over the cohort minimum that counts
             as lagging.
-        patience: consecutive lagging ticks before a split fires (a
-            transient burst should not trigger a migration).
+        patience: consecutive lagging ticks before a catch-up starts (a
+            transient burst should not start one).
     """
 
     def __init__(self, backlog: int = 8, patience: int = 4) -> None:
@@ -154,7 +149,7 @@ class StragglerDetector:
         self._lagging: dict[int, int] = {}
 
     def observe(self, members: list[tuple[Session, int]]) -> list[Session]:
-        """Update lag counters for one cohort; return sessions to split."""
+        """Update lag counters for one cohort; return sessions now due."""
         if len(members) < 2:
             for session, _ in members:
                 self._lagging.pop(session.session_id, None)
@@ -185,7 +180,7 @@ class StragglerDetector:
         }
 
     def sweep(self, groups) -> list[Session]:
-        """Observe every cohort; return all sessions due for a split.
+        """Observe every cohort; return all sessions due for catch-up.
 
         The per-tick detection loop: ``groups`` yields each cohort's
         sessions.
@@ -197,60 +192,51 @@ class StragglerDetector:
 
 
 class SchedulerBase:
-    """The session bookkeeping and re-batching policy of both front ends.
+    """The session bookkeeping and catch-up policy of both front ends.
 
     :class:`Scheduler` (in process) and
     :class:`~repro.serve.shard.DistributedScheduler` differ only in how
-    a tick runs, where a cohort's pipeline lives and how a session's
-    state moves; the rest lives here once. A subclass supplies
-    ``_cohort_for(spec, key)`` (the cohort an admission joins),
-    ``_join(session, cohort)`` and ``_leave(session)`` (take and free a
-    state slot there; ``_leave`` drops an emptied cohort), ``_split``
-    and ``_rejoin`` (the state moves of re-batching, each counting
-    what it did in :attr:`splits` / :attr:`rejoins`), ``tick`` and
-    ``stage_profile``.
+    a tick runs and where a cohort's pipeline lives; the rest lives
+    here once. A subclass supplies ``_cohort_for(spec, key)`` (the
+    cohort an admission joins), ``_join(session, cohort)`` and
+    ``_leave(session)`` (take and free a state slot there; ``_leave``
+    drops an emptied cohort), ``tick`` (which drains up to each
+    session's :attr:`~repro.serve.session.Session.burst` frames and
+    ends with :meth:`_rebatch`) and ``stage_profile``.
+
+    :attr:`catchups` counts the catch-ups :meth:`_rebatch` started and
+    :attr:`catchups_ended` those that ran their course (a session
+    retired mid-catch-up ends none).
 
     Args:
         queue_capacity: per-session input queue bound (backpressure).
-        adaptive_split: enable straggler re-batching (see module doc).
-        split_backlog: queue-depth lag that marks a straggler.
-        split_patience: consecutive lagging ticks before splitting.
-        catchup_burst: frames per tick a split cohort may drain.
-        rejoin_patience: consecutive caught-up (empty queue at tick
-            end) observations before a split session merges back into
-            a cohort of its spec — splits are temporary, so transient
-            hiccups cannot fragment the batching permanently.
     """
 
-    def __init__(
-        self,
-        queue_capacity: int = 64,
-        adaptive_split: bool = True,
-        split_backlog: int = 8,
-        split_patience: int = 4,
-        catchup_burst: int = 4,
-        rejoin_patience: int = 4,
-    ) -> None:
+    #: Frames a catching-up session may drain per pass.
+    CATCHUP_BURST = 4
+    #: Consecutive passes that end with a catching-up session's queue
+    #: empty before its burst returns to 1 — catch-up is temporary, so
+    #: a transient hiccup cannot leave a session bursting for good.
+    CAUGHT_UP_PASSES = 4
+
+    def __init__(self, queue_capacity: int = 64) -> None:
         if queue_capacity < 1:
             raise ValueError("queue_capacity must be >= 1")
-        if catchup_burst < 1 or rejoin_patience < 1:
-            raise ValueError("catchup_burst and rejoin_patience must be >= 1")
         self.queue_capacity = queue_capacity
-        self.adaptive_split = adaptive_split
-        self.catchup_burst = catchup_burst
-        self.rejoin_patience = rejoin_patience
-        self.detector = StragglerDetector(split_backlog, split_patience)
-        self._caught_up: dict[int, int] = {}
+        self.detector = StragglerDetector()
+        #: Catching-up session ids, in the order their catch-ups
+        #: started, mapped to the passes in a row that ended with the
+        #: session's queue empty.
+        self._catching_up: dict[int, int] = {}
         self.cohorts: dict = {}
         self.sessions: dict[int, Session] = {}
         #: One sweep-block shape check per spec (cohort key).
         self.block_shapes: dict[str, BlockShape] = {}
         self._next_id = 1
-        self._split_seq = 0
         self.ticks = 0
         self.frames_processed = 0
-        self.splits = 0
-        self.rejoins = 0
+        self.catchups = 0
+        self.catchups_ended = 0
 
     @property
     def num_sessions(self) -> int:
@@ -286,6 +272,7 @@ class SchedulerBase:
         session.closed = True
         session.queue.clear()
         self.detector.forget(session)
+        self._catching_up.pop(session.session_id, None)
         del self.sessions[session.session_id]
         self._leave(session)
         return result
@@ -300,37 +287,35 @@ class SchedulerBase:
             total += consumed
 
     def _rebatch(self) -> None:
-        """Split persistent stragglers; rejoin the ones that caught up."""
+        """Start catch-up for persistent stragglers; end it for the
+        ones whose queue stayed empty."""
         detector = self.detector
-        # A split needs some session `backlog` deeper than its cohort's
-        # floor, which requires a queue at least that deep — so with no
-        # lag counters pending, one cheap depth scan replaces the full
-        # per-cohort sweep (which would only pop from empty dicts).
+        # A straggler is `backlog` deeper than its cohort's floor, which
+        # requires a queue at least that deep — so with no lag counters
+        # pending, one cheap depth scan replaces the full per-cohort
+        # sweep (which would only pop from empty dicts).
         if detector._lagging or any(
             len(s.queue) >= detector.backlog for s in self.sessions.values()
         ):
             detector.prune(self.sessions)
-            groups = (c.members for c in self.cohorts.values())
+            groups = (
+                [s for s in c.members if s.burst == 1]
+                for c in self.cohorts.values()
+            )
             for session in detector.sweep(groups):
-                self._split(session)
-        self._caught_up = {
-            sid: count
-            for sid, count in self._caught_up.items()
-            if sid in self.sessions
-        }
-        for cohort in list(self.cohorts.values()):
-            if not cohort.split or cohort.num_sessions != 1:
-                continue
-            (session,) = cohort.members
+                session.burst = self.CATCHUP_BURST
+                self._catching_up[session.session_id] = 0
+                self.catchups += 1
+        for sid, passes in list(self._catching_up.items()):
+            session = self.sessions[sid]
             if session.queue:
-                self._caught_up.pop(session.session_id, None)
-                continue
-            count = self._caught_up.get(session.session_id, 0) + 1
-            if count < self.rejoin_patience:
-                self._caught_up[session.session_id] = count
-                continue
-            self._caught_up.pop(session.session_id, None)
-            self._rejoin(session)
+                self._catching_up[sid] = 0
+            elif passes + 1 < self.CAUGHT_UP_PASSES:
+                self._catching_up[sid] = passes + 1
+            else:
+                del self._catching_up[sid]
+                session.burst = 1
+                self.catchups_ended += 1
 
 
 class Scheduler(SchedulerBase):
@@ -340,8 +325,8 @@ class Scheduler(SchedulerBase):
     pipeline lives here. Takes the :class:`SchedulerBase` arguments.
     """
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+    def __init__(self, queue_capacity: int = 64) -> None:
+        super().__init__(queue_capacity)
         #: Stage counters of dropped cohorts (profiling runs only), so
         #: retiring the last member of a cohort doesn't lose its ticks.
         self.retired_profile = StageProfiler()
@@ -371,86 +356,6 @@ class Scheduler(SchedulerBase):
             moved.slot = session.slot
         if not cohort.members:
             drop_cohort(self.cohorts, cohort, self.retired_profile)
-
-    def _move(self, session: Session, target: Cohort) -> None:
-        """Hand ``session``'s pipeline state off into a slot of ``target``.
-
-        Bit-exact: :meth:`Pipeline.snapshot_session
-        <repro.pipeline.Pipeline.snapshot_session>` rows restored into a
-        pipeline of the same spec, so the move is invisible in the
-        session's outputs. A source cohort left empty is dropped.
-        """
-        state = session.cohort.pipeline.snapshot_session(session.slot)
-        self._leave(session)
-        self._join(session, target)
-        target.pipeline.restore_session(session.slot, state)
-        session.cohort = target
-
-    def split(self, session: Session, burst: int = 1) -> Cohort:
-        """Re-batch one session into its own fresh cohort, bit-exactly.
-
-        The session's state is handed off (:meth:`_move`) into a freshly
-        built pipeline of the same spec; only scheduling changes: a
-        singleton cohort with ``burst > 1`` may drain several queued
-        frames per scheduler tick.
-
-        Args:
-            session: the (live) session to split off.
-            burst: frames per tick the new cohort may drain.
-
-        Returns:
-            The session's new single-member cohort.
-        """
-        old = session.cohort
-        if old.num_sessions <= 1:
-            # Already alone: let it catch up, and rejoin resets it.
-            old.burst = max(old.burst, burst)
-            old.split = True
-            return old
-        key = f"{old.key}/split{self._split_seq}"
-        self._split_seq += 1
-        cohort = Cohort(key, session.spec, burst=burst)
-        cohort.split = True
-        self.cohorts[key] = cohort
-        self._move(session, cohort)
-        return cohort
-
-    def merge(self, session: Session, target: Cohort) -> None:
-        """Move one session into an existing cohort, bit-exactly.
-
-        The inverse of :meth:`split`: the session's pipeline state is
-        handed off into a slot of ``target`` (same spec required), and
-        its now-empty source cohort is dropped. Used to re-batch a
-        straggler that caught up, so transient hiccups cannot fragment
-        the lockstep batching permanently.
-        """
-        if session.cohort is target:
-            return
-        if target.spec.cohort_key() != session.spec.cohort_key():
-            raise ValueError("sessions only merge into same-spec cohorts")
-        self._move(session, target)
-
-    def _split(self, session: Session) -> None:
-        old = session.cohort
-        if self.split(session, burst=self.catchup_burst) is not old:
-            self.splits += 1
-
-    def _rejoin(self, session: Session) -> None:
-        cohort = session.cohort
-        base = self.cohorts.get(session.spec.cohort_key())
-        if base is not None and base is not cohort:
-            self.merge(session, base)
-            self.rejoins += 1
-            return
-        if base is None:
-            # Nobody left to rejoin: this cohort *becomes* the base
-            # (re-keyed to the spec key so future admissions join it
-            # instead of founding a parallel pipeline).
-            del self.cohorts[cohort.key]
-            cohort.key = session.spec.cohort_key()
-            self.cohorts[cohort.key] = cohort
-        cohort.burst = 1
-        cohort.split = False
 
     def _tick_cohort(self, cohort: Cohort, ready: list[Session]) -> int:
         """One lockstep pipeline tick over the given ready sessions."""
@@ -482,22 +387,24 @@ class Scheduler(SchedulerBase):
         Pops one queued frame from each session that has one, advances
         each cohort's batch through a single vectorized pipeline tick,
         and routes output rows and latency samples back per session.
-        Split cohorts (``burst > 1``) may drain several frames in the
-        same pass — the catch-up mechanics of adaptive re-batching.
+        Then, while any of the cohort's catching-up members (``burst >
+        1``) still holds a frame and has burst left, one more round
+        ticks just those — a subset of the cohort's slots, in the same
+        pipeline.
 
         Returns:
             Number of frames consumed (0 means every queue was empty).
         """
         consumed = 0
-        for cohort in list(self.cohorts.values()):
-            for _ in range(cohort.burst):
-                ready = [s for s in cohort.members if s.queue]
-                if not ready:
-                    break
+        for cohort in self.cohorts.values():
+            ready = [s for s in cohort.members if s.queue]
+            rounds = 1
+            while ready:
                 consumed += self._tick_cohort(cohort, ready)
+                ready = [s for s in ready if s.burst > rounds and s.queue]
+                rounds += 1
         if consumed:
             self.ticks += 1
             self.frames_processed += consumed
-        if self.adaptive_split:
-            self._rebatch()
+        self._rebatch()
         return consumed

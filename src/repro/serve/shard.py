@@ -30,12 +30,12 @@ session re-primes background subtraction on its next frame and loses
 one output frame, deterministically, while every other session is
 untouched.
 
-Adaptive re-batching crosses processes here: a straggling session's
-state is pulled out of its shard via :meth:`Pipeline.snapshot_session`
-(picklable by design), restored bit-exactly into a fresh singleton
-cohort on the least-loaded shard, and drained at ``catchup_burst``
-frames per tick. When that shard is the session's own, the state never
-leaves the worker (:meth:`ShardWorker.move`).
+Catch-up runs where the session lives: a straggler's state stays in
+its slot on its own shard, and the front end sends it up to its
+:attr:`~repro.serve.session.Session.burst` blocks per step, which
+:meth:`ShardWorker.step` ticks as extra rounds over the cohort's
+members that still hold a block. No session state crosses between
+shards except on failover.
 """
 
 from __future__ import annotations
@@ -119,18 +119,6 @@ class ShardWorker:
         self._placement[session_id] = (key, slot)
         return slot
 
-    def restore(
-        self, session_id: int, key: str, spec: SessionSpec, state: dict
-    ) -> None:
-        """Admit a session and install a migrated pipeline snapshot."""
-        slot = self.admit(session_id, key, spec)
-        self.cohorts[key].pipeline.restore_session(slot, state)
-
-    def snapshot(self, session_id: int) -> dict:
-        """Hand off one session's pipeline state (for migration)."""
-        key, slot = self._placement[session_id]
-        return self.cohorts[key].pipeline.snapshot_session(slot)
-
     def evict(self, session_id: int) -> None:
         """Forget a session's state slot; drop its cohort when empty."""
         key, slot = self._placement.pop(session_id)
@@ -140,13 +128,6 @@ class ShardWorker:
             self._placement[moved] = (key, slot)
         if not cohort.members:
             drop_cohort(self.cohorts, cohort, self._retired_profile)
-
-    def move(self, session_id: int, key: str, spec: SessionSpec) -> None:
-        """Move a session into cohort ``key`` of this shard, bit-exactly
-        (:meth:`snapshot`, :meth:`evict`, :meth:`restore` in one call)."""
-        state = self.snapshot(session_id)
-        self.evict(session_id)
-        self.restore(session_id, key, spec, state)
 
     @property
     def num_sessions(self) -> int:
@@ -162,11 +143,11 @@ class ShardWorker:
 
         Args:
             batch: ``(session_id, [sweep_block, ...])`` pairs — usually
-                one block each; split cohorts catching up send several.
+                one block each; a catching-up session sends several.
 
         Returns:
-            ``(groups, tick_s)``: one output group per (cohort, burst
-            round) pipeline tick — the tick's emitted rows as column
+            ``(groups, tick_s)``: one output group per (cohort, round)
+            pipeline tick — the tick's emitted rows as column
             slabs with a parallel session-id routing vector (see
             :func:`~repro.serve.session.tick_group`; a tick may emit
             fewer rows than it was fed when frames only primed) — and
@@ -246,14 +227,13 @@ class PlacedCohort:
     """Front-end bookkeeping for one cohort living on a shard.
 
     The parent-side mirror of the shard's :class:`Cohort`: no pipeline,
-    just membership, placement, and the catch-up burst budget. Unlike
-    the single-process engine — where a spec has exactly one cohort —
-    the distributed tier may run **one cohort per (spec, shard)**: the
-    cohort is the placement unit (it always lives whole on one shard),
-    and homogeneous traffic spreads across shards by founding sibling
-    cohorts of the same spec. Partitioning sessions into more cohorts
-    never changes outputs (tick rows are independent); it only changes
-    where they are computed.
+    just membership and placement. Unlike the single-process engine —
+    where a spec has exactly one cohort — the distributed tier may run
+    **one cohort per (spec, shard)**: the cohort is the placement unit
+    (it always lives whole on one shard), and homogeneous traffic
+    spreads across shards by founding sibling cohorts of the same spec.
+    Partitioning sessions into more cohorts never changes outputs (tick
+    rows are independent); it only changes where they are computed.
 
     Args:
         key: unique placement key (``<spec key>#<seq>`` in the
@@ -261,24 +241,15 @@ class PlacedCohort:
         spec_key: the spec's content key — shared by sibling cohorts.
         spec: the shared pipeline structure.
         shard: worker index currently hosting the cohort.
-        burst: frames per session per tick the scheduler may drain.
     """
 
     def __init__(
-        self,
-        key: str,
-        spec_key: str,
-        spec: SessionSpec,
-        shard: int,
-        burst: int = 1,
+        self, key: str, spec_key: str, spec: SessionSpec, shard: int
     ) -> None:
         self.key = key
         self.spec_key = spec_key
         self.spec = spec
         self.shard = shard
-        self.burst = burst
-        #: True for cohorts born from an adaptive split (rejoin candidates).
-        self.split = False
         #: Members in admission order (slots are worker-local).
         self.members: list[Session] = []
 
@@ -352,19 +323,13 @@ class DistributedScheduler(SchedulerBase):
     The distributed front end, shaped like the in-process
     :class:`~repro.serve.scheduler.Scheduler` and sharing its
     :class:`~repro.serve.scheduler.SchedulerBase` bookkeeping and
-    re-batching policy; placement *is* admission here. Sessions keep
+    catch-up policy; placement *is* admission here. Sessions keep
     their bounded queues and accumulated results in the parent; shards
     hold only pipeline state.
 
     Args:
         pool: worker pool whose actors are :class:`ShardWorker`\\ s.
         queue_capacity: per-session input queue bound (backpressure).
-        adaptive_split: enable straggler re-batching across shards.
-        split_backlog: queue-depth lag that marks a straggler.
-        split_patience: consecutive lagging ticks before splitting.
-        catchup_burst: frames per tick a split cohort may drain.
-        rejoin_patience: consecutive caught-up observations before a
-            split session migrates back into a sibling cohort.
         memory_model: optional per-session memory estimator
             (``estimate(spec) -> bytes``). When present, placement
             weighs shards by *predicted committed bytes* instead of raw
@@ -383,24 +348,12 @@ class DistributedScheduler(SchedulerBase):
         self,
         pool: WorkerPool,
         queue_capacity: int = 64,
-        adaptive_split: bool = True,
-        split_backlog: int = 8,
-        split_patience: int = 4,
-        catchup_burst: int = 4,
-        rejoin_patience: int = 4,
         memory_model=None,
         shard_budget_bytes: int | None = None,
     ) -> None:
         if shard_budget_bytes is not None and shard_budget_bytes <= 0:
             raise ValueError("shard_budget_bytes must be positive")
-        super().__init__(
-            queue_capacity,
-            adaptive_split,
-            split_backlog,
-            split_patience,
-            catchup_burst,
-            rejoin_patience,
-        )
+        super().__init__(queue_capacity)
         self.pool = pool
         self.memory_model = memory_model
         self.shard_budget_bytes = shard_budget_bytes
@@ -411,6 +364,7 @@ class DistributedScheduler(SchedulerBase):
         #: Most recent shard failure (surfaced when the tier goes down).
         self.last_failure: BaseException | None = None
         self.failovers = 0
+        self._next_cohort = 0
 
     # -- placement ---------------------------------------------------------
 
@@ -441,15 +395,9 @@ class DistributedScheduler(SchedulerBase):
                 )
         return load
 
-    def _least_loaded(self, leaving: PlacedCohort | None = None) -> int:
-        """The live shard with the least load (lowest index on ties).
-
-        ``leaving`` counts one session fewer on that cohort's shard: the
-        placement of a session about to leave it.
-        """
+    def _least_loaded(self) -> int:
+        """The live shard with the least load (lowest index on ties)."""
         load = self._shard_load()
-        if leaving is not None and leaving.shard in load:
-            load[leaving.shard] -= self._session_cost(leaving.spec)
         if not load:
             # Chain the last remote failure: when a poison input (e.g. a
             # malformed frame that deterministically raises) has burned
@@ -566,15 +514,13 @@ class DistributedScheduler(SchedulerBase):
             (
                 c
                 for c in self.cohorts.values()
-                # Never admit into a split cohort: it is mid-catch-up,
-                # and a second member would stop it from ever rejoining.
-                if c.spec_key == spec_key and c.shard == target and not c.split
+                if c.spec_key == spec_key and c.shard == target
             ),
             None,
         )
         if cohort is None:
-            key = f"{spec_key}#{self._split_seq}"
-            self._split_seq += 1
+            key = f"{spec_key}#{self._next_cohort}"
+            self._next_cohort += 1
             cohort = PlacedCohort(key, spec_key, spec, target)
             self.cohorts[key] = cohort
         return cohort
@@ -610,12 +556,13 @@ class DistributedScheduler(SchedulerBase):
     def tick(self) -> int:
         """One distributed pass: batch per shard, overlap, route, merge.
 
-        Pops up to ``burst`` queued frames per ready session, submits
-        every involved shard its batch *before* awaiting any response
-        (shard compute overlaps), then routes each shard's output rows
-        and latency samples back as responses arrive. A shard that
-        fails mid-step is excluded and failed over without dropping a
-        frame.
+        Pops up to its ``burst`` queued frames per ready session (one,
+        or several for a catching-up session, which the shard ticks as
+        extra rounds over its cohort), submits every involved shard its
+        batch *before* awaiting any response (shard compute overlaps),
+        then routes each shard's output rows and latency samples back as
+        responses arrive. A shard that fails mid-step is excluded and
+        failed over without dropping a frame.
 
         Returns:
             Number of frames consumed (0 means every queue was empty).
@@ -623,9 +570,9 @@ class DistributedScheduler(SchedulerBase):
         batches: dict[
             int, list[tuple[Session, list[tuple[np.ndarray, float]]]]
         ] = {}
-        for cohort in list(self.cohorts.values()):
+        for cohort in self.cohorts.values():
             for session in cohort.members:
-                take = min(len(session.queue), cohort.burst)
+                take = min(len(session.queue), session.burst)
                 if take:
                     entries = [session.queue.popleft() for _ in range(take)]
                     batches.setdefault(cohort.shard, []).append(
@@ -688,97 +635,8 @@ class DistributedScheduler(SchedulerBase):
         if consumed:
             self.ticks += 1
             self.frames_processed += consumed
-        if self.adaptive_split:
-            self._rebatch()
+        self._rebatch()
         return consumed
-
-    # -- adaptive re-batching ----------------------------------------------
-
-    def _migrate(self, session: Session, target: PlacedCohort) -> bool:
-        """Move ``session``'s pipeline state into ``target``, bit-exactly.
-
-        Within one shard this is one :meth:`ShardWorker.move` call;
-        across shards the state crosses as a
-        :meth:`Pipeline.snapshot_session` hand-off. A source cohort left
-        empty is dropped. A shard failure falls back to the ordinary
-        failover path (fresh state), never an inconsistent one: the
-        session joins ``target`` *before* its state lands there, so
-        failover finds it even when the target dies. Returns False when
-        the source failed first (the session fails over with its
-        cohort).
-        """
-        source: PlacedCohort = session.cohort
-        sid, call = session.session_id, ("move",)
-        if target.shard != source.shard:
-            try:
-                state = self.pool.invoke(source.shard, "snapshot", sid)
-                self.pool.invoke(source.shard, "evict", sid)
-            except Exception as exc:
-                self._fail_shard(source.shard, exc)
-                return False
-            call = ("restore", state)
-        source.members.remove(session)
-        if not source.members:
-            del self.cohorts[source.key]
-        self.cohorts[target.key] = target
-        session.cohort = target
-        target.members.append(session)
-        try:
-            self.pool.invoke(
-                target.shard, call[0], sid, target.key, target.spec, *call[1:]
-            )
-        except Exception as exc:
-            self._fail_shard(target.shard, exc)
-        return True
-
-    def _split(self, session: Session) -> None:
-        """Migrate one straggler into a singleton cohort, bit-exactly.
-
-        The new cohort gets the catch-up burst budget and lands on the
-        least-loaded shard (:meth:`_migrate`).
-        """
-        cohort: PlacedCohort = session.cohort
-        if cohort.num_sessions <= 1:
-            cohort.burst = max(cohort.burst, self.catchup_burst)
-            cohort.split = True
-            return
-        split = PlacedCohort(
-            f"{cohort.spec_key}#{self._split_seq}",
-            cohort.spec_key,
-            cohort.spec,
-            self._least_loaded(leaving=cohort),
-            burst=self.catchup_burst,
-        )
-        self._split_seq += 1
-        split.split = True
-        if self._migrate(session, split):
-            self.splits += 1
-
-    def _rejoin(self, session: Session) -> None:
-        """Merge a caught-up split session back into a sibling cohort.
-
-        Splits are temporary: once the backlog is gone, the session
-        migrates (bit-exactly, :meth:`_migrate`) into a same-spec
-        non-split cohort — preferring one already on its shard, where
-        the state stays in the worker — so transient stragglers cannot
-        fragment the lockstep batching permanently. With no sibling to
-        rejoin, the cohort simply stops being special.
-        """
-        cohort: PlacedCohort = session.cohort
-        siblings = [
-            c
-            for c in self.cohorts.values()
-            if c is not cohort and c.spec_key == cohort.spec_key and not c.split
-        ]
-        if not siblings:
-            cohort.burst = 1
-            cohort.split = False
-            return
-        target = next(
-            (c for c in siblings if c.shard == cohort.shard), siblings[0]
-        )
-        if self._migrate(session, target):
-            self.rejoins += 1
 
     # -- reporting ---------------------------------------------------------
 

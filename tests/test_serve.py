@@ -10,8 +10,8 @@ The load-bearing properties:
   workers) and staggered session start/stop —
   batching sessions for throughput never changes anyone's answer;
 * evicting a session mid-run does not perturb the survivors, and a
-  cohort's slots stay dense (``0..n-1``) through every admit, close,
-  evict, split and merge;
+  cohort's slots stay dense (``0..n-1``) through every admit, close and
+  evict, with a hot session catching up beside its cohort mates;
 * a NaN, infinite or huge block stays with the session that sent it:
   its cohort mates' results stay bitwise those of a clean run, for
   single- and K-person cohorts, in process or over shard workers,
@@ -38,6 +38,7 @@ from repro.pipeline import BackgroundSubtract, KalmanSmooth, LatencyReport
 from repro.serve import (
     ServingEngine,
     ShardWorker,
+    StragglerDetector,
     multi_session,
     single_session,
 )
@@ -751,12 +752,11 @@ class TestMalformedBlocks:
 
 
 #: One churn step: an event, which live session it picks, and how many
-#: frames every live session is fed afterwards.
+#: ticks follow, each feeding every live session one frame (three for
+#: a session a ``hot`` event picked).
 CHURN = st.lists(
     st.tuples(
-        st.sampled_from(
-            ["single", "multi", "close", "evict", "split", "merge"]
-        ),
+        st.sampled_from(["single", "multi", "close", "evict", "hot"]),
         st.integers(0, 7),
         st.integers(1, 3),
     ),
@@ -775,44 +775,44 @@ def _assert_dense(engine):
 
 
 def _churn(engine, events):
-    """Drive an admit/close/evict/split/merge schedule on ``engine``.
+    """Drive an admit/close/evict/hot schedule on ``engine``.
 
-    Splits and merges are direct :class:`Scheduler` calls, so they
-    run in process only. Returns ``(spec, blocks, result)`` for every
-    session closed cleanly.
+    A ``hot`` event makes the picked session's producer outrun the
+    tick: from then on it gets three frames a tick, under a detector
+    fast enough that it goes into catch-up, and back out, within a few
+    ticks. Returns ``(spec, blocks, result)`` for every session closed
+    cleanly.
     """
     specs = {
         "single": single_session(),
         "multi": multi_session(max_people=2, room=through_wall_room()),
     }
+    engine.scheduler.detector = StragglerDetector(backlog=1, patience=1)
     check = _assert_dense if not engine.distributed else lambda engine: None
+    # Live entries: [session, spec, source, blocks, frames per tick].
     live, closed = [], []
-    for seed, (event, pick, frames) in enumerate(events):
+    for seed, (event, pick, ticks) in enumerate(events):
         if event in specs and len(live) < 6:
             spec = specs[event]
             source = SyntheticFrameSource(spec, seed=seed)
-            live.append((engine.admit(spec), spec, source, []))
+            live.append([engine.admit(spec), spec, source, [], 1])
         elif event in ("close", "evict") and live:
-            session, spec, _, blocks = live.pop(pick % len(live))
+            session, spec, _, blocks, _ = live.pop(pick % len(live))
             if event == "close":
                 closed.append((spec, blocks, engine.close(session)))
             else:
                 engine.evict(session)
-        elif event in ("split", "merge") and live and not engine.distributed:
-            session = live[pick % len(live)][0]
-            base = engine.scheduler.cohorts.get(session.spec.cohort_key())
-            if event == "split":
-                engine.scheduler.split(session, burst=2)
-            elif base is not None:
-                engine.scheduler.merge(session, base)
+        elif event == "hot" and live:
+            live[pick % len(live)][4] = 3
         check(engine)
-        for _ in range(frames):
-            for session, _, source, blocks in live:
-                blocks.append(source.next_block())
-                engine.submit(session, blocks[-1])
+        for _ in range(ticks):
+            for session, _, source, blocks, rate in live:
+                for _ in range(rate):
+                    blocks.append(source.next_block())
+                    engine.submit(session, blocks[-1])
             engine.tick()
             check(engine)
-    for session, spec, _, blocks in live:
+    for session, spec, _, blocks, _ in live:
         closed.append((spec, blocks, engine.close(session)))
         check(engine)
     return closed
@@ -849,9 +849,26 @@ class TestDenseSlots:
             closed = _churn(engine, events)
         _assert_serial(closed)
 
+    @pytest.mark.parametrize("serving", list(SERVING))
+    def test_hot_session_catches_up_under_churn(self, serving):
+        """A fixed schedule whose hot session goes into catch-up and
+        back out while one cohort mate closes and the next is admitted
+        beside it and evicted."""
+        events = [
+            ("single", 0, 1), ("single", 0, 1), ("single", 0, 1),
+            ("hot", 0, 3), ("close", 2, 3), ("single", 0, 3),
+            ("evict", 2, 3),
+        ]
+        workers, transport = SERVING[serving]
+        with ServingEngine(workers=workers, transport=transport) as engine:
+            closed = _churn(engine, events)
+            assert engine.scheduler.catchups >= 1
+            assert engine.scheduler.catchups_ended >= 1
+        _assert_serial(closed)
+
     def test_shard_worker_placement_stays_dense(self):
         """Shard-side evictions move the last member and re-address it;
-        re-admission (failover) and restore (migration) append."""
+        admission and failover re-admission append."""
         spec = single_session()
         worker = ShardWorker()
         key = spec.cohort_key()
@@ -872,10 +889,9 @@ class TestDenseSlots:
         for _ in range(3):
             worker.step([(sid, [sources[sid].next_block()])
                          for sid in placed()])
-        state = worker.snapshot(2)
         worker.evict(2)
         assert placed()[4] == 1  # the last member moved into slot 1
-        worker.restore(5, key, spec, state)  # migration appends
+        worker.admit(5, key, spec)  # admission appends
         worker.admit(6, key, spec, start_frame=3)  # failover appends
         assert placed() == {1: 0, 4: 1, 3: 2, 5: 3, 6: 4}
         worker.evict(1)

@@ -10,22 +10,24 @@ The load-bearing properties:
   fail over to surviving shards without losing a queued frame, staying
   on the session clock, while sessions on other shards are untouched
   bitwise;
-* adaptive re-batching splits a persistent straggler into its own
-  cohort — migrating its pipeline state bit-exactly, in-process or
-  across worker processes — and burst-drains its backlog, and both
-  tiers split and rejoin on the same ticks.
+* a persistent straggler catches up in place — it drains several
+  frames per pass in its own cohort and slot, single- or K-person, in
+  process or over shard workers, bitwise — and both tiers drain every
+  session the same number of frames on every pass.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from repro.config import default_config
 from repro.core.tracker import WiTrack
-from repro.exec.pool import WorkerCrash, pool_available
+from repro.exec.pool import pool_available
 from repro.exec.transport import shm_available
 from repro.multi import MultiScenario, MultiWiTrack
 from repro.serve import ServingEngine, multi_session, single_session
-from repro.serve.scheduler import StragglerDetector
+from repro.serve.scheduler import SchedulerBase, StragglerDetector
 from repro.sim import Scenario
 from repro.sim.body import HumanBody
 from repro.sim.motion import non_colliding_walks, random_walk
@@ -365,155 +367,34 @@ class TestWorkerFailure:
             with pytest.raises(RuntimeError, match="no live shard"):
                 engine.tick()
 
-    @staticmethod
-    def _restore_dies(pool):
-        """Make every call that lands a session's state on a shard —
-        ``restore``, or ``move`` when the state stays on its shard —
-        kill that shard first; returns the crashes raised, and the
-        original ``invoke`` to put back."""
-        crashes = []
-        invoke = pool.invoke
 
-        def dying_invoke(worker, method, *args, **kwargs):
-            if method not in ("restore", "move"):
-                return invoke(worker, method, *args, **kwargs)
-            pool.kill(worker)  # the shard receiving the state dies
-            try:
-                return invoke(worker, method, *args, **kwargs)
-            except WorkerCrash as exc:
-                crashes.append(exc)
-                raise
+class Pass(NamedTuple):
+    """One traced scheduler pass: frames each session drained, its
+    queue depth and burst after the pass, and the scheduler counters."""
 
-        pool.invoke = dying_invoke
-        return crashes, invoke
-
-    def test_split_target_dying_fails_over(self, config, short_walks):
-        """The shard receiving a split's state dies as it lands.
-
-        With the split placed on its own shard (the least loaded once
-        the straggler leaves its cohort), the state lands there in one
-        ``move``, and that is where the shard dies. The split session,
-        and the cohort mate it left on that shard, fail over like a
-        shard raising mid-tick; the session on the other shard is
-        untouched bitwise; and the crash is the failure the scheduler
-        records.
-        """
-        range_bin_m = short_walks[0].range_bin_m
-        spec = single_session(config, range_bin_m)
-        blocks = [frame_blocks(out, config, 80) for out in short_walks[:3]]
-        with ServingEngine(workers=2) as engine:
-            scheduler = engine.scheduler
-            sessions = [engine.admit(spec) for _ in blocks]
-            mate, survivor, straggler = sessions
-            assert straggler.cohort is mate.cohort
-            victim_shard = mate.cohort.shard
-            for f in range(30):
-                for s, bl in zip(sessions, blocks):
-                    engine.submit(s, bl[f])
-                engine.tick()
-            assert scheduler._least_loaded(leaving=mate.cohort) == (
-                victim_shard
-            )
-            crashes, invoke = self._restore_dies(engine.pool)
-            scheduler._split(straggler)
-            engine.pool.invoke = invoke
-            assert scheduler.splits == 1
-            assert scheduler.failovers == 1
-            assert scheduler.excluded_shards == {victim_shard}
-            assert len(crashes) == 1
-            assert scheduler.last_failure is crashes[0]
-            assert straggler.cohort.shard == survivor.cohort.shard
-            for f in range(30, 80):
-                for s, bl in zip(sessions, blocks):
-                    engine.submit(s, bl[f])
-                engine.tick()
-            engine.drain()
-            results = [engine.close(s) for s in sessions]
-        assert_single_equal(
-            results[1], serial_single(config, range_bin_m, blocks[1])
-        )
-        for s in (0, 2):
-            assert sessions[s].frames_in == 80
-            assert_failed_over(config, range_bin_m, blocks[s], results[s])
-
-    def test_same_shard_split_moves_state_in_one_call(
-        self, config, short_walks, transport
-    ):
-        """A split placed on the session's own shard moves its state
-        inside the worker: one ``move``, no ``snapshot`` or ``restore``
-        round trip through the parent, and outputs stay bitwise the
-        serial run's."""
-        range_bin_m = short_walks[0].range_bin_m
-        spec = single_session(config, range_bin_m)
-        blocks = [frame_blocks(out, config, 60) for out in short_walks[:3]]
-        with ServingEngine(workers=2, transport=transport) as engine:
-            scheduler = engine.scheduler
-            sessions = [engine.admit(spec) for _ in blocks]
-            mate, _, straggler = sessions
-            source = straggler.cohort.shard
-            for f in range(20):
-                for s, bl in zip(sessions, blocks):
-                    engine.submit(s, bl[f])
-                engine.tick()
-            calls = []
-            invoke = engine.pool.invoke
-
-            def spying_invoke(worker, method, *args, **kwargs):
-                calls.append((worker, method))
-                return invoke(worker, method, *args, **kwargs)
-
-            engine.pool.invoke = spying_invoke
-            scheduler._split(straggler)
-            engine.pool.invoke = invoke
-            assert calls == [(source, "move")]
-            assert scheduler.splits == 1
-            assert straggler.cohort.split
-            assert straggler.cohort is not mate.cohort
-            assert straggler.cohort.shard == source
-            for f in range(20, 60):
-                for s, bl in zip(sessions, blocks):
-                    engine.submit(s, bl[f])
-                engine.tick()
-            engine.drain()
-            results = [engine.close(s) for s in sessions]
-        for result, bl in zip(results, blocks):
-            assert_single_equal(result, serial_single(config, range_bin_m, bl))
-
-    def test_split_target_dying_takes_down_a_lone_shard(
-        self, config, short_walks
-    ):
-        """When the dead split target was the last shard, the "no live
-        shard" error chains the crash that killed it."""
-        spec = single_session(config, short_walks[0].range_bin_m)
-        blocks = frame_blocks(short_walks[0], config, 3)
-        with ServingEngine(workers=1) as engine:
-            a, b = engine.admit(spec), engine.admit(spec)
-            for block in blocks:
-                engine.submit(a, block)
-                engine.submit(b, block)
-                engine.tick()
-            crashes, _ = self._restore_dies(engine.pool)
-            with pytest.raises(RuntimeError, match="no live shard") as info:
-                engine.scheduler._split(b)
-        assert len(crashes) == 1
-        assert info.value.__cause__ is crashes[0]
+    drained: tuple
+    pending: tuple
+    bursts: tuple
+    catchups: int
+    ended: int
+    ticks: int
+    frames: int
 
 
 class TestAdaptiveRebatching:
-    def _straggle(self, engine, config, short_walks, steps=30, cooldown=0):
-        """Feed 3 cohort mates; the last gets 3 frames per step.
+    def _straggle(self, engine, spec, outputs, config, steps=30, cooldown=0):
+        """Feed 3 cohort mates of ``spec``; the last gets 3 frames per step.
 
-        A ``cooldown`` phase follows the hot phase: everyone (the
-        ex-straggler included) back to one frame per step, so the
-        split session's burst drain empties its backlog and the
-        rejoin machinery has caught-up ticks to observe.
+        ``outputs`` holds each session's recording. A ``cooldown``
+        phase follows the hot phase: everyone (the ex-straggler
+        included) back to one frame per step, so the catch-up drains
+        the backlog and the queue stays empty long enough for the
+        catch-up to end.
         """
-        range_bin_m = short_walks[0].range_bin_m
-        spec = single_session(config, range_bin_m)
         feeds = [
-            frame_blocks(short_walks[0], config, steps + cooldown),
-            frame_blocks(short_walks[1], config, steps + cooldown),
-            frame_blocks(short_walks[2], config, 3 * steps + cooldown),
+            frame_blocks(outputs[0], config, steps + cooldown),
+            frame_blocks(outputs[1], config, steps + cooldown),
+            frame_blocks(outputs[2], config, 3 * steps + cooldown),
         ]
         sessions = [engine.admit(spec) for _ in feeds]
         cursors = [0, 0, 0]
@@ -529,37 +410,59 @@ class TestAdaptiveRebatching:
         assert all(c == len(f) for c, f in zip(cursors, feeds))
         engine.drain()
         results = [engine.close(s) for s in sessions]
-        return sessions, results, feeds, range_bin_m
+        return sessions, results, feeds
+
+    def _straggle_single(self, engine, config, short_walks, **kwargs):
+        """:meth:`_straggle` with single-person sessions; adds the range
+        bin to its returns."""
+        range_bin_m = short_walks[0].range_bin_m
+        spec = single_session(config, range_bin_m)
+        return (*self._straggle(
+            engine, spec, short_walks[:3], config, **kwargs
+        ), range_bin_m)
 
     def test_straggler_splits_and_stays_bitwise_local(
         self, config, short_walks
     ):
+        """The straggler catches up inside its mates' cohort: one cohort
+        throughout, and every output bitwise the serial run's."""
         engine = ServingEngine(queue_capacity=64)
-        engine.scheduler.detector = StragglerDetector(backlog=4, patience=2)
-        engine.scheduler.catchup_burst = 4
-        sessions, results, feeds, range_bin_m = self._straggle(
+        scheduler = engine.scheduler
+        scheduler.detector = StragglerDetector(backlog=4, patience=2)
+        seen = []
+        tick = scheduler.tick
+
+        def traced_tick():
+            consumed = tick()
+            bursts = [s.burst for s in scheduler.sessions.values()]
+            seen.append((len(scheduler.cohorts), bursts))
+            return consumed
+
+        scheduler.tick = traced_tick
+        sessions, results, feeds, range_bin_m = self._straggle_single(
             engine, config, short_walks
         )
-        assert engine.scheduler.splits >= 1
-        assert "/split" in sessions[2].cohort.key  # re-batched
-        assert sessions[2].cohort is not sessions[0].cohort
+        assert scheduler.catchups >= 1
+        assert {cohorts for cohorts, _ in seen} == {1}
+        assert [1, 1, SchedulerBase.CATCHUP_BURST] in [b for _, b in seen]
+        assert sessions[2].cohort is sessions[0].cohort
         for result, feed in zip(results, feeds):
             reference = serial_single(config, range_bin_m, feed)
             assert_single_equal(result, reference)
 
     def test_caught_up_straggler_rejoins_local(self, config, short_walks):
-        """Splits are temporary: the backlog drains, the session merges
-        back into its mates' cohort — still bitwise."""
+        """Catch-up is temporary: once the backlog has drained, the
+        session drains one frame per pass again — still bitwise."""
         engine = ServingEngine(queue_capacity=64)
         engine.scheduler.detector = StragglerDetector(backlog=4, patience=2)
-        engine.scheduler.catchup_burst = 4
-        engine.scheduler.rejoin_patience = 3
-        sessions, results, feeds, range_bin_m = self._straggle(
+        engine.scheduler.CAUGHT_UP_PASSES = 3
+        sessions, results, feeds, range_bin_m = self._straggle_single(
             engine, config, short_walks, cooldown=30
         )
-        assert engine.scheduler.splits >= 1
-        assert engine.scheduler.rejoins >= 1
-        assert sessions[2].cohort is sessions[0].cohort  # back home
+        assert engine.scheduler.catchups >= 1
+        assert engine.scheduler.catchups_ended >= 1
+        assert sessions[2].burst == 1
+        assert sessions[2].cohort is sessions[0].cohort
         assert len(engine.scheduler.cohorts) == 0  # all closed cleanly
         for result, feed in zip(results, feeds):
             reference = serial_single(config, range_bin_m, feed)
@@ -568,32 +471,68 @@ class TestAdaptiveRebatching:
     def test_straggler_migrates_across_processes_bitwise(
         self, config, short_walks, transport
     ):
+        """Over shard workers the straggler catches up on its own shard,
+        in its own cohort, and its burst is back to 1 afterwards."""
         with ServingEngine(
             queue_capacity=64, workers=2, transport=transport
         ) as engine:
             engine.scheduler.detector = StragglerDetector(
                 backlog=4, patience=2
             )
-            engine.scheduler.catchup_burst = 4
-            engine.scheduler.rejoin_patience = 3
-            sessions, results, feeds, range_bin_m = self._straggle(
+            engine.scheduler.CAUGHT_UP_PASSES = 3
+            sessions, results, feeds, range_bin_m = self._straggle_single(
                 engine, config, short_walks, cooldown=30
             )
-            assert engine.scheduler.splits >= 1
-            # Caught up during cooldown: migrated back into a sibling
-            # non-split cohort (possibly on another shard), bit-exactly.
-            assert engine.scheduler.rejoins >= 1
-            assert not sessions[2].cohort.split
+            assert engine.scheduler.catchups >= 1
+            assert engine.scheduler.catchups_ended >= 1
+            assert sessions[2].burst == 1
+            assert sessions[2].cohort is sessions[0].cohort
         for result, feed in zip(results, feeds):
             reference = serial_single(config, range_bin_m, feed)
             assert_single_equal(result, reference)
 
+    @pytest.mark.parametrize("serving", ["inproc", "pipe", "shm"])
+    def test_k2_straggler_catches_up_bitwise(
+        self, config, room, multi_output, serving
+    ):
+        """A K=2 straggler's catch-up rounds step the track bank on a
+        subset of its cohort's slots; every session stays bitwise its
+        serial run."""
+        if serving == "shm" and not shm_available():
+            pytest.skip("POSIX shared memory unavailable")
+        range_bin_m = multi_output.range_bin_m
+        spec = multi_session(config, range_bin_m, max_people=2, room=room)
+        workers = 0 if serving == "inproc" else 2
+        with ServingEngine(
+            queue_capacity=64, workers=workers,
+            transport=None if serving == "inproc" else serving,
+        ) as engine:
+            engine.scheduler.detector = StragglerDetector(
+                backlog=4, patience=2
+            )
+            engine.scheduler.CAUGHT_UP_PASSES = 3
+            sessions, results, feeds = self._straggle(
+                engine, spec, [multi_output] * 3, config, cooldown=30
+            )
+            assert engine.scheduler.catchups >= 1
+            assert engine.scheduler.catchups_ended >= 1
+            assert sessions[2].cohort is sessions[0].cohort
+        for result, feed in zip(results, feeds):
+            reference = serial_multi(config, range_bin_m, feed, room)
+            assert any(reference.tracks)
+            assert_tracks_equal(result, reference)
+
     def test_both_tiers_make_the_same_decisions(
         self, config, short_walks, transport
     ):
-        """In process and over shard workers, the straggler is split
-        and rejoined on the same ticks: the two front ends share one
-        re-batching policy, so their counters agree after every tick."""
+        """In process and over shard workers, every pass drains every
+        session the same number of frames: the two front ends share one
+        catch-up policy. The schedule it pins: the mates drain one frame
+        per pass; the straggler drains ``CATCHUP_BURST`` from the pass
+        after the detector fires while frames remain, and one again
+        once ``CAUGHT_UP_PASSES`` passes in a row end with its queue
+        empty."""
+        patience = 3
         traces = []
         for workers in (0, 2):
             with ServingEngine(
@@ -601,23 +540,30 @@ class TestAdaptiveRebatching:
             ) as engine:
                 scheduler = engine.scheduler
                 scheduler.detector = StragglerDetector(backlog=4, patience=2)
-                scheduler.catchup_burst = 4
-                scheduler.rejoin_patience = 3
+                scheduler.CAUGHT_UP_PASSES = patience
                 trace = []
                 tick = scheduler.tick
 
                 def traced_tick():
+                    sessions = list(scheduler.sessions.values())
+                    before = [s.frames_in - len(s.queue) for s in sessions]
                     consumed = tick()
-                    trace.append((
-                        scheduler.splits,
-                        scheduler.rejoins,
+                    trace.append(Pass(
+                        tuple(
+                            s.frames_in - len(s.queue) - b
+                            for s, b in zip(sessions, before)
+                        ),
+                        tuple(len(s.queue) for s in sessions),
+                        tuple(s.burst for s in sessions),
+                        scheduler.catchups,
+                        scheduler.catchups_ended,
                         scheduler.ticks,
                         scheduler.frames_processed,
                     ))
                     return consumed
 
                 scheduler.tick = traced_tick
-                _, results, feeds, range_bin_m = self._straggle(
+                _, results, feeds, range_bin_m = self._straggle_single(
                     engine, config, short_walks, cooldown=30
                 )
             for result, feed in zip(results, feeds):
@@ -625,67 +571,50 @@ class TestAdaptiveRebatching:
                 assert_single_equal(result, reference)
             traces.append(trace)
         assert traces[0] == traces[1]
-        splits, rejoins, _, _ = traces[0][-1]
-        assert splits >= 1 and rejoins >= 1
+        trace = traces[0]
+        burst = SchedulerBase.CATCHUP_BURST
+        assert trace[-1].catchups >= 2 and trace[-1].ended >= 2
+        previous = Pass((0, 0, 0), (0, 0, 0), (1, 1, 1), 0, 0, 0, 0)
+        for i, now in enumerate(trace):
+            assert max(now.drained[:2]) <= 1
+            if previous.bursts[2] == 1:
+                assert now.drained[2] <= 1
+            else:
+                assert now.drained[2] == burst or now.pending[2] == 0
+            started = now.catchups > previous.catchups
+            ended = now.ended > previous.ended
+            assert (now.bursts != previous.bursts) == (started or ended)
+            if started:
+                # The detector fires at the end of a pass; the burst
+                # drains from the next.
+                assert now.bursts == (1, 1, burst)
+                assert trace[i + 1].drained[2] == burst
+            if ended:
+                assert now.bursts == (1, 1, 1)
+                assert [
+                    t.pending[2] for t in trace[i - patience + 1 : i + 1]
+                ] == [0] * patience
+            previous = now
 
     def test_lone_session_split_resets_after_catching_up(
         self, config, short_walks
     ):
-        """Splitting a session already alone in its cohort only raises
-        its burst; ``rejoin_patience`` caught-up ticks later it is an
-        ordinary cohort again, in both tiers, with nothing counted."""
+        """A session alone in its cohort has no mates to lag, so however
+        deep its queue it is never put into catch-up, in both tiers."""
         spec = single_session(config, short_walks[0].range_bin_m)
-        block = frame_blocks(short_walks[0], config, 1)[0]
-        seen = []
+        blocks = frame_blocks(short_walks[0], config, 12)
         for workers in (0, 2):
             with ServingEngine(queue_capacity=64, workers=workers) as engine:
                 scheduler = engine.scheduler
-                scheduler.catchup_burst = 3
-                scheduler.rejoin_patience = 4
+                scheduler.detector = StragglerDetector(backlog=1, patience=1)
                 session = engine.admit(spec)
-                engine.submit(session, block)
-                engine.tick()
-                scheduler._split(session)
-                cohort = session.cohort
-                assert (cohort.burst, cohort.split) == (3, True)
-                for _ in range(scheduler.rejoin_patience):
-                    engine.tick()
-                assert session.cohort is cohort
-                seen.append((
-                    cohort.burst, cohort.split,
-                    scheduler.splits, scheduler.rejoins,
-                ))
-        assert seen[0] == seen[1] == (1, False, 0, 0)
-
-    def test_stranded_split_cohort_becomes_base(self, config, short_walks):
-        """An ex-split singleton with no base left is re-keyed as the
-        base, so future same-spec admissions join it instead of
-        founding a parallel pipeline."""
-        engine = ServingEngine(queue_capacity=64)
-        engine.scheduler.detector = StragglerDetector(backlog=3, patience=2)
-        engine.scheduler.rejoin_patience = 2
-        spec = single_session(config, short_walks[0].range_bin_m)
-        blocks = frame_blocks(short_walks[0], config, 60)
-        a, b = engine.admit(spec), engine.admit(spec)
-        cursor = 0
-        while engine.scheduler.splits == 0:
-            engine.submit(a, blocks[cursor % len(blocks)])
-            for _ in range(3):
-                assert b.offer(blocks[cursor % len(blocks)])
-            engine.tick()
-            cursor += 1
-            assert cursor < 100, "straggler never split"
-        engine.drain()
-        engine.close(a)  # base cohort empties and is dropped
-        for _ in range(4):  # b caught up; rejoin pass re-keys its cohort
-            engine.submit(b, blocks[0])
-            engine.tick()
-        assert b.cohort.key == spec.cohort_key()
-        assert not b.cohort.split
-        c = engine.admit(spec)
-        assert c.cohort is b.cohort
-        engine.evict(b)
-        engine.evict(c)
+                for block in blocks:
+                    assert session.offer(block)
+                for _ in blocks:
+                    assert engine.tick() == 1
+                    assert session.burst == 1
+                assert scheduler.catchups == 0
+                engine.close(session)
 
     def test_detector_needs_persistence(self):
         class Stub:
