@@ -14,9 +14,13 @@ ended).
 
 Every number in the per-scenario ``slo`` blocks is a pure function of
 (seed, scenario, engine configuration) — wall-clock stays in the
-separate ``wall_s`` field — so CI can diff the artifact run over run.
-Results land in ``benchmarks/load.json`` (uploaded by CI as the
-``load-slo`` artifact).
+separate ``wall_s`` field — except ``context.stage_profile``, present
+under ``REPRO_PROFILE=1``, which holds per-stage wall seconds and
+per-cohort call counts. So CI can diff the artifact run over run, and
+a distributed row must equal the in-process row of its scenario
+outside :data:`TIER_FIELDS`: the script exits 1 otherwise. Results
+land in ``benchmarks/load.json`` (uploaded by CI as the ``load-slo``
+artifact).
 
 Run:
     python benchmarks/bench_load.py [--horizon 6] [--seed 0] \\
@@ -58,6 +62,33 @@ QUEUE_CAPACITY = 16
 #: queue) so steady load fits with room to spare and a flash crowd
 #: overshoots it — the rejection path must actually fire.
 MEMORY_BUDGET_MB = 16.0
+
+#: ``slo`` fields a distributed row may differ in from the in-process
+#: row of its scenario: how the tier moved frames and where its stages
+#: ran, never what it decided.
+TIER_FIELDS = (
+    "context.transport", "context.workers", "context.stage_profile",
+)
+
+
+def _flatten(value, prefix=""):
+    """``(dotted path, JSON text)`` leaves of a nested dict."""
+    if not isinstance(value, dict):
+        yield prefix, json.dumps(value)
+        return
+    for key, item in value.items():
+        yield from _flatten(item, f"{prefix}.{key}" if prefix else key)
+
+
+def tier_differences(inproc: dict, distributed: dict) -> list[str]:
+    """Dotted ``slo`` paths where two rows differ, :data:`TIER_FIELDS`
+    aside."""
+    a, b = dict(_flatten(inproc)), dict(_flatten(distributed))
+    skip = tuple(field + "." for field in TIER_FIELDS)
+    return sorted(
+        path for path in a.keys() | b.keys()
+        if not (path + ".").startswith(skip) and a.get(path) != b.get(path)
+    )
 
 
 def scenario_processes(horizon_s: float) -> dict:
@@ -233,7 +264,20 @@ def main() -> int:
     if not caught_up:
         print("WARNING: a flash-crowd row put no session into catch-up — "
               "the straggler path did not run")
-    return 0 if pressured and caught_up else 1
+    # Both tiers run one scheduling policy, so a distributed row makes
+    # the in-process row's decisions: same admissions, drops, latencies
+    # and catch-ups.
+    inproc = {r["scenario"]: r["slo"] for r in rows if not r["workers"]}
+    tier_equal = True
+    for row in rows:
+        if row["workers"]:
+            diff = tier_differences(inproc[row["scenario"]], row["slo"])
+            if diff:
+                tier_equal = False
+                print(f"WARNING: {row['scenario']} on {row['workers']} "
+                      f"shards differs from in process in {len(diff)} "
+                      f"slo fields: {', '.join(diff[:8])}")
+    return 0 if pressured and caught_up and tier_equal else 1
 
 
 if __name__ == "__main__":

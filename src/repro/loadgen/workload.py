@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..geometry.antennas import t_array
-from ..serve.session import SessionSpec
+from ..serve.session import SessionSpec, frame_shape
 from .arrivals import ArrivalProcess
 
 
@@ -147,21 +146,6 @@ def build_workload(
         lifetime_mean_s=lifetime_mean_s,
         mix=tuple(sorted(mix.items())),
     )
-
-
-def frame_shape(spec: SessionSpec) -> tuple[int, int, int]:
-    """The ``(n_rx, sweeps_per_frame, n_bins)`` block shape a spec eats.
-
-    ``n_bins`` is the spec pipeline's *cropped* bin count (the
-    max-range crop), so synthetic frames carry no bins the pipeline
-    would immediately discard.
-    """
-    array = spec.array if spec.array is not None else t_array(spec.config.array)
-    n_rx = len(array.rx)
-    spf = spec.config.pipeline.sweeps_per_frame
-    max_range = spec.config.pipeline.max_range_m
-    n_bins = int(np.ceil(max_range / spec.range_bin_m)) + 1
-    return n_rx, spf, n_bins
 
 
 class SyntheticFrameSource:

@@ -721,9 +721,9 @@ class TrackBank:
     state only, never a per-frame history: a step returns its reportable
     tracks as :class:`TrackColumns`, and whoever serves the session
     keeps them. :class:`TrackManager` and :class:`Track` are views of a
-    slot and of a row, so there is one copy of the state;
-    :meth:`detach` and :meth:`adopt` move one slot's rows for eviction,
-    migration and snapshot/restore.
+    slot and of a row, so there is one copy of the state; :meth:`move`
+    copies one slot's rows into another (a cohort keeping its slots
+    dense).
 
     :meth:`step` advances a cohort tick (:class:`~repro.pipeline.multi.
     Associate`) over the ticking slots' rows at once: it gathers their
@@ -825,28 +825,14 @@ class TrackBank:
         for slot in range(self.num_slots):
             self.evict(slot)
 
-    def detach(self, slot: int) -> TrackManager:
-        """A standalone manager holding a copy of one slot's state.
-
-        The manager pickles, so it can carry the slot to another
-        process.
-        """
-        manager = TrackManager(
-            self.frame_dt_s, self.solver, self.config, self.gate,
-            self.ghost_images, self.max_births_per_frame,
-        )
-        manager._bank.adopt(0, self.manager(slot))
-        return manager
-
-    def adopt(self, slot: int, manager: TrackManager) -> None:
-        """Install a manager's state (e.g. from :meth:`detach`) into a slot."""
-        source, at = manager._bank, manager._slot
-        n = int(source._count[at])
+    def move(self, src: int, dst: int) -> None:
+        """Move slot ``src``'s tracks and next id into ``dst``; evict ``src``."""
+        n = int(self._count[src])
         if n:
-            self._reserve(n, source._tracks["mean"].shape[2])
-            self._tracks[slot, :n] = source._tracks[at, :n]
-        self._count[slot] = n
-        self._next_id[slot] = source._next_id[at]
+            self._tracks[dst, :n] = self._tracks[src, :n]
+        self._count[dst] = n
+        self._next_id[dst] = self._next_id[src]
+        self.evict(src)
 
     def _reserve(self, n_tracks: int, n_rx: int) -> None:
         """Make room for ``n_tracks`` rows per slot."""

@@ -118,21 +118,8 @@ class Associate(Stage):
     def evict(self, slot: int) -> None:
         self._bank.evict(slot)
 
-    def snapshot_slot(self, slot: int) -> dict:
-        """Hand off the slot's tracks as a standalone manager.
-
-        The manager holds a copy of the slot's rows and next track id
-        (picklable, so it survives a pipe to another process). Evict
-        the source slot afterwards — two pipelines must never advance
-        one session.
-        """
-        return {"manager": self._bank.detach(slot)}
-
-    def restore_slot(self, slot: int, state: dict) -> None:
-        if not state:
-            self.evict(slot)
-            return
-        self._bank.adopt(slot, state["manager"])
+    def move_slot(self, src: int, dst: int) -> None:
+        self._bank.move(src, dst)
 
     def fuse_spec(self) -> str | None:
         """``"associate"`` when the cohort can advance as one track bank.

@@ -289,8 +289,7 @@ class Pipeline:
         sessions); slot allocation is the caller's concern — the serving
         engine keeps each cohort's slots dense: when a session leaves,
         the cohort's last member moves into the freed slot
-        (:meth:`snapshot_session` / :meth:`restore_session`) and the
-        last slot is evicted (:meth:`evict_session`).
+        (:meth:`move_session`).
         """
         if n_sessions < 1:
             raise ValueError("n_sessions must be >= 1")
@@ -306,61 +305,39 @@ class Pipeline:
         for s in self.stages:
             s.attach(n_sessions)
 
-    def evict_session(self, slot: int) -> None:
+    def evict_session(self, slot: int, start_frame: int = 0) -> None:
         """Forget one slot's state everywhere; the slot may be reused.
 
         Eviction touches only that slot's structure-of-arrays rows, so
         surviving sessions are unperturbed — pinned by the serving
-        tests.
+        tests. ``start_frame`` is the index of the slot's next input
+        frame: a session re-admitted after a shard failure starts fresh
+        state on its own clock, like :meth:`reset` at a shard boundary.
         """
-        if not 0 <= slot < self._n_sessions:
-            raise IndexError(
-                f"slot {slot} out of range for {self._n_sessions} sessions"
-            )
+        self._check_slot(slot)
         for s in self.stages:
             s.evict(slot)
-        self._frames_in[slot] = 0
+        self._frames_in[slot] = start_frame
 
-    def snapshot_session(self, slot: int) -> dict:
-        """Picklable hand-off of one session's entire pipeline state.
+    def move_session(self, src: int, dst: int) -> None:
+        """Move one session's state from slot ``src`` into slot ``dst``.
 
-        Everything needed to continue the session bit-exactly in another
-        slot of this pipeline — a cohort's last member moving into a
-        freed slot — or in another pipeline **of the same spec**, even
-        in another process (the state dict is picklable). Hand-off
-        semantics:
-        restore into exactly one slot and :meth:`evict_session` the
-        source, or discard.
+        Every stage copies its rows; ``src`` is left a fresh slot. The
+        session continues in ``dst`` bit-exactly as it would have in
+        ``src``.
         """
+        self._check_slot(src)
+        self._check_slot(dst)
+        for s in self.stages:
+            s.move_slot(src, dst)
+        self._frames_in[dst] = self._frames_in[src]
+        self._frames_in[src] = 0
+
+    def _check_slot(self, slot: int) -> None:
         if not 0 <= slot < self._n_sessions:
             raise IndexError(
                 f"slot {slot} out of range for {self._n_sessions} sessions"
             )
-        return {
-            "frames_in": int(self._frames_in[slot]),
-            "stages": [s.snapshot_slot(slot) for s in self.stages],
-        }
-
-    def restore_session(self, slot: int, state: dict) -> None:
-        """Install a :meth:`snapshot_session` hand-off into one slot.
-
-        The slot must be attached, and this pipeline must have the same
-        stage structure as the snapshot's source (same spec).
-        """
-        if not 0 <= slot < self._n_sessions:
-            raise IndexError(
-                f"slot {slot} out of range for {self._n_sessions} sessions"
-            )
-        stage_states = state["stages"]
-        if len(stage_states) != len(self.stages):
-            raise ValueError(
-                f"snapshot carries {len(stage_states)} stage states but "
-                f"this pipeline has {len(self.stages)} stages; snapshots "
-                "only restore into pipelines of the same spec"
-            )
-        self._frames_in[slot] = state["frames_in"]
-        for stage, stage_state in zip(self.stages, stage_states):
-            stage.restore_slot(slot, stage_state)
 
     def _average_buffer(self, shape: tuple) -> np.ndarray:
         """The reused complex128 frame-average buffer, of ``shape``."""
@@ -439,7 +416,7 @@ class Pipeline:
             np.divide(averaged, spf, out=averaged)
         else:
             # A list of blocks averages each straight into the reused
-            # per-tick buffer.
+            # per-tick buffer, each block cropped by its own width.
             t0 = perf_counter() if profiler is not None else 0.0
             n_rx, spf, width = np.shape(sweep_blocks[0])
             n_bins = width if self._max_bins is None else min(
@@ -447,7 +424,7 @@ class Pipeline:
             )
             averaged = self._average_buffer((n, n_rx, n_bins))
             for i, block in enumerate(sweep_blocks):
-                if n_bins < width:
+                if block.shape[-1] > n_bins:
                     block = block[..., :n_bins]
                 np.add.reduce(
                     block, axis=1, dtype=np.complex128, out=averaged[i]

@@ -20,9 +20,9 @@ slot lifecycle over those slabs: :meth:`Stage.attach` grows the session
 axis (existing rows are preserved, new rows hold the fill),
 :meth:`Stage.evict` resets one slot's rows to the fill — an evicted
 slot is a fresh slot, so it can be reused by a newly admitted session —
-without perturbing any other row, and :meth:`Stage.snapshot_slot` hands
-a slot off as one ``{field: row}`` dict that :meth:`Stage.restore_slot`
-installs (an empty dict restores a fresh slot).
+without perturbing any other row, and :meth:`Stage.move_slot` copies one
+slot's rows into another and refills the source (a cohort keeping its
+slots dense).
 
 State addressing: a tick whose rows are the slots ``0..n-1`` in order
 (``tick.dense``, set once per tick by the pipeline) updates the state
@@ -81,9 +81,9 @@ class Stage:
     Subclasses fill in :meth:`process_tick` and declare their per-slot
     state once, in :attr:`STATE`; this class alone runs the slot
     lifecycle over it. :meth:`attach` / :meth:`evict` manage the
-    session axis of the state slabs, :meth:`snapshot_slot` /
-    :meth:`restore_slot` hand one slot off, and :meth:`reset` forgets
-    all online state so a pipeline can be reused for a fresh recording.
+    session axis of the state slabs, :meth:`move_slot` moves one slot's
+    state to another, and :meth:`reset` forgets all online state so a
+    pipeline can be reused for a fresh recording.
     """
 
     #: Per-slot state: field -> ``(dtype, fill)``. Field ``f`` is the
@@ -147,35 +147,13 @@ class Stage:
             if slab is not None:
                 slab[slot] = fill
 
-    def snapshot_slot(self, slot: int) -> dict:
-        """Picklable hand-off of one slot's state, as ``{field: row}``.
-
-        The returned mapping is everything :meth:`restore_slot` needs to
-        continue the slot bit-exactly in *another* pipeline of the same
-        structure — possibly in another process (cohort migration). It
-        is a **hand-off**, not a shared view: restore it into exactly
-        one slot and :meth:`evict` the source, or discard it. Empty
-        while the stage holds no state.
-        """
-        return {
-            field: slab[slot].copy()
-            for field, attr, _, _ in self._SLABS
-            if (slab := getattr(self, attr)) is not None
-        }
-
-    def restore_slot(self, slot: int, state: dict) -> None:
-        """Install a :meth:`snapshot_slot` hand-off into one slot.
-
-        An empty state means the source stage held nothing yet and
-        restores to a fresh slot. The slot must already be attached.
-        """
-        if not state:
-            self.evict(slot)
-            return
-        if getattr(self, self._SLABS[0][1]) is None:
-            self._allocate(**{f: np.shape(row) for f, row in state.items()})
-        for field, attr, _, _ in self._SLABS:
-            getattr(self, attr)[slot] = state[field]
+    def move_slot(self, src: int, dst: int) -> None:
+        """Copy slot ``src``'s rows into ``dst``; ``src`` is refilled."""
+        for _, attr, _, fill in self._SLABS:
+            slab = getattr(self, attr)
+            if slab is not None:
+                slab[dst] = slab[src]
+                slab[src] = fill
 
     def fuse_spec(self) -> str | None:
         """The stage's kind for :func:`~repro.kernels.tick.compile_tick_plan`.

@@ -15,7 +15,7 @@ session with its latency sample.
 Stragglers cost nothing — until they do. A session with an empty queue
 simply sits out the tick (its state rows are untouched), and a session
 whose producer runs hot hits its bounded queue and is refused frames.
-But a session whose queue depth *persistently* lags its cohort mates is
+But a session whose queue depth *persistently* lags its same-spec mates is
 a scheduling problem: in lockstep it can drain at most one frame per
 cohort tick, so a producer that outpaces the tick rate backs it up
 without bound. The scheduler's answer is **catch-up in place**: the
@@ -80,20 +80,19 @@ class Cohort:
     def release_slot(self, slot: int):
         """Free ``slot`` and keep the slots dense.
 
-        The last member's state moves into ``slot`` through the
-        :meth:`Pipeline.snapshot_session` /
-        :meth:`Pipeline.restore_session` hand-off, then the last slot is
-        evicted. Returns the moved member, whose slot is now ``slot``,
-        or None when ``slot`` was the last.
+        The last member's state moves into ``slot``
+        (:meth:`Pipeline.move_session`), which leaves the last slot
+        fresh. Returns the moved member, whose slot is now ``slot``, or
+        None when ``slot`` was the last.
         """
-        pipeline = self.pipeline
         moved = self.members.pop()
         last = len(self.members)
-        if slot != last:
-            pipeline.restore_session(slot, pipeline.snapshot_session(last))
-            self.members[slot] = moved
-        pipeline.evict_session(last)
-        return moved if slot != last else None
+        if slot == last:
+            self.pipeline.evict_session(last)
+            return None
+        self.pipeline.move_session(last, slot)
+        self.members[slot] = moved
+        return moved
 
 
 def drop_cohort(cohorts: dict, cohort: Cohort, retired: StageProfiler) -> None:
@@ -124,18 +123,18 @@ def merged_profile(retired: StageProfiler, cohorts) -> StageProfiler:
 
 
 class StragglerDetector:
-    """Spot sessions whose queue depth persistently lags their cohort.
+    """Spot sessions whose queue depth persistently lags their spec's.
 
     Both front ends run it through :meth:`SchedulerBase._rebatch`:
-    after each tick, feed it every cohort's ``(session, queue depth)``
-    pairs, its catching-up members left out; it returns the sessions
-    that have lagged the cohort's *shallowest* queue by at least
+    after each tick, feed it every spec's ``(session, queue depth)``
+    pairs, its catching-up sessions left out; it returns the sessions
+    that have lagged the group's *shallowest* queue by at least
     ``backlog`` frames for ``patience`` consecutive ticks — the
-    sessions to put into catch-up. A cohort of fewer than two has no
+    sessions to put into catch-up. A group of fewer than two has no
     one to lag.
 
     Args:
-        backlog: queue-depth excess over the cohort minimum that counts
+        backlog: queue-depth excess over the group minimum that counts
             as lagging.
         patience: consecutive lagging ticks before a catch-up starts (a
             transient burst should not start one).
@@ -149,7 +148,7 @@ class StragglerDetector:
         self._lagging: dict[int, int] = {}
 
     def observe(self, members: list[tuple[Session, int]]) -> list[Session]:
-        """Update lag counters for one cohort; return sessions now due."""
+        """Update lag counters for one group; return sessions now due."""
         if len(members) < 2:
             for session, _ in members:
                 self._lagging.pop(session.session_id, None)
@@ -180,9 +179,9 @@ class StragglerDetector:
         }
 
     def sweep(self, groups) -> list[Session]:
-        """Observe every cohort; return all sessions due for catch-up.
+        """Observe every group; return all sessions due for catch-up.
 
-        The per-tick detection loop: ``groups`` yields each cohort's
+        The per-tick detection loop: ``groups`` yields each spec's
         sessions.
         """
         due: list[Session] = []
@@ -298,11 +297,16 @@ class SchedulerBase:
             len(s.queue) >= detector.backlog for s in self.sessions.values()
         ):
             detector.prune(self.sessions)
-            groups = (
-                [s for s in c.members if s.burst == 1]
-                for c in self.cohorts.values()
-            )
-            for session in detector.sweep(groups):
+            # One group per spec, over every cohort of it: the
+            # distributed tier spreads a spec's sessions over sibling
+            # cohorts, one per shard, and a straggler must still be
+            # compared with all its mates. The sessions of a spec share
+            # its one BlockShape, which keys the groups.
+            groups: dict[BlockShape, list[Session]] = {}
+            for s in self.sessions.values():
+                if s.burst == 1:
+                    groups.setdefault(s.block_shape, []).append(s)
+            for session in detector.sweep(groups.values()):
                 session.burst = self.CATCHUP_BURST
                 self._catching_up[session.session_id] = 0
                 self.catchups += 1

@@ -212,32 +212,40 @@ def tick_group(tick: SessionTick, session_ids: np.ndarray) -> TickRows:
     )
 
 
+def frame_shape(spec: SessionSpec) -> tuple[int, int, int]:
+    """The ``(n_rx, sweeps_per_frame, n_bins)`` block shape a spec eats.
+
+    ``n_bins`` is the spec pipeline's *cropped* bin count, the
+    max-range crop ``ceil(max_range_m / range_bin_m) + 1``: the bins a
+    tick reads of every block.
+    """
+    config = spec.config
+    array = spec.array if spec.array is not None else config.array
+    max_range_m = config.pipeline.max_range_m
+    n_bins = int(np.ceil(max_range_m / spec.range_bin_m)) + 1
+    return array.num_receivers, config.pipeline.sweeps_per_frame, n_bins
+
+
 class BlockShape:
     """The sweep blocks every session of one spec must send.
 
     Cohort mates share one pipeline, whose tick averages their raw
-    blocks into one cohort array shaped by the first: a block of another
-    shape would fail the whole cohort's tick (in process) or its shard
-    worker (distributed). So a block is accepted only as a 3-D numeric
-    array of shape ``(n_rx, sweeps_per_frame, n_bins)`` with at least
-    one bin, and with the bin count of the first block accepted for the
-    spec, even where the max-range crop would cut both to the same bins.
+    blocks, each cropped to the spec's max range, into one cohort
+    array: a block of another shape would fail the whole cohort's tick
+    (in process) or its shard worker (distributed). So a block is
+    accepted only as a 3-D numeric array of shape ``(n_rx,
+    sweeps_per_frame, n_bins)`` with at least the spec's cropped bin
+    count (:func:`frame_shape`); the spec fixes the contract, so no
+    sender can change it for its mates.
     """
 
     def __init__(self, spec: SessionSpec) -> None:
-        config = spec.config
-        array = spec.array if spec.array is not None else config.array
-        self.lead = (array.num_receivers, config.pipeline.sweeps_per_frame)
-        #: Shape of the first accepted block.
-        self.shape: tuple | None = None
+        n_rx, spf, self.n_bins = frame_shape(spec)
+        self.lead = (n_rx, spf)
 
     def check(self, block) -> None:
         """Raise ``ValueError`` unless ``block`` has the spec's shape."""
         shape = getattr(block, "shape", None)
-        if shape is not None and shape == self.shape and (
-            block.dtype.kind in "iufc"
-        ):
-            return
         dtype = getattr(block, "dtype", None)
         if shape is None or len(shape) != 3 or dtype is None or (
             dtype.kind not in "iufc"
@@ -252,14 +260,11 @@ class BlockShape:
                 f"a sweep block must have shape (n_rx, sweeps_per_frame, "
                 f"n_bins) = {self.lead + ('n_bins',)}; got {shape}"
             )
-        if self.shape is not None:
+        if shape[2] < self.n_bins:
             raise ValueError(
-                f"a sweep block must have {self.shape[2]} bins, like the "
-                f"first block of its spec; got {shape[2]}"
+                f"a sweep block must have at least {self.n_bins} bins, "
+                f"its spec's max-range crop; got {shape[2]}"
             )
-        if not shape[2]:
-            raise ValueError("a sweep block must have at least one bin")
-        self.shape = shape
 
 
 class Session:

@@ -108,14 +108,7 @@ class ShardWorker:
         cohort = self._cohort(key, spec)
         slot = cohort.allocate_slot(session_id)
         if start_frame:
-            pipeline = cohort.pipeline
-            pipeline.restore_session(
-                slot,
-                {
-                    "frames_in": start_frame,
-                    "stages": [{} for _ in pipeline.stages],
-                },
-            )
+            cohort.pipeline.evict_session(slot, start_frame)
         self._placement[session_id] = (key, slot)
         return slot
 

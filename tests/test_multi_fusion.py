@@ -16,9 +16,9 @@ that spec:
   **bit-identical** tick outputs, track identities, and manager state,
   per backend, through track birth, range crossings, coasting, and
   death;
-* lifecycle events (attach, evict, partial cohorts, snapshot/restore
-  from a bank pipeline into a spec pipeline, flipping ``REPRO_FUSED``
-  on one pipeline) keep the two in lockstep;
+* lifecycle events (attach, evict, partial cohorts, a slot move with
+  live tracks checked against a twin that never moved, flipping
+  ``REPRO_FUSED`` on one pipeline) keep the two in lockstep;
 * a hypothesis property drives ``TrackBank.step`` directly against
   twin managers stepped one by one;
 * a row-independent cohort runs ``TrackBank.step`` once per tick under
@@ -180,23 +180,24 @@ def _manager_sig(m):
     )
 
 
-def _assert_state_equal(pa, pb, slots, where=""):
-    for slot in slots:
-        sa, sb = pa.snapshot_session(slot), pb.snapshot_session(slot)
-        assert sa["frames_in"] == sb["frames_in"], (where, slot)
-        for i, (da, db) in enumerate(zip(sa["stages"], sb["stages"])):
-            assert set(da) == set(db), (where, slot, i)
-            for key, va in da.items():
-                vb = db[key]
-                if key == "manager":
-                    assert _manager_sig(va) == _manager_sig(vb), (
-                        where, slot, key)
-                elif isinstance(va, np.ndarray):
-                    assert np.array_equal(va, vb, equal_nan=True), (
-                        where, slot, i, key)
-                else:
-                    same = va == vb or (va != va and vb != vb)
-                    assert same, (where, slot, i, key)
+def _assert_state_equal(pa, pb, slots, where="", slots_b=None):
+    """Slot ``slots[k]`` of ``pa`` holds bitwise the state of slot
+    ``slots_b[k]`` of ``pb`` (default: the same slots): its frame count,
+    its row of every declared ``Stage.STATE`` slab, and its track-bank
+    manager."""
+    for slot, slot_b in zip(slots, slots if slots_b is None else slots_b):
+        assert pa._frames_in[slot] == pb._frames_in[slot_b], (where, slot)
+        for sa, sb in zip(pa.stages, pb.stages):
+            for _, attr, _, _ in sa._SLABS:
+                va, vb = getattr(sa, attr), getattr(sb, attr)
+                assert (va is None) == (vb is None), (where, slot, attr)
+                if va is not None:
+                    assert np.array_equal(
+                        va[slot], vb[slot_b], equal_nan=True
+                    ), (where, slot, attr)
+        assert _manager_sig(pa.stages[-1].manager_for(slot)) == _manager_sig(
+            pb.stages[-1].manager_for(slot_b)
+        ), (where, slot)
 
 
 class TestFusedStagedParity:
@@ -260,43 +261,43 @@ class TestFusedStagedParity:
                 _assert_ticks_equal(ta, tb, f"tick{t}")
             _assert_state_equal(ps, pb, range(N_SESSIONS), "lifecycle")
 
-    @pytest.mark.parametrize("backend", ["numpy"])
-    def test_snapshot_restore_across_fused_staged_boundary(
-        self, backend, config
-    ):
+    @pytest.mark.parametrize("backend", ["numpy", "reference"])
+    def test_slot_move_across_fused_staged_boundary(self, backend, config):
+        """A session with live tracks, moved into a freed slot of its
+        bank or spec pipeline, continues bit for bit like a twin that
+        never moved, track identities included."""
         rng = np.random.default_rng(4)
         spf = config.pipeline.sweeps_per_frame
         with use_backend(backend):
             enable_fusion(True)
-            pb = _pipeline(config)
-            ps = _spec_pipeline(config)
+            pb, ps = _pipeline(config), _spec_pipeline(config)
+            twin = _pipeline(config)
             for t in range(14):
                 arr = np.stack(
                     [_block(rng, t, s, spf) for s in range(N_SESSIONS)]
                 )
-                pb.tick(arr.copy(), np.arange(N_SESSIONS))
-                ps.tick(arr.copy(), np.arange(N_SESSIONS))
-            # Migrate the bank-run session into a fresh spec pipeline and
-            # the spec-run session into a fresh spec and a fresh bank
-            # pipeline; a restore moves the slot's track rows, so all
-            # three stay in lockstep bit for bit, track identities
-            # included.
-            p_from_bank = _spec_pipeline(config)
-            p_from_bank.restore_session(3, pb.snapshot_session(2))
-            p_from_spec = _spec_pipeline(config)
-            p_from_spec.restore_session(3, ps.snapshot_session(2))
-            p_into_bank = _pipeline(config)
-            p_into_bank.restore_session(3, ps.snapshot_session(2))
+                for p in (pb, ps, twin):
+                    p.tick(arr.copy(), np.arange(N_SESSIONS))
+            assert len(twin.stages[-1].manager_for(3).live_tracks()) == 2
+            # Slot 0's session leaves: the last member moves into it,
+            # and its old slot is fresh. (Slot 0's next track id differs
+            # from slot 3's, so the move must carry the id along.)
+            for p in (pb, ps):
+                p.move_session(3, 0)
+                _assert_state_equal(p, twin, [0], "moved", slots_b=[3])
+                p.attach_sessions(N_SESSIONS + 1)
+                _assert_state_equal(p, p, [3], "fresh", slots_b=[N_SESSIONS])
             for t in range(12):
-                arr = _block(rng, 14 + t, 2, spf,
+                arr = _block(rng, 14 + t, 3, spf,
                              "walkers" if t % 3 else "still")[None]
-                ta = p_from_spec.tick(arr.copy(), np.array([3]))
-                tb = p_from_bank.tick(arr.copy(), np.array([3]))
-                tc = p_into_bank.tick(arr.copy(), np.array([3]))
-                _assert_ticks_equal(ta, tb, f"mig{t}")
-                _assert_ticks_equal(ta, tc, f"into-bank{t}")
-            _assert_state_equal(p_from_spec, p_from_bank, [3], "migration")
-            _assert_state_equal(p_from_spec, p_into_bank, [3], "into bank")
+                ta = twin.tick(arr.copy(), np.array([3]))
+                ta.slots = np.array([0])  # the twin serves it from slot 3
+                for p, name in ((pb, "bank"), (ps, "spec")):
+                    _assert_ticks_equal(
+                        ta, p.tick(arr.copy(), np.array([0])), f"{name}{t}"
+                    )
+            for p in (pb, ps):
+                _assert_state_equal(p, twin, [0], "after", slots_b=[3])
 
     def test_alternating_execution_on_one_pipeline(self, config):
         """Flipping REPRO_FUSED mid-stream must not change outputs."""

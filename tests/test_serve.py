@@ -539,7 +539,7 @@ def _malformed(block):
 
 
 def _serve_cohort(kind, serving, corrupt=None, n_frames=48, corrupt_frame=20,
-                  malformed=False, sessions=None):
+                  malformed=False, cropped_first=False, sessions=None):
     """Four sessions of one spec served from cheap synthetic blocks.
 
     ``kind`` is ``single`` or ``multi`` (K=2); ``serving`` names a
@@ -547,8 +547,10 @@ def _serve_cohort(kind, serving, corrupt=None, n_frames=48, corrupt_frame=20,
     frame ``corrupt_frame`` carries that value in antenna 1's bins
     30-60. With ``malformed``, session 0 first offers and submits every
     :func:`_malformed` variant of that frame, each of which must raise
-    ``ValueError``. Returns each session's closed result; a list passed
-    as ``sessions`` receives the sessions.
+    ``ValueError``. With ``cropped_first``, session 0's first block is
+    cropped to 164 of the spec's 171 bins, must raise ``ValueError``,
+    and is not sent again. Returns each session's closed result; a list
+    passed as ``sessions`` receives the sessions.
     """
     if kind == "single":
         spec = single_session()
@@ -571,6 +573,10 @@ def _serve_cohort(kind, serving, corrupt=None, n_frames=48, corrupt_frame=20,
                             engine.offer(session, bad)
                         with pytest.raises(ValueError, match="sweep block"):
                             engine.submit(session, bad)
+                if cropped_first and s == 0 and f == 0:
+                    with pytest.raises(ValueError, match="at least 171 bins"):
+                        engine.submit(session, block[..., :164])
+                    continue
                 engine.submit(session, block)
             engine.tick()
         return [engine.close(session) for session in sessions]
@@ -610,7 +616,7 @@ def _serve_beside_k2(serving, empty_first, n_frames=48):
             for session, source in zip(sessions, sources):
                 block = source.next_block()
                 if empty_first and f == 0 and session is sessions[0]:
-                    with pytest.raises(ValueError, match="at least one bin"):
+                    with pytest.raises(ValueError, match="at least 171 bins"):
                         engine.offer(session, block[..., :0])
                 assert engine.offer(session, block)
             engine.tick()
@@ -734,21 +740,46 @@ class TestMalformedBlocks:
             assert dirty[s].num_frames == clean[s].num_frames
             assert _same_result(dirty[s], clean[s]), f"session {s}"
 
-    def test_bins_follow_the_first_block_of_the_spec(self):
+    @pytest.mark.parametrize("serving", list(SERVING))
+    def test_a_cropped_first_block_stays_with_its_sender(
+        self, serving, clean_runs
+    ):
+        """The spec, not the first sender, fixes the bin count: a first
+        block cropped below the spec's max-range crop is refused and
+        counted on its sender, whose mates serve their clean run."""
+        with use_backend("numpy"):
+            key = ("single", serving, True)
+            if key not in clean_runs:
+                clean_runs[key] = _serve_cohort("single", serving)
+            clean = clean_runs[key]
+            sessions = []
+            dirty = _serve_cohort(
+                "single", serving, cropped_first=True, sessions=sessions
+            )
+        assert [s.rejected_malformed for s in sessions] == [1, 0, 0, 0]
+        assert dirty[0].num_frames == clean[0].num_frames - 1 == 46
+        for s in (1, 2, 3):
+            assert np.isfinite(clean[s].positions).any(), f"session {s}"
+            assert _same_result(dirty[s], clean[s]), f"session {s}"
+
+    def test_bins_follow_the_spec(self):
+        """Any block with at least the spec's cropped bin count is
+        served as its crop, the first one included; a narrower one is
+        refused."""
         spec = single_session()
         engine = ServingEngine()
         a, b = engine.admit(spec), engine.admit(spec)
-        block = SyntheticFrameSource(spec, seed=0).next_block()
-        assert engine.offer(a, block)
-        # A cohort tick shapes its frame average by its first raw
-        # block, so a wider block is refused too, whatever it would
-        # crop to.
-        wider = np.concatenate([block, block[..., :5]], axis=-1)
-        for bad in (wider, block[..., :-1]):
-            with pytest.raises(ValueError, match="bins, like the first"):
-                engine.offer(b, bad)
-        assert engine.offer(b, block)
-        assert engine.tick() == 2
+        source = SyntheticFrameSource(spec, seed=0)
+        for _ in range(3):
+            block = source.next_block()
+            with pytest.raises(ValueError, match="at least 171 bins"):
+                engine.offer(a, block[..., :-1])
+            wider = np.concatenate([block, block[..., :5]], axis=-1)
+            assert engine.offer(a, wider)
+            assert engine.offer(b, block)
+            assert engine.tick() == 2
+        assert [s.rejected_malformed for s in (a, b)] == [3, 0]
+        assert _same_result(engine.close(a), engine.close(b))
 
 
 #: One churn step: an event, which live session it picks, and how many

@@ -381,6 +381,33 @@ class Pass(NamedTuple):
     frames: int
 
 
+def trace_passes(scheduler) -> list[Pass]:
+    """Record one :class:`Pass` per ``scheduler.tick`` call from now on."""
+    trace = []
+    tick = scheduler.tick
+
+    def traced_tick():
+        sessions = list(scheduler.sessions.values())
+        before = [s.frames_in - len(s.queue) for s in sessions]
+        consumed = tick()
+        trace.append(Pass(
+            tuple(
+                s.frames_in - len(s.queue) - b
+                for s, b in zip(sessions, before)
+            ),
+            tuple(len(s.queue) for s in sessions),
+            tuple(s.burst for s in sessions),
+            scheduler.catchups,
+            scheduler.catchups_ended,
+            scheduler.ticks,
+            scheduler.frames_processed,
+        ))
+        return consumed
+
+    scheduler.tick = traced_tick
+    return trace
+
+
 class TestAdaptiveRebatching:
     def _straggle(self, engine, spec, outputs, config, steps=30, cooldown=0):
         """Feed 3 cohort mates of ``spec``; the last gets 3 frames per step.
@@ -541,28 +568,7 @@ class TestAdaptiveRebatching:
                 scheduler = engine.scheduler
                 scheduler.detector = StragglerDetector(backlog=4, patience=2)
                 scheduler.CAUGHT_UP_PASSES = patience
-                trace = []
-                tick = scheduler.tick
-
-                def traced_tick():
-                    sessions = list(scheduler.sessions.values())
-                    before = [s.frames_in - len(s.queue) for s in sessions]
-                    consumed = tick()
-                    trace.append(Pass(
-                        tuple(
-                            s.frames_in - len(s.queue) - b
-                            for s, b in zip(sessions, before)
-                        ),
-                        tuple(len(s.queue) for s in sessions),
-                        tuple(s.burst for s in sessions),
-                        scheduler.catchups,
-                        scheduler.catchups_ended,
-                        scheduler.ticks,
-                        scheduler.frames_processed,
-                    ))
-                    return consumed
-
-                scheduler.tick = traced_tick
+                trace = trace_passes(scheduler)
                 _, results, feeds, range_bin_m = self._straggle_single(
                     engine, config, short_walks, cooldown=30
                 )
@@ -595,6 +601,44 @@ class TestAdaptiveRebatching:
                     t.pending[2] for t in trace[i - patience + 1 : i + 1]
                 ] == [0] * patience
             previous = now
+
+    def test_a_lone_straggler_catches_up_beside_a_sibling_cohort(
+        self, config, short_walks, transport
+    ):
+        """Two sessions of one spec on two shards sit in sibling
+        cohorts, one each; the straggler is still judged against its
+        same-spec mate, so both tiers catch it up on the same passes,
+        and its outputs stay bitwise its serial run."""
+        range_bin_m = short_walks[0].range_bin_m
+        spec = single_session(config, range_bin_m)
+        rates = (1, 3)
+        feeds = [
+            frame_blocks(short_walks[i], config, 20 * rate)
+            for i, rate in enumerate(rates)
+        ]
+        traces = []
+        for workers in (0, 2):
+            with ServingEngine(
+                queue_capacity=64, workers=workers, transport=transport
+            ) as engine:
+                sessions = [engine.admit(spec) for _ in feeds]
+                if workers:
+                    assert sessions[0].cohort is not sessions[1].cohort
+                trace = trace_passes(engine.scheduler)
+                for step in range(20):
+                    for session, feed, rate in zip(sessions, feeds, rates):
+                        for block in feed[rate * step : rate * (step + 1)]:
+                            assert session.offer(block)
+                    engine.tick()
+                engine.drain()
+                results = [engine.close(s) for s in sessions]
+            for result, feed in zip(results, feeds):
+                reference = serial_single(config, range_bin_m, feed)
+                assert_single_equal(result, reference)
+            traces.append(trace)
+        assert traces[0] == traces[1]
+        fed = traces[0][19]  # the last pass that was fed frames
+        assert (fed.catchups, fed.pending) == (1, (0, 1))
 
     def test_lone_session_split_resets_after_catching_up(
         self, config, short_walks

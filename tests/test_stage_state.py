@@ -2,13 +2,13 @@
 
 Each stateful single-person stage declares its per-slot state once
 (``Stage.STATE``) and the ``Stage`` base class runs the slot lifecycle
-over it; ``Associate`` hands its slot of the track bank off as a
-standalone manager. The property pinned here, over single-person
-pipelines (both solvers) and a K=2 pipeline: after any ticks, evicting
-a slot leaves the state of a slot that was never used, and frames then
-fed to it give bitwise the outputs of a fresh pipeline. A K=2 slot's
-hand-off holds filter and lifecycle state only: it does not grow with
-the frames the slot has served.
+over it; ``Associate``'s slot is a slot of the track bank. The property
+pinned here, over single-person pipelines (both solvers) and a K=2
+pipeline: after any ticks, evicting a slot leaves the state of a slot
+that was never used, and frames then fed to it give bitwise the outputs
+of a fresh pipeline. A K=2 pipeline's track bank holds filter and
+lifecycle state only: it does not grow with the frames its slots have
+served.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.tracker import WiTrack
 from repro.geometry.antennas import t_array
 from repro.multi import MultiWiTrack
-from repro.multi.tracks import TrackManager
 
 RANGE_BIN_M = 0.05
 N_BINS = 121
@@ -57,18 +56,26 @@ def _block(config, rng, t, slot, people):
     return block
 
 
-def _manager_state(manager: TrackManager) -> tuple:
-    """A handed-off manager's count, next id and rows."""
-    bank = manager.bank
-    n = int(bank._count[0])
-    rows = bank._tracks[0, :n].tobytes() if n else b""
-    return n, int(bank._next_id[0]), rows
+def _snapshot(pipeline, slot) -> list:
+    """A copy of one slot's state: its frame count, its row of every
+    allocated ``Stage.STATE`` slab, and its track-bank count, next id
+    and record rows."""
+    state = [int(pipeline._frames_in[slot])]
+    for stage in pipeline.stages:
+        for _, attr, _, _ in stage._SLABS:
+            slab = getattr(stage, attr)
+            if slab is not None:
+                state.append(slab[slot].copy())
+        bank = getattr(stage, "_bank", None)
+        if bank is not None:
+            n = int(bank._count[slot])
+            rows = bank._tracks[slot, :n].tobytes() if n else b""
+            state.append((n, int(bank._next_id[slot]), rows))
+    return state
 
 
 def _same(a, b) -> bool:
     """Bitwise equality of snapshots and tick fields (NaN == NaN)."""
-    if isinstance(a, TrackManager):
-        return _same(_manager_state(a), _manager_state(b))
     if isinstance(a, dict):
         return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
     if isinstance(a, (list, tuple)):
@@ -107,7 +114,7 @@ def test_evicted_slot_is_a_fresh_slot(config, kind, data):
     used.evict_session(victim)
     # Slot n is attached after the ticks and never used.
     used.attach_sessions(n + 1)
-    assert _same(used.snapshot_session(victim), used.snapshot_session(n))
+    assert _same(_snapshot(used, victim), _snapshot(used, n))
 
     fresh = _pipeline(config, kind)
     fresh.attach_sessions(n + 1)
@@ -120,19 +127,23 @@ def test_evicted_slot_is_a_fresh_slot(config, kind, data):
 
 
 def test_multi_slot_snapshot_does_not_grow_with_frames(config):
-    """A K=2 slot's hand-off is the same size whenever it holds the same
-    number of tracks, however many frames the slot has served: the bank
-    keeps no per-frame history (the session keeps the outputs)."""
+    """A K=2 pipeline's track bank is the same size whenever its record
+    slab has the same shape, however many frames its slots have served:
+    the bank keeps no per-frame history (the session keeps the
+    outputs). Its Kalman registers, sized by the live tracks, aside."""
     pipeline = _pipeline(config, "multi")
     pipeline.attach_sessions(2)
+    bank = pipeline.stages[-1]._bank
     rng = np.random.default_rng(5)
-    sizes: dict[int, set[int]] = {}
+    sizes: dict[tuple, set[int]] = {}
+    tracked = 0
     for t in range(200):
         # The walkers restart every 40 frames: tracks die and are reborn.
         blocks = [_block(config, rng, t % 40, s, 2) for s in range(2)]
         pipeline.tick(np.stack(blocks), np.arange(2))
-        state = pipeline.snapshot_session(0)
-        tracks = int(state["stages"][-1]["manager"].bank._count[0])
-        sizes.setdefault(tracks, set()).add(len(pickle.dumps(state)))
-    assert max(sizes) >= 2, "the walkers were never tracked"
+        tracked = max(tracked, int(bank._count[0]))
+        state = {k: v for k, v in vars(bank).items() if k != "_scratch"}
+        shape = getattr(bank._tracks, "shape", None)
+        sizes.setdefault(shape, set()).add(len(pickle.dumps(state)))
+    assert tracked >= 2, "the walkers were never tracked"
     assert all(len(seen) == 1 for seen in sizes.values()), sizes

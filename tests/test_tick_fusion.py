@@ -12,9 +12,9 @@ tests pin the contract that makes the numpy fast paths safe to ship:
   tick outputs and stage state, including the NaN hold/outlier paths
   and non-finite frames;
 * both addressing paths agree across lifecycle events (attach, evict,
-  slot moves, snapshot/restore across the numpy<->reference boundary,
-  alternating backends on one pipeline), by example and by a
-  hypothesis property;
+  slot moves checked against a twin that never moved, on either side
+  of the numpy<->reference boundary, alternating backends on one
+  pipeline), by example and by a hypothesis property;
 * the tick-plan switch (``REPRO_FUSED`` / :func:`enable_fusion`) only
   chooses whether ``Pipeline.tick`` enters the chain through
   :meth:`TickPlan.run` or its own stage loop: one side of every
@@ -113,27 +113,28 @@ def _assert_ticks_equal(ta, tb, where=""):
         assert np.array_equal(va, fb[key], equal_nan=True), (where, key)
 
 
+def _slot_state(pipeline, slot) -> list:
+    """One slot's state as the stages declare it: the slot's frame
+    count, then the slot's row of every allocated ``Stage.STATE`` slab."""
+    return [pipeline._frames_in[slot]] + [
+        slab[slot]
+        for stage in pipeline.stages
+        for _, attr, _, _ in stage._SLABS
+        if (slab := getattr(stage, attr)) is not None
+    ]
+
+
 def _same_state(sa, sb) -> bool:
-    """Two ``snapshot_session`` hand-offs hold bitwise-equal state."""
-    if sa["frames_in"] != sb["frames_in"]:
-        return False
-    for da, db in zip(sa["stages"], sb["stages"]):
-        if set(da) != set(db):
-            return False
-        for key, va in da.items():
-            vb = db[key]
-            if isinstance(va, np.ndarray):
-                if not np.array_equal(va, vb, equal_nan=True):
-                    return False
-            elif not (va == vb or (va != va and vb != vb)):
-                return False
-    return True
+    """Two :func:`_slot_state` reads hold bitwise-equal state."""
+    return len(sa) == len(sb) and all(
+        np.array_equal(a, b, equal_nan=True) for a, b in zip(sa, sb)
+    )
 
 
 def _assert_state_equal(pa, pb, slots, where=""):
     for slot in slots:
         assert _same_state(
-            pa.snapshot_session(slot), pb.snapshot_session(slot)
+            _slot_state(pa, slot), _slot_state(pb, slot)
         ), (where, slot)
 
 
@@ -266,38 +267,48 @@ class TestFusedStagedParity:
             _assert_ticks_equal(ta, tb, f"tick{t}")
         _assert_state_equal(pa, pb, range(N_SESSIONS), "lifecycle")
 
-    @pytest.mark.parametrize("backend", ["numpy"])
-    def test_snapshot_restore_across_fused_staged_boundary(
-        self, backend, config
-    ):
+    @pytest.mark.parametrize("backend", ["numpy", "reference"])
+    def test_slot_move_across_fused_staged_boundary(self, backend, config):
+        """A session moved into a freed slot of its pipeline continues
+        bit for bit like a twin that never moved, ticked on the other
+        backend; the least-squares warm start moves with it."""
         rng = np.random.default_rng(3)
         spf = config.pipeline.sweeps_per_frame
         other = OTHER[backend]
-        pa, pb = _pipeline(config), _pipeline(config)
-        for t in range(12):
-            arr = np.stack(
-                [_block(rng, "target", t + s, spf)
-                 for s in range(N_SESSIONS)]
-            )
-            _tick_on(pa, backend, True, arr, np.arange(N_SESSIONS))
-            _tick_on(pb, other, False, arr, np.arange(N_SESSIONS))
-        # Migrate a session run on one backend into a pipeline ticked on
-        # the other, both ways; they must stay in lockstep bit for bit.
-        p_to_other = _pipeline(config)
-        p_to_other.restore_session(4, pa.snapshot_session(2))
-        p_to_backend = _pipeline(config)
-        p_to_backend.restore_session(4, pb.snapshot_session(2))
-        for t in range(10):
-            arr = _block(rng, "target" if t % 2 else "still", 50 + t,
-                         spf)[None]
-            ta = _tick_on(p_to_other, other, False, arr, np.array([4]))
-            tb = _tick_on(p_to_backend, backend, True, arr, np.array([4]))
-            _assert_ticks_equal(ta, tb, f"mig{t}")
-        _assert_state_equal(p_to_other, p_to_backend, [4], "migration")
+
+        def run(p_moved, p_twin, fused, where):
+            for t in range(12):
+                arr = np.stack(
+                    [_block(rng, "target", t + s, spf)
+                     for s in range(N_SESSIONS)]
+                )
+                slots = np.arange(N_SESSIONS)
+                _tick_on(p_moved, backend, fused, arr, slots)
+                _tick_on(p_twin, other, False, arr, slots)
+            # Slot 2's session leaves: the last member moves into it,
+            # and its old slot is fresh.
+            p_moved.move_session(4, 2)
+            p_moved.attach_sessions(N_SESSIONS + 1)
+            assert _same_state(_slot_state(p_moved, 4),
+                               _slot_state(p_moved, N_SESSIONS))
+            fixes = 0
+            for t in range(10):
+                kind = "target" if t % 2 else "still"
+                arr = _block(rng, kind, 50 + t, spf)[None]
+                ta = _tick_on(p_moved, backend, fused, arr, np.array([2]))
+                tb = _tick_on(p_twin, other, False, arr, np.array([4]))
+                tb.slots = ta.slots  # the twin serves it from slot 4
+                _assert_ticks_equal(ta, tb, f"{where}{t}")
+                fixes += int(np.isfinite(ta.positions).all(axis=1).sum())
+            assert _same_state(_slot_state(p_moved, 2),
+                               _slot_state(p_twin, 4)), where
+            return fixes
+
+        run(_pipeline(config), _pipeline(config), True, "move")
 
         # The least-squares chain matches no plan; its per-slot warm
-        # start must migrate too, or the moved session's fixes drift
-        # from the ones it would have produced in place.
+        # start must move too, or the moved session's fixes drift from
+        # the ones it would have produced in place.
         def lsq_pipeline():
             p = single_person_pipeline(
                 config, RANGE_BIN_M,
@@ -306,25 +317,8 @@ class TestFusedStagedParity:
             p.attach_sessions(N_SESSIONS)
             return p
 
-        with use_backend(backend):
-            p_home = lsq_pipeline()
-            for t in range(12):
-                arr = np.stack(
-                    [_block(rng, "target", t + s, spf)
-                     for s in range(N_SESSIONS)]
-                )
-                p_home.tick(arr, np.arange(N_SESSIONS))
-            p_away = lsq_pipeline()
-            p_away.restore_session(2, p_home.snapshot_session(2))
-            fixes = 0
-            for t in range(10):
-                arr = _block(rng, "target", 60 + t, spf)[None]
-                ta = p_home.tick(arr.copy(), np.array([2]))
-                tb = p_away.tick(arr.copy(), np.array([2]))
-                _assert_ticks_equal(ta, tb, f"lsq{t}")
-                fixes += int(np.isfinite(ta.positions).all(axis=1).sum())
-            assert fixes > 0  # the warm start was exercised
-            _assert_state_equal(p_home, p_away, [2], "lsq migration")
+        fixes = run(lsq_pipeline(), lsq_pipeline(), False, "lsq")
+        assert fixes > 0  # the warm start was exercised
 
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
@@ -356,8 +350,7 @@ class TestFusedStagedParity:
             elif event == "move" and n > 1:
                 src, dst = draw(st.permutations(range(n)))[:2]
                 for p, up in ((pa, 0), (pb, 0), (pc, 1)):
-                    p.restore_session(dst + up, p.snapshot_session(src + up))
-                    p.evict_session(src + up)
+                    p.move_session(src + up, dst + up)
             shape = draw(st.sampled_from(["prefix", "subset", "perm"]))
             if shape == "prefix":
                 slots = np.arange(draw(st.integers(1, n)))
@@ -377,8 +370,8 @@ class TestFusedStagedParity:
             _assert_ticks_equal(ta, tc, f"tick{t} {slots} gathered")
             _assert_state_equal(pa, pb, range(n), f"tick{t} {slots}")
             for s in range(n):
-                assert _same_state(pa.snapshot_session(s),
-                                   pc.snapshot_session(s + 1)), (t, s)
+                assert _same_state(_slot_state(pa, s),
+                                   _slot_state(pc, s + 1)), (t, s)
         assert isinstance(pa._tick_plan, TickPlan)
 
     def test_alternating_execution_on_one_pipeline(self, config):
