@@ -137,7 +137,7 @@ def run_scenario(
     arena_bytes = None
     if workers:
         # Predict-before-allocate: size each shard's shm arena off the
-        # dominant spec's calibrated footprint (see SpecMemoryModel).
+        # dominant spec's declared footprint (see SpecMemoryModel).
         arena_bytes = max(
             model.arena_estimate(spec, int(MEMORY_BUDGET_MB * 1e6))
             for spec in specs.values()

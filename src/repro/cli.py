@@ -564,9 +564,9 @@ def cmd_load(args: argparse.Namespace) -> int:
     capacity = args.capacity if args.capacity > 0 else None
     arena_bytes = None
     if workers and model is not None:
-        # Size the shm arenas from the same calibrated model that
-        # governs admission: worst-case step payload across the served
-        # spec mix, before any worker exists.
+        # Size the shm arenas from the same model that governs
+        # admission (declared bytes, no pipeline built): worst-case step
+        # payload across the served spec mix, before any worker exists.
         arena_bytes = max(
             model.arena_estimate(spec, shard_budget)
             for spec in specs.values()

@@ -31,10 +31,13 @@ points sees every call on the calling thread.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from contextlib import contextmanager
 from typing import Callable, Iterator
+
+import numpy as np
 
 
 class Backend:
@@ -121,6 +124,63 @@ def use_backend(name: str) -> Iterator[str]:
         yield set_backend(name)
     finally:
         _active = previous
+
+
+def resolve_shape(trailing: tuple, dims: dict) -> tuple:
+    """A declared shape: ints as they are, dim names read from ``dims``,
+    ``(name, offset)`` as that dim plus the offset (at least 0)."""
+    return tuple(
+        d if isinstance(d, int) else dims[d] if isinstance(d, str)
+        else max(dims[d[0]] + d[1], 0) for d in trailing
+    )
+
+
+class Registers:
+    """A numpy kernel's work buffers, declared once: ``table`` maps a
+    name to ``(dtype, trailing)``, a ``(rows, *trailing)`` buffer, or to
+    ``(dtype, trailing, count)``, a list of ``count`` of them; trailing
+    entries are ints or names from ``dims``, the axes after the first of
+    the shape that keys a call (:meth:`views`). The memory model sums
+    :meth:`row_nbytes`."""
+
+    def __init__(self, dims: tuple = (), **table) -> None:
+        self.dims = dims
+        self.table = table
+
+    def row_nbytes(self, **dims) -> int:
+        """Bytes one row of every register takes at ``dims``."""
+        return sum(math.prod((*count, *resolve_shape(trailing, dims)))
+                   * np.dtype(dtype).itemsize
+                   for dtype, trailing, *count in self.table.values())
+
+    def views(self, scratch: dict, shape: tuple) -> dict:
+        """Name -> ``[:rows]`` view(s) of each register for a call keyed
+        by ``shape = (rows, *dims)``; the buffers live in ``scratch``,
+        sized to the largest ``rows`` seen (never more), and at that size
+        ``scratch`` itself is returned. A kernel may add to the dict
+        returned: it stays the same until ``shape`` changes."""
+        last = scratch.get("_shape")
+        if last == shape:
+            return scratch.get("_views", scratch)
+        rows = shape[0]
+        if not last or last[1:] != shape[1:] or scratch["_capacity"] < rows:
+            dims = dict(zip(self.dims, shape[1:]))
+            scratch.clear()
+            for name, (dtype, trailing, *count) in self.table.items():
+                full = (rows, *resolve_shape(trailing, dims))
+                parts = [np.empty(full, dtype) for _ in range(*count or [1])]
+                scratch[name] = parts if count else parts[0]
+            scratch["_capacity"] = rows
+        scratch["_shape"] = shape
+        if rows == scratch["_capacity"]:
+            scratch.pop("_views", None)
+            return scratch
+        views = scratch["_views"] = {
+            name: [part[:rows] for part in scratch[name]] if count
+            else scratch[name][:rows]
+            for name, (_, _, *count) in self.table.items()
+        }
+        return views
 
 
 #: Threads a :func:`parallel_ranges` call may use; resolved on first

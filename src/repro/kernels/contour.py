@@ -15,7 +15,7 @@ Four row-independent kernels behind the backend seam:
 * :func:`contour_tick` — one pipeline tick's bottom contours (§4.3):
   noise floor, threshold, scan and subpixel refinement over every
   (session, antenna) row. The numpy implementation partitions and scans
-  in place over a caller-owned scratch dict; its spec is
+  in place over :data:`CONTOUR_REGISTERS` views; its spec is
   :func:`~repro.core.contour.track_bottom_contour`.
 """
 
@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .backend import kernel, register
+from .backend import Registers, kernel, register
 
 
 def background_power(diff: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -128,6 +128,15 @@ def _row_median_reference(power):
     return np.median(power, axis=1)
 
 
+#: The numpy contour kernel's work registers, per power row (the scan
+#: masks cover the interior bins).
+CONTOUR_REGISTERS = Registers(
+    ("n_bins",), msc=(float, ("n_bins",)), cand=(bool, (("n_bins", -2),)),
+    c1=(bool, (("n_bins", -2),)), fpeak=(float, ()), thr=(float, ()),
+    found=(bool, ()), first=(np.intp, ()), sub=(float, (), 4),
+)
+
+
 @register("numpy", "contour_tick")
 def _contour_tick_numpy(power, range_bin_m, threshold_db, min_range_m,
                         relative_threshold_db, scratch):
@@ -136,21 +145,7 @@ def _contour_tick_numpy(power, range_bin_m, threshold_db, min_range_m,
     # scratch. Rows holding a NaN get a NaN threshold here as in the
     # spec: the frame peak propagates it, whatever the floor reads.
     rows, n_bins = power.shape
-    sc = scratch
-    if sc.get("shape") != power.shape:
-        sc.clear()
-        inner = (rows, max(n_bins - 2, 0))
-        sc.update(
-            shape=power.shape,
-            msc=np.empty((rows, n_bins)),
-            fpeak=np.empty(rows),
-            thr=np.empty(rows),
-            cand=np.empty(inner, dtype=bool),
-            c1=np.empty(inner, dtype=bool),
-            found=np.empty(rows, dtype=bool),
-            first=np.empty(rows, dtype=np.intp),
-            sub=np.empty((4, rows)),
-        )
+    sc = CONTOUR_REGISTERS.views(scratch, power.shape)
     msc = sc["msc"]
     np.copyto(msc, power)
     half = n_bins // 2
@@ -200,22 +195,22 @@ def _contour_tick_numpy(power, range_bin_m, threshold_db, min_range_m,
         flat = power.reshape(-1)
         sub = sc["sub"]
         np.subtract(idx, 1, out=idx)
-        left = np.take(flat, idx, out=sub[0, :m])
+        left = np.take(flat, idx, out=sub[0][:m])
         np.add(idx, 1, out=idx)
-        mid = np.take(flat, idx, out=sub[1, :m])
+        mid = np.take(flat, idx, out=sub[1][:m])
         np.add(idx, 1, out=idx)
-        right = np.take(flat, idx, out=sub[2, :m])
-        denom = sub[3, :m]  # left - 2.0*mid + right
+        right = np.take(flat, idx, out=sub[2][:m])
+        denom = sub[3][:m]  # left - 2.0*mid + right
         np.multiply(mid, 2.0, out=denom)
         np.subtract(left, denom, out=denom)
         np.add(denom, right, out=denom)
-        num = np.subtract(left, right, out=sub[1, :m])
+        num = np.subtract(left, right, out=sub[1][:m])
         np.multiply(num, 0.5, out=num)
         refined = np.divide(num, denom, out=num)
         np.maximum(refined, -0.5, out=refined)
         np.minimum(refined, 0.5, out=refined)
-        np.abs(denom, out=sub[0, :m])
-        ok = np.greater(sub[0, :m], 1e-30, out=sc["c1"].reshape(-1)[:m])
+        np.abs(denom, out=sub[0][:m])
+        ok = np.greater(sub[0][:m], 1e-30, out=sc["c1"].reshape(-1)[:m])
         offset = np.where(ok, refined, 0.0)
         np.add(offset, k, out=offset)
         np.multiply(offset, range_bin_m, out=offset)

@@ -9,17 +9,17 @@ a NaN-padded pending buffer of candidates with its fill count.
 
 * ``reference`` — the elementwise update with the pending buffer
   packed by a stable argsort (agreeing candidates first, in order).
-* ``numpy`` — the same update over caller-owned scratch, packing by
-  cumsum-addressed scatters (the same permutation), and skipping the
-  pack when no row holds a candidate. Bitwise the spec, pending tails
-  included.
+* ``numpy`` — the same update over :data:`GATE_REGISTERS` views,
+  packing by cumsum-addressed scatters (the same permutation), and
+  skipping the pack when no row holds a candidate. Bitwise the spec,
+  pending tails included.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .backend import kernel, register
+from .backend import Registers, kernel, register
 
 
 def outlier_gate(
@@ -89,43 +89,27 @@ def _outlier_gate_reference(values, last, since, pending, pending_len,
     return out
 
 
-def _buffers(scratch: dict, shape: tuple) -> dict:
-    """The numpy kernel's work buffers for one ``(n, a, P)`` shape."""
-    if scratch.get("shape") != shape:
-        n, a, p = shape
-        two = (n, a)
-        scratch.clear()
-        scratch.update(
-            shape=shape,
-            miss=np.empty(two, dtype=bool),
-            no_last=np.empty(two, dtype=bool),
-            small=np.empty(two, dtype=bool),
-            direct=np.empty(two, dtype=bool),
-            cand=np.empty(two, dtype=bool),
-            accept=np.empty(two, dtype=bool),
-            f2=np.empty(two),
-            jump=np.empty(two),
-            b3=np.empty(shape, dtype=bool),
-            keep=np.empty(shape, dtype=bool),
-            f3=np.empty(shape),
-            i3=np.empty(shape, dtype=np.int64),
-            d3=np.empty(shape, dtype=np.int64),
-            n_keep=np.empty(two, dtype=np.int64),
-            i2=np.empty(two, dtype=np.int64),
-            pos=np.empty(two, dtype=np.int64),
-            lanes=np.arange(p, dtype=np.int64)[None, None, :],
-            # Flat index of each (session, antenna) row's lane 0: the
-            # scatters below address the packed buffer through it.
-            base=(np.arange(n * a, dtype=np.int64) * p).reshape(n, a, 1),
-        )
-    return scratch
+_A, _AP = ("n_rx",), ("n_rx", "confirmation_frames")  # per antenna, lane
+
+#: The numpy kernel's work registers, per session row; ``base`` holds each
+#: (session, antenna) row's flat lane-0 index for the packing scatters.
+GATE_REGISTERS = Registers(
+    _AP, miss=(bool, _A), no_last=(bool, _A), small=(bool, _A),
+    direct=(bool, _A), cand=(bool, _A), accept=(bool, _A), f2=(float, _A),
+    jump=(float, _A), n_keep=(np.int64, _A), i2=(np.int64, _A),
+    pos=(np.int64, _A), base=(np.int64, (*_A, 1)), b3=(bool, _AP),
+    keep=(bool, _AP), f3=(float, _AP), i3=(np.int64, _AP), d3=(np.int64, _AP),
+)
 
 
 @register("numpy", "outlier_gate")
 def _outlier_gate_numpy(values, last, since, pending, pending_len,
                         max_jump_m, agreement_m, scratch):
-    p = pending.shape[-1]
-    sc = _buffers(scratch, pending.shape)
+    n, a, p = pending.shape
+    sc = GATE_REGISTERS.views(scratch, pending.shape)
+    if "lanes" not in sc:  # fresh views: fill in the lane addresses
+        sc["lanes"] = np.arange(p, dtype=np.int64)[None, None, :]
+        np.multiply(np.arange(n * a).reshape(n, a, 1), p, out=sc["base"])
     missing = np.isnan(values, out=sc["miss"])
     no_last = np.isnan(last, out=sc["no_last"])
     f2 = np.subtract(values, last, out=sc["f2"])

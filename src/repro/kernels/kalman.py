@@ -1,7 +1,7 @@
 """The unrolled 2x2 constant-velocity Kalman tick kernel (§4.4).
 
-One vectorized predict+update over a bank of scalar constant-velocity
-filters of any shape, with every 2x2 matrix product unrolled to
+One vectorized predict+update over an ``(n, n_rx)`` bank of scalar
+constant-velocity filters, with every 2x2 matrix product unrolled to
 elementwise arithmetic, updating the bank in place. It is the
 package's one such filter: sessions
 (:class:`~repro.pipeline.stages.KalmanSmooth`), tracks
@@ -10,10 +10,11 @@ package's one such filter: sessions
 
 * ``reference`` — the nested ``np.where`` formulation over fresh
   temporaries, scattered back into the bank.
-* ``numpy`` — the same expression trees written through scratch
-  registers: the steady case (every filter live and measured) as one
-  unrolled chain, mixed ticks as the spec's merges applied with masked
-  copies. Bitwise the spec, NaN propagation included.
+* ``numpy`` — the same expression trees written through the
+  :data:`KALMAN_REGISTERS` views: the steady case (every filter live
+  and measured) as one unrolled chain, mixed ticks as the spec's merges
+  applied with masked copies. Bitwise the spec, NaN propagation
+  included.
 
 NaN inputs advance an initialized filter without a measurement
 (prediction, its velocity damped by ``decay``); the first measurement
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .backend import kernel, register
+from .backend import Registers, kernel, register
 
 
 def kalman_tick(
@@ -43,8 +44,8 @@ def kalman_tick(
     """One Kalman frame for a bank of filters (dispatched).
 
     Args:
-        values: measurements, any shape ``S`` (``(n, a)`` for
-            sessions x antennas); NaN = no measurement.
+        values: measurements, shape ``S = (n, n_rx)`` (sessions or
+            tracks x antennas); NaN = no measurement.
         mean: ``[distance, velocity]`` means, ``S + (2,)``; updated
             in place.
         cov: covariances, ``S + (2, 2)``; updated in place.
@@ -126,25 +127,17 @@ def _kalman_tick_reference(values, mean, cov, live, dt, q00, q01, q11, r,
     return out
 
 
-def _registers(scratch: dict, shape: tuple) -> dict:
-    """The numpy kernel's work buffers for one bank shape."""
-    if scratch.get("shape") != shape:
-        scratch.clear()
-        scratch.update(
-            shape=shape,
-            miss=np.empty(shape, dtype=bool),
-            ml=np.empty(shape, dtype=bool),
-            nml=np.empty(shape, dtype=bool),
-            meas=np.empty(shape, dtype=bool),
-            t=[np.empty(shape) for _ in range(13)],
-        )
-    return scratch
+#: The numpy kernel's work registers, per row of an ``(n, n_rx)`` bank.
+KALMAN_REGISTERS = Registers(
+    ("n_rx",), miss=(bool, ("n_rx",)), ml=(bool, ("n_rx",)),
+    nml=(bool, ("n_rx",)), meas=(bool, ("n_rx",)), t=(float, ("n_rx",), 13),
+)
 
 
 @register("numpy", "kalman_tick")
 def _kalman_tick_numpy(values, mean, cov, live, dt, q00, q01, q11, r,
                        decay, scratch):
-    sc = _registers(scratch, values.shape)
+    sc = KALMAN_REGISTERS.views(scratch, values.shape)
     views = (
         mean[..., 0], mean[..., 1],
         cov[..., 0, 0], cov[..., 0, 1], cov[..., 1, 0], cov[..., 1, 1],

@@ -21,9 +21,10 @@ package supplies that missing regime, deterministically:
   percentiles against the paper's 75 ms budget, goodput vs offered
   load, rejection/drop rates, and queue-depth series, emitting one
   JSON artifact CI can trend.
-* :mod:`~repro.loadgen.memory` — :class:`SpecMemoryModel` calibrates
-  bytes-per-session per spec; :class:`MemoryGovernor` turns that into
-  an admission gate so overload is met with refusals, not OOM.
+* :mod:`~repro.loadgen.memory` — :class:`SpecMemoryModel` predicts
+  bytes-per-session per spec from its stages' declarations;
+  :class:`MemoryGovernor` turns that into an admission gate so overload
+  is met with refusals, not OOM.
 
 Entry points: ``repro load`` (CLI) and ``benchmarks/bench_load.py``.
 """
@@ -36,7 +37,7 @@ from .arrivals import (
     arrival_process,
 )
 from .harness import LoadHarness
-from .memory import MemoryGovernor, SpecMemoryModel, pipeline_state_nbytes
+from .memory import MemoryGovernor, SpecMemoryModel
 from .slo import DEFAULT_BUDGET_S, SLOLedger
 from .workload import (
     SessionPlan,
@@ -64,5 +65,4 @@ __all__ = [
     "DEFAULT_BUDGET_S",
     "SpecMemoryModel",
     "MemoryGovernor",
-    "pipeline_state_nbytes",
 ]

@@ -1,33 +1,27 @@
 """Memory-governed admission: predict a session's footprint, then gate.
 
-The predict-before-you-allocate idea (PAPERS.md arXiv:2307.04488 —
-where a cheap structural feature predicts peak memory, and jobs are
-placed so no machine's predicted total exceeds its budget) applied to
-the serving tier: a session's marginal memory is *measurable before
-admission* — it is the per-slot growth of its spec's stage state
-(structure-of-arrays rows) plus its bounded input queue at worst case
-— so the engine can refuse the session *before* anything allocates,
-instead of OOMing a shard after.
+Predict before you allocate (PAPERS.md arXiv:2307.04488, where a
+structural feature predicts a job's memory before it runs): a session's
+marginal memory is what its spec's stages *declare* per slot — state
+rows, kernel work registers, the track bank's records — plus its
+bounded input queue, so the engine refuses a session *before* anything
+allocates instead of OOMing a shard after.
 
-Two pieces:
-
-* :class:`SpecMemoryModel` — calibrates bytes-per-session per
-  :class:`~repro.serve.SessionSpec` by building the spec's pipeline
-  once and measuring state growth across attached slots (cached by
-  cohort key, so calibration is paid once per spec ever).
+* :class:`SpecMemoryModel` — bytes per session of a
+  :class:`~repro.serve.SessionSpec`, from declarations alone.
 * :class:`MemoryGovernor` — the admission gate a
-  :class:`~repro.serve.ServingEngine` consults: tracks committed bytes
-  across live sessions and refuses admissions that would exceed the
-  budget. The same model plugs into
-  :class:`~repro.serve.shard.DistributedScheduler` as ``memory_model``
-  so cohort *placement* weighs predicted bytes instead of raw session
-  counts, and ``shard_budget_bytes`` caps any one shard.
+  :class:`~repro.serve.ServingEngine` consults: it refuses admissions
+  whose predicted bytes would exceed its budget. The same model lets
+  :class:`~repro.serve.shard.DistributedScheduler` place cohorts by
+  predicted bytes (``memory_model``) and cap each shard
+  (``shard_budget_bytes``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..pipeline import multi, stages
 from ..serve.session import Session, SessionSpec
 from .workload import frame_shape
 
@@ -40,104 +34,52 @@ _COMPLEX_BYTES = 16
 #: positive footprint.
 _SESSION_OVERHEAD_BYTES = 16 * 1024
 
+#: Sessions an arena is sized for when no shard budget bounds them.
+_ARENA_FLOOR_SESSIONS = 8
 
-def _state_nbytes(obj, seen: set[int] | None = None) -> int:
-    """Total ndarray bytes reachable from ``obj`` (cycle-safe).
-
-    Recurses through dicts, sequences, and plain-object ``__dict__``\\ s
-    — deep enough to reach e.g. the
-    :class:`~repro.multi.tracks.TrackBank` record slab inside an
-    ``Associate`` stage.
-    """
-    if seen is None:
-        seen = set()
-    if id(obj) in seen:
-        return 0
-    seen.add(id(obj))
-    if isinstance(obj, np.ndarray):
-        return obj.nbytes
-    if isinstance(obj, dict):
-        return sum(_state_nbytes(v, seen) for v in obj.values())
-    if isinstance(obj, (list, tuple, set)):
-        return sum(_state_nbytes(v, seen) for v in obj)
-    if hasattr(obj, "__dict__") and not isinstance(obj, type):
-        return _state_nbytes(vars(obj), seen)
-    return 0
+#: The stage classes of each session kind's pipeline, in order.
+STAGES = {
+    "single": (stages.BackgroundSubtract, stages.ContourExtract,
+               stages.OutlierGate, stages.HoldInterpolate,
+               stages.KalmanSmooth, stages.Localize),
+    "multi": (stages.BackgroundSubtract, multi.SuccessiveCancel,
+              multi.Associate),
+}
 
 
-def pipeline_state_nbytes(pipeline) -> int:
-    """Bytes of mutable stage state a pipeline currently holds."""
-    return _state_nbytes([s.__dict__ for s in pipeline.stages]) + int(
-        pipeline._frames_in.nbytes
+def slot_nbytes(spec: SessionSpec) -> int:
+    """Declared bytes one slot of ``spec``'s pipeline holds: every
+    stage's :meth:`~repro.pipeline.stages.Stage.slot_nbytes` at the dims
+    the spec fixes, and the slot's int64 frame counter."""
+    n_rx, _, n_bins = frame_shape(spec)
+    frames = spec.config.pipeline.jump_confirmation_frames
+    dims = dict(n_rx=n_rx, n_bins=n_bins, confirmation_frames=frames)
+    return np.dtype(np.int64).itemsize + sum(
+        stage.slot_nbytes(dims) for stage in STAGES[spec.kind]
     )
 
 
 class SpecMemoryModel:
-    """Calibrated bytes-per-session estimates, one probe per spec.
+    """Bytes per session of a spec, kept per model by cohort key: its
+    slot's declared state (:func:`slot_nbytes`), its input queue full
+    (``queue_capacity`` raw sweep blocks) and a flat allowance."""
 
-    Stage state allocates *lazily* — slots grow their structure-of-
-    arrays rows on the first frame that flows, not at attach — so
-    calibration must actually serve frames: it builds the spec's
-    pipeline twice (1 slot vs ``1 + probe_slots`` slots), ticks a few
-    deterministic synthetic frames through every slot of each, and
-    takes the per-slot difference in reachable ndarray bytes. The
-    estimate adds the session's bounded input queue at worst case
-    (``queue_capacity`` raw sweep blocks) and a flat bookkeeping
-    allowance. Estimates are cached by cohort key, so calibration is
-    paid once per spec ever.
-
-    Args:
-        queue_capacity: the engine's per-session queue bound (sizes the
-            worst-case queue term).
-        probe_slots: extra slots served during calibration; more slots
-            average out one-off allocation rounding.
-        probe_ticks: frames ticked through each calibration pipeline —
-            enough that lazily allocated state (backgrounds, trackers)
-            has materialized.
-    """
-
-    def __init__(
-        self,
-        queue_capacity: int = 64,
-        probe_slots: int = 8,
-        probe_ticks: int = 3,
-    ) -> None:
-        if queue_capacity < 1 or probe_slots < 1 or probe_ticks < 1:
-            raise ValueError(
-                "queue_capacity, probe_slots, and probe_ticks must be >= 1"
-            )
+    def __init__(self, queue_capacity: int = 64) -> None:
+        if queue_capacity < 1:
+            raise ValueError("queue_capacity must be >= 1")
         self.queue_capacity = queue_capacity
-        self.probe_slots = probe_slots
-        self.probe_ticks = probe_ticks
         self._per_session: dict[str, int] = {}
-
-    def _served_state_nbytes(self, spec: SessionSpec, n_slots: int) -> int:
-        """Stage-state bytes after serving frames through ``n_slots``."""
-        from .workload import SyntheticFrameSource
-
-        pipeline = spec.build_pipeline()
-        pipeline.attach_sessions(n_slots)
-        source = SyntheticFrameSource(spec, seed=0)
-        slots = list(range(n_slots))
-        for _ in range(self.probe_ticks):
-            block = source.next_block()
-            pipeline.tick(np.stack([block] * n_slots), slots=slots)
-        return pipeline_state_nbytes(pipeline)
 
     def estimate(self, spec: SessionSpec) -> int:
         """Predicted bytes one live session of ``spec`` will commit."""
         key = spec.cohort_key()
-        cached = self._per_session.get(key)
-        if cached is not None:
-            return cached
-        one = self._served_state_nbytes(spec, 1)
-        many = self._served_state_nbytes(spec, 1 + self.probe_slots)
-        marginal = max((many - one) // self.probe_slots, 0)
-        n_rx, spf, n_bins = frame_shape(spec)
-        queue_bytes = self.queue_capacity * n_rx * spf * n_bins * _COMPLEX_BYTES
-        estimate = int(marginal + queue_bytes + _SESSION_OVERHEAD_BYTES)
-        self._per_session[key] = estimate
-        return estimate
+        if key not in self._per_session:
+            n_rx, spf, n_bins = frame_shape(spec)
+            queue = self.queue_capacity * n_rx * spf * n_bins * _COMPLEX_BYTES
+            self._per_session[key] = (
+                slot_nbytes(spec) + queue + _SESSION_OVERHEAD_BYTES
+            )
+        return self._per_session[key]
 
     def arena_estimate(
         self,
@@ -147,26 +89,18 @@ class SpecMemoryModel:
     ) -> int:
         """Predicted shm arena bytes (per direction) one shard needs.
 
-        The transport analogue of :meth:`estimate`: a step's
-        parent→shard payload is at most one ``burst`` of raw sweep
-        blocks per session, and the number of sessions a shard can
-        host is itself bounded by the memory budget — so the arena,
-        like the shard, is sized before anything allocates. Without a
-        budget, sizes for ``probe_slots`` worth of sessions (a
-        deliberate floor, not a cap: overflow degrades to the pipe,
-        counted, never wrong).
-
-        Args:
-            spec: the (dominant) session spec the tier will serve.
-            shard_budget_bytes: per-shard predicted-bytes cap, when the
-                tier runs memory-governed placement.
-            burst: worst-case frames per session per step (the
-                scheduler's ``CATCHUP_BURST``).
+        A step sends a shard at most ``burst`` raw sweep blocks per
+        session (the scheduler's ``CATCHUP_BURST``), for as many
+        sessions as ``shard_budget_bytes`` holds at :meth:`estimate`
+        each, or :data:`_ARENA_FLOOR_SESSIONS` without a budget (a
+        floor, not a cap: overflow rides the pipe, counted, never
+        wrong). So the arena, like the shard, is sized before anything
+        allocates.
         """
         n_rx, spf, n_bins = frame_shape(spec)
         frame_bytes = n_rx * spf * n_bins * _COMPLEX_BYTES
         if shard_budget_bytes is None:
-            sessions = self.probe_slots
+            sessions = _ARENA_FLOOR_SESSIONS
         else:
             sessions = max(
                 int(shard_budget_bytes) // max(self.estimate(spec), 1), 1
@@ -179,7 +113,7 @@ class MemoryGovernor:
 
     Plug into ``ServingEngine(admission=governor)``: before every
     admission the engine asks :meth:`admit`; the governor projects the
-    spec's calibrated footprint onto the bytes already committed by
+    spec's predicted footprint onto the bytes already committed by
     live sessions and refuses when the budget would be exceeded. The
     engine reports back :meth:`admitted`/:meth:`retired` so the ledger
     tracks actual membership (rejected sessions commit nothing).

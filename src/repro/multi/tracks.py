@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..core.kalman import dwna_process_noise
-from ..kernels.kalman import kalman_tick
+from ..kernels.kalman import KALMAN_REGISTERS, kalman_tick
 from .association import (
     MAX_CLAIM_GATE_M,
     FixGate,
@@ -224,6 +224,8 @@ _TENTATIVE, _CONFIRMED, _COASTING, _DEAD = range(len(_STATUSES))
 _CODE = {status: code for code, status in enumerate(_STATUSES)}
 #: Which status codes the app emits (confirmed or coasting).
 _REPORTABLE = np.array([False, True, True, False])
+#: Track rows per slot the record slab starts with (it grows on demand).
+_INITIAL_TRACKS = 4
 
 
 def _track_dtype(n_rx: int) -> np.dtype:
@@ -420,7 +422,7 @@ class Track:
         values = np.asarray(claimed_tofs, dtype=np.float64)
         claims = int(np.count_nonzero(np.isfinite(values)))
         mean = self._mean
-        self._bank._kalman(values, mean, self._cov)
+        self._bank._kalman(values[None], mean[None], self._cov[None])
         solved = solver.solve_one(mean[:, 0])
         feasible = bool(np.all(np.isfinite(solved)))
         if feasible and gate is not None:
@@ -801,6 +803,14 @@ class TrackBank:
         """The :class:`TrackManager` view of one slot."""
         return TrackManager._view(self, slot)
 
+    @staticmethod
+    def slot_nbytes(n_rx: int) -> int:
+        """Declared bytes of one slot at the initial track capacity: its
+        count and next id, and per track its record and Kalman rows."""
+        kalman = KALMAN_REGISTERS.row_nbytes(n_rx=n_rx)
+        per_track = _track_dtype(n_rx).itemsize + kalman
+        return 2 * np.dtype(np.int64).itemsize + _INITIAL_TRACKS * per_track
+
     # -- slots -------------------------------------------------------------
 
     def attach(self, n_slots: int) -> None:
@@ -837,9 +847,8 @@ class TrackBank:
     def _reserve(self, n_tracks: int, n_rx: int) -> None:
         """Make room for ``n_tracks`` rows per slot."""
         if self._tracks is None:
-            self._tracks = np.zeros(
-                (self.num_slots, max(n_tracks, 4)), _track_dtype(n_rx)
-            )
+            rows = max(n_tracks, _INITIAL_TRACKS)
+            self._tracks = np.zeros((self.num_slots, rows), _track_dtype(n_rx))
         elif n_tracks > self._tracks.shape[1]:
             grown = max(n_tracks, 2 * self._tracks.shape[1])
             self._resize(self.num_slots, grown)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from ..kernels.cancellation import successive_cancel
 from ..multi.cancellation import check_cancel_args
-from ..multi.tracks import TrackColumns, TrackManager
+from ..multi.tracks import TrackBank, TrackColumns, TrackManager
 from .stages import Stage
 
 
@@ -111,6 +111,10 @@ class Associate(Stage):
     def manager_for(self, slot: int) -> TrackManager:
         """The track manager view of the given session slot."""
         return self._bank.manager(slot)
+
+    @classmethod
+    def slot_nbytes(cls, dims):
+        return TrackBank.slot_nbytes(dims["n_rx"])
 
     def _grow(self, capacity: int) -> None:
         self._bank.attach(capacity)

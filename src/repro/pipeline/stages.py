@@ -13,11 +13,13 @@ realtime stream of Section 7 are the single-row case on slot 0 — there
 is no second code path.
 
 Declared state: a stage lists its per-slot state once, as the class
-constant :attr:`Stage.STATE` (field -> dtype and fill value); field
-``f`` is the slab attribute ``_f``, allocated on the stage's first
-frame, which fixes its trailing shape. :class:`Stage` alone runs the
-slot lifecycle over those slabs: :meth:`Stage.attach` grows the session
-axis (existing rows are preserved, new rows hold the fill),
+constant :attr:`Stage.STATE` (field -> dtype, fill value and per-slot
+shape in dims a spec fixes); field ``f`` is the slab attribute ``_f``,
+allocated on the stage's first frame. With its kernels' work registers
+(:attr:`Stage.REGISTERS`) the same tables price a slot before any
+pipeline exists (:meth:`Stage.slot_nbytes`). :class:`Stage` alone runs
+the slot lifecycle over the slabs: :meth:`Stage.attach` grows the
+session axis (existing rows are preserved, new rows hold the fill),
 :meth:`Stage.evict` resets one slot's rows to the fill — an evicted
 slot is a fresh slot, so it can be reused by a newly admitted session —
 without perturbing any other row, and :meth:`Stage.move_slot` copies one
@@ -43,14 +45,16 @@ and the multi-person chain swaps the middle for
 
 from __future__ import annotations
 
+import math
 import sys
 
 import numpy as np
 
 from ..core.kalman import dwna_process_noise
-from ..kernels.contour import background_power, contour_tick
-from ..kernels.gate import outlier_gate
-from ..kernels.kalman import kalman_tick
+from ..kernels.backend import Registers, resolve_shape
+from ..kernels.contour import CONTOUR_REGISTERS, background_power, contour_tick
+from ..kernels.gate import GATE_REGISTERS, outlier_gate
+from ..kernels.kalman import KALMAN_REGISTERS, kalman_tick
 from .frame import SessionTick
 
 
@@ -86,13 +90,16 @@ class Stage:
     pipeline can be reused for a fresh recording.
     """
 
-    #: Per-slot state: field -> ``(dtype, fill)``. Field ``f`` is the
-    #: slab attribute ``_f``, shaped ``(capacity, *trailing)``: ``None``
-    #: until :meth:`_allocate` fixes the trailing shape on the stage's
-    #: first frame. A fresh slot's rows hold the fill.
+    #: Per-slot state: field -> ``(dtype, fill, trailing)``. Field ``f``
+    #: is the slab attribute ``_f``, ``(capacity, *trailing)`` in ints and
+    #: dims (``n_rx``, cropped ``n_bins``, ``confirmation_frames``), set
+    #: by :meth:`_allocate` on the first frame. Fresh rows hold the fill.
     STATE: dict = {}
 
-    #: ``(field, attribute, dtype, fill)`` per :attr:`STATE` entry,
+    #: Kernel work buffers: ``(Registers table, rows per slot)`` pairs.
+    REGISTERS: tuple = ()
+
+    #: ``(trailing, attribute, dtype, fill)`` per :attr:`STATE` entry,
     #: built once per class so no lifecycle call formats a name.
     _SLABS: tuple = ()
 
@@ -102,22 +109,30 @@ class Stage:
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls._SLABS = tuple(
-            (field, sys.intern("_" + field), np.dtype(dtype), fill)
-            for field, (dtype, fill) in cls.STATE.items()
+            (trailing, sys.intern("_" + field), np.dtype(dtype), fill)
+            for field, (dtype, fill, trailing) in cls.STATE.items()
         )
 
     def __init__(self) -> None:
         self.reset()
+        self._scratch: dict = {}  # the REGISTERS' buffers
 
-    def _allocate(self, **trailing: tuple) -> None:
-        """Allocate every slab at capacity, each row at its fill.
-
-        ``trailing`` gives each field's per-slot shape (``()`` for one
-        value per slot).
-        """
-        for field, attr, dtype, fill in self._SLABS:
-            shape = (self._capacity, *trailing[field])
+    def _allocate(self, **dims: int) -> None:
+        """Allocate every slab at capacity, each row at its fill, with
+        the named dims of :attr:`STATE` read from ``dims``."""
+        for trailing, attr, dtype, fill in self._SLABS:
+            shape = (self._capacity, *resolve_shape(trailing, dims))
             setattr(self, attr, np.full(shape, fill, dtype))
+
+    @classmethod
+    def slot_nbytes(cls, dims: dict) -> int:
+        """Declared bytes one slot holds at a spec's ``dims``: its
+        :attr:`STATE` rows and its :attr:`REGISTERS` rows."""
+        state = Registers(**{f: (d, t) for f, (d, _, t) in cls.STATE.items()})
+        return sum(
+            table.row_nbytes(**dims) * math.prod(resolve_shape(rows, dims))
+            for table, rows in ((state, ()), *cls.REGISTERS)
+        )
 
     def attach(self, n_sessions: int) -> None:
         """Ensure state capacity for ``n_sessions`` slots.
@@ -188,15 +203,17 @@ class BackgroundSubtract(Stage):
     priming rows are dropped from the tick.
     """
 
-    STATE = {"previous": (np.complex128, 0.0), "primed": (bool, False)}
+    STATE = {
+        "previous": (np.complex128, 0.0, ("n_rx", "n_bins")),
+        "primed": (bool, False, ()),
+    }
 
-    def __init__(self) -> None:
-        super().__init__()
-        #: Reused per-tick |diff|^2 buffer. ``tick.power`` is consumed
-        #: within the tick (contour scan) and never retained by the
-        #: collectors, so handing out the same buffer every tick is
-        #: safe — and drops two array allocations per frame.
-        self._power_scratch: np.ndarray | None = None
+    #: The per-tick |diff|^2 buffer. ``tick.power`` is consumed within
+    #: the tick (contour scan) and never retained by the collectors, so
+    #: handing out a view of the same buffer every tick is safe — and
+    #: drops two array allocations per frame.
+    _POWER = Registers(("n_rx", "n_bins"), power=(float, ("n_rx", "n_bins")))
+    REGISTERS = ((_POWER, ()),)
 
     def fuse_spec(self) -> str:
         return "background"
@@ -205,7 +222,7 @@ class BackgroundSubtract(Stage):
         current = tick.spectrum
         n, n_rx, n_bins = current.shape
         if self._previous is None:
-            self._allocate(previous=(n_rx, n_bins), primed=())
+            self._allocate(n_rx=n_rx, n_bins=n_bins)
         if tick.dense and np.count_nonzero(self._primed[:n]) == n:
             previous = self._previous[:n]
             diff = current - previous
@@ -225,10 +242,8 @@ class BackgroundSubtract(Stage):
                 previous = previous[primed]
             diff = current - previous
         tick.spectrum = diff
-        scratch = self._power_scratch
-        if scratch is None or scratch.shape != diff.shape:
-            scratch = self._power_scratch = np.empty(diff.shape)
-        tick.power = background_power(diff, scratch)
+        power = self._POWER.views(self._scratch, diff.shape)["power"]
+        tick.power = background_power(diff, power)
         return tick
 
 
@@ -243,6 +258,8 @@ class ContourExtract(Stage):
     into one :func:`~repro.kernels.contour.contour_tick` call.
     """
 
+    REGISTERS = ((CONTOUR_REGISTERS, ("n_rx",)),)  # a row per antenna
+
     def __init__(
         self,
         range_bin_m: float,
@@ -254,7 +271,7 @@ class ContourExtract(Stage):
         self.threshold_db = threshold_db
         self.min_range_m = min_range_m
         self.relative_threshold_db = relative_threshold_db
-        self._scratch: dict = {}
+        super().__init__()
 
     def fuse_spec(self) -> str:
         return "contour"
@@ -293,11 +310,12 @@ class OutlierGate(Stage):
     """
 
     STATE = {
-        "last": (float, np.nan),
-        "since": (np.int64, 1),
-        "pending": (float, np.nan),
-        "pending_len": (np.int64, 0),
+        "last": (float, np.nan, ("n_rx",)),
+        "since": (np.int64, 1, ("n_rx",)),
+        "pending": (float, np.nan, ("n_rx", "confirmation_frames")),
+        "pending_len": (np.int64, 0, ("n_rx",)),
     }
+    REGISTERS = ((GATE_REGISTERS, ()),)
 
     def __init__(
         self,
@@ -315,19 +333,15 @@ class OutlierGate(Stage):
             agreement_m if agreement_m is not None else 2.0 * max_jump_m
         )
         super().__init__()
-        self._scratch: dict = {}
 
     def fuse_spec(self) -> str:
         return "outlier"
 
     def process_tick(self, tick):
         if self._last is None:
-            n_rx = tick.tof_m.shape[1]
             self._allocate(
-                last=(n_rx,),
-                since=(n_rx,),
-                pending=(n_rx, self.confirmation_frames),
-                pending_len=(n_rx,),
+                n_rx=tick.tof_m.shape[1],
+                confirmation_frames=self.confirmation_frames,
             )
         slabs = (self._last, self._since, self._pending, self._pending_len)
         rows = state_rows(tick, slabs)
@@ -351,7 +365,7 @@ class HoldInterpolate(Stage):
     tick, so no output aliases state).
     """
 
-    STATE = {"held": (float, np.nan)}
+    STATE = {"held": (float, np.nan, ("n_rx",))}
 
     def __init__(self, enabled: bool = True) -> None:
         super().__init__()
@@ -363,7 +377,7 @@ class HoldInterpolate(Stage):
     def process_tick(self, tick):
         values = tick.tof_m
         if self._held is None:
-            self._allocate(held=(values.shape[1],))
+            self._allocate(n_rx=values.shape[1])
         rows = state_rows(tick, (self._held,))
         held = rows[0]
         np.copyto(held, values, where=np.isfinite(values))
@@ -387,10 +401,11 @@ class KalmanSmooth(Stage):
     """
 
     STATE = {
-        "mean": (float, 0.0),
-        "cov": (float, 0.0),
-        "initialized": (bool, False),
+        "mean": (float, 0.0, ("n_rx", 2)),
+        "cov": (float, 0.0, ("n_rx", 2, 2)),
+        "initialized": (bool, False, ("n_rx",)),
     }
+    REGISTERS = ((KALMAN_REGISTERS, ()),)
 
     def __init__(
         self,
@@ -407,17 +422,13 @@ class KalmanSmooth(Stage):
         self.measurement_noise = measurement_noise
         self._q = dwna_process_noise(frame_dt_s, process_noise)
         super().__init__()
-        self._scratch: dict = {}
 
     def fuse_spec(self) -> str:
         return "kalman"
 
     def process_tick(self, tick):
         if self._mean is None:
-            n_rx = tick.tof_m.shape[1]
-            self._allocate(
-                mean=(n_rx, 2), cov=(n_rx, 2, 2), initialized=(n_rx,)
-            )
+            self._allocate(n_rx=tick.tof_m.shape[1])
         slabs = (self._mean, self._cov, self._initialized)
         rows = state_rows(tick, slabs)
         tick.tof_m = kalman_tick(
@@ -442,7 +453,7 @@ class Localize(Stage):
 
     #: Last accepted fix per slot (NaN row: none yet); allocated only
     #: for solvers that are not row-independent.
-    STATE = {"last_fix": (float, np.nan)}
+    STATE = {"last_fix": (float, np.nan, (3,))}
 
     def __init__(self, solver) -> None:
         super().__init__()
@@ -464,7 +475,7 @@ class Localize(Stage):
             tick.positions = solver.solve_unguarded(tick.tof_m).positions
             return tick
         if self._last_fix is None:
-            self._allocate(last_fix=(3,))
+            self._allocate()
         positions = np.full((tick.num_rows, 3), np.nan)
         for row, slot in enumerate(tick.slots):
             last = self._last_fix[slot]

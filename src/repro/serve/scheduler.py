@@ -229,8 +229,9 @@ class SchedulerBase:
         self._catching_up: dict[int, int] = {}
         self.cohorts: dict = {}
         self.sessions: dict[int, Session] = {}
-        #: One sweep-block shape check per spec (cohort key).
+        #: One sweep-block shape check per live spec (cohort key).
         self.block_shapes: dict[str, BlockShape] = {}
+        self._spec_sessions: dict[str, int] = {}
         self._next_id = 1
         self.ticks = 0
         self.frames_processed = 0
@@ -254,6 +255,7 @@ class SchedulerBase:
         self._join(session, cohort)
         session.cohort = cohort
         self.sessions[session.session_id] = session
+        self._spec_sessions[key] = self._spec_sessions.get(key, 0) + 1
         return session
 
     def retire(self, session: Session) -> PipelineResult:
@@ -274,6 +276,11 @@ class SchedulerBase:
         self._catching_up.pop(session.session_id, None)
         del self.sessions[session.session_id]
         self._leave(session)
+        # Its spec's last session (not cohort: shards split a spec).
+        key = session.spec.cohort_key()
+        self._spec_sessions[key] -= 1
+        if not self._spec_sessions[key]:
+            del self._spec_sessions[key], self.block_shapes[key]
         return result
 
     def drain(self) -> int:

@@ -19,7 +19,7 @@ time against the paper's 75 ms budget (§7).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from time import perf_counter
 from typing import NamedTuple
 
@@ -90,21 +90,19 @@ class SessionSpec:
             )
 
     def cohort_key(self) -> str:
-        """Content key grouping interchangeable sessions into cohorts."""
-        from ..exec.cache import content_key
+        """Content key grouping interchangeable sessions into cohorts,
+        hashed once and kept outside the fields (and the pickle)."""
+        key = self.__dict__.get("_cohort_key")
+        if key is None:
+            from ..exec.cache import content_key
 
-        return content_key(
-            "serve.cohort.v1",
-            self.kind,
-            self.config,
-            self.range_bin_m,
-            self.array,
-            self.solver_method,
-            self.max_people,
-            self.num_candidates,
-            self.room,
-            self.track_config,
-        )
+            values = [getattr(self, f.name) for f in fields(self)]
+            key = content_key("serve.cohort.v1", *values)
+            object.__setattr__(self, "_cohort_key", key)
+        return key
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_cohort_key"}
 
     def build_pipeline(self) -> Pipeline:
         """A fresh pipeline of this spec's structure (slot 0 attached)."""

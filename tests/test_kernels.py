@@ -12,7 +12,8 @@ The load-bearing properties:
   Kalman tick) are *bitwise* their ``reference`` specs, outputs and
   every state array, over non-finite and huge cells, rows without a
   local maximum, every bin-count class, ``min_bin`` at the edges, 1-5
-  confirmation frames, and fresh, live and missing Kalman rows;
+  confirmation frames, and fresh, live and missing Kalman rows — also
+  when one scratch dict serves calls whose row count shrinks and grows;
 * ``reference`` registers every kernel ``numpy`` does, so dispatch
   needs no fallback;
 * the numpy synthesis kernel's internal optimizations — sweep tiling,
@@ -568,6 +569,79 @@ class TestTickKernelSpecs:
         for slab in (fast_slab, spec_slab):
             assert _same_bytes(slab["id"], records["id"])
             assert _same_bytes(slab["status"], records["status"])
+
+
+def _row_counts(n):
+    """Per-call row counts for the resizing cases: a shrink and a
+    regrowth first (``n``, one row, ``n``), then any mix."""
+    return st.lists(st.integers(1, n), max_size=4).map(
+        lambda more: [n, 1, n, *more]
+    )
+
+
+class TestRegisterResizing:
+    """A kernel's registers grow to the largest row count a scratch dict
+    has seen, and each call computes through ``[:rows]`` views: with the
+    row count shrinking and growing call to call, outputs and state stay
+    bitwise the spec's."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @given(args=contour_inputs(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_contour_tick(self, args, data):
+        power, *rest = args
+        scratch = {}
+        for rows in data.draw(_row_counts(len(power))):
+            with use_backend("numpy"):
+                got = contour_tick(power[:rows], *rest, scratch)
+            with use_backend("reference"):
+                want = contour_tick(power[:rows], *rest, {})
+            for fast, spec in zip(got, want):
+                assert _same_bytes(fast, spec)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @given(args=gate_inputs(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_outlier_gate(self, args, data):
+        frames, state, max_jump, agreement = args
+        fast = [x.copy() for x in state]
+        spec = [x.copy() for x in state]
+        scratch = {}
+        counts = data.draw(_row_counts(len(frames[0])))
+        for k, rows in enumerate(counts):
+            values = frames[k % len(frames)][:rows]
+            with use_backend("numpy"):
+                got = outlier_gate(values, *(x[:rows] for x in fast),
+                                   max_jump, agreement, scratch)
+            with use_backend("reference"):
+                want = outlier_gate(values, *(x[:rows] for x in spec),
+                                    max_jump, agreement, {})
+            assert _same_bytes(got, want)
+            for f, w in zip(fast, spec):
+                assert _same_bytes(f, w)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @given(args=kalman_inputs(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_kalman_tick(self, args, data):
+        frames, records, live, _, dt, decay = args
+        noise = (dt, 1e-4, 1e-3, 1e-2, 0.05, decay)
+        fast = [records["mean"].copy(), records["cov"].copy(), live.copy()]
+        spec = [x.copy() for x in fast]
+        scratch = {}
+        counts = data.draw(_row_counts(len(live)))
+        for k, rows in enumerate(counts):
+            values = frames[k % len(frames)][:rows]
+            with use_backend("numpy"):
+                got = kalman_tick(values, *(x[:rows] for x in fast), *noise,
+                                  scratch)
+            with use_backend("reference"):
+                want = kalman_tick(values, *(x[:rows] for x in spec), *noise,
+                                   {})
+            assert _same_bytes(got, want)
+            for f, w in zip(fast, spec):
+                assert _same_bytes(f, w)
+        assert len(scratch["miss"]) == len(live)  # the largest rows seen
 
 
 class TestBackendSeam:

@@ -20,6 +20,8 @@ The load-bearing properties:
   is queued, so the cohort serves on as if it had never been sent.
 """
 
+import dataclasses
+import pickle
 import warnings
 
 import numpy as np
@@ -380,6 +382,52 @@ class TestBackpressureAndLifecycle:
         engine.close(b)
         engine.close(other)
         assert engine.scheduler.cohorts == {}
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_block_shapes_follow_live_specs(self, config, workers):
+        """A spec's block shape goes with its last live session, in
+        process and on shards, where one spec spans sibling cohorts."""
+        specs = [single_session(config, 0.1 + 0.001 * k) for k in range(50)]
+        with ServingEngine(workers=workers) as engine:
+            scheduler = engine.scheduler
+            sessions = [engine.admit(spec) for spec in specs]
+            assert len(scheduler.block_shapes) == 50
+            for session in sessions:
+                engine.close(session)
+            assert scheduler.cohorts == {}
+            assert scheduler.block_shapes == {}
+            a, b = engine.admit(specs[0]), engine.admit(specs[0])
+            assert len(scheduler.cohorts) == (2 if engine.distributed else 1)
+            engine.close(a)
+            assert list(scheduler.block_shapes) == [specs[0].cohort_key()]
+            engine.close(b)
+            assert scheduler.block_shapes == {}
+
+    def test_cohort_key_is_hashed_once(self, config, monkeypatch):
+        """A spec hashes its cohort key on first use and keeps it; the
+        kept key is the fields' content key and leaves the spec's
+        equality, hash, repr and pickle as they were."""
+        from repro.exec import cache
+
+        spec = single_session(config, 0.15)
+        twin = single_session(config, 0.15)
+        before = (hash(spec), repr(spec), pickle.dumps(spec))
+        calls = []
+        real = cache.content_key
+        monkeypatch.setattr(
+            cache, "content_key",
+            lambda *parts: calls.append(parts) or real(*parts),
+        )
+        engine = ServingEngine()
+        engine.admit(spec)
+        hashed = len(calls)
+        assert hashed >= 1
+        engine.admit(spec)
+        assert len(calls) == hashed
+        fields = [getattr(spec, f.name) for f in dataclasses.fields(spec)]
+        assert spec.cohort_key() == real("serve.cohort.v1", *fields)
+        assert spec == twin
+        assert (hash(spec), repr(spec), pickle.dumps(spec)) == before
 
 
 class TestSessionVectorizedStages:
