@@ -47,42 +47,53 @@ class DominantPeakTOFEstimator:
 
     def estimate(self, sweep_spectra: np.ndarray) -> TOFEstimate:
         """Run the modified pipeline on one antenna's sweeps."""
+        return self.estimate_all(np.asarray(sweep_spectra)[None])[0]
+
+    def estimate_all(self, spectra: np.ndarray) -> tuple[TOFEstimate, ...]:
+        """Run the modified pipeline on every antenna's sweeps.
+
+        ``spectra`` is ``(n_rx, n_sweeps, n_bins)``. Every antenna's
+        cleaned series is Kalman-smoothed in one :func:`smooth_series`
+        call, each bitwise its own smoothing.
+        """
         cfg = self.config
-        spectrogram = spectrogram_from_sweeps(
-            sweep_spectra,
-            self.sweep_duration_s,
-            self.range_bin_m,
-            sweeps_per_frame=cfg.sweeps_per_frame,
-        ).crop(cfg.max_range_m)
-        subtracted = background_subtract(spectrogram)
-        contour = dominant_peak_contour(
-            subtracted.power,
-            subtracted.range_bin_m,
-            threshold_db=cfg.contour_threshold_db,
-        )
-        cleaned = reject_outliers(
-            contour.round_trip_m,
-            max_jump_m=cfg.max_jump_m,
-            confirmation_frames=cfg.jump_confirmation_frames,
-        )
-        if cfg.interpolate_when_static:
-            cleaned = interpolate_gaps(cleaned)
-        smoothed = (
-            cleaned
-            if np.all(np.isnan(cleaned))
-            else smooth_series(
-                cleaned,
-                cfg.sweeps_per_frame * self.sweep_duration_s,
-                process_noise=cfg.kalman_process_noise,
-                measurement_noise=cfg.kalman_measurement_noise,
+        stages = []
+        for sweep_spectra in spectra:
+            spectrogram = spectrogram_from_sweeps(
+                sweep_spectra,
+                self.sweep_duration_s,
+                self.range_bin_m,
+                sweeps_per_frame=cfg.sweeps_per_frame,
+            ).crop(cfg.max_range_m)
+            subtracted = background_subtract(spectrogram)
+            contour = dominant_peak_contour(
+                subtracted.power,
+                subtracted.range_bin_m,
+                threshold_db=cfg.contour_threshold_db,
             )
-        )
-        return TOFEstimate(
-            frame_times_s=subtracted.frame_times_s,
-            round_trip_m=smoothed,
-            raw_contour_m=contour.round_trip_m,
-            motion_mask=contour.motion_mask,
-            spectrogram=subtracted,
+            cleaned = reject_outliers(
+                contour.round_trip_m,
+                max_jump_m=cfg.max_jump_m,
+                confirmation_frames=cfg.jump_confirmation_frames,
+            )
+            if cfg.interpolate_when_static:
+                cleaned = interpolate_gaps(cleaned)
+            stages.append((subtracted, contour, cleaned))
+        smoothed = smooth_series(
+            np.stack([cleaned for _, _, cleaned in stages], axis=1),
+            cfg.sweeps_per_frame * self.sweep_duration_s,
+            process_noise=cfg.kalman_process_noise,
+            measurement_noise=cfg.kalman_measurement_noise,
+        ).T.copy()
+        return tuple(
+            TOFEstimate(
+                frame_times_s=subtracted.frame_times_s,
+                round_trip_m=round_trip_m,
+                raw_contour_m=contour.round_trip_m,
+                motion_mask=contour.motion_mask,
+                spectrogram=subtracted,
+            )
+            for (subtracted, contour, _), round_trip_m in zip(stages, smoothed)
         )
 
 
@@ -104,7 +115,4 @@ class DominantPeakTracker(WiTrack):
         estimator = DominantPeakTOFEstimator(
             self.config.fmcw.sweep_duration_s, range_bin_m, self.config.pipeline
         )
-        estimates = tuple(
-            estimator.estimate(spectra[i]) for i in range(spectra.shape[0])
-        )
-        return self.localize_estimates(estimates)
+        return self.localize_estimates(estimator.estimate_all(spectra))

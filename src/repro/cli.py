@@ -553,22 +553,26 @@ def cmd_load(args: argparse.Namespace) -> int:
 
     workers = args.workers if args.workers is not None else 0
     model = admission = shard_budget = None
+    budgets = []
     if args.memory_budget_mb is not None:
         model = SpecMemoryModel(queue_capacity=args.queue)
         admission = MemoryGovernor(
             int(args.memory_budget_mb * 1e6), model=model
         )
+        budgets.append(admission.budget_bytes)
     if args.shard_budget_mb is not None:
         model = model or SpecMemoryModel(queue_capacity=args.queue)
         shard_budget = int(args.shard_budget_mb * 1e6)
+        budgets.append(shard_budget)
     capacity = args.capacity if args.capacity > 0 else None
     arena_bytes = None
     if workers and model is not None:
         # Size the shm arenas from the same model that governs
         # admission (declared bytes, no pipeline built): worst-case step
         # payload across the served spec mix, before any worker exists.
+        # The engine's budget bounds a shard's sessions as its own does.
         arena_bytes = max(
-            model.arena_estimate(spec, shard_budget)
+            model.arena_estimate(spec, min(budgets))
             for spec in specs.values()
         )
 

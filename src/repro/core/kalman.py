@@ -41,34 +41,41 @@ def smooth_series(
     process_noise: float = 5e-4,
     measurement_noise: float = 4e-3,
 ) -> np.ndarray:
-    """One-call Kalman smoothing of a distance series.
+    """One-call Kalman smoothing of distance series.
 
     Runs :func:`~repro.kernels.kalman.kalman_tick` frame by frame on a
-    one-filter bank: the first measurement initializes the filter, NaN
-    samples before it stay NaN, and later NaN samples become
-    predictions.
+    bank of one filter per series: a series' first measurement
+    initializes its filter, NaN samples before it stay NaN, and later
+    NaN samples become predictions. Series never mix, so a column
+    smoothed beside others is bitwise the column smoothed alone.
 
     Args:
-        series: distances, one per frame; NaN = no measurement.
+        series: distances, one per frame: shape ``(n_frames,)``, or
+            ``(n_frames, n_series)`` for one series per column; NaN =
+            no measurement.
         dt_s: frame interval (12.5 ms for the paper's 5-sweep frames).
         process_noise: white-acceleration spectral density; larger
             values trust the measurements more.
         measurement_noise: variance of one distance measurement (m^2).
+
+    Returns:
+        The smoothed series, shaped like ``series``.
     """
     if dt_s <= 0:
         raise ValueError("dt_s must be positive")
     if process_noise <= 0 or measurement_noise <= 0:
         raise ValueError("noise parameters must be positive")
     series = np.asarray(series, dtype=np.float64)
-    values = series.reshape(len(series), 1, 1)
+    n = series.shape[1] if series.ndim == 2 else 1
+    values = series.reshape(len(series), 1, n)
     q = dwna_process_noise(dt_s, process_noise)
-    mean, cov = np.zeros((1, 1, 2)), np.zeros((1, 1, 2, 2))
-    live = np.zeros((1, 1), dtype=bool)
+    mean, cov = np.zeros((1, n, 2)), np.zeros((1, n, 2, 2))
+    live = np.zeros((1, n), dtype=bool)
     scratch: dict = {}
-    out = np.empty(len(values))
+    out = np.empty(values.shape)
     for i, value in enumerate(values):
         out[i] = kalman_tick(
             value, mean, cov, live, dt_s, *q, measurement_noise, 1.0,
             scratch,
-        )[0, 0]
-    return out
+        )
+    return out.reshape(series.shape)

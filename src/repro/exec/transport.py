@@ -56,6 +56,7 @@ except ImportError:  # pragma: no cover
     shared_memory = None  # type: ignore[assignment]
 
 __all__ = [
+    "ARENA_ALIGN",
     "DEFAULT_ARENA_BYTES",
     "MAX_ARENA_BYTES",
     "SHM_MIN_ARRAY_BYTES",
@@ -84,7 +85,9 @@ MAX_ARENA_BYTES = 256 * 2**20
 #: that size the pickle bytes cost less than a shm entry + page touch.
 SHM_MIN_ARRAY_BYTES = 256
 
-_ALIGN = 64  # bump-allocator granularity (cache line)
+#: The arena's bump-allocator granularity (a cache line): each array
+#: takes a whole number of these.
+ARENA_ALIGN = 64
 _SHM_TAG = "#shm"  # wire marker for messages with out-of-band arrays
 _SEGMENT_PREFIX = "repro_shm_"  # /dev/shm name prefix (leak tests grep it)
 
@@ -108,7 +111,7 @@ def shm_available() -> bool:
                 seg = shared_memory.SharedMemory(
                     name=f"{_SEGMENT_PREFIX}probe_{os.getpid()}",
                     create=True,
-                    size=_ALIGN,
+                    size=ARENA_ALIGN,
                 )
                 seg.close()
                 seg.unlink()
@@ -231,7 +234,7 @@ class _Region:
 
     def reserve(self, nbytes: int) -> int | None:
         """Absolute segment offset for ``nbytes``, or None when full."""
-        aligned = -(-nbytes // _ALIGN) * _ALIGN
+        aligned = -(-nbytes // ARENA_ALIGN) * ARENA_ALIGN
         if self.used + aligned > self.size:
             return None
         offset = self.start + self.used
@@ -455,7 +458,9 @@ class ParentTransport:
         self.arena: ShmArena | None = None
         if transport == "shm":
             per_direction = int(arena_bytes or DEFAULT_ARENA_BYTES)
-            per_direction = max(_ALIGN, min(per_direction, MAX_ARENA_BYTES))
+            per_direction = max(
+                ARENA_ALIGN, min(per_direction, MAX_ARENA_BYTES)
+            )
             self.arena = ShmArena(per_direction, per_direction)
 
     def worker_config(self) -> dict[str, Any] | None:

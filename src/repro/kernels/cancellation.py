@@ -112,14 +112,17 @@ def _successive_cancel_numpy(
     candidate = np.empty(centre.shape, dtype=bool)
     candidate_at = np.arange(n_rows) * centre.shape[1]
     gate = np.empty(n_rows)
+    ordered = np.empty((n_rows, n_bins))
     lower, upper = (n_bins - 1) // 2, n_bins // 2
     n_rounds = 0
     with np.errstate(all="ignore"):
         for k in range(max_targets):
             # The median (np.median's (a + b) / 2 on even rows) and the
             # frame peak from one sort; NaN sorts last, as it does in
-            # np.partition.
-            ordered = np.sort(residual, axis=1)
+            # np.partition. Each round sorts into the same buffer
+            # (np.sort's copy-then-sort, without its fresh copy).
+            np.copyto(ordered, residual)
+            ordered.sort(axis=1)
             floor = ordered[:, upper]
             if lower != upper:
                 floor = (ordered[:, lower] + floor) / 2.0

@@ -78,17 +78,21 @@ def contour_tick(
     )
 
 
+# A huge sample's power overflows to inf in its sender's rows only, so
+# the overflow warning is ignored.
 @register("numpy", "background_power")
 def _background_power_numpy(diff, out):
     np.abs(diff, out=out)
-    np.multiply(out, out, out=out)
+    with np.errstate(over="ignore"):
+        np.multiply(out, out, out=out)
     return out
 
 
 @register("reference", "background_power")
 def _background_power_reference(diff, out):
     # Original form: allocates the |diff| temporary and the result.
-    return np.abs(diff) ** 2
+    with np.errstate(over="ignore"):
+        return np.abs(diff) ** 2
 
 
 @register("numpy", "first_local_max_above")

@@ -246,8 +246,6 @@ class LoadHarness:
             "engine": {
                 "ticks": self.engine.scheduler.ticks,
                 "frames_processed": self.engine.scheduler.frames_processed,
-                "catchups": self.engine.scheduler.catchups,
-                "catchups_ended": self.engine.scheduler.catchups_ended,
                 "rejected_admissions": self.engine.rejected_admissions,
             },
         }

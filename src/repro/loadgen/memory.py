@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..exec.transport import ARENA_ALIGN
 from ..pipeline import multi, stages
 from ..serve.session import Session, SessionSpec
 from .workload import frame_shape
@@ -82,30 +83,29 @@ class SpecMemoryModel:
         return self._per_session[key]
 
     def arena_estimate(
-        self,
-        spec: SessionSpec,
-        shard_budget_bytes: int | None = None,
-        burst: int = 4,
+        self, spec: SessionSpec, shard_budget_bytes: int | None = None
     ) -> int:
         """Predicted shm arena bytes (per direction) one shard needs.
 
-        A step sends a shard at most ``burst`` raw sweep blocks per
-        session (the scheduler's ``CATCHUP_BURST``), for as many
-        sessions as ``shard_budget_bytes`` holds at :meth:`estimate`
-        each, or :data:`_ARENA_FLOOR_SESSIONS` without a budget (a
-        floor, not a cap: overflow rides the pipe, counted, never
-        wrong). So the arena, like the shard, is sized before anything
+        A step sends a shard one raw sweep block per session, for as
+        many sessions as ``shard_budget_bytes`` holds at
+        :meth:`estimate` each, or :data:`_ARENA_FLOOR_SESSIONS` without
+        a budget (a floor, not a cap: overflow rides the pipe, counted,
+        never wrong). Each block takes whole
+        :data:`~repro.exec.transport.ARENA_ALIGN` units of the arena.
+        So the arena, like the shard, is sized before anything
         allocates.
         """
         n_rx, spf, n_bins = frame_shape(spec)
         frame_bytes = n_rx * spf * n_bins * _COMPLEX_BYTES
+        frame_bytes = -(-frame_bytes // ARENA_ALIGN) * ARENA_ALIGN
         if shard_budget_bytes is None:
             sessions = _ARENA_FLOOR_SESSIONS
         else:
             sessions = max(
                 int(shard_budget_bytes) // max(self.estimate(spec), 1), 1
             )
-        return int(max(burst, 1) * sessions * frame_bytes)
+        return int(sessions * frame_bytes)
 
 
 class MemoryGovernor:

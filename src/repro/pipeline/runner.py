@@ -404,32 +404,37 @@ class Pipeline:
         # (Pipeline.push) and a list tick (the serving engine) then
         # agree bitwise for every block dtype, and one session's odd
         # dtype cannot recast its cohort mates'.
-        if isinstance(sweep_blocks, np.ndarray) or not len(sweep_blocks):
-            stacked = sweep_blocks
-            if not isinstance(stacked, np.ndarray):
-                stacked = np.stack([np.asarray(b) for b in sweep_blocks])
-            t0 = perf_counter() if profiler is not None else 0.0
-            cropped = self._crop(stacked)
-            _, n_rx, spf, n_bins = cropped.shape
-            averaged = self._average_buffer((n, n_rx, n_bins))
-            np.add.reduce(cropped, axis=2, dtype=np.complex128, out=averaged)
-            np.divide(averaged, spf, out=averaged)
-        else:
-            # A list of blocks averages each straight into the reused
-            # per-tick buffer, each block cropped by its own width.
-            t0 = perf_counter() if profiler is not None else 0.0
-            n_rx, spf, width = np.shape(sweep_blocks[0])
-            n_bins = width if self._max_bins is None else min(
-                self._max_bins, width
-            )
-            averaged = self._average_buffer((n, n_rx, n_bins))
-            for i, block in enumerate(sweep_blocks):
-                if block.shape[-1] > n_bins:
-                    block = block[..., :n_bins]
+        # A non-finite or huge block turns only its own rows inf or NaN
+        # here, so the floating-point warnings it raises are ignored.
+        with np.errstate(invalid="ignore", over="ignore"):
+            if isinstance(sweep_blocks, np.ndarray) or not len(sweep_blocks):
+                stacked = sweep_blocks
+                if not isinstance(stacked, np.ndarray):
+                    stacked = np.stack([np.asarray(b) for b in sweep_blocks])
+                t0 = perf_counter() if profiler is not None else 0.0
+                cropped = self._crop(stacked)
+                _, n_rx, spf, n_bins = cropped.shape
+                averaged = self._average_buffer((n, n_rx, n_bins))
                 np.add.reduce(
-                    block, axis=1, dtype=np.complex128, out=averaged[i]
+                    cropped, axis=2, dtype=np.complex128, out=averaged
                 )
-            np.divide(averaged, spf, out=averaged)
+                np.divide(averaged, spf, out=averaged)
+            else:
+                # A list of blocks averages each straight into the reused
+                # per-tick buffer, each block cropped by its own width.
+                t0 = perf_counter() if profiler is not None else 0.0
+                n_rx, spf, width = np.shape(sweep_blocks[0])
+                n_bins = width if self._max_bins is None else min(
+                    self._max_bins, width
+                )
+                averaged = self._average_buffer((n, n_rx, n_bins))
+                for i, block in enumerate(sweep_blocks):
+                    if block.shape[-1] > n_bins:
+                        block = block[..., :n_bins]
+                    np.add.reduce(
+                        block, axis=1, dtype=np.complex128, out=averaged[i]
+                    )
+                np.divide(averaged, spf, out=averaged)
         if profiler is not None:
             t1 = perf_counter()
             profiler.record("frame_average", t1 - t0, averaged.nbytes)

@@ -13,14 +13,13 @@ cost once instead of N times.
   helpers;
 * :mod:`scheduler` — :class:`Scheduler`, the in-process front end
   (admit/retire with dense slot reuse, and one vectorized tick over
-  every ready session of a cohort, plus catch-up rounds for its
-  stragglers), on the :class:`~repro.serve.scheduler.SchedulerBase`
-  both front ends share (session registration, retirement, drain,
-  catch-up decisions);
+  every ready session of a cohort, one frame each), on the
+  :class:`~repro.serve.scheduler.SchedulerBase` both front ends share
+  (session registration, retirement, drain);
 * :mod:`shard` — the distributed tier: :class:`ShardWorker` (cohort
   pipelines inside long-lived worker processes) and
   :class:`DistributedScheduler` (whole-cohort placement, batched
-  per-shard steps, failover, catch-up on the session's own shard);
+  per-shard steps, failover);
 * :mod:`engine` — the :class:`ServingEngine` facade the apps and the
   ``repro serve`` CLI embed; ``workers=N`` turns it into the front end
   of the distributed tier, ``workers=0`` keeps everything in-process.
@@ -40,7 +39,7 @@ Load-bearing invariants, pinned by ``tests/test_serve.py`` and
 """
 
 from .engine import ServingEngine
-from .scheduler import Cohort, Scheduler, StragglerDetector
+from .scheduler import Cohort, Scheduler
 from .session import (
     AdmissionRefused,
     Session,
@@ -60,7 +59,6 @@ __all__ = [
     "Session",
     "SessionSpec",
     "ShardWorker",
-    "StragglerDetector",
     "multi_session",
     "single_session",
 ]

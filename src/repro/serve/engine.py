@@ -15,8 +15,8 @@ of a distributed tier**: N long-lived shard worker processes (one
 :class:`~repro.exec.pool.WorkerPool`) host the cohort pipelines, and a
 :class:`~repro.serve.shard.DistributedScheduler` places whole cohorts,
 routes admissions/frames/evictions, and merges per-session results and
-latency reports. Both share their session bookkeeping and catch-up
-policy (:class:`~repro.serve.scheduler.SchedulerBase`). For the same
+latency reports. Both share their session bookkeeping
+(:class:`~repro.serve.scheduler.SchedulerBase`). For the same
 admission schedule the two modes produce identical outputs
 (test-pinned): tick rows are independent sessions, so partitioning
 them across processes changes where the arithmetic runs, never what it
@@ -117,8 +117,8 @@ class ServingEngine:
                 # Predict-before-allocate arena sizing: admission keeps
                 # Σ estimate(spec) ≤ budget per shard, and each estimate
                 # already counts the session's full queue_capacity of
-                # frames — a superset of any one step's burst — so the
-                # budget upper-bounds a step payload.
+                # frames — a superset of the one block a step sends per
+                # session — so the budget upper-bounds a step payload.
                 arena_bytes = max(
                     DEFAULT_ARENA_BYTES,
                     min(int(shard_budget_bytes), MAX_ARENA_BYTES),

@@ -12,25 +12,19 @@ cohort, every session with a queued frame, in slot order, into **one**
 one pass of numpy dispatch — and routes each output row back to its
 session with its latency sample.
 
-Stragglers cost nothing — until they do. A session with an empty queue
-simply sits out the tick (its state rows are untouched), and a session
-whose producer runs hot hits its bounded queue and is refused frames.
-But a session whose queue depth *persistently* lags its same-spec mates is
-a scheduling problem: in lockstep it can drain at most one frame per
-cohort tick, so a producer that outpaces the tick rate backs it up
-without bound. The scheduler's answer is **catch-up in place**: the
-straggler's :attr:`~repro.serve.session.Session.burst` rises to
-:attr:`SchedulerBase.CATCHUP_BURST`, and each pass adds rounds over its
-cohort's catching-up members that still hold a frame, in the same
-pipeline and the same slot, until its queue has stayed empty for
-:attr:`SchedulerBase.CAUGHT_UP_PASSES` passes. No state moves; catch-up
-never changes any output (the serving tests pin this), only *when*
-frames are processed.
+Stragglers cost nothing. A session with an empty queue simply sits out
+the tick (its state rows are untouched). A session whose producer
+outpaces the tick rate drains one frame per pass like every other
+member, and its bounded queue refuses the rest (**backpressure**): the
+producer learns at ``offer`` that it is too fast, the backlog — and
+with it the session's queueing latency — stops at ``queue_capacity``
+frames, and the scheduler never drops or skips a queued frame, so a
+session's outputs do not depend on when its frames arrive.
 
 The distributed front end (:class:`~repro.serve.shard.DistributedScheduler`)
 runs the same policy over shard workers. What the two share —
-session registration, the closing half of ``retire``, ``drain`` and the
-catch-up decisions — lives once, in :class:`SchedulerBase`.
+session registration, the closing half of ``retire`` and ``drain`` —
+lives once, in :class:`SchedulerBase`.
 """
 
 from __future__ import annotations
@@ -122,76 +116,8 @@ def merged_profile(retired: StageProfiler, cohorts) -> StageProfiler:
     return merged
 
 
-class StragglerDetector:
-    """Spot sessions whose queue depth persistently lags their spec's.
-
-    Both front ends run it through :meth:`SchedulerBase._rebatch`:
-    after each tick, feed it every spec's ``(session, queue depth)``
-    pairs, its catching-up sessions left out; it returns the sessions
-    that have lagged the group's *shallowest* queue by at least
-    ``backlog`` frames for ``patience`` consecutive ticks — the
-    sessions to put into catch-up. A group of fewer than two has no
-    one to lag.
-
-    Args:
-        backlog: queue-depth excess over the group minimum that counts
-            as lagging.
-        patience: consecutive lagging ticks before a catch-up starts (a
-            transient burst should not start one).
-    """
-
-    def __init__(self, backlog: int = 8, patience: int = 4) -> None:
-        if backlog < 1 or patience < 1:
-            raise ValueError("backlog and patience must be >= 1")
-        self.backlog = backlog
-        self.patience = patience
-        self._lagging: dict[int, int] = {}
-
-    def observe(self, members: list[tuple[Session, int]]) -> list[Session]:
-        """Update lag counters for one group; return sessions now due."""
-        if len(members) < 2:
-            for session, _ in members:
-                self._lagging.pop(session.session_id, None)
-            return []
-        floor = min(depth for _, depth in members)
-        due = []
-        for session, depth in members:
-            if depth - floor >= self.backlog:
-                count = self._lagging.get(session.session_id, 0) + 1
-                self._lagging[session.session_id] = count
-                if count >= self.patience:
-                    del self._lagging[session.session_id]
-                    due.append(session)
-            else:
-                self._lagging.pop(session.session_id, None)
-        return due
-
-    def forget(self, session: Session) -> None:
-        """Drop a session's counter (on retire/evict)."""
-        self._lagging.pop(session.session_id, None)
-
-    def prune(self, live_ids) -> None:
-        """Drop counters of sessions that no longer exist."""
-        self._lagging = {
-            sid: count
-            for sid, count in self._lagging.items()
-            if sid in live_ids
-        }
-
-    def sweep(self, groups) -> list[Session]:
-        """Observe every group; return all sessions due for catch-up.
-
-        The per-tick detection loop: ``groups`` yields each spec's
-        sessions.
-        """
-        due: list[Session] = []
-        for sessions in groups:
-            due.extend(self.observe([(s, len(s.queue)) for s in sessions]))
-        return due
-
-
 class SchedulerBase:
-    """The session bookkeeping and catch-up policy of both front ends.
+    """The session bookkeeping of both front ends.
 
     :class:`Scheduler` (in process) and
     :class:`~repro.serve.shard.DistributedScheduler` differ only in how
@@ -199,34 +125,17 @@ class SchedulerBase:
     here once. A subclass supplies ``_cohort_for(spec, key)`` (the
     cohort an admission joins), ``_join(session, cohort)`` and
     ``_leave(session)`` (take and free a state slot there; ``_leave``
-    drops an emptied cohort), ``tick`` (which drains up to each
-    session's :attr:`~repro.serve.session.Session.burst` frames and
-    ends with :meth:`_rebatch`) and ``stage_profile``.
-
-    :attr:`catchups` counts the catch-ups :meth:`_rebatch` started and
-    :attr:`catchups_ended` those that ran their course (a session
-    retired mid-catch-up ends none).
+    drops an emptied cohort), ``tick`` (which drains one frame from
+    every session that has one) and ``stage_profile``.
 
     Args:
         queue_capacity: per-session input queue bound (backpressure).
     """
 
-    #: Frames a catching-up session may drain per pass.
-    CATCHUP_BURST = 4
-    #: Consecutive passes that end with a catching-up session's queue
-    #: empty before its burst returns to 1 — catch-up is temporary, so
-    #: a transient hiccup cannot leave a session bursting for good.
-    CAUGHT_UP_PASSES = 4
-
     def __init__(self, queue_capacity: int = 64) -> None:
         if queue_capacity < 1:
             raise ValueError("queue_capacity must be >= 1")
         self.queue_capacity = queue_capacity
-        self.detector = StragglerDetector()
-        #: Catching-up session ids, in the order their catch-ups
-        #: started, mapped to the passes in a row that ended with the
-        #: session's queue empty.
-        self._catching_up: dict[int, int] = {}
         self.cohorts: dict = {}
         self.sessions: dict[int, Session] = {}
         #: One sweep-block shape check per live spec (cohort key).
@@ -235,8 +144,6 @@ class SchedulerBase:
         self._next_id = 1
         self.ticks = 0
         self.frames_processed = 0
-        self.catchups = 0
-        self.catchups_ended = 0
 
     @property
     def num_sessions(self) -> int:
@@ -272,8 +179,6 @@ class SchedulerBase:
         result = session.result()
         session.closed = True
         session.queue.clear()
-        self.detector.forget(session)
-        self._catching_up.pop(session.session_id, None)
         del self.sessions[session.session_id]
         self._leave(session)
         # Its spec's last session (not cohort: shards split a spec).
@@ -291,42 +196,6 @@ class SchedulerBase:
             if consumed == 0:
                 return total
             total += consumed
-
-    def _rebatch(self) -> None:
-        """Start catch-up for persistent stragglers; end it for the
-        ones whose queue stayed empty."""
-        detector = self.detector
-        # A straggler is `backlog` deeper than its cohort's floor, which
-        # requires a queue at least that deep — so with no lag counters
-        # pending, one cheap depth scan replaces the full per-cohort
-        # sweep (which would only pop from empty dicts).
-        if detector._lagging or any(
-            len(s.queue) >= detector.backlog for s in self.sessions.values()
-        ):
-            detector.prune(self.sessions)
-            # One group per spec, over every cohort of it: the
-            # distributed tier spreads a spec's sessions over sibling
-            # cohorts, one per shard, and a straggler must still be
-            # compared with all its mates. The sessions of a spec share
-            # its one BlockShape, which keys the groups.
-            groups: dict[BlockShape, list[Session]] = {}
-            for s in self.sessions.values():
-                if s.burst == 1:
-                    groups.setdefault(s.block_shape, []).append(s)
-            for session in detector.sweep(groups.values()):
-                session.burst = self.CATCHUP_BURST
-                self._catching_up[session.session_id] = 0
-                self.catchups += 1
-        for sid, passes in list(self._catching_up.items()):
-            session = self.sessions[sid]
-            if session.queue:
-                self._catching_up[sid] = 0
-            elif passes + 1 < self.CAUGHT_UP_PASSES:
-                self._catching_up[sid] = passes + 1
-            else:
-                del self._catching_up[sid]
-                session.burst = 1
-                self.catchups_ended += 1
 
 
 class Scheduler(SchedulerBase):
@@ -398,10 +267,6 @@ class Scheduler(SchedulerBase):
         Pops one queued frame from each session that has one, advances
         each cohort's batch through a single vectorized pipeline tick,
         and routes output rows and latency samples back per session.
-        Then, while any of the cohort's catching-up members (``burst >
-        1``) still holds a frame and has burst left, one more round
-        ticks just those — a subset of the cohort's slots, in the same
-        pipeline.
 
         Returns:
             Number of frames consumed (0 means every queue was empty).
@@ -409,13 +274,9 @@ class Scheduler(SchedulerBase):
         consumed = 0
         for cohort in self.cohorts.values():
             ready = [s for s in cohort.members if s.queue]
-            rounds = 1
-            while ready:
+            if ready:
                 consumed += self._tick_cohort(cohort, ready)
-                ready = [s for s in ready if s.burst > rounds and s.queue]
-                rounds += 1
         if consumed:
             self.ticks += 1
             self.frames_processed += consumed
-        self._rebatch()
         return consumed

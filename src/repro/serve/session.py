@@ -310,10 +310,6 @@ class Session:
         self.closed = False
         #: Set by the scheduler's admit — the cohort serving this session.
         self.cohort = None
-        #: Frames the scheduler may drain from the queue per pass: 1, or
-        #: the scheduler's ``CATCHUP_BURST`` while the session catches
-        #: up on a backlog its cohort mates do not have.
-        self.burst = 1
         #: Every emitted row, kept once; the scheduler appends each row
         #: it routes here.
         self.outputs = OutputColumns()

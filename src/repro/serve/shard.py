@@ -30,12 +30,9 @@ session re-primes background subtraction on its next frame and loses
 one output frame, deterministically, while every other session is
 untouched.
 
-Catch-up runs where the session lives: a straggler's state stays in
-its slot on its own shard, and the front end sends it up to its
-:attr:`~repro.serve.session.Session.burst` blocks per step, which
-:meth:`ShardWorker.step` ticks as extra rounds over the cohort's
-members that still hold a block. No session state crosses between
-shards except on failover.
+A step carries one block per ready session, as a tick in process
+does, so both tiers drain every session the same frames on every pass.
+No session state crosses between shards except on failover.
 """
 
 from __future__ import annotations
@@ -130,26 +127,25 @@ class ShardWorker:
     # -- the unit of work --------------------------------------------------
 
     def step(
-        self, batch: list[tuple[int, list[np.ndarray]]]
+        self, batch: list[tuple[int, np.ndarray]]
     ) -> tuple[list[TickRows], float]:
         """Advance this shard one scheduler tick.
 
         Args:
-            batch: ``(session_id, [sweep_block, ...])`` pairs — usually
-                one block each; a catching-up session sends several.
+            batch: ``(session_id, sweep_block)`` pairs, one per ready
+                session.
 
         Returns:
-            ``(groups, tick_s)``: one output group per (cohort, round)
-            pipeline tick — the tick's emitted rows as column
-            slabs with a parallel session-id routing vector (see
+            ``(groups, tick_s)``: one output group per cohort tick — the
+            tick's emitted rows as column slabs with a parallel
+            session-id routing vector (see
             :func:`~repro.serve.session.tick_group`; a tick may emit
             fewer rows than it was fed when frames only primed) — and
             the wall-clock seconds spent ticking pipelines, which the
             parent subtracts from the round-trip time to measure IPC
-            overhead. Groups arrive in per-cohort round order, so each
-            session's rows are in its frame order; the parent packs each
-            group once and appends each row to its session's
-            ``outputs``, as the in-process scheduler does with the tick.
+            overhead. The parent packs each group once and appends each
+            row to its session's ``outputs``, as the in-process
+            scheduler does with the tick.
         """
         if self._fail_in is not None:
             self._fail_in -= 1
@@ -158,35 +154,31 @@ class ShardWorker:
                 raise RuntimeError("injected shard failure (fail_next_step)")
         start = perf_counter()
         groups: list[TickRows] = []
-        by_cohort: dict[str, list[tuple[int, int, list[np.ndarray]]]] = {}
-        for sid, blocks in batch:
+        by_cohort: dict[str, list[tuple[int, int, np.ndarray]]] = {}
+        for sid, block in batch:
             key, slot = self._placement[sid]
-            by_cohort.setdefault(key, []).append((slot, sid, blocks))
+            by_cohort.setdefault(key, []).append((slot, sid, block))
         for key, members in by_cohort.items():
-            pipeline = self.cohorts[key].pipeline
             # Slot order: a step that covers the whole cohort ticks the
             # dense slot vector 0..n-1.
             members.sort(key=lambda m: m[0])
-            rounds = max(len(blocks) for _, _, blocks in members)
-            for r in range(rounds):
-                active = [m for m in members if r < len(m[2])]
-                slots = np.fromiter(
-                    (slot for slot, _, _ in active),
-                    dtype=np.intp,
-                    count=len(active),
+            slots = np.fromiter(
+                (slot for slot, _, _ in members),
+                dtype=np.intp,
+                count=len(members),
+            )
+            tick = self.cohorts[key].pipeline.tick(
+                [block for _, _, block in members], slots
+            )
+            if tick.num_rows:
+                sid_of_slot = {slot: sid for slot, sid, _ in members}
+                session_ids = np.fromiter(
+                    (sid_of_slot[int(slot)] for slot in tick.slots),
+                    dtype=np.int64,
+                    count=tick.num_rows,
                 )
-                tick = pipeline.tick(
-                    [blocks[r] for _, _, blocks in active], slots
-                )
-                if tick.num_rows:
-                    sid_of_slot = {slot: sid for slot, sid, _ in active}
-                    session_ids = np.fromiter(
-                        (sid_of_slot[int(slot)] for slot in tick.slots),
-                        dtype=np.int64,
-                        count=tick.num_rows,
-                    )
-                    groups.append(tick_group(tick, session_ids))
-                self.frames_processed += len(active)
+                groups.append(tick_group(tick, session_ids))
+            self.frames_processed += len(members)
         self.steps += 1
         return groups, perf_counter() - start
 
@@ -315,10 +307,10 @@ class DistributedScheduler(SchedulerBase):
 
     The distributed front end, shaped like the in-process
     :class:`~repro.serve.scheduler.Scheduler` and sharing its
-    :class:`~repro.serve.scheduler.SchedulerBase` bookkeeping and
-    catch-up policy; placement *is* admission here. Sessions keep
-    their bounded queues and accumulated results in the parent; shards
-    hold only pipeline state.
+    :class:`~repro.serve.scheduler.SchedulerBase` bookkeeping;
+    placement *is* admission here. Sessions keep their bounded queues
+    and accumulated results in the parent; shards hold only pipeline
+    state.
 
     Args:
         pool: worker pool whose actors are :class:`ShardWorker`\\ s.
@@ -404,16 +396,16 @@ class DistributedScheduler(SchedulerBase):
     def _exclude_shard(
         self,
         shard: int,
-        in_flight: list[tuple[Session, list[tuple[np.ndarray, float]]]],
+        in_flight: list[tuple[Session, tuple[np.ndarray, float]]],
     ) -> None:
         """Mark a failed shard excluded and requeue its in-flight frames.
 
-        In-flight frames go back to the *head* of their sessions'
-        queues (oldest first, enqueue timestamps preserved), so no
-        frame is lost and ordering holds. :meth:`_failover` re-places
-        the dead shard's cohorts — kept separate so multiple failures
-        in one tick are all excluded before any placement decision, and
-        so re-admission never races a step still in flight elsewhere.
+        Each in-flight frame goes back to the *head* of its session's
+        queue (enqueue timestamp preserved), so no frame is lost and
+        ordering holds. :meth:`_failover` re-places the dead shard's
+        cohorts — kept separate so multiple failures in one tick are all
+        excluded before any placement decision, and so re-admission
+        never races a step still in flight elsewhere.
         """
         self.excluded_shards.add(shard)
         try:
@@ -421,8 +413,8 @@ class DistributedScheduler(SchedulerBase):
         except Exception:  # pragma: no cover - already dead
             pass
         self.failovers += 1
-        for session, entries in in_flight:
-            session.queue.extendleft(reversed(entries))
+        for session, entry in in_flight:
+            session.queue.appendleft(entry)
 
     def _failover(self) -> None:
         """Re-place every cohort stranded on an excluded shard.
@@ -549,35 +541,28 @@ class DistributedScheduler(SchedulerBase):
     def tick(self) -> int:
         """One distributed pass: batch per shard, overlap, route, merge.
 
-        Pops up to its ``burst`` queued frames per ready session (one,
-        or several for a catching-up session, which the shard ticks as
-        extra rounds over its cohort), submits every involved shard its
-        batch *before* awaiting any response (shard compute overlaps),
-        then routes each shard's output rows and latency samples back as
-        responses arrive. A shard that fails mid-step is excluded and
-        failed over without dropping a frame.
+        Pops one queued frame per ready session, submits every involved
+        shard its batch *before* awaiting any response (shard compute
+        overlaps), then routes each shard's output rows and latency
+        samples back as responses arrive. A shard that fails mid-step is
+        excluded and failed over without dropping a frame.
 
         Returns:
             Number of frames consumed (0 means every queue was empty).
         """
-        batches: dict[
-            int, list[tuple[Session, list[tuple[np.ndarray, float]]]]
-        ] = {}
+        batches: dict[int, list[tuple[Session, tuple[np.ndarray, float]]]] = {}
         for cohort in self.cohorts.values():
             for session in cohort.members:
-                take = min(len(session.queue), session.burst)
-                if take:
-                    entries = [session.queue.popleft() for _ in range(take)]
+                if session.queue:
                     batches.setdefault(cohort.shard, []).append(
-                        (session, entries)
+                        (session, session.queue.popleft())
                     )
         consumed = 0
         submitted: dict[int, float] = {}
         failed: list[int] = []
         for shard, batch in batches.items():
             payload = [
-                (session.session_id, [block for block, _ in entries])
-                for session, entries in batch
+                (session.session_id, block) for session, (block, _) in batch
             ]
             try:
                 self.pool.submit(shard, "invoke", "step", (payload,))
@@ -610,10 +595,9 @@ class DistributedScheduler(SchedulerBase):
                 stats.tick_s.append(tick_s)
                 stats.round_trip_s.append(done - submitted[shard])
                 stats.record_transport(self.pool.transport_stats(shard))
-                for session, entries in batches[shard]:
-                    for _, enqueued in entries:
-                        session.latency.latencies_s.append(done - enqueued)
-                    consumed += len(entries)
+                for session, (_, enqueued) in batches[shard]:
+                    session.latency.latencies_s.append(done - enqueued)
+                consumed += len(batches[shard])
                 for rows in groups:
                     batch = RowBatch(rows)
                     for row, sid in enumerate(rows.session_ids.tolist()):
@@ -628,7 +612,6 @@ class DistributedScheduler(SchedulerBase):
         if consumed:
             self.ticks += 1
             self.frames_processed += consumed
-        self._rebatch()
         return consumed
 
     # -- reporting ---------------------------------------------------------

@@ -129,6 +129,32 @@ class TestKalman:
         assert np.all(np.isnan(out))
 
     @given(
+        columns=st.integers(1, 40).flatmap(
+            lambda n: st.lists(
+                st.lists(
+                    st.one_of(st.floats(-50.0, 50.0), st.just(float("nan"))),
+                    min_size=n,
+                    max_size=n,
+                ),
+                min_size=1,
+                max_size=4,
+            )
+        ),
+        q=st.sampled_from([5e-4, 10.0]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_columns_smooth_as_if_alone(self, columns, q):
+        """Series smoothed in one call, one per column, are each bitwise
+        the series smoothed alone: NaN gaps, all-NaN columns and
+        staggered first measurements included."""
+        series = np.array(columns).T
+        together = smooth_series(series, 0.0125, process_noise=q)
+        assert together.shape == series.shape
+        for column, alone in zip(together.T, columns):
+            expected = smooth_series(np.array(alone), 0.0125, process_noise=q)
+            assert column.tobytes() == expected.tobytes()
+
+    @given(
         values=st.lists(
             st.one_of(
                 st.floats(-50.0, 50.0), st.just(float("nan"))

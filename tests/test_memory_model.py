@@ -9,7 +9,10 @@ bank's records) without building a pipeline. Pinned here:
   they replace: the growth of every array buffer reachable from a
   pipeline's stages and frame counter, 9 served slots against 1;
 * after any sequence of attach, tick, evict and move, every allocated
-  ``STATE`` slab holds exactly its declared bytes per slot.
+  ``STATE`` slab holds exactly its declared bytes per slot;
+* ``arena_estimate`` sizes a shm arena that carries one step of a
+  shard its budget fills, one block per session, and not an
+  allocator unit more.
 """
 
 import math
@@ -18,11 +21,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.exec.pool import pool_available
+from repro.exec.transport import ARENA_ALIGN, shm_available
 from repro.kernels.backend import resolve_shape
 from repro.loadgen import SpecMemoryModel, SyntheticFrameSource, frame_shape
 from repro.loadgen.memory import STAGES, slot_nbytes
 from repro.pipeline import Pipeline
-from repro.serve import SessionSpec, multi_session, single_session
+from repro.serve import (
+    AdmissionRefused,
+    ServingEngine,
+    SessionSpec,
+    multi_session,
+    single_session,
+)
 
 SPECS = {
     "single": single_session(),
@@ -142,3 +153,33 @@ def test_allocated_slabs_hold_their_declared_bytes(kind, ops, seed):
                 if slab is not None:
                     assert len(slab) == pipeline.num_sessions
                     assert slab.nbytes == len(slab) * per_slot
+
+
+@pytest.mark.skipif(
+    not (pool_available() and shm_available()),
+    reason="needs fork and POSIX shared memory",
+)
+def test_arena_estimate_carries_a_full_shards_step():
+    """A shard filled to its budget sends one block per session in a
+    step; an arena of ``arena_estimate`` bytes carries them all, and
+    one allocator unit less does not."""
+    spec = SPECS["single"]
+    model = SpecMemoryModel(queue_capacity=16)
+    budget = model.estimate(spec) * 9 // 2  # room for 4 sessions
+    arena = model.arena_estimate(spec, budget)
+    overflows = []
+    for arena_bytes in (arena, arena - ARENA_ALIGN):
+        with ServingEngine(
+            queue_capacity=16, workers=1, transport="shm",
+            memory_model=model, shard_budget_bytes=budget,
+            arena_bytes=arena_bytes,
+        ) as engine:
+            sessions = [engine.admit(spec) for _ in range(4)]
+            with pytest.raises(AdmissionRefused):
+                engine.admit(spec)
+            source = SyntheticFrameSource(spec, seed=0)
+            for session in sessions:
+                assert engine.offer(session, source.next_block())
+            assert engine.tick() == 4
+            overflows.append(engine.transport_stats()["arena_overflows"])
+    assert overflows == [0, 1]

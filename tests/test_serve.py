@@ -11,7 +11,8 @@ The load-bearing properties:
   batching sessions for throughput never changes anyone's answer;
 * evicting a session mid-run does not perturb the survivors, and a
   cohort's slots stay dense (``0..n-1``) through every admit, close and
-  evict, with a hot session catching up beside its cohort mates;
+  evict, with a hot session beside its cohort mates draining one frame
+  per tick and refused its excess at its bounded queue;
 * a NaN, infinite or huge block stays with the session that sent it:
   its cohort mates' results stay bitwise those of a clean run, for
   single- and K-person cohorts, in process or over shard workers,
@@ -40,7 +41,6 @@ from repro.pipeline import BackgroundSubtract, KalmanSmooth, LatencyReport
 from repro.serve import (
     ServingEngine,
     ShardWorker,
-    StragglerDetector,
     multi_session,
     single_session,
 )
@@ -719,6 +719,22 @@ class TestNonFiniteContainment:
             assert tracked, f"session {s} never tracked"
             assert _same_result(dirty[s], result), f"session {s}"
 
+    @pytest.mark.parametrize("backend", ["numpy", "reference"])
+    @pytest.mark.parametrize("kind", ["single", "multi"])
+    @pytest.mark.parametrize("corrupt", [np.nan, np.inf, 1e300])
+    def test_raises_no_warning(self, corrupt, kind, backend):
+        """A non-finite or huge block raises no warning anywhere in an
+        in-process engine: the frame average and the contour kernel
+        ignore what it makes of its sender's rows. Its cohort mates
+        still track bitwise as in the clean run."""
+        with use_backend(backend), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            clean = _serve_cohort(kind, "inproc")
+            dirty = _serve_cohort(kind, "inproc", corrupt)
+        assert not _same_result(dirty[0], clean[0])
+        for s in (1, 2, 3):
+            assert _same_result(dirty[s], clean[s]), f"session {s}"
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("corrupt", [np.nan, np.inf, 1e300])
     def test_reference_backend_contains_too(self, corrupt):
@@ -831,7 +847,7 @@ class TestMalformedBlocks:
 
 
 #: One churn step: an event, which live session it picks, and how many
-#: ticks follow, each feeding every live session one frame (three for
+#: ticks follow, each offering every live session one frame (three for
 #: a session a ``hot`` event picked).
 CHURN = st.lists(
     st.tuples(
@@ -857,17 +873,19 @@ def _churn(engine, events):
     """Drive an admit/close/evict/hot schedule on ``engine``.
 
     A ``hot`` event makes the picked session's producer outrun the
-    tick: from then on it gets three frames a tick, under a detector
-    fast enough that it goes into catch-up, and back out, within a few
-    ticks. Returns ``(spec, blocks, result)`` for every session closed
-    cleanly.
+    tick: from then on it is offered three frames a tick. A frame
+    refused at a full queue is dropped, as an open-loop producer would,
+    and every tick must drain exactly one frame from each session that
+    holds one. Returns ``(spec, accepted blocks, result)`` for every
+    session closed cleanly, and the number of refused frames.
     """
     specs = {
         "single": single_session(),
         "multi": multi_session(max_people=2, room=through_wall_room()),
     }
-    engine.scheduler.detector = StragglerDetector(backlog=1, patience=1)
     check = _assert_dense if not engine.distributed else lambda engine: None
+    capacity = engine.scheduler.queue_capacity
+    refused = 0
     # Live entries: [session, spec, source, blocks, frames per tick].
     live, closed = [], []
     for seed, (event, pick, ticks) in enumerate(events):
@@ -887,14 +905,23 @@ def _churn(engine, events):
         for _ in range(ticks):
             for session, _, source, blocks, rate in live:
                 for _ in range(rate):
-                    blocks.append(source.next_block())
-                    engine.submit(session, blocks[-1])
+                    block = source.next_block()
+                    room = len(session.queue) < capacity
+                    assert engine.offer(session, block) == room
+                    if room:
+                        blocks.append(block)
+                    else:
+                        refused += 1
+            held = [len(entry[0].queue) for entry in live]
             engine.tick()
+            assert [
+                h - len(entry[0].queue) for h, entry in zip(held, live)
+            ] == [int(h > 0) for h in held]
             check(engine)
     for session, spec, _, blocks, _ in live:
         closed.append((spec, blocks, engine.close(session)))
         check(engine)
-    return closed
+    return closed, refused
 
 
 def _assert_serial(closed):
@@ -918,31 +945,37 @@ class TestDenseSlots:
     @given(events=CHURN)
     def test_in_process(self, events):
         engine = ServingEngine()
-        _assert_serial(_churn(engine, events))
+        _assert_serial(_churn(engine, events)[0])
         assert engine.scheduler.cohorts == {}
 
     @settings(max_examples=4, deadline=None)
     @given(events=CHURN)
     def test_sharded(self, events):
         with ServingEngine(workers=2) as engine:
-            closed = _churn(engine, events)
+            closed, _ = _churn(engine, events)
         _assert_serial(closed)
 
     @pytest.mark.parametrize("serving", list(SERVING))
     def test_hot_session_catches_up_under_churn(self, serving):
-        """A fixed schedule whose hot session goes into catch-up and
-        back out while one cohort mate closes and the next is admitted
-        beside it and evicted."""
+        """A fixed schedule whose hot session fills its queue and is
+        refused frames while one cohort mate closes and the next is
+        admitted beside it and evicted; closing the hot session drains
+        its backlog, and it equals its serial run over the frames it
+        accepted."""
         events = [
             ("single", 0, 1), ("single", 0, 1), ("single", 0, 1),
             ("hot", 0, 3), ("close", 2, 3), ("single", 0, 3),
             ("evict", 2, 3),
         ]
         workers, transport = SERVING[serving]
-        with ServingEngine(workers=workers, transport=transport) as engine:
-            closed = _churn(engine, events)
-            assert engine.scheduler.catchups >= 1
-            assert engine.scheduler.catchups_ended >= 1
+        with ServingEngine(
+            queue_capacity=4, workers=workers, transport=transport
+        ) as engine:
+            closed, refused = _churn(engine, events)
+        # Hot for 12 ticks at a queue of 4 that drains one a tick: it
+        # fills on the second (one refused), and from the third on two
+        # of every three offered frames are refused.
+        assert refused == 1 + 2 * 10
         _assert_serial(closed)
 
     def test_shard_worker_placement_stays_dense(self):
@@ -966,7 +999,7 @@ class TestDenseSlots:
         for sid in range(1, 5):
             worker.admit(sid, key, spec)
         for _ in range(3):
-            worker.step([(sid, [sources[sid].next_block()])
+            worker.step([(sid, sources[sid].next_block())
                          for sid in placed()])
         worker.evict(2)
         assert placed()[4] == 1  # the last member moved into slot 1

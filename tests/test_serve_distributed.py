@@ -10,24 +10,26 @@ The load-bearing properties:
   fail over to surviving shards without losing a queued frame, staying
   on the session clock, while sessions on other shards are untouched
   bitwise;
-* a persistent straggler catches up in place — it drains several
-  frames per pass in its own cohort and slot, single- or K-person, in
-  process or over shard workers, bitwise — and both tiers drain every
-  session the same number of frames on every pass.
+* a hot producer meets backpressure — its session drains one frame
+  per pass like its cohort mates, its bounded queue refuses the excess,
+  single- or K-person, in process or over shard workers — and both
+  tiers drain and refuse the same frames on every pass, every session
+  bitwise its serial run over the frames it accepted.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import default_config
 from repro.core.tracker import WiTrack
 from repro.exec.pool import pool_available
 from repro.exec.transport import shm_available
+from repro.loadgen import SyntheticFrameSource
 from repro.multi import MultiScenario, MultiWiTrack
 from repro.serve import ServingEngine, multi_session, single_session
-from repro.serve.scheduler import SchedulerBase, StragglerDetector
 from repro.sim import Scenario
 from repro.sim.body import HumanBody
 from repro.sim.motion import non_colliding_walks, random_walk
@@ -369,309 +371,238 @@ class TestWorkerFailure:
 
 
 class Pass(NamedTuple):
-    """One traced scheduler pass: frames each session drained, its
-    queue depth and burst after the pass, and the scheduler counters."""
+    """One traced scheduler pass: per session, the frames its producer
+    had refused at a full queue before the pass, the frames the pass
+    drained and the queue depth after it; then the scheduler counters."""
 
+    refused: tuple
     drained: tuple
     pending: tuple
-    bursts: tuple
-    catchups: int
-    ended: int
     ticks: int
     frames: int
 
 
-def trace_passes(scheduler) -> list[Pass]:
-    """Record one :class:`Pass` per ``scheduler.tick`` call from now on."""
+def feed_passes(engine, sessions, feeds, rates):
+    """Offer each session its quota of frames, then tick, pass by pass.
+
+    Before pass ``p`` session ``i`` is offered the next ``rates[p][i]``
+    blocks of ``feeds[i]``. A block refused at a full queue is counted
+    and dropped, as an open-loop producer would. Every pass is checked
+    against the backpressure schedule: a queue accepts blocks only up to
+    its capacity and refuses the rest, and the pass drains exactly one
+    frame from every session that holds one. Returns the :class:`Pass`
+    trace and each session's accepted blocks.
+    """
+    scheduler = engine.scheduler
+    capacity = scheduler.queue_capacity
+    cursors = [0] * len(sessions)
+    accepted = [[] for _ in sessions]
     trace = []
-    tick = scheduler.tick
-
-    def traced_tick():
-        sessions = list(scheduler.sessions.values())
-        before = [s.frames_in - len(s.queue) for s in sessions]
-        consumed = tick()
+    for quota in rates:
+        refused = []
+        for i, (session, feed, n) in enumerate(zip(sessions, feeds, quota)):
+            blocks = feed[cursors[i] : cursors[i] + n]
+            cursors[i] += len(blocks)
+            space = capacity - len(session.queue)
+            taken = [b for b in blocks if session.offer(b)]
+            assert len(taken) == min(len(blocks), space)
+            accepted[i].extend(taken)
+            refused.append(len(blocks) - len(taken))
+        held = [len(s.queue) for s in sessions]
+        engine.tick()
+        pending = tuple(len(s.queue) for s in sessions)
+        drained = tuple(h - p for h, p in zip(held, pending))
+        assert drained == tuple(int(h > 0) for h in held)
         trace.append(Pass(
-            tuple(
-                s.frames_in - len(s.queue) - b
-                for s, b in zip(sessions, before)
-            ),
-            tuple(len(s.queue) for s in sessions),
-            tuple(s.burst for s in sessions),
-            scheduler.catchups,
-            scheduler.catchups_ended,
-            scheduler.ticks,
-            scheduler.frames_processed,
+            tuple(refused), drained, pending,
+            scheduler.ticks, scheduler.frames_processed,
         ))
-        return consumed
+    return trace, accepted
 
-    scheduler.tick = traced_tick
-    return trace
+
+#: Three cohort mates, the last a hot producer: three frames a pass for
+#: 20 passes, then none while its backlog drains, then one again, each
+#: session behind a queue of :data:`HOT_CAPACITY` frames.
+HOT_RATES = [(1, 1, 3)] * 20 + [(1, 1, 0)] * 8 + [(1, 1, 1)] * 4
+HOT_CAPACITY = 8
 
 
 class TestAdaptiveRebatching:
-    def _straggle(self, engine, spec, outputs, config, steps=30, cooldown=0):
-        """Feed 3 cohort mates of ``spec``; the last gets 3 frames per step.
+    """Each pass rebatches every session holding a frame, one frame
+    each: a hot producer fills its bounded queue and is refused the
+    excess (backpressure), in process and over shard workers alike, and
+    every session equals its serial run over the frames it accepted."""
 
-        ``outputs`` holds each session's recording. A ``cooldown``
-        phase follows the hot phase: everyone (the ex-straggler
-        included) back to one frame per step, so the catch-up drains
-        the backlog and the queue stays empty long enough for the
-        catch-up to end.
-        """
-        feeds = [
-            frame_blocks(outputs[0], config, steps + cooldown),
-            frame_blocks(outputs[1], config, steps + cooldown),
-            frame_blocks(outputs[2], config, 3 * steps + cooldown),
-        ]
+    def _hot(self, engine, spec, outputs, config):
+        """Serve three sessions of ``spec`` at :data:`HOT_RATES`.
+
+        ``outputs`` holds each session's recording. Returns the
+        sessions, the trace, the accepted blocks and the results."""
+        feeds = [frame_blocks(out, config) for out in outputs]
         sessions = [engine.admit(spec) for _ in feeds]
-        cursors = [0, 0, 0]
-        for phase_steps, hot in ((steps, True), (cooldown, False)):
-            for _ in range(phase_steps):
-                for i, (session, feed) in enumerate(zip(sessions, feeds)):
-                    take = 3 if hot and i == 2 else 1
-                    for _ in range(take):
-                        if cursors[i] < len(feed):
-                            assert session.offer(feed[cursors[i]])
-                            cursors[i] += 1
-                engine.tick()
-        assert all(c == len(f) for c, f in zip(cursors, feeds))
-        engine.drain()
+        trace, accepted = feed_passes(engine, sessions, feeds, HOT_RATES)
         results = [engine.close(s) for s in sessions]
-        return sessions, results, feeds
+        return sessions, trace, accepted, results
 
-    def _straggle_single(self, engine, config, short_walks, **kwargs):
-        """:meth:`_straggle` with single-person sessions; adds the range
-        bin to its returns."""
-        range_bin_m = short_walks[0].range_bin_m
-        spec = single_session(config, range_bin_m)
-        return (*self._straggle(
-            engine, spec, short_walks[:3], config, **kwargs
-        ), range_bin_m)
+    def _assert_hot_schedule(self, trace):
+        """The hot session's queue fills by two a pass until it is full
+        before the tick, and refuses the excess from then on; its mates
+        refuse nothing. Once its producer stops it drains one frame a
+        pass, and then drains in step with its mates."""
+        hot = [t.pending[2] for t in trace]
+        full = HOT_CAPACITY - 1  # after the tick
+        assert hot[:20] == [min(2 * (p + 1), full) for p in range(20)]
+        assert hot[20:28] == [6, 5, 4, 3, 2, 1, 0, 0]
+        assert hot[28:] == [0] * 4
+        assert [t.refused[2] for t in trace[:20]] == [0, 0, 0, 1] + [2] * 16
+        assert sum(sum(t.refused[:2]) for t in trace) == 0
+        assert all(t.drained == (1, 1, 1) for t in trace[28:])
 
-    def test_straggler_splits_and_stays_bitwise_local(
-        self, config, short_walks
-    ):
-        """The straggler catches up inside its mates' cohort: one cohort
-        throughout, and every output bitwise the serial run's."""
-        engine = ServingEngine(queue_capacity=64)
-        scheduler = engine.scheduler
-        scheduler.detector = StragglerDetector(backlog=4, patience=2)
-        seen = []
-        tick = scheduler.tick
-
-        def traced_tick():
-            consumed = tick()
-            bursts = [s.burst for s in scheduler.sessions.values()]
-            seen.append((len(scheduler.cohorts), bursts))
-            return consumed
-
-        scheduler.tick = traced_tick
-        sessions, results, feeds, range_bin_m = self._straggle_single(
-            engine, config, short_walks
-        )
-        assert scheduler.catchups >= 1
-        assert {cohorts for cohorts, _ in seen} == {1}
-        assert [1, 1, SchedulerBase.CATCHUP_BURST] in [b for _, b in seen]
-        assert sessions[2].cohort is sessions[0].cohort
-        for result, feed in zip(results, feeds):
-            reference = serial_single(config, range_bin_m, feed)
-            assert_single_equal(result, reference)
-
-    def test_caught_up_straggler_rejoins_local(self, config, short_walks):
-        """Catch-up is temporary: once the backlog has drained, the
-        session drains one frame per pass again — still bitwise."""
-        engine = ServingEngine(queue_capacity=64)
-        engine.scheduler.detector = StragglerDetector(backlog=4, patience=2)
-        engine.scheduler.CAUGHT_UP_PASSES = 3
-        sessions, results, feeds, range_bin_m = self._straggle_single(
-            engine, config, short_walks, cooldown=30
-        )
-        assert engine.scheduler.catchups >= 1
-        assert engine.scheduler.catchups_ended >= 1
-        assert sessions[2].burst == 1
-        assert sessions[2].cohort is sessions[0].cohort
-        assert len(engine.scheduler.cohorts) == 0  # all closed cleanly
-        for result, feed in zip(results, feeds):
-            reference = serial_single(config, range_bin_m, feed)
-            assert_single_equal(result, reference)
-
-    def test_straggler_migrates_across_processes_bitwise(
+    def test_both_tiers_make_the_same_decisions(
         self, config, short_walks, transport
     ):
-        """Over shard workers the straggler catches up on its own shard,
-        in its own cohort, and its burst is back to 1 afterwards."""
-        with ServingEngine(
-            queue_capacity=64, workers=2, transport=transport
-        ) as engine:
-            engine.scheduler.detector = StragglerDetector(
-                backlog=4, patience=2
-            )
-            engine.scheduler.CAUGHT_UP_PASSES = 3
-            sessions, results, feeds, range_bin_m = self._straggle_single(
-                engine, config, short_walks, cooldown=30
-            )
-            assert engine.scheduler.catchups >= 1
-            assert engine.scheduler.catchups_ended >= 1
-            assert sessions[2].burst == 1
-            assert sessions[2].cohort is sessions[0].cohort
-        for result, feed in zip(results, feeds):
-            reference = serial_single(config, range_bin_m, feed)
+        """In process and over shard workers, every pass drains one
+        frame from every session that holds one and refuses the same
+        frames: the two front ends record the same trace, and every
+        session equals its serial run over the frames it accepted."""
+        range_bin_m = short_walks[0].range_bin_m
+        spec = single_session(config, range_bin_m)
+        traces = []
+        for workers in (0, 2):
+            with ServingEngine(
+                queue_capacity=HOT_CAPACITY, workers=workers,
+                transport=transport,
+            ) as engine:
+                _, trace, accepted, results = self._hot(
+                    engine, spec, short_walks[:3], config
+                )
+            for result, blocks in zip(results, accepted):
+                reference = serial_single(config, range_bin_m, blocks)
+                assert_single_equal(result, reference)
+            traces.append(trace)
+        assert traces[0] == traces[1]
+        self._assert_hot_schedule(traces[0])
+
+    def test_caught_up_straggler_rejoins_local(self, config, short_walks):
+        """In process, the hot session stays in its mates' cohort and
+        slot order throughout; once its backlog has drained it drains
+        in step with them again."""
+        engine = ServingEngine(queue_capacity=HOT_CAPACITY)
+        range_bin_m = short_walks[0].range_bin_m
+        spec = single_session(config, range_bin_m)
+        feeds = [frame_blocks(out, config) for out in short_walks[:3]]
+        sessions = [engine.admit(spec) for _ in feeds]
+        trace, accepted = feed_passes(engine, sessions, feeds, HOT_RATES)
+        assert len(engine.scheduler.cohorts) == 1
+        assert [s.slot for s in sessions] == [0, 1, 2]
+        self._assert_hot_schedule(trace)
+        results = [engine.close(s) for s in sessions]
+        assert engine.scheduler.cohorts == {}
+        for result, blocks in zip(results, accepted):
+            reference = serial_single(config, range_bin_m, blocks)
             assert_single_equal(result, reference)
 
     @pytest.mark.parametrize("serving", ["inproc", "pipe", "shm"])
     def test_k2_straggler_catches_up_bitwise(
         self, config, room, multi_output, serving
     ):
-        """A K=2 straggler's catch-up rounds step the track bank on a
-        subset of its cohort's slots; every session stays bitwise its
-        serial run."""
+        """A hot K=2 session drains one frame a pass like its mates,
+        is refused its excess, and catches up once its producer stops;
+        every session stays bitwise its serial run over the frames it
+        accepted."""
         if serving == "shm" and not shm_available():
             pytest.skip("POSIX shared memory unavailable")
         range_bin_m = multi_output.range_bin_m
         spec = multi_session(config, range_bin_m, max_people=2, room=room)
         workers = 0 if serving == "inproc" else 2
         with ServingEngine(
-            queue_capacity=64, workers=workers,
+            queue_capacity=HOT_CAPACITY, workers=workers,
             transport=None if serving == "inproc" else serving,
         ) as engine:
-            engine.scheduler.detector = StragglerDetector(
-                backlog=4, patience=2
+            sessions, trace, accepted, results = self._hot(
+                engine, spec, [multi_output] * 3, config
             )
-            engine.scheduler.CAUGHT_UP_PASSES = 3
-            sessions, results, feeds = self._straggle(
-                engine, spec, [multi_output] * 3, config, cooldown=30
-            )
-            assert engine.scheduler.catchups >= 1
-            assert engine.scheduler.catchups_ended >= 1
             assert sessions[2].cohort is sessions[0].cohort
-        for result, feed in zip(results, feeds):
-            reference = serial_multi(config, range_bin_m, feed, room)
+        self._assert_hot_schedule(trace)
+        for result, blocks in zip(results, accepted):
+            reference = serial_multi(config, range_bin_m, blocks, room)
             assert any(reference.tracks)
             assert_tracks_equal(result, reference)
-
-    def test_both_tiers_make_the_same_decisions(
-        self, config, short_walks, transport
-    ):
-        """In process and over shard workers, every pass drains every
-        session the same number of frames: the two front ends share one
-        catch-up policy. The schedule it pins: the mates drain one frame
-        per pass; the straggler drains ``CATCHUP_BURST`` from the pass
-        after the detector fires while frames remain, and one again
-        once ``CAUGHT_UP_PASSES`` passes in a row end with its queue
-        empty."""
-        patience = 3
-        traces = []
-        for workers in (0, 2):
-            with ServingEngine(
-                queue_capacity=64, workers=workers, transport=transport
-            ) as engine:
-                scheduler = engine.scheduler
-                scheduler.detector = StragglerDetector(backlog=4, patience=2)
-                scheduler.CAUGHT_UP_PASSES = patience
-                trace = trace_passes(scheduler)
-                _, results, feeds, range_bin_m = self._straggle_single(
-                    engine, config, short_walks, cooldown=30
-                )
-            for result, feed in zip(results, feeds):
-                reference = serial_single(config, range_bin_m, feed)
-                assert_single_equal(result, reference)
-            traces.append(trace)
-        assert traces[0] == traces[1]
-        trace = traces[0]
-        burst = SchedulerBase.CATCHUP_BURST
-        assert trace[-1].catchups >= 2 and trace[-1].ended >= 2
-        previous = Pass((0, 0, 0), (0, 0, 0), (1, 1, 1), 0, 0, 0, 0)
-        for i, now in enumerate(trace):
-            assert max(now.drained[:2]) <= 1
-            if previous.bursts[2] == 1:
-                assert now.drained[2] <= 1
-            else:
-                assert now.drained[2] == burst or now.pending[2] == 0
-            started = now.catchups > previous.catchups
-            ended = now.ended > previous.ended
-            assert (now.bursts != previous.bursts) == (started or ended)
-            if started:
-                # The detector fires at the end of a pass; the burst
-                # drains from the next.
-                assert now.bursts == (1, 1, burst)
-                assert trace[i + 1].drained[2] == burst
-            if ended:
-                assert now.bursts == (1, 1, 1)
-                assert [
-                    t.pending[2] for t in trace[i - patience + 1 : i + 1]
-                ] == [0] * patience
-            previous = now
 
     def test_a_lone_straggler_catches_up_beside_a_sibling_cohort(
         self, config, short_walks, transport
     ):
         """Two sessions of one spec on two shards sit in sibling
-        cohorts, one each; the straggler is still judged against its
-        same-spec mate, so both tiers catch it up on the same passes,
-        and its outputs stay bitwise its serial run."""
+        cohorts, one each. Both tiers drain and refuse the same frames
+        on every pass, the hot one catches up one frame a pass once
+        its producer stops, and its outputs stay bitwise its serial
+        run over the frames it accepted."""
         range_bin_m = short_walks[0].range_bin_m
         spec = single_session(config, range_bin_m)
-        rates = (1, 3)
-        feeds = [
-            frame_blocks(short_walks[i], config, 20 * rate)
-            for i, rate in enumerate(rates)
-        ]
+        feeds = [frame_blocks(out, config) for out in short_walks[:2]]
+        rates = [(1, 3)] * 20 + [(0, 0)] * 8
         traces = []
         for workers in (0, 2):
             with ServingEngine(
-                queue_capacity=64, workers=workers, transport=transport
+                queue_capacity=HOT_CAPACITY, workers=workers,
+                transport=transport,
             ) as engine:
                 sessions = [engine.admit(spec) for _ in feeds]
                 if workers:
                     assert sessions[0].cohort is not sessions[1].cohort
-                trace = trace_passes(engine.scheduler)
-                for step in range(20):
-                    for session, feed, rate in zip(sessions, feeds, rates):
-                        for block in feed[rate * step : rate * (step + 1)]:
-                            assert session.offer(block)
-                    engine.tick()
-                engine.drain()
+                trace, accepted = feed_passes(engine, sessions, feeds, rates)
                 results = [engine.close(s) for s in sessions]
-            for result, feed in zip(results, feeds):
-                reference = serial_single(config, range_bin_m, feed)
+            for result, blocks in zip(results, accepted):
+                reference = serial_single(config, range_bin_m, blocks)
                 assert_single_equal(result, reference)
             traces.append(trace)
         assert traces[0] == traces[1]
-        fed = traces[0][19]  # the last pass that was fed frames
-        assert (fed.catchups, fed.pending) == (1, (0, 1))
+        trace = traces[0]
+        assert [t.pending[1] for t in trace[19:]] == [
+            7, 6, 5, 4, 3, 2, 1, 0, 0,
+        ]
+        assert sum(t.refused[1] for t in trace) == 33
+        assert len(accepted[1]) == 60 - 33
 
-    def test_lone_session_split_resets_after_catching_up(
-        self, config, short_walks
+    @settings(max_examples=8, deadline=None)
+    @given(
+        capacity=st.integers(1, 4),
+        sessions=st.integers(1, 3),
+        rates=st.lists(
+            st.tuples(*[st.integers(0, 3)] * 3), min_size=1, max_size=10
+        ),
+        transport=st.sampled_from(["pipe", "shm"]),
+    )
+    def test_any_feed_rates_keep_the_tiers_in_step(
+        self, capacity, sessions, rates, transport
     ):
-        """A session alone in its cohort has no mates to lag, so however
-        deep its queue it is never put into catch-up, in both tiers."""
-        spec = single_session(config, short_walks[0].range_bin_m)
-        blocks = frame_blocks(short_walks[0], config, 12)
+        """For any per-session feed rates and queue bound, every pass
+        drains one frame from each session that holds one, a full queue
+        refuses the excess, both tiers record the same trace, and every
+        session equals its serial run over the frames it accepted."""
+        if transport == "shm" and not shm_available():
+            transport = "pipe"
+        spec = single_session()
+        feeds = [
+            [source.next_block() for _ in range(3 * len(rates))]
+            for source in (
+                SyntheticFrameSource(spec, seed=i) for i in range(sessions)
+            )
+        ]
+        # Trailing empty passes drain every backlog inside the trace.
+        rates = [r[:sessions] for r in rates] + [(0,) * sessions] * capacity
+        traces = []
         for workers in (0, 2):
-            with ServingEngine(queue_capacity=64, workers=workers) as engine:
-                scheduler = engine.scheduler
-                scheduler.detector = StragglerDetector(backlog=1, patience=1)
-                session = engine.admit(spec)
-                for block in blocks:
-                    assert session.offer(block)
-                for _ in blocks:
-                    assert engine.tick() == 1
-                    assert session.burst == 1
-                assert scheduler.catchups == 0
-                engine.close(session)
-
-    def test_detector_needs_persistence(self):
-        class Stub:
-            def __init__(self, sid):
-                self.session_id = sid
-
-        detector = StragglerDetector(backlog=2, patience=3)
-        lagger, mate = Stub(1), Stub(2)
-        assert detector.observe([(lagger, 5), (mate, 0)]) == []
-        assert detector.observe([(lagger, 5), (mate, 0)]) == []
-        # A recovery resets the counter...
-        assert detector.observe([(lagger, 1), (mate, 0)]) == []
-        assert detector.observe([(lagger, 5), (mate, 0)]) == []
-        assert detector.observe([(lagger, 5), (mate, 0)]) == []
-        # ...so the split fires only after `patience` consecutive lags.
-        assert detector.observe([(lagger, 5), (mate, 0)]) == [lagger]
+            with ServingEngine(
+                queue_capacity=capacity, workers=workers, transport=transport
+            ) as engine:
+                live = [engine.admit(spec) for _ in feeds]
+                trace, accepted = feed_passes(engine, live, feeds, rates)
+                results = [engine.close(s) for s in live]
+            assert not any(trace[-1].pending)
+            for result, blocks in zip(results, accepted):
+                if blocks:
+                    reference = spec.build_pipeline().run_stream(blocks)
+                    assert_single_equal(result, reference)
+            traces.append(trace)
+        assert traces[0] == traces[1]
