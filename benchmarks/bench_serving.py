@@ -44,12 +44,10 @@ except ImportError:  # fresh checkout without `pip install -e .`
 
 from repro import WiTrack, default_config
 from repro.exec import (
-    cache_stats,
     pool_available,
     resolve_workers,
     results_identical,
     shm_available,
-    synthesize,
 )
 from repro.kernels import backend_name, set_backend, synthesis_workers
 from repro.serve import ServingEngine, single_session
@@ -69,12 +67,8 @@ def synthesize_sessions(n_sessions: int, duration_s: float) -> tuple:
         walk = random_walk(
             room, np.random.default_rng(seed), duration_s=duration_s
         )
-        # Through the cache seam: a warm REPRO_CACHE rerun skips the
-        # synthesis cost entirely and the JSON's counters show it.
         outputs.append(
-            synthesize(
-                Scenario(walk, room=room, config=config, seed=seed + 100)
-            )
+            Scenario(walk, room=room, config=config, seed=seed + 100).run()
         )
     spf = config.pipeline.sweeps_per_frame
     n_frames = min(o.num_sweeps // spf for o in outputs)
@@ -265,7 +259,6 @@ def bench_serving(n_sessions: int, duration_s: float, workers: int = 0) -> dict:
         "cpu_count": os.cpu_count(),
         "synthesis_workers": synthesis_workers(),
         "scaling": rows,
-        "cache": cache_stats(),
     }
 
 

@@ -34,13 +34,7 @@ except ImportError:  # fresh checkout without `pip install -e .`
 
 from repro import MultiScenario, MultiWiTrack, WiTrack, default_config
 from repro.apps.realtime import RealtimeMultiTracker, RealtimeTracker
-from repro.exec import (
-    cache_stats,
-    default_cache,
-    resolve_workers,
-    sharded_speedup_benchmark,
-    synthesize,
-)
+from repro.exec import resolve_workers, sharded_speedup_benchmark
 from repro.sim import Scenario, random_walk, through_wall_room
 from repro.sim.body import HumanBody
 from repro.sim.motion import non_colliding_walks
@@ -60,9 +54,7 @@ def bench_single(duration_s: float, repeats: int) -> dict:
     config = default_config()
     room = through_wall_room()
     walk = random_walk(room, np.random.default_rng(0), duration_s=duration_s)
-    # Through the cache seam: with REPRO_CACHE enabled, the warm/cold
-    # difference shows up in the JSON's cache counters.
-    out = synthesize(Scenario(walk, room=room, config=config, seed=1))
+    out = Scenario(walk, room=room, config=config, seed=1).run()
     tracker = WiTrack(config)
     n_frames = out.num_sweeps // config.pipeline.sweeps_per_frame
 
@@ -95,7 +87,7 @@ def bench_multi(duration_s: float, repeats: int, people: int = 2) -> dict:
         duration_s=duration_s, min_separation_m=1.0,
     )
     pairs = [(HumanBody(name=f"p{i}"), w) for i, w in enumerate(walks)]
-    out = synthesize(MultiScenario(pairs, room=room, config=config, seed=7))
+    out = MultiScenario(pairs, room=room, config=config, seed=7).run()
     tracker = MultiWiTrack(config, max_people=people, room=room)
     n_frames = out.num_sweeps // config.pipeline.sweeps_per_frame
 
@@ -172,22 +164,12 @@ def main() -> int:
           f"frames/s ({sharded['speedup']:.2f}x, results "
           f"{'identical' if sharded['identical'] else 'DIVERGED'})")
 
-    cache = cache_stats()
-    if default_cache() is None:
-        print("\ncache: disabled (set REPRO_CACHE=1 or REPRO_CACHE_DIR)")
-    else:
-        for kind, counts in cache.items():
-            print(f"cache ({kind}): {counts['hits']} hits  "
-                  f"{counts['misses']} misses  "
-                  f"{counts['evictions']} evicted")
-
     payload = {
         "duration_s": args.duration,
         "repeats": args.repeats,
         "single_person": single,
         "multi_person": multi,
         "sharded": sharded,
-        "cache": cache,
     }
     args.output.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.output}")

@@ -38,10 +38,8 @@ from .core.tracker import TrackResult, WiTrack
 from .exec import (
     ExperimentPlan,
     ProcessPoolRunner,
-    ResultCache,
     SerialRunner,
     ShardedStreamRunner,
-    SpectraCache,
     WorkItem,
     default_runner,
 )
@@ -77,11 +75,9 @@ __all__ = [
     "WiTrack",
     "ExperimentPlan",
     "ProcessPoolRunner",
-    "ResultCache",
     "SerialRunner",
     "ServingEngine",
     "ShardedStreamRunner",
-    "SpectraCache",
     "WorkItem",
     "default_runner",
     "multi_session",

@@ -40,8 +40,6 @@ from .eval.reporting import format_table
 from .exec import (
     ExperimentPlan,
     Runner,
-    cache_stats,
-    default_cache,
     default_runner,
     sharded_speedup_benchmark,
 )
@@ -258,7 +256,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         scenario, workers=workers, num_shards=args.shards
     )
     result["duration_s"] = args.duration
-    result["cache"] = cache_stats()
     # The configuration this measurement ran under.
     result["cpu_count"] = os.cpu_count()
     result["synthesis_workers"] = synthesis_workers()
@@ -275,17 +272,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     print(f"speedup    : {result['speedup']:.2f}x")
     print(f"identical  : "
           f"{'yes' if result['identical'] else 'NO — determinism bug'}")
-    if default_cache() is None:
-        print("cache      : disabled "
-              "(set REPRO_CACHE=1 or REPRO_CACHE_DIR to enable)")
-    else:
-        # Process-wide counters: the sharded stream synthesizes lazily
-        # (never through the spectra cache), so these reflect whatever
-        # cache-aware work ran in this process, not the shard workers.
-        for kind, counts in result["cache"].items():
-            print(f"cache      : {kind:<8} {counts['hits']} hits  "
-                  f"{counts['misses']} misses  "
-                  f"{counts['evictions']} evicted")
     if result.get("stage_profile"):
         profiler = StageProfiler()
         profiler.merge(result["stage_profile"])

@@ -145,7 +145,7 @@ class WiTrack:
         result = self.pipeline(range_bin_m).run_stream(
             spectra, record_spectra=record_spectra
         )
-        return self.package_result(result, range_bin_m)
+        return self._package_result(result, range_bin_m)
 
     def localize_estimates(
         self, estimates: tuple[TOFEstimate, ...]
@@ -181,13 +181,8 @@ class WiTrack:
             )
         return spectra
 
-    def package_result(self, result, range_bin_m: float) -> TrackResult:
-        """Assemble a :class:`TrackResult` from a pipeline result.
-
-        Public because the result-level cache
-        (:func:`repro.exec.cache.tracked_scenario`) re-packages stored
-        :class:`~repro.pipeline.PipelineResult` arrays on a hit.
-        """
+    def _package_result(self, result, range_bin_m: float) -> TrackResult:
+        """Assemble a :class:`TrackResult` from a pipeline result."""
         result.require_frames()
         n_rx = result.tof_m.shape[1]
         estimates: tuple[TOFEstimate, ...] = ()

@@ -25,7 +25,7 @@ from ..config import SystemConfig, default_config
 from ..core.background import background_subtract
 from ..core.spectrogram import Spectrogram, spectrogram_from_sweeps
 from ..core.tof import TOFEstimator
-from ..exec import ExperimentPlan, Runner, WorkItem, default_runner, synthesize
+from ..exec import ExperimentPlan, Runner, WorkItem, default_runner
 from ..sim.motion import random_walk, stand_still
 from ..sim.room import through_wall_room
 from ..sim.scenario import Scenario
@@ -89,9 +89,7 @@ def fig3_tof_pipeline(
     rng = np.random.default_rng(seed)
     room = through_wall_room()
     walk = random_walk(room, rng, duration_s=duration_s)
-    measured = synthesize(
-        Scenario(walk, room=room, seed=seed + 1, config=config)
-    )
+    measured = Scenario(walk, room=room, seed=seed + 1, config=config).run()
 
     raw = spectrogram_from_sweeps(
         measured.spectra[0],
@@ -164,16 +162,14 @@ def fig5_gesture(
     positions = np.vstack([walk.positions, stand.positions[1:]])
     combined = Trajectory(times, positions, label="walk_then_point")
 
-    measured = synthesize(
-        Scenario(
-            combined,
-            room=room,
-            seed=seed + 1,
-            config=config,
-            gesture=gesture,
-            gesture_start_s=walk_s + 2.0,
-        )
-    )
+    measured = Scenario(
+        combined,
+        room=room,
+        seed=seed + 1,
+        config=config,
+        gesture=gesture,
+        gesture_start_s=walk_s + 2.0,
+    ).run()
 
     raw = spectrogram_from_sweeps(
         measured.spectra[0],

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..config import ArrayConfig, SystemConfig, default_config
-from ..exec.cache import synthesize, tracked_multi_scenario, tracked_scenario
 from ..core.falls import FallDetector, FallVerdict
 from ..core.pointing import PointingEstimator
 from ..core.tof import TOFEstimator
@@ -190,9 +189,10 @@ def run_tracking_experiment(exp: TrackingExperiment) -> TrackingOutcome:
     scenario = Scenario(
         trajectory, room=room, body=body, config=config, seed=exp.seed + 1
     )
-    # Through the result-level cache (REPRO_CACHE): an unchanged
-    # (scenario, pipeline) rerun skips tracking too.
-    track = tracked_scenario(scenario, WiTrack(config, array=scenario.array))
+    measured = scenario.run()
+    track = WiTrack(config, array=scenario.array).track(
+        measured.spectra, measured.range_bin_m
+    )
 
     # Ground truth: VICON capture of the body center, then the paper's
     # offline depth compensation.
@@ -285,9 +285,8 @@ def run_multi_tracking_experiment(
     tracker = MultiWiTrack(
         config, max_people=num_people, room=room
     )
-    # Through the result-level cache (REPRO_CACHE): an unchanged
-    # (scenario, pipeline) rerun skips synthesis *and* tracking.
-    result = tracked_multi_scenario(scenario, tracker)
+    measured = scenario.run()
+    result = tracker.track(measured.spectra, measured.range_bin_m)
 
     vicon = ViconSystem()
     calibration = DepthCalibration()
@@ -361,7 +360,7 @@ def run_pointing_experiment(
         gesture_start_s=lead,
         seed=seed + 1,
     )
-    measured = synthesize(scenario)
+    measured = scenario.run()
 
     estimator = TOFEstimator(
         config.fmcw.sweep_duration_s, measured.range_bin_m, config.pipeline
@@ -439,7 +438,10 @@ def run_fall_experiment(
     scenario = Scenario(
         trajectory, room=room, body=body, config=config, seed=seed + 1
     )
-    track = tracked_scenario(scenario, WiTrack(config, array=scenario.array))
+    measured = scenario.run()
+    track = WiTrack(config, array=scenario.array).track(
+        measured.spectra, measured.range_bin_m
+    )
 
     elevation = track.positions[:, 2] - room.floor_z
     detector = detector or FallDetector()

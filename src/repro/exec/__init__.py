@@ -20,33 +20,11 @@ repository schedules it:
 * :mod:`repro.exec.stream` — :class:`ShardedStreamRunner` splits one
   long :meth:`Scenario.frames` stream at pipeline-reset boundaries and
   merges the per-shard :class:`~repro.pipeline.runner.PipelineResult`\\ s;
-* :mod:`repro.exec.cache` — :class:`SpectraCache` and
-  :class:`ResultCache`, content-keyed on-disk ``.npz`` caches so
-  repeated figure/benchmark runs skip re-synthesis — and, at the
-  result level, re-tracking (``REPRO_CACHE`` / ``REPRO_CACHE_DIR``);
-  process-wide hit/miss/eviction counters via :func:`cache_stats`.
 
 The load-bearing invariant, pinned by ``tests/test_exec_*``: for a
 fixed plan, every runner produces bitwise-identical results.
 """
 
-from .cache import (
-    CacheAdmissionFilter,
-    NpzLruCache,
-    ResultCache,
-    SpectraCache,
-    cache_stats,
-    content_key,
-    default_cache,
-    default_result_cache,
-    multi_result_key,
-    reset_cache_stats,
-    result_key,
-    scenario_key,
-    synthesize,
-    tracked_multi_scenario,
-    tracked_scenario,
-)
 from .plan import ExperimentPlan, WorkItem
 from .pool import RemoteError, WorkerCrash, WorkerPool, pool_available
 from .transport import (
@@ -77,19 +55,15 @@ from .stream import (
 )
 
 __all__ = [
-    "CacheAdmissionFilter",
     "DEFAULT_ARENA_BYTES",
     "ExperimentPlan",
     "MIN_SHARD_FRAMES",
-    "NpzLruCache",
     "ProcessPoolRunner",
     "RemoteError",
-    "ResultCache",
     "Runner",
     "SerialRunner",
     "Shard",
     "ShardedStreamRunner",
-    "SpectraCache",
     "TRANSPORTS",
     "TRANSPORT_ENV",
     "TransportCounters",
@@ -97,25 +71,14 @@ __all__ = [
     "WorkItem",
     "WorkerCrash",
     "WorkerPool",
-    "cache_stats",
-    "content_key",
-    "default_cache",
-    "default_result_cache",
     "default_runner",
     "merge_results",
-    "multi_result_key",
     "plan_shards",
     "pool_available",
     "resolve_workers",
-    "reset_cache_stats",
     "resolve_transport",
-    "result_key",
     "results_identical",
-    "scenario_key",
     "sharded_speedup_benchmark",
     "shm_available",
-    "synthesize",
-    "tracked_multi_scenario",
-    "tracked_scenario",
     "track_scenario_shard",
 ]

@@ -126,8 +126,8 @@ class PipelineResult:
             counts, flat ids, positions and coasting flags).
         subtracted: background-subtracted complex frames,
             ``(n_frames, n_rx, n_bins)`` (only when recorded).
-        latency: per-frame latency report (None on results restored
-            from the result cache).
+        latency: per-frame latency report (None when none was
+            recorded).
         stage_profile: per-stage {calls, wall_s, bytes} counters
             (:meth:`StageProfiler.as_dict` form) — only when the run's
             pipeline carried a profiler (``REPRO_PROFILE=1``); None

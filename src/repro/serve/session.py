@@ -18,10 +18,12 @@ time against the paper's 75 ms budget (§7).
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 from collections import deque
 from dataclasses import dataclass, fields
 from time import perf_counter
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -49,6 +51,45 @@ class AdmissionRefused(RuntimeError):
     <repro.serve.ServingEngine.try_admit>` for the non-raising flavor
     open-loop load generators want).
     """
+
+
+def _hash_update(h: "hashlib._Hash", value: Any) -> None:
+    """Fold one (possibly nested) value into the digest, type-tagged."""
+    if value is None:
+        h.update(b"\x00none")
+    elif isinstance(value, np.ndarray):
+        arr = np.ascontiguousarray(value)
+        h.update(f"\x00nd{arr.dtype.str}{arr.shape}".encode())
+        h.update(arr.tobytes())
+    elif isinstance(value, (bool, int, float, complex, str, bytes)):
+        h.update(f"\x00{type(value).__name__}{value!r}".encode())
+    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+        h.update(f"\x00dc{type(value).__qualname__}".encode())
+        for f in dataclasses.fields(value):
+            h.update(f.name.encode())
+            _hash_update(h, getattr(value, f.name))
+    elif isinstance(value, dict):
+        h.update(b"\x00dict")
+        for k in sorted(value):
+            h.update(str(k).encode())
+            _hash_update(h, value[k])
+    elif isinstance(value, (list, tuple)):
+        h.update(f"\x00seq{len(value)}".encode())
+        for item in value:
+            _hash_update(h, item)
+    else:
+        raise TypeError(
+            f"cannot content-hash {type(value).__name__!r}; add picklable "
+            "primitives, arrays, or dataclasses only"
+        )
+
+
+def content_key(*parts: Any) -> str:
+    """SHA-256 hex digest of arbitrarily nested parameter content."""
+    h = hashlib.sha256()
+    for part in parts:
+        _hash_update(h, part)
+    return h.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -94,8 +135,6 @@ class SessionSpec:
         hashed once and kept outside the fields (and the pickle)."""
         key = self.__dict__.get("_cohort_key")
         if key is None:
-            from ..exec.cache import content_key
-
             values = [getattr(self, f.name) for f in fields(self)]
             key = content_key("serve.cohort.v1", *values)
             object.__setattr__(self, "_cohort_key", key)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.localize import LocalizationResult, TGeometrySolver
 from repro.eval.harness import (
     CI_SCALE,
     PAPER_SCALE,
@@ -105,6 +106,31 @@ class TestTrackingExperiment:
         )
         rx = outcome.track.round_trips_m
         assert rx.shape[0] == 3  # still a 3-Rx T
+
+    def test_rerun_tracks_with_todays_code(self, monkeypatch, tmp_path):
+        """A rerun reflects a code change made between two runs, and
+        writes nothing, even with a cache directory in the environment
+        (experiment results once came back from such a directory)."""
+        monkeypatch.setenv("REPRO_CACHE", "1")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        exp = TrackingExperiment(seed=3, duration_s=4.0)
+        before = run_tracking_experiment(exp).track.positions
+
+        shift = np.array([0.5, 0.0, 0.0])
+        solve = TGeometrySolver.solve_unguarded
+
+        def shifted(self, round_trips_m):
+            fixes = solve(self, round_trips_m)
+            return LocalizationResult(fixes.positions + shift, fixes.valid)
+
+        monkeypatch.setattr(TGeometrySolver, "solve_unguarded", shifted)
+        after = run_tracking_experiment(exp).track.positions
+
+        finite = np.isfinite(before).all(axis=1)
+        assert finite.any()
+        np.testing.assert_array_equal(np.isfinite(after).all(axis=1), finite)
+        np.testing.assert_array_equal(after[finite], before[finite] + shift)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestPointingExperiment:

@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import ArrayConfig, default_config
+from repro.config import ArrayConfig, PipelineConfig, default_config
 from repro.core.localize import LeastSquaresSolver, make_solver
 from repro.core.tracker import WiTrack
 from repro.geometry.antennas import t_array
@@ -407,15 +407,15 @@ class TestBackpressureAndLifecycle:
         """A spec hashes its cohort key on first use and keeps it; the
         kept key is the fields' content key and leaves the spec's
         equality, hash, repr and pickle as they were."""
-        from repro.exec import cache
+        from repro.serve import session
 
         spec = single_session(config, 0.15)
         twin = single_session(config, 0.15)
         before = (hash(spec), repr(spec), pickle.dumps(spec))
         calls = []
-        real = cache.content_key
+        real = session.content_key
         monkeypatch.setattr(
-            cache, "content_key",
+            session, "content_key",
             lambda *parts: calls.append(parts) or real(*parts),
         )
         engine = ServingEngine()
@@ -428,6 +428,59 @@ class TestBackpressureAndLifecycle:
         assert spec.cohort_key() == real("serve.cohort.v1", *fields)
         assert spec == twin
         assert (hash(spec), repr(spec), pickle.dumps(spec)) == before
+
+
+def _spec(threshold_db: float, range_bin_m: float, max_people: int):
+    config = default_config().replace(
+        pipeline=PipelineConfig(contour_threshold_db=threshold_db)
+    )
+    return multi_session(config, range_bin_m, max_people=max_people)
+
+
+SPEC_FIELDS = {
+    "threshold_db": st.floats(6.0, 18.0),
+    "range_bin_m": st.floats(0.1, 0.25),
+    "max_people": st.integers(1, 4),
+}
+
+
+class TestCohortKey:
+    """The cohort key is a content key of every spec field, nested
+    configuration included: one changed field splits the cohort, and
+    equal content built twice shares one."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(base=st.fixed_dictionaries(SPEC_FIELDS))
+    def test_equal_content_shares_the_cohort(self, base):
+        spec, twin = _spec(**base), _spec(**base)
+        assert spec is not twin
+        assert spec.cohort_key() == twin.cohort_key()
+        engine = ServingEngine()
+        a, b = engine.admit(spec), engine.admit(twin)
+        assert a.cohort is b.cohort
+        assert len(engine.scheduler.cohorts) == 1
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        base=st.fixed_dictionaries(SPEC_FIELDS),
+        name=st.sampled_from(sorted(SPEC_FIELDS)),
+        data=st.data(),
+    )
+    def test_one_field_splits_the_cohort(self, base, name, data):
+        value = data.draw(SPEC_FIELDS[name].filter(lambda v: v != base[name]))
+        spec = _spec(**base)
+        variant = _spec(**{**base, name: value})
+        assert spec.cohort_key() != variant.cohort_key()
+        engine = ServingEngine()
+        a, c = engine.admit(spec), engine.admit(variant)
+        assert c.cohort is not a.cohort
+        assert len(engine.scheduler.cohorts) == 2
+
+    def test_unsupported_type_raises(self):
+        from repro.serve.session import content_key
+
+        with pytest.raises(TypeError):
+            content_key(object())
 
 
 class TestSessionVectorizedStages:
