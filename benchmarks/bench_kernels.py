@@ -28,8 +28,16 @@ kernel: replay-2p's 33 tracks x 3 antennas, every filter live, about
 30% of the claims missing, velocity decay 0.97, with ``mean`` and
 ``cov`` the fields of one track record slab.
 
-Before timing, both successive-cancellation rows (N=8 and a 2-session
-cohort, where the kernel is dispatch-bound) and every tick-kernel row
+The K=2 rows time one tick's ``successive_cancel`` (through one scratch
+dict kept across calls, as ``SuccessiveCancel`` calls it) and one
+``TrackBank.step`` (a through-wall serving bank, two confirmed people
+per slot, a wall bounce and a junk echo per antenna) at the cohort
+sizes perfbench serves: 1 session (churn-mix) and 16 (replay-2p). The
+artifact's ``k2_cost_split`` reads each kernel's numpy time as a fixed
+cost plus a cost per session, from the straight line through the two.
+
+Before timing, both successive-cancellation rows (two calls in a row
+through the reused scratch) and every tick-kernel row
 must give bitwise the same outputs (and updated state) under ``numpy``
 as under its ``reference`` spec, and both sweep
 synthesis rows (N=8, and synth-1p's 16-session chunk) must agree with
@@ -84,19 +92,23 @@ from repro.multi.association import (
     claim_candidates,
     multipath_round_trips,
 )
-from repro.multi.cancellation import successive_contours
+from repro.kernels.cancellation import successive_cancel
 from repro.multi.tracker import MultiWiTrack
 from repro.multi.tracks import TrackBank, _track_dtype
+from repro.pipeline.multi import SuccessiveCancel
 from repro.sim.room import through_wall_room
 
 # Serving shapes at N=8 sessions, 3 antennas, 171 range bins: the
 # synthesis call covers one 64-frame cohort chunk (320 sweeps per
-# stream); the per-tick kernels cover one lockstep engine tick. The
-# small-cohort cancellation row covers a 2-session tick, and a second
-# synthesis row covers the 16-session chunk perfbench's synth-1p runs.
+# stream); the per-tick kernels cover one lockstep engine tick. A
+# second synthesis row covers the 16-session chunk perfbench's synth-1p
+# runs, and the K=2 rows run at the cohort sizes perfbench serves.
 N_SESSIONS = 8
-N_SMALL = 2
 N_SYNTH_1P = 16
+#: K=2 cohort sizes: churn-mix's one-session ticks, replay-2p's 16.
+K2_COHORTS = (1, 16)
+#: Round trip per range bin of the serving specs.
+SERVING_BIN_M = 0.1773919869822485
 N_RX = 3
 N_BINS = 171
 SWEEPS_PER_FRAME = 5
@@ -267,23 +279,9 @@ def _workloads() -> list[dict]:
     cov = np.broadcast_to(np.eye(2), (N_SESSIONS, N_RX, 2, 2)).copy()
     live = rng.uniform(size=values.shape) < 0.8
 
-    # Multi-person tick shapes: successive cancellation sees one frame
-    # row per (session, antenna), with a couple of reflector peaks per
-    # row; the track bank steps N_SESSIONS two-track managers against
+    # The claim and birth rows: N_SESSIONS two-track managers against
     # steady candidate sets (claims stay claimed, the spare candidate
-    # stays an excluded birth attempt, so repeated calls keep the
-    # workload size fixed).
-    range_bin_m = 0.05
-    cancel_power = rng.uniform(0.0, 0.05, (N_SESSIONS * N_RX, N_BINS))
-    bins = np.arange(N_BINS, dtype=np.float64)
-    for r in range(cancel_power.shape[0]):
-        for center in (45.0 + 3.0 * (r % 5), 95.0 - 2.0 * (r % 7)):
-            cancel_power[r] += 4.0 * np.exp(
-                -0.5 * ((bins - center) / 1.5) ** 2
-            )
-
-    small_cancel_power = cancel_power[: N_SMALL * N_RX]
-
+    # stays an excluded birth attempt).
     solver = TGeometrySolver(t_array())
     dt_s = 0.0125
     bank = TrackBank(dt_s, solver)
@@ -360,33 +358,14 @@ def _workloads() -> list[dict]:
             ),
         },
         _kalman_bank_workload(np.random.default_rng(29)),
-        {
-            "kernel": "successive_contours",
-            "shape": f"power {cancel_power.shape}",
-            "frames": tick_session_frames,
-            "inner": 20,
-            "run": lambda: successive_contours(
-                cancel_power, range_bin_m, max_targets=6
-            ),
-        },
-        {
-            "kernel": f"successive_contours_n{N_SMALL}",
-            "shape": f"power {small_cancel_power.shape}",
-            "frames": N_SMALL,
-            "inner": 100,
-            "run": lambda: successive_contours(
-                small_cancel_power, range_bin_m, max_targets=6
-            ),
-        },
-        {
-            "kernel": "track_bank_step",
-            "shape": f"candidates {bank_candidates.shape}",
-            "frames": tick_session_frames,
-            "inner": 20,
-            "run": lambda: bank.step(
-                bank_slots, bank_candidates, bank_powers
-            ),
-        },
+        *(
+            work
+            for n in K2_COHORTS
+            for work in (
+                _cancel_workload(np.random.default_rng(31 + n), n),
+                _bank_step_workload(np.random.default_rng(37 + n), n),
+            )
+        ),
         {
             "kernel": "track_claims",
             "shape": f"candidates {bank_candidates.shape}",
@@ -426,6 +405,80 @@ def _workloads() -> list[dict]:
         },
         _replay_births_workload(np.random.default_rng(23), births_spec),
     ] + _tick_kernel_workloads(rng)
+
+
+def _cancel_workload(rng, sessions: int) -> dict:
+    """One K=2 tick's successive cancellation at ``sessions`` sessions.
+
+    Each (session, antenna) row holds noise and two reflector peaks,
+    and the kernel runs as :class:`SuccessiveCancel` calls it: the
+    serving spec's parameters, one scratch dict kept across calls.
+    """
+    stage = SuccessiveCancel(
+        SERVING_BIN_M, max_targets=MultiWiTrack(max_people=2).num_candidates
+    )
+    power = rng.uniform(0.0, 0.05, (sessions * N_RX, N_BINS))
+    bins = np.arange(N_BINS, dtype=np.float64)
+    for r in range(len(power)):
+        for center in (45.0 + 3.0 * (r % 5), 95.0 - 2.0 * (r % 7)):
+            power[r] += 4.0 * np.exp(-0.5 * ((bins - center) / 1.5) ** 2)
+    scratch: dict = {}
+
+    def run():
+        return successive_cancel(
+            power, stage.range_bin_m, stage.max_targets, stage.threshold_db,
+            stage.min_range_m, stage.null_halfwidth_m,
+            stage.relative_threshold_db, scratch,
+        )
+
+    return {
+        "kernel": f"successive_cancel_n{sessions}",
+        "shape": f"power {power.shape}",
+        "frames": sessions,
+        "inner": 20,
+        "run": run,
+    }
+
+
+def _bank_step_workload(rng, sessions: int) -> dict:
+    """One K=2 tick's ``TrackBank.step`` at ``sessions`` sessions.
+
+    A through-wall serving spec's bank, every slot tracking two people
+    (confirmed before timing). Each frame offers their direct echoes,
+    a wall bounce of the first and a junk echo per antenna, so every
+    step claims, advances both tracks and searches births, which the
+    people's seed arcs and exclusion radius veto.
+    """
+    spec = MultiWiTrack(max_people=2, room=through_wall_room())
+    bank = spec.make_manager().bank
+    bank.attach(sessions)
+    slots = np.arange(sessions)
+    array = spec.solver.array
+    people = [np.array([-1.0, 3.0, -0.3]), np.array([1.2, 5.0, -0.2])]
+    bounce = multipath_round_trips(
+        people[0], array.tx.position, spec.ghost_images
+    )[0]
+    candidates = np.full((sessions, N_RX, spec.num_candidates), np.nan)
+    for k, echo in enumerate(
+        [array.round_trip_distances(p) for p in people] + [bounce]
+    ):
+        candidates[:, :, k] = echo
+    candidates[:, :, 3] = rng.uniform(3.0, 18.0, (sessions, N_RX))
+    powers = np.where(
+        np.isnan(candidates), np.nan, [1e-12, 3e-13, 1e-13, 3e-14, 0, 0]
+    )
+    for _ in range(8):
+        bank.step(slots, candidates, powers)
+    assert all(
+        len(bank.manager(s).reportable_tracks()) == 2 for s in slots
+    ), "both people are tracked in every slot before timing"
+    return {
+        "kernel": f"track_bank_step_n{sessions}",
+        "shape": f"candidates {candidates.shape}",
+        "frames": sessions,
+        "inner": 20,
+        "run": lambda: bank.step(slots, candidates, powers),
+    }
 
 
 def _replay_births_workload(rng, spec: MultiWiTrack) -> dict:
@@ -524,29 +577,51 @@ def _tick_parity(workloads: list[dict]) -> dict[str, bool]:
 
 
 def _cancellation_parity(workloads: list[dict]) -> dict[str, bool]:
-    """Per cancellation row: is numpy bitwise its reference spec?
+    """Per cancellation row: is numpy, through the row's reused scratch,
+    bitwise its reference spec?
 
     Compares every kernel output: each round's candidates, peak powers
-    and threshold, and the number of rounds.
+    and threshold, and the number of rounds, on two calls in a row.
     """
     parity = {}
     for work in workloads:
-        if not work["kernel"].startswith("successive_contours"):
+        if not work["kernel"].startswith("successive_cancel"):
             continue
         outputs = []
-        for name in ("numpy", "reference"):
+        for name in ("numpy", "numpy", "reference"):
             set_backend(name)
-            result = work["run"]()
+            round_trips, peaks, thresholds, n_rounds = work["run"]()
             outputs.append(
-                [result.round_trips_m, result.peak_powers]
-                + [r.threshold_power for r in result.rounds]
+                [round_trips, peaks, thresholds, np.array(n_rounds)]
             )
-        fast, spec = outputs
-        parity[work["kernel"]] = len(fast) == len(spec) and all(
+        spec = outputs.pop()
+        parity[work["kernel"]] = all(
             a.shape == b.shape and a.tobytes() == b.tobytes()
+            for fast in outputs
             for a, b in zip(fast, spec)
         )
     return parity
+
+
+def _cost_split(rows: list[dict]) -> dict[str, dict[str, float]]:
+    """Per K=2 kernel, the numpy call's fixed cost and its cost per
+    session, from the straight line through its two cohort sizes."""
+    call_us = {
+        row["kernel"]: row["backends"]["numpy"]["call_us"] for row in rows
+    }
+    small, large = K2_COHORTS
+    split = {}
+    for kernel in ("successive_cancel", "track_bank_step"):
+        lo = call_us.get(f"{kernel}_n{small}")
+        hi = call_us.get(f"{kernel}_n{large}")
+        if lo is None or hi is None:
+            continue
+        per_session = (hi - lo) / (large - small)
+        split[kernel] = {
+            "fixed_us": lo - small * per_session,
+            "per_session_us": per_session,
+        }
+    return split
 
 
 def _synthesis_parity(workloads: list[dict]) -> dict[str, bool]:
@@ -690,6 +765,7 @@ def bench(repeats: int) -> dict:
         "synthesis_parity": synthesis_parity,
         "synthesis_worker_parity": worker_parity,
         "births_parity": births_parity,
+        "k2_cost_split": _cost_split(rows),
         "kernels": rows,
     }
 
@@ -777,6 +853,10 @@ def main() -> int:
             one, many = by_workers["1"], by_workers[str(workers)]
             print(f"{row['kernel']:>22}{one:>11.1f} us{many:>11.1f} us"
                   f"{one / many:>9.2f}x")
+    print("K=2 tick kernels (numpy), fixed cost + cost per session:")
+    for kernel, split in payload["k2_cost_split"].items():
+        print(f"{kernel:>22}{split['fixed_us']:>11.1f} us"
+              f" + {split['per_session_us']:.1f} us/session")
     args.out.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.out}")
     return 0

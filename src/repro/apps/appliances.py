@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.pointing import PointingResult
-from ..geometry.vec import angle_between_deg, unit
+from ..geometry.vec import unit
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ import numpy as np
 
 from .apps.realtime import RealtimeTracker
 from .config import default_config
-from .core.tracker import WiTrack
 from .eval import figures
 from .eval.harness import (
     ExperimentScale,

@@ -115,23 +115,15 @@ class TGeometrySolver:
         ``np.errstate`` :meth:`Pipeline.tick
         <repro.pipeline.Pipeline.tick>` holds for the whole chain.
         """
-        k = np.asarray(round_trips_m, dtype=np.float64)
-        if k.ndim != 2:
-            k = np.atleast_2d(k)
-        if k.shape[1] < 3:
-            raise ValueError("need round trips for at least 3 antennas")
-        k1, k2, k3 = k[:, 0], k[:, 1], k[:, 2]
+        k = self._round_trips(round_trips_m)
+        k1, k2 = k[:, 0], k[:, 1]
         d = self.separation_m
-        h = self.below_m
 
-        # One call squares all three round trips (x*x is x**2 bitwise);
         # x, y and z land in their columns of the result.
-        sq = k[:, :3] * k[:, :3]
         positions = np.empty((len(k), 3))
         x, y, z = positions[:, 0], positions[:, 1], positions[:, 2]
-        r0 = (sq[:, 0] + sq[:, 1] - 2.0 * d * d) / (2.0 * (k1 + k2))
+        sq, r0 = self._r0_and_height(k, out=z)
         np.divide(sq[:, 0] - sq[:, 1] + 2.0 * r0 * (k2 - k1), 4.0 * d, out=x)
-        np.divide(sq[:, 2] - h * h - 2.0 * k3 * r0, 2.0 * h, out=z)
         y_sq = r0 * r0 - x * x - z * z
         np.sqrt(np.maximum(y_sq, 0.0), out=y)
 
@@ -143,6 +135,36 @@ class TGeometrySolver:
         valid &= y_sq > self.min_y_m**2
         np.copyto(positions, np.nan, where=~valid[:, None])
         return LocalizationResult(positions=positions, valid=valid)
+
+    def heights(self, round_trips_m: np.ndarray) -> np.ndarray:
+        """Each row's z, bitwise as :meth:`solve` computes it before its
+        validity mask turns invalid rows NaN; a fix outside a z range
+        can be ruled out without the rest of the solve. Call it under
+        the caller's ``np.errstate``, as :meth:`solve_unguarded`."""
+        k = self._round_trips(round_trips_m)
+        z = np.empty(len(k))
+        self._r0_and_height(k, out=z)
+        return z
+
+    @staticmethod
+    def _round_trips(round_trips_m: np.ndarray) -> np.ndarray:
+        k = np.asarray(round_trips_m, dtype=np.float64)
+        if k.ndim != 2:
+            k = np.atleast_2d(k)
+        if k.shape[1] < 3:
+            raise ValueError("need round trips for at least 3 antennas")
+        return k
+
+    def _r0_and_height(
+        self, k: np.ndarray, out: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The squared round trips and r0 = |P|; z written into ``out``."""
+        # One call squares all three round trips (x*x is x**2 bitwise).
+        sq = k[:, :3] * k[:, :3]
+        d, h = self.separation_m, self.below_m
+        r0 = (sq[:, 0] + sq[:, 1] - 2.0 * d * d) / (2.0 * (k[:, 0] + k[:, 1]))
+        np.divide(sq[:, 2] - h * h - 2.0 * k[:, 2] * r0, 2.0 * h, out=out)
+        return sq, r0
 
     def solve_one(self, round_trips_m: np.ndarray) -> np.ndarray:
         """Solve a single frame; returns a ``(3,)`` position (NaN if bad)."""

@@ -30,7 +30,6 @@ from ..sim.motion import random_walk, stand_still
 from ..sim.room import through_wall_room
 from ..sim.scenario import Scenario
 from ..sim.gestures import pointing_session
-from ..sim.body import sample_population
 from .harness import (
     ExperimentScale,
     MultiTrackingOutcome,
@@ -40,7 +39,6 @@ from .harness import (
     run_multi_tracking_experiment,
     run_pointing_experiment,
     run_tracking_experiment,
-    make_activity_trajectory,
 )
 from .metrics import (
     Cdf,

@@ -10,7 +10,6 @@ default "T" layout puts two receive antennas on the horizontal bar at
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 

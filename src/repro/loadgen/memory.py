@@ -22,6 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..exec.transport import ARENA_ALIGN
+from ..kernels.cancellation import padded_bins
+from ..multi.cancellation import NULL_HALFWIDTH_M
 from ..pipeline import multi, stages
 from ..serve.session import Session, SessionSpec
 from .workload import frame_shape
@@ -51,10 +53,15 @@ STAGES = {
 def slot_nbytes(spec: SessionSpec) -> int:
     """Declared bytes one slot of ``spec``'s pipeline holds: every
     stage's :meth:`~repro.pipeline.stages.Stage.slot_nbytes` at the dims
-    the spec fixes, and the slot's int64 frame counter."""
+    the spec fixes, and the slot's int64 frame counter. ``padded_bins``
+    is the cancellation kernel's residual width at the spec's bin size
+    and the stage's default null band."""
     n_rx, _, n_bins = frame_shape(spec)
     frames = spec.config.pipeline.jump_confirmation_frames
-    dims = dict(n_rx=n_rx, n_bins=n_bins, confirmation_frames=frames)
+    dims = dict(
+        n_rx=n_rx, n_bins=n_bins, confirmation_frames=frames,
+        padded_bins=padded_bins(n_bins, spec.range_bin_m, NULL_HALFWIDTH_M),
+    )
     return np.dtype(np.int64).itemsize + sum(
         stage.slot_nbytes(dims) for stage in STAGES[spec.kind]
     )

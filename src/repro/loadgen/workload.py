@@ -8,14 +8,17 @@ ledger, the CI artifact — is a pure function of this plan plus the
 engine configuration, which is what makes a load run reproducible.
 
 :class:`SyntheticFrameSource` supplies the actual sweep blocks: a
-cheap, deterministic moving-target synthesizer (Gaussian range bumps
+deterministic moving-target synthesizer (Gaussian range bumps
 random-walking across bins over complex noise) shaped exactly like the
-spec's pipeline input. A 3 x 5 x 171 block costs about 0.1 ms (91 us
-on a 2-core Xeon VM), far less than the scenario synthesizer, so the
-load harness mostly measures *serving* behavior; the
-fidelity-first path (:meth:`Scenario.frames
-<repro.sim.scenario.Scenario.frames>`) remains what ``repro serve``
-drives.
+spec's pipeline input, far cheaper than the scenario synthesizer. It
+is not free next to serving, though: a 3 x 5 x 171 block costs about
+0.1 ms in process on a 2-core x86_64 VM, about 70 us of it the
+standard-normal draw that fixes the block's bits, and on churn-mix
+frame production (``loadgen.frames_us_per_frame``, 151 of 449 traced
+us per frame) is the largest layer. A load run's timings therefore
+include the frame source; the fidelity-first path
+(:meth:`Scenario.frames <repro.sim.scenario.Scenario.frames>`) remains
+what ``repro serve`` drives.
 """
 
 from __future__ import annotations
@@ -155,7 +158,7 @@ class SyntheticFrameSource:
     whose centers random-walk across bins — enough structure that the
     full pipeline (background subtract, contour, Kalman, localize or
     cancel/associate) does real work on every frame, at about 0.1 ms
-    per block. Identical ``(spec, seed)`` always produces the identical
+    per block, most of it the noise draw. Identical ``(spec, seed)`` always produces the identical
     block sequence.
 
     Args:

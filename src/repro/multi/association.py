@@ -372,7 +372,10 @@ def candidate_fixes_batched(
       — and one gather builds them. The solve, the volume gate, the
       residual and the power score are elementwise per row (the solve
       by the ``solver.row_independent`` contract), so one pass serves
-      all.
+      all. Only the rows whose height (``solver.heights``, the solve's
+      own z) is inside the gate's z range are solved: on replay-2p
+      that is about one vetted combo in a hundred, and none in four
+      calls of five.
     * **Greedy selection.** :func:`_greedy_select` runs round by round
       over every slot at once: each round re-scores the live rows
       against their slot's multipath arcs, takes each slot's first
@@ -385,7 +388,9 @@ def candidate_fixes_batched(
     Args:
         tof_slots: candidate round trips, shape ``(n_slots, n_rx, K)``,
             NaN-padded.
-        solver: row-independent localization solver shared by all slots.
+        solver: row-independent localization solver shared by all
+            slots, with ``heights`` (its solve's z, as
+            :meth:`~repro.core.localize.TGeometrySolver.heights`).
         gate: feasibility gate shared by all slots.
         power_slots: echo power per candidate, same shape (or None).
         seed_positions: ghost-veto seed positions of every slot,
@@ -439,7 +444,7 @@ def candidate_fixes_batched(
     # nonzeros are each slot's surviving index product in order, last
     # antenna fastest.
     on_arc = False if seeded is None else seeded <= ghost_tolerance_m
-    per_candidate = np.where(np.isnan(tofs), 2, on_arc).astype(np.intp)
+    per_candidate = np.where(np.isnan(tofs), 2, on_arc).astype(np.int8)
     weight = per_candidate[:, 0]
     for a in range(1, n_rx):
         weight = weight[..., None] + per_candidate[:, a].reshape(
@@ -451,20 +456,34 @@ def candidate_fixes_batched(
     )
     if len(slot_of) == 0:
         return out
+    # unravel_index's outputs are views of one block, which only copies
+    # let go: a cohort's first step, every candidate unclaimed, builds
+    # thousands of combos, and without the copies it holds replay-2p's
+    # memory peak.
     index_combos = np.stack(columns, axis=1)
+    slot_of = slot_of.copy()
+    del columns
     combos = tofs[slot_of[:, None], np.arange(n_rx), index_combos]
-    result = solver.solve(combos)
+    # The volume gate: its z range alone rules out all but about one
+    # row in a hundred (every row, in most calls), so only the rows
+    # whose z, as the solve computes it, lies in the range are solved.
+    # NaN rows compare False in the gate, as their NaN-to-1e9
+    # stand-ins do in the per-slot call.
+    with np.errstate(invalid="ignore", divide="ignore"):
+        z = solver.heights(combos)
+    rows = np.flatnonzero((z >= gate.z_min_m) & (z <= gate.z_max_m))
+    if len(rows) == 0:
+        return out
+    result = solver.solve(combos[rows])
     positions = result.positions
-    # The volume gate first: NaN rows compare False in it, as their
-    # NaN-to-1e9 stand-ins do in the per-slot call, and it leaves a few
-    # rows in a hundred for the row reductions that follow.
-    rows = np.flatnonzero(result.valid & gate.admits(positions))
-    rows = rows[np.isfinite(positions[rows]).all(axis=1)]
+    admitted = result.valid & gate.admits(positions)
+    admitted &= np.isfinite(positions).all(axis=1)
+    rows = rows[admitted]
     if len(rows) == 0:
         return out
 
     # Round-trip consistency: re-project each fix through the array.
-    positions = positions[rows]
+    positions = positions[admitted]
     combos = combos[rows]
     d_tx = np.linalg.norm(positions - array.tx.position[None, :], axis=1)
     d_rx = np.linalg.norm(
@@ -723,29 +742,33 @@ def claim_candidates(
     cost = np.sqrt(diff * diff)
     in_gate = cost <= gates[:, None, None]
 
-    # A problem goes to the solve when a track has two candidates in
-    # its gate, a candidate is in two gates, or a track's gate is NaN
-    # or above the ceiling.
-    starts = np.cumsum(counts) - counts
-    busy = counts.nonzero()[0]
-    at = starts[busy]
-    odd_gate = ~(gates <= MAX_CLAIM_GATE_M)
-    per_track = (np.add.reduce(in_gate, axis=2) > 1) | odd_gate[:, None]
-    solve = np.zeros((n_slots, n_rx), dtype=bool)
-    solve[busy] = np.logical_or.reduceat(per_track, at) | np.logical_or.reduce(
-        np.add.reduceat(in_gate, at) > 1, axis=2
-    )
+    # The in-gate pairs, track by track, candidate fastest. A problem
+    # goes to the solve when two of its pairs share a track (they are
+    # adjacent) or a candidate, or when a track's gate is NaN or above
+    # the ceiling; every other problem's pairs are its claims.
+    track, rx, cand = in_gate.nonzero()
+    problem = slot_of[track] * n_rx + rx
+    cell = problem * n_cand + cand
+    solve = np.zeros(n_slots * n_rx, dtype=bool)
+    twice = (track[1:] == track[:-1]) & (rx[1:] == rx[:-1])
+    solve[problem[1:][twice]] = True
+    shared = np.flatnonzero(np.bincount(cell, minlength=consumed.size) > 1)
+    solve[shared // n_cand] = True
+    solve = solve.reshape(n_slots, n_rx)
+    solve[slot_of[~(gates <= MAX_CLAIM_GATE_M)]] = True
+    busy = solve.any()
+    if busy:
+        clean = ~solve.reshape(-1)[problem]
+        track, rx, cell = track[clean], rx[clean], cell[clean]
+    claimed[track, rx] = candidates.reshape(-1)[cell]
+    consumed.reshape(-1)[cell] = True
 
-    track, rx, cand = (in_gate & ~solve[slot_of, :, None]).nonzero()
-    slot = slot_of[track]
-    claimed[track, rx] = candidates[slot, rx, cand]
-    consumed[slot, rx, cand] = True
-
-    if solve.any():
+    if busy:
         cost = np.where(np.isfinite(cost), cost, _BLOCKED_COST)
         blocked = cost > gates[:, None, None]
         padded = np.where(blocked, _BLOCKED_COST, cost)
         finite = np.isfinite(candidates)
+        starts = np.cumsum(counts) - counts
         for s, a in zip(*solve.nonzero()):
             t0 = starts[s]
             cols = finite[s, a].nonzero()[0]

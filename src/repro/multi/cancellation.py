@@ -29,6 +29,9 @@ import numpy as np
 from ..core.contour import ContourResult
 from ..kernels.cancellation import successive_cancel
 
+#: Round-trip half-width (m) nulled around every detection by default.
+NULL_HALFWIDTH_M = 0.5
+
 
 @dataclass(frozen=True)
 class MultiContourResult:
@@ -118,7 +121,7 @@ def successive_contours(
     max_targets: int = 3,
     threshold_db: float = 10.0,
     min_range_m: float = 1.0,
-    null_halfwidth_m: float = 0.5,
+    null_halfwidth_m: float = NULL_HALFWIDTH_M,
     relative_threshold_db: float = 36.0,
 ) -> MultiContourResult:
     """Extract up to ``max_targets`` bottom contours per frame.
@@ -157,6 +160,7 @@ def successive_contours(
         min_range_m,
         null_halfwidth_m,
         relative_threshold_db,
+        {},
     )
     rounds = tuple(
         ContourResult(

@@ -13,16 +13,16 @@ Both advance session-lockstep ticks, so
 :class:`~repro.multi.tracker.MultiWiTrack` (offline),
 :class:`~repro.apps.realtime.RealtimeMultiTracker` (streaming) and a
 multi-person serving cohort (:mod:`repro.serve`) are the same code
-path. Session state: cancellation is stateless, and
-the association state is one slot of a
+path. Session state: cancellation keeps none across ticks (only its
+kernel's work registers), and the association state is one slot of a
 :class:`~repro.multi.tracks.TrackBank`, which a row-independent cohort
 advances through one bank step per tick.
 """
 
 from __future__ import annotations
 
-from ..kernels.cancellation import successive_cancel
-from ..multi.cancellation import check_cancel_args
+from ..kernels.cancellation import CANCEL_REGISTERS, successive_cancel
+from ..multi.cancellation import NULL_HALFWIDTH_M, check_cancel_args
 from ..multi.tracks import TrackBank, TrackColumns, TrackManager
 from .stages import Stage
 
@@ -35,7 +35,12 @@ class SuccessiveCancel(Stage):
     ``candidates_m`` and ``candidate_powers`` of shape
     ``(n_rx, max_targets)``. Every round is per-frame independent, so a
     lockstep tick is one call with every (session, antenna) row stacked.
+    The kernel's work registers are declared per antenna row; their
+    padded width is the dim ``padded_bins``
+    (:func:`~repro.kernels.cancellation.padded_bins`).
     """
+
+    REGISTERS = ((CANCEL_REGISTERS, ("n_rx",)),)
 
     def __init__(
         self,
@@ -43,12 +48,13 @@ class SuccessiveCancel(Stage):
         max_targets: int = 3,
         threshold_db: float = 10.0,
         min_range_m: float = 1.0,
-        null_halfwidth_m: float = 0.5,
+        null_halfwidth_m: float = NULL_HALFWIDTH_M,
         relative_threshold_db: float = 36.0,
     ) -> None:
         # process_tick calls the kernel directly, so the stage refuses
         # here what successive_contours refuses per call.
         check_cancel_args(max_targets, null_halfwidth_m)
+        super().__init__()
         self.range_bin_m = range_bin_m
         self.max_targets = max_targets
         self.threshold_db = threshold_db
@@ -73,6 +79,7 @@ class SuccessiveCancel(Stage):
             self.min_range_m,
             self.null_halfwidth_m,
             self.relative_threshold_db,
+            self._scratch,
         )
         shape = (n_rows, n_rx, self.max_targets)
         tick.candidates_m = round_trips.T.reshape(shape)

@@ -369,7 +369,9 @@ class Pipeline:
 
         Args:
             sweep_blocks: one ``(n_rx, sweeps_per_frame, n_bins)`` raw
-                sweep block per participating session.
+                sweep block per participating session: a stacked array,
+                cropped here to the max range, or a list of blocks of
+                one shape no wider than the crop.
             slots: the session slot each block advances (defaults to
                 ``0..len(sweep_blocks)-1``). Slots must be distinct and
                 attached (:meth:`attach_sessions`).
@@ -420,8 +422,10 @@ class Pipeline:
                 )
                 np.divide(averaged, spf, out=averaged)
             else:
-                # A list of blocks averages each straight into the reused
-                # per-tick buffer, each block cropped by its own width.
+                # A list of blocks (a cohort's, which every session crops
+                # as it queues them) averages each straight into the
+                # reused per-tick buffer; a block wider than the crop
+                # raises there.
                 t0 = perf_counter() if profiler is not None else 0.0
                 n_rx, spf, width = np.shape(sweep_blocks[0])
                 n_bins = width if self._max_bins is None else min(
@@ -429,8 +433,6 @@ class Pipeline:
                 )
                 averaged = self._average_buffer((n, n_rx, n_bins))
                 for i, block in enumerate(sweep_blocks):
-                    if block.shape[-1] > n_bins:
-                        block = block[..., :n_bins]
                     np.add.reduce(
                         block, axis=1, dtype=np.complex128, out=averaged[i]
                     )

@@ -273,15 +273,19 @@ class BlockShape:
     accepted only as a 3-D numeric array of shape ``(n_rx,
     sweeps_per_frame, n_bins)`` with at least the spec's cropped bin
     count (:func:`frame_shape`); the spec fixes the contract, so no
-    sender can change it for its mates.
+    sender can change it for its mates. A session keeps only the crop
+    of a wider block (:meth:`check` returns it), so what it queues and
+    ships is what its spec's memory model prices.
     """
 
     def __init__(self, spec: SessionSpec) -> None:
         n_rx, spf, self.n_bins = frame_shape(spec)
         self.lead = (n_rx, spf)
 
-    def check(self, block) -> None:
-        """Raise ``ValueError`` unless ``block`` has the spec's shape."""
+    def check(self, block) -> np.ndarray:
+        """Raise ``ValueError`` unless ``block`` has the spec's shape;
+        return what a session keeps of it: the block itself at the crop
+        width, a contiguous copy of its crop when wider."""
         shape = getattr(block, "shape", None)
         dtype = getattr(block, "dtype", None)
         if shape is None or len(shape) != 3 or dtype is None or (
@@ -302,6 +306,9 @@ class BlockShape:
                 f"a sweep block must have at least {self.n_bins} bins, "
                 f"its spec's max-range crop; got {shape[2]}"
             )
+        if shape[2] > self.n_bins:
+            return np.ascontiguousarray(block[..., : self.n_bins])
+        return block
 
 
 class Session:
@@ -381,14 +388,15 @@ class Session:
         real user. A block of the wrong shape raises ``ValueError``
         here, before it is queued (:class:`BlockShape`), so it never
         reaches the sender's cohort mates, and counts in
-        :attr:`rejected_malformed`.
+        :attr:`rejected_malformed`. A block wider than the spec's crop
+        is queued as a copy of its crop (:meth:`BlockShape.check`).
         """
         if self.closed:
             raise RuntimeError(
                 f"session {self.session_id} is closed and takes no frames"
             )
         try:
-            self.block_shape.check(sweep_block)
+            sweep_block = self.block_shape.check(sweep_block)
         except ValueError:
             self.rejected_malformed += 1
             raise

@@ -10,7 +10,7 @@ antenna T is in the x-z plane at y=0 and the room extends in +y.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

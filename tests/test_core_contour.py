@@ -182,6 +182,6 @@ class TestNonFiniteCells:
         power = self._rows()
         with use_backend("reference"):
             round_trips, _, _, _ = successive_cancel(
-                power, 0.1, 3, 12.0, 0.5, 0.5, 26.0
+                power, 0.1, 3, 12.0, 0.5, 0.5, 26.0, {}
             )
         assert round_trips.shape == (3, len(power))

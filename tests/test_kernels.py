@@ -7,7 +7,9 @@ The load-bearing properties:
   ``REPRO_BACKEND`` is a speed knob, never an answer knob;
 * the numpy successive-cancellation kernel is *bitwise* its
   ``reference`` spec over a hypothesis-drawn domain (ties, zeros,
-  edge peaks, non-finite cells, every ``n_bins`` shape class);
+  edge peaks, non-finite cells, every ``n_bins`` shape class), also
+  when one scratch dict serves a sequence of calls whose row count
+  grows, shrinks and repeats;
 * the single-person tick kernels (contour tick, outlier gate, in-place
   Kalman tick) are *bitwise* their ``reference`` specs, outputs and
   every state array, over non-finite and huge cells, rows without a
@@ -353,20 +355,55 @@ def _bitwise_equal(a, b) -> bool:
     )
 
 
+def _assert_cancel_is_reference(args, scratch):
+    """The numpy kernel through ``scratch`` leaves ``power`` as it was
+    and returns bitwise a fresh reference call's outputs."""
+    power = args[0]
+    before = power.copy()
+    with use_backend("numpy"):
+        got = successive_cancel(*args, scratch)
+    assert _bitwise_equal(power, before)
+    with use_backend("reference"):
+        want = successive_cancel(*args, {})
+    assert got[3] == want[3]
+    for fast, spec in zip(got[:3], want[:3]):
+        assert _bitwise_equal(fast, spec)
+
+
+@st.composite
+def cancellation_sequences(draw):
+    """Calls that share one scratch dict: ``cancellation_inputs`` with
+    one set of kernel parameters, as a stage makes them, and row
+    counts that grow, shrink and repeat."""
+    first = draw(cancellation_inputs())
+    power, params = first[0], first[1:]
+    n_bins = power.shape[1]
+    calls = [first]
+    for n_rows in draw(st.lists(st.integers(1, 9), min_size=2, max_size=8)):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        rows = rng.integers(0, len(power), n_rows)
+        block = power[rows] * rng.uniform(0.5, 2.0, (n_rows, 1))
+        calls.append((np.ascontiguousarray(block), *params))
+    if draw(st.booleans()):  # another bin count or null band: new buffers
+        calls.append(draw(cancellation_inputs()))
+    return calls
+
+
 class TestSuccessiveCancelSpec:
     @given(args=cancellation_inputs())
     @settings(max_examples=400, deadline=None)
     def test_numpy_is_reference_bitwise(self, args):
-        power = args[0]
-        before = power.copy()
-        with use_backend("numpy"):
-            got = successive_cancel(*args)
-        assert _bitwise_equal(power, before)
-        with use_backend("reference"):
-            want = successive_cancel(*args)
-        assert got[3] == want[3]
-        for fast, spec in zip(got[:3], want[:3]):
-            assert _bitwise_equal(fast, spec)
+        _assert_cancel_is_reference(args, {})
+
+    @given(calls=cancellation_sequences())
+    @settings(max_examples=150, deadline=None)
+    def test_reused_registers_are_reference_bitwise(self, calls):
+        """One scratch dict serves every call, as in a stage: a padded
+        residual, a nulled band or a bound plane left by one call never
+        shows in the next."""
+        scratch = {}
+        for args in calls:
+            _assert_cancel_is_reference(args, scratch)
 
 
 #: Cells the tick-kernel properties plant: non-finite, huge, negative.

@@ -23,6 +23,7 @@ The load-bearing properties:
 
 import dataclasses
 import pickle
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -35,7 +36,7 @@ from repro.core.tracker import WiTrack
 from repro.geometry.antennas import t_array
 from repro.kernels import use_backend
 from repro.kernels.tick import enable_fusion, reset_fusion_override
-from repro.loadgen import SyntheticFrameSource
+from repro.loadgen import SpecMemoryModel, SyntheticFrameSource
 from repro.multi import MultiScenario, MultiWiTrack
 from repro.pipeline import BackgroundSubtract, KalmanSmooth, LatencyReport
 from repro.serve import (
@@ -897,6 +898,47 @@ class TestMalformedBlocks:
             assert engine.tick() == 2
         assert [s.rejected_malformed for s in (a, b)] == [3, 0]
         assert _same_result(engine.close(a), engine.close(b))
+
+    def test_a_wide_sender_holds_its_estimate(self):
+        """A session queues a wider block's crop: a full queue of blocks
+        ten times the crop's width holds no more than the memory model
+        charges the session."""
+        spec = single_session()
+        engine = ServingEngine(queue_capacity=16)
+        session = engine.admit(spec)
+        source = SyntheticFrameSource(spec, seed=0)
+        source.next_block()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            while engine.offer(session, np.tile(source.next_block(), 10)):
+                pass
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert session.pending == 16
+        assert held <= SpecMemoryModel(queue_capacity=16).estimate(spec)
+
+    @pytest.mark.parametrize("transport", ["pipe", "shm"])
+    def test_a_wide_sender_ships_its_crop(self, transport):
+        """Through shard workers a wider block crosses the transport as
+        its crop: a wide sender moves exactly an exact-width sender's
+        bytes, and is served the same."""
+        spec = single_session()
+        moved, results = [], []
+        for widen in (1, 10):
+            with ServingEngine(workers=2, transport=transport) as engine:
+                session = engine.admit(spec)
+                source = SyntheticFrameSource(spec, seed=0)
+                for _ in range(6):
+                    block = np.tile(source.next_block(), widen)
+                    assert engine.offer(session, block)
+                    engine.tick()
+                results.append(engine.close(session))
+                stats = engine.transport_stats()
+                moved.append(stats["bytes_shm"] + stats["bytes_pickled"])
+        assert moved[0] == moved[1] > 0
+        assert _same_result(*results)
 
 
 #: One churn step: an event, which live session it picks, and how many
